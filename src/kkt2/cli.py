@@ -4,7 +4,8 @@ Exit codes: 0 every requested check passes/holds, 1 a check is violated
 (witness embedded in the report), 2 usage or parse error, 3 internal
 numeric failure.  Reports print as aligned text or canonical JSON; the
 report seed comes from --seed, else the KKT2_SEED environment variable,
-else the problem file, else the library default.
+else the problem file, else the library default.  Each file subcommand
+runs a list of ``kkt2.stages`` built from its flags.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .config import DEFAULT_SEED
-from .curvature import check_snc, check_ssc, sample_growth
+from . import stages
+from .config import DEFAULT_SEED, SearchBudget
 from .errors import NumericError, ParseError, UsageError
-from .kkt import check_rzkcq, check_strict_cq, check_weaker_cq, foc_residual, multiplier_set
-from .model import check_feasible, validate_derivatives
 from .problem_file import parse_point, parse_problem, serialize_problem
-from .report import (
-    CertificationReport,
-    CheckRecord,
-    new_report,
-    problem_digest,
-    second_order_witness_dict,
-)
+from .report import CertificationReport, new_report, problem_digest
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -42,43 +35,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="First- and second-order optimality certification for a "
         "candidate point of a box/hull-constrained problem.",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_point=True):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=None)
-        if with_point:
+    def add(name, help_text, stage_list=None):
+        """A subcommand; file subcommands give their stages as ``stage_list(args)``."""
+        sp = sub.add_parser(name, help=help_text)
+        if stage_list is not None:
             sp.add_argument("problem", help="problem-definition JSON file")
             sp.add_argument("--at", metavar="POINT_FILE", default=None,
                             help="candidate point file (defaults to the builtin's base point)")
+            sp.set_defaults(stage_list=stage_list)
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--seed", type=int, default=None)
+        return sp
 
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    add_common(sub.add_parser("check-foc", help="first-order stationarity"))
-    cq = sub.add_parser("check-cq", help="constraint qualifications")
-    add_common(cq)
+    add("check-foc", "first-order stationarity",
+        lambda a: [stages.feasibility, stages.stationarity, stages.multiplier_count])
+    cq = add("check-cq", "constraint qualifications", _cq_stages)
     cq.add_argument("--rzkcq", action="store_true")
     cq.add_argument("--weaker", action="store_true")
     cq.add_argument("--strict", action="store_true")
-    add_common(sub.add_parser("multipliers", help="multiplier polytope vertices"))
-    add_common(sub.add_parser("check-snc", help="sup-form second-order necessary condition"))
-    ssc = sub.add_parser("check-ssc", help="second-order sufficient condition")
-    add_common(ssc)
+    add("multipliers", "multiplier polytope vertices",
+        lambda a: [stages.feasibility, stages.multiplier_vertices])
+    add("check-snc", "sup-form second-order necessary condition",
+        lambda a: [stages.feasibility, stages.snc_sup])
+    ssc = add("check-ssc", "second-order sufficient condition",
+              lambda a: [stages.feasibility, lambda c: stages.ssc(c, a.eta, a.alpha)])
     ssc.add_argument("--eta", type=float, required=True)
     ssc.add_argument("--alpha", type=float, required=True)
-    growth = sub.add_parser("growth", help="quadratic-growth sampling")
-    add_common(growth)
+    growth = add("growth", "quadratic-growth sampling", lambda a: [
+        stages.feasibility, lambda c: stages.growth_consistency(c, a.alpha, a.eps, a.samples)])
     growth.add_argument("--alpha", type=float, required=True)
     growth.add_argument("--eps", type=float, required=True)
     growth.add_argument("--samples", type=int, default=2000)
-    add_common(sub.add_parser("validate-derivatives", help="finite-difference derivative check"))
+    add("validate-derivatives", "finite-difference derivative check",
+        lambda a: [stages.derivatives])
 
-    rep = sub.add_parser("repro", help="run a built-in certification chain")
+    rep = add("repro", "run a built-in certification chain")
     rep.add_argument("which", choices=("example1", "example2"))
     rep.add_argument("--grid", type=int, default=120)
     rep.add_argument("--trunc", type=int, default=8)
-    rep.add_argument("--format", choices=("text", "json"), default="text")
-    rep.add_argument("--seed", type=int, default=None)
     return parser
+
+
+def _cq_stages(args) -> list:
+    """The CQs the flags ask for; with no flag, RZK CQ and the weaker one."""
+    run_all = not (args.rzkcq or args.weaker or args.strict)
+    wanted = ((stages.rzkcq, args.rzkcq or run_all), (stages.weaker_cq, args.weaker or run_all),
+              (stages.strict_cq, args.strict))
+    return [stages.feasibility, *(stage for stage, on in wanted if on)]
 
 
 def _resolve_seed(cli_seed: Optional[int], file_seed: Optional[int]) -> int:
@@ -95,225 +100,53 @@ def _resolve_seed(cli_seed: Optional[int], file_seed: Optional[int]) -> int:
     return DEFAULT_SEED
 
 
-def _load(args) -> tuple:
-    text = Path(args.problem).read_text(encoding="utf-8")
-    pf = parse_problem(text)
-    spec, default_point = pf.build()
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path) from exc
+
+
+def _context(args, started: float) -> stages.RunContext:
+    pf = parse_problem(_read(args.problem))
+    spec, point = pf.build()
     if args.at is not None:
-        point = parse_point(Path(args.at).read_text(encoding="utf-8"), spec.dim)
-    elif default_point is not None:
-        point = default_point
-    else:
+        point = parse_point(_read(args.at), spec.dim)
+    elif point is None:
         raise UsageError("--at is required for file-defined problems")
     seed = _resolve_seed(args.seed, pf.seed)
-    tol = pf.make_tolerances()
-    budget = pf.make_budget(seed)
-    digest = problem_digest(serialize_problem(pf))
-    report = new_report(pf.builtin or "file problem", digest, seed, point)
-    return spec, point, tol, budget, report
+    report = new_report(pf.builtin or "file problem", problem_digest(serialize_problem(pf)),
+                        seed, point)
+    return stages.RunContext(spec, point, pf.make_tolerances(), pf.make_budget(seed), report,
+                             started)
 
 
-def _emit(report: CertificationReport, fmt: str, started: float) -> int:
-    report.wall_time_s = time.perf_counter() - started
-    print(report.to_json() if fmt == "json" else report.to_text())
-    return EXIT_VIOLATED if report.any_violation else EXIT_OK
-
-
-def _feasibility_record(spec, point, tol, report) -> bool:
-    feas = check_feasible(spec, point, tol)
-    report.add(CheckRecord(
-        "feasibility",
-        "pass" if feas.feasible else "infeasible",
-        {"violations": list(feas.violations)} if not feas.feasible else
-        {"n_active": len(feas.info.active)},
-    ))
-    return feas.feasible
-
-
-def _cmd_check_foc(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    if _feasibility_record(spec, point, tol, report):
-        foc = foc_residual(spec, point, tol)
-        report.add(CheckRecord(
-            "stationarity",
-            "holds" if foc.stationary else "not_stationary",
-            {"residual": foc.residual},
-            {"best_mu": list(map(float, foc.best_mu))} if foc.best_mu is not None else None,
-        ))
-        if foc.stationary and foc.multipliers is not None:
-            report.add(CheckRecord(
-                "multiplier_set",
-                "pass",
-                {"bounded": foc.multipliers.bounded,
-                 "n_vertices": len(foc.multipliers.vertices)},
-            ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_check_cq(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    run_all = not (args.rzkcq or args.weaker or args.strict)
-    if _feasibility_record(spec, point, tol, report):
-        if args.rzkcq or run_all:
-            v = check_rzkcq(spec, point, tol)
-            report.add(CheckRecord(
-                "rzkcq", "holds" if v.holds else "violated",
-                {}, {"witness": list(map(float, v.witness))} if v.witness is not None else None,
-            ))
-        if args.weaker or run_all:
-            v = check_weaker_cq(spec, point, tol)
-            report.add(CheckRecord(
-                "weaker_cq", "holds" if v.holds else "violated",
-                {}, {"witness": list(map(float, v.witness))} if v.witness is not None else None,
-            ))
-        if args.strict:
-            mset = multiplier_set(spec, point, tol)
-            if mset.empty or not mset.vertices:
-                reason = "no multipliers exist" if mset.empty else \
-                    "multiplier vertices unavailable (unbounded set?)"
-                report.add(CheckRecord("strict_cq", "fail", {"reason": reason}))
-            else:
-                for k, vert in enumerate(mset.vertices):
-                    v = check_strict_cq(spec, point, mset.multipliers(vert), tol)
-                    report.add(CheckRecord(
-                        f"strict_cq[vertex {k}]",
-                        "holds" if v.holds else "violated",
-                        {"mu": list(map(float, vert)),
-                         "achieved_cone": v.achieved_cone or ""},
-                    ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_multipliers(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    if _feasibility_record(spec, point, tol, report):
-        mset = multiplier_set(spec, point, tol)
-        report.add(CheckRecord(
-            "multiplier_set",
-            "violated" if mset.empty else "holds",
-            {
-                "empty": mset.empty,
-                "bounded": mset.bounded,
-                "vertices": [list(map(float, v)) for v in mset.vertices],
-            },
-        ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_check_snc(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    if _feasibility_record(spec, point, tol, report):
-        mset = multiplier_set(spec, point, tol)
-        if mset.empty:
-            report.add(CheckRecord("snc_sup", "fail", {"reason": "empty multiplier set"}))
-        else:
-            verdict = check_snc(spec, point, mset, budget=budget, tol=tol)
-            report.add(CheckRecord(
-                "snc_sup",
-                "holds" if verdict.kind == "snc_holds" else "violated",
-                {"sampled_min": verdict.sampled_min,
-                 "directions": verdict.directions_evaluated},
-                second_order_witness_dict(verdict),
-            ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_check_ssc(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    if _feasibility_record(spec, point, tol, report):
-        mset = multiplier_set(spec, point, tol)
-        if mset.empty:
-            report.add(CheckRecord("ssc", "fail", {"reason": "empty multiplier set"}))
-        else:
-            verdict = check_ssc(spec, point, mset, eta=args.eta,
-                                alpha_target=args.alpha, budget=budget, tol=tol)
-            report.add(CheckRecord(
-                "ssc",
-                "holds" if verdict.kind == "ssc_holds" else "violated",
-                {"alpha_est": verdict.alpha_est,
-                 "positivity_consistent": verdict.positivity_consistent},
-                second_order_witness_dict(verdict),
-            ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_growth(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    if _feasibility_record(spec, point, tol, report):
-        res = sample_growth(spec, point, args.alpha, args.eps, args.samples,
-                            seed=budget.seed, tol=tol)
-        record = CheckRecord(
-            "growth_consistency",
-            "pass" if res.consistent else "violated",
-            {"samples": res.samples_accepted, "worst_margin": res.worst_margin,
-             "note": res.note},
-            {"counterexample": list(map(float, res.counterexample))}
-            if res.counterexample is not None else None,
-        )
-        report.add(record)
-    return _emit(report, args.format, started)
-
-
-def _cmd_validate_derivatives(args) -> int:
-    started = time.perf_counter()
-    spec, point, tol, budget, report = _load(args)
-    deriv = validate_derivatives(spec, point, tol)
-    for entry in deriv.per_function:
-        report.add(CheckRecord(
-            f"derivatives[{entry['function']}]",
-            "pass" if entry["passed"] else "fail",
-            {"gradient_max_error": entry["gradient_max_error"],
-             "hessian_max_error": entry["hessian_max_error"]},
-        ))
-    return _emit(report, args.format, started)
-
-
-def _cmd_repro(args) -> int:
-    from .config import SearchBudget
+def _repro(args) -> CertificationReport:
     from .examples import run_example1_certification, run_example2_certification
 
-    started = time.perf_counter()
-    seed = _resolve_seed(args.seed, None)
-    budget = SearchBudget(seed=seed)
+    budget = SearchBudget(seed=_resolve_seed(args.seed, None))
     if args.which == "example1":
-        _, report = run_example1_certification(args.grid, budget=budget)
-    else:
-        _, report = run_example2_certification(args.trunc, budget=budget)
-    return _emit(report, args.format, started)
-
-
-_COMMANDS = {
-    "check-foc": _cmd_check_foc,
-    "check-cq": _cmd_check_cq,
-    "multipliers": _cmd_multipliers,
-    "check-snc": _cmd_check_snc,
-    "check-ssc": _cmd_check_ssc,
-    "growth": _cmd_growth,
-    "validate-derivatives": _cmd_validate_derivatives,
-    "repro": _cmd_repro,
-}
+        return run_example1_certification(args.grid, budget=budget)[1]
+    return run_example2_certification(args.trunc, budget=budget)[1]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
-    except (ParseError, UsageError, FileNotFoundError) as exc:
+        report = _repro(args) if args.command == "repro" else \
+            stages.run(_context(args, started), args.stage_list(args))
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    print(report.to_json() if args.format == "json" else report.to_text())
+    return EXIT_VIOLATED if report.any_violation else EXIT_OK
 
 
 if __name__ == "__main__":

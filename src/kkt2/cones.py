@@ -21,7 +21,6 @@ from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entr
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
 _POLAR = {FREE: ZERO, NONNEG: NONPOS, NONPOS: NONNEG, ZERO: FREE}
-_CODE_NAMES = {FREE: "free", NONNEG: ">=0", NONPOS: "<=0", ZERO: "=0"}
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,6 @@ class SignPatternCone:
     @property
     def dim(self) -> int:
         return self.codes.shape[0]
-
-    def describe(self) -> list[str]:
-        return [_CODE_NAMES[int(c)] for c in self.codes]
 
     def polar(self) -> "SignPatternCone":
         return SignPatternCone(np.array([_POLAR[int(c)] for c in self.codes], dtype=np.int8))
@@ -114,18 +110,6 @@ def tangent_cone_K(p: ProblemSpec, info: ActiveSetInfo) -> KTangentRows:
     leq = tuple(i for i in info.active if i >= p.m1)
     free = tuple(i for i in info.inactive)
     return KTangentRows(eq, leq, free)
-
-
-def normal_cone_K(p: ProblemSpec, info: ActiveSetInfo) -> SignPatternCone:
-    """Normal cone of the range cone at g(x): free on equalities, >=0 on
-    active inequalities, =0 on inactive ones (multiplier sign convention)."""
-    m = p.n_constraints
-    codes = np.full(m, ZERO, dtype=np.int8)
-    codes[list(range(p.m1))] = FREE
-    for i in info.active:
-        if i >= p.m1:
-            codes[i] = NONNEG
-    return SignPatternCone(codes)
 
 
 # --------------------------------------------------------------------------
@@ -268,15 +252,13 @@ def critical_cone(
     x,
     eta: float = 0.0,
     constraint_rows: bool = True,
-    objective_equality: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CriticalCone:
     """Critical cone (eta = 0) or extended critical cone (eta > 0) at x.
 
     ``constraint_rows=False`` drops the g'(x)-cuts and keeps only the
     tangent cone intersected with the objective cut.  With eta = 0 the
-    objective cut enters as an equality when ``objective_equality`` is set,
-    otherwise as f'(x).h <= 0; either way it is absorbed into the sign
+    objective cut enters as f'(x).h <= 0; it is absorbed into the sign
     pattern whenever its terms are single-signed on the tangent cone.
     """
 
@@ -303,10 +285,7 @@ def critical_cone(
     if isinstance(p.abstract_set, BoxSet):
         pattern = tangent_cone_box(p.abstract_set, v, tol)
         if eta == 0.0:
-            if objective_equality:
-                eq_rows.append(fgrad)
-            else:
-                ineq_rows.append(fgrad)
+            ineq_rows.append(fgrad)
             pattern, eq_left, ineq_left = absorb_rows(pattern, eq_rows, ineq_rows, p.weights)
             obj_kept = None
             # if the objective row survived absorption it stays a cut with eta=0
@@ -324,10 +303,7 @@ def critical_cone(
     rays = cone_set.tangent_rays()
     obj = fgrad if eta > 0.0 else None
     if eta == 0.0:
-        if objective_equality:
-            eq_rows.append(fgrad)
-        else:
-            ineq_rows.append(fgrad)
+        ineq_rows.append(fgrad)
     return CriticalCone(p.weights, None, rays, tuple(eq_rows), tuple(ineq_rows), obj, eta)
 
 

@@ -431,6 +431,8 @@ def sample_growth(
 
     if eps <= 0:
         raise UsageError("eps must be positive")
+    if n_samples < 1:
+        raise UsageError("the growth check needs at least one sample")
     v = as_entries(x, p.dim)
     rng = np.random.default_rng(seed)
     if p.feasible_sampler is not None:

@@ -1,11 +1,7 @@
-"""End-to-end certification chains for the built-in problems.
-
-Each chain runs the full battery in the standard order (feasibility, FOC,
-constraint qualifications, second-order checks), records raw verdicts, and
-appends a final ``chain_expectations`` record comparing the outcomes against
-the known certification profile of the built-in problem.  Any mismatch
-fails that record.
-"""
+"""End-to-end certification chains for the built-in problems: the shared
+stages of ``kkt2.stages``, the chain's own stages, and a final
+``chain_expectations`` record that fails unless every record matches the
+chain's expectations table."""
 
 from __future__ import annotations
 
@@ -13,273 +9,132 @@ import time
 
 import numpy as np
 
-from ..config import DEFAULT_TOLERANCES, SearchBudget, Tolerances
-from ..curvature import (
-    check_snc,
-    check_snc_fixed_multiplier,
-    check_ssc,
-    sample_growth,
-)
-from ..kkt import check_rzkcq, check_strict_cq, check_weaker_cq, foc_residual
-from ..model import check_feasible, validate_derivatives
-from ..report import (
-    CertificationReport,
-    CheckRecord,
-    new_report,
-    problem_digest,
-    second_order_witness_dict,
-)
+from ..config import DEFAULT_TOLERANCES, SearchBudget
+from ..curvature import check_snc_fixed_multiplier
+from ..report import CertificationReport, CheckRecord, new_report, problem_digest
+from ..report import second_order_witness_dict
+from ..stages import RunContext, derivative_validation, feasibility, growth_consistency, run
+from ..stages import rzkcq, snc_sup, ssc, stationarity, strict_cq, weaker_cq
 from .example1 import Example1Problem, build_example1
-from .example2 import (
-    DELTA,
-    Example2Problem,
-    build_example2,
-    verify_halfspace_representation,
-    verify_section_membership,
-)
+from .example2 import DELTA, Example2Problem, build_example2
+from .example2 import verify_halfspace_representation, verify_section_membership
+
+GROWTH_ALPHA, GROWTH_EPS, GROWTH_SAMPLES = 0.1, 0.05, 2000  # example2's growth check
+# Record name -> (expected verdict, numeric check at a fixed tolerance or None).
+EXAMPLE1_EXPECTATIONS = {
+    "feasibility": ("pass", None), "derivative_validation": ("pass", None),
+    "rzkcq": ("holds", None), "weaker_cq": ("holds", None), "stationarity": ("holds", None),
+    "multiplier_set": ("pass", lambda r: np.allclose(r.numbers["vertices"], [0.0, 1.0],
+                                                     rtol=0.0, atol=1e-9)),
+    "ssc": ("holds", lambda r: abs(r.numbers["alpha_est"] - 1.0) <= 1e-6),
+    "snc_sup": ("holds", lambda r: r.numbers["sampled_min"] >= 1.0 - 1e-6),
+    "fixed_multiplier_gap": ("pass", None),
+}
+EXAMPLE2_EXPECTATIONS = {
+    "feasibility": ("pass", None), "derivative_validation": ("pass", None),
+    "growth_consistency": ("pass", None), "rzkcq": ("holds", None),
+    "stationarity": ("holds", None), "multiplier_uniqueness": ("pass", None),
+    "snc_sup": ("violated", lambda r: abs(r.witness["value"] + 2.0 * DELTA) <= 1e-9),
+    "strict_cq": ("violated", lambda r: r.numbers["achieved_cone"] == "(-inf, 0]"),
+    "halfspace_representation": ("pass", None), "section_membership": ("pass", None),
+}
 
 
-def run_example1_certification(
-    grid: int,
-    budget: SearchBudget = SearchBudget(),
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[Example1Problem, CertificationReport]:
-    """Chain: feasibility, derivative validation, RZK CQ, stationarity with
-    the multiplier interval [0,1], coercive sufficient condition, sup-form
-    necessary condition, and the demonstration that no single fixed
-    multiplier satisfies the necessary condition on its own."""
+def _chain(ex, label: str, digest: str, budget: SearchBudget, started: float, stages: list,
+           expectations: dict) -> CertificationReport:
+    report = new_report(label, problem_digest(digest), budget.seed, ex.xbar)
+    ctx = RunContext(ex.problem, ex.xbar, DEFAULT_TOLERANCES, budget, report, started)
+    return run(ctx, [*stages, lambda c: _chain_expectations(c, expectations)])
 
-    start = time.perf_counter()
-    ex = build_example1(grid)
-    p, x = ex.problem, ex.xbar
-    report = new_report(
-        f"example1(grid={grid})", problem_digest(f"example1:{grid}"), budget.seed, x
-    )
-    expect_ok = True
 
-    feas = check_feasible(p, x, tol)
-    report.add(CheckRecord(
-        "feasibility",
-        "pass" if feas.feasible else "infeasible",
-        {"n_active": len(feas.info.active) if feas.info else 0},
-    ))
-    expect_ok &= feas.feasible
+def _chain_expectations(ctx: RunContext, expectations: dict) -> CheckRecord:
+    records = {r.name: r for r in ctx.report.checks}
+    ok = all(name in records and records[name].verdict == verdict
+             and (check is None or check(records[name]))
+             for name, (verdict, check) in expectations.items())
+    return CheckRecord("chain_expectations", "pass" if ok else "fail", {})
 
-    deriv = validate_derivatives(p, x, tol)
-    report.add(CheckRecord(
-        "derivative_validation",
-        "pass" if deriv.passed else "fail",
-        {
-            "max_gradient_error": max(r["gradient_max_error"] for r in deriv.per_function),
-            "max_hessian_error": max(r["hessian_max_error"] for r in deriv.per_function),
-        },
-    ))
-    expect_ok &= deriv.passed
 
-    rz = check_rzkcq(p, x, tol)
-    report.add(CheckRecord("rzkcq", "holds" if rz.holds else "violated", {}))
-    weak = check_weaker_cq(p, x, tol)
-    report.add(CheckRecord("weaker_cq", "holds" if weak.holds else "violated", {}))
-    expect_ok &= rz.holds and weak.holds and (rz.holds == weak.holds)
-
-    foc = foc_residual(p, x, tol)
-    report.add(CheckRecord(
-        "stationarity",
-        "holds" if foc.stationary else "not_stationary",
-        {"residual": foc.residual},
-    ))
-    expect_ok &= foc.stationary
-    mset = foc.multipliers
-    assert mset is not None
-
+def _multiplier_interval(ctx: RunContext) -> CheckRecord:
+    mset = ctx.multipliers
     vertices = sorted(float(v[0]) for v in mset.vertices)
-    lam_interval = [min(vertices), max(vertices)] if vertices else []
-    report.add(CheckRecord(
-        "multiplier_set",
-        "pass" if mset.bounded and len(vertices) == 2 else "fail",
-        {
-            "bounded": mset.bounded,
-            "vertices": vertices,
-            "lambda_interval": lam_interval,
-        },
-    ))
-    expect_ok &= (
-        mset.bounded
-        and len(vertices) == 2
-        and abs(vertices[0]) <= 1e-9
-        and abs(vertices[1] - 1.0) <= 1e-9
-    )
+    ok = mset.bounded and len(vertices) == 2
+    return CheckRecord("multiplier_set", "pass" if ok else "fail", {
+        "bounded": mset.bounded, "vertices": vertices,
+        "lambda_interval": [min(vertices), max(vertices)] if vertices else []})
 
-    hypo = tuple(
-        f"{name} holds: multiplier set nonempty and bounded"
-        for name, verdict in (("rzkcq", rz), ("weaker_cq", weak)) if verdict.holds
-    )
-    ssc = check_ssc(p, x, mset, eta=0.1, alpha_target=1.0, budget=budget, tol=tol,
-                    hypotheses=hypo)
-    report.add(CheckRecord(
-        "ssc",
-        "holds" if ssc.kind == "ssc_holds" else "violated",
-        {
-            "alpha_est": ssc.alpha_est,
-            "directions": ssc.directions_evaluated,
-            "positivity_consistent": ssc.positivity_consistent,
-        },
-        second_order_witness_dict(ssc),
-        list(ssc.hypotheses),
-    ))
-    expect_ok &= ssc.kind == "ssc_holds" and abs((ssc.alpha_est or 0.0) - 1.0) <= 1e-6
 
-    cone = ex.display_critical_cone(tol)
-    snc = check_snc(p, x, mset, cone=cone, budget=budget, tol=tol, hypotheses=hypo)
-    report.add(CheckRecord(
-        "snc_sup",
-        "holds" if snc.kind == "snc_holds" else "violated",
-        {"sampled_min": snc.sampled_min, "directions": snc.directions_evaluated},
-        second_order_witness_dict(snc),
-        list(snc.hypotheses),
-    ))
-    expect_ok &= snc.kind == "snc_holds" and snc.sampled_min >= 1.0 - 1e-6
-
+def _fixed_multiplier_gap(ctx: RunContext, cone) -> CheckRecord:
+    """No single multiplier of the interval satisfies the necessary
+    condition on its own: each of 11 sampled ones has a violating direction."""
     gaps = []
-    all_violated = True
-    for mu_val in np.linspace(0.0, 1.0, 11):
-        verdict = check_snc_fixed_multiplier(
-            p, x, np.array([mu_val]), mset, cone=cone, budget=budget, tol=tol
-        )
-        violated = verdict.kind == "snc_violated"
-        all_violated &= violated
-        gaps.append({
-            "mu": float(mu_val),
-            "violated": violated,
-            "witness": second_order_witness_dict(verdict),
-        })
-    report.add(CheckRecord(
-        "fixed_multiplier_gap",
-        "pass" if all_violated else "fail",
-        {"n_multipliers_sampled": len(gaps)},
-        {"per_multiplier": gaps},
-    ))
-    expect_ok &= all_violated
-
-    report.add(CheckRecord("chain_expectations", "pass" if expect_ok else "fail", {}))
-    report.wall_time_s = time.perf_counter() - start
-    return ex, report
+    for mu in np.linspace(0.0, 1.0, 11):
+        verdict = check_snc_fixed_multiplier(ctx.problem, ctx.point, np.array([mu]),
+                                             ctx.multipliers, cone=cone, budget=ctx.budget,
+                                             tol=ctx.tol)
+        gaps.append({"mu": float(mu), "violated": verdict.kind == "snc_violated",
+                     "witness": second_order_witness_dict(verdict)})
+    return CheckRecord("fixed_multiplier_gap", "pass" if all(g["violated"] for g in gaps)
+                       else "fail", {"n_multipliers_sampled": len(gaps)}, {"per_multiplier": gaps})
 
 
-def run_example2_certification(
-    trunc: int,
-    budget: SearchBudget = SearchBudget(),
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    growth_alpha: float = 0.1,
-    growth_eps: float = 0.05,
-    growth_samples: int = 2000,
-) -> tuple[Example2Problem, CertificationReport]:
-    """Chain: local-minimum consistency by growth sampling, RZK CQ, unique
-    multiplier, the sup-form necessary condition violated along (0,1,0) with
-    value -2*delta, and the strict qualification failing with achieved cone
-    (-inf, 0]."""
-
-    start = time.perf_counter()
-    ex = build_example2(trunc)
-    p, x = ex.problem, ex.xbar
-    report = new_report(
-        f"example2(trunc={trunc})", problem_digest(f"example2:{trunc}"), budget.seed, x
-    )
-    expect_ok = True
-
-    feas = check_feasible(p, x, tol)
-    report.add(CheckRecord(
-        "feasibility",
-        "pass" if feas.feasible else "infeasible",
-        {"n_active": len(feas.info.active) if feas.info else 0},
-    ))
-    expect_ok &= feas.feasible
-
-    deriv = validate_derivatives(p, x, tol)
-    report.add(CheckRecord(
-        "derivative_validation",
-        "pass" if deriv.passed else "fail",
-        {"max_gradient_error": max(r["gradient_max_error"] for r in deriv.per_function)},
-    ))
-    expect_ok &= deriv.passed
-
-    growth = sample_growth(p, x, growth_alpha, growth_eps, growth_samples,
-                           seed=budget.seed, tol=tol)
-    report.add(CheckRecord(
-        "growth_consistency",
-        "pass" if growth.consistent else "violated",
-        {
-            "alpha": growth_alpha,
-            "eps": growth_eps,
-            "samples": growth.samples_accepted,
-            "worst_margin": growth.worst_margin,
-        },
-    ))
-    expect_ok &= growth.consistent
-
-    rz = check_rzkcq(p, x, tol)
-    report.add(CheckRecord("rzkcq", "holds" if rz.holds else "violated", {}))
-    expect_ok &= rz.holds
-
-    foc = foc_residual(p, x, tol)
-    mset = foc.multipliers
-    report.add(CheckRecord(
-        "stationarity",
-        "holds" if foc.stationary else "not_stationary",
-        {"residual": foc.residual},
-    ))
-    expect_ok &= foc.stationary
-    assert mset is not None
-
+def _multiplier_uniqueness(ctx: RunContext) -> CheckRecord:
+    mset = ctx.multipliers
     unique = len(mset.vertices) == 1 and abs(float(mset.vertices[0][0])) <= 1e-10
     lam = mset.lam_of(mset.vertices[0]) if mset.vertices else None
     lam_ok = lam is not None and float(np.max(np.abs(lam - np.array([0.0, 0.0, 1.0])))) <= 1e-10
-    report.add(CheckRecord(
-        "multiplier_uniqueness",
-        "pass" if unique and lam_ok else "fail",
-        {
-            "n_vertices": len(mset.vertices),
-            "mu": [float(v[0]) for v in mset.vertices],
-            "lambda": list(map(float, lam)) if lam is not None else [],
-        },
-    ))
-    expect_ok &= unique and lam_ok
+    return CheckRecord("multiplier_uniqueness", "pass" if unique and lam_ok else "fail", {
+        "n_vertices": len(mset.vertices), "mu": [float(v[0]) for v in mset.vertices],
+        "lambda": list(map(float, lam)) if lam is not None else []})
 
-    hypo = ("rzkcq holds: multiplier set nonempty and bounded",)
-    snc = check_snc(p, x, mset, budget=budget, tol=tol, hypotheses=hypo)
-    report.add(CheckRecord(
-        "snc_sup",
-        "holds" if snc.kind == "snc_holds" else "violated",
-        {"sampled_min": snc.sampled_min, "expected_value": -2.0 * DELTA},
-        second_order_witness_dict(snc),
-        list(snc.hypotheses),
-    ))
-    expect_ok &= (
-        snc.kind == "snc_violated"
-        and snc.witness_value is not None
-        and abs(snc.witness_value - (-2.0 * DELTA)) <= 1e-9
-    )
 
-    strict = check_strict_cq(p, x, mset.multipliers(mset.vertices[0]), tol)
-    report.add(CheckRecord(
-        "strict_cq",
-        "holds" if strict.holds else "violated",
-        {"achieved_cone": strict.achieved_cone or ""},
-        {"witness": list(map(float, strict.witness))} if strict.witness is not None else None,
-    ))
-    expect_ok &= (not strict.holds) and strict.achieved_cone == "(-inf, 0]"
+def _snc_with_expected_value(ctx: RunContext) -> CheckRecord:
+    record = snc_sup(ctx)
+    record.numbers["expected_value"] = -2.0 * DELTA
+    return record
 
-    hs_ok, _rows = verify_halfspace_representation(ex.geometry)
-    report.add(CheckRecord("halfspace_representation", "pass" if hs_ok else "fail",
-                           {"rows_checked": len(_rows)}))
+
+def _section_formulas(ex: Example2Problem) -> list[CheckRecord]:
+    """The paper's half-space rows of the hull and its plane-section points."""
+    hs_ok, rows = verify_halfspace_representation(ex.geometry)
     sec_ok, worst_member, worst_diag = verify_section_membership(ex.geometry, 30, 30)
-    report.add(CheckRecord(
-        "section_membership",
-        "pass" if sec_ok else "fail",
-        {"worst_membership_residual": worst_member, "worst_diagonal_residual": worst_diag},
-    ))
-    expect_ok &= hs_ok and sec_ok
+    return [
+        CheckRecord("halfspace_representation", "pass" if hs_ok else "fail",
+                    {"rows_checked": len(rows)}),
+        CheckRecord("section_membership", "pass" if sec_ok else "fail", {
+            "worst_membership_residual": worst_member, "worst_diagonal_residual": worst_diag}),
+    ]
 
-    report.add(CheckRecord("chain_expectations", "pass" if expect_ok else "fail", {}))
-    report.wall_time_s = time.perf_counter() - start
-    return ex, report
+
+def run_example1_certification(
+    grid: int, budget: SearchBudget = SearchBudget()
+) -> tuple[Example1Problem, CertificationReport]:
+    """Chain: the multiplier interval [0,1], the coercive sufficient and sup-form
+    necessary conditions, and no single fixed multiplier satisfying the latter."""
+
+    started = time.perf_counter()
+    ex = build_example1(grid)
+    # one cone object for every search: the direction battery is cached on it
+    cone = ex.display_critical_cone(DEFAULT_TOLERANCES)
+    stages = [feasibility, derivative_validation, rzkcq, weaker_cq, stationarity,
+              _multiplier_interval, lambda c: ssc(c, 0.1, 1.0), lambda c: snc_sup(c, cone),
+              lambda c: _fixed_multiplier_gap(c, cone)]
+    return ex, _chain(ex, f"example1(grid={grid})", f"example1:{grid}", budget, started, stages,
+                      EXAMPLE1_EXPECTATIONS)
+
+
+def run_example2_certification(
+    trunc: int, budget: SearchBudget = SearchBudget()
+) -> tuple[Example2Problem, CertificationReport]:
+    """Chain: growth consistency, a unique multiplier, the sup-form necessary
+    condition violated along (0,1,0) with value -2*delta, and the strict
+    qualification failing with achieved cone (-inf, 0]."""
+
+    started = time.perf_counter()
+    ex = build_example2(trunc)
+    stages = [feasibility, derivative_validation,
+              lambda c: growth_consistency(c, GROWTH_ALPHA, GROWTH_EPS, GROWTH_SAMPLES),
+              rzkcq, stationarity, _multiplier_uniqueness, _snc_with_expected_value,
+              lambda c: strict_cq(c, per_vertex=False), lambda c: _section_formulas(ex)]
+    return ex, _chain(ex, f"example2(trunc={trunc})", f"example2:{trunc}", budget, started, stages,
+                      EXAMPLE2_EXPECTATIONS)

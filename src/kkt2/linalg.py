@@ -83,10 +83,6 @@ class WeightedVector:
         return float(np.sqrt(self.norm2()))
 
 
-def weighted_inner(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(weights * a * b))
-
-
 def weighted_norm(weights: np.ndarray, a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(weights * a * a)))
 
@@ -506,12 +502,6 @@ def enumerate_vertices(
             continue
         vertices.append(_frozen(x + 0.0))  # + 0.0 normalizes negative zeros
     return vertices
-
-
-def maximize_over_polytope(
-    objective: np.ndarray, p: PolytopeH, tol: Tolerances = DEFAULT_TOLERANCES
-) -> LPResult:
-    return solve_lp(LinearProgram(objective, p.eq_rows, p.ineq_rows, sense="max"), tol)
 
 
 # --------------------------------------------------------------------------

@@ -263,10 +263,6 @@ class ActiveSetInfo:
     box_upper_active: tuple[int, ...]
     box_interior: tuple[int, ...]
 
-    @property
-    def active_inequalities(self) -> tuple[int, ...]:
-        return self.active  # filtered by caller when m1 offset matters
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:

@@ -181,6 +181,64 @@ class TestCLI:
         assert record["growth_consistency"]["verdict"] == "pass"
         assert record["growth_consistency"]["numbers"]["samples"] == 200
 
+    def test_unreadable_problem_directory_exit_two(self, capsys, tmp_path):
+        assert main(["check-foc", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_non_utf8_problem_exit_two(self, capsys, tmp_path, stationary_point):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(MINIMAL.encode("utf-8").replace(b"1.0", b"\xff", 1))
+        assert main(["check-foc", str(bad), "--at", stationary_point]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_growth_needs_a_sample(self, capsys, problem_file, stationary_point, samples):
+        code = main(["growth", problem_file, "--at", stationary_point, "--alpha", "1.0",
+                     "--eps", "0.2", "--samples", samples])
+        assert code == 2
+        assert "at least one sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, exit_code, expected", [
+        (["check-foc"], 0, [("feasibility", "pass"), ("stationarity", "holds"),
+                            ("multiplier_set", "pass")]),
+        (["check-cq"], 0, [("feasibility", "pass"), ("rzkcq", "holds"), ("weaker_cq", "holds")]),
+        (["check-cq", "--strict"], 0, [("feasibility", "pass"), ("strict_cq[vertex 0]", "holds")]),
+        (["multipliers"], 0, [("feasibility", "pass"), ("multiplier_set", "holds")]),
+        (["check-snc"], 0, [("feasibility", "pass"), ("snc_sup", "holds")]),
+        (["check-ssc", "--eta", "0.1", "--alpha", "1.0"], 0,
+         [("feasibility", "pass"), ("ssc", "holds")]),
+        (["growth", "--alpha", "1.0", "--eps", "0.2", "--samples", "50"], 0,
+         [("feasibility", "pass"), ("growth_consistency", "pass")]),
+        (["validate-derivatives"], 0, [("derivatives[objective]", "pass")]),
+        (["repro", "example1", "--grid", "12"], 0, [
+            ("feasibility", "pass"), ("derivative_validation", "pass"), ("rzkcq", "holds"),
+            ("weaker_cq", "holds"), ("stationarity", "holds"), ("multiplier_set", "pass"),
+            ("ssc", "holds"), ("snc_sup", "holds"), ("fixed_multiplier_gap", "pass"),
+            ("chain_expectations", "pass")]),
+    ])
+    def test_record_sequence(self, capsys, problem_file, stationary_point, argv, exit_code,
+                             expected):
+        files = [] if argv[0] == "repro" else [problem_file, "--at", stationary_point]
+        code = main([argv[0], *files, *argv[1:], "--format", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["verdict"]) for c in checks] == expected
+        assert code == exit_code
+
+    @pytest.mark.parametrize("argv", [
+        ["check-foc"], ["check-cq", "--strict"], ["multipliers"], ["check-snc"],
+        ["check-ssc", "--eta", "0.1", "--alpha", "1.0"],
+        ["growth", "--alpha", "1.0", "--eps", "0.2"],
+    ])
+    def test_infeasible_point_stops_after_feasibility(self, capsys, problem_file, tmp_path,
+                                                      argv):
+        outside = tmp_path / "outside.json"
+        outside.write_text('{"point": [2.0]}')
+        code = main([argv[0], problem_file, "--at", str(outside), *argv[1:],
+                     "--format", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["verdict"]) for c in checks] == [("feasibility", "infeasible")]
+        assert code == 1
+
     def test_seed_priority_env_vs_flag(self, capsys, problem_file, stationary_point, monkeypatch):
         monkeypatch.setenv("KKT2_SEED", "7")
         main(["check-foc", problem_file, "--at", stationary_point, "--format", "json"])
@@ -199,6 +257,19 @@ class TestReport:
             data.pop("wall_time_s")
             outs.append(json.dumps(data, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_example2_snc_record_counts_directions(self):
+        _, report = run_example2_certification(4)
+        snc = next(c for c in report.checks if c.name == "snc_sup")
+        assert snc.numbers["directions"] >= 1
+
+    def test_chain_expectations_fail_on_a_mismatch(self, monkeypatch):
+        from kkt2.examples import certify
+
+        monkeypatch.setitem(certify.EXAMPLE2_EXPECTATIONS, "strict_cq", ("holds", None))
+        _, report = run_example2_certification(4)
+        assert report.checks[-1].name == "chain_expectations"
+        assert report.checks[-1].verdict == "fail"
 
     def test_witness_replay(self):
         ex, report = run_example2_certification(6)
