@@ -100,18 +100,23 @@ def _resolve_seed(cli_seed: Optional[int], file_seed: Optional[int]) -> int:
     return DEFAULT_SEED
 
 
-def _read(path: str) -> str:
+def _parse(parse, path: str, *args):
+    """``parse(text of path, *args)``; read and parse errors name the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path) from exc
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        raise ParseError(str(exc), path) from exc
 
 
 def _context(args, started: float) -> stages.RunContext:
-    pf = parse_problem(_read(args.problem))
+    pf = _parse(parse_problem, args.problem)
     spec, point = pf.build()
     if args.at is not None:
-        point = parse_point(_read(args.at), spec.dim)
+        point = _parse(parse_point, args.at, spec.dim)
     elif point is None:
         raise UsageError("--at is required for file-defined problems")
     seed = _resolve_seed(args.seed, pf.seed)

@@ -10,12 +10,13 @@ is what turns e.g. an objective cut into a plain componentwise condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InfeasiblePoint, UsageError
+from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
 from .linalg import LinearProgram, solve_lp, weighted_norm
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries
 
@@ -175,6 +176,64 @@ def absorb_rows(
 
 
 # --------------------------------------------------------------------------
+# Section generators
+# --------------------------------------------------------------------------
+
+_MAX_SECTION_GENERATORS = 20_000
+
+
+def _merge_parallel(vectors) -> list[np.ndarray]:
+    """The first of each set of positively parallel vectors; zero vectors dropped."""
+    out, seen = [], set()
+    for v in vectors:
+        nrm = float(np.linalg.norm(v))
+        if nrm == 0.0:
+            continue
+        key = (np.round(v / nrm, 10) + 0.0).tobytes()  # + 0.0 merges -0.0 into 0.0
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
+
+
+def _section_generators(rays, rows, dim: int) -> np.ndarray:
+    """Generators of cone(rays) cut by rows ``(a, is_eq)``: a.h = 0 or a.h <= 0,
+    as the rows of a read-only array.
+
+    One double-description step per row (Motzkin et al. 1953; Fukuda and
+    Prodon 1996): generators that meet the row keep their order and scaling,
+    and every pair with a.g+ > 0 > a.g- adds the convex combination
+    (a.g+ g- - a.g- g+) / (a.g+ - a.g-), which lies on a.h = 0.  Parallel
+    generators are merged.  There is no adjacency test, so redundant
+    generators can pile up; a fixed size guard raises ``PolytopeTooLarge``.
+    """
+
+    gens = _merge_parallel(np.asarray(r, dtype=float) for r in rays)
+    for a, is_eq in rows:
+        if not gens:
+            break
+        G = np.array(gens)
+        s = G @ a
+        sup = np.abs(G).max(axis=1)
+        tol = 1e-12 * float(np.max(np.abs(a), initial=0.0)) * sup
+        pos, neg = s > tol, s < -tol
+        meets = ~(pos | neg) if is_eq else ~pos
+        n_new = int(meets.sum()) + int(pos.sum()) * int(neg.sum())
+        if n_new > _MAX_SECTION_GENERATORS:
+            raise PolytopeTooLarge(f"the cone section would have {n_new} generators")
+        sp, sn = s[pos][:, None], s[neg][None, :]
+        combos = (sp[..., None] * G[neg][None] - sn[..., None] * G[pos][:, None]) \
+            / (sp - sn)[..., None]
+        # opposite generators cancel; drop what is round-off of their scale
+        parent = np.maximum(sup[pos][:, None], sup[neg][None, :])
+        combos = combos[np.abs(combos).max(axis=2, initial=0.0) > 1e-12 * parent]
+        gens = _merge_parallel([*G[meets], *combos])
+    out = np.array(gens).reshape(len(gens), dim)
+    out.flags.writeable = False
+    return out
+
+
+# --------------------------------------------------------------------------
 # Critical cones
 # --------------------------------------------------------------------------
 
@@ -211,6 +270,25 @@ class CriticalCone:
             object.__setattr__(self, "_eq_matrix", None)
             object.__setattr__(self, "_eq_weighted", None)
             object.__setattr__(self, "_eq_gram_inv", None)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Generators (rows) of the section of a ray-based cone by its rows,
+        computed on first use.  The eta > 0 objective cut is not polyhedral;
+        it stays a test on each direction (``objective_cut_holds``)."""
+        rows = [(self.weights * r, True) for r in self.eq_rows]
+        rows += [(self.weights * r, False) for r in self.ineq_rows]
+        return _section_generators(self.base_rays, rows, self.dim)
+
+    def objective_cut_holds(self, H: np.ndarray) -> np.ndarray:
+        """Row mask of f'(x).h <= eta ||h|| over the rows h of H, at the
+        sampling tolerance; all true when the cone keeps no objective cut."""
+        if self.objective_gradient is None:
+            return np.ones(len(H), dtype=bool)
+        w, g = self.weights, self.objective_gradient
+        scale = 1e-7 * (1.0 + np.abs(H).max(axis=1))
+        norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
+        return H @ (w * g) <= self.eta * norms + scale * (1.0 + float(np.max(np.abs(g))))
 
     def project_eq_rows(self, v: np.ndarray) -> np.ndarray:
         """Weighted orthogonal projection onto the equality rows' null space."""
@@ -394,9 +472,8 @@ def radial_density_gap(
 
 
 def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Optional[np.ndarray]:
-    """Alternate pattern clamping and row projection; None if it fails."""
-    if cone.base_pattern is None:
-        return h if cone.contains(h) else None
+    """Alternate pattern clamping and row projection (pattern cones); None if
+    it fails."""
     v = cone.base_pattern.clamp(np.asarray(h, dtype=float))
     if cone.eq_rows:
         wrows = cone._eq_weighted
@@ -412,37 +489,37 @@ def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Option
 
 def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
     """Canonical candidates: run indicators for pattern cones (paper scaling,
-    entries in {0, +-1}), the generator rays for ray-based cones; each is
-    row-projected into the cone when needed."""
+    entries in {0, +-1}), each row-projected into the cone when needed; the
+    section generators that meet the objective cut for ray-based cones."""
 
+    if cone.base_pattern is None:
+        G = cone.generators
+        return list(G[cone.objective_cut_holds(G)][:limit])
     raw: list[np.ndarray] = []
-    if cone.base_pattern is not None:
-        n = cone.dim
-        for start, stop, code in cone.base_pattern.runs():
-            ind = np.zeros(n)
-            ind[start:stop] = 1.0
-            if code == NONNEG:
-                raw.append(ind)
-            elif code == NONPOS:
-                raw.append(-ind)
-            elif code == FREE:
-                raw.append(ind)
-                raw.append(-ind)
-        for i in range(n):
-            c = int(cone.base_pattern.codes[i])
-            e = np.zeros(n)
-            e[i] = 1.0
-            if c == NONNEG:
-                raw.append(e)
-            elif c == NONPOS:
-                raw.append(-e)
-            elif c == FREE:
-                raw.append(e)
-                raw.append(-e)
-            if len(raw) >= 4 * limit:
-                break
-    else:
-        raw.extend(np.array(r, dtype=float) for r in cone.base_rays)
+    n = cone.dim
+    for start, stop, code in cone.base_pattern.runs():
+        ind = np.zeros(n)
+        ind[start:stop] = 1.0
+        if code == NONNEG:
+            raw.append(ind)
+        elif code == NONPOS:
+            raw.append(-ind)
+        elif code == FREE:
+            raw.append(ind)
+            raw.append(-ind)
+    for i in range(n):
+        c = int(cone.base_pattern.codes[i])
+        e = np.zeros(n)
+        e[i] = 1.0
+        if c == NONNEG:
+            raw.append(e)
+        elif c == NONPOS:
+            raw.append(-e)
+        elif c == FREE:
+            raw.append(e)
+            raw.append(-e)
+        if len(raw) >= 4 * limit:
+            break
 
     out: list[np.ndarray] = []
     for h in raw:
@@ -507,34 +584,32 @@ def _random_pattern_batch(
     return H
 
 
+def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Exponential-weight combinations of the section generators, unit norm.
+    Each is a cone member by construction; only the objective cut is tested."""
+
+    H = rng.exponential(size=(count, len(cone.generators))) @ cone.generators
+    norms = np.sqrt(np.maximum((H * H) @ cone.weights, 0.0))
+    keep = (norms > 1e-12) & cone.objective_cut_holds(H)
+    return H[keep] / norms[keep, None]
+
+
 def random_directions(
     cone: CriticalCone,
     count: int,
     rng: np.random.Generator,
     max_rounds: int = 10,
 ) -> list[np.ndarray]:
-    """Seeded unit-norm random members of the cone (deterministic given rng)."""
+    """Seeded unit-norm random members of the cone (deterministic given rng).
+    A section with a single generator gives none: its combinations are
+    copies of that one ray."""
 
+    if cone.base_pattern is None and len(cone.generators) <= 1:
+        return []
+    batch = _random_pattern_batch if cone.base_pattern is not None else _random_section_batch
     out: list[np.ndarray] = []
-    if cone.base_pattern is not None:
-        rounds = 0
-        while len(out) < count and rounds < max_rounds:
-            rounds += 1
-            batch = _random_pattern_batch(cone, 2 * count, rng)
-            out.extend(batch[: count - len(out)])
-        return out
-
-    K = len(cone.base_rays)
-    tries = 0
-    while len(out) < count and tries < 30 * max(count, 1):
-        tries += 1
-        coef = rng.exponential(size=K)
-        h = np.array(sum(c * r for c, r in zip(coef, cone.base_rays)))
-        if (cone.eq_rows or cone.ineq_rows or cone.objective_gradient is not None) \
-                and not cone.contains(h, 1e-7):
-            continue
-        nrm = weighted_norm(cone.weights, h)
-        if nrm <= 1e-12:
-            continue
-        out.append(h / nrm)
+    rounds = 0
+    while len(out) < count and rounds < max_rounds:
+        rounds += 1
+        out.extend(batch(cone, 2 * count, rng)[: count - len(out)])
     return out

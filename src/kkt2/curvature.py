@@ -114,10 +114,21 @@ class SecondOrderVerdict:
     alpha_est: Optional[float] = None
     hypotheses: tuple[str, ...] = ()
     positivity_consistent: Optional[bool] = None
+    section_generators: Optional[int] = None  # ray-based cones only
 
     @property
     def violated(self) -> bool:
         return self.kind.endswith("violated")
+
+    @property
+    def exact(self) -> bool:
+        """The searched cone is a single ray (or only the origin), so the
+        battery evaluated all of it."""
+        return self.section_generators is not None and self.section_generators <= 1
+
+
+def _section_size(cone: CriticalCone) -> Optional[int]:
+    return len(cone.generators) if cone.base_pattern is None else None
 
 
 def _battery(
@@ -133,11 +144,8 @@ def _battery(
     if key not in cache:
         rng = np.random.default_rng(budget.seed)
         out = [(h, True) for h in structured_directions(cone, budget.structured)]
-        if cone.base_pattern is not None:
-            # top the battery up to the full budget with random members
-            n_random = budget.structured + budget.random - len(out)
-        else:
-            n_random = min(budget.random, 64)
+        # top the battery up to the full budget with random members
+        n_random = budget.structured + budget.random - len(out)
         out += [(h, False) for h in random_directions(cone, n_random, rng)]
         cache[key] = out
     return cache[key]
@@ -258,20 +266,22 @@ def check_snc(
         cone = critical_cone(p, v, 0.0, tol=tol)
 
     cands, witness = _search_min(oracle, cone, lambda h: q_of_h(oracle, h), budget)
+    section = _section_size(cone)
     if witness is None:
         return SecondOrderVerdict("snc_holds", None, None, None, None,
                                   sampled_min=math.inf, directions_evaluated=0,
-                                  hypotheses=hypotheses)
+                                  hypotheses=hypotheses, section_generators=section)
     best_norm = min(c.normalized for c in cands)
     if best_norm < -tol.violation:
         return SecondOrderVerdict(
             "snc_violated", witness.h, witness.value, witness.normalized,
             witness.mu, sampled_min=best_norm,
             directions_evaluated=len(cands), hypotheses=hypotheses,
+            section_generators=section,
         )
     return SecondOrderVerdict(
         "snc_holds", None, None, None, None, sampled_min=best_norm,
-        directions_evaluated=len(cands), hypotheses=hypotheses,
+        directions_evaluated=len(cands), hypotheses=hypotheses, section_generators=section,
     )
 
 
@@ -343,11 +353,13 @@ def check_ssc(
     min_zero = min((c.normalized for c in cands0), default=math.inf)
     consistent = (min_zero > 0) == (alpha_est > 0)
 
+    section = _section_size(cone_eta)
     if alpha_est >= alpha_target - tol.alpha_slack:
         return SecondOrderVerdict(
             "ssc_holds", None, None, None, None, sampled_min=alpha_est,
             directions_evaluated=len(cands), alpha_est=alpha_est,
             hypotheses=hypotheses, positivity_consistent=consistent,
+            section_generators=section,
         )
     assert witness is not None
     return SecondOrderVerdict(
@@ -355,6 +367,7 @@ def check_ssc(
         witness.mu, sampled_min=alpha_est,
         directions_evaluated=len(cands), alpha_est=alpha_est,
         hypotheses=hypotheses, positivity_consistent=consistent,
+        section_generators=section,
     )
 
 

@@ -157,6 +157,14 @@ def _hypotheses(ctx: RunContext) -> tuple[str, ...]:
                  if r.name in ("rzkcq", "weaker_cq") and r.verdict == "holds")
 
 
+def _section(v) -> dict:
+    """On ray-based cones: the section's generator count, and whether the
+    section is one ray, so that the battery covered all of it."""
+    if v.section_generators is None:
+        return {}
+    return {"section_generators": v.section_generators, "exact": v.exact}
+
+
 def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     """Sup-form necessary condition over the critical cone (or ``cone``)."""
     if ctx.multipliers.empty:
@@ -164,7 +172,8 @@ def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     v = check_snc(ctx.problem, ctx.point, ctx.multipliers, cone=cone, budget=ctx.budget,
                   tol=ctx.tol, hypotheses=_hypotheses(ctx))
     return CheckRecord("snc_sup", _holds(not v.violated),
-                       {"sampled_min": v.sampled_min, "directions": v.directions_evaluated},
+                       {"sampled_min": v.sampled_min, "directions": v.directions_evaluated,
+                        **_section(v)},
                        second_order_witness_dict(v), list(v.hypotheses))
 
 
@@ -176,5 +185,5 @@ def ssc(ctx: RunContext, eta: float, alpha: float) -> CheckRecord:
                   budget=ctx.budget, tol=ctx.tol, hypotheses=_hypotheses(ctx))
     return CheckRecord("ssc", _holds(not v.violated),
                        {"alpha_est": v.alpha_est, "directions": v.directions_evaluated,
-                        "positivity_consistent": v.positivity_consistent},
+                        "positivity_consistent": v.positivity_consistent, **_section(v)},
                        second_order_witness_dict(v), list(v.hypotheses))

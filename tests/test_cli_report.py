@@ -141,6 +141,17 @@ class TestCLI:
         assert record["snc_sup"]["witness"]["direction"] == [0.0, 1.0, 0.0]
         assert record["chain_expectations"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("trunc", [
+        pytest.param(15, marks=pytest.mark.xfail(
+            strict=True, reason="the hull feasibility LP rejects the origin at trunc 15")),
+        16, 20, 24, 32])
+    def test_repro_example2_large_truncations(self, capsys, trunc):
+        code = main(["repro", "example2", "--trunc", str(trunc), "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        record = {c["name"]: c for c in data["checks"]}
+        assert code == 1
+        assert record["chain_expectations"]["verdict"] == "pass"
+
     def test_repro_bad_grid_exit_two(self):
         assert main(["repro", "example1", "--grid", "11"]) == 2
 
@@ -190,6 +201,21 @@ class TestCLI:
         bad.write_bytes(MINIMAL.encode("utf-8").replace(b"1.0", b"\xff", 1))
         assert main(["check-foc", str(bad), "--at", stationary_point]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_malformed_problem_error_names_file(self, capsys, tmp_path, stationary_point):
+        bad = tmp_path / "bad_problem.json"
+        bad.write_text("{not json")
+        assert main(["check-foc", str(bad), "--at", stationary_point]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: invalid JSON at line 1, column 2" in err
+
+    def test_malformed_point_error_names_file(self, capsys, tmp_path, problem_file):
+        bad = tmp_path / "bad_point.json"
+        bad.write_text('{"point": [0.0, 1.0]}')
+        assert main(["check-foc", problem_file, "--at", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: point: expected length 1, got 2" in err
+        assert problem_file not in err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_growth_needs_a_sample(self, capsys, problem_file, stationary_point, samples):
