@@ -383,19 +383,46 @@ class GrowthSampleResult:
     worst_margin: float
     counterexample: Optional[np.ndarray]
     note: str = ""
+    # Candidate points drawn: box tries, or the count asked of the problem's
+    # own feasible sampler.
+    tries: int = 0
+
+
+def _correct_equalities(
+    p: ProblemSpec, box: BoxSet, cand: np.ndarray, grads: np.ndarray,
+) -> np.ndarray:
+    """Chord-Newton steps onto g_i = 0 (i < m1) that move only the
+    coordinates of cand off the box bounds (the free-variable step of
+    projected Newton methods).  ``grads`` holds the equality gradients at the
+    base point, one row each; step directions are these rows with the bound
+    coordinates zeroed, so the projection cannot undo the step."""
+
+    eqs = p.constraints[:p.m1]
+    for _ in range(8):
+        gval = np.array([g.value(cand) for g in eqs])
+        if np.max(np.abs(gval)) <= 1e-13:
+            break
+        dirs = np.where((cand == box.lower) | (cand == box.upper), 0.0, grads)
+        jac = (np.array([g.gradient(cand) for g in eqs]) * p.weights) @ dirs.T
+        if not abs(np.linalg.det(jac)) >= 1e-14:
+            break  # singular or non-finite Jacobian
+        coef = np.linalg.solve(jac, gval)
+        if not np.all(np.isfinite(coef)):
+            break
+        cand = box.project(cand - coef @ dirs)
+    return cand
 
 
 def _box_feasible_samples(
     p: ProblemSpec, x: np.ndarray, eps: float, count: int, rng: np.random.Generator,
     tol: Tolerances,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], int]:
+    """Feasible points in the eps-ball around x and the number of tries."""
     assert isinstance(p.abstract_set, BoxSet)
     box = p.abstract_set
     out: list[np.ndarray] = []
     m1 = p.m1
-    grad_dir = None
-    if m1 == 1:
-        grad_dir = np.asarray(p.constraints[0].gradient(x), dtype=float)
+    grads = np.array([g.gradient(x) for g in p.constraints[:m1]], dtype=float)
     tries = 0
     while len(out) < count and tries < 40 * count:
         tries += 1
@@ -405,16 +432,8 @@ def _box_feasible_samples(
             continue
         cand = x + step * (eps * rng.random() / nrm)
         cand = box.project(cand)
-        if m1 == 1 and grad_dir is not None:
-            for _ in range(8):
-                gval = p.constraints[0].value(cand)
-                if abs(gval) <= 1e-13:
-                    break
-                d = np.asarray(p.constraints[0].gradient(cand), dtype=float)
-                slope = p.inner(d, grad_dir)
-                if abs(slope) < 1e-14:
-                    break
-                cand = box.project(cand - (gval / slope) * grad_dir)
+        if m1:
+            cand = _correct_equalities(p, box, cand, grads)
         gvals = p.constraint_values(cand) if p.n_constraints else np.zeros(0)
         ok = all(abs(gvals[i]) <= tol.residual for i in range(m1))
         ok = ok and all(gvals[i] <= tol.residual for i in range(m1, p.n_constraints))
@@ -422,7 +441,7 @@ def _box_feasible_samples(
         ok = ok and weighted_norm(p.weights, cand - x) <= eps * (1.0 + 1e-9)
         if ok:
             out.append(cand)
-    return out
+    return out, tries
 
 
 def sample_growth(
@@ -439,8 +458,9 @@ def sample_growth(
 
     Sampling consistency, not a proof: a 'consistent' outcome means no
     sampled violation.  Box problems project perturbations onto the box and
-    Newton-correct a single equality constraint; generated-cone problems use
-    the problem's feasible sampler when provided."""
+    Newton-correct every equality constraint on the coordinates off the box
+    bounds; generated-cone problems use the problem's feasible sampler when
+    provided."""
 
     if eps <= 0:
         raise UsageError("eps must be positive")
@@ -449,13 +469,14 @@ def sample_growth(
     v = as_entries(x, p.dim)
     rng = np.random.default_rng(seed)
     if p.feasible_sampler is not None:
-        samples = p.feasible_sampler(rng, v, eps, n_samples)
+        samples, tries = p.feasible_sampler(rng, v, eps, n_samples), n_samples
     elif isinstance(p.abstract_set, BoxSet):
-        samples = _box_feasible_samples(p, v, eps, n_samples, rng, tol)
+        samples, tries = _box_feasible_samples(p, v, eps, n_samples, rng, tol)
     else:
-        samples = []
+        samples, tries = [], 0
     if not samples:
-        return GrowthSampleResult(True, 0, math.inf, None, note="no feasible samples found")
+        return GrowthSampleResult(True, 0, math.inf, None, note="no feasible samples found",
+                                  tries=tries)
 
     f0 = p.objective.value(v)
     worst = math.inf
@@ -466,4 +487,5 @@ def sample_growth(
             worst = margin
             if margin < -tol.growth_slack:
                 counterexample = s
-    return GrowthSampleResult(counterexample is None, len(samples), worst, counterexample)
+    return GrowthSampleResult(counterexample is None, len(samples), worst, counterexample,
+                              tries=tries)

@@ -93,7 +93,8 @@ def growth_consistency(ctx: RunContext, alpha: float, eps: float, n_samples: int
                         seed=ctx.budget.seed, tol=ctx.tol)
     return CheckRecord("growth_consistency", "pass" if res.consistent else "violated",
                        {"alpha": alpha, "eps": eps, "samples": res.samples_accepted,
-                        "worst_margin": res.worst_margin, "note": res.note},
+                        "worst_margin": res.worst_margin, "tries": res.tries,
+                        "note": res.note},
                        _vector("counterexample", res.counterexample))
 
 

@@ -1,9 +1,14 @@
 """Second-order checks: maximized Hessian, searches, growth sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
+from kkt2.cli import main
+from kkt2.config import DEFAULT_BUDGET, DEFAULT_TOLERANCES
 from kkt2.curvature import (
+    _box_feasible_samples,
     check_snc,
     check_snc_fixed_multiplier,
     check_ssc,
@@ -15,6 +20,7 @@ from kkt2.curvature import (
 from kkt2.errors import UsageError
 from kkt2.examples import DELTA, build_example1, build_example2
 from kkt2.kkt import MultiplierSet, multiplier_set
+from kkt2.linalg import weighted_norm
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
 from helpers import random_stationary_problem
@@ -220,3 +226,88 @@ class TestGrowth:
         # re-verify the counterexample
         x = res.counterexample
         assert p.objective.value(x) < 0.0 - 0.05 * p.norm(x) ** 2 + 1e-12
+
+
+def _two_equality_problem():
+    """f = ||x||^2 on a box with x0 >= 0 active at the origin and two curved
+    equalities through the origin; the feasible set near 0 is a 2-manifold."""
+    n = 4
+    m_a = np.zeros((n, n))
+    m_a[2, 2] = 2.0
+    m_b = np.zeros((n, n))
+    m_b[0, 0] = 2.0
+    g_a = quadratic(0.0, np.array([1.0, 1.0, 0.0, 0.0]), m_a, name="ga")
+    g_b = quadratic(0.0, np.array([0.0, 1.0, 0.0, -1.0]), m_b, name="gb")
+    return ProblemSpec(
+        quadratic(0.0, np.zeros(n), 2.0 * np.eye(n)), (g_a, g_b), 2,
+        BoxSet(np.array([0.0, -1.0, -1.0, -1.0]), np.ones(n)), np.ones(n))
+
+
+def _passes_acceptance(p, x, s, eps, tol=DEFAULT_TOLERANCES):
+    """The acceptance test of the box sampler, evaluated independently."""
+    g = np.array([c.value(s) for c in p.constraints])
+    return (np.all(np.abs(g[:p.m1]) <= tol.residual)
+            and np.all(g[p.m1:] <= tol.residual)
+            and p.abstract_set.contains(s, tol.activity)
+            and weighted_norm(p.weights, s - x) <= eps * (1.0 + 1e-9))
+
+
+class TestBoxSampler:
+    """The Newton correction moves only coordinates off the box bounds and
+    corrects every equality, so almost every box try is accepted."""
+
+    @pytest.mark.parametrize("grid", [120, 480])
+    def test_example1_accepts_almost_every_try(self, grid):
+        ex = build_example1(grid)
+        res = sample_growth(ex.problem, ex.xbar, alpha=0.5, eps=0.05, n_samples=250)
+        assert res.consistent
+        assert res.samples_accepted == 250
+        assert res.tries <= 500
+
+    def test_two_equalities_get_samples(self):
+        p = _two_equality_problem()
+        res = sample_growth(p, np.zeros(4), alpha=0.1, eps=0.1, n_samples=200)
+        assert res.samples_accepted > 0
+        assert res.note == ""
+        assert res.consistent
+
+    def test_tries_reported(self, capsys, tmp_path):
+        path = tmp_path / "example1.json"
+        path.write_text(json.dumps({"builtin": "example1", "grid": 12}))
+        assert main(["growth", str(path), "--alpha", "0.5", "--eps", "0.05",
+                     "--samples", "100", "--format", "json"]) == 0
+        numbers = json.loads(capsys.readouterr().out)["checks"][1]["numbers"]
+        assert numbers["samples"] == 100
+        assert 100 <= numbers["tries"] <= 4000
+
+    def test_zero_sample_pass_shows_its_tries(self):
+        """Two equalities in one variable isolate the origin: the vacuous
+        'pass' reports every try it spent."""
+        g_a = quadratic(0.0, np.array([1.0]), np.zeros((1, 1)))
+        g_b = quadratic(0.0, np.array([1.0]), np.array([[2.0]]))
+        p = ProblemSpec(quadratic(0.0, np.zeros(1), np.eye(1)), (g_a, g_b), 2,
+                        BoxSet(np.full(1, -1.0), np.ones(1)), np.ones(1))
+        res = sample_growth(p, np.zeros(1), alpha=0.1, eps=0.1, n_samples=10)
+        assert (res.samples_accepted, res.tries) == (0, 400)
+        assert res.note == "no feasible samples found"
+
+    @pytest.mark.parametrize("grid,count", [(12, 2000), (120, 500), (480, 250)])
+    def test_example1_samples_pass_acceptance(self, grid, count):
+        ex = build_example1(grid)
+        rng = np.random.default_rng(DEFAULT_BUDGET.seed)
+        samples, tries = _box_feasible_samples(
+            ex.problem, ex.xbar, 0.05, count, rng, DEFAULT_TOLERANCES)
+        assert len(samples) == count <= tries
+        assert all(_passes_acceptance(ex.problem, ex.xbar, s, 0.05) for s in samples)
+        res = sample_growth(ex.problem, ex.xbar, alpha=0.5, eps=0.05, n_samples=count)
+        assert res.worst_margin >= -DEFAULT_TOLERANCES.growth_slack
+
+    def test_random_problem_samples_pass_acceptance(self):
+        rng = np.random.default_rng(59)
+        with_equalities = 0
+        for _ in range(40):
+            p, xbar, _, _ = random_stationary_problem(rng)
+            samples, _ = _box_feasible_samples(p, xbar, 0.05, 50, rng, DEFAULT_TOLERANCES)
+            assert all(_passes_acceptance(p, xbar, s, 0.05) for s in samples)
+            with_equalities += bool(p.m1 and samples)
+        assert with_equalities >= 10
