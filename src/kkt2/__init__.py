@@ -3,58 +3,8 @@ many nonlinear constraints: stationarity, constraint qualifications, and
 no-gap second-order necessary/sufficient checks built on the maximized
 Lagrangian Hessian over the multiplier polytope."""
 
-from .config import DEFAULT_SEED, SearchBudget, Tolerances
-from .curvature import (
-    CurvatureOracle,
-    SecondOrderVerdict,
-    check_snc,
-    check_snc_fixed_multiplier,
-    check_ssc,
-    curvature_oracle,
-    q_of_h,
-    q_of_h_lp,
-    sample_growth,
-)
-from .cones import (
-    CriticalCone,
-    SignPatternCone,
-    critical_cone,
-    normal_cone_box,
-    radial_density_gap,
-    tangent_cone_K,
-    tangent_cone_box,
-)
-from .kkt import (
-    CQVerdict,
-    FOCResult,
-    Multipliers,
-    MultiplierSet,
-    check_rzkcq,
-    check_strict_cq,
-    check_weaker_cq,
-    foc_residual,
-    lagrangian_value,
-    multiplier_set,
-    validate_multipliers,
-)
-from .linalg import (
-    BilinearForm,
-    LinearProgram,
-    LPResult,
-    PolytopeH,
-    WeightedVector,
-    enumerate_vertices,
-    recession_cone_trivial,
-    solve_lp,
-)
-from .model import (
-    BoxSet,
-    GeneratedConeSet,
-    ProblemSpec,
-    SmoothFunction,
-    check_feasible,
-    quadratic,
-    validate_derivatives,
-)
+from .curvature import check_snc, check_ssc
+from .kkt import check_rzkcq, foc_residual, multiplier_set
+from .model import BoxSet, ProblemSpec, SmoothFunction, check_feasible, quadratic
 
 __version__ = "0.1.0"

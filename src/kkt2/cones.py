@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
 from .linalg import LinearProgram, solve_lp, weighted_norm
-from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries
+from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
 _POLAR = {FREE: ZERO, NONNEG: NONPOS, NONPOS: NONNEG, ZERO: FREE}
@@ -340,10 +340,8 @@ def critical_cone(
     pattern whenever its terms are single-signed on the tangent cone.
     """
 
-    if eta < 0:
+    if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
         raise UsageError("eta must be nonnegative")
-    from .model import check_feasible
-
     feas = check_feasible(p, x, tol)
     if not feas.feasible:
         raise InfeasiblePoint("critical cone requested at an infeasible point")
@@ -359,30 +357,26 @@ def critical_cone(
         krows = tangent_cone_K(p, info)
         eq_rows += [grads[i] for i in krows.eq]
         ineq_rows += [grads[i] for i in krows.leq]
+    # eta = 0: the objective cut is a row like the others; eta > 0: it stays
+    # the non-polyhedral test f'(x).h <= eta ||h||
+    objective = None
+    if eta == 0.0:
+        ineq_rows.append(fgrad)
+    else:
+        objective = fgrad
 
     if isinstance(p.abstract_set, BoxSet):
         pattern = tangent_cone_box(p.abstract_set, v, tol)
-        if eta == 0.0:
-            ineq_rows.append(fgrad)
-            pattern, eq_left, ineq_left = absorb_rows(pattern, eq_rows, ineq_rows, p.weights)
-            obj_kept = None
-            # if the objective row survived absorption it stays a cut with eta=0
-            return CriticalCone(
-                p.weights, pattern, (), tuple(eq_left), tuple(ineq_left), obj_kept, 0.0
-            )
         pattern, eq_left, ineq_left = absorb_rows(pattern, eq_rows, ineq_rows, p.weights)
         return CriticalCone(
-            p.weights, pattern, (), tuple(eq_left), tuple(ineq_left), fgrad, eta
+            p.weights, pattern, (), tuple(eq_left), tuple(ineq_left), objective, eta
         )
 
     cone_set = p.abstract_set
     if np.max(np.abs(v - cone_set.base)) > tol.activity:
         raise UsageError("generated-cone problems support cone queries at the base point only")
-    rays = cone_set.tangent_rays()
-    obj = fgrad if eta > 0.0 else None
-    if eta == 0.0:
-        ineq_rows.append(fgrad)
-    return CriticalCone(p.weights, None, rays, tuple(eq_rows), tuple(ineq_rows), obj, eta)
+    return CriticalCone(p.weights, None, cone_set.tangent_rays(), tuple(eq_rows),
+                        tuple(ineq_rows), objective, eta)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, UsageError
 from .cones import (
-    FREE,
     NONNEG,
     NONPOS,
     ZERO,
@@ -113,41 +112,47 @@ def _mu_sign_rows(p: ProblemSpec, info: ActiveSetInfo) -> tuple[list[Row], list[
     return eq, ineq
 
 
-def _lambda_pattern_rows(
-    p: ProblemSpec,
-    x: np.ndarray,
-    f_grad: np.ndarray,
-    G: np.ndarray,
-    tol: Tolerances,
-) -> tuple[list[Row], list[Row]]:
-    """Rows in mu expressing lambda(mu) in the normal cone of the abstract set."""
+def _jacobian(p: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """The m x n matrix of constraint gradients at x."""
+    return np.array(p.constraint_gradients(x), dtype=float).reshape(p.n_constraints, p.dim)
 
-    m = G.shape[0]
+
+def _abstract_cone(
+    p: ProblemSpec, x: np.ndarray, D: np.ndarray, hull_rays, tol: Tolerances
+) -> tuple[SignPatternCone, np.ndarray]:
+    """The abstract set's cone at x as a sign pattern over k generator
+    coefficients, with the matrix whose column j is the derivative rows D
+    along generator j.
+
+    For a box the generators are the n coordinates under the tangent pattern,
+    and the matrix is D itself: the weighted product would scale column j by
+    w_j > 0, which changes no sign condition.  For a hull they are the rays
+    ``hull_rays(set)``, every coefficient >= 0, and entry (i, j) is
+    <D[i], ray j>_w.
+    """
+    if isinstance(p.abstract_set, BoxSet):
+        return tangent_cone_box(p.abstract_set, x, tol), D
+    rays = hull_rays(p.abstract_set)
+    w = p.weights
+    M = np.array([[float(np.sum(w * row * d)) for d in rays] for row in D])
+    return SignPatternCone(np.full(len(rays), NONNEG)), M.reshape(len(D), len(rays))
+
+
+def _polar_rows(
+    pattern: SignPatternCone, M: np.ndarray, rhs: Optional[np.ndarray] = None
+) -> tuple[list[Row], list[Row]]:
+    """Rows in y of "y . M[:, j] - rhs_j has the sign of the polar of code j",
+    for every column j (rhs defaults to 0)."""
     eq: list[Row] = []
     ineq: list[Row] = []
-    if isinstance(p.abstract_set, BoxSet):
-        normal = normal_cone_box(p.abstract_set, x, tol)
-        for j in range(p.dim):
-            code = int(normal.codes[j])
-            if code == FREE:
-                continue
-            # lambda_j(mu) = -f'_j - sum_i mu_i G_ij
-            coef = -G[:, j]
-            rhs = f_grad[j]
-            if code == NONPOS:  # lambda_j <= 0
-                ineq.append((coef, rhs))
-            elif code == NONNEG:  # lambda_j >= 0
-                ineq.append((-coef, -rhs))
-            else:  # ZERO
-                eq.append((coef, rhs))
-                # encoded as one equality row
-    else:
-        w = p.weights
-        for d in p.abstract_set.normal_row_rays():
-            # <lambda(mu), d>_w <= 0
-            coef = np.array([-float(np.sum(w * G[i] * d)) for i in range(m)])
-            rhs = float(np.sum(w * f_grad * d))
-            ineq.append((coef, rhs))
+    for j, code in enumerate(pattern.polar().codes):
+        b = 0.0 if rhs is None else rhs[j]
+        if code == NONPOS:
+            ineq.append((M[:, j], b))
+        elif code == NONNEG:
+            ineq.append((-M[:, j], -b))
+        elif code == ZERO:
+            eq.append((M[:, j], b))
     return eq, ineq
 
 
@@ -166,7 +171,7 @@ def multiplier_set(
 
     f_grad = np.asarray(p.objective.gradient(v), dtype=float)
     m = p.n_constraints
-    G = np.array(p.constraint_gradients(v)).reshape(m, p.dim) if m else np.zeros((0, p.dim))
+    G = _jacobian(p, v)
 
     if m == 0:
         lam = -f_grad
@@ -176,8 +181,12 @@ def multiplier_set(
         return MultiplierSet(v, f_grad, G, poly, empty=not ok, bounded=True,
                              vertices=verts, info=info)
 
+    # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
+    # tangent cone: one row per generator, in the generator coordinates
+    pattern, GF = _abstract_cone(p, v, np.vstack([G, f_grad]),
+                                 lambda s: s.normal_row_rays(), tol)
+    pat_eq, pat_ineq = _polar_rows(pattern, -GF[:m], GF[m])
     sign_eq, sign_ineq = _mu_sign_rows(p, info)
-    pat_eq, pat_ineq = _lambda_pattern_rows(p, v, f_grad, G, tol)
     poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
 
     empty = feasible_point(poly, tol) is None
@@ -213,8 +222,7 @@ def validate_multipliers(
         raise InfeasiblePoint("multipliers validated at an infeasible point")
     info = feas.info
     f_grad = np.asarray(p.objective.gradient(v), dtype=float)
-    G = np.array(p.constraint_gradients(v)).reshape(p.n_constraints, p.dim) \
-        if p.n_constraints else np.zeros((0, p.dim))
+    G = _jacobian(p, v)
     resid_vec = f_grad + mult.lam + (G.T @ mult.mu if p.n_constraints else 0.0)
     residual = weighted_norm(p.weights, resid_vec)
     if residual > tol.residual * (1.0 + weighted_norm(p.weights, f_grad)):
@@ -242,6 +250,11 @@ def lagrangian_value(p: ProblemSpec, x, mult: Multipliers) -> float:
 # --------------------------------------------------------------------------
 # Constraint qualifications
 # --------------------------------------------------------------------------
+#
+# Every CQ asks whether one cone difference g'(x)[C-cone] - [K-cone] is all
+# of R^m.  With the C-cone as a sign pattern over generator coefficients and
+# M the constraint derivatives along the generators (``_abstract_cone``), the
+# difference is [M, -I] applied to the sign pattern of C x K.
 
 
 @dataclass(frozen=True)
@@ -252,102 +265,54 @@ class CQVerdict:
     achieved_cone: Optional[str] = None
 
 
-def _nu_rows_box(
-    c_pattern: SignPatternCone, G: np.ndarray
-) -> tuple[list[Row], list[Row]]:
-    """Rows of {nu : sum_i nu_i g_i' lies in the polar of the given
-    (tangent-side) pattern cone}."""
-    eq: list[Row] = []
-    ineq: list[Row] = []
-    polar = c_pattern.polar()
-    for j in range(G.shape[1]):
-        code = int(polar.codes[j])
-        if code == FREE:
-            continue
-        coef = G[:, j]
-        if code == NONPOS:
-            ineq.append((coef, 0.0))
-        elif code == NONNEG:
-            ineq.append((-coef, 0.0))
-        else:
-            eq.append((coef, 0.0))
-    return eq, ineq
+def _difference_map(
+    c_pattern: SignPatternCone, M: np.ndarray, k_pattern: SignPatternCone
+) -> tuple[SignPatternCone, np.ndarray]:
+    """The sign pattern of C x K and the matrix [M, -I] mapping it onto the
+    cone difference M[C] - K."""
+    pattern = SignPatternCone(np.concatenate([c_pattern.codes, k_pattern.codes]))
+    return pattern, np.hstack([M, -np.eye(M.shape[0])])
 
 
-def _nu_rows_hull(
-    rays: tuple[np.ndarray, ...], G: np.ndarray, weights: np.ndarray
-) -> list[Row]:
-    rows: list[Row] = []
-    for d in rays:
-        coef = np.array([float(np.sum(weights * G[i] * d)) for i in range(G.shape[0])])
-        rows.append((coef, 0.0))
-    return rows
-
-
-def _nu_rows_K(
-    k_pattern: SignPatternCone,
-) -> tuple[list[Row], list[Row]]:
-    """Rows of {nu : -nu in polar(k_pattern)} in nu-space."""
-    m = k_pattern.dim
-    eq: list[Row] = []
-    ineq: list[Row] = []
-    polar = k_pattern.polar()
-    for i in range(m):
-        code = int(polar.codes[i])
-        e = np.zeros(m)
-        e[i] = 1.0
-        if code == FREE:
-            continue
-        if code == NONPOS:  # -nu_i <= 0  =>  nu_i >= 0
-            ineq.append((-e, 0.0))
-        elif code == NONNEG:  # -nu_i >= 0 => nu_i <= 0
-            ineq.append((e, 0.0))
-        else:  # -nu_i = 0
-            eq.append((e, 0.0))
-    return eq, ineq
-
-
-def _surjectivity_check(
-    p: ProblemSpec,
-    x: np.ndarray,
-    c_pattern: Optional[SignPatternCone],
-    c_rays: Optional[tuple[np.ndarray, ...]],
-    k_pattern: SignPatternCone,
-    name: str,
-    tol: Tolerances,
+def _polar_probe(
+    pattern: SignPatternCone, MI: np.ndarray, name: str, tol: Tolerances
 ) -> CQVerdict:
-    """Cone difference g'(x)[C-cone] - [K-cone] = R^m iff the polar system in
-    nu has only the trivial solution."""
-
-    m = p.n_constraints
-    if m == 0:
-        return CQVerdict(name, True)
-    G = np.array(p.constraint_gradients(x)).reshape(m, p.dim)
-    if c_pattern is not None:
-        eq_c, ineq_c = _nu_rows_box(c_pattern, G)
-    else:
-        assert c_rays is not None
-        eq_c, ineq_c = [], _nu_rows_hull(c_rays, G, p.weights)
-    eq_k, ineq_k = _nu_rows_K(k_pattern)
-    trivial, witness = cone_is_trivial(m, eq_c + eq_k, ineq_c + ineq_k, tol)
+    """MI[pattern] = R^m iff only nu = 0 has nu . MI[:, j] in the polar of
+    every code j."""
+    eq, ineq = _polar_rows(pattern, MI)
+    trivial, witness = cone_is_trivial(MI.shape[0], eq, ineq, tol)
     return CQVerdict(name, trivial, witness=witness)
+
+
+def _reachable(
+    pattern: SignPatternCone, MI: np.ndarray, target: np.ndarray, tol: Tolerances
+) -> bool:
+    """Is target = MI y for some y in the pattern cone?"""
+    eq, ineq = _polar_rows(pattern.polar(), np.eye(pattern.dim))
+    eq += [(MI[i], target[i]) for i in range(MI.shape[0])]
+    res = solve_lp(LinearProgram(np.zeros(pattern.dim), tuple(eq), tuple(ineq)), tol)
+    return res.is_optimal
+
+
+def _surjectivity_cq(
+    p: ProblemSpec, x, hull_rays, name: str, tol: Tolerances
+) -> CQVerdict:
+    """g'(x)[C-cone] - T_K(g(x)) = R^m, with the C-cone generated by the
+    tangent pattern of a box or by ``hull_rays(set)`` of a hull."""
+    v = as_entries(x, p.dim)
+    feas = check_feasible(p, v, tol)
+    if not feas.feasible or feas.info is None:
+        raise InfeasiblePoint("CQ check at an infeasible point")
+    k_pattern = tangent_cone_K(p, feas.info).pattern(p.n_constraints)
+    c_pattern, M = _abstract_cone(p, v, _jacobian(p, v), hull_rays, tol)
+    return _polar_probe(*_difference_map(c_pattern, M, k_pattern), name, tol)
 
 
 def check_rzkcq(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CQVerdict:
     """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe."""
-    v = as_entries(x, p.dim)
-    feas = check_feasible(p, v, tol)
-    if not feas.feasible or feas.info is None:
-        raise InfeasiblePoint("CQ check at an infeasible point")
-    k_pattern = tangent_cone_K(p, feas.info).pattern(p.n_constraints)
-    if isinstance(p.abstract_set, BoxSet):
-        return _surjectivity_check(
-            p, v, tangent_cone_box(p.abstract_set, v, tol), None, k_pattern, "rzkcq", tol
-        )
-    rays = p.abstract_set.rays + p.abstract_set.deep_rays
-    return _surjectivity_check(p, v, None, rays, k_pattern, "rzkcq", tol)
+    return _surjectivity_cq(p, x, lambda s: s.rays + s.deep_rays, "rzkcq", tol)
 
 
 def check_weaker_cq(
@@ -356,91 +321,7 @@ def check_weaker_cq(
     """Tangent-cone variant g'(x) T_C(x) - T_K(g(x)) = R^m; for boxes the
     radial and tangent cones share the sign pattern, so the verdict always
     matches check_rzkcq there."""
-    v = as_entries(x, p.dim)
-    feas = check_feasible(p, v, tol)
-    if not feas.feasible or feas.info is None:
-        raise InfeasiblePoint("CQ check at an infeasible point")
-    k_pattern = tangent_cone_K(p, feas.info).pattern(p.n_constraints)
-    if isinstance(p.abstract_set, BoxSet):
-        return _surjectivity_check(
-            p, v, tangent_cone_box(p.abstract_set, v, tol), None, k_pattern, "weaker", tol
-        )
-    rays = p.abstract_set.normal_row_rays()
-    return _surjectivity_check(p, v, None, rays, k_pattern, "weaker", tol)
-
-
-def _axis_reachability(
-    p: ProblemSpec,
-    x: np.ndarray,
-    c_pattern: Optional[SignPatternCone],
-    kept_rays: Optional[list[np.ndarray]],
-    k_pattern: SignPatternCone,
-    axis: int,
-    direction: float,
-    tol: Tolerances,
-) -> bool:
-    """Is direction * e_axis in g'(x)[C-section] - [K-section]?"""
-
-    m = p.n_constraints
-    G = np.array(p.constraint_gradients(x)).reshape(m, p.dim)
-    target = np.zeros(m)
-    target[axis] = direction
-    if c_pattern is not None:
-        n = p.dim
-        # variables (h, z)
-        dim = n + m
-        eq: list[Row] = []
-        ineq: list[Row] = []
-        for j in range(n):
-            code = int(c_pattern.codes[j])
-            e = np.zeros(dim)
-            e[j] = 1.0
-            if code == NONNEG:
-                ineq.append((-e, 0.0))
-            elif code == NONPOS:
-                ineq.append((e, 0.0))
-            elif code == ZERO:
-                eq.append((e, 0.0))
-        for i in range(m):
-            code = int(k_pattern.codes[i])
-            e = np.zeros(dim)
-            e[n + i] = 1.0
-            if code == NONNEG:
-                ineq.append((-e, 0.0))
-            elif code == NONPOS:
-                ineq.append((e, 0.0))
-            elif code == ZERO:
-                eq.append((e, 0.0))
-        for i in range(m):
-            row = np.concatenate([p.weights * G[i], -np.eye(m)[i]])
-            eq.append((row, target[i]))
-        res = solve_lp(LinearProgram(np.zeros(dim), tuple(eq), tuple(ineq)), tol)
-        return res.is_optimal
-    assert kept_rays is not None
-    K = len(kept_rays)
-    dim = K + m
-    eq = []
-    ineq = []
-    for k in range(K):
-        e = np.zeros(dim)
-        e[k] = -1.0
-        ineq.append((e, 0.0))
-    for i in range(m):
-        code = int(k_pattern.codes[i])
-        e = np.zeros(dim)
-        e[K + i] = 1.0
-        if code == NONNEG:
-            ineq.append((-e, 0.0))
-        elif code == NONPOS:
-            ineq.append((e, 0.0))
-        elif code == ZERO:
-            eq.append((e, 0.0))
-    for i in range(m):
-        coefs = np.array([float(np.sum(p.weights * G[i] * d)) for d in kept_rays])
-        row = np.concatenate([coefs, -np.eye(m)[i]])
-        eq.append((row, target[i]))
-    res = solve_lp(LinearProgram(np.zeros(dim), tuple(eq), tuple(ineq)), tol)
-    return res.is_optimal
+    return _surjectivity_cq(p, x, lambda s: s.normal_row_rays(), "weaker", tol)
 
 
 def check_strict_cq(
@@ -465,35 +346,31 @@ def check_strict_cq(
     if eq_left:
         raise UsageError("mu-annihilator section did not absorb; invalid multipliers")
 
-    kept_rays: Optional[list[np.ndarray]] = None
-    c_section: Optional[SignPatternCone] = None
+    G = _jacobian(p, v)
     if isinstance(p.abstract_set, BoxSet):
-        t_pattern = tangent_cone_box(p.abstract_set, v, tol)
+        t_pattern, M = _abstract_cone(p, v, G, None, tol)
         c_section, eq_left, _ = absorb_rows(t_pattern, [mult.lam], [], p.weights)
         if eq_left:
             raise UsageError("lambda-annihilator section did not absorb; invalid multipliers")
-        verdict = _surjectivity_check(p, v, c_section, None, k_section, "strict", tol)
     else:
         scale = 1e-9
-        rays = p.abstract_set.tangent_rays()
         kept_rays = [
-            d for d in rays
+            d for d in p.abstract_set.tangent_rays()
             if abs(float(np.sum(p.weights * mult.lam * d))) <= scale * (1.0 + float(np.max(np.abs(d))))
         ]
-        verdict = _surjectivity_check(p, v, None, tuple(kept_rays), k_section, "strict", tol)
+        c_section, M = _abstract_cone(p, v, G, lambda s: kept_rays, tol)
 
+    pattern, MI = _difference_map(c_section, M, k_section)
+    verdict = _polar_probe(pattern, MI, "strict", tol)
     if verdict.holds:
         return verdict
 
-    axes = []
-    for i in range(m):
-        plus = _axis_reachability(p, v, c_section, kept_rays, k_section, i, +1.0, tol)
-        minus = _axis_reachability(p, v, c_section, kept_rays, k_section, i, -1.0, tol)
-        axes.append((plus, minus))
+    axes = [tuple(_reachable(pattern, MI, np.where(np.arange(m) == i, s, 0.0), tol)
+                  for s in (1.0, -1.0))
+            for i in range(m)]
     if m == 1:
-        plus, minus = axes[0]
         desc = {(True, True): "R", (False, True): "(-inf, 0]",
-                (True, False): "[0, inf)", (False, False): "{0}"}[(plus, minus)]
+                (True, False): "[0, inf)", (False, False): "{0}"}[axes[0]]
     else:
         desc = "; ".join(
             f"axis {i}: +{'yes' if pl else 'no'}/-{'yes' if mi else 'no'}"

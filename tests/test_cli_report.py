@@ -121,6 +121,11 @@ class TestCLI:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
 
+    def test_check_ssc_nan_eta_is_a_usage_error(self, tmp_path):
+        spec = tmp_path / "example2.json"
+        spec.write_text('{"builtin": "example2", "trunc": 4}')
+        assert main(["check-ssc", str(spec), "--eta", "nan", "--alpha", "0.5"]) == 2
+
     def test_missing_point_for_file_problem(self, problem_file):
         assert main(["check-foc", problem_file]) == 2
 

@@ -16,7 +16,7 @@ from kkt2.cones import (
     tangent_cone_box,
 )
 from kkt2.cones import random_directions
-from kkt2.errors import InfeasiblePoint
+from kkt2.errors import InfeasiblePoint, UsageError
 from kkt2.examples import build_example1, build_example2
 from kkt2.examples.example2 import Example2Set, GAMMA, DELTA
 from kkt2.model import BoxSet, ProblemSpec, check_feasible, quadratic
@@ -152,6 +152,16 @@ class TestCriticalCone:
         ex = build_example1(12)
         with pytest.raises(InfeasiblePoint):
             critical_cone(ex.problem, np.full(12, 2.0), 0.0)
+
+    @pytest.mark.parametrize("eta", [-0.1, float("nan")])
+    @pytest.mark.parametrize("build, size", [(build_example1, 12), (build_example2, 4)])
+    def test_eta_must_be_nonnegative(self, build, size, eta):
+        """A NaN eta would keep an objective cut that no direction passes,
+        so check-ssc on a hull found no direction and reported a vacuous
+        "holds"."""
+        ex = build(size)
+        with pytest.raises(UsageError):
+            critical_cone(ex.problem, ex.xbar, eta)
 
     def test_eta_zero_contained_in_eta_positive(self):
         ex = build_example1(12)
