@@ -150,7 +150,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(report.to_json() if args.format == "json" else report.to_text())
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text(), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. ``| head``): send what is left, and
+        # the interpreter's final flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_VIOLATED if report.any_violation else EXIT_OK
 
 

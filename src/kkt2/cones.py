@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import LinearProgram, solve_lp, weighted_norm
+from .linalg import LinearProgram, conic_membership, solve_lp, weighted_norm
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
@@ -307,11 +307,8 @@ class CriticalCone:
         if self.base_pattern is not None:
             if not self.base_pattern.contains(v, tol):
                 return False
-        else:
-            from .linalg import conic_membership
-
-            if not conic_membership(list(self.base_rays), v):
-                return False
+        elif not conic_membership(list(self.base_rays), v):
+            return False
         for r in self.eq_rows:
             if abs(float(np.sum(self.weights * r * v))) > scale * (1.0 + float(np.max(np.abs(r)))):
                 return False

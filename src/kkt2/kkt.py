@@ -2,11 +2,14 @@
 
 The multiplier set is parameterized by mu alone (lambda is eliminated
 through stationarity, lambda(mu) = -f'(x) - sum_i mu_i g_i'(x)), which makes
-it an H-polytope in R^m and turns sup-over-multipliers questions into LPs.
+it an H-polytope in R^m, whose emptiness, boundedness and vertices come from
+one double-description run (``linalg.enumerate_vertices``).
 
 Surjectivity-type constraint qualifications are decided by polarity: a
 polyhedral cone difference equals the whole space iff only nu = 0 satisfies
-the polar system, which is probed with 2m LPs.
+the polar system.  ``linalg.cone_is_trivial`` returns the generators of the
+polar cone; there are none iff the CQ holds, and when the strict CQ fails
+their signs give the achieved cone.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InfeasiblePoint, UsageError
+from .errors import InfeasiblePoint, UnboundedPolytope, UsageError
 from .cones import (
     NONNEG,
     NONPOS,
@@ -28,16 +31,7 @@ from .cones import (
     normal_cone_box,
     tangent_cone_box,
 )
-from .linalg import (
-    LinearProgram,
-    PolytopeH,
-    cone_is_trivial,
-    enumerate_vertices,
-    feasible_point,
-    recession_cone_trivial,
-    solve_lp,
-    weighted_norm,
-)
+from .linalg import PolytopeH, cone_is_trivial, enumerate_vertices, weighted_norm
 from .model import (
     ActiveSetInfo,
     BoxSet,
@@ -159,8 +153,8 @@ def _polar_rows(
 def multiplier_set(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> MultiplierSet:
-    """Construct Lambda(x) as an H-polytope over mu; enumerate vertices when
-    the set is bounded and the constraint count allows it."""
+    """Construct Lambda(x) as an H-polytope over mu, with its vertices when
+    it is bounded."""
 
     v = as_entries(x, p.dim)
     feas = check_feasible(p, v, tol)
@@ -189,12 +183,12 @@ def multiplier_set(
     sign_eq, sign_ineq = _mu_sign_rows(p, info)
     poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
 
-    empty = feasible_point(poly, tol) is None
-    bounded = False if empty else recession_cone_trivial(poly, tol)
-    vertices: tuple[np.ndarray, ...] = ()
-    if not empty and bounded and m <= 12:
+    try:
         vertices = tuple(enumerate_vertices(poly, tol))
-    return MultiplierSet(v, f_grad, G, poly, empty=empty, bounded=bounded,
+    except UnboundedPolytope:
+        return MultiplierSet(v, f_grad, G, poly, empty=False, bounded=False, vertices=(),
+                             info=info)
+    return MultiplierSet(v, f_grad, G, poly, empty=not vertices, bounded=bool(vertices),
                          vertices=vertices, info=info)
 
 
@@ -274,24 +268,14 @@ def _difference_map(
     return pattern, np.hstack([M, -np.eye(M.shape[0])])
 
 
-def _polar_probe(
-    pattern: SignPatternCone, MI: np.ndarray, name: str, tol: Tolerances
-) -> CQVerdict:
-    """MI[pattern] = R^m iff only nu = 0 has nu . MI[:, j] in the polar of
-    every code j."""
+def _polar_generators(
+    pattern: SignPatternCone, MI: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """Generators (rows) of the polar of MI[pattern]: the nu with nu . MI[:, j]
+    in the polar of every code j.  MI[pattern] = R^m iff there are none, and
+    the first one is the witness when there are."""
     eq, ineq = _polar_rows(pattern, MI)
-    trivial, witness = cone_is_trivial(MI.shape[0], eq, ineq, tol)
-    return CQVerdict(name, trivial, witness=witness)
-
-
-def _reachable(
-    pattern: SignPatternCone, MI: np.ndarray, target: np.ndarray, tol: Tolerances
-) -> bool:
-    """Is target = MI y for some y in the pattern cone?"""
-    eq, ineq = _polar_rows(pattern.polar(), np.eye(pattern.dim))
-    eq += [(MI[i], target[i]) for i in range(MI.shape[0])]
-    res = solve_lp(LinearProgram(np.zeros(pattern.dim), tuple(eq), tuple(ineq)), tol)
-    return res.is_optimal
+    return cone_is_trivial(MI.shape[0], eq, ineq, tol)[1]
 
 
 def _surjectivity_cq(
@@ -305,7 +289,8 @@ def _surjectivity_cq(
         raise InfeasiblePoint("CQ check at an infeasible point")
     k_pattern = tangent_cone_K(p, feas.info).pattern(p.n_constraints)
     c_pattern, M = _abstract_cone(p, v, _jacobian(p, v), hull_rays, tol)
-    return _polar_probe(*_difference_map(c_pattern, M, k_pattern), name, tol)
+    gens = _polar_generators(*_difference_map(c_pattern, M, k_pattern), tol)
+    return CQVerdict(name, not len(gens), witness=gens[0] if len(gens) else None)
 
 
 def check_rzkcq(
@@ -331,13 +316,19 @@ def check_strict_cq(
     [T_K(g(x)) ∩ mu-annihilator] must be all of R^m.
 
     The annihilator sections are pattern cones again (each annihilating row
-    has single-signed terms, so it absorbs), and the verdict is the same
-    polar probe.  On failure the achieved cone is described by per-axis
-    reachability; for m = 1 that is one of {0}, (-inf,0], [0,inf), R.
+    has single-signed terms, so it absorbs), once the entries of lambda and
+    mu that validation accepts as zero are exactly zero; the verdict is the
+    same polar probe.  On failure the achieved cone is described by per-axis
+    reachability; for m = 1 that is one of {0}, (-inf,0], [0,inf), R.  The
+    achieved cone is the polar of the polar cone, so +e_i is reached iff
+    every polar generator has a nonpositive entry i.
     """
 
     v = as_entries(x, p.dim)
     validate_multipliers(p, v, mult, tol)
+    lam_zero = tol.residual * (1.0 + float(np.max(np.abs(mult.lam), initial=0.0)))
+    mult = Multipliers(np.where(np.abs(mult.lam) <= lam_zero, 0.0, mult.lam),
+                       np.where(np.abs(mult.mu) <= tol.residual, 0.0, mult.mu))
     feas = check_feasible(p, v, tol)
     assert feas.info is not None
     m = p.n_constraints
@@ -360,14 +351,12 @@ def check_strict_cq(
         ]
         c_section, M = _abstract_cone(p, v, G, lambda s: kept_rays, tol)
 
-    pattern, MI = _difference_map(c_section, M, k_section)
-    verdict = _polar_probe(pattern, MI, "strict", tol)
-    if verdict.holds:
-        return verdict
+    gens = _polar_generators(*_difference_map(c_section, M, k_section), tol)
+    if not len(gens):
+        return CQVerdict("strict", True)
 
-    axes = [tuple(_reachable(pattern, MI, np.where(np.arange(m) == i, s, 0.0), tol)
-                  for s in (1.0, -1.0))
-            for i in range(m)]
+    axes = [(bool(np.all(gens[:, i] <= tol.feasibility)),
+             bool(np.all(gens[:, i] >= -tol.feasibility))) for i in range(m)]
     if m == 1:
         desc = {(True, True): "R", (False, True): "(-inf, 0]",
                 (True, False): "[0, inf)", (False, False): "{0}"}[axes[0]]
@@ -376,7 +365,7 @@ def check_strict_cq(
             f"axis {i}: +{'yes' if pl else 'no'}/-{'yes' if mi else 'no'}"
             for i, (pl, mi) in enumerate(axes)
         )
-    return CQVerdict("strict", False, witness=verdict.witness, achieved_cone=desc)
+    return CQVerdict("strict", False, witness=gens[0], achieved_cone=desc)
 
 
 # --------------------------------------------------------------------------

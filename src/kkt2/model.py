@@ -21,8 +21,11 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, NonFiniteValue
 from .linalg import (
     BilinearForm,
+    LinearProgram,
     WeightedVector,
     conic_membership,
+    matrix_form,
+    solve_lp,
     weighted_norm,
 )
 
@@ -127,8 +130,6 @@ class GeneratedConeSet:
         pts = [p - v for p in self.hull_points]
         # x in conv(points) iff 0 in conv(points - x): solved as conic problem
         # with an extra normalization row sum(c) = 1 folded into the distance.
-        from .linalg import LinearProgram, solve_lp  # local import to avoid cycle
-
         K = len(pts)
         obj = np.zeros(K + 1)
         obj[-1] = 1.0
@@ -191,8 +192,6 @@ def quadratic(
         return winv * (linear + matrix @ x)
 
     def hess(_x):
-        from .linalg import matrix_form
-
         return matrix_form(matrix, weights)
 
     return SmoothFunction(value=val, gradient=grad, hessian=hess, name=name)

@@ -1,6 +1,10 @@
 """Problem files, CLI behavior, report determinism and witness replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,22 @@ class TestCLI:
         main(["check-foc", problem_file, "--at", stationary_point,
               "--seed", "9", "--format", "json"])
         assert json.loads(capsys.readouterr().out)["seed"] == 9
+
+    def test_closed_pipe_exits_with_the_verdict(self):
+        """A reader that closes the pipe before the report is written (as
+        ``| head -c 10`` does) gets no BrokenPipeError traceback, and the exit
+        code is still the verdict's."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kkt2.cli", "repro", "example1", "--grid", "12",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 class TestReport:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kkt2 import linalg
 from kkt2.errors import DimensionMismatch, IterationLimit, PolytopeTooLarge, UnboundedPolytope
 from kkt2.linalg import (
     LinearProgram,
@@ -10,7 +11,6 @@ from kkt2.linalg import (
     WeightedVector,
     conic_distance,
     enumerate_vertices,
-    recession_cone_trivial,
     solve_lp,
 )
 
@@ -114,9 +114,13 @@ class TestVertexEnumeration:
         with pytest.raises(UnboundedPolytope):
             enumerate_vertices(PolytopeH(1, (), ((np.array([-1.0]), 0.0),)))
 
-    def test_dimension_limit(self):
+    def test_dimension_limit(self, monkeypatch):
+        """The bound is on the generator count: a cube has 8 vertices."""
+        cube = PolytopeH(3, (), tuple((s * np.eye(3)[i], 1.0) for i in range(3) for s in (1, -1)))
+        assert len(enumerate_vertices(cube)) == 8
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", 6)
         with pytest.raises(PolytopeTooLarge):
-            enumerate_vertices(PolytopeH(13))
+            enumerate_vertices(cube)
 
     def test_no_duplicates(self):
         rng = np.random.default_rng(3)
@@ -143,17 +147,22 @@ class TestVertexEnumeration:
 
 
 class TestRecessionCone:
+    """Boundedness through ``enumerate_vertices``: it raises on a nontrivial
+    recession cone."""
+
     def test_bounded_box(self):
-        assert recession_cone_trivial(unit_interval())
+        assert len(enumerate_vertices(unit_interval())) == 2
 
     def test_halfline(self):
-        assert not recession_cone_trivial(PolytopeH(1, (), ((np.array([-1.0]), 0.0),)))
+        with pytest.raises(UnboundedPolytope):
+            enumerate_vertices(PolytopeH(1, (), ((np.array([-1.0]), 0.0),)))
 
     def test_truncated_family_system(self):
         """Rows -n*mu <= 1 (n <= N) plus mu <= 0 have trivial recession."""
         rows = [(np.array([-float(n)]), 1.0) for n in range(1, 9)]
         rows.append((np.array([1.0]), 0.0))
-        assert recession_cone_trivial(PolytopeH(1, (), tuple(rows)))
+        verts = enumerate_vertices(PolytopeH(1, (), tuple(rows)))
+        assert sorted(float(v[0]) for v in verts) == pytest.approx([-1.0 / 8.0, 0.0], abs=1e-12)
 
 
 class TestWeightedVector:
