@@ -5,6 +5,10 @@ their polars exactly; critical cones add linear cuts from the constraint
 derivatives and the objective.  Cuts whose terms are single-signed on the
 cone are absorbed into the pattern (they force components to zero), which
 is what turns e.g. an objective cut into a plain componentwise condition.
+A hull's critical cone starts from its tangent rays instead: their facets
+(``linalg.cone_facets``) decide membership, and the facets plus the cuts,
+run through the same double-description routine, give the section's
+extreme rays.  ``radial_density_gap`` is the one LP user left here.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import LinearProgram, conic_membership, solve_lp, weighted_norm
+from .errors import InfeasiblePoint, UsageError
+from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp, weighted_norm
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
@@ -176,64 +180,6 @@ def absorb_rows(
 
 
 # --------------------------------------------------------------------------
-# Section generators
-# --------------------------------------------------------------------------
-
-_MAX_SECTION_GENERATORS = 20_000
-
-
-def _merge_parallel(vectors) -> list[np.ndarray]:
-    """The first of each set of positively parallel vectors; zero vectors dropped."""
-    out, seen = [], set()
-    for v in vectors:
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            continue
-        key = (np.round(v / nrm, 10) + 0.0).tobytes()  # + 0.0 merges -0.0 into 0.0
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
-
-
-def _section_generators(rays, rows, dim: int) -> np.ndarray:
-    """Generators of cone(rays) cut by rows ``(a, is_eq)``: a.h = 0 or a.h <= 0,
-    as the rows of a read-only array.
-
-    One double-description step per row (Motzkin et al. 1953; Fukuda and
-    Prodon 1996): generators that meet the row keep their order and scaling,
-    and every pair with a.g+ > 0 > a.g- adds the convex combination
-    (a.g+ g- - a.g- g+) / (a.g+ - a.g-), which lies on a.h = 0.  Parallel
-    generators are merged.  There is no adjacency test, so redundant
-    generators can pile up; a fixed size guard raises ``PolytopeTooLarge``.
-    """
-
-    gens = _merge_parallel(np.asarray(r, dtype=float) for r in rays)
-    for a, is_eq in rows:
-        if not gens:
-            break
-        G = np.array(gens)
-        s = G @ a
-        sup = np.abs(G).max(axis=1)
-        tol = 1e-12 * float(np.max(np.abs(a), initial=0.0)) * sup
-        pos, neg = s > tol, s < -tol
-        meets = ~(pos | neg) if is_eq else ~pos
-        n_new = int(meets.sum()) + int(pos.sum()) * int(neg.sum())
-        if n_new > _MAX_SECTION_GENERATORS:
-            raise PolytopeTooLarge(f"the cone section would have {n_new} generators")
-        sp, sn = s[pos][:, None], s[neg][None, :]
-        combos = (sp[..., None] * G[neg][None] - sn[..., None] * G[pos][:, None]) \
-            / (sp - sn)[..., None]
-        # opposite generators cancel; drop what is round-off of their scale
-        parent = np.maximum(sup[pos][:, None], sup[neg][None, :])
-        combos = combos[np.abs(combos).max(axis=2, initial=0.0) > 1e-12 * parent]
-        gens = _merge_parallel([*G[meets], *combos])
-    out = np.array(gens).reshape(len(gens), dim)
-    out.flags.writeable = False
-    return out
-
-
-# --------------------------------------------------------------------------
 # Critical cones
 # --------------------------------------------------------------------------
 
@@ -272,13 +218,24 @@ class CriticalCone:
             object.__setattr__(self, "_eq_gram_inv", None)
 
     @cached_property
+    def ray_facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, R) with cone(base_rays) = {h : L h = 0, R h <= 0}, computed on
+        first use (ray-based cones only)."""
+        return cone_facets(self.dim, self.base_rays)
+
+    @cached_property
     def generators(self) -> np.ndarray:
         """Generators (rows) of the section of a ray-based cone by its rows,
-        computed on first use.  The eta > 0 objective cut is not polyhedral;
-        it stays a test on each direction (``objective_cut_holds``)."""
-        rows = [(self.weights * r, True) for r in self.eq_rows]
-        rows += [(self.weights * r, False) for r in self.ineq_rows]
-        return _section_generators(self.base_rays, rows, self.dim)
+        computed on first use: the facets of cone(base_rays) and the weighted
+        rows, run through the double description, laid out as
+        ``cone_is_trivial`` lays them out (each lineality vector l as l and
+        -l, then the extreme rays).  The eta > 0 objective cut is not
+        polyhedral; it stays a test on each direction
+        (``objective_cut_holds``)."""
+        L, R = self.ray_facets
+        eq = [(a, 0.0) for a in (*L, *(self.weights * r for r in self.eq_rows))]
+        ineq = [(a, 0.0) for a in (*R, *(self.weights * r for r in self.ineq_rows))]
+        return cone_is_trivial(self.dim, eq, ineq)[1]
 
     def objective_cut_holds(self, H: np.ndarray) -> np.ndarray:
         """Row mask of f'(x).h <= eta ||h|| over the rows h of H, at the
@@ -307,8 +264,10 @@ class CriticalCone:
         if self.base_pattern is not None:
             if not self.base_pattern.contains(v, tol):
                 return False
-        elif not conic_membership(list(self.base_rays), v):
-            return False
+        else:
+            L, R = self.ray_facets
+            if np.any(np.abs(L @ v) > scale) or np.any(R @ v > scale):
+                return False
         for r in self.eq_rows:
             if abs(float(np.sum(self.weights * r * v))) > scale * (1.0 + float(np.max(np.abs(r)))):
                 return False

@@ -1,12 +1,16 @@
 """Weighted vectors, bilinear forms, a dense LP kernel and polyhedral cones.
 
 Everything here is sized for desk-scale certification work: multiplier
-polytopes with a few dozen vertices, LPs with a few hundred rows.  The
-simplex is a plain dense two-phase tableau with Bland's rule — verdict
-quality over speed.  Every first-order cone question (is a polar cone
-trivial, which axes does a cone reach, is a polytope empty or bounded, what
-are its vertices) is answered without LPs, by one double-description
-routine that returns a cone's lineality basis and extreme rays.
+polytopes with a few dozen vertices, cones with a few dozen generators.
+Every polyhedral question of a certification run is answered without LPs,
+by one double-description routine that returns a cone's lineality basis
+and extreme rays.  Run on an H-representation it gives generators (is a
+polar cone trivial, which axes does a cone reach, what are a polytope's
+vertices, which rays span a cone section); run on the polar of a finitely
+generated cone it gives that cone's facets (Minkowski-Weyl), which decide
+hull and cone membership.  The dense two-phase simplex with Bland's rule
+(``solve_lp``, ``conic_distance``) remains as an independent reference for
+tests and for ``cones.radial_density_gap``.
 
 All types are immutable after construction; operations are pure functions.
 """
@@ -472,32 +476,65 @@ def cone_is_trivial(
     return len(gens) == 0, gens
 
 
+def cone_facets(dim: int, generators: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) with cone(generators) = {z : L z = 0, R z <= 0}.
+
+    By Minkowski-Weyl these are the lineality basis and the extreme rays of
+    the polar {y : g.y <= 0 for every generator g} (Motzkin et al. 1953;
+    Fukuda and Prodon 1996), each row scaled to max-abs 1, at the default
+    feasibility tolerance.  No generators give L = I: the cone is {0}.
+    """
+
+    return _double_description(dim, [], list(generators), DEFAULT_TOLERANCES.feasibility)
+
+
+def _scaled_vertices(p: PolytopeH, s: float, tol: Tolerances) -> Optional[list[np.ndarray]]:
+    """Vertices of p read off the cone {(u, t) : a.u <= (b/s) t, a.u = (b/s) t,
+    t >= 0} of p shrunk by s: [] when no extreme ray has t > 0 (p is
+    empty), None when some generator has t = 0 (p is unbounded), else the
+    rays at x = s u / t, merged at the vertex_dedup tolerance."""
+
+    L, R = _double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
+                               [np.append(a, -b / s) for a, b in p.ineq_rows]
+                               + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
+    finite = R[:, -1] > 0.0  # t >= 0 is a sign row: rays tight on it have t = 0 exactly
+    if not finite.any():
+        return []
+    if len(L) or not finite.all():
+        return None
+    vertices: list[np.ndarray] = []
+    for r in R:
+        x = s * r[:-1] / r[-1]
+        if not any(np.max(np.abs(x - v), initial=0.0) <= tol.vertex_dedup for v in vertices):
+            vertices.append(_frozen(x + 0.0))
+    return sorted(vertices, key=tuple)
+
+
 def enumerate_vertices(
     p: PolytopeH, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[np.ndarray]:
     """All vertices of a bounded polytope in lexicographic order; [] when it
     is empty, ``UnboundedPolytope`` when it is unbounded.
 
-    The cone {(x, t) : a.x <= b t, a.x = b t, t >= 0} decides all three: no
-    extreme ray has t > 0 iff the polytope is empty, and every generator has
-    t > 0 iff it is bounded.  The vertices are those rays scaled to t = 1,
-    merged at the vertex_dedup tolerance; their tight sign rows hold exactly.
+    The homogenized cone of ``_scaled_vertices`` decides all three; its
+    tight sign rows hold exactly at the vertices.  At s = 1, t of a vertex
+    with entries beyond about 1/tol.feasibility falls under the tightness
+    tolerance of t >= 0, and the vertex reads as a recession ray.  So when
+    s = 1 finds p empty or unbounded, s is retried at the largest |b| of the
+    rows scaled to max |a| = 1 (a row's scale changes nothing), and that
+    answer is kept when every vertex it gives lies in p.
     """
 
-    L, R = _double_description(p.dim + 1, [np.append(a, -b) for a, b in p.eq_rows],
-                               [np.append(a, -b) for a, b in p.ineq_rows]
-                               + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
-    finite = R[:, -1] > 0.0  # t >= 0 is a sign row: rays tight on it have t = 0 exactly
-    if not finite.any():
-        return []
-    if len(L) or not finite.all():
+    vertices = _scaled_vertices(p, 1.0, tol)
+    s = max([1.0, *(abs(b) / np.max(np.abs(a)) for a, b in (*p.eq_rows, *p.ineq_rows)
+                    if np.any(a))])
+    if not vertices and s > 1.0:
+        wide = _scaled_vertices(p, s, tol)
+        if wide and all(p.contains(v, tol) for v in wide):
+            vertices = wide
+    if vertices is None:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    vertices: list[np.ndarray] = []
-    for r in R:
-        x = r[:-1] / r[-1]
-        if not any(np.max(np.abs(x - v), initial=0.0) <= tol.vertex_dedup for v in vertices):
-            vertices.append(_frozen(x + 0.0))
-    return sorted(vertices, key=tuple)
+    return vertices
 
 
 # --------------------------------------------------------------------------

@@ -13,21 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, NonFiniteValue
-from .linalg import (
-    BilinearForm,
-    LinearProgram,
-    WeightedVector,
-    conic_membership,
-    matrix_form,
-    solve_lp,
-    weighted_norm,
-)
+from .linalg import BilinearForm, WeightedVector, cone_facets, matrix_form, weighted_norm
 
 
 def as_entries(x, dim: Optional[int] = None) -> np.ndarray:
@@ -122,29 +115,22 @@ class GeneratedConeSet:
     def normal_row_rays(self) -> tuple[np.ndarray, ...]:
         return self.rays + self.limit_rays + self.deep_rays
 
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, R) with the set = {x : L z = 0, R z <= 0}, computed on first
+        use: z = (x, 1) and the generators (p, 1) over the hull points, or
+        z = x - base and the rays when there are none."""
+        if self.hull_points:
+            return cone_facets(self.dim + 1, [np.append(p, 1.0) for p in self.hull_points])
+        return cone_facets(self.dim, self.rays)
+
     def contains(self, x, tol: float = 1e-8) -> bool:
-        """Membership in conv(hull_points) via an LP over the hull."""
+        """Membership in conv(hull_points), or in base + cone(rays), by the
+        facets: |L z| <= tol and R z <= tol."""
         v = as_entries(x, self.dim)
-        if not self.hull_points:
-            return conic_membership(list(self.rays), v - self.base)
-        pts = [p - v for p in self.hull_points]
-        # x in conv(points) iff 0 in conv(points - x): solved as conic problem
-        # with an extra normalization row sum(c) = 1 folded into the distance.
-        K = len(pts)
-        obj = np.zeros(K + 1)
-        obj[-1] = 1.0
-        P = np.array(pts).T
-        ineq = []
-        for j in range(self.dim):
-            ineq.append((np.concatenate([P[j], [-1.0]]), 0.0))
-            ineq.append((np.concatenate([-P[j], [-1.0]]), 0.0))
-        for k in range(K + 1):
-            e = np.zeros(K + 1)
-            e[k] = -1.0
-            ineq.append((e, 0.0))
-        eq = [(np.concatenate([np.ones(K), [0.0]]), 1.0)]
-        res = solve_lp(LinearProgram(obj, tuple(eq), tuple(ineq), sense="min"))
-        return res.is_optimal and res.value is not None and res.value <= tol
+        z = np.append(v, 1.0) if self.hull_points else v - self.base
+        L, R = self.facets
+        return bool(np.all(np.abs(L @ z) <= tol) and np.all(R @ z <= tol))
 
 
 AbstractSet = Union[BoxSet, GeneratedConeSet]

@@ -1,10 +1,12 @@
-"""Shared generators for randomized tests: bounded polytopes and
-reverse-engineered stationary problems."""
+"""Shared generators for randomized tests: bounded polytopes, ray-based
+cones, reverse-engineered stationary problems, and an NNLS cone distance."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from kkt2.cones import CriticalCone
 from kkt2.linalg import PolytopeH
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
@@ -92,3 +94,22 @@ def random_stationary_problem(
     spec = ProblemSpec(objective, tuple(constraints), m1,
                        BoxSet(lower, upper), weights)
     return spec, xbar, lam, mu
+
+
+def random_ray_cone(seed: int, dims: int = 2, counts: int = 5) -> CriticalCone:
+    """A seeded ray-based cone in R^3..R^(2 + dims) with 6..(5 + counts)
+    rays, cut by one to three inequality rows, without an objective cut."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % dims
+    rays = [rng.standard_normal(n) + np.eye(n)[0] * 1.5 for _ in range(6 + seed % counts)]
+    rows = [rng.standard_normal(n) for _ in range(1 + seed % 3)]
+    return CriticalCone(np.ones(n), None, tuple(rays), (), tuple(rows), None, 0.0)
+
+
+def nnls_distance(generators, h) -> float:
+    """Euclidean distance from h to cone(generators), by scipy's NNLS; the
+    calling test is skipped without scipy."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    if not len(generators):
+        return float(np.linalg.norm(h))
+    return float(nnls(np.asarray(generators, dtype=float).T, h)[1])

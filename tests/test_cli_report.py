@@ -150,10 +150,11 @@ class TestCLI:
         assert record["snc_sup"]["witness"]["direction"] == [0.0, 1.0, 0.0]
         assert record["chain_expectations"]["verdict"] == "pass"
 
-    @pytest.mark.parametrize("trunc", [
-        pytest.param(15, marks=pytest.mark.xfail(
-            strict=True, reason="the hull feasibility LP rejects the origin at trunc 15")),
-        16, 20, 24, 32])
+    # Every truncation that the former hull feasibility LP got wrong (15, 18,
+    # 23, 26, 39: origin infeasible) or failed on (29, 31, 33, 36-38, 40:
+    # pivot limit), plus 16, 20, 24 and 32.
+    @pytest.mark.parametrize("trunc", [15, 16, 18, 20, 23, 24, 26, 29, 31, 32, 33, 36, 37,
+                                       38, 39, 40])
     def test_repro_example2_large_truncations(self, capsys, trunc):
         code = main(["repro", "example2", "--trunc", str(trunc), "--format", "json"])
         data = json.loads(capsys.readouterr().out)

@@ -210,6 +210,27 @@ class TestPolytopes:
                                                      [pytest.approx(1.0), 0.0]]
         assert all(0.0 in v for v in verts)
 
+    @pytest.mark.parametrize("eq, ineq, expected", [
+        *(pytest.param([([1.0, 1.0], c)], [([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)],
+                       [[0.0, c], [c, 0.0]], id=f"sum={c:g}") for c in 10.0 ** np.arange(6, 13)),
+        pytest.param([([1e10], 1e10)], [([-1.0], 0.0)], [[1.0]], id="scaled-row"),
+        pytest.param([([1e10, 1e10], 1e10)], [([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0)],
+                     [[0.0, 1.0], [1.0, 0.0]], id="scaled-row-2d"),
+        pytest.param([([1.0, 1.0], 1.0)],
+                     [([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0), ([1.0, 0.0], 1e12)],
+                     [[0.0, 1.0], [1.0, 0.0]], id="redundant-bound"),
+        pytest.param([], [([1.0], 1e12), ([-1.0], 0.0)], [[0.0], [1e12]], id="wide-interval"),
+        pytest.param([], [([-1.0], -1e-3), ([1.0], 0.0), ([1.0], 1e12)], [], id="empty"),
+    ])
+    def test_large_scaled_and_redundant_rows(self, eq, ineq, expected):
+        """{mu >= 0, mu0 + mu1 = c}: t = 1/c of a vertex must not fall under
+        the tightness tolerance of t >= 0.  A row's scale and a far
+        redundant bound leave unit vertices alone, and a wide interval or an
+        empty set keeps its answer."""
+        p = PolytopeH(len((eq or ineq)[0][0]), tuple(eq), tuple(ineq))
+        verts = enumerate_vertices(p)
+        assert [v.tolist() for v in verts] == [pytest.approx(e, rel=1e-12) for e in expected]
+
 
 class TestHiGHS:
     """The same answers from an independent solver."""

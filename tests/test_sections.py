@@ -3,37 +3,36 @@
 import numpy as np
 import pytest
 
-from kkt2 import cones
+from kkt2 import linalg
 from kkt2.cones import CriticalCone, critical_cone, random_directions, structured_directions
 from kkt2.config import SearchBudget
 from kkt2.curvature import check_snc, check_ssc
 from kkt2.errors import PolytopeTooLarge
 from kkt2.examples import DELTA, build_example2, point_r, run_example2_certification
 from kkt2.kkt import multiplier_set
-from kkt2.linalg import conic_distance, conic_membership
+from kkt2.linalg import conic_distance
+
+from helpers import nnls_distance, random_ray_cone
 
 
-def _ray_cone(rays, ineq_rows):
-    """A ray-based cone with inequality rows only and no objective cut."""
-    n = len(rays[0])
-    return CriticalCone(np.ones(n), None, tuple(rays), (), tuple(ineq_rows), None, 0.0)
+# Twelve small cones (ids 0-11: R^3 and R^4, 6-10 rays) checked against the
+# LP kernel, and 62 wider ones (ids w<seed>: R^3..R^5, 6-12 rays) checked
+# against scipy's NNLS.
+RAY_CONES = [pytest.param(k, 2, 5, "lp", id=str(k)) for k in range(12)] + [
+    pytest.param(seed, 3, 7, "nnls", id=f"w{seed}") for seed in (*range(0, 300, 5), 104, 209)]
 
 
-def _random_ray_cones():
-    """Seeded random ray sets in R^3 and R^4, each cut by one to three rows."""
-    out = []
-    for seed in range(12):
-        rng = np.random.default_rng(seed)
-        n = 3 + seed % 2
-        rays = [rng.standard_normal(n) + np.eye(n)[0] * 1.5 for _ in range(6 + seed % 5)]
-        rows = [rng.standard_normal(n) for _ in range(1 + seed % 3)]
-        out.append(_ray_cone(rays, rows))
-    return out
+def _cone_distance(reference, G, h):
+    """Distance from h to cone(G): sup-norm by the LP kernel, or Euclidean
+    by NNLS."""
+    return conic_distance(list(G), h) if reference == "lp" else nnls_distance(G, h)
 
 
 class TestExample2Sections:
     def test_equality_row_gives_the_paper_section_points(self):
-        """x1 = 0 alone cuts the rays into the R(k, n) points and (0,1,0)."""
+        """x1 = 0 alone cuts the rays into the cone over the R(k, n) points
+        and (0,1,0): each generator is an extreme ray among them, and every
+        one of them lies in the cone the generators span."""
         trunc = 6
         ex = build_example2(trunc)
         cone = critical_cone(ex.problem, ex.xbar, 0.1)  # objective stays a cut, not a row
@@ -41,9 +40,12 @@ class TestExample2Sections:
         gens = cone.generators
         expected = [point_r(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)]
         expected.append(np.array([0.0, 1.0, 0.0]))
-        assert len(gens) == len(expected)
+        unit = [e / np.linalg.norm(e) for e in expected]
+        for g in gens:
+            u = g / np.linalg.norm(g)
+            assert min(float(np.max(np.abs(u - e))) for e in unit) <= 1e-12
         for e in expected:
-            assert min(float(np.max(np.abs(g - e))) for g in gens) <= 1e-12
+            assert conic_distance(list(gens), e) <= 1e-9 * (1.0 + float(np.max(np.abs(e))))
 
     @pytest.mark.parametrize("trunc", [2, 8, 32])
     def test_critical_cone_is_the_limit_ray(self, trunc):
@@ -61,28 +63,30 @@ class TestExample2Sections:
 
     def test_size_guard(self, monkeypatch):
         ex = build_example2(8)
-        monkeypatch.setattr(cones, "_MAX_SECTION_GENERATORS", 10)
+        cone = critical_cone(ex.problem, ex.xbar, 0.1)
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", 6)  # the ray cone has 10 facets
         with pytest.raises(PolytopeTooLarge):
-            critical_cone(ex.problem, ex.xbar, 0.1).generators
+            cone.generators
 
 
 class TestRandomSections:
-    @pytest.mark.parametrize("k", range(12))
-    def test_generators_meet_rows_and_lie_in_the_ray_cone(self, k):
-        cone = _random_ray_cones()[k]
+    @pytest.mark.parametrize("seed, dims, counts, reference", RAY_CONES)
+    def test_generators_meet_rows_and_lie_in_the_ray_cone(self, seed, dims, counts, reference):
+        cone = random_ray_cone(seed, dims, counts)
         for g in cone.generators:
             scale = 1e-9 * (1.0 + float(np.max(np.abs(g))))
             for r in cone.ineq_rows:
                 assert float(r @ g) <= scale * (1.0 + float(np.max(np.abs(r))))
-            assert conic_membership(list(cone.base_rays), g)
+            assert _cone_distance(reference, cone.base_rays, g) <= scale
 
-    @pytest.mark.parametrize("k", range(12))
-    def test_rejection_sampled_members_lie_in_the_generated_cone(self, k):
-        """Differential check against the former sampler: exponential
-        combinations of the rays, kept when the conic-membership LP and the
-        rows accept them."""
-        cone = _random_ray_cones()[k]
-        rng = np.random.default_rng(100 + k)
+    @pytest.mark.parametrize("seed, dims, counts, reference", RAY_CONES)
+    def test_rejection_sampled_members_lie_in_the_generated_cone(self, seed, dims, counts,
+                                                                  reference):
+        """Rejection sampling as a differential check: exponential
+        combinations of the rays, kept when the cone's membership test and
+        the rows accept them."""
+        cone = random_ray_cone(seed, dims, counts)
+        rng = np.random.default_rng(100 + seed)
         accepted = []
         for _ in range(200):
             h = rng.exponential(size=len(cone.base_rays)) @ np.array(cone.base_rays)
@@ -91,12 +95,22 @@ class TestRandomSections:
         if not len(cone.generators):
             assert not accepted
         for h in accepted:
-            assert conic_distance(list(cone.generators), h) <= 1e-7
+            assert _cone_distance(reference, cone.generators, h) <= 1e-7
+
+    @pytest.mark.parametrize("seed", [104, 209])
+    def test_sections_a_per_row_step_could_not_build(self, seed):
+        """n = 5, 12 rays, 3 rows: one double-description step per row
+        without an adjacency test piles up 33,250 (seed 104) and 40,860
+        (seed 209) generators, over the 20,000 size guard; the cones are
+        checked like the others above (ids w104 and w209)."""
+        cone = random_ray_cone(seed, 3, 7)
+        assert (cone.dim, len(cone.base_rays), len(cone.ineq_rows)) == (5, 12, 3)
+        assert 0 < len(cone.generators) < 100
 
     def test_some_rejection_draws_are_accepted(self):
         """The differential check above is not vacuous."""
         hits = 0
-        for cone in _random_ray_cones():
+        for cone in map(random_ray_cone, range(12)):
             rng = np.random.default_rng(7)
             for _ in range(50):
                 h = rng.exponential(size=len(cone.base_rays)) @ np.array(cone.base_rays)
@@ -105,7 +119,7 @@ class TestRandomSections:
 
     @pytest.mark.parametrize("k", range(12))
     def test_random_directions_need_no_membership_lp(self, k):
-        cone = _random_ray_cones()[k]
+        cone = random_ray_cone(k)
         draws = random_directions(cone, 40, np.random.default_rng(k))
         if len(cone.generators) <= 1:
             assert draws == []
@@ -118,13 +132,14 @@ class TestRandomSections:
 
 class TestBattery:
     def test_two_dimensional_section_gets_the_full_budget(self):
-        """Example 2's eta > 0 cone is the whole plane section x1 = 0."""
+        """Example 2's eta > 0 cone is the whole plane section x1 = 0: two
+        extreme rays, (0,1,0) among them."""
         ex = build_example2(8)
         budget = SearchBudget()
         v = check_ssc(ex.problem, ex.xbar, multiplier_set(ex.problem, ex.xbar), eta=0.1,
                       alpha_target=0.5, budget=budget)
         assert v.directions_evaluated == budget.structured + budget.random
-        assert v.section_generators == 8 * 8 + 1 and not v.exact
+        assert v.section_generators == 2 and not v.exact
         assert v.witness.tolist() == [0.0, 1.0, 0.0]
         assert v.witness_value == pytest.approx(-2.0 * DELTA, abs=1e-12)
 
