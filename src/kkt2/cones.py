@@ -5,17 +5,21 @@ their polars exactly; critical cones add linear cuts from the constraint
 derivatives and the objective.  Cuts whose terms are single-signed on the
 cone are absorbed into the pattern (they force components to zero), which
 is what turns e.g. an objective cut into a plain componentwise condition.
-A hull's critical cone starts from its tangent rays instead: their facets
-(``linalg.cone_facets``) decide membership, and the facets plus the cuts,
-run through the same double-description routine, give the section's
-extreme rays.  ``radial_density_gap`` is the one LP user left here.
+At a KKT point a box's critical cone (eta = 0) is the annihilator section
+of one relative-interior multiplier, so its implicit equalities enter as
+equalities (``_annihilator_rows``) and random draws land in it after one
+projection.  A hull's critical cone starts from its tangent rays instead:
+their facets (``linalg.cone_facets``) decide membership, and the facets plus
+the cuts, run through the same double-description routine, give the
+section's extreme rays.  ``radial_density_gap`` is the one LP user left
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +27,9 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, UsageError
 from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp, weighted_norm
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
+
+if TYPE_CHECKING:
+    from .kkt import MultiplierSet
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
 _POLAR = {FREE: ZERO, NONNEG: NONPOS, NONPOS: NONNEG, ZERO: FREE}
@@ -206,16 +213,19 @@ class CriticalCone:
     def __post_init__(self):
         object.__setattr__(self, "_battery_cache", {})
         if self.eq_rows:
+            # h -> h - (h @ A.T) @ B is the weighted projection onto the rows'
+            # null space: with s = sqrt(w), the rows of Q are an orthonormal
+            # basis of the rows of R * s, A = Q * s and B = Q / s
             R = np.array([np.asarray(r, dtype=float) for r in self.eq_rows])
-            RW = R * self.weights
-            G = RW @ R.T
-            object.__setattr__(self, "_eq_matrix", R)
-            object.__setattr__(self, "_eq_weighted", RW)
-            object.__setattr__(self, "_eq_gram_inv", np.linalg.pinv(G))
+            s = np.sqrt(self.weights)
+            _, sv, Vt = np.linalg.svd(R * s, full_matrices=False)
+            rank = int(np.sum(sv > sv[0] * max(R.shape) * np.finfo(float).eps))
+            Q = Vt[:rank]
+            object.__setattr__(self, "_eq_weighted", R * self.weights)
+            object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
-            object.__setattr__(self, "_eq_matrix", None)
             object.__setattr__(self, "_eq_weighted", None)
-            object.__setattr__(self, "_eq_gram_inv", None)
+            object.__setattr__(self, "_eq_projector", None)
 
     @cached_property
     def ray_facets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,11 +258,12 @@ class CriticalCone:
         return H @ (w * g) <= self.eta * norms + scale * (1.0 + float(np.max(np.abs(g))))
 
     def project_eq_rows(self, v: np.ndarray) -> np.ndarray:
-        """Weighted orthogonal projection onto the equality rows' null space."""
-        if self._eq_matrix is None:
+        """Weighted orthogonal projection onto the equality rows' null space,
+        of one vector or of the rows of a matrix."""
+        if self._eq_projector is None:
             return v
-        coef = self._eq_gram_inv @ (self._eq_weighted @ v)
-        return v - self._eq_matrix.T @ coef
+        A, B = self._eq_projector
+        return v - (v @ A.T) @ B
 
     @property
     def dim(self) -> int:
@@ -281,12 +292,38 @@ class CriticalCone:
         return True
 
 
+def _annihilator_rows(
+    mset: "MultiplierSet", grads, krows: KTangentRows, tol: Tolerances
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Equality and inequality rows of a box's critical cone (eta = 0) as the
+    annihilator section of one multiplier (mu, lambda): at a KKT point every
+    multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 : g'(x)h in
+    T_K(g(x)), mu . g'(x)h = 0}, and the objective row is implied.
+
+    The multiplier is the vertex barycenter of the bounded polytope, a
+    relative-interior point, so mu_i or lambda_j is nonzero wherever some
+    multiplier's is (Goldman & Tucker 1956): every implicit equality of the
+    cone becomes explicit.  lambda is the first equality row (``absorb_rows``
+    turns it into =0 coordinates), then the equalities and the active
+    inequalities with mu_i > 0; entries within ``tol.residual`` of zero
+    count as zero, as in the strict CQ.
+    """
+    mu = np.mean(np.asarray(mset.vertices, dtype=float), axis=0)
+    lam = mset.lam_of(mu)
+    lam_zero = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    tight = [i for i in krows.leq if mu[i] > tol.residual]
+    eq_rows = [np.where(np.abs(lam) <= lam_zero, 0.0, lam)]
+    eq_rows += [grads[i] for i in (*krows.eq, *tight)]
+    return eq_rows, [grads[i] for i in krows.leq if i not in tight]
+
+
 def critical_cone(
     p: ProblemSpec,
     x,
     eta: float = 0.0,
     constraint_rows: bool = True,
     tol: Tolerances = DEFAULT_TOLERANCES,
+    mset: Optional["MultiplierSet"] = None,
 ) -> CriticalCone:
     """Critical cone (eta = 0) or extended critical cone (eta > 0) at x.
 
@@ -294,38 +331,59 @@ def critical_cone(
     tangent cone intersected with the objective cut.  With eta = 0 the
     objective cut enters as f'(x).h <= 0; it is absorbed into the sign
     pattern whenever its terms are single-signed on the tangent cone.
+
+    ``mset``, the multiplier set at x, supplies the active sets, so
+    feasibility is not checked again.  On a box at eta = 0 with constraint
+    rows, a nonempty bounded ``mset`` also gives the rows of the annihilator
+    section (``_annihilator_rows``): the same cone, with its implicit
+    equalities explicit.  Box rows are zero on the =0 coordinates, so one
+    projection onto the equality rows keeps those coordinates at zero.
     """
 
     if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
         raise UsageError("eta must be nonnegative")
-    feas = check_feasible(p, x, tol)
-    if not feas.feasible:
-        raise InfeasiblePoint("critical cone requested at an infeasible point")
-    info = feas.info
-    assert info is not None
     v = as_entries(x, p.dim)
+    if mset is None:
+        feas = check_feasible(p, v, tol)
+        if not feas.feasible:
+            raise InfeasiblePoint("critical cone requested at an infeasible point")
+        info = feas.info
+    elif np.array_equal(mset.x, v):
+        info = mset.info
+    else:
+        raise UsageError("the multiplier set belongs to another point")
+    assert info is not None
     fgrad = np.asarray(p.objective.gradient(v), dtype=float)
+    is_box = isinstance(p.abstract_set, BoxSet)
+    annihilator = (constraint_rows and is_box and eta == 0.0 and mset is not None
+                   and mset.bounded and bool(mset.vertices))
 
     eq_rows: list[np.ndarray] = []
     ineq_rows: list[np.ndarray] = []
-    if constraint_rows:
+    if annihilator:
+        eq_rows, ineq_rows = _annihilator_rows(
+            mset, p.constraint_gradients(v), tangent_cone_K(p, info), tol)
+    elif constraint_rows:
         grads = p.constraint_gradients(v)
         krows = tangent_cone_K(p, info)
         eq_rows += [grads[i] for i in krows.eq]
         ineq_rows += [grads[i] for i in krows.leq]
-    # eta = 0: the objective cut is a row like the others; eta > 0: it stays
-    # the non-polyhedral test f'(x).h <= eta ||h||
+    # eta = 0: the objective cut is a row like the others, implied by the
+    # annihilator rows; eta > 0: it stays the non-polyhedral test
+    # f'(x).h <= eta ||h||
     objective = None
-    if eta == 0.0:
-        ineq_rows.append(fgrad)
-    else:
+    if eta > 0.0:
         objective = fgrad
+    elif not annihilator:
+        ineq_rows.append(fgrad)
 
-    if isinstance(p.abstract_set, BoxSet):
+    if is_box:
         pattern = tangent_cone_box(p.abstract_set, v, tol)
         pattern, eq_left, ineq_left = absorb_rows(pattern, eq_rows, ineq_rows, p.weights)
+        zero = pattern._zero
         return CriticalCone(
-            p.weights, pattern, (), tuple(eq_left), tuple(ineq_left), objective, eta
+            p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
+            tuple(np.where(zero, 0.0, r) for r in ineq_left), objective, eta
         )
 
     cone_set = p.abstract_set
@@ -490,7 +548,8 @@ def _random_pattern_batch(
     cone: CriticalCone, count: int, rng: np.random.Generator, iterations: int = 60
 ) -> np.ndarray:
     """One vectorized clamp/project sweep over a batch of gaussian starts;
-    returns the unit-norm rows that landed inside the cone."""
+    returns the unit-norm rows that landed inside the cone.  Clamping works
+    in place, so the sweep holds one count x n array and one correction."""
 
     pattern = cone.base_pattern
     assert pattern is not None
@@ -500,20 +559,19 @@ def _random_pattern_batch(
     nonneg, nonpos, zero = pattern._nonneg, pattern._nonpos, pattern._zero
 
     def clamp_batch(M):
-        M = np.where(nonneg, np.maximum(M, 0.0), M)
-        M = np.where(nonpos, np.minimum(M, 0.0), M)
-        return np.where(zero, 0.0, M)
+        np.maximum(M, 0.0, out=M, where=nonneg)
+        np.minimum(M, 0.0, out=M, where=nonpos)
+        M[:, zero] = 0.0
 
-    H = clamp_batch(H)
+    clamp_batch(H)
     if cone.eq_rows:
-        R = cone._eq_matrix
         RW = cone._eq_weighted
-        Ginv = cone._eq_gram_inv
+        A, B = cone._eq_projector
         for _ in range(iterations):
-            resid = H @ RW.T
-            if np.abs(resid).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
+            if np.abs(H @ RW.T).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
                 break
-            H = clamp_batch(H - (resid @ Ginv) @ R)
+            H -= (H @ A.T) @ B
+            clamp_batch(H)
 
     scale = 1e-7 * (1.0 + np.abs(H).max(axis=1))
     keep = np.ones(len(H), dtype=bool)
@@ -530,7 +588,8 @@ def _random_pattern_batch(
         keep &= fh <= cone.eta * norms + scale * (
             1.0 + float(np.max(np.abs(cone.objective_gradient)))
         )
-    H = H[keep] / norms[keep, None]
+    H = H[keep]
+    H /= norms[keep, None]
     return H
 
 
@@ -549,17 +608,18 @@ def random_directions(
     count: int,
     rng: np.random.Generator,
     max_rounds: int = 10,
-) -> list[np.ndarray]:
-    """Seeded unit-norm random members of the cone (deterministic given rng).
-    A section with a single generator gives none: its combinations are
-    copies of that one ray."""
+) -> np.ndarray:
+    """Seeded unit-norm random members of the cone (deterministic given rng),
+    at most ``count`` rows.  A section with a single generator gives none:
+    its combinations are copies of that one ray."""
 
+    empty = np.empty((0, cone.dim))
     if cone.base_pattern is None and len(cone.generators) <= 1:
-        return []
+        return empty
     batch = _random_pattern_batch if cone.base_pattern is not None else _random_section_batch
-    out: list[np.ndarray] = []
-    rounds = 0
-    while len(out) < count and rounds < max_rounds:
-        rounds += 1
-        out.extend(batch(cone, 2 * count, rng)[: count - len(out)])
-    return out
+    chunks: list[np.ndarray] = []
+    filled = 0
+    while filled < count and len(chunks) < max_rounds:
+        chunks.append(batch(cone, 2 * count, rng)[: count - filled])
+        filled += len(chunks[-1])
+    return chunks[0] if len(chunks) == 1 else np.concatenate([empty, *chunks])

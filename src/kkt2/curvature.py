@@ -6,8 +6,11 @@ vertex; an LP cross-check is kept as an independent route).  Minimizing q
 over a cone-intersect-sphere is nonconvex, so the necessary/sufficient
 checks are falsifiers with a documented heuristic search: structured
 directions, seeded random cone samples, and a projected subgradient
-refinement.  A negative certificate (witness) is exact and replayable; a
-nonnegative verdict is a sampled certificate, labeled as such.
+refinement.  The battery is one array, evaluated in row blocks with one
+``BilinearForm.quad_batch`` per form; the chosen direction is evaluated
+again by ``q_of_h`` (or ``CurvatureOracle.fixed_mu_value``), so reported
+values replay exactly.  A negative certificate (witness) is exact and
+replayable; a nonnegative verdict is a sampled certificate, labeled as such.
 """
 
 from __future__ import annotations
@@ -42,6 +45,18 @@ class CurvatureOracle:
     def constraint_quads(self, h: np.ndarray) -> np.ndarray:
         return np.array([form.quad(h) for form in self.g_forms])
 
+    def values(self, H: np.ndarray, mu: Optional[np.ndarray] = None) -> np.ndarray:
+        """Form values over the rows of H: q(h), or with ``mu`` the fixed-mu
+        form; equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
+        out = self.f_form.quad_batch(H)
+        if self.m:
+            S = np.column_stack([g.quad_batch(H) for g in self.g_forms])
+            if mu is not None:
+                return out + S @ mu
+            V = np.asarray(self.mset.vertices, dtype=float)
+            out = out + np.max(S @ V.T, axis=1)
+        return out
+
     def fixed_mu_value(self, h: np.ndarray, mu: np.ndarray) -> float:
         base = self.f_form.quad(h)
         if self.m:
@@ -66,20 +81,27 @@ def curvature_oracle(p: ProblemSpec, x, mset: MultiplierSet) -> CurvatureOracle:
     return CurvatureOracle(p.weights, f_form, g_forms, mset)
 
 
-def q_of_h(oracle: CurvatureOracle, h) -> tuple[float, np.ndarray]:
-    """Maximized Lagrangian Hessian at h with a maximizing vertex."""
-
-    hv = np.asarray(h, dtype=float)
+def _require_vertices(oracle: CurvatureOracle) -> None:
+    """Raises unless q is defined: a nonempty bounded multiplier set, with
+    its vertices when there are constraints."""
     mset = oracle.mset
     if mset.empty:
         raise EmptyMultiplierSet("q(h) needs a nonempty multiplier set")
     if not mset.bounded:
         raise UnboundedMultiplierSet("q(h) needs a bounded multiplier set")
+    if oracle.m and not mset.vertices:
+        raise EmptyMultiplierSet("multiplier polytope has no enumerated vertices")
+
+
+def q_of_h(oracle: CurvatureOracle, h) -> tuple[float, np.ndarray]:
+    """Maximized Lagrangian Hessian at h with a maximizing vertex."""
+
+    hv = np.asarray(h, dtype=float)
+    mset = oracle.mset
+    _require_vertices(oracle)
     base = oracle.f_form.quad(hv)
     if oracle.m == 0:
         return base, np.zeros(0)
-    if not mset.vertices:
-        raise EmptyMultiplierSet("multiplier polytope has no enumerated vertices")
     s = oracle.constraint_quads(hv)
     values = [float(np.asarray(mu) @ s) for mu in mset.vertices]
     best = int(np.argmax(values))
@@ -131,23 +153,23 @@ def _section_size(cone: CriticalCone) -> Optional[int]:
     return len(cone.generators) if cone.base_pattern is None else None
 
 
-def _battery(
-    cone: CriticalCone, budget: SearchBudget
-) -> list[tuple[np.ndarray, bool]]:
-    """(direction, is_structured) candidates; structured ones keep their
-    canonical scaling, random ones are unit norm.  Cached per cone, keyed by
-    the budget, so repeated searches over one cone reuse the directions
-    (generation is seeded, so this does not change any result)."""
+def _battery(cone: CriticalCone, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate directions as the rows of one array, with the mask of the
+    structured ones, which come first and keep their canonical scaling;
+    random ones are unit norm.  Cached per cone, keyed by the budget, so
+    repeated searches over one cone reuse the directions (generation is
+    seeded, so this does not change any result)."""
 
     key = (budget.seed, budget.structured, budget.random)
     cache = cone._battery_cache
     if key not in cache:
         rng = np.random.default_rng(budget.seed)
-        out = [(h, True) for h in structured_directions(cone, budget.structured)]
+        structured = np.reshape(structured_directions(cone, budget.structured), (-1, cone.dim))
         # top the battery up to the full budget with random members
-        n_random = budget.structured + budget.random - len(out)
-        out += [(h, False) for h in random_directions(cone, n_random, rng)]
-        cache[key] = out
+        n_random = budget.structured + budget.random - len(structured)
+        H = np.concatenate([structured, random_directions(cone, n_random, rng)])
+        H.flags.writeable = False
+        cache[key] = H, np.arange(len(H)) < len(structured)
     return cache[key]
 
 
@@ -205,45 +227,75 @@ class _Candidate:
     value: float
     normalized: float
     mu: np.ndarray
-    structured: bool
+
+
+# Battery entries per batched evaluation: 128 KB temporaries, which the
+# allocator reuses; blocks of 1024 rows of example1 at grid 480 (4 MB) raised
+# the benchmark's peak RSS by 0.5 MB.
+_BLOCK_ENTRIES = 16384
+
+
+def _battery_values(
+    oracle: CurvatureOracle, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared weighted norms and form values of the rows of H, computed in
+    blocks of about ``_BLOCK_ENTRIES`` entries so temporaries stay small."""
+    n2 = np.empty(len(H))
+    values = np.empty(len(H))
+    rows = max(1, _BLOCK_ENTRIES // H.shape[1])
+    for start in range(0, len(H), rows):
+        block = H[start:start + rows]
+        n2[start:start + len(block)] = np.sum(weights * block * block, axis=1)
+        values[start:start + len(block)] = oracle.values(block, mu)
+    return n2, values
+
+
+@dataclass(frozen=True)
+class _Search:
+    evaluated: int  # battery directions with nonzero norm, plus descent steps
+    sampled_min: float  # normalized value of the minimizing direction; inf if none
+    witness: Optional[_Candidate]
 
 
 def _search_min(
     oracle: CurvatureOracle,
     cone: CriticalCone,
-    eval_fn: "callable",
     budget: SearchBudget,
-) -> tuple[list[_Candidate], Optional[_Candidate]]:
-    """eval_fn(h) -> (form value, multiplier used); one evaluation per
-    candidate direction."""
+    mu: Optional[np.ndarray] = None,
+) -> _Search:
+    """Minimizes the normalized form value, q(h) or with ``mu`` the fixed-mu
+    form, over the battery and a descent from its best direction.
 
+    The battery is evaluated in row blocks (``_battery_values``); only the
+    descent steps and the chosen directions are evaluated one by one, so
+    ``sampled_min`` and the witness come from ``q_of_h``/``fixed_mu_value``
+    as a replay computes them."""
+
+    def evaluate(h: np.ndarray) -> _Candidate:
+        val, mu_h = q_of_h(oracle, h) if mu is None else (oracle.fixed_mu_value(h, mu), mu)
+        return _Candidate(h, val, val / float(np.sum(w * h * h)), mu_h)
+
+    if mu is None:
+        _require_vertices(oracle)
     w = cone.weights
-    cands: list[_Candidate] = []
-    for h, structured in _battery(cone, budget):
-        n2 = float(np.sum(w * h * h))
-        if n2 <= 1e-20:
-            continue
-        val, mu = eval_fn(h)
-        cands.append(_Candidate(h, val, val / n2, mu, structured))
-    if cands:
-        best = min(cands, key=lambda c: c.normalized)
-        mu_for = lambda h: eval_fn(h)[1]
-        for h in _descend(oracle, cone, best.h, mu_for, budget):
-            val, mu = eval_fn(h)
-            n2 = float(np.sum(w * h * h))
-            cands.append(_Candidate(h, val, val / n2, mu, False))
-    if not cands:
-        return [], None
-    best_norm = min(c.normalized for c in cands)
+    H, structured = _battery(cone, budget)
+    n2, values = _battery_values(oracle, H, w, mu)
+    rows = np.flatnonzero(n2 > 1e-20)
+    if not len(rows):
+        return _Search(0, math.inf, None)
+    normalized = values[rows] / n2[rows]
+    best = rows[int(np.argmin(normalized))]
+    steps = [evaluate(h) for h in _descend(oracle, cone, H[best],
+                                            lambda h: evaluate(h).mu, budget)]
+    best_step = min(steps, key=lambda c: c.normalized, default=None)
+    if best_step is not None and best_step.normalized < float(np.min(normalized)):
+        chosen = best_step
+    else:
+        chosen = evaluate(H[best])
     # prefer a canonically scaled structured witness when it ties the best
-    witness = None
-    for c in cands:
-        if c.structured and c.normalized <= best_norm + 1e-9:
-            witness = c
-            break
-    if witness is None:
-        witness = min(cands, key=lambda c: c.normalized)
-    return cands, witness
+    ties = rows[structured[rows] & (normalized <= chosen.normalized + 1e-9)]
+    witness = evaluate(H[ties[0]]) if len(ties) else chosen
+    return _Search(len(rows) + len(steps), chosen.normalized, witness)
 
 
 def check_snc(
@@ -263,25 +315,21 @@ def check_snc(
     v = as_entries(x, p.dim)
     oracle = curvature_oracle(p, v, mset)
     if cone is None:
-        cone = critical_cone(p, v, 0.0, tol=tol)
+        cone = critical_cone(p, v, 0.0, tol=tol, mset=mset)
 
-    cands, witness = _search_min(oracle, cone, lambda h: q_of_h(oracle, h), budget)
+    found = _search_min(oracle, cone, budget)
     section = _section_size(cone)
-    if witness is None:
-        return SecondOrderVerdict("snc_holds", None, None, None, None,
-                                  sampled_min=math.inf, directions_evaluated=0,
-                                  hypotheses=hypotheses, section_generators=section)
-    best_norm = min(c.normalized for c in cands)
-    if best_norm < -tol.violation:
+    if found.sampled_min < -tol.violation:
+        witness = found.witness
         return SecondOrderVerdict(
             "snc_violated", witness.h, witness.value, witness.normalized,
-            witness.mu, sampled_min=best_norm,
-            directions_evaluated=len(cands), hypotheses=hypotheses,
+            witness.mu, sampled_min=found.sampled_min,
+            directions_evaluated=found.evaluated, hypotheses=hypotheses,
             section_generators=section,
         )
     return SecondOrderVerdict(
-        "snc_holds", None, None, None, None, sampled_min=best_norm,
-        directions_evaluated=len(cands), hypotheses=hypotheses, section_generators=section,
+        "snc_holds", None, None, None, None, sampled_min=found.sampled_min,
+        directions_evaluated=found.evaluated, hypotheses=hypotheses, section_generators=section,
     )
 
 
@@ -306,20 +354,18 @@ def check_snc_fixed_multiplier(
     validate_multipliers(p, v, mset.multipliers(mu), tol)
     oracle = curvature_oracle(p, v, mset)
     if cone is None:
-        cone = critical_cone(p, v, 0.0, tol=tol)
+        cone = critical_cone(p, v, 0.0, tol=tol, mset=mset)
 
-    cands, witness = _search_min(
-        oracle, cone, lambda h: (oracle.fixed_mu_value(h, mu), mu), budget
-    )
-    best_norm = min((c.normalized for c in cands), default=math.inf)
-    if witness is not None and best_norm < -tol.violation:
+    found = _search_min(oracle, cone, budget, mu)
+    if found.sampled_min < -tol.violation:
+        witness = found.witness
         return SecondOrderVerdict(
             "snc_violated", witness.h, witness.value, witness.normalized, mu,
-            sampled_min=best_norm, directions_evaluated=len(cands),
+            sampled_min=found.sampled_min, directions_evaluated=found.evaluated,
         )
     return SecondOrderVerdict(
-        "snc_holds", None, None, None, mu, sampled_min=best_norm,
-        directions_evaluated=len(cands),
+        "snc_holds", None, None, None, mu, sampled_min=found.sampled_min,
+        directions_evaluated=found.evaluated,
     )
 
 
@@ -342,30 +388,27 @@ def check_ssc(
         raise UsageError("the extended critical cone needs eta > 0")
     v = as_entries(x, p.dim)
     oracle = curvature_oracle(p, v, mset)
-    cone_eta = critical_cone(p, v, eta, tol=tol)
-    eval_fn = lambda h: q_of_h(oracle, h)
-
-    cands, witness = _search_min(oracle, cone_eta, eval_fn, budget)
-    alpha_est = min((c.normalized for c in cands), default=math.inf)
-
-    cone_zero = critical_cone(p, v, 0.0, tol=tol)
-    cands0, _ = _search_min(oracle, cone_zero, eval_fn, budget)
-    min_zero = min((c.normalized for c in cands0), default=math.inf)
+    cone_eta = critical_cone(p, v, eta, tol=tol, mset=mset)
+    found = _search_min(oracle, cone_eta, budget)
+    alpha_est = found.sampled_min
+    min_zero = _search_min(oracle, critical_cone(p, v, 0.0, tol=tol, mset=mset),
+                           budget).sampled_min
     consistent = (min_zero > 0) == (alpha_est > 0)
 
     section = _section_size(cone_eta)
     if alpha_est >= alpha_target - tol.alpha_slack:
         return SecondOrderVerdict(
             "ssc_holds", None, None, None, None, sampled_min=alpha_est,
-            directions_evaluated=len(cands), alpha_est=alpha_est,
+            directions_evaluated=found.evaluated, alpha_est=alpha_est,
             hypotheses=hypotheses, positivity_consistent=consistent,
             section_generators=section,
         )
+    witness = found.witness
     assert witness is not None
     return SecondOrderVerdict(
         "ssc_violated", witness.h, witness.value, witness.normalized,
         witness.mu, sampled_min=alpha_est,
-        directions_evaluated=len(cands), alpha_est=alpha_est,
+        directions_evaluated=found.evaluated, alpha_est=alpha_est,
         hypotheses=hypotheses, positivity_consistent=consistent,
         section_generators=section,
     )

@@ -101,17 +101,26 @@ class BilinearForm:
     ``apply(h)``, when provided, returns the Riesz representative of
     ``v -> form(h, v)`` with respect to the weighted inner product; the
     descent refinement in the curvature searches needs it.
+    ``quad_rows(H)``, when provided, returns ``quad`` over the rows of H in
+    one call; ``quad_batch`` falls back to a loop over the rows.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], float]
     symmetric: bool = True
     apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    quad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.evaluator(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
 
     def quad(self, h: np.ndarray) -> float:
         return self(h, h)
+
+    def quad_batch(self, H: np.ndarray) -> np.ndarray:
+        """``quad(h)`` for every row h of H."""
+        if self.quad_rows is not None:
+            return np.asarray(self.quad_rows(H), dtype=float)
+        return np.array([self.quad(h) for h in H], dtype=float).reshape(len(H))
 
 
 def matrix_form(H: np.ndarray, weights: Optional[np.ndarray] = None) -> BilinearForm:
@@ -128,7 +137,11 @@ def matrix_form(H: np.ndarray, weights: Optional[np.ndarray] = None) -> Bilinear
     def ap(h):
         return winv * (H @ np.asarray(h, dtype=float))
 
-    return BilinearForm(evaluator=ev, symmetric=bool(np.allclose(H, H.T)), apply=ap)
+    def rows(X):
+        return np.einsum("ij,ij->i", X @ H, X)
+
+    return BilinearForm(evaluator=ev, symmetric=bool(np.allclose(H, H.T)), apply=ap,
+                        quad_rows=rows)
 
 
 # --------------------------------------------------------------------------

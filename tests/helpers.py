@@ -1,7 +1,10 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
-cones, reverse-engineered stationary problems, and an NNLS cone distance."""
+cones, reverse-engineered stationary problems, problem files with many
+multipliers, and an NNLS cone distance."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +97,47 @@ def random_stationary_problem(
     spec = ProblemSpec(objective, tuple(constraints), m1,
                        BoxSet(lower, upper), weights)
     return spec, xbar, lam, mu
+
+
+def many_multiplier_problem(
+    rng: np.random.Generator, n: int, m: int, n_lower: int, rank: int, scale: float
+) -> tuple[dict, list[float]]:
+    """A box problem file and its point, with a bounded multiplier polytope
+    of dimension up to m - rank.
+
+    All m inequalities are active with positive multipliers, and the last
+    n_lower coordinates sit at their lower bounds with lambda < 0.  On the
+    other coordinates the constraint gradients have rank ``rank`` and size
+    ``scale``.  The objective Hessian is I + PSD and the constraint Hessians
+    are PSD, so q(h) >= ||h||^2 on every direction.
+    """
+    nf = n - n_lower
+    x = np.concatenate([rng.uniform(-1.0, 1.0, nf), np.zeros(n_lower)])
+    A = rng.standard_normal((m, rank))
+    A[:, 0] = rng.uniform(0.5, 1.5, m)  # keeps the polytope bounded
+    G = np.hstack([A @ (scale * rng.standard_normal((rank, nf))),
+                   rng.standard_normal((m, n_lower))])
+    f_grad = -G.T @ rng.uniform(0.5, 1.5, m)
+    f_grad[nf:] += rng.uniform(0.5, 1.5, n_lower)
+
+    def psd(size):
+        L = rng.standard_normal((n, n)) * size / math.sqrt(n)
+        return L @ L.T
+
+    def quadratic_entry(grad, H, active):
+        linear = grad - H @ x
+        constant = -(linear @ x + 0.5 * x @ H @ x) if active else 0.0
+        return {"constant": float(constant), "linear": linear.tolist(),
+                "quadratic": [[i, j, float(H[i, j])] for i in range(n) for j in range(n)]}
+
+    problem = {
+        "dimension": n,
+        "box": {"lower": [-5.0] * nf + [0.0] * n_lower, "upper": [5.0] * n},
+        "objective": quadratic_entry(f_grad, np.eye(n) + psd(0.5), False),
+        "constraints": [quadratic_entry(G[i], psd(0.3), True) for i in range(m)],
+        "m1": 0,
+    }
+    return problem, x.tolist()
 
 
 def random_ray_cone(seed: int, dims: int = 2, counts: int = 5) -> CriticalCone:

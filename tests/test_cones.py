@@ -169,7 +169,7 @@ class TestCriticalCone:
         cone_eta = critical_cone(ex.problem, ex.xbar, 0.5)
         rng = np.random.default_rng(23)
         members = random_directions(cone0, 40, rng)
-        assert members
+        assert len(members)
         for h in members:
             assert cone_eta.contains(h, 1e-7)
 

@@ -8,6 +8,8 @@ import pytest
 from kkt2.cli import main
 from kkt2.config import DEFAULT_BUDGET, DEFAULT_TOLERANCES
 from kkt2.curvature import (
+    _BLOCK_ENTRIES,
+    _battery_values,
     _box_feasible_samples,
     check_snc,
     check_snc_fixed_multiplier,
@@ -311,3 +313,68 @@ class TestBoxSampler:
             assert all(_passes_acceptance(p, xbar, s, 0.05) for s in samples)
             with_equalities += bool(p.m1 and samples)
         assert with_equalities >= 10
+
+
+def _assert_close(batched, scalar):
+    scalar = np.asarray(scalar, dtype=float)
+    assert batched.shape == scalar.shape
+    assert np.all(np.abs(batched - scalar) <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
+
+
+def _bounded_random_problems(rng, count):
+    found = 0
+    while found < count:
+        p, xbar, _, _ = random_stationary_problem(rng, max_dim=5, max_constraints=4,
+                                                  weights_one=False)
+        mset = multiplier_set(p, xbar)
+        if not mset.empty and mset.bounded and p.n_constraints:
+            found += 1
+            yield p, xbar, mset
+
+
+class TestBatchedValues:
+    """``CurvatureOracle.values`` and the block loop against ``q_of_h`` and
+    ``fixed_mu_value`` direction by direction."""
+
+    def test_random_matrix_forms(self):
+        rng = np.random.default_rng(71)
+        for p, xbar, mset in _bounded_random_problems(rng, 25):
+            oracle = curvature_oracle(p, xbar, mset)
+            H = rng.standard_normal((30, p.dim))
+            _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+            mu = mset.vertices[-1]
+            _assert_close(oracle.values(H, mu), [oracle.fixed_mu_value(h, mu) for h in H])
+
+    def test_example1_forms_loop_over_rows(self, ex1):
+        ex, mset = ex1
+        oracle = curvature_oracle(ex.problem, ex.xbar, mset)
+        assert oracle.f_form.quad_rows is None
+        H = np.random.default_rng(3).standard_normal((40, ex.grid))
+        assert np.array_equal(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+        mu = np.array([0.3])
+        assert np.array_equal(oracle.values(H, mu),
+                              [oracle.fixed_mu_value(h, mu) for h in H])
+
+    def test_vertex_ties(self, ex1):
+        """On (1/3, 3/4) the constraint form vanishes, so both vertices of
+        the multiplier interval [0, 1] attain the max."""
+        ex, mset = ex1
+        oracle = curvature_oracle(ex.problem, ex.xbar, mset)
+        H = np.random.default_rng(4).standard_normal((20, ex.grid))
+        H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
+        assert all(oracle.constraint_quads(h)[0] == 0.0 for h in H)
+        _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_block_boundaries(self, blocks, extra):
+        rng = np.random.default_rng(10 * blocks + extra)
+        p, xbar, mset = next(_bounded_random_problems(rng, 1))
+        oracle = curvature_oracle(p, xbar, mset)
+        H = rng.standard_normal((blocks * (_BLOCK_ENTRIES // p.dim) + extra, p.dim))
+        H[::5] = 0.0
+        n2, values = _battery_values(oracle, H, p.weights, None)
+        _assert_close(n2, [float(np.sum(p.weights * h * h)) for h in H])
+        _assert_close(values, [q_of_h(oracle, h)[0] for h in H])
+        mu = mset.vertices[0]
+        _, fixed = _battery_values(oracle, H, p.weights, mu)
+        _assert_close(fixed, [oracle.fixed_mu_value(h, mu) for h in H])

@@ -122,7 +122,7 @@ class TestRandomSections:
         cone = random_ray_cone(k)
         draws = random_directions(cone, 40, np.random.default_rng(k))
         if len(cone.generators) <= 1:
-            assert draws == []
+            assert draws.shape == (0, cone.dim)
             return
         assert len(draws) == 40
         for h in draws:
