@@ -9,10 +9,13 @@ At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier, so its implicit equalities enter as
 equalities (``_annihilator_rows``) and random draws land in it after one
 projection.  A hull's critical cone starts from its tangent rays instead:
-their facets (``linalg.cone_facets``) decide membership, and the facets plus
-the cuts, run through the same double-description routine, give the
-section's extreme rays.  ``radial_density_gap`` is the one LP user left
-here.
+their facets (``linalg.cone_facets``) decide membership, and random draws
+combine its section generators: the facets plus the cuts, run through the
+double-description routine.  A box cone with leftover inequality rows,
+where clamped gaussian starts rarely meet the rows and the objective cut,
+lists the same generators with its sign pattern read as rows, and draws
+from them once the starts stop landing.  ``radial_density_gap`` is the one
+LP user left here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InfeasiblePoint, UsageError
+from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
 from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp, weighted_norm
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
@@ -234,15 +237,39 @@ class CriticalCone:
         return cone_facets(self.dim, self.base_rays)
 
     @cached_property
+    def has_generators(self) -> bool:
+        """Whether ``generators`` is listed: always for ray-based cones; for
+        box cones with leftover inequality rows unless the section has more
+        than ``_MAX_GENERATORS`` generators (one mixed-sign row over p >= 0
+        and q <= 0 coordinates alone adds p q rays).  Box cones without
+        inequality rows need none: clamping and projecting lands in them."""
+        if self.base_pattern is None:
+            return True
+        if not self.ineq_rows:
+            return False
+        try:
+            self.generators
+        except PolytopeTooLarge:
+            return False
+        return True
+
+    @cached_property
     def generators(self) -> np.ndarray:
-        """Generators (rows) of the section of a ray-based cone by its rows,
-        computed on first use: the facets of cone(base_rays) and the weighted
-        rows, run through the double description, laid out as
-        ``cone_is_trivial`` lays them out (each lineality vector l as l and
-        -l, then the extreme rays).  The eta > 0 objective cut is not
-        polyhedral; it stays a test on each direction
-        (``objective_cut_holds``)."""
-        L, R = self.ray_facets
+        """Generators (rows) of the section of the base cone by its rows,
+        computed on first use: the facets of cone(base_rays), or the sign
+        pattern read as rows (e_j = 0 on =0 coordinates, -e_j <= 0 on >=0
+        and e_j <= 0 on <=0 ones), and the weighted rows, run through the
+        double description, laid out as ``cone_is_trivial`` lays them out
+        (each lineality vector l as l and -l, then the extreme rays).  The
+        eta > 0 objective cut is not polyhedral; it stays a test on each
+        direction (``objective_cut_holds``).  Past ``_MAX_GENERATORS`` rays
+        the double description raises ``PolytopeTooLarge``."""
+        if self.base_pattern is None:
+            L, R = self.ray_facets
+        else:
+            codes = self.base_pattern.codes
+            signed = np.eye(self.dim) * np.where(codes == NONNEG, -1.0, 1.0)[:, None]
+            L, R = signed[codes == ZERO], signed[(codes == NONNEG) | (codes == NONPOS)]
         eq = [(a, 0.0) for a in (*L, *(self.weights * r for r in self.eq_rows))]
         ineq = [(a, 0.0) for a in (*R, *(self.weights * r for r in self.ineq_rows))]
         return cone_is_trivial(self.dim, eq, ineq)[1]
@@ -498,9 +525,11 @@ def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Option
 def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
     """Canonical candidates: run indicators for pattern cones (paper scaling,
     entries in {0, +-1}), each row-projected into the cone when needed; the
-    section generators that meet the objective cut for ray-based cones."""
+    section generators that meet the objective cut for ray-based cones, and
+    for box cones whose listed section is a single ray, which run indicators
+    and gaussian starts can all miss."""
 
-    if cone.base_pattern is None:
+    if cone.base_pattern is None or (cone.has_generators and len(cone.generators) <= 1):
         G = cone.generators
         return list(G[cone.objective_cut_holds(G)][:limit])
     raw: list[np.ndarray] = []
@@ -544,6 +573,12 @@ def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
     return out
 
 
+# Entries per row block of a battery, drawn or evaluated: 128 KB
+# temporaries, which the allocator reuses; blocks of 1024 rows of example1 at
+# grid 480 (4 MB) raised the benchmark's peak RSS by 0.5 MB.
+_BLOCK_ENTRIES = 16384
+
+
 def _random_pattern_batch(
     cone: CriticalCone, count: int, rng: np.random.Generator, iterations: int = 60
 ) -> np.ndarray:
@@ -573,34 +608,87 @@ def _random_pattern_batch(
             H -= (H @ A.T) @ B
             clamp_batch(H)
 
+    # the tests run on the unit rows: a start that the sweep collapses to
+    # round-off residue passes absolute tests, but not once it is normalized
+    norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
+    keep = norms > 1e-12
+    np.divide(H, norms[:, None], out=H, where=keep[:, None])
     scale = 1e-7 * (1.0 + np.abs(H).max(axis=1))
-    keep = np.ones(len(H), dtype=bool)
     if cone.eq_rows:
         keep &= np.max(np.abs(H @ cone._eq_weighted.T), axis=1) <= scale * (
             1.0 + max(float(np.max(np.abs(r))) for r in cone.eq_rows)
         )
     for r in cone.ineq_rows:
         keep &= H @ (w * r) <= scale * (1.0 + float(np.max(np.abs(r))))
-    norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
-    keep &= norms > 1e-12
     if cone.objective_gradient is not None:
         fh = H @ (w * cone.objective_gradient)
-        keep &= fh <= cone.eta * norms + scale * (
-            1.0 + float(np.max(np.abs(cone.objective_gradient)))
-        )
-    H = H[keep]
-    H /= norms[keep, None]
-    return H
+        keep &= fh <= cone.eta + scale * (1.0 + float(np.max(np.abs(cone.objective_gradient))))
+    return H[keep]
+
+
+def _cut_reach(k: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
+    """Per row, the largest s in [0, 1] with (1 - s) c + s d on the cut
+    f'(x).h <= eta ||h||, for unit c and d with f'(x).c = 0, f'(x).d = a and
+    c.d = k.  With t = s / (1 - s) the cut reads t a <= eta ||c + t d||; for
+    a > eta it is A t^2 - 2 eta^2 k t - eta^2 <= 0 with A = a^2 - eta^2 > 0,
+    which holds up to the positive root.  Otherwise d meets the cut and s
+    runs up to 1 (a middle stretch may still miss it when c and d point
+    apart; the cut test on each row drops those draws)."""
+
+    reach = np.ones(len(a))
+    bounded = a > eta
+    A = a[bounded] ** 2 - eta * eta
+    kb = k[bounded]
+    t = (eta * eta * kb + eta * np.sqrt(eta * eta * kb * kb + A)) / A
+    reach[bounded] = t / (1.0 + t)
+    return reach
 
 
 def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Exponential-weight combinations of the section generators, unit norm.
-    Each is a cone member by construction; only the objective cut is tested."""
+    """Unit-norm combinations of the section generators with exponential
+    weights, drawn in row blocks of about ``_BLOCK_ENTRIES`` weights.
 
-    H = rng.exponential(size=(count, len(cone.generators))) @ cone.generators
-    norms = np.sqrt(np.maximum((H * H) @ cone.weights, 0.0))
+    Every combination is a member of the section.  On a box cone with an
+    objective cut, the generators split into G0 (f'(x).g = 0, spanning the
+    eta = 0 face) and G+ (the rest), since combinations over all of them
+    rarely meet the cut.  Each draw is then h = (1 - s) c + s d, with c and
+    d unit combinations of G0 and G+ and s uniform on [0, reach), where
+    reach is where the segment from c to d leaves the cut
+    (``_cut_reach``): the draws cover the cut section up to its boundary.
+    The cut is still tested on every row, so a generator put in the wrong
+    group costs yield, never membership.  Hull sections, and box sections
+    without a split (no cut, or an empty G0 or G+), draw plain
+    combinations."""
+
+    G, w, eta = cone.generators, cone.weights, cone.eta
+    groups = [G]
+    if cone.base_pattern is not None and cone.objective_gradient is not None:
+        wf = w * cone.objective_gradient
+        face = np.abs(G @ wf) <= 1e-9 * (1.0 + float(np.sum(np.abs(wf))))
+        if face.any() and not face.all():
+            groups = [G[face], G[~face]]
+
+    def unit(M):
+        norms = np.sqrt(np.maximum((M * M) @ w, 0.0))
+        return np.divide(M, norms[:, None], out=np.zeros_like(M), where=norms[:, None] > 0.0)
+
+    H = np.empty((count, cone.dim))
+    rows = max(1, _BLOCK_ENTRIES // len(G))
+    for start in range(0, count, rows):
+        block = H[start:start + rows]
+        if len(groups) == 1:
+            np.matmul(rng.exponential(size=(len(block), len(G))), G, out=block)
+            continue
+        C = unit(rng.exponential(size=(len(block), len(groups[0]))) @ groups[0])
+        D = unit(rng.exponential(size=(len(block), len(groups[1]))) @ groups[1])
+        s = rng.random(len(block)) * _cut_reach((C * D) @ w, D @ wf, eta)
+        np.multiply(D, s[:, None], out=block)
+        block += (1.0 - s)[:, None] * C
+    norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
     keep = (norms > 1e-12) & cone.objective_cut_holds(H)
-    return H[keep] / norms[keep, None]
+    H = H[keep]
+    H /= norms[keep, None]
+    return H
 
 
 def random_directions(
@@ -610,16 +698,30 @@ def random_directions(
     max_rounds: int = 10,
 ) -> np.ndarray:
     """Seeded unit-norm random members of the cone (deterministic given rng),
-    at most ``count`` rows.  A section with a single generator gives none:
-    its combinations are copies of that one ray."""
+    at most ``count`` rows.  A round draws ``count`` starts and, unless they
+    filled the request, ``count`` more; numpy fills arrays row by row, so
+    for the clamp/project sweep and for plain combinations the halves are
+    the stream of one ``2 * count`` batch.
+
+    Box cones draw clamped and projected gaussian starts, kept when they
+    meet the cuts (``_random_pattern_batch``).  When the first half round
+    keeps fewer than ``count / (2 max_rounds)`` rows, too few for the
+    rounds to fill the request, a box cone with listed generators
+    (``has_generators``) draws the rest as combinations of them
+    (``_random_section_batch``).  Ray-based cones draw combinations from
+    the start.  A section with a single generator gives none: its
+    combinations are copies of that one ray."""
 
     empty = np.empty((0, cone.dim))
-    if cone.base_pattern is None and len(cone.generators) <= 1:
-        return empty
-    batch = _random_pattern_batch if cone.base_pattern is not None else _random_section_batch
+    batch = _random_section_batch if cone.base_pattern is None else _random_pattern_batch
     chunks: list[np.ndarray] = []
     filled = 0
-    while filled < count and len(chunks) < max_rounds:
-        chunks.append(batch(cone, 2 * count, rng)[: count - filled])
+    while filled < count and len(chunks) < 2 * max_rounds:
+        starved = len(chunks) == 1 and filled * 2 * max_rounds < count
+        if batch is _random_pattern_batch and starved and cone.has_generators:
+            batch = _random_section_batch
+        if batch is _random_section_batch and len(cone.generators) <= 1:
+            break
+        chunks.append(batch(cone, count, rng)[: count - filled])
         filled += len(chunks[-1])
     return chunks[0] if len(chunks) == 1 else np.concatenate([empty, *chunks])

@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .config import DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget, Tolerances
-from .cones import CriticalCone, critical_cone, into_cone, random_directions, structured_directions
+from .cones import (_BLOCK_ENTRIES, CriticalCone, critical_cone, into_cone, random_directions,
+                    structured_directions)
 from .errors import EmptyMultiplierSet, UnboundedMultiplierSet, UsageError
 from .kkt import MultiplierSet, validate_multipliers
 from .linalg import BilinearForm, LinearProgram, solve_lp, weighted_norm
@@ -136,7 +137,7 @@ class SecondOrderVerdict:
     alpha_est: Optional[float] = None
     hypotheses: tuple[str, ...] = ()
     positivity_consistent: Optional[bool] = None
-    section_generators: Optional[int] = None  # ray-based cones only
+    section_generators: Optional[int] = None  # cones with listed generators only
 
     @property
     def violated(self) -> bool:
@@ -150,7 +151,7 @@ class SecondOrderVerdict:
 
 
 def _section_size(cone: CriticalCone) -> Optional[int]:
-    return len(cone.generators) if cone.base_pattern is None else None
+    return len(cone.generators) if cone.has_generators else None
 
 
 def _battery(cone: CriticalCone, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
@@ -227,12 +228,6 @@ class _Candidate:
     value: float
     normalized: float
     mu: np.ndarray
-
-
-# Battery entries per batched evaluation: 128 KB temporaries, which the
-# allocator reuses; blocks of 1024 rows of example1 at grid 480 (4 MB) raised
-# the benchmark's peak RSS by 0.5 MB.
-_BLOCK_ENTRIES = 16384
 
 
 def _battery_values(

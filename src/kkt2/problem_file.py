@@ -274,7 +274,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def serialize_problem(pf: ProblemFile) -> str:
-    return json.dumps(pf.to_dict(), sort_keys=True, indent=2)
+    return json.dumps(pf.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def parse_point(text: str, n: int) -> np.ndarray:

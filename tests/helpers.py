@@ -4,6 +4,7 @@ multipliers, and an NNLS cone distance."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from kkt2.cones import CriticalCone
 from kkt2.linalg import PolytopeH
 from kkt2.model import BoxSet, ProblemSpec, quadratic
+from kkt2.problem_file import parse_problem
 
 
 def random_bounded_polytope(rng: np.random.Generator, max_dim: int = 5) -> PolytopeH:
@@ -138,6 +140,14 @@ def many_multiplier_problem(
         "m1": 0,
     }
     return problem, x.tolist()
+
+
+def many_multiplier_spec(seed: int, n=24, m=8, n_lower=6, rank=3, scale=0.01):
+    """``many_multiplier_problem`` from a seed, parsed: (ProblemSpec, point).
+    The defaults are the shape of the many-multiplier benchmark problems."""
+    problem, point = many_multiplier_problem(np.random.default_rng(seed), n, m, n_lower,
+                                             rank, scale)
+    return parse_problem(json.dumps(problem)).build()[0], np.array(point)
 
 
 def random_ray_cone(seed: int, dims: int = 2, counts: int = 5) -> CriticalCone:

@@ -12,28 +12,10 @@ from kkt2.cli import main
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, critical_cone, random_directions
 from kkt2.errors import UsageError
 from kkt2.kkt import multiplier_set
-from kkt2.linalg import cone_is_trivial
-from kkt2.problem_file import parse_problem
 
-from helpers import many_multiplier_problem, random_stationary_problem
+from helpers import many_multiplier_problem, many_multiplier_spec, random_stationary_problem
 
 TIGHT = 1e-9
-
-
-def _generators(cone) -> np.ndarray:
-    """Generators of a box critical cone (pattern and rows, eta = 0)."""
-    eq, ineq = [], []
-    for j, code in enumerate(cone.base_pattern.codes):
-        e = np.eye(cone.dim)[j]
-        if code == ZERO:
-            eq.append((e, 0.0))
-        elif code == NONNEG:
-            ineq.append((-e, 0.0))
-        elif code == NONPOS:
-            ineq.append((e, 0.0))
-    eq += [(cone.weights * r, 0.0) for r in cone.eq_rows]
-    ineq += [(cone.weights * r, 0.0) for r in cone.ineq_rows]
-    return cone_is_trivial(cone.dim, eq, ineq)[1]
 
 
 def _loose_inequalities(cone, gens) -> list[str]:
@@ -70,7 +52,7 @@ class TestPromotion:
     def test_same_set(self, instances):
         for _, _, _, plain, promoted in instances:
             for a, b in ((plain, promoted), (promoted, plain)):
-                for g in _generators(a):
+                for g in a.generators:
                     assert b.contains(g, 1e-7)
 
     def test_every_implicit_equality_is_explicit(self, instances):
@@ -78,7 +60,7 @@ class TestPromotion:
         whole cone, while the plain description keeps some."""
         loose_before = 0
         for _, _, _, plain, promoted in instances:
-            gens = _generators(plain)
+            gens = plain.generators
             assert _loose_inequalities(promoted, gens) == []
             loose_before += bool(_loose_inequalities(plain, gens))
         assert loose_before >= 10
@@ -103,18 +85,12 @@ class TestPromotion:
             critical_cone(p, xbar + 1e-3, 0.0, mset=mset)
 
 
-def _many_multiplier_spec(seed: int, n=24, m=8, n_lower=6, rank=3, scale=0.01):
-    problem, point = many_multiplier_problem(np.random.default_rng(seed), n, m, n_lower,
-                                             rank, scale)
-    return parse_problem(json.dumps(problem)).build()[0], np.array(point)
-
-
 class TestProjector:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rank_deficient_rows_land_in_one_step(self, seed):
         """Eight equality rows of rank three at scale 0.01, as in the
         many-multiplier benchmark problems."""
-        p, x = _many_multiplier_spec(seed)
+        p, x = many_multiplier_spec(seed)
         cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
         assert len(cone.eq_rows) == 8 and not cone.ineq_rows
         assert np.linalg.matrix_rank(np.array(cone.eq_rows)) == 3
@@ -128,7 +104,7 @@ class TestProjector:
         assert np.allclose(cone.project_eq_rows(P), P, rtol=0.0, atol=1e-14)
 
     def test_battery_accepts_every_draw(self):
-        p, x = _many_multiplier_spec(0)
+        p, x = many_multiplier_spec(0)
         cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
         draws = random_directions(cone, 200, np.random.default_rng(5), max_rounds=1)
         assert draws.shape == (200, 24)
