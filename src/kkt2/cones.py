@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp, weighted_norm
+from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 if TYPE_CHECKING:
@@ -60,20 +60,29 @@ class SignPatternCone:
         return SignPatternCone(np.array([_POLAR[int(c)] for c in self.codes], dtype=np.int8))
 
     def contains(self, h, tol: float = 1e-9) -> bool:
-        v = np.asarray(h, dtype=float)
-        scale = tol * (1.0 + float(np.max(np.abs(v), initial=0.0)))
-        lo = np.where(self._nonneg, v, 0.0)
-        hi = np.where(self._nonpos, v, 0.0)
-        z = np.where(self._zero, v, 0.0)
-        return bool(lo.min(initial=0.0) >= -scale and hi.max(initial=0.0) <= scale
-                    and np.abs(z).max(initial=0.0) <= scale)
+        return bool(self.contains_rows(np.asarray(h, dtype=float)[None], tol)[0])
+
+    def contains_rows(self, H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Row mask of ``contains`` over the rows of H, each at the scale
+        tol (1 + max|h|) of its row."""
+        scale = tol * (1.0 + np.abs(H).max(axis=1, initial=0.0))
+        return ((H[:, self._nonneg].min(axis=1, initial=0.0) >= -scale)
+                & (H[:, self._nonpos].max(axis=1, initial=0.0) <= scale)
+                & (np.abs(H[:, self._zero]).max(axis=1, initial=0.0) <= scale))
 
     def clamp(self, h) -> np.ndarray:
-        """Euclidean projection onto the pattern (componentwise)."""
-        v = np.asarray(h, dtype=float)
-        v = np.where(self._nonneg, np.maximum(v, 0.0), v)
-        v = np.where(self._nonpos, np.minimum(v, 0.0), v)
-        return np.where(self._zero, 0.0, v)
+        """Euclidean projection onto the pattern (componentwise), of a copy
+        of one vector or of the rows of a matrix."""
+        v = np.array(h, dtype=float)
+        self.clamp_rows(v)
+        return v
+
+    def clamp_rows(self, M: np.ndarray) -> None:
+        """``clamp`` in place, on one vector or on the rows of a float
+        matrix."""
+        np.maximum(M, 0.0, out=M, where=self._nonneg)
+        np.minimum(M, 0.0, out=M, where=self._nonpos)
+        M[..., self._zero] = 0.0
 
     def runs(self) -> list[tuple[int, int, int]]:
         """Maximal index-contiguous runs of equal code as (start, stop, code)."""
@@ -297,26 +306,27 @@ class CriticalCone:
         return self.weights.shape[0]
 
     def contains(self, h, tol: float = 1e-9) -> bool:
-        v = np.asarray(h, dtype=float)
-        scale = tol * (1.0 + float(np.max(np.abs(v), initial=0.0)))
+        return bool(self.contains_rows(np.asarray(h, dtype=float)[None], tol)[0])
+
+    def contains_rows(self, H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Row mask of ``contains`` over the rows of H: every test at the
+        scale tol (1 + max|h|) of its row."""
+        w = self.weights
+        scale = tol * (1.0 + np.abs(H).max(axis=1, initial=0.0))
         if self.base_pattern is not None:
-            if not self.base_pattern.contains(v, tol):
-                return False
+            ok = self.base_pattern.contains_rows(H, tol)
         else:
             L, R = self.ray_facets
-            if np.any(np.abs(L @ v) > scale) or np.any(R @ v > scale):
-                return False
+            ok = ((np.abs(H @ L.T).max(axis=1, initial=0.0) <= scale)
+                  & ((H @ R.T).max(axis=1, initial=0.0) <= scale))
         for r in self.eq_rows:
-            if abs(float(np.sum(self.weights * r * v))) > scale * (1.0 + float(np.max(np.abs(r)))):
-                return False
+            ok &= np.abs(H @ (w * r)) <= scale * (1.0 + float(np.max(np.abs(r))))
         for r in self.ineq_rows:
-            if float(np.sum(self.weights * r * v)) > scale * (1.0 + float(np.max(np.abs(r)))):
-                return False
+            ok &= H @ (w * r) <= scale * (1.0 + float(np.max(np.abs(r))))
         if self.objective_gradient is not None:
-            fh = float(np.sum(self.weights * self.objective_gradient * v))
-            if fh > self.eta * weighted_norm(self.weights, v) + scale:
-                return False
-        return True
+            norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
+            ok &= H @ (w * self.objective_gradient) <= self.eta * norms + scale
+        return ok
 
 
 def _annihilator_rows(
@@ -506,71 +516,79 @@ def radial_density_gap(
 # --------------------------------------------------------------------------
 
 
-def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Optional[np.ndarray]:
-    """Alternate pattern clamping and row projection (pattern cones); None if
-    it fails."""
-    v = cone.base_pattern.clamp(np.asarray(h, dtype=float))
+def _land(cone: CriticalCone, H: np.ndarray, iterations: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Alternate pattern clamping and row projection on a copy of the rows of
+    H (pattern cones).  Each row stops on its own once its equality residual
+    is within 1e-10 (1 + max|v|), or after ``iterations`` projections, so it
+    gets the steps it would get alone.  Returns the landed rows and the mask
+    of those that are nonzero members at 1e-7."""
+    V = np.array(H, dtype=float)
+    pattern = cone.base_pattern
+    pattern.clamp_rows(V)
     if cone.eq_rows:
-        wrows = cone._eq_weighted
+        RW, (A, B) = cone._eq_weighted, cone._eq_projector
+        moving, W = np.arange(len(V)), V  # W: the rows of V still moving
         for _ in range(iterations):
-            resid = wrows @ v
-            if np.abs(resid).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(v).max(initial=0.0)):
-                break
-            v = cone.base_pattern.clamp(cone.project_eq_rows(v))
-    if np.max(np.abs(v), initial=0.0) <= 1e-12:
-        return None
-    return v if cone.contains(v, 1e-7) else None
+            off = np.abs(W @ RW.T).max(axis=1, initial=0.0) > 1e-10 * (
+                1.0 + np.abs(W).max(axis=1, initial=0.0))
+            if not off.all():
+                V[moving[~off]] = W[~off]
+                moving, W = moving[off], W[off]
+                if not len(moving):
+                    break
+            W -= (W @ A.T) @ B
+            pattern.clamp_rows(W)
+        V[moving] = W
+    return V, (np.abs(V).max(axis=1, initial=0.0) > 1e-12) & cone.contains_rows(V, 1e-7)
+
+
+def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Optional[np.ndarray]:
+    """The one-row case of ``_land``: h clamped and projected into a pattern
+    cone, None if it fails."""
+    V, ok = _land(cone, np.asarray(h, dtype=float)[None], iterations)
+    return V[0] if ok[0] else None
+
+
+_SIGNS = {FREE: (1.0, -1.0), NONNEG: (1.0,), NONPOS: (-1.0,), ZERO: ()}
 
 
 def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
     """Canonical candidates: run indicators for pattern cones (paper scaling,
-    entries in {0, +-1}), each row-projected into the cone when needed; the
-    section generators that meet the objective cut for ray-based cones, and
-    for box cones whose listed section is a single ray, which run indicators
-    and gaussian starts can all miss."""
+    entries in {0, +-1}), then unit coordinates, up to ``4 limit``
+    candidates, each landed in the cone when needed (one ``_land`` sweep over
+    the non-members; a landed row within 1e-12 of one kept before is
+    dropped); the section generators that meet the objective cut for
+    ray-based cones, and for box cones whose listed section is a single ray,
+    which run indicators and gaussian starts can all miss."""
 
     if cone.base_pattern is None or (cone.has_generators and len(cone.generators) <= 1):
         G = cone.generators
         return list(G[cone.objective_cut_holds(G)][:limit])
-    raw: list[np.ndarray] = []
-    n = cone.dim
-    for start, stop, code in cone.base_pattern.runs():
-        ind = np.zeros(n)
-        ind[start:stop] = 1.0
-        if code == NONNEG:
-            raw.append(ind)
-        elif code == NONPOS:
-            raw.append(-ind)
-        elif code == FREE:
-            raw.append(ind)
-            raw.append(-ind)
-    for i in range(n):
-        c = int(cone.base_pattern.codes[i])
-        e = np.zeros(n)
-        e[i] = 1.0
-        if c == NONNEG:
-            raw.append(e)
-        elif c == NONPOS:
-            raw.append(-e)
-        elif c == FREE:
-            raw.append(e)
-            raw.append(-e)
-        if len(raw) >= 4 * limit:
+    spans = [(start, stop, s) for start, stop, code in cone.base_pattern.runs()
+             for s in _SIGNS[code]]
+    for i, code in enumerate(cone.base_pattern.codes):
+        spans += [(i, i + 1, s) for s in _SIGNS[code]]
+        if len(spans) >= 4 * limit:
             break
+    raw = np.zeros((len(spans), cone.dim))
+    for k, (start, stop, _) in enumerate(spans):
+        raw[k, start:stop] = 1.0
+    raw *= np.array([s for _, _, s in spans])[:, None]  # -indicator, with its -0.0 entries
 
-    out: list[np.ndarray] = []
-    for h in raw:
-        if len(out) >= limit:
+    member = cone.contains_rows(raw)
+    V, landed = _land(cone, raw[~member])
+    raw[~member] = V
+    usable = member.copy()
+    usable[~member] = landed
+    out = np.empty((min(limit, len(raw)), cone.dim))
+    kept = 0
+    for k in np.flatnonzero(usable):
+        if kept >= limit:
             break
-        if cone.contains(h):
-            out.append(h)
-            continue
-        fixed = into_cone(cone, h)
-        if fixed is not None and not any(
-            np.max(np.abs(fixed - o)) <= 1e-12 for o in out
-        ):
-            out.append(fixed)
-    return out
+        if member[k] or not np.any(np.abs(out[:kept] - raw[k]).max(axis=1) <= 1e-12):
+            out[kept] = raw[k]
+            kept += 1
+    return list(out[:kept])
 
 
 # Entries per row block of a battery, drawn or evaluated: 128 KB
@@ -591,14 +609,7 @@ def _random_pattern_batch(
     n = cone.dim
     w = cone.weights
     H = rng.standard_normal((count, n))
-    nonneg, nonpos, zero = pattern._nonneg, pattern._nonpos, pattern._zero
-
-    def clamp_batch(M):
-        np.maximum(M, 0.0, out=M, where=nonneg)
-        np.minimum(M, 0.0, out=M, where=nonpos)
-        M[:, zero] = 0.0
-
-    clamp_batch(H)
+    pattern.clamp_rows(H)
     if cone.eq_rows:
         RW = cone._eq_weighted
         A, B = cone._eq_projector
@@ -606,7 +617,7 @@ def _random_pattern_batch(
             if np.abs(H @ RW.T).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
                 break
             H -= (H @ A.T) @ B
-            clamp_batch(H)
+            pattern.clamp_rows(H)
 
     # the tests run on the unit rows: a start that the sweep collapses to
     # round-off residue passes absolute tests, but not once it is normalized

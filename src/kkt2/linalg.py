@@ -102,7 +102,9 @@ class BilinearForm:
     ``v -> form(h, v)`` with respect to the weighted inner product; the
     descent refinement in the curvature searches needs it.
     ``quad_rows(H)``, when provided, returns ``quad`` over the rows of H in
-    one call; ``quad_batch`` falls back to a loop over the rows.
+    one call, as ``matrix_form`` and example1's grid forms do; the curvature
+    batteries evaluate through it.  ``quad_batch`` falls back to a loop over
+    the rows, so a user Hessian needs only ``evaluator``.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], float]
@@ -433,7 +435,9 @@ def _double_description(
     Prodon (1996): no third ray is tight on every earlier inequality that
     both are tight on.  A row with one nonzero entry sets that coordinate of
     its tight generators to exactly 0.  More than ``_MAX_GENERATORS`` rays
-    raise ``PolytopeTooLarge``.
+    raise ``PolytopeTooLarge``; on a pointed cone with linearly independent
+    rays every pair is adjacent, so a row whose pairs would pass the guard
+    raises before they are built.
     """
 
     L, R, done = np.eye(dim), np.zeros((0, dim)), np.zeros((0, dim))
@@ -453,13 +457,19 @@ def _double_description(
                 R = _unit_rows(np.vstack([R - np.outer(R @ a / (a @ d), d), d]))
         elif not is_eq:
             s = R @ a
+            pos, neg, new = np.flatnonzero(s > tol), np.flatnonzero(s < -tol), []
+            kept = int(np.sum(s <= tol))
+            if (kept + len(pos) * len(neg) > _MAX_GENERATORS and not len(L)
+                    and np.linalg.matrix_rank(R) == len(R)):
+                # a pointed simplicial cone: every pair of rays is adjacent,
+                # so the bound is the count the loop below would reach
+                raise PolytopeTooLarge(f"the cone would have over {_MAX_GENERATORS} rays")
             Z = np.abs(R @ done.T) <= tol  # Z[r, k]: ray r is tight on inequality k
             missing = (~Z).T.astype(float)
-            neg, new = np.flatnonzero(s < -tol), []
-            for p in np.flatnonzero(s > tol):
+            for p in pos:
                 n = neg[(((Z[p] & Z[neg]) @ missing) == 0).sum(axis=1) == 2]  # only p and n
                 new.append(s[p] * R[n] - s[n, None] * R[p])
-                if int(np.sum(s <= tol)) + sum(map(len, new)) > _MAX_GENERATORS:
+                if kept + sum(map(len, new)) > _MAX_GENERATORS:
                     raise PolytopeTooLarge(f"the cone would have over {_MAX_GENERATORS} rays")
             R = _unit_rows(np.vstack([R[s <= tol], *new]))
         if not is_eq:

@@ -9,17 +9,22 @@ from kkt2.cones import (
     NONPOS,
     ZERO,
     SignPatternCone,
+    _land,
     critical_cone,
+    into_cone,
     normal_cone_box,
     radial_density_gap,
     tangent_cone_K,
     tangent_cone_box,
 )
-from kkt2.cones import random_directions
+from kkt2.cones import random_directions, structured_directions
 from kkt2.errors import InfeasiblePoint, UsageError
 from kkt2.examples import build_example1, build_example2
 from kkt2.examples.example2 import Example2Set, GAMMA, DELTA
+from kkt2.kkt import multiplier_set
 from kkt2.model import BoxSet, ProblemSpec, check_feasible, quadratic
+
+from helpers import many_multiplier_spec
 
 
 def example2_cones(truncs=(5, 10, 20)):
@@ -211,3 +216,84 @@ class TestRadialDensityGap:
         assert rep.dense
         assert rep.distances[0] > rep.distances[1] > rep.distances[2]
         assert rep.distances[-1] < 0.05
+
+
+def _serial_structured(cone, limit):
+    """Reference for ``structured_directions`` on pattern cones: one
+    candidate at a time, a member kept as it is, any other landed by
+    ``into_cone`` and kept unless within 1e-12 of a row kept before."""
+    n, raw = cone.dim, []
+    signs = {FREE: (1.0, -1.0), NONNEG: (1.0,), NONPOS: (-1.0,), ZERO: ()}
+    for start, stop, code in cone.base_pattern.runs():
+        ind = np.zeros(n)
+        ind[start:stop] = 1.0
+        raw += [s * ind for s in signs[code]]
+    for i in range(n):
+        raw += [s * np.eye(n)[i] for s in signs[int(cone.base_pattern.codes[i])]]
+        if len(raw) >= 4 * limit:
+            break
+    out = []
+    for h in raw:
+        if len(out) >= limit:
+            break
+        if cone.contains(h):
+            out.append(h)
+            continue
+        fixed = into_cone(cone, h)
+        if fixed is not None and not any(np.max(np.abs(fixed - o)) <= 1e-12 for o in out):
+            out.append(fixed)
+    return out
+
+
+def _sweep_cones():
+    for grid in (120, 480):
+        ex = build_example1(grid)
+        mset = multiplier_set(ex.problem, ex.xbar)
+        for eta in (0.0, 0.1):
+            yield f"example1 {grid} eta {eta}", critical_cone(ex.problem, ex.xbar, eta, mset=mset)
+    for seed in (0, 1):
+        p, x = many_multiplier_spec(seed)
+        mset = multiplier_set(p, x)
+        for eta in (0.0, 0.1):
+            yield f"many {seed} eta {eta}", critical_cone(p, x, eta, mset=mset)
+
+
+class TestStructuredSweep:
+    """``structured_directions`` lands its candidates in one sweep with
+    per-row stopping; it keeps the rows, order and selection of landing them
+    one at a time."""
+
+    @pytest.mark.parametrize("limit", [4, 64])
+    def test_matches_the_serial_reference(self, limit):
+        for name, cone in _sweep_cones():
+            assert cone.base_pattern is not None
+            batch = structured_directions(cone, limit)
+            serial = _serial_structured(cone, limit)
+            assert len(batch) == len(serial), name
+            assert batch or limit < 64, name
+            for h, ref in zip(batch, serial):
+                assert np.max(np.abs(h - ref)) <= 1e-12, name
+                assert cone.contains(h, 1e-7), name
+
+    def test_rows_stop_on_their_own(self):
+        """Gaussian starts on example1's eta = 0.1 cone need different
+        numbers of projections; each landed row matches its one-row case."""
+        ex = build_example1(120)
+        cone = critical_cone(ex.problem, ex.xbar, 0.1, mset=multiplier_set(ex.problem, ex.xbar))
+        H = np.random.default_rng(8).standard_normal((40, ex.grid))
+        V, ok = _land(cone, H)
+        for h, v, landed in zip(H, V, ok):
+            single = into_cone(cone, h)
+            assert landed == (single is not None)
+            if landed:
+                assert np.max(np.abs(v - single)) <= 1e-12
+        assert ok.any()
+
+    def test_landing_moves_a_row(self):
+        """The eta = 0.1 cone of example1 keeps an equality row, so some
+        candidates are not members and need the sweep."""
+        ex = build_example1(120)
+        cone = critical_cone(ex.problem, ex.xbar, 0.1, mset=multiplier_set(ex.problem, ex.xbar))
+        assert cone.eq_rows
+        rows = structured_directions(cone, 64)
+        assert any(not set(np.unique(h)) <= {-1.0, 0.0, 1.0} for h in rows)

@@ -345,15 +345,27 @@ class TestBatchedValues:
             mu = mset.vertices[-1]
             _assert_close(oracle.values(H, mu), [oracle.fixed_mu_value(h, mu) for h in H])
 
-    def test_example1_forms_loop_over_rows(self, ex1):
-        ex, mset = ex1
+    @pytest.mark.parametrize("grid", [12, 120, 480])
+    def test_example1_forms_batch_rows(self, grid):
+        """Example1's grid forms evaluate a row block in one call: gaussian
+        rows, zero rows, the run indicators, and a row count that crosses a
+        block boundary of ``_battery_values``."""
+        ex = build_example1(grid)
+        mset = multiplier_set(ex.problem, ex.xbar)
         oracle = curvature_oracle(ex.problem, ex.xbar, mset)
-        assert oracle.f_form.quad_rows is None
-        H = np.random.default_rng(3).standard_normal((40, ex.grid))
-        assert np.array_equal(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
-        mu = np.array([0.3])
-        assert np.array_equal(oracle.values(H, mu),
-                              [oracle.fixed_mu_value(h, mu) for h in H])
+        assert oracle.f_form.quad_rows is not None
+        assert all(g.quad_rows is not None for g in oracle.g_forms)
+        rng = np.random.default_rng(grid)
+        H = rng.standard_normal((_BLOCK_ENTRIES // grid + 3, grid))
+        H[::7] = 0.0
+        H[1] = ex.direction_lower_indicator()
+        H[2] = ex.direction_upper_indicator()
+        H[3] = ex.direction_lower_indicator() + ex.direction_upper_indicator()
+        _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+        for mu in (np.array([0.0]), np.array([0.3]), np.array([1.0])):
+            _assert_close(oracle.values(H, mu), [oracle.fixed_mu_value(h, mu) for h in H])
+        _, values = _battery_values(oracle, H, ex.problem.weights, None)
+        _assert_close(values, [q_of_h(oracle, h)[0] for h in H])
 
     def test_vertex_ties(self, ex1):
         """On (1/3, 3/4) the constraint form vanishes, so both vertices of

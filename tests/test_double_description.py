@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, SignPatternCone
-from kkt2.errors import UnboundedPolytope
+from kkt2 import linalg
+from kkt2.errors import PolytopeTooLarge, UnboundedPolytope
 from kkt2.kkt import _polar_rows
-from kkt2.linalg import LinearProgram, PolytopeH, cone_is_trivial, enumerate_vertices, solve_lp
+from kkt2.linalg import (LinearProgram, PolytopeH, _double_description, cone_is_trivial,
+                         enumerate_vertices, solve_lp)
 
 from helpers import random_bounded_polytope
 
@@ -184,6 +186,49 @@ def dd_status(p):
 
 
 POLYTOPES = range(60)
+
+
+class TestSizeGuard:
+    """Past ``_MAX_GENERATORS`` rays the routine raises.  On a pointed cone
+    with linearly independent rays every pair of rays is adjacent, so the
+    p q combinations of a row over p rays on its wrong side and q on its
+    right side all become rays: the routine raises before building them."""
+
+    @staticmethod
+    def _orthant_cut(p, q, zeros=1):
+        """The nonnegative orthant cut by a row with p entries +1, q entries
+        -1 and ``zeros`` entries 0: q + zeros + p q extreme rays."""
+        dim = p + q + zeros
+        signs = -np.eye(dim)
+        row = np.concatenate([np.ones(p), -np.ones(q), np.zeros(zeros)])
+        return dim, [*signs, row], q + zeros + p * q
+
+    @pytest.mark.parametrize("p, q, zeros", [(3, 4, 1), (5, 5, 0), (1, 6, 2)])
+    def test_simplicial_cut_at_its_exact_count(self, monkeypatch, p, q, zeros):
+        dim, ineq, count = self._orthant_cut(p, q, zeros)
+        L, R = _double_description(dim, [], ineq, TOL)
+        assert len(L) == 0 and len(R) == count
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", count)
+        L2, R2 = _double_description(dim, [], ineq, TOL)
+        assert np.array_equal(L2, L) and np.array_equal(R2, R)
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", count - 1)
+        with pytest.raises(PolytopeTooLarge):
+            _double_description(dim, [], ineq, TOL)
+
+    def test_non_adjacent_rays_keep_the_loop(self, monkeypatch):
+        """A square pyramid cut through two opposite edges: the bound is
+        2 + 2 x 2 = 6, but only 2 of the 4 pairs are adjacent, so the cut
+        has 4 rays and a guard of 4 or 5 must not raise."""
+        pyramid = [np.array(r) for r in ([1.0, 0, -1], [-1.0, 0, -1], [0, 1.0, -1], [0, -1.0, -1])]
+        ineq = [*pyramid, np.array([1.0, 0.0, 0.0])]
+        L, R = _double_description(3, [], ineq, TOL)
+        assert len(L) == 0 and len(R) == 4
+        for guard in (4, 5):
+            monkeypatch.setattr(linalg, "_MAX_GENERATORS", guard)
+            assert np.array_equal(_double_description(3, [], ineq, TOL)[1], R)
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", 3)
+        with pytest.raises(PolytopeTooLarge):
+            _double_description(3, [], ineq, TOL)
 
 
 class TestPolytopes:
