@@ -234,9 +234,11 @@ class CriticalCone:
             rank = int(np.sum(sv > sv[0] * max(R.shape) * np.finfo(float).eps))
             Q = Vt[:rank]
             object.__setattr__(self, "_eq_weighted", R * self.weights)
+            object.__setattr__(self, "_eq_bounds", 1.0 + np.abs(R).max(axis=1))
             object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
             object.__setattr__(self, "_eq_weighted", None)
+            object.__setattr__(self, "_eq_bounds", None)
             object.__setattr__(self, "_eq_projector", None)
 
     @cached_property
@@ -319,8 +321,9 @@ class CriticalCone:
             L, R = self.ray_facets
             ok = ((np.abs(H @ L.T).max(axis=1, initial=0.0) <= scale)
                   & ((H @ R.T).max(axis=1, initial=0.0) <= scale))
-        for r in self.eq_rows:
-            ok &= np.abs(H @ (w * r)) <= scale * (1.0 + float(np.max(np.abs(r))))
+        if self._eq_weighted is not None:
+            ok &= np.all(np.abs(H @ self._eq_weighted.T) <= scale[:, None] * self._eq_bounds,
+                         axis=1)
         for r in self.ineq_rows:
             ok &= H @ (w * r) <= scale * (1.0 + float(np.max(np.abs(r))))
         if self.objective_gradient is not None:

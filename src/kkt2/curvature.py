@@ -178,24 +178,27 @@ def _descend(
     oracle: CurvatureOracle,
     cone: CriticalCone,
     start: np.ndarray,
-    mu_for: "callable",
+    evaluate: "callable",
     budget: SearchBudget,
-) -> list[np.ndarray]:
-    """Projected subgradient refinement of the normalized form value."""
+) -> list[_Candidate]:
+    """Projected subgradient refinement of the normalized form value, from
+    ``start`` scaled to unit norm.  ``evaluate`` (``_search_min``'s) is
+    called once per unit-norm trial direction, and its candidate gives both
+    the step's value and the multiplier of the next subgradient: q_of_h's
+    value is the fixed-mu form at its maximizing vertex, bit for bit.  The
+    accepted candidates are returned in order."""
 
     if cone.base_pattern is None:
         return []
     w = cone.weights
-    h = start / weighted_norm(w, start)
-    mu = mu_for(h)
-    grad = oracle.subgradient(h, mu)
+    cur = evaluate(start / weighted_norm(w, start))
+    grad = oracle.subgradient(cur.h, cur.mu)
     if grad is None:
         return []
     visited = []
     step = 0.5
-    value = oracle.fixed_mu_value(h, mu)
     for _ in range(budget.descent_steps):
-        cand = into_cone(cone, h - step * grad)
+        cand = into_cone(cone, cur.h - step * grad)
         if cand is None:
             step *= 0.5
             if step < 1e-8:
@@ -205,13 +208,11 @@ def _descend(
         if nrm <= 1e-12:
             step *= 0.5
             continue
-        cand = cand / nrm
-        mu_c = mu_for(cand)
-        val_c = oracle.fixed_mu_value(cand, mu_c)
-        if val_c < value - 1e-14:
-            h, value, mu = cand, val_c, mu_c
-            visited.append(h)
-            grad = oracle.subgradient(h, mu)
+        trial = evaluate(cand / nrm)
+        if trial.value < cur.value - 1e-14:
+            cur = trial
+            visited.append(cur)
+            grad = oracle.subgradient(cur.h, cur.mu)
             if grad is None:
                 break
             step = min(step * 1.5, 1.0)
@@ -262,9 +263,9 @@ def _search_min(
     form, over the battery and a descent from its best direction.
 
     The battery is evaluated in row blocks (``_battery_values``); only the
-    descent steps and the chosen directions are evaluated one by one, so
-    ``sampled_min`` and the witness come from ``q_of_h``/``fixed_mu_value``
-    as a replay computes them."""
+    descent trials and the chosen directions are evaluated one by one, each
+    once, so ``sampled_min`` and the witness come from
+    ``q_of_h``/``fixed_mu_value`` as a replay computes them."""
 
     def evaluate(h: np.ndarray) -> _Candidate:
         val, mu_h = q_of_h(oracle, h) if mu is None else (oracle.fixed_mu_value(h, mu), mu)
@@ -280,8 +281,7 @@ def _search_min(
         return _Search(0, math.inf, None)
     normalized = values[rows] / n2[rows]
     best = rows[int(np.argmin(normalized))]
-    steps = [evaluate(h) for h in _descend(oracle, cone, H[best],
-                                            lambda h: evaluate(h).mu, budget)]
+    steps = _descend(oracle, cone, H[best], evaluate, budget)
     best_step = min(steps, key=lambda c: c.normalized, default=None)
     if best_step is not None and best_step.normalized < float(np.min(normalized)):
         chosen = best_step
@@ -346,7 +346,7 @@ def check_snc_fixed_multiplier(
     mu = np.asarray(mu, dtype=float)
     if not mset.contains_mu(mu, tol):
         raise UsageError("mu is not in the multiplier set")
-    validate_multipliers(p, v, mset.multipliers(mu), tol)
+    validate_multipliers(p, v, mset.multipliers(mu), tol, mset=mset)
     oracle = curvature_oracle(p, v, mset)
     if cone is None:
         cone = critical_cone(p, v, 0.0, tol=tol, mset=mset)

@@ -205,18 +205,34 @@ def _lambda_in_normal_cone(
     )
 
 
-def validate_multipliers(
-    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Stationarity residual of (lambda, mu); raises on sign violations."""
-
-    v = as_entries(x, p.dim)
+def _point_data(
+    p: ProblemSpec, v: np.ndarray, tol: Tolerances, mset: Optional[MultiplierSet]
+) -> tuple[ActiveSetInfo, np.ndarray, np.ndarray]:
+    """The active sets, f'(x) and the Jacobian at v: read off ``mset``, the
+    multiplier set at v, when given (a set built at another point is a
+    ``UsageError``), else computed, raising at an infeasible point."""
+    if mset is not None:
+        if not np.array_equal(mset.x, v):
+            raise UsageError("the multiplier set belongs to another point")
+        return mset.info, mset.f_grad, mset.g_grads
     feas = check_feasible(p, v, tol)
     if not feas.feasible or feas.info is None:
         raise InfeasiblePoint("multipliers validated at an infeasible point")
-    info = feas.info
-    f_grad = np.asarray(p.objective.gradient(v), dtype=float)
-    G = _jacobian(p, v)
+    return feas.info, np.asarray(p.objective.gradient(v), dtype=float), _jacobian(p, v)
+
+
+def validate_multipliers(
+    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES,
+    mset: Optional[MultiplierSet] = None,
+) -> float:
+    """Stationarity residual of (lambda, mu); raises on sign violations.
+
+    ``mset``, the multiplier set at x, supplies the active sets, f'(x) and
+    the Jacobian, so feasibility is not checked again; every test on
+    (lambda, mu) still runs."""
+
+    v = as_entries(x, p.dim)
+    info, f_grad, G = _point_data(p, v, tol, mset)
     resid_vec = f_grad + mult.lam + (G.T @ mult.mu if p.n_constraints else 0.0)
     residual = weighted_norm(p.weights, resid_vec)
     if residual > tol.residual * (1.0 + weighted_norm(p.weights, f_grad)):
@@ -310,7 +326,8 @@ def check_weaker_cq(
 
 
 def check_strict_cq(
-    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES
+    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES,
+    mset: Optional[MultiplierSet] = None,
 ) -> CQVerdict:
     """Strict qualification: g'(x)[T_C(x) ∩ lambda-annihilator] minus
     [T_K(g(x)) ∩ mu-annihilator] must be all of R^m.
@@ -322,22 +339,25 @@ def check_strict_cq(
     reachability; for m = 1 that is one of {0}, (-inf,0], [0,inf), R.  The
     achieved cone is the polar of the polar cone, so +e_i is reached iff
     every polar generator has a nonpositive entry i.
+
+    ``mset``, the multiplier set at x, supplies the point data as in
+    ``validate_multipliers``, so a loop over its vertices checks feasibility
+    and differentiates at x only when the set is built; every validation
+    test still runs for each multiplier.
     """
 
     v = as_entries(x, p.dim)
-    validate_multipliers(p, v, mult, tol)
+    info, _, G = _point_data(p, v, tol, mset)
+    validate_multipliers(p, v, mult, tol, mset=mset)
     lam_zero = tol.residual * (1.0 + float(np.max(np.abs(mult.lam), initial=0.0)))
     mult = Multipliers(np.where(np.abs(mult.lam) <= lam_zero, 0.0, mult.lam),
                        np.where(np.abs(mult.mu) <= tol.residual, 0.0, mult.mu))
-    feas = check_feasible(p, v, tol)
-    assert feas.info is not None
     m = p.n_constraints
-    k_base = tangent_cone_K(p, feas.info).pattern(m)
+    k_base = tangent_cone_K(p, info).pattern(m)
     k_section, eq_left, _ = absorb_rows(k_base, [mult.mu], [], np.ones(m))
     if eq_left:
         raise UsageError("mu-annihilator section did not absorb; invalid multipliers")
 
-    G = _jacobian(p, v)
     if isinstance(p.abstract_set, BoxSet):
         t_pattern, M = _abstract_cone(p, v, G, None, tol)
         c_section, eq_left, _ = absorb_rows(t_pattern, [mult.lam], [], p.weights)

@@ -515,7 +515,9 @@ def _scaled_vertices(p: PolytopeH, s: float, tol: Tolerances) -> Optional[list[n
     """Vertices of p read off the cone {(u, t) : a.u <= (b/s) t, a.u = (b/s) t,
     t >= 0} of p shrunk by s: [] when no extreme ray has t > 0 (p is
     empty), None when some generator has t = 0 (p is unbounded), else the
-    rays at x = s u / t, merged at the vertex_dedup tolerance."""
+    rays at x = s u / t, merged at the vertex_dedup tolerance: a ray is kept
+    unless a ray kept before it lies within vertex_dedup in max-norm, one
+    array test per ray against the kept ones."""
 
     L, R = _double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
                                [np.append(a, -b / s) for a, b in p.ineq_rows]
@@ -525,12 +527,14 @@ def _scaled_vertices(p: PolytopeH, s: float, tol: Tolerances) -> Optional[list[n
         return []
     if len(L) or not finite.all():
         return None
-    vertices: list[np.ndarray] = []
-    for r in R:
-        x = s * r[:-1] / r[-1]
-        if not any(np.max(np.abs(x - v), initial=0.0) <= tol.vertex_dedup for v in vertices):
-            vertices.append(_frozen(x + 0.0))
-    return sorted(vertices, key=tuple)
+    X = s * R[:, :-1] / R[:, -1:]
+    kept = np.empty_like(X)
+    count = 0
+    for x in X:
+        if not np.any(np.abs(kept[:count] - x).max(axis=1, initial=0.0) <= tol.vertex_dedup):
+            kept[count] = x
+            count += 1
+    return sorted(_frozen(kept[:count] + 0.0), key=tuple)
 
 
 def enumerate_vertices(
@@ -594,10 +598,3 @@ def conic_distance(
     if not res.is_optimal or res.value is None:
         raise UnboundedPolytope("conic distance LP failed")
     return max(res.value, 0.0)
-
-
-def conic_membership(
-    rays: Sequence[np.ndarray], h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    return conic_distance(rays, h, tol) <= tol.membership * scale

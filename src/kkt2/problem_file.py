@@ -42,12 +42,9 @@ class QuadraticData:
     matrix: np.ndarray  # dense symmetric
 
     def to_dict(self) -> dict:
-        triplets = []
-        n = len(self.linear)
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i, j] != 0.0:
-                    triplets.append([i, j, float(self.matrix[i, j])])
+        rows, cols = np.nonzero(self.matrix)  # row-major order
+        triplets = [list(t) for t in zip(rows.tolist(), cols.tolist(),
+                                         self.matrix[rows, cols].tolist())]
         return {
             "constant": self.constant,
             "linear": list(self.linear),
@@ -169,21 +166,32 @@ def _vector(v, n: Optional[int], path: str, bounds: bool = False) -> tuple[float
     return tuple(conv(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
+def _triplet(trip, n: int, path: str, k: int) -> tuple[int, int, float]:
+    """(i, j, value) of the k-th triplet of ``{path}.quadratic``: integer
+    indices in [0, n) and a finite number.  The error path is built only when
+    it raises."""
+    if isinstance(trip, list) and len(trip) == 3:
+        i, j, val = trip
+        if type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n:
+            if type(val) is float and math.isfinite(val):
+                return i, j, val
+            return i, j, _finite_number(val, f"{path}.quadratic[{k}]")
+        raise ParseError(f"indices must be integers in [0, {n})", f"{path}.quadratic[{k}]")
+    raise ParseError("triplet must be [i, j, value]", f"{path}.quadratic[{k}]")
+
+
 def _parse_quadratic(d, n: int, path: str) -> QuadraticData:
     if not isinstance(d, dict):
         raise ParseError("expected an object", path)
     _require_keys(d, _FUNC_KEYS, path)
     constant = _finite_number(d.get("constant", 0.0), f"{path}.constant")
     linear = _vector(d.get("linear", [0.0] * n), n, f"{path}.linear")
+    triplets = [_triplet(t, n, path, k) for k, t in enumerate(d.get("quadratic", []))]
     H = np.zeros((n, n))
-    for idx, trip in enumerate(d.get("quadratic", [])):
-        tpath = f"{path}.quadratic[{idx}]"
-        if not isinstance(trip, list) or len(trip) != 3:
-            raise ParseError("triplet must be [i, j, value]", tpath)
-        i, j, val = trip
-        if not isinstance(i, int) or not isinstance(j, int) or not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"indices must be integers in [0, {n})", tpath)
-        H[i, j] += _finite_number(val, tpath)
+    if triplets:
+        # unbuffered and in list order, so duplicate triplets add up as in a loop
+        rows, cols, vals = zip(*triplets)
+        np.add.at(H, (np.array(rows), np.array(cols)), np.array(vals))
     asym = float(np.max(np.abs(H - H.T), initial=0.0))
     if asym > 1e-9:
         raise ParseError(f"quadratic matrix asymmetric by {asym:.3e}", f"{path}.quadratic")

@@ -89,9 +89,13 @@ def derivative_validation(ctx: RunContext) -> CheckRecord:
 
 
 def growth_consistency(ctx: RunContext, alpha: float, eps: float, n_samples: int) -> CheckRecord:
+    """Sampled quadratic growth: ``inconclusive`` when no feasible sample was
+    found, so nothing was tested (not a violation: the exit code stays 0)."""
     res = sample_growth(ctx.problem, ctx.point, alpha, eps, n_samples,
                         seed=ctx.budget.seed, tol=ctx.tol)
-    return CheckRecord("growth_consistency", "pass" if res.consistent else "violated",
+    verdict = "violated" if not res.consistent else \
+        "pass" if res.samples_accepted else "inconclusive"
+    return CheckRecord("growth_consistency", verdict,
                        {"alpha": alpha, "eps": eps, "samples": res.samples_accepted,
                         "worst_margin": res.worst_margin, "tries": res.tries,
                         "note": res.note},
@@ -142,7 +146,8 @@ def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
         return [CheckRecord("strict_cq", "fail", {"reason": reason})]
     records = []
     for k, vert in enumerate(mset.vertices if per_vertex else mset.vertices[:1]):
-        v = check_strict_cq(ctx.problem, ctx.point, mset.multipliers(vert), ctx.tol)
+        v = check_strict_cq(ctx.problem, ctx.point, mset.multipliers(vert), ctx.tol,
+                            mset=mset)
         records.append(CheckRecord(
             f"strict_cq[vertex {k}]" if per_vertex else "strict_cq", _holds(v.holds),
             {"mu": list(map(float, vert)), "achieved_cone": v.achieved_cone or ""},

@@ -9,11 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kkt2 import stages
 from kkt2.cli import main
+from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
 from kkt2.errors import ParseError
 from kkt2.examples import run_example2_certification
 from kkt2.problem_file import parse_problem, serialize_problem
-from kkt2.report import replay
+from kkt2.report import new_report, problem_digest, replay
+
+from helpers import many_multiplier_problem, random_stationary_problem
 
 
 MINIMAL = """
@@ -73,6 +77,34 @@ class TestProblemFile:
         text = MINIMAL.replace('"constant": 0.0', '"constant": 1e999')
         with pytest.raises(ParseError):
             parse_problem(text)
+
+    @pytest.mark.parametrize("triplet, message", [
+        ([0, 0], "triplet must be"),
+        ([True, 0, 1.0], "indices must be integers"),
+        ([0, 2, 1.0], "indices must be integers"),
+        ([0, 0, True], "expected a number, got bool"),
+        ([0, 0, "1.0"], "expected a number, got str"),
+        ([0, 0, float("nan")], "must be finite"),
+    ])
+    @pytest.mark.parametrize("where", ["objective", "constraints[1]"])
+    def test_triplet_errors_name_their_path(self, triplet, message, where):
+        """Each bad triplet is reported at its own index, after valid ones."""
+        quad = {"linear": [0.0, 0.0], "quadratic": [[0, 0, 1.0], [1, 1, 2], triplet]}
+        plain = {"linear": [0.0, 0.0], "quadratic": [[0, 1, 0.5], [1, 0, 0.5]]}
+        problem = {"dimension": 2, "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                   "objective": quad if where == "objective" else plain,
+                   "constraints": [plain, quad if where != "objective" else plain]}
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_problem(json.dumps(problem))
+        assert exc.value.path == f"{where}.quadratic[2]"
+
+    def test_digests_pinned(self):
+        """Serialization, and so problem_digest, is unchanged: the constants
+        are the digests of the row-major triplet walk it replaced."""
+        assert problem_digest(serialize_problem(parse_problem(MINIMAL))) == "d892e45655a2750c"
+        problem, _ = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
+        pf = parse_problem(json.dumps(problem))
+        assert problem_digest(serialize_problem(pf)) == "0b9ae1c81a81935e"
 
     def test_builtin_forms(self):
         pf = parse_problem('{"builtin": "example1", "grid": 24}')
@@ -201,6 +233,34 @@ class TestCLI:
         record = {c["name"]: c for c in data["checks"]}
         assert record["growth_consistency"]["verdict"] == "pass"
         assert record["growth_consistency"]["numbers"]["samples"] == 200
+
+    def test_growth_without_samples_is_inconclusive(self, capsys, tmp_path, stationary_point):
+        """Two equalities in one variable isolate the origin: no sample is
+        accepted, so nothing is tested; not a violation, so the exit is 0."""
+        path = tmp_path / "isolated.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "box": {"lower": [-1.0], "upper": [1.0]},
+            "objective": {"quadratic": [[0, 0, 2.0]]},
+            "constraints": [{"linear": [1.0]}, {"linear": [1.0], "quadratic": [[0, 0, 2.0]]}],
+            "m1": 2}))
+        code = main(["growth", str(path), "--at", stationary_point, "--alpha", "1.0",
+                     "--eps", "0.2", "--samples", "10", "--format", "json"])
+        record = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert code == 0
+        assert (record["name"], record["verdict"]) == ("growth_consistency", "inconclusive")
+        assert record["numbers"]["samples"] == 0
+        assert record["numbers"]["note"] == "no feasible samples found"
+
+    def test_growth_stage_without_samples(self):
+        """0 of 100 samples on m1 = 3 equalities in n = 2 variables."""
+        p, x, _, _ = random_stationary_problem(np.random.default_rng(9))
+        ctx = stages.RunContext(p, x, DEFAULT_TOLERANCES, SearchBudget(),
+                                new_report("random", "", 0, x), 0.0)
+        record = stages.growth_consistency(ctx, 0.5, 0.05, 100)
+        assert record.verdict == "inconclusive" and record.numbers["samples"] == 0
+        assert record.witness is None
+        ctx.report.checks.append(record)
+        assert not ctx.report.any_violation
 
     def test_unreadable_problem_directory_exit_two(self, capsys, tmp_path):
         assert main(["check-foc", str(tmp_path)]) == 2

@@ -1,0 +1,197 @@
+"""Per-point data computed once: the strict CQ on the multiplier set's point
+data, vertex dedup with one array test per vertex, and descent directions
+evaluated once.  Each fast path is compared with the direct computation it
+replaces, bit for bit."""
+
+import numpy as np
+import pytest
+
+import kkt2.kkt
+from kkt2 import curvature, linalg, stages
+from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
+from kkt2.curvature import (check_snc, check_snc_fixed_multiplier, check_ssc,
+                            curvature_oracle, q_of_h)
+from kkt2.errors import UsageError
+from kkt2.examples import build_example1, build_example2
+from kkt2.kkt import check_strict_cq, multiplier_set
+from kkt2.linalg import PolytopeH, enumerate_vertices
+from kkt2.report import new_report
+
+from helpers import many_multiplier_spec
+
+BUDGET = SearchBudget(random=256, seed=3)
+
+
+def _instances():
+    """(label, problem, point): the many-multiplier boxes of seeds 0-3,
+    example1 (a box) and example2 (a hull)."""
+    out = [(f"many{s}", *many_multiplier_spec(s)) for s in range(4)]
+    ex1, ex2 = build_example1(24), build_example2(8)
+    return out + [("example1", ex1.problem, ex1.xbar), ("example2", ex2.problem, ex2.xbar)]
+
+
+INSTANCES = _instances()
+
+
+class TestStrictCQOnMultiplierSet:
+    @pytest.mark.parametrize("label, p, x", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_same_verdict_at_every_vertex(self, label, p, x):
+        mset = multiplier_set(p, x)
+        assert mset.vertices
+        for vert in mset.vertices:
+            mult = mset.multipliers(vert)
+            direct, reused = check_strict_cq(p, x, mult), check_strict_cq(p, x, mult, mset=mset)
+            assert (reused.holds, reused.achieved_cone) == (direct.holds, direct.achieved_cone)
+            if direct.witness is None:
+                assert reused.witness is None
+            else:
+                assert reused.witness.tobytes() == direct.witness.tobytes()
+
+    def test_other_point_rejected(self):
+        _, p, x = INSTANCES[0]
+        mset = multiplier_set(p, x)
+        mult = mset.multipliers(mset.vertices[0])
+        other = x.copy()
+        other[0] += 1e-3  # a free coordinate: still feasible
+        with pytest.raises(UsageError, match="another point"):
+            check_strict_cq(p, other, mult, mset=mset)
+        with pytest.raises(UsageError, match="another point"):
+            kkt2.kkt.validate_multipliers(p, other, mult, mset=mset)
+
+    def test_strict_stage_checks_feasibility_once_per_point(self, monkeypatch):
+        """With the polytope built, the per-vertex loop calls check_feasible
+        the same number of times (none) whatever the vertex count."""
+        counts = {}
+        for label, p, x in INSTANCES[:4]:
+            ctx = stages.RunContext(p, x, DEFAULT_TOLERANCES, BUDGET,
+                                    new_report(label, "", BUDGET.seed, x), 0.0)
+            n_vertices = len(ctx.multipliers.vertices)
+            calls = []
+            real = kkt2.kkt.check_feasible
+            monkeypatch.setattr(kkt2.kkt, "check_feasible",
+                                lambda *a, **k: calls.append(1) or real(*a, **k))
+            stages.strict_cq(ctx)
+            monkeypatch.setattr(kkt2.kkt, "check_feasible", real)
+            counts[n_vertices] = len(calls)
+        assert len(counts) > 1  # the instances differ in their vertex counts
+        assert set(counts.values()) == {0}
+
+
+def _pairwise_scaled_vertices(p, s, tol):
+    """``linalg._scaled_vertices`` with the pairwise dedup loop it replaced."""
+    L, R = linalg._double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
+                                      [np.append(a, -b / s) for a, b in p.ineq_rows]
+                                      + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
+    finite = R[:, -1] > 0.0
+    if not finite.any():
+        return []
+    if len(L) or not finite.all():
+        return None
+    vertices = []
+    for r in R:
+        x = s * r[:-1] / r[-1]
+        if not any(np.max(np.abs(x - v), initial=0.0) <= tol.vertex_dedup for v in vertices):
+            vertices.append(linalg._frozen(x + 0.0))
+    return sorted(vertices, key=tuple)
+
+
+def _assert_same_vertices(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+
+def _pairwise(poly, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_scaled_vertices", _pairwise_scaled_vertices)
+        return enumerate_vertices(poly)
+
+
+class TestVertexDedup:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multiplier_polytopes(self, seed, monkeypatch):
+        poly = multiplier_set(*many_multiplier_spec(seed)).polytope
+        new = enumerate_vertices(poly)
+        assert len(new) >= 6
+        _assert_same_vertices(new, _pairwise(poly, monkeypatch))
+
+    def test_near_duplicate_rays(self, monkeypatch):
+        """The unit square cut by x + y <= 2 - 5e-9: the double description
+        returns two rays within vertex_dedup of (1, 1), and one is kept."""
+        rows = tuple((sgn * np.eye(2)[i], max(sgn, 0.0)) for i in range(2) for sgn in (1.0, -1.0))
+        poly = PolytopeH(2, (), rows + ((np.ones(2), 2.0 - 5e-9),))
+        new = enumerate_vertices(poly)
+        assert len(new) == 4
+        _assert_same_vertices(new, _pairwise(poly, monkeypatch))
+
+    def test_greedy_chains(self, monkeypatch):
+        """Rays where a is within vertex_dedup of b and b of c, but a is not
+        within it of c: the first-kept rule keeps a and c, in that order."""
+        tol = DEFAULT_TOLERANCES.vertex_dedup
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((40, 3))
+        jitter = rng.choice([0.0, 0.6 * tol, 1.2 * tol, 3.0 * tol], size=(120, 3))
+        X = np.repeat(base, 3, axis=0) + jitter
+        R = np.hstack([X, np.ones((len(X), 1))])[rng.permutation(len(X))]
+        monkeypatch.setattr(linalg, "_double_description", lambda *a: (np.zeros((0, 4)), R))
+        poly = PolytopeH(3)
+        new = linalg._scaled_vertices(poly, 1.0, DEFAULT_TOLERANCES)
+        old = _pairwise_scaled_vertices(poly, 1.0, DEFAULT_TOLERANCES)
+        assert 40 < len(new) < 120
+        _assert_same_vertices(new, old)
+
+
+class TestSingleEvaluation:
+    """Descent candidates carry the value a replay computes, and each
+    accepted direction is evaluated once in its search."""
+
+    @pytest.fixture()
+    def spies(self, monkeypatch):
+        """Per search, the candidates its descent accepted and the bytes of
+        every direction q_of_h evaluated."""
+        searches = []
+        real_search, real_descend, real_q = (curvature._search_min, curvature._descend,
+                                             curvature.q_of_h)
+
+        def search(*args):
+            searches.append(([], []))
+            return real_search(*args)
+
+        def descend(*args):
+            out = real_descend(*args)
+            searches[-1][0].extend(out)
+            return out
+
+        def q(oracle, h):
+            searches[-1][1].append(np.asarray(h).tobytes())
+            return real_q(oracle, h)
+
+        monkeypatch.setattr(curvature, "_search_min", search)
+        monkeypatch.setattr(curvature, "_descend", descend)
+        monkeypatch.setattr(curvature, "q_of_h", q)
+        return searches
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sup_form(self, seed, spies):
+        p, x = many_multiplier_spec(seed)
+        mset = multiplier_set(p, x)
+        check_snc(p, x, mset, budget=BUDGET)
+        check_ssc(p, x, mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
+        oracle = curvature_oracle(p, x, mset)
+        assert any(accepted for accepted, _ in spies)
+        for accepted, evaluated in spies:
+            for cand in accepted:
+                assert evaluated.count(cand.h.tobytes()) == 1
+                value, mu = q_of_h(oracle, cand.h)
+                assert cand.value == value and cand.mu.tobytes() == mu.tobytes()
+
+    def test_fixed_multiplier(self, spies):
+        p, x = many_multiplier_spec(0)
+        mset = multiplier_set(p, x)
+        mu = np.mean(mset.vertices, axis=0)
+        check_snc_fixed_multiplier(p, x, mu, mset, budget=BUDGET)
+        (accepted, evaluated), = spies
+        assert accepted and not evaluated  # a fixed-mu search never calls q_of_h
+        oracle = curvature_oracle(p, x, mset)
+        for cand in accepted:
+            assert cand.value == oracle.fixed_mu_value(cand.h, mu)
