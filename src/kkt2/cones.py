@@ -8,14 +8,17 @@ is what turns e.g. an objective cut into a plain componentwise condition.
 At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier, so its implicit equalities enter as
 equalities (``_annihilator_rows``) and random draws land in it after one
-projection.  A hull's critical cone starts from its tangent rays instead:
-their facets (``linalg.cone_facets``) decide membership, and random draws
-combine its section generators: the facets plus the cuts, run through the
-double-description routine.  A box cone with leftover inequality rows,
-where clamped gaussian starts rarely meet the rows and the objective cut,
-lists the same generators with its sign pattern read as rows, and draws
-from them once the starts stop landing.  ``radial_density_gap`` is the one
-LP user left here.
+projection.  Every box cone lands its draws with one in-place sweep
+(``_land_rows``): clamp, one projection onto the rows' null space, then
+exact projections onto the section of the rows by each row's face, each
+row stopping on its own.  A hull's critical cone starts from its tangent
+rays instead: their facets (``linalg.cone_facets``) decide membership, and
+random draws combine its section generators: the facets plus the cuts, run
+through the double-description routine.  A box cone with leftover
+inequality rows, where landed gaussian starts rarely meet the rows and the
+objective cut, lists the same generators with its sign pattern read as
+rows, and draws from them once the starts stop landing.
+``radial_density_gap`` is the one LP user left here.
 """
 
 from __future__ import annotations
@@ -233,10 +236,12 @@ class CriticalCone:
             _, sv, Vt = np.linalg.svd(R * s, full_matrices=False)
             rank = int(np.sum(sv > sv[0] * max(R.shape) * np.finfo(float).eps))
             Q = Vt[:rank]
+            object.__setattr__(self, "_eq_matrix", R)
             object.__setattr__(self, "_eq_weighted", R * self.weights)
             object.__setattr__(self, "_eq_bounds", 1.0 + np.abs(R).max(axis=1))
             object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
+            object.__setattr__(self, "_eq_matrix", None)
             object.__setattr__(self, "_eq_weighted", None)
             object.__setattr__(self, "_eq_bounds", None)
             object.__setattr__(self, "_eq_projector", None)
@@ -253,7 +258,7 @@ class CriticalCone:
         box cones with leftover inequality rows unless the section has more
         than ``_MAX_GENERATORS`` generators (one mixed-sign row over p >= 0
         and q <= 0 coordinates alone adds p q rays).  Box cones without
-        inequality rows need none: clamping and projecting lands in them."""
+        inequality rows need none: the landing sweep lands in them."""
         if self.base_pattern is None:
             return True
         if not self.ineq_rows:
@@ -519,35 +524,77 @@ def radial_density_gap(
 # --------------------------------------------------------------------------
 
 
-def _land(cone: CriticalCone, H: np.ndarray, iterations: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate pattern clamping and row projection on a copy of the rows of
-    H (pattern cones).  Each row stops on its own once its equality residual
-    is within 1e-10 (1 + max|v|), or after ``iterations`` projections, so it
-    gets the steps it would get alone.  Returns the landed rows and the mask
-    of those that are nonzero members at 1e-7."""
-    V = np.array(H, dtype=float)
+def _project_rows(cone: CriticalCone, W: np.ndarray, face: bool) -> None:
+    """One projection of the rows of W onto the equality rows, in place.
+
+    Without ``face`` it is the weighted projection onto the rows' null
+    space (``project_eq_rows``).  With ``face`` it is exact on each row's
+    face: S is the =0 coordinates and the sign coordinates at 0, m masks the
+    coordinates outside S, and v <- m (v - R^T lam) with (R diag(w m) R^T)
+    lam = R (w v) is the weighted projection onto {R (w v) = 0, v = 0 on S}.
+    One row is a division; more rows use a pseudo-inverse, since a face can
+    make them dependent.  The temporaries are a few arrays the size of W and
+    one k x k matrix per row."""
+    if not face:
+        A, B = cone._eq_projector
+        W -= (W @ A.T) @ B
+        return
+    R, RW = cone._eq_matrix, cone._eq_weighted
+    m = W != 0.0
+    m |= cone.base_pattern.codes == FREE
+    rhs = W @ RW.T
+    k = len(R)
+    if k == 1:
+        g = m @ (R[0] * RW[0])
+        lam = np.divide(rhs, g[:, None], out=np.zeros_like(rhs), where=g[:, None] > 0.0)
+    else:
+        G = (m @ (R[:, None, :] * RW[None, :, :]).reshape(k * k, -1).T).reshape(-1, k, k)
+        lam = (np.linalg.pinv(G, rcond=1e-12, hermitian=True) @ rhs[:, :, None])[:, :, 0]
+    W -= lam @ R
+    np.copyto(W, 0.0, where=~m)
+
+
+def _land_rows(cone: CriticalCone, V: np.ndarray, iterations: int = 60) -> None:
+    """Land the rows of V in a pattern cone, in place: clamp them, then
+    project each row that misses the equality rows and clamp it again.  The
+    first projection is onto the rows' null space (``_project_rows``), so a
+    cone whose starts land after one projection, every annihilator section
+    among them, keeps those draws; later ones are exact on the row's face,
+    so a step that clamps nothing lands, and each other step adds the
+    coordinates it clamps to the face.  Each row stops on its own once its
+    equality residual is within 1e-10 (1 + max|v|), or after ``iterations``
+    projections, so it gets the steps it would get alone."""
     pattern = cone.base_pattern
     pattern.clamp_rows(V)
-    if cone.eq_rows:
-        RW, (A, B) = cone._eq_weighted, cone._eq_projector
-        moving, W = np.arange(len(V)), V  # W: the rows of V still moving
-        for _ in range(iterations):
-            off = np.abs(W @ RW.T).max(axis=1, initial=0.0) > 1e-10 * (
-                1.0 + np.abs(W).max(axis=1, initial=0.0))
-            if not off.all():
-                V[moving[~off]] = W[~off]
-                moving, W = moving[off], W[off]
-                if not len(moving):
-                    break
-            W -= (W @ A.T) @ B
-            pattern.clamp_rows(W)
-        V[moving] = W
+    if not cone.eq_rows:
+        return
+    RW = cone._eq_weighted
+    moving, W = np.arange(len(V)), V  # W: the rows of V still moving
+    for step in range(iterations):
+        off = np.abs(W @ RW.T).max(axis=1, initial=0.0) > 1e-10 * (
+            1.0 + np.abs(W).max(axis=1, initial=0.0))
+        if not off.all():
+            V[moving[~off]] = W[~off]
+            moving, W = moving[off], W[off]
+            if not len(moving):
+                return
+        _project_rows(cone, W, step > 0)
+        pattern.clamp_rows(W)
+    V[moving] = W
+
+
+def _land(cone: CriticalCone, H: np.ndarray, iterations: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """``_land_rows`` on a copy of the rows of H (pattern cones).  Returns
+    the landed rows and the mask of those that are nonzero members at
+    1e-7."""
+    V = np.array(H, dtype=float)
+    _land_rows(cone, V, iterations)
     return V, (np.abs(V).max(axis=1, initial=0.0) > 1e-12) & cone.contains_rows(V, 1e-7)
 
 
 def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Optional[np.ndarray]:
-    """The one-row case of ``_land``: h clamped and projected into a pattern
-    cone, None if it fails."""
+    """The one-row case of ``_land``: h landed in a pattern cone, None if it
+    fails."""
     V, ok = _land(cone, np.asarray(h, dtype=float)[None], iterations)
     return V[0] if ok[0] else None
 
@@ -603,24 +650,14 @@ _BLOCK_ENTRIES = 16384
 def _random_pattern_batch(
     cone: CriticalCone, count: int, rng: np.random.Generator, iterations: int = 60
 ) -> np.ndarray:
-    """One vectorized clamp/project sweep over a batch of gaussian starts;
-    returns the unit-norm rows that landed inside the cone.  Clamping works
-    in place, so the sweep holds one count x n array and one correction."""
+    """Gaussian starts landed in one ``_land_rows`` sweep; returns the
+    unit-norm rows that landed inside the cone.  The sweep works in place,
+    so it holds one count x n array and the rows still moving."""
 
-    pattern = cone.base_pattern
-    assert pattern is not None
-    n = cone.dim
+    assert cone.base_pattern is not None
     w = cone.weights
-    H = rng.standard_normal((count, n))
-    pattern.clamp_rows(H)
-    if cone.eq_rows:
-        RW = cone._eq_weighted
-        A, B = cone._eq_projector
-        for _ in range(iterations):
-            if np.abs(H @ RW.T).max(initial=0.0) <= 1e-10 * (1.0 + np.abs(H).max(initial=0.0)):
-                break
-            H -= (H @ A.T) @ B
-            pattern.clamp_rows(H)
+    H = rng.standard_normal((count, cone.dim))
+    _land_rows(cone, H, iterations)
 
     # the tests run on the unit rows: a start that the sweep collapses to
     # round-off residue passes absolute tests, but not once it is normalized
@@ -714,10 +751,10 @@ def random_directions(
     """Seeded unit-norm random members of the cone (deterministic given rng),
     at most ``count`` rows.  A round draws ``count`` starts and, unless they
     filled the request, ``count`` more; numpy fills arrays row by row, so
-    for the clamp/project sweep and for plain combinations the halves are
+    for the landing sweep and for plain combinations the halves are
     the stream of one ``2 * count`` batch.
 
-    Box cones draw clamped and projected gaussian starts, kept when they
+    Box cones draw gaussian starts landed by ``_land_rows``, kept when they
     meet the cuts (``_random_pattern_batch``).  When the first half round
     keeps fewer than ``count / (2 max_rounds)`` rows, too few for the
     rounds to fill the request, a box cone with listed generators

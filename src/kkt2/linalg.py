@@ -433,7 +433,9 @@ def _double_description(
     wrong side go, and each adjacent pair across the row adds the
     combination on it.  Adjacency is the combinatorial test of Fukuda and
     Prodon (1996): no third ray is tight on every earlier inequality that
-    both are tight on.  A row with one nonzero entry sets that coordinate of
+    both are tight on.  A row that repeats an earlier row of its kind after
+    the max-abs scaling is skipped: it changes neither the cone nor the
+    adjacency test.  A row with one nonzero entry sets that coordinate of
     its tight generators to exactly 0.  More than ``_MAX_GENERATORS`` rays
     raise ``PolytopeTooLarge``; on a pointed cone with linearly independent
     rays every pair is adjacent, so a row whose pairs would pass the guard
@@ -441,6 +443,7 @@ def _double_description(
     """
 
     L, R, done = np.eye(dim), np.zeros((0, dim)), np.zeros((0, dim))
+    seen: set[tuple[bool, bytes]] = set()
     for a, is_eq in [*((a, True) for a in eq), *((a, False) for a in ineq)]:
         if not (len(L) or len(R)):
             break  # the cone is {0}
@@ -448,6 +451,10 @@ def _double_description(
         if not np.any(a):
             continue
         a = a / np.max(np.abs(a))
+        key = (is_eq, a.tobytes())  # a -0.0 entry only hides a repeat
+        if key in seen:
+            continue
+        seen.add(key)
         sl = L @ a
         j = int(np.argmax(np.abs(sl))) if len(sl) else -1
         if j >= 0 and abs(sl[j]) > tol:
@@ -511,23 +518,24 @@ def cone_facets(dim: int, generators: Sequence[np.ndarray]) -> tuple[np.ndarray,
     return _double_description(dim, [], list(generators), DEFAULT_TOLERANCES.feasibility)
 
 
-def _scaled_vertices(p: PolytopeH, s: float, tol: Tolerances) -> Optional[list[np.ndarray]]:
-    """Vertices of p read off the cone {(u, t) : a.u <= (b/s) t, a.u = (b/s) t,
-    t >= 0} of p shrunk by s: [] when no extreme ray has t > 0 (p is
-    empty), None when some generator has t = 0 (p is unbounded), else the
-    rays at x = s u / t, merged at the vertex_dedup tolerance: a ray is kept
-    unless a ray kept before it lies within vertex_dedup in max-norm, one
-    array test per ray against the kept ones."""
+def _scaled_vertices(p: PolytopeH, d, tol: Tolerances) -> Optional[list[np.ndarray]]:
+    """Vertices of p read off the cone {(u, t) : (a d).u <= b t, (a d).u =
+    b t, t >= 0} of p with each coordinate x_j shrunk by d_j (a scalar d
+    shrinks them all): [] when no extreme ray has t > 0 (p is empty), None
+    when some generator has t = 0 (p is unbounded), else the rays at
+    x = d u / t, merged at the vertex_dedup tolerance: a ray is kept unless
+    a ray kept before it lies within vertex_dedup in max-norm, one array test
+    per ray against the kept ones."""
 
-    L, R = _double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
-                               [np.append(a, -b / s) for a, b in p.ineq_rows]
+    L, R = _double_description(p.dim + 1, [np.append(a * d, -b) for a, b in p.eq_rows],
+                               [np.append(a * d, -b) for a, b in p.ineq_rows]
                                + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
     finite = R[:, -1] > 0.0  # t >= 0 is a sign row: rays tight on it have t = 0 exactly
     if not finite.any():
         return []
     if len(L) or not finite.all():
         return None
-    X = s * R[:, :-1] / R[:, -1:]
+    X = d * R[:, :-1] / R[:, -1:]
     kept = np.empty_like(X)
     count = 0
     for x in X:
@@ -537,6 +545,17 @@ def _scaled_vertices(p: PolytopeH, s: float, tol: Tolerances) -> Optional[list[n
     return sorted(_frozen(kept[:count] + 0.0), key=tuple)
 
 
+def _coordinate_bounds(p: PolytopeH) -> np.ndarray:
+    """Per coordinate j, the smallest nonzero |b| / |a_j| over the rows that
+    touch x_j, and at least 1: the size of x_j that the rows allow."""
+    d = np.full(p.dim, np.inf)
+    for a, b in (*p.eq_rows, *p.ineq_rows):
+        if b != 0.0:
+            touch = a != 0.0
+            d[touch] = np.minimum(d[touch], abs(b) / np.abs(a[touch]))
+    return np.where(np.isfinite(d), np.maximum(d, 1.0), 1.0)
+
+
 def enumerate_vertices(
     p: PolytopeH, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[np.ndarray]:
@@ -544,21 +563,26 @@ def enumerate_vertices(
     is empty, ``UnboundedPolytope`` when it is unbounded.
 
     The homogenized cone of ``_scaled_vertices`` decides all three; its
-    tight sign rows hold exactly at the vertices.  At s = 1, t of a vertex
+    tight sign rows hold exactly at the vertices.  Unscaled, t of a vertex
     with entries beyond about 1/tol.feasibility falls under the tightness
     tolerance of t >= 0, and the vertex reads as a recession ray.  So when
-    s = 1 finds p empty or unbounded, s is retried at the largest |b| of the
-    rows scaled to max |a| = 1 (a row's scale changes nothing), and that
-    answer is kept when every vertex it gives lies in p.
+    the unscaled pass finds p empty or unbounded, it is retried with each
+    coordinate shrunk by its own bound (``_coordinate_bounds``), which keeps
+    coordinates of very different sizes readable, then with all of them
+    shrunk by the largest |b| of the rows scaled to max |a| = 1, which
+    covers a coordinate whose smallest bound is a lower bound.  The first
+    retry whose vertices all lie in p gives the answer.
     """
 
     vertices = _scaled_vertices(p, 1.0, tol)
-    s = max([1.0, *(abs(b) / np.max(np.abs(a)) for a, b in (*p.eq_rows, *p.ineq_rows)
-                    if np.any(a))])
-    if not vertices and s > 1.0:
-        wide = _scaled_vertices(p, s, tol)
-        if wide and all(p.contains(v, tol) for v in wide):
-            vertices = wide
+    if not vertices:
+        s = max([1.0, *(abs(b) / np.max(np.abs(a)) for a, b in (*p.eq_rows, *p.ineq_rows)
+                        if np.any(a))])
+        for shrink in (_coordinate_bounds(p), s):
+            if not vertices and np.any(shrink > 1.0):
+                wide = _scaled_vertices(p, shrink, tol)
+                if wide and all(p.contains(v, tol) for v in wide):
+                    vertices = wide
     if vertices is None:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
     return vertices

@@ -1,21 +1,21 @@
 """Box critical cones with leftover inequality rows: their section
-generators (the sign pattern read as rows), the switch from the
-clamp/project sweep to generator combinations when the sweep starves, the
-size guard, and the half rounds."""
+generators (the sign pattern read as rows), the switch from the landing
+sweep to generator combinations when the sweep starves, the size guard, the
+half rounds, and the landing sweep of the pattern batch."""
 
 import json
 
 import numpy as np
 import pytest
 
-from kkt2 import linalg
+from kkt2 import cones, linalg
 from kkt2.cli import main
-from kkt2.cones import (NONNEG, ZERO, CriticalCone, SignPatternCone, _random_pattern_batch,
-                        _random_section_batch, critical_cone, into_cone, random_directions,
-                        structured_directions)
+from kkt2.cones import (NONNEG, ZERO, CriticalCone, SignPatternCone, _land,
+                        _random_pattern_batch, _random_section_batch, critical_cone, into_cone,
+                        random_directions, structured_directions)
 from kkt2.config import SearchBudget
 from kkt2.curvature import _section_size, check_ssc
-from kkt2.examples import build_example2
+from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import multiplier_set
 
 from helpers import (many_multiplier_problem, many_multiplier_spec, nnls_distance,
@@ -325,3 +325,50 @@ class TestStarvedSweep:
         assert 0 < len(first) * 20 < 4000
         rest = _random_section_batch(cone, 4000, rng)[:4000 - len(first)]
         assert np.array_equal(new, np.concatenate([first, rest]))
+
+
+def _example1_cone(grid: int, eta: float) -> CriticalCone:
+    ex = build_example1(grid)
+    return critical_cone(ex.problem, ex.xbar, eta, mset=multiplier_set(ex.problem, ex.xbar))
+
+
+class TestPatternBatchSweep:
+    """``_random_pattern_batch`` lands its starts with the per-row sweep of
+    ``_land``."""
+
+    @pytest.mark.parametrize("case", ["example1 120", "example1 480", "many 0", "many 3"])
+    def test_each_row_is_its_one_row_landing(self, case):
+        if case.startswith("example1"):
+            cone = _example1_cone(int(case.split()[1]), 0.1)
+        else:
+            p, x = many_multiplier_spec(int(case.split()[1]))
+            cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+        count = 64
+        starts = np.random.default_rng(21).standard_normal((count, cone.dim))
+        batch = _random_pattern_batch(cone, count, np.random.default_rng(21))
+        singles = np.array([_land(cone, h[None])[0][0] for h in starts])
+        singles /= np.sqrt((singles * singles) @ cone.weights)[:, None]
+        assert len(batch) >= count - 4  # the eta = 0.1 cut drops a few at grid 120
+        rest = iter(singles)  # the kept rows, in order, among the single landings
+        for h in batch:
+            assert any(np.max(np.abs(single - h)) <= 1e-12 for single in rest)
+
+    def test_row_projection_count(self, monkeypatch):
+        """The 512-row battery on example1's eta = 0.1 cone at grid 480: the
+        first projection moves every row, later ones only the rows still
+        off; at most 3,000 row projections (32 passes over every row took
+        16,384)."""
+        cone = _example1_cone(480, 0.1)
+        rows = []
+        project = cones._project_rows
+
+        def counting(cone, W, face):
+            rows.append(len(W))
+            project(cone, W, face)
+
+        monkeypatch.setattr(cones, "_project_rows", counting)
+        H = _random_pattern_batch(cone, 512, np.random.default_rng(1))
+        assert len(H) == 512
+        assert rows[0] == 512 and rows == sorted(rows, reverse=True)
+        assert len(rows) > 1  # one projection does not land them all
+        assert sum(rows) <= 3000

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from kkt2 import cones
 from kkt2.cones import (
     FREE,
     NONNEG,
     NONPOS,
     ZERO,
+    CriticalCone,
     SignPatternCone,
     _land,
     critical_cone,
@@ -297,3 +299,72 @@ class TestStructuredSweep:
         assert cone.eq_rows
         rows = structured_directions(cone, 64)
         assert any(not set(np.unique(h)) <= {-1.0, 0.0, 1.0} for h in rows)
+
+
+def _landing_cones():
+    """Pattern cones with equality rows: example1's eta = 0.1 cones (one
+    row; its eta = 0 cones absorb every row) and the annihilator sections of
+    the many-multiplier problems (eight rows)."""
+    for grid in (120, 480):
+        ex = build_example1(grid)
+        mset = multiplier_set(ex.problem, ex.xbar)
+        for eta in (0.0, 0.1):
+            cone = critical_cone(ex.problem, ex.xbar, eta, mset=mset)
+            assert bool(cone.eq_rows) == (eta > 0.0)
+            yield f"example1 {grid} eta {eta}", cone
+    for seed in range(4):
+        p, x = many_multiplier_spec(seed)
+        yield f"many {seed}", critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+
+
+def _singular_face_cone():
+    """{h in R^5 : h0, h1, h4 >= 0, <r, h>_w = 0 for three rows r}.  On a
+    face with h0 = h1 = 0 the first two rows agree, so the face step's Gram
+    matrix is singular there."""
+    pattern = SignPatternCone(np.array([NONNEG, NONNEG, FREE, FREE, NONNEG]))
+    rows = (np.array([1.0, 0.0, 1.0, -1.0, 0.0]), np.array([0.0, 1.0, 1.0, -1.0, 0.0]),
+            np.array([0.0, 0.0, 0.0, 1.0, -1.0]))
+    return CriticalCone(np.array([1.0, 2.0, 0.5, 1.5, 1.0]), pattern, (), rows, (), None, 0.0)
+
+
+def _assert_landed(name, cone, V):
+    """Every row meets the sign pattern exactly and the equality rows to
+    1e-10 (1 + max|v|)."""
+    codes = cone.base_pattern.codes
+    assert np.all(V[:, codes == NONNEG] >= 0.0), name
+    assert np.all(V[:, codes == NONPOS] <= 0.0), name
+    assert np.all(V[:, codes == ZERO] == 0.0), name
+    if cone.eq_rows:
+        residual = np.abs(V @ cone._eq_weighted.T).max(axis=1)
+        assert np.all(residual <= 1e-10 * (1.0 + np.abs(V).max(axis=1))), name
+
+
+class TestLandingSweep:
+    """``_land_rows``: one projection onto the rows' null space, then exact
+    projections onto each row's face, every row stopping on its own."""
+
+    def test_landed_rows_meet_pattern_and_rows(self):
+        for k, (name, cone) in enumerate(_landing_cones()):
+            V, ok = _land(cone, np.random.default_rng(k).standard_normal((300, cone.dim)))
+            _assert_landed(name, cone, V)
+            assert ok.sum() >= 150, name
+
+    def test_singular_face_gram_lands(self, monkeypatch):
+        """Starts that the first projection leaves with h0 = h1 < 0 are
+        clamped onto the face where the Gram matrix is singular; the
+        pseudo-inverse step still lands them exactly."""
+        cone = _singular_face_cone()
+        faces = []
+        project = cones._project_rows
+
+        def recording(cone, W, face):
+            if face:
+                faces.append(np.array(W))
+            project(cone, W, face)
+
+        monkeypatch.setattr(cones, "_project_rows", recording)
+        V, ok = _land(cone, np.random.default_rng(5).standard_normal((400, 5)))
+        _assert_landed("singular face", cone, V)
+        singular = [h for W in faces for h in W if h[0] == h[1] == 0.0]
+        assert len(singular) >= 20
+        assert ok.sum() >= 200

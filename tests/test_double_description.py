@@ -115,6 +115,21 @@ class TestConeGenerators:
         for g in gens[:2]:
             assert any(np.allclose(-g, h) for h in gens)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_repeated_rows_change_nothing(self, seed):
+        """Each row followed by copies at scales 1, 2 and 1/4, which repeat it
+        after the max-abs scaling, and the whole list once more: the same
+        lineality basis and rays, array for array."""
+        dim, eq, ineq = random_polar_system(seed)
+        eq, ineq = [a for a, _ in eq], [a for a, _ in ineq]
+        L, R = _double_description(dim, eq, ineq, 1e-9)
+
+        def repeated(rows):
+            return [c * a for a in rows for c in (1.0, 2.0, 0.25)] + list(rows)
+
+        L2, R2 = _double_description(dim, repeated(eq), repeated(ineq), 1e-9)
+        assert np.array_equal(L, L2) and np.array_equal(R, R2)
+
     def test_zero_rows_change_nothing(self):
         zero = (np.zeros(2), 0.0)
         assert cone_is_trivial(2, [zero], [zero])[1].shape == (4, 2)  # the plane: +-e0, +-e1

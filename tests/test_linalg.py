@@ -131,6 +131,32 @@ class TestVertexEnumeration:
                 for j in range(i + 1, len(verts)):
                     assert np.max(np.abs(verts[i] - verts[j])) > 1e-8
 
+    def test_wide_box_keeps_its_four_vertices(self):
+        """[0, 1e12] x [0, 1]: unscaled, the vertices at x0 = 1e12 read as
+        recession rays, and one common scale of 1e12 reads x1 = 1 as tight on
+        x1 >= 0; each coordinate shrunk by its own bound keeps all four."""
+        I = np.eye(2)
+        box = PolytopeH(2, (), ((-I[0], 0.0), (I[0], 1e12), (-I[1], 0.0), (I[1], 1.0)))
+        verts = enumerate_vertices(box)
+        assert [v.tolist() for v in verts] == [[0.0, 0.0], [0.0, 1.0], [1e12, 0.0],
+                                               [1e12, pytest.approx(1.0, rel=1e-12)]]
+
+    def test_wide_box_with_a_coupling_row(self):
+        """The same box cut by x0 + 1e12 x1 <= 1.5e12, which couples the
+        two scales: five vertices."""
+        I = np.eye(2)
+        p = PolytopeH(2, (), ((-I[0], 0.0), (I[0], 1e12), (-I[1], 0.0), (I[1], 1.0),
+                              (np.array([1.0, 1e12]), 1.5e12)))
+        verts = enumerate_vertices(p)
+        expected = [[0.0, 0.0], [0.0, 1.0], [5e11, 1.0], [1e12, 0.0], [1e12, 0.5]]
+        assert [v.tolist() for v in verts] == [pytest.approx(e, rel=1e-12) for e in expected]
+
+    def test_wide_interval_above_one(self):
+        """[1, 1e12]: the smallest bound of x is its lower bound 1, so the
+        common scale of the rows finds the vertices."""
+        p = PolytopeH(1, (), ((np.array([-1.0]), -1.0), (np.array([1.0]), 1e12)))
+        assert [v.tolist() for v in enumerate_vertices(p)] == [[1.0], [pytest.approx(1e12)]]
+
     def test_lp_matches_vertex_extremes(self):
         """Oracle equivalence: LP optimum equals the extreme over vertices."""
         rng = np.random.default_rng(5)
