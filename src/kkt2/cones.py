@@ -18,7 +18,9 @@ through the double-description routine.  A box cone with leftover
 inequality rows, where landed gaussian starts rarely meet the rows and the
 objective cut, lists the same generators with its sign pattern read as
 rows, and draws from them once the starts stop landing.
-``radial_density_gap`` is the one LP user left here.
+``radial_density_gap`` measures the Euclidean distance from a direction to
+the same kind of section, one NNLS (``linalg.conic_distance``) per
+truncation; nothing here solves an LP.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import LinearProgram, cone_facets, cone_is_trivial, solve_lp
+from .linalg import cone_facets, cone_is_trivial, conic_distance
 from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 if TYPE_CHECKING:
@@ -450,40 +452,6 @@ class DensityReport:
     witness: Optional[np.ndarray]
 
 
-def _section_distance(
-    rays: Sequence[np.ndarray],
-    h: np.ndarray,
-    rows: Sequence[tuple[np.ndarray, str]],
-    weights: np.ndarray,
-) -> float:
-    """sup-norm LP distance from h to {sum c_k r_k : c >= 0, rows hold}."""
-
-    n = h.shape[0]
-    K = len(rays)
-    obj = np.zeros(K + 1)
-    obj[-1] = 1.0
-    R = np.array([np.asarray(r, dtype=float) for r in rays]).T if K else np.zeros((n, 0))
-    ineq: list[tuple[np.ndarray, float]] = []
-    eq: list[tuple[np.ndarray, float]] = []
-    for j in range(n):
-        ineq.append((np.concatenate([R[j], [-1.0]]), h[j]))
-        ineq.append((np.concatenate([-R[j], [-1.0]]), -h[j]))
-    for k in range(K):
-        e = np.zeros(K + 1)
-        e[k] = -1.0
-        ineq.append((e, 0.0))
-    for r, kind in rows:
-        coef = np.concatenate([(weights * r) @ R, [0.0]]) if K else np.zeros(K + 1)
-        if kind == "eq":
-            eq.append((coef, 0.0))
-        else:
-            ineq.append((coef, 0.0))
-    res = solve_lp(LinearProgram(obj, tuple(eq), tuple(ineq), sense="min"))
-    if not res.is_optimal or res.value is None:
-        raise UsageError("density-gap distance LP did not solve")
-    return max(res.value, 0.0)
-
-
 def radial_density_gap(
     descriptor: Union[BoxSet, Sequence[GeneratedConeSet]],
     x,
@@ -499,8 +467,10 @@ def radial_density_gap(
     direction ``h`` is tested against the radial sections of increasing
     truncations (the explicit rays only — adherent limit rays are exactly
     what radial directions cannot reach); a gap witness is reported when the
-    sup-norm distance stays at or above the threshold for every truncation.
-    This is numerical evidence, not a proof.
+    Euclidean distance from h to the section stays at or above the threshold
+    for every truncation.  Each section is listed by its double-description
+    generators (``CriticalCone.generators``) and the distance is one NNLS
+    (``linalg.conic_distance``).  This is numerical evidence, not a proof.
     """
 
     if isinstance(descriptor, BoxSet):
@@ -511,10 +481,14 @@ def radial_density_gap(
     if h is None:
         raise UsageError("a candidate tangent direction h is required for hull sets")
     hv = np.asarray(h, dtype=float)
-    weights = np.ones(cones[0].dim)
-    distances = tuple(
-        _section_distance(c.rays, hv, rows, weights) for c in cones
-    )
+    eq = tuple(r for r, kind in rows if kind == "eq")
+    ineq = tuple(r for r, kind in rows if kind != "eq")
+
+    def distance(c: GeneratedConeSet) -> float:
+        section = CriticalCone(np.ones(c.dim), None, c.rays, eq, ineq, None, 0.0)
+        return conic_distance(section.generators, hv)
+
+    distances = tuple(map(distance, cones))
     gap = all(d >= tol.density_gap for d in distances)
     return DensityReport(dense=not gap, distances=distances, witness=hv if gap else None)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,9 +55,13 @@ class CurvatureOracle:
             S = np.column_stack([g.quad_batch(H) for g in self.g_forms])
             if mu is not None:
                 return out + S @ mu
-            V = np.asarray(self.mset.vertices, dtype=float)
-            out = out + np.max(S @ V.T, axis=1)
+            out = out + np.max(S @ self.vertex_matrix.T, axis=1)
         return out
+
+    @cached_property
+    def vertex_matrix(self) -> np.ndarray:
+        """The multiplier vertices as the rows of one array."""
+        return np.asarray(self.mset.vertices, dtype=float)
 
     def fixed_mu_value(self, h: np.ndarray, mu: np.ndarray) -> float:
         base = self.f_form.quad(h)
@@ -104,9 +109,10 @@ def q_of_h(oracle: CurvatureOracle, h) -> tuple[float, np.ndarray]:
     if oracle.m == 0:
         return base, np.zeros(0)
     s = oracle.constraint_quads(hv)
-    values = [float(np.asarray(mu) @ s) for mu in mset.vertices]
-    best = int(np.argmax(values))
-    return base + values[best], np.asarray(mset.vertices[best])
+    V = oracle.vertex_matrix
+    best = int(np.argmax(V @ s))
+    # the winner's value by the dot product of fixed_mu_value, so replays match
+    return base + float(V[best] @ s), np.asarray(mset.vertices[best])
 
 
 def q_of_h_lp(oracle: CurvatureOracle, h) -> float:

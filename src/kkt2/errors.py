@@ -34,7 +34,8 @@ class NumericError(KKT2Error):
 
 
 class IterationLimit(NumericError):
-    """Simplex pivot budget exhausted; signals pathological input."""
+    """A simplex pivot budget or the NNLS step budget is exhausted; signals
+    pathological input."""
 
 
 class UnboundedPolytope(NumericError):

@@ -10,6 +10,10 @@ polyhedral cone difference equals the whole space iff only nu = 0 satisfies
 the polar system.  ``linalg.cone_is_trivial`` returns the generators of the
 polar cone; there are none iff the CQ holds, and when the strict CQ fails
 their signs give the achieved cone.
+
+When the multiplier set is empty, the distance to stationarity is one
+nonnegative least-squares problem (``linalg.nnls``) over the multipliers
+and the normal cone's generators.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, UnboundedPolytope, UsageError
 from .cones import (
+    FREE,
     NONNEG,
     NONPOS,
     ZERO,
@@ -31,7 +36,7 @@ from .cones import (
     normal_cone_box,
     tangent_cone_box,
 )
-from .linalg import PolytopeH, cone_is_trivial, enumerate_vertices, weighted_norm
+from .linalg import PolytopeH, cone_is_trivial, enumerate_vertices, nnls, weighted_norm
 from .model import (
     ActiveSetInfo,
     BoxSet,
@@ -364,10 +369,10 @@ def check_strict_cq(
         if eq_left:
             raise UsageError("lambda-annihilator section did not absorb; invalid multipliers")
     else:
-        scale = 1e-9
         kept_rays = [
             d for d in p.abstract_set.tangent_rays()
-            if abs(float(np.sum(p.weights * mult.lam * d))) <= scale * (1.0 + float(np.max(np.abs(d))))
+            if abs(float(np.sum(p.weights * mult.lam * d)))
+            <= tol.residual * (1.0 + float(np.max(np.abs(d))))
         ]
         c_section, M = _abstract_cone(p, v, G, lambda s: kept_rays, tol)
 
@@ -401,92 +406,43 @@ class FOCResult:
     best_mu: Optional[np.ndarray] = None
 
 
-def _normal_cone_violation(
-    p: ProblemSpec, x: np.ndarray, lam: np.ndarray, tol: Tolerances
-) -> float:
-    """Weighted-L2 distance from lam to the normal cone of the abstract set."""
-
+def _normal_cone_generators(p: ProblemSpec, x: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Generators (rows) of the abstract set's normal cone at x: signed unit
+    vectors read off a box's normal pattern, or for a hull the generators
+    of {lambda : <lambda, d>_w <= 0 for every ray d}."""
     if isinstance(p.abstract_set, BoxSet):
-        normal = normal_cone_box(p.abstract_set, x, tol)
-        viol = np.zeros(p.dim)
-        for j in range(p.dim):
-            code = int(normal.codes[j])
-            if code == NONPOS:
-                viol[j] = max(lam[j], 0.0)
-            elif code == NONNEG:
-                viol[j] = max(-lam[j], 0.0)
-            elif code == ZERO:
-                viol[j] = lam[j]
-        return weighted_norm(p.weights, viol)
-    # Dykstra projection onto the intersection of half-spaces <.,d>_w <= 0
-    rays = p.abstract_set.normal_row_rays()
-    w = p.weights
-    y = lam.copy()
-    corrections = [np.zeros_like(lam) for _ in rays]
-    for _ in range(500):
-        for idx, d in enumerate(rays):
-            z = y + corrections[idx]
-            dd = float(np.sum(w * d * d))
-            if dd <= 0:
-                continue
-            excess = max(float(np.sum(w * z * d)), 0.0) / dd
-            proj = z - excess * d
-            corrections[idx] = z - proj
-            y = proj
-    return weighted_norm(p.weights, lam - y)
+        codes = normal_cone_box(p.abstract_set, x, tol).codes
+        eye = np.eye(p.dim)
+        return np.vstack([eye[(codes == NONNEG) | (codes == FREE)],
+                          -eye[(codes == NONPOS) | (codes == FREE)]])
+    rows = [(p.weights * d, 0.0) for d in p.abstract_set.normal_row_rays()]
+    return cone_is_trivial(p.dim, [], rows, tol)[1]
 
 
 def foc_residual(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> FOCResult:
     """Stationary iff the multiplier set is nonempty; otherwise reports the
-    best stationarity residual over admissible mu (coordinate descent on a
-    convex piecewise-quadratic merit)."""
+    distance to stationarity, min over admissible mu of
+    dist_w(-f'(x) - g'(x)^T mu, N_C(x)), with its argmin mu.
+
+    That is one NNLS (``linalg.nnls``) in the weighted coordinates
+    sqrt(w) y: its columns are g_i'(x) for the active inequalities,
+    +-g_i'(x) for the equalities and the normal cone's generators, and its
+    right-hand side is -f'(x)."""
 
     v = as_entries(x, p.dim)
     mset = multiplier_set(p, v, tol)
     if not mset.empty:
         return FOCResult(True, mset, 0.0)
 
-    m = p.n_constraints
-    f_grad = mset.f_grad
-    G = mset.g_grads
-    info = mset.info
-
-    def lam_of(mu):
-        return -f_grad - (G.T @ mu if m else 0.0)
-
-    def merit(mu):
-        return _normal_cone_violation(p, v, lam_of(mu), tol)
-
+    m, G = p.n_constraints, mset.g_grads
+    eq = np.arange(p.m1)
+    ineq = np.array([i for i in mset.info.active if i >= p.m1], dtype=int)
+    s = np.sqrt(p.weights)
+    A = s[:, None] * np.vstack([G[eq], -G[eq], G[ineq], _normal_cone_generators(p, v, tol)]).T
+    c, residual = nnls(A, -s * mset.f_grad)
     mu = np.zeros(m)
-    free_idx = [i for i in range(m) if i < p.m1 or i in info.active]
-    nonneg = {i for i in info.active if i >= p.m1}
-    best = merit(mu)
-    for _sweep in range(60):
-        improved = False
-        for i in free_idx:
-            lo = 0.0 if i in nonneg else -1e3
-            hi = 1e3
-            a, b = lo, hi
-            for _ in range(80):  # golden-section on a convex slice
-                m1p = a + 0.381966 * (b - a)
-                m2p = b - 0.381966 * (b - a)
-                mu1 = mu.copy()
-                mu1[i] = m1p
-                mu2 = mu.copy()
-                mu2[i] = m2p
-                if merit(mu1) <= merit(mu2):
-                    b = m2p
-                else:
-                    a = m1p
-            cand = mu.copy()
-            cand[i] = 0.5 * (a + b)
-            val = merit(cand)
-            if val < best - 1e-14:
-                best = val
-                mu = cand
-                improved = True
-        if not improved:
-            break
-    return FOCResult(False, None, best, best_mu=mu if m else None)
+    mu[eq] = c[: p.m1] - c[p.m1 : 2 * p.m1]
+    mu[ineq] = c[2 * p.m1 : 2 * p.m1 + len(ineq)]
+    return FOCResult(False, None, residual, best_mu=mu if m else None)

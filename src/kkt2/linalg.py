@@ -1,4 +1,5 @@
-"""Weighted vectors, bilinear forms, a dense LP kernel and polyhedral cones.
+"""Weighted vectors, bilinear forms, a dense LP kernel, polyhedral cones and
+nonnegative least squares.
 
 Everything here is sized for desk-scale certification work: multiplier
 polytopes with a few dozen vertices, cones with a few dozen generators.
@@ -8,9 +9,11 @@ and extreme rays.  Run on an H-representation it gives generators (is a
 polar cone trivial, which axes does a cone reach, what are a polytope's
 vertices, which rays span a cone section); run on the polar of a finitely
 generated cone it gives that cone's facets (Minkowski-Weyl), which decide
-hull and cone membership.  The dense two-phase simplex with Bland's rule
-(``solve_lp``, ``conic_distance``) remains as an independent reference for
-tests and for ``cones.radial_density_gap``.
+hull and cone membership.  Every distance to a finitely generated cone is
+one Lawson-Hanson NNLS (``nnls``, ``conic_distance``): the non-stationary
+FOC residual and ``cones.radial_density_gap``.  The dense two-phase simplex
+with Bland's rule (``solve_lp``) remains as an independent reference for
+the tests.
 
 All types are immutable after construction; operations are pure functions.
 """
@@ -26,6 +29,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionMismatch,
     IterationLimit,
+    NumericError,
     PolytopeTooLarge,
     UnboundedPolytope,
 )
@@ -593,32 +597,86 @@ def enumerate_vertices(
 # --------------------------------------------------------------------------
 
 
+def nnls(A, b) -> tuple[np.ndarray, float]:
+    """(c, ||A c - b||) with c >= 0 minimizing ||A c - b||, by the active-set
+    method of Lawson and Hanson (1974).
+
+    c is the least-squares solution on its support.  A step adds the column
+    at the smallest angle to the residual, among those whose gradient
+    exceeds its round-off scale; the residual and the columns are taken off
+    the support's span (Q an orthonormal basis of it) first, so a column
+    nearly parallel to the span keeps the sign of its gradient.  While the
+    least-squares solution on the grown support has a nonpositive
+    coefficient, c moves towards it until a coefficient reaches 0, which
+    leaves the support.  In exact arithmetic every step lowers the
+    residual; a step that does not is round-off, and its column is passed
+    over until another step does.  Before returning, the KKT conditions are
+    checked at the scale 1e-9 |a_j| (|b| + |A c|): the gradient
+    A^T (b - A c) is at most that everywhere and zero on the support.
+    Nonfinite data or a failed check raise ``NumericError``, a loop past its
+    budget ``IterationLimit``.
+    """
+
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise NumericError("NNLS data must be finite")
+    n = A.shape[1]
+    norms = np.linalg.norm(A, axis=0)
+
+    def solve(support):
+        z = np.zeros(n)
+        z[support] = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
+        return z
+
+    c = np.zeros(n)
+    support = np.zeros(n, dtype=bool)
+    passed = np.zeros(n, dtype=bool)
+    residual = float(np.linalg.norm(b))
+    limit = 10 * n + 10
+    for _ in range(limit):
+        Q = np.linalg.qr(A[:, support])[0]
+        r = b - Q @ (Q.T @ b)  # b - A c
+        r -= Q @ (Q.T @ r)
+        off = A - Q @ (Q.T @ A)
+        noise = norms * np.linalg.norm(r) + np.linalg.norm(off, axis=0) * np.linalg.norm(b)
+        angle = (off.T @ r - 10 * np.finfo(float).eps * noise) / np.where(norms > 0.0, norms, 1.0)
+        angle[support | passed] = 0.0
+        if not np.any(angle > 0.0):
+            break
+        j = int(np.argmax(angle))
+        passed[j] = True
+        x, grown = c.copy(), support.copy()
+        grown[j] = True
+        z = solve(grown)
+        if z[j] <= 0.0:
+            continue
+        while not np.all(z[grown] > 0.0):
+            blocked = grown & (z <= 0.0)
+            steps = x[blocked] / (x[blocked] - z[blocked])
+            x += steps.min() * (z - x)
+            x[np.flatnonzero(blocked)[np.argmin(steps)]] = 0.0
+            grown &= x > 0.0
+            z = solve(grown)
+        if np.linalg.norm(A @ z - b) < residual:
+            c, support, residual = z, grown, float(np.linalg.norm(A @ z - b))
+            passed[:] = False
+    else:
+        raise IterationLimit(f"NNLS did not terminate within {limit} steps")
+    grad = A.T @ (b - A @ c)
+    tol = 1e-9 * norms * (np.linalg.norm(b) + np.linalg.norm(A @ c))
+    if np.any(np.abs(grad[support]) > tol[support]) or np.any(grad > tol):
+        raise NumericError("NNLS solution fails its optimality conditions")
+    return c, residual
+
+
 def conic_distance(
     rays: Sequence[np.ndarray], h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """sup-norm distance from h to the conic hull of the rays (LP)."""
+    """Euclidean distance from h to the conic hull of the rays (``nnls``);
+    ``tol`` is not used: the NNLS check sets its own scale."""
 
     h = _as_array(h)
-    n = h.shape[0]
-    K = len(rays)
-    if K == 0:
-        return float(np.max(np.abs(h), initial=0.0))
-    # variables: (c_1..c_K, t); minimize t
-    R = np.array([_as_array(r, n) for r in rays]).T  # n x K
-    obj = np.zeros(K + 1)
-    obj[-1] = 1.0
-    ineq: list[Row] = []
-    for j in range(n):
-        ineq.append((np.concatenate([R[j], [-1.0]]), h[j]))    # (Rc)_j - t <= h_j
-        ineq.append((np.concatenate([-R[j], [-1.0]]), -h[j]))  # -(Rc)_j - t <= -h_j
-    for k in range(K):
-        e = np.zeros(K + 1)
-        e[k] = -1.0
-        ineq.append((e, 0.0))
-    e = np.zeros(K + 1)
-    e[-1] = -1.0
-    ineq.append((e, 0.0))
-    res = solve_lp(LinearProgram(obj, (), tuple(ineq), sense="min"), tol)
-    if not res.is_optimal or res.value is None:
-        raise UnboundedPolytope("conic distance LP failed")
-    return max(res.value, 0.0)
+    if not len(rays):
+        return float(np.linalg.norm(h))
+    return nnls(np.array([_as_array(r, h.shape[0]) for r in rays]).T, h)[1]

@@ -1,14 +1,14 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and an NNLS cone distance."""
+multipliers, and a brute-force NNLS reference."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
-import pytest
 
 from kkt2.cones import CriticalCone
 from kkt2.linalg import PolytopeH
@@ -160,10 +160,18 @@ def random_ray_cone(seed: int, dims: int = 2, counts: int = 5) -> CriticalCone:
     return CriticalCone(np.ones(n), None, tuple(rays), (), tuple(rows), None, 0.0)
 
 
-def nnls_distance(generators, h) -> float:
-    """Euclidean distance from h to cone(generators), by scipy's NNLS; the
-    calling test is skipped without scipy."""
-    nnls = pytest.importorskip("scipy.optimize").nnls
-    if not len(generators):
-        return float(np.linalg.norm(h))
-    return float(nnls(np.asarray(generators, dtype=float).T, h)[1])
+def brute_force_nnls(A, b) -> float:
+    """min ||A c - b|| over c >= 0, by enumeration: least squares on every
+    set of at most rank(A) columns, kept when its coefficients are
+    nonnegative.  Some optimum has linearly independent support columns
+    (Caratheodory), so the best kept residual is the minimum."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    n = A.shape[1]
+    best = float(np.linalg.norm(b))
+    for size in range(1, (np.linalg.matrix_rank(A) if n else 0) + 1):
+        for support in itertools.combinations(range(n), size):
+            cols = A[:, list(support)]
+            c = np.linalg.lstsq(cols, b, rcond=None)[0]
+            if np.all(c >= -1e-12):
+                best = min(best, float(np.linalg.norm(cols @ c - b)))
+    return best

@@ -18,8 +18,8 @@ from kkt2.curvature import _section_size, check_ssc
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import multiplier_set
 
-from helpers import (many_multiplier_problem, many_multiplier_spec, nnls_distance,
-                     random_ray_cone, random_stationary_problem)
+from helpers import (many_multiplier_problem, many_multiplier_spec, random_ray_cone,
+                     random_stationary_problem)
 
 
 def _stationary_cones(eta: float):
@@ -111,7 +111,7 @@ class TestStationaryBoxSections:
                 if h is None or np.linalg.norm(h) <= 1e-6:  # not round-off residue
                     continue
                 accepted += 1
-                assert nnls_distance(cone.generators, h) <= 1e-6 * np.linalg.norm(h)
+                assert linalg.conic_distance(cone.generators, h) <= 1e-6 * np.linalg.norm(h)
         assert accepted >= 50
 
     @pytest.mark.parametrize("eta", [0.05, 1.0])

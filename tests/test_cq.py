@@ -6,12 +6,15 @@ written out by hand from the problem data: constraint gradients, the box's
 active bounds or the hull's rays, and the active set.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kkt2.config import DEFAULT_TOLERANCES
 from kkt2.errors import UsageError
 from kkt2.examples import build_example2
-from kkt2.kkt import check_rzkcq, check_strict_cq, check_weaker_cq, multiplier_set
+from kkt2.kkt import Multipliers, check_rzkcq, check_strict_cq, check_weaker_cq, multiplier_set
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
 from helpers import random_stationary_problem
@@ -299,3 +302,28 @@ def _reweighted(f, x, n, weights):
     linear_term = g - H @ x
     constant = f.value(x) - linear_term @ x - 0.5 * x @ H @ x
     return quadratic(constant, linear_term, H, weights)
+
+
+# --------------------------------------------------------------------------
+# The residual tolerance on hulls
+# --------------------------------------------------------------------------
+
+
+def thin_wedge_hull(eps):
+    """Rays (1, 0, eps), (-1, 0, eps) and (0, 1, 1), the equality x0 = 0 and
+    f'(0) = (0, 0, 1).  At mu = 0, lambda = (0, 0, -1) is -eps on both wedge
+    rays: they lie in the lambda-annihilator up to eps."""
+    rays = (np.array([1.0, 0.0, eps]), np.array([-1.0, 0.0, eps]), np.array([0.0, 1.0, 1.0]))
+    return ProblemSpec(linear([0.0, 0.0, 1.0]), (linear([1.0, 0.0, 0.0]),), 1,
+                       GeneratedConeSet(np.zeros(3), rays), np.ones(3))
+
+
+class TestStrictCQTolerance:
+    def test_hull_annihilator_uses_the_residual_tolerance(self):
+        """A residual tolerance above eps keeps both wedge rays, whose
+        constraint derivatives +-1 reach all of R; the default drops them."""
+        p, x = thin_wedge_hull(1e-7), np.zeros(3)
+        mult = Multipliers(np.array([0.0, 0.0, -1.0]), np.zeros(1))
+        tight = check_strict_cq(p, x, mult)
+        assert not tight.holds and tight.achieved_cone == "{0}"
+        assert check_strict_cq(p, x, mult, replace(DEFAULT_TOLERANCES, residual=1e-5)).holds

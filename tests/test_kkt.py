@@ -1,4 +1,8 @@
-"""First-order certification: multiplier polytope and CQs."""
+"""First-order certification: multiplier polytope, CQs and the distance to
+stationarity."""
+
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ from kkt2.kkt import (
     multiplier_set,
     validate_multipliers,
 )
-from kkt2.model import BoxSet, ProblemSpec, quadratic
+from kkt2.errors import NumericError
+from kkt2.linalg import cone_facets
+from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
-from helpers import random_stationary_problem
+from helpers import brute_force_nnls, random_stationary_problem
 
 
 def unconstrained_interior(n=2):
@@ -188,6 +194,156 @@ class TestFOC:
         res = foc_residual(p, np.zeros(2))
         assert not res.stationary
         assert res.residual == pytest.approx(np.sqrt(5.0), abs=1e-9)
+
+    def test_large_multiplier(self):
+        """The nearest stationary gradient needs mu = -2000.5, far outside
+        any fixed search interval."""
+        res = foc_residual(large_multiplier_problem(), np.zeros(2))
+        assert not res.stationary
+        assert res.residual == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+        assert res.best_mu == pytest.approx([-2000.5], rel=1e-12)
+
+    @pytest.mark.parametrize("trunc", [4, 8])
+    def test_example2_hull_gradient(self, trunc):
+        """Example 2's hull with f'(0) = (0, -1, 0.3): the same residual at
+        both truncations, well inside a second."""
+        ex = build_example2(trunc)
+        p = replace(ex.problem, objective=quadratic(0.0, np.array([0.0, -1.0, 0.3]),
+                                                    np.zeros((3, 3))))
+        start = time.perf_counter()
+        res = foc_residual(p, ex.xbar)
+        assert time.perf_counter() - start < 1.0
+        assert not res.stationary
+        assert res.residual == pytest.approx(1.044030650891055, rel=1e-12)
+        assert distance_to_stationarity(p, ex.xbar, res.best_mu) == pytest.approx(res.residual,
+                                                                                  rel=1e-9)
+
+    def test_box_problems_match_brute_force(self):
+        """The residual is the brute-force NNLS minimum over the system
+        written out by hand, and best_mu attains it."""
+        problems = list(nonstationary_box_problems(200))
+        for p, x in problems:
+            res = foc_residual(p, x)
+            expected = brute_force_nnls(*stationarity_system(p, x))
+            assert res.residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert distance_to_stationarity(p, x, res.best_mu) == pytest.approx(
+                res.residual, rel=1e-9, abs=1e-12)
+
+    def test_hull_problems_match_brute_force(self):
+        for p in nonstationary_hull_problems(60):
+            x = np.zeros(p.dim)
+            res = foc_residual(p, x)
+            assert res.residual == pytest.approx(brute_force_nnls(*stationarity_system(p, x)),
+                                                 rel=1e-9, abs=1e-12)
+            assert distance_to_stationarity(p, x, res.best_mu) == pytest.approx(
+                res.residual, rel=1e-9, abs=1e-12)
+
+    def test_problems_match_scipy(self):
+        reference = pytest.importorskip("scipy.optimize").nnls
+        hulls = ((p, np.zeros(p.dim)) for p in nonstationary_hull_problems(60))
+        for p, x in (*nonstationary_box_problems(200), *hulls):
+            A, b = stationarity_system(p, x)
+            expected = reference(A, b)[1] if A.shape[1] else float(np.linalg.norm(b))
+            assert foc_residual(p, x).residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_failed_nnls_check_is_a_numeric_error(self, monkeypatch):
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, rcond=None: (1.5 * lstsq(a, b, rcond=rcond)[0],))
+        with pytest.raises(NumericError):
+            foc_residual(large_multiplier_problem(), np.zeros(2))
+
+
+def large_multiplier_problem():
+    """f' = (2000, 2001) and one equality with g' = (1, 1) at the interior
+    point 0 of [-5, 5]^2."""
+    return ProblemSpec(
+        quadratic(0.0, np.array([2000.0, 2001.0]), np.zeros((2, 2))),
+        (quadratic(0.0, np.array([1.0, 1.0]), np.zeros((2, 2))),), 1,
+        BoxSet(np.full(2, -5.0), np.full(2, 5.0)), np.ones(2))
+
+
+def nonstationary_box_problems(count):
+    """(problem, point) pairs with an empty multiplier set: seeded stationary
+    box problems (n <= 5, m <= 3) whose objective gradient is redrawn."""
+    rng = np.random.default_rng(77)
+    found = 0
+    while found < count:
+        p, xbar, _, _ = random_stationary_problem(rng, max_dim=5, max_constraints=3,
+                                                  weights_one=bool(found % 2))
+        target = rng.standard_normal(p.dim) * 10.0 ** rng.uniform(-1.0, 2.0)
+        q = replace(p, objective=quadratic(0.0, p.weights * target, np.zeros((p.dim, p.dim)),
+                                           p.weights))
+        if multiplier_set(q, xbar).empty:
+            found += 1
+            yield q, xbar
+
+
+def nonstationary_hull_problems(count):
+    """Seeded hull problems at their base point 0 with up to three linear
+    constraints (all active) and an empty multiplier set."""
+    rng = np.random.default_rng(78)
+    found = 0
+    while found < count:
+        n, m = int(rng.integers(2, 5)), int(rng.integers(0, 4))
+        w = np.ones(n) if found % 2 else rng.uniform(0.5, 2.0, n)
+        rays = tuple(rng.standard_normal((int(rng.integers(1, 6)), n)))
+        deep = tuple(rng.standard_normal((int(rng.integers(0, 2)), n)))
+        cons = tuple(quadratic(0.0, rng.standard_normal(n), np.zeros((n, n)), w)
+                     for _ in range(m))
+        p = ProblemSpec(quadratic(0.0, w * rng.standard_normal(n), np.zeros((n, n)), w), cons,
+                        int(rng.integers(0, m + 1)),
+                        GeneratedConeSet(np.zeros(n), rays, (), deep), w)
+        if multiplier_set(p, np.zeros(n)).empty:
+            found += 1
+            yield p
+
+
+def normal_generators(p, x):
+    """Generators of the normal cone of the abstract set at x, written out
+    by hand: -e_j at an active lower bound, +e_j at an active upper bound;
+    for a hull, with cone(rays) = {z : L z = 0, R z <= 0} (``cone_facets``),
+    W^-1 times the rows of R and +-L, the polar in the weighted product."""
+    if isinstance(p.abstract_set, BoxSet):
+        gens = []
+        for j in range(p.dim):
+            if abs(x[j] - p.abstract_set.lower[j]) <= 1e-12:
+                gens.append(-np.eye(p.dim)[j])
+            if abs(x[j] - p.abstract_set.upper[j]) <= 1e-12:
+                gens.append(np.eye(p.dim)[j])
+        return gens
+    L, R = cone_facets(p.dim, p.abstract_set.normal_row_rays())
+    return [row / p.weights for row in (*R, *L, *(-L))]
+
+
+def stationarity_system(p, x):
+    """(A, b) of min over mu and normal vectors n of
+    ||-f'(x) - sum mu_i g_i'(x) - n||_w, with mu_i >= 0 on active
+    inequalities and 0 on inactive ones, in the coordinates sqrt(w) y."""
+    s = np.sqrt(p.weights)
+    values = p.constraint_values(x)
+    cols = []
+    for i, g in enumerate(p.constraint_gradients(x)):
+        g = np.asarray(g, dtype=float)
+        if i < p.m1:
+            cols += [g, -g]
+        elif abs(values[i]) <= 1e-9:
+            cols.append(g)
+    cols += normal_generators(p, x)
+    A = np.array([s * c for c in cols]).T if cols else np.zeros((p.dim, 0))
+    return A, -s * np.asarray(p.objective.gradient(x), dtype=float)
+
+
+def distance_to_stationarity(p, x, mu):
+    """||-f'(x) - g'(x)^T mu - N_C(x)||_w at a fixed mu (None without
+    constraints), by brute force."""
+    s = np.sqrt(p.weights)
+    lam = -np.asarray(p.objective.gradient(x), dtype=float)
+    for mu_i, g in zip(() if mu is None else mu, p.constraint_gradients(x)):
+        lam = lam - mu_i * np.asarray(g, dtype=float)
+    gens = normal_generators(p, x)
+    A = np.array([s * g for g in gens]).T if gens else np.zeros((p.dim, 0))
+    return brute_force_nnls(A, s * lam)
 
 
 class TestLagrangian:

@@ -12,20 +12,13 @@ from kkt2.examples import DELTA, build_example2, point_r, run_example2_certifica
 from kkt2.kkt import multiplier_set
 from kkt2.linalg import conic_distance
 
-from helpers import nnls_distance, random_ray_cone
+from helpers import random_ray_cone
 
 
-# Twelve small cones (ids 0-11: R^3 and R^4, 6-10 rays) checked against the
-# LP kernel, and 62 wider ones (ids w<seed>: R^3..R^5, 6-12 rays) checked
-# against scipy's NNLS.
-RAY_CONES = [pytest.param(k, 2, 5, "lp", id=str(k)) for k in range(12)] + [
-    pytest.param(seed, 3, 7, "nnls", id=f"w{seed}") for seed in (*range(0, 300, 5), 104, 209)]
-
-
-def _cone_distance(reference, G, h):
-    """Distance from h to cone(G): sup-norm by the LP kernel, or Euclidean
-    by NNLS."""
-    return conic_distance(list(G), h) if reference == "lp" else nnls_distance(G, h)
+# Twelve small cones (ids 0-11: R^3 and R^4, 6-10 rays) and 62 wider ones
+# (ids w<seed>: R^3..R^5, 6-12 rays), checked against ``conic_distance``.
+RAY_CONES = [pytest.param(k, 2, 5, id=str(k)) for k in range(12)] + [
+    pytest.param(seed, 3, 7, id=f"w{seed}") for seed in (*range(0, 300, 5), 104, 209)]
 
 
 class TestExample2Sections:
@@ -45,7 +38,7 @@ class TestExample2Sections:
             u = g / np.linalg.norm(g)
             assert min(float(np.max(np.abs(u - e))) for e in unit) <= 1e-12
         for e in expected:
-            assert conic_distance(list(gens), e) <= 1e-9 * (1.0 + float(np.max(np.abs(e))))
+            assert conic_distance(gens, e) <= 1e-9 * (1.0 + float(np.max(np.abs(e))))
 
     @pytest.mark.parametrize("trunc", [2, 8, 32])
     def test_critical_cone_is_the_limit_ray(self, trunc):
@@ -70,18 +63,17 @@ class TestExample2Sections:
 
 
 class TestRandomSections:
-    @pytest.mark.parametrize("seed, dims, counts, reference", RAY_CONES)
-    def test_generators_meet_rows_and_lie_in_the_ray_cone(self, seed, dims, counts, reference):
+    @pytest.mark.parametrize("seed, dims, counts", RAY_CONES)
+    def test_generators_meet_rows_and_lie_in_the_ray_cone(self, seed, dims, counts):
         cone = random_ray_cone(seed, dims, counts)
         for g in cone.generators:
             scale = 1e-9 * (1.0 + float(np.max(np.abs(g))))
             for r in cone.ineq_rows:
                 assert float(r @ g) <= scale * (1.0 + float(np.max(np.abs(r))))
-            assert _cone_distance(reference, cone.base_rays, g) <= scale
+            assert conic_distance(cone.base_rays, g) <= scale
 
-    @pytest.mark.parametrize("seed, dims, counts, reference", RAY_CONES)
-    def test_rejection_sampled_members_lie_in_the_generated_cone(self, seed, dims, counts,
-                                                                  reference):
+    @pytest.mark.parametrize("seed, dims, counts", RAY_CONES)
+    def test_rejection_sampled_members_lie_in_the_generated_cone(self, seed, dims, counts):
         """Rejection sampling as a differential check: exponential
         combinations of the rays, kept when the cone's membership test and
         the rows accept them."""
@@ -95,7 +87,7 @@ class TestRandomSections:
         if not len(cone.generators):
             assert not accepted
         for h in accepted:
-            assert _cone_distance(reference, cone.generators, h) <= 1e-7
+            assert conic_distance(cone.generators, h) <= 1e-7
 
     @pytest.mark.parametrize("seed", [104, 209])
     def test_sections_a_per_row_step_could_not_build(self, seed):
