@@ -34,7 +34,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
 from .linalg import cone_facets, cone_is_trivial, conic_distance
-from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
+from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries
 
 if TYPE_CHECKING:
     from .kkt import MultiplierSet
@@ -340,7 +340,7 @@ class CriticalCone:
 
 
 def _annihilator_rows(
-    mset: "MultiplierSet", grads, krows: KTangentRows, tol: Tolerances
+    mset: "MultiplierSet", krows: KTangentRows, tol: Tolerances
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Equality and inequality rows of a box's critical cone (eta = 0) as the
     annihilator section of one multiplier (mu, lambda): at a KKT point every
@@ -356,7 +356,7 @@ def _annihilator_rows(
     count as zero, as in the strict CQ.
     """
     mu = np.mean(np.asarray(mset.vertices, dtype=float), axis=0)
-    lam = mset.lam_of(mu)
+    lam, grads = mset.lam_of(mu), mset.g_grads
     lam_zero = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
     tight = [i for i in krows.leq if mu[i] > tol.residual]
     eq_rows = [np.where(np.abs(lam) <= lam_zero, 0.0, lam)]
@@ -366,53 +366,39 @@ def _annihilator_rows(
 
 def critical_cone(
     p: ProblemSpec,
-    x,
+    mset: "MultiplierSet",
     eta: float = 0.0,
     constraint_rows: bool = True,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    mset: Optional["MultiplierSet"] = None,
 ) -> CriticalCone:
-    """Critical cone (eta = 0) or extended critical cone (eta > 0) at x.
+    """Critical cone (eta = 0) or extended critical cone (eta > 0) at the
+    point of ``mset``, read with its active sets, f'(x) and g'(x).
 
     ``constraint_rows=False`` drops the g'(x)-cuts and keeps only the
     tangent cone intersected with the objective cut.  With eta = 0 the
     objective cut enters as f'(x).h <= 0; it is absorbed into the sign
     pattern whenever its terms are single-signed on the tangent cone.
 
-    ``mset``, the multiplier set at x, supplies the active sets, so
-    feasibility is not checked again.  On a box at eta = 0 with constraint
-    rows, a nonempty bounded ``mset`` also gives the rows of the annihilator
-    section (``_annihilator_rows``): the same cone, with its implicit
-    equalities explicit.  Box rows are zero on the =0 coordinates, so one
-    projection onto the equality rows keeps those coordinates at zero.
+    On a box at eta = 0 with constraint rows, a nonempty bounded multiplier
+    set gives the rows of the annihilator section (``_annihilator_rows``):
+    the same cone, with its implicit equalities explicit.  Box rows are zero
+    on the =0 coordinates, so one projection onto the equality rows keeps
+    those coordinates at zero.
     """
 
     if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
         raise UsageError("eta must be nonnegative")
-    v = as_entries(x, p.dim)
-    if mset is None:
-        feas = check_feasible(p, v, tol)
-        if not feas.feasible:
-            raise InfeasiblePoint("critical cone requested at an infeasible point")
-        info = feas.info
-    elif np.array_equal(mset.x, v):
-        info = mset.info
-    else:
-        raise UsageError("the multiplier set belongs to another point")
-    assert info is not None
-    fgrad = np.asarray(p.objective.gradient(v), dtype=float)
+    v, fgrad, grads = mset.x, mset.f_grad, mset.g_grads
     is_box = isinstance(p.abstract_set, BoxSet)
-    annihilator = (constraint_rows and is_box and eta == 0.0 and mset is not None
-                   and mset.bounded and bool(mset.vertices))
+    annihilator = (constraint_rows and is_box and eta == 0.0 and mset.bounded
+                   and bool(mset.vertices))
 
     eq_rows: list[np.ndarray] = []
     ineq_rows: list[np.ndarray] = []
     if annihilator:
-        eq_rows, ineq_rows = _annihilator_rows(
-            mset, p.constraint_gradients(v), tangent_cone_K(p, info), tol)
+        eq_rows, ineq_rows = _annihilator_rows(mset, tangent_cone_K(p, mset.info), tol)
     elif constraint_rows:
-        grads = p.constraint_gradients(v)
-        krows = tangent_cone_K(p, info)
+        krows = tangent_cone_K(p, mset.info)
         eq_rows += [grads[i] for i in krows.eq]
         ineq_rows += [grads[i] for i in krows.leq]
     # eta = 0: the objective cut is a row like the others, implied by the
@@ -454,7 +440,6 @@ class DensityReport:
 
 def radial_density_gap(
     descriptor: Union[BoxSet, Sequence[GeneratedConeSet]],
-    x,
     rows: Sequence[tuple[np.ndarray, str]],
     h=None,
     tol: Tolerances = DEFAULT_TOLERANCES,

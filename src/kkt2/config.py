@@ -16,10 +16,7 @@ DEFAULT_SEED = 1729
 class Tolerances:
     feasibility: float = 1e-9        # LP / polytope row satisfaction
     vertex_dedup: float = 1e-8       # vertex enumeration duplicate merge
-    symmetry_rel: float = 1e-12      # bilinear form symmetry (relative)
-    bilinearity_rel: float = 1e-10   # bilinear form linearity (relative)
     activity: float = 1e-8           # constraint / bound activity
-    membership: float = 1e-9         # cone membership
     residual: float = 1e-9           # stationarity residual
     violation: float = 1e-7          # second-order violation, on unit directions
     alpha_slack: float = 1e-6        # coercivity slack in the sufficient check

@@ -80,10 +80,10 @@ class CurvatureOracle:
         return grad
 
 
-def curvature_oracle(p: ProblemSpec, x, mset: MultiplierSet) -> CurvatureOracle:
-    v = as_entries(x, p.dim)
-    f_form = p.objective.hessian(v)
-    g_forms = tuple(c.hessian(v) for c in p.constraints)
+def curvature_oracle(p: ProblemSpec, mset: MultiplierSet) -> CurvatureOracle:
+    """The Hessians at the point of ``mset``, with its multiplier vertices."""
+    f_form = p.objective.hessian(mset.x)
+    g_forms = tuple(c.hessian(mset.x) for c in p.constraints)
     return CurvatureOracle(p.weights, f_form, g_forms, mset)
 
 
@@ -301,7 +301,6 @@ def _search_min(
 
 def check_snc(
     p: ProblemSpec,
-    x,
     mset: MultiplierSet,
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
@@ -313,10 +312,9 @@ def check_snc(
     A violation witness is exact; the 'holds' verdict is the sampled minimum
     over the battery (heuristic certificate)."""
 
-    v = as_entries(x, p.dim)
-    oracle = curvature_oracle(p, v, mset)
+    oracle = curvature_oracle(p, mset)
     if cone is None:
-        cone = critical_cone(p, v, 0.0, tol=tol, mset=mset)
+        cone = critical_cone(p, mset, 0.0, tol=tol)
 
     found = _search_min(oracle, cone, budget)
     section = _section_size(cone)
@@ -336,9 +334,8 @@ def check_snc(
 
 def check_snc_fixed_multiplier(
     p: ProblemSpec,
-    x,
-    mu,
     mset: MultiplierSet,
+    mu,
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -348,14 +345,13 @@ def check_snc_fixed_multiplier(
     negative curvature on the critical cone even when the maximized form is
     coercive."""
 
-    v = as_entries(x, p.dim)
     mu = np.asarray(mu, dtype=float)
     if not mset.contains_mu(mu, tol):
         raise UsageError("mu is not in the multiplier set")
-    validate_multipliers(p, v, mset.multipliers(mu), tol, mset=mset)
-    oracle = curvature_oracle(p, v, mset)
+    validate_multipliers(p, mset, mset.multipliers(mu), tol)
+    oracle = curvature_oracle(p, mset)
     if cone is None:
-        cone = critical_cone(p, v, 0.0, tol=tol, mset=mset)
+        cone = critical_cone(p, mset, 0.0, tol=tol)
 
     found = _search_min(oracle, cone, budget, mu)
     if found.sampled_min < -tol.violation:
@@ -372,7 +368,6 @@ def check_snc_fixed_multiplier(
 
 def check_ssc(
     p: ProblemSpec,
-    x,
     mset: MultiplierSet,
     eta: float,
     alpha_target: float,
@@ -387,13 +382,11 @@ def check_ssc(
 
     if eta <= 0:
         raise UsageError("the extended critical cone needs eta > 0")
-    v = as_entries(x, p.dim)
-    oracle = curvature_oracle(p, v, mset)
-    cone_eta = critical_cone(p, v, eta, tol=tol, mset=mset)
+    oracle = curvature_oracle(p, mset)
+    cone_eta = critical_cone(p, mset, eta, tol=tol)
     found = _search_min(oracle, cone_eta, budget)
     alpha_est = found.sampled_min
-    min_zero = _search_min(oracle, critical_cone(p, v, 0.0, tol=tol, mset=mset),
-                           budget).sampled_min
+    min_zero = _search_min(oracle, critical_cone(p, mset, 0.0, tol=tol), budget).sampled_min
     consistent = (min_zero > 0) == (alpha_est > 0)
 
     section = _section_size(cone_eta)

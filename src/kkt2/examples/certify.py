@@ -69,13 +69,19 @@ def _fixed_multiplier_gap(ctx: RunContext, cone) -> CheckRecord:
     condition on its own: each of 11 sampled ones has a violating direction."""
     gaps = []
     for mu in np.linspace(0.0, 1.0, 11):
-        verdict = check_snc_fixed_multiplier(ctx.problem, ctx.point, np.array([mu]),
-                                             ctx.multipliers, cone=cone, budget=ctx.budget,
-                                             tol=ctx.tol)
+        verdict = check_snc_fixed_multiplier(ctx.problem, ctx.multipliers, np.array([mu]),
+                                             cone=cone, budget=ctx.budget, tol=ctx.tol)
         gaps.append({"mu": float(mu), "violated": verdict.kind == "snc_violated",
                      "witness": second_order_witness_dict(verdict)})
     return CheckRecord("fixed_multiplier_gap", "pass" if all(g["violated"] for g in gaps)
                        else "fail", {"n_multipliers_sampled": len(gaps)}, {"per_multiplier": gaps})
+
+
+def _display_cone_checks(ctx: RunContext, ex: Example1Problem) -> list[CheckRecord]:
+    """snc_sup and the fixed-multiplier gap on one display cone, built from
+    the run's multiplier set: the direction battery is cached on it."""
+    cone = ex.display_critical_cone(ctx.multipliers, ctx.tol)
+    return [snc_sup(ctx, cone), _fixed_multiplier_gap(ctx, cone)]
 
 
 def _multiplier_uniqueness(ctx: RunContext) -> CheckRecord:
@@ -114,11 +120,9 @@ def run_example1_certification(
 
     started = time.perf_counter()
     ex = build_example1(grid)
-    # one cone object for every search: the direction battery is cached on it
-    cone = ex.display_critical_cone(DEFAULT_TOLERANCES)
     stages = [feasibility, derivative_validation, rzkcq, weaker_cq, stationarity,
-              _multiplier_interval, lambda c: ssc(c, 0.1, 1.0), lambda c: snc_sup(c, cone),
-              lambda c: _fixed_multiplier_gap(c, cone)]
+              _multiplier_interval, lambda c: ssc(c, 0.1, 1.0),
+              lambda c: _display_cone_checks(c, ex)]
     return ex, _chain(ex, f"example1(grid={grid})", f"example1:{grid}", budget, started, stages,
                       EXAMPLE1_EXPECTATIONS)
 

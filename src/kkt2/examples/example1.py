@@ -22,6 +22,7 @@ import numpy as np
 from ..config import DEFAULT_TOLERANCES, Tolerances
 from ..cones import CriticalCone, critical_cone
 from ..errors import UsageError
+from ..kkt import MultiplierSet
 from ..linalg import BilinearForm
 from ..model import BoxSet, ProblemSpec, SmoothFunction
 
@@ -51,11 +52,14 @@ class Example1Problem:
         """-chi_(3/4,1): the second canonical critical direction."""
         return np.where(self.mask_upper_tail, -1.0, 0.0)
 
-    def display_critical_cone(self, tol: Tolerances = DEFAULT_TOLERANCES) -> CriticalCone:
-        """The tangent cone cut by the objective only (no constraint rows);
-        the objective cut absorbs into the sign pattern, leaving
-        >=0 on (0,1/3), free on (1/3,2/3), =0 on (2/3,3/4), <=0 on (3/4,1)."""
-        return critical_cone(self.problem, self.xbar, 0.0, constraint_rows=False, tol=tol)
+    def display_critical_cone(
+        self, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
+    ) -> CriticalCone:
+        """The tangent cone at xbar, whose multiplier set is ``mset``, cut by
+        the objective only (no constraint rows); the objective cut absorbs
+        into the sign pattern, leaving >=0 on (0,1/3), free on (1/3,2/3), =0
+        on (2/3,3/4), <=0 on (3/4,1)."""
+        return critical_cone(self.problem, mset, 0.0, constraint_rows=False, tol=tol)
 
 
 def _grid_forms(n: int):

@@ -1,5 +1,9 @@
 """First-order certification: multiplier polytope and constraint qualifications.
 
+``multiplier_set`` is a run's one point object: the point, its active sets,
+f'(x) and g'(x), and the multiplier polytope.  Every check from here to the
+second-order conditions takes it in place of x.
+
 The multiplier set is parameterized by mu alone (lambda is eliminated
 through stationarity, lambda(mu) = -f'(x) - sum_i mu_i g_i'(x)), which makes
 it an H-polytope in R^m, whose emptiness, boundedness and vertices come from
@@ -19,6 +23,7 @@ and the normal cone's generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,20 +71,47 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """The multiplier polytope at x, over mu, with lambda eliminated."""
+    """The point x with what every check reads at it: the active sets
+    (``info``), f'(x), the m x n Jacobian g'(x), and the multiplier polytope
+    Lambda(x) over mu, with lambda eliminated.
+
+    ``empty``, ``bounded`` and ``vertices`` come from one double description
+    of the polytope, run on first read, so a run that reads only the point
+    data never starts it."""
 
     x: np.ndarray
+    info: ActiveSetInfo
     f_grad: np.ndarray
     g_grads: np.ndarray  # m x n
     polytope: PolytopeH
-    empty: bool
-    bounded: bool
-    vertices: tuple[np.ndarray, ...]
-    info: ActiveSetInfo
+    tol: Tolerances = DEFAULT_TOLERANCES
 
     @property
     def m(self) -> int:
         return self.g_grads.shape[0]
+
+    @cached_property
+    def _enumeration(self) -> tuple[bool, bool, tuple[np.ndarray, ...]]:
+        """(empty, bounded, vertices).  An empty polytope reads as unbounded,
+        except without constraints, where mu has no entries and the set is
+        {()} or empty."""
+        try:
+            vertices = tuple(enumerate_vertices(self.polytope, self.tol))
+        except UnboundedPolytope:
+            return False, False, ()
+        return not vertices, bool(vertices) or self.m == 0, vertices
+
+    @cached_property
+    def empty(self) -> bool:
+        return self._enumeration[0]
+
+    @cached_property
+    def bounded(self) -> bool:
+        return self._enumeration[1]
+
+    @cached_property
+    def vertices(self) -> tuple[np.ndarray, ...]:
+        return self._enumeration[2]
 
     def lam_of(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
@@ -109,11 +141,6 @@ def _mu_sign_rows(p: ProblemSpec, info: ActiveSetInfo) -> tuple[list[Row], list[
             e[i] = -1.0
             ineq.append((e, 0.0))
     return eq, ineq
-
-
-def _jacobian(p: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """The m x n matrix of constraint gradients at x."""
-    return np.array(p.constraint_gradients(x), dtype=float).reshape(p.n_constraints, p.dim)
 
 
 def _abstract_cone(
@@ -158,8 +185,9 @@ def _polar_rows(
 def multiplier_set(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> MultiplierSet:
-    """Construct Lambda(x) as an H-polytope over mu, with its vertices when
-    it is bounded."""
+    """The point data at x and Lambda(x) as an H-polytope over mu; raises at
+    an infeasible point.  No other check function tests feasibility or takes
+    first derivatives at x: each reads them off this object."""
 
     v = as_entries(x, p.dim)
     feas = check_feasible(p, v, tol)
@@ -170,15 +198,14 @@ def multiplier_set(
 
     f_grad = np.asarray(p.objective.gradient(v), dtype=float)
     m = p.n_constraints
-    G = _jacobian(p, v)
+    G = np.array(p.constraint_gradients(v), dtype=float).reshape(m, p.dim)
 
     if m == 0:
-        lam = -f_grad
-        ok = _lambda_in_normal_cone(p, v, lam, tol)
-        poly = PolytopeH(0)
-        verts = (np.zeros(0),) if ok else ()
-        return MultiplierSet(v, f_grad, G, poly, empty=not ok, bounded=True,
-                             vertices=verts, info=info)
+        # Lambda(x) is {()} when lambda = -f'(x) lies in the normal cone,
+        # else empty: the row 0 <= -1
+        ok = _lambda_in_normal_cone(p, v, -f_grad, tol)
+        return MultiplierSet(v, info, f_grad, G,
+                             PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)), tol)
 
     # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
     # tangent cone: one row per generator, in the generator coordinates
@@ -187,14 +214,7 @@ def multiplier_set(
     pat_eq, pat_ineq = _polar_rows(pattern, -GF[:m], GF[m])
     sign_eq, sign_ineq = _mu_sign_rows(p, info)
     poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
-
-    try:
-        vertices = tuple(enumerate_vertices(poly, tol))
-    except UnboundedPolytope:
-        return MultiplierSet(v, f_grad, G, poly, empty=False, bounded=False, vertices=(),
-                             info=info)
-    return MultiplierSet(v, f_grad, G, poly, empty=not vertices, bounded=bool(vertices),
-                         vertices=vertices, info=info)
+    return MultiplierSet(v, info, f_grad, G, poly, tol)
 
 
 def _lambda_in_normal_cone(
@@ -210,56 +230,26 @@ def _lambda_in_normal_cone(
     )
 
 
-def _point_data(
-    p: ProblemSpec, v: np.ndarray, tol: Tolerances, mset: Optional[MultiplierSet]
-) -> tuple[ActiveSetInfo, np.ndarray, np.ndarray]:
-    """The active sets, f'(x) and the Jacobian at v: read off ``mset``, the
-    multiplier set at v, when given (a set built at another point is a
-    ``UsageError``), else computed, raising at an infeasible point."""
-    if mset is not None:
-        if not np.array_equal(mset.x, v):
-            raise UsageError("the multiplier set belongs to another point")
-        return mset.info, mset.f_grad, mset.g_grads
-    feas = check_feasible(p, v, tol)
-    if not feas.feasible or feas.info is None:
-        raise InfeasiblePoint("multipliers validated at an infeasible point")
-    return feas.info, np.asarray(p.objective.gradient(v), dtype=float), _jacobian(p, v)
-
-
 def validate_multipliers(
-    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES,
-    mset: Optional[MultiplierSet] = None,
+    p: ProblemSpec, mset: MultiplierSet, mult: Multipliers,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """Stationarity residual of (lambda, mu); raises on sign violations.
+    """Stationarity residual of (lambda, mu) at the point of ``mset``, read
+    with its active sets, f'(x) and Jacobian; raises on sign violations."""
 
-    ``mset``, the multiplier set at x, supplies the active sets, f'(x) and
-    the Jacobian, so feasibility is not checked again; every test on
-    (lambda, mu) still runs."""
-
-    v = as_entries(x, p.dim)
-    info, f_grad, G = _point_data(p, v, tol, mset)
-    resid_vec = f_grad + mult.lam + (G.T @ mult.mu if p.n_constraints else 0.0)
+    resid_vec = mset.f_grad + mult.lam + (mset.g_grads.T @ mult.mu if mset.m else 0.0)
     residual = weighted_norm(p.weights, resid_vec)
-    if residual > tol.residual * (1.0 + weighted_norm(p.weights, f_grad)):
+    if residual > tol.residual * (1.0 + weighted_norm(p.weights, mset.f_grad)):
         raise UsageError(f"stationarity residual {residual:.3e} too large")
-    for i in info.inactive:
+    for i in mset.info.inactive:
         if abs(mult.mu[i]) > tol.residual:
             raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
-    for i in info.active:
+    for i in mset.info.active:
         if i >= p.m1 and mult.mu[i] < -tol.residual:
             raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
-    if not _lambda_in_normal_cone(p, v, mult.lam, tol):
+    if not _lambda_in_normal_cone(p, mset.x, mult.lam, tol):
         raise UsageError("lambda violates the normal-cone pattern")
     return residual
-
-
-def lagrangian_value(p: ProblemSpec, x, mult: Multipliers) -> float:
-    """f(x) + <lambda, x>_w + sum_i mu_i g_i(x)."""
-    v = as_entries(x, p.dim)
-    base = p.objective.value(v) + p.inner(mult.lam, v)
-    if p.n_constraints:
-        base += float(mult.mu @ p.constraint_values(v))
-    return float(base)
 
 
 # --------------------------------------------------------------------------
@@ -300,39 +290,36 @@ def _polar_generators(
 
 
 def _surjectivity_cq(
-    p: ProblemSpec, x, hull_rays, name: str, tol: Tolerances
+    p: ProblemSpec, mset: MultiplierSet, hull_rays, name: str, tol: Tolerances
 ) -> CQVerdict:
-    """g'(x)[C-cone] - T_K(g(x)) = R^m, with the C-cone generated by the
-    tangent pattern of a box or by ``hull_rays(set)`` of a hull."""
-    v = as_entries(x, p.dim)
-    feas = check_feasible(p, v, tol)
-    if not feas.feasible or feas.info is None:
-        raise InfeasiblePoint("CQ check at an infeasible point")
-    k_pattern = tangent_cone_K(p, feas.info).pattern(p.n_constraints)
-    c_pattern, M = _abstract_cone(p, v, _jacobian(p, v), hull_rays, tol)
+    """g'(x)[C-cone] - T_K(g(x)) = R^m at the point of ``mset``, with the
+    C-cone generated by the tangent pattern of a box or by
+    ``hull_rays(set)`` of a hull."""
+    k_pattern = tangent_cone_K(p, mset.info).pattern(p.n_constraints)
+    c_pattern, M = _abstract_cone(p, mset.x, mset.g_grads, hull_rays, tol)
     gens = _polar_generators(*_difference_map(c_pattern, M, k_pattern), tol)
     return CQVerdict(name, not len(gens), witness=gens[0] if len(gens) else None)
 
 
 def check_rzkcq(
-    p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
+    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CQVerdict:
     """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe."""
-    return _surjectivity_cq(p, x, lambda s: s.rays + s.deep_rays, "rzkcq", tol)
+    return _surjectivity_cq(p, mset, lambda s: s.rays + s.deep_rays, "rzkcq", tol)
 
 
 def check_weaker_cq(
-    p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
+    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CQVerdict:
     """Tangent-cone variant g'(x) T_C(x) - T_K(g(x)) = R^m; for boxes the
     radial and tangent cones share the sign pattern, so the verdict always
     matches check_rzkcq there."""
-    return _surjectivity_cq(p, x, lambda s: s.normal_row_rays(), "weaker", tol)
+    return _surjectivity_cq(p, mset, lambda s: s.normal_row_rays(), "weaker", tol)
 
 
 def check_strict_cq(
-    p: ProblemSpec, x, mult: Multipliers, tol: Tolerances = DEFAULT_TOLERANCES,
-    mset: Optional[MultiplierSet] = None,
+    p: ProblemSpec, mset: MultiplierSet, mult: Multipliers,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CQVerdict:
     """Strict qualification: g'(x)[T_C(x) ∩ lambda-annihilator] minus
     [T_K(g(x)) ∩ mu-annihilator] must be all of R^m.
@@ -344,21 +331,15 @@ def check_strict_cq(
     reachability; for m = 1 that is one of {0}, (-inf,0], [0,inf), R.  The
     achieved cone is the polar of the polar cone, so +e_i is reached iff
     every polar generator has a nonpositive entry i.
-
-    ``mset``, the multiplier set at x, supplies the point data as in
-    ``validate_multipliers``, so a loop over its vertices checks feasibility
-    and differentiates at x only when the set is built; every validation
-    test still runs for each multiplier.
     """
 
-    v = as_entries(x, p.dim)
-    info, _, G = _point_data(p, v, tol, mset)
-    validate_multipliers(p, v, mult, tol, mset=mset)
+    v, G = mset.x, mset.g_grads
+    validate_multipliers(p, mset, mult, tol)
     lam_zero = tol.residual * (1.0 + float(np.max(np.abs(mult.lam), initial=0.0)))
     mult = Multipliers(np.where(np.abs(mult.lam) <= lam_zero, 0.0, mult.lam),
                        np.where(np.abs(mult.mu) <= tol.residual, 0.0, mult.mu))
     m = p.n_constraints
-    k_base = tangent_cone_K(p, info).pattern(m)
+    k_base = tangent_cone_K(p, mset.info).pattern(m)
     k_section, eq_left, _ = absorb_rows(k_base, [mult.mu], [], np.ones(m))
     if eq_left:
         raise UsageError("mu-annihilator section did not absorb; invalid multipliers")
@@ -401,7 +382,6 @@ def check_strict_cq(
 @dataclass(frozen=True)
 class FOCResult:
     stationary: bool
-    multipliers: Optional[MultiplierSet]
     residual: float
     best_mu: Optional[np.ndarray] = None
 
@@ -420,7 +400,7 @@ def _normal_cone_generators(p: ProblemSpec, x: np.ndarray, tol: Tolerances) -> n
 
 
 def foc_residual(
-    p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
+    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> FOCResult:
     """Stationary iff the multiplier set is nonempty; otherwise reports the
     distance to stationarity, min over admissible mu of
@@ -431,18 +411,17 @@ def foc_residual(
     +-g_i'(x) for the equalities and the normal cone's generators, and its
     right-hand side is -f'(x)."""
 
-    v = as_entries(x, p.dim)
-    mset = multiplier_set(p, v, tol)
     if not mset.empty:
-        return FOCResult(True, mset, 0.0)
+        return FOCResult(True, 0.0)
 
     m, G = p.n_constraints, mset.g_grads
     eq = np.arange(p.m1)
     ineq = np.array([i for i in mset.info.active if i >= p.m1], dtype=int)
     s = np.sqrt(p.weights)
-    A = s[:, None] * np.vstack([G[eq], -G[eq], G[ineq], _normal_cone_generators(p, v, tol)]).T
+    A = s[:, None] * np.vstack([G[eq], -G[eq], G[ineq],
+                                _normal_cone_generators(p, mset.x, tol)]).T
     c, residual = nnls(A, -s * mset.f_grad)
     mu = np.zeros(m)
     mu[eq] = c[: p.m1] - c[p.m1 : 2 * p.m1]
     mu[ineq] = c[2 * p.m1 : 2 * p.m1 + len(ineq)]
-    return FOCResult(False, None, residual, best_mu=mu if m else None)
+    return FOCResult(False, residual, best_mu=mu if m else None)

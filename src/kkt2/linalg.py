@@ -1,4 +1,4 @@
-"""Weighted vectors, bilinear forms, a dense LP kernel, polyhedral cones and
+"""Weighted norms, bilinear forms, a dense LP kernel, polyhedral cones and
 nonnegative least squares.
 
 Everything here is sized for desk-scale certification work: multiplier
@@ -50,47 +50,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class WeightedVector:
-    """Point or direction in R^n with a diagonal positive weight.
-
-    The weights define the inner product <a, b> = sum_i w_i a_i b_i; with
-    all-ones weights this is plain R^n, with quadrature weights it is a
-    discretized function space.
-    """
-
-    entries: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        entries = _frozen(_as_array(self.entries))
-        weights = _frozen(_as_array(self.weights, entries.shape[0]))
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise DimensionMismatch("weights must be strictly positive and finite")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def plain(cls, entries) -> "WeightedVector":
-        e = _as_array(entries)
-        return cls(e, np.ones_like(e))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def inner(self, other: "WeightedVector") -> float:
-        if other.dim != self.dim:
-            raise DimensionMismatch("inner product dimension mismatch")
-        return float(np.sum(self.weights * self.entries * other.entries))
-
-    def norm2(self) -> float:
-        return float(np.sum(self.weights * self.entries**2))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm2()))
 
 
 def weighted_norm(weights: np.ndarray, a: np.ndarray) -> float:
@@ -670,11 +629,8 @@ def nnls(A, b) -> tuple[np.ndarray, float]:
     return c, residual
 
 
-def conic_distance(
-    rays: Sequence[np.ndarray], h: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Euclidean distance from h to the conic hull of the rays (``nnls``);
-    ``tol`` is not used: the NNLS check sets its own scale."""
+def conic_distance(rays: Sequence[np.ndarray], h: np.ndarray) -> float:
+    """Euclidean distance from h to the conic hull of the rays (``nnls``)."""
 
     h = _as_array(h)
     if not len(rays):

@@ -20,14 +20,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, NonFiniteValue
-from .linalg import BilinearForm, WeightedVector, cone_facets, matrix_form, weighted_norm
+from .linalg import BilinearForm, cone_facets, matrix_form, weighted_norm
 
 
 def as_entries(x, dim: Optional[int] = None) -> np.ndarray:
-    if isinstance(x, WeightedVector):
-        arr = np.asarray(x.entries, dtype=float)
-    else:
-        arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or (dim is not None and arr.shape[0] != dim):
         raise DimensionMismatch(f"expected vector of dimension {dim}, got shape {arr.shape}")
     return arr
@@ -215,9 +212,6 @@ class ProblemSpec:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    def vector(self, entries) -> WeightedVector:
-        return WeightedVector(as_entries(entries, self.dim), self.weights)
-
     def norm(self, h) -> float:
         return weighted_norm(self.weights, as_entries(h, self.dim))
 
@@ -337,7 +331,11 @@ def validate_derivatives(
     coords = list(range(p.dim)) if p.dim <= 32 else sorted(
         rng.choice(p.dim, size=32, replace=False).tolist()
     )
-    probe_dirs = [np.eye(p.dim)[i] for i in coords[: min(len(coords), directions)]]
+    probe_dirs = []
+    for i in coords[:directions]:
+        e = np.zeros(p.dim)
+        e[i] = 1.0
+        probe_dirs.append(e)
     for _ in range(max(0, directions - len(probe_dirs))):
         d = rng.standard_normal(p.dim)
         probe_dirs.append(d / weighted_norm(p.weights, d))

@@ -74,9 +74,6 @@ class CertificationReport:
     schema: int = SCHEMA_VERSION
     version: str = TOOL_VERSION
 
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
     @property
     def any_violation(self) -> bool:
         return any(c.verdict in FAILING_VERDICTS for c in self.checks)
@@ -160,8 +157,7 @@ def replay(problem: ProblemSpec, report: CertificationReport, tol: float = 1e-9)
     """
 
     x = as_entries(np.asarray(report.point, dtype=float), problem.dim)
-    mset = multiplier_set(problem, x)
-    oracle = curvature_oracle(problem, x, mset)
+    oracle = curvature_oracle(problem, multiplier_set(problem, x))
     out: list[tuple[str, bool, float]] = []
     for record in report.checks:
         w = record.witness

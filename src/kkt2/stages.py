@@ -24,8 +24,12 @@ from .report import CertificationReport, CheckRecord, second_order_witness_dict
 
 @dataclass
 class RunContext:
-    """One run.  Feasibility and the multiplier polytope are computed once; after
-    the stationarity stage the polytope is the one ``foc_residual`` built."""
+    """One run at one point.  ``feasibility`` is the feasibility stage's own
+    record; ``multipliers`` is the run's point object (``kkt.multiplier_set``:
+    the point, its active sets, f'(x), g'(x) and the multiplier polytope),
+    built on first use and read by every later stage.  So a run checks
+    feasibility at most twice, and a run whose stages read neither (growth,
+    derivative validation) builds no multiplier set."""
 
     problem: ProblemSpec
     point: np.ndarray
@@ -103,19 +107,17 @@ def growth_consistency(ctx: RunContext, alpha: float, eps: float, n_samples: int
 
 
 def rzkcq(ctx: RunContext) -> CheckRecord:
-    v = check_rzkcq(ctx.problem, ctx.point, ctx.tol)
+    v = check_rzkcq(ctx.problem, ctx.multipliers, ctx.tol)
     return CheckRecord("rzkcq", _holds(v.holds), {}, _vector("witness", v.witness))
 
 
 def weaker_cq(ctx: RunContext) -> CheckRecord:
-    v = check_weaker_cq(ctx.problem, ctx.point, ctx.tol)
+    v = check_weaker_cq(ctx.problem, ctx.multipliers, ctx.tol)
     return CheckRecord("weaker_cq", _holds(v.holds), {}, _vector("witness", v.witness))
 
 
 def stationarity(ctx: RunContext) -> CheckRecord:
-    ctx.foc = foc = foc_residual(ctx.problem, ctx.point, ctx.tol)
-    if foc.multipliers is not None:
-        ctx.multipliers = foc.multipliers
+    ctx.foc = foc = foc_residual(ctx.problem, ctx.multipliers, ctx.tol)
     return CheckRecord("stationarity", "holds" if foc.stationary else "not_stationary",
                        {"residual": foc.residual}, _vector("best_mu", foc.best_mu))
 
@@ -146,8 +148,7 @@ def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
         return [CheckRecord("strict_cq", "fail", {"reason": reason})]
     records = []
     for k, vert in enumerate(mset.vertices if per_vertex else mset.vertices[:1]):
-        v = check_strict_cq(ctx.problem, ctx.point, mset.multipliers(vert), ctx.tol,
-                            mset=mset)
+        v = check_strict_cq(ctx.problem, mset, mset.multipliers(vert), ctx.tol)
         records.append(CheckRecord(
             f"strict_cq[vertex {k}]" if per_vertex else "strict_cq", _holds(v.holds),
             {"mu": list(map(float, vert)), "achieved_cone": v.achieved_cone or ""},
@@ -175,7 +176,7 @@ def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     """Sup-form necessary condition over the critical cone (or ``cone``)."""
     if ctx.multipliers.empty:
         return CheckRecord("snc_sup", "fail", {"reason": "empty multiplier set"})
-    v = check_snc(ctx.problem, ctx.point, ctx.multipliers, cone=cone, budget=ctx.budget,
+    v = check_snc(ctx.problem, ctx.multipliers, cone=cone, budget=ctx.budget,
                   tol=ctx.tol, hypotheses=_hypotheses(ctx))
     return CheckRecord("snc_sup", _holds(not v.violated),
                        {"sampled_min": v.sampled_min, "directions": v.directions_evaluated,
@@ -187,7 +188,7 @@ def ssc(ctx: RunContext, eta: float, alpha: float) -> CheckRecord:
     """Coercivity with constant ``alpha`` on the eta-extended critical cone."""
     if ctx.multipliers.empty:
         return CheckRecord("ssc", "fail", {"reason": "empty multiplier set"})
-    v = check_ssc(ctx.problem, ctx.point, ctx.multipliers, eta=eta, alpha_target=alpha,
+    v = check_ssc(ctx.problem, ctx.multipliers, eta=eta, alpha_target=alpha,
                   budget=ctx.budget, tol=ctx.tol, hypotheses=_hypotheses(ctx))
     return CheckRecord("ssc", _holds(not v.violated),
                        {"alpha_est": v.alpha_est, "directions": v.directions_evaluated,

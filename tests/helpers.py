@@ -1,6 +1,7 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and a brute-force NNLS reference."""
+multipliers, and two references: a brute-force NNLS and a box's critical
+cone by its cut description."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from kkt2.cones import CriticalCone
+from kkt2.cones import ZERO, CriticalCone, absorb_rows, tangent_cone_K, tangent_cone_box
 from kkt2.linalg import PolytopeH
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
@@ -175,3 +176,26 @@ def brute_force_nnls(A, b) -> float:
             if np.all(c >= -1e-12):
                 best = min(best, float(np.linalg.norm(cols @ c - b)))
     return best
+
+
+def plain_critical_cone(p: ProblemSpec, mset, eta: float = 0.0,
+                        constraint_rows: bool = True) -> CriticalCone:
+    """A box's critical cone at the point of ``mset`` by its cut
+    description: the tangent pattern cut by the active constraint rows (with
+    ``constraint_rows``) and the objective, as the row f'(x).h <= 0 at
+    eta = 0 or as the test f'(x).h <= eta ||h|| at eta > 0, with
+    single-signed rows absorbed (``absorb_rows``).  At eta = 0 with
+    constraint rows, ``critical_cone`` describes the same set by the
+    annihilator rows of one multiplier."""
+    krows = tangent_cone_K(p, mset.info)
+    G = mset.g_grads
+    eq = [G[i] for i in krows.eq] if constraint_rows else []
+    ineq = [G[i] for i in krows.leq] if constraint_rows else []
+    if eta == 0.0:
+        ineq.append(mset.f_grad)
+    pattern, eq_left, ineq_left = absorb_rows(tangent_cone_box(p.abstract_set, mset.x), eq,
+                                              ineq, p.weights)
+    zero = pattern.codes == ZERO
+    return CriticalCone(p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
+                        tuple(np.where(zero, 0.0, r) for r in ineq_left),
+                        mset.f_grad if eta > 0.0 else None, eta)

@@ -61,11 +61,10 @@ def test_criterion_2_fixed_multiplier_closed_forms(capsys):
     min(1 - 3 mu, -1 + 2 mu) within 1e-9."""
     ex = build_example1(120)
     mset = multiplier_set(ex.problem, ex.xbar)
-    cone = ex.display_critical_cone()
+    cone = ex.display_critical_cone(mset)
     worst = 0.0
     for mu in np.linspace(0.0, 1.0, 11):
-        verdict = check_snc_fixed_multiplier(
-            ex.problem, ex.xbar, np.array([mu]), mset, cone=cone)
+        verdict = check_snc_fixed_multiplier(ex.problem, mset, np.array([mu]), cone=cone)
         assert verdict.kind == "snc_violated", f"no violation found at mu={mu}"
         expected = min(1.0 - 3.0 * mu, -1.0 + 2.0 * mu)
         err = abs(verdict.witness_value - expected)
@@ -83,7 +82,7 @@ def test_criterion_3_ssc_sampled_minimum(capsys):
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         start = time.perf_counter()
-        verdict = check_ssc(ex.problem, ex.xbar, mset, eta=0.1, alpha_target=1.0)
+        verdict = check_ssc(ex.problem, mset, eta=0.1, alpha_target=1.0)
         elapsed = time.perf_counter() - start
         assert verdict.directions_evaluated >= 576
         assert verdict.alpha_est >= 1.0 - 1e-6
@@ -103,7 +102,7 @@ def test_criterion_4_example2_negative_curvature(capsys):
     for trunc in (2, 5, 10):
         ex = build_example2(trunc)
         mset = multiplier_set(ex.problem, ex.xbar)
-        val, _ = q_of_h(curvature_oracle(ex.problem, ex.xbar, mset),
+        val, _ = q_of_h(curvature_oracle(ex.problem, mset),
                         np.array([0.0, 1.0, 0.0]))
         assert abs(val - (-2.0 * delta)) <= 1e-12
         assert abs(val - (-0.92820)) <= 1e-5
@@ -123,7 +122,7 @@ def test_criterion_5_example2_unique_multiplier_and_strict_cq(capsys):
     assert abs(float(mu[0])) <= 1e-10
     lam = mset.lam_of(mu)
     assert float(np.max(np.abs(lam - np.array([0.0, 0.0, 1.0])))) <= 1e-10
-    verdict = check_strict_cq(ex.problem, ex.xbar, mset.multipliers(mu))
+    verdict = check_strict_cq(ex.problem, mset, mset.multipliers(mu))
     assert not verdict.holds
     assert verdict.achieved_cone == "(-inf, 0]"
     with capsys.disabled():
@@ -198,7 +197,7 @@ def test_criterion_9_property_suites(capsys):
         mset = multiplier_set(p, xbar)
         if mset.empty or not mset.bounded or not mset.vertices:
             continue
-        oracle = curvature_oracle(p, xbar, mset)
+        oracle = curvature_oracle(p, mset)
         h = rng.standard_normal(p.dim)
         v1, _ = q_of_h(oracle, h)
         v2, _ = q_of_h(oracle, 2.0 * h)
@@ -209,8 +208,8 @@ def test_criterion_9_property_suites(capsys):
     ex = build_example2(6)
     mset = multiplier_set(ex.problem, ex.xbar)
     budget = SearchBudget()
-    runs = [check_snc_fixed_multiplier(ex.problem, ex.xbar, mset.vertices[0], mset,
-                                       budget=budget) for _ in range(2)]
+    runs = [check_snc_fixed_multiplier(ex.problem, mset, mset.vertices[0], budget=budget)
+            for _ in range(2)]
     assert runs[0].kind == runs[1].kind == "snc_violated"
     assert np.array_equal(runs[0].witness, runs[1].witness)
     assert runs[0].witness_value == runs[1].witness_value
@@ -235,11 +234,11 @@ def test_criterion_10_cq_logic(capsys):
     for _ in range(50):
         p, xbar, _, _ = random_stationary_problem(rng)
         mset = multiplier_set(p, xbar)
-        if check_rzkcq(p, xbar).holds:
+        if check_rzkcq(p, mset).holds:
             assert mset.bounded, "RZK CQ held but the multiplier set is unbounded"
             n_rzkcq += 1
         if mset.bounded and mset.vertices:
-            verdict = check_strict_cq(p, xbar, mset.multipliers(mset.vertices[0]))
+            verdict = check_strict_cq(p, mset, mset.multipliers(mset.vertices[0]))
             if verdict.holds:
                 assert len(mset.vertices) == 1, \
                     "strict CQ held with multiple multiplier vertices"

@@ -10,10 +10,10 @@ import pytest
 
 from kkt2.cli import main
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, critical_cone, random_directions
-from kkt2.errors import UsageError
 from kkt2.kkt import multiplier_set
 
-from helpers import many_multiplier_problem, many_multiplier_spec, random_stationary_problem
+from helpers import (many_multiplier_problem, many_multiplier_spec, plain_critical_cone,
+                     random_stationary_problem)
 
 TIGHT = 1e-9
 
@@ -44,8 +44,8 @@ def _box_instances(count: int):
 
 @pytest.fixture(scope="module")
 def instances():
-    return [(p, xbar, mset, critical_cone(p, xbar, 0.0),
-             critical_cone(p, xbar, 0.0, mset=mset)) for p, xbar, mset in _box_instances(60)]
+    return [(p, xbar, mset, plain_critical_cone(p, mset), critical_cone(p, mset, 0.0))
+            for p, xbar, mset in _box_instances(60)]
 
 
 class TestPromotion:
@@ -74,15 +74,10 @@ class TestPromotion:
     def test_eta_positive_and_display_cones_are_unchanged(self, instances):
         p, xbar, mset, _, _ = instances[0]
         for eta, rows in ((0.3, True), (0.0, False)):
-            a = critical_cone(p, xbar, eta, constraint_rows=rows)
-            b = critical_cone(p, xbar, eta, constraint_rows=rows, mset=mset)
+            a = plain_critical_cone(p, mset, eta, constraint_rows=rows)
+            b = critical_cone(p, mset, eta, constraint_rows=rows)
             assert np.array_equal(a.base_pattern.codes, b.base_pattern.codes)
             assert len(a.eq_rows) == len(b.eq_rows) and len(a.ineq_rows) == len(b.ineq_rows)
-
-    def test_multiplier_set_of_another_point_is_rejected(self, instances):
-        p, xbar, mset, _, _ = instances[0]
-        with pytest.raises(UsageError):
-            critical_cone(p, xbar + 1e-3, 0.0, mset=mset)
 
 
 class TestProjector:
@@ -91,7 +86,7 @@ class TestProjector:
         """Eight equality rows of rank three at scale 0.01, as in the
         many-multiplier benchmark problems."""
         p, x = many_multiplier_spec(seed)
-        cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.0)
         assert len(cone.eq_rows) == 8 and not cone.ineq_rows
         assert np.linalg.matrix_rank(np.array(cone.eq_rows)) == 3
         codes = cone.base_pattern.codes
@@ -105,7 +100,7 @@ class TestProjector:
 
     def test_battery_accepts_every_draw(self):
         p, x = many_multiplier_spec(0)
-        cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.0)
         draws = random_directions(cone, 200, np.random.default_rng(5), max_rounds=1)
         assert draws.shape == (200, 24)
         assert all(cone.contains(h, 1e-9) for h in draws)

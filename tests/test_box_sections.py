@@ -18,17 +18,18 @@ from kkt2.curvature import _section_size, check_ssc
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import multiplier_set
 
-from helpers import (many_multiplier_problem, many_multiplier_spec, random_ray_cone,
-                     random_stationary_problem)
+from helpers import (many_multiplier_problem, many_multiplier_spec, plain_critical_cone,
+                     random_ray_cone, random_stationary_problem)
 
 
 def _stationary_cones(eta: float):
-    """Box critical cones (constraint and objective cuts, no multiplier set)
-    with leftover inequality rows, from seeded stationary problems."""
+    """Box critical cones by their cut description (constraint and objective
+    cuts, no annihilator rows) with leftover inequality rows, from seeded
+    stationary problems."""
     rng = np.random.default_rng(11)
     for _ in range(60):
         p, xbar, _, _ = random_stationary_problem(rng, max_dim=5, max_constraints=4)
-        cone = critical_cone(p, xbar, eta)
+        cone = plain_critical_cone(p, multiplier_set(p, xbar), eta)
         if cone.ineq_rows and p.dim >= 2:
             yield cone
 
@@ -54,7 +55,7 @@ class TestManyMultiplierCones:
         the sweep keeps about 1 in 700 starts, so the round's second half
         combines the section generators, and every combination lands."""
         p, x = many_multiplier_spec(seed)
-        cone = critical_cone(p, x, 0.1, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.1)
         assert cone.has_generators and len(cone.generators) == size
         draws = random_directions(cone, 2000, np.random.default_rng(3), max_rounds=1)
         assert draws.shape == (2000, 24)
@@ -63,7 +64,7 @@ class TestManyMultiplierCones:
     @pytest.mark.parametrize("seed", range(4))
     def test_small_many_multiplier_cones_fill_one_round(self, seed):
         p, x = many_multiplier_spec(seed, n=10, m=4, n_lower=3, rank=2, scale=0.05)
-        cone = critical_cone(p, x, 0.1, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.1)
         assert cone.has_generators
         draws = random_directions(cone, 500, np.random.default_rng(seed), max_rounds=1)
         assert draws.shape == (500, 10)
@@ -71,7 +72,7 @@ class TestManyMultiplierCones:
 
     def test_check_ssc_reports_the_section(self):
         p, x = many_multiplier_spec(0)
-        v = check_ssc(p, x, multiplier_set(p, x), eta=0.1, alpha_target=0.5)
+        v = check_ssc(p, multiplier_set(p, x), eta=0.1, alpha_target=0.5)
         assert v.kind == "ssc_holds" and v.alpha_est >= 1.0
         assert v.section_generators == 125 and not v.exact
         assert v.directions_evaluated > 512
@@ -82,7 +83,7 @@ class TestManyMultiplierCones:
         cones; ``rejection_alpha`` is what sampling them by rejection alone
         found (--seed 7).  The sampled minimum is no higher."""
         p, x = many_multiplier_spec(seed, n=n, m=4, n_lower=2, rank=2, scale=0.05)
-        v = check_ssc(p, x, multiplier_set(p, x), eta=1.0, alpha_target=0.1,
+        v = check_ssc(p, multiplier_set(p, x), eta=1.0, alpha_target=0.1,
                       budget=SearchBudget(seed=7))
         assert v.alpha_est <= rejection_alpha + 1e-7
 
@@ -184,7 +185,7 @@ class TestSectionDraws:
         on the second, over the cut's 0.1 ||g||: plain combinations, kept
         when they meet the cut, come up to its boundary."""
         ex = build_example2(8)
-        cone = critical_cone(ex.problem, ex.xbar, 0.1)
+        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
         assert cone.base_pattern is None and len(cone.generators) == 2
         draws = random_directions(cone, 2000, np.random.default_rng(0))
         assert draws.shape == (2000, 3)
@@ -245,7 +246,7 @@ class TestSizeGuard:
         ppath, xpath = _write_problem(tmp_path, problem, point)
         monkeypatch.setattr(linalg, "_MAX_GENERATORS", 8)
         p, x = many_multiplier_spec(0, n=10, m=4, n_lower=3, rank=2, scale=0.05)
-        cone = critical_cone(p, x, 0.1, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.1)
         assert cone.ineq_rows and not cone.has_generators
         draws = random_directions(cone, 200, np.random.default_rng(1))
         assert all(cone.contains(h, 1e-7) for h in draws)
@@ -270,7 +271,7 @@ def _one_round_before_halves(batch, cone, count, seed):
 class TestHalfRounds:
     def test_yield_one_pattern_cone_is_the_first_half_of_the_old_round(self):
         p, x = many_multiplier_spec(0)
-        cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.0)
         assert not cone.has_generators
         new = random_directions(cone, 300, np.random.default_rng(9))
         old = _one_round_before_halves(_random_pattern_batch, cone, 300, 9)
@@ -318,7 +319,7 @@ class TestStarvedSweep:
         combinations of the section generators, drawn from the same stream,
         fill the rest."""
         p, x = many_multiplier_spec(1)
-        cone = critical_cone(p, x, 0.1, mset=multiplier_set(p, x))
+        cone = critical_cone(p, multiplier_set(p, x), 0.1)
         new = random_directions(cone, 4000, np.random.default_rng(9))
         rng = np.random.default_rng(9)
         first = _random_pattern_batch(cone, 4000, rng)
@@ -329,7 +330,7 @@ class TestStarvedSweep:
 
 def _example1_cone(grid: int, eta: float) -> CriticalCone:
     ex = build_example1(grid)
-    return critical_cone(ex.problem, ex.xbar, eta, mset=multiplier_set(ex.problem, ex.xbar))
+    return critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), eta)
 
 
 class TestPatternBatchSweep:
@@ -342,7 +343,7 @@ class TestPatternBatchSweep:
             cone = _example1_cone(int(case.split()[1]), 0.1)
         else:
             p, x = many_multiplier_spec(int(case.split()[1]))
-            cone = critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+            cone = critical_cone(p, multiplier_set(p, x), 0.0)
         count = 64
         starts = np.random.default_rng(21).standard_normal((count, cone.dim))
         batch = _random_pattern_batch(cone, count, np.random.default_rng(21))

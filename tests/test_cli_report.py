@@ -56,6 +56,17 @@ class TestProblemFile:
         with pytest.raises(ParseError, match="mystery"):
             parse_problem(text)
 
+    def test_known_tolerance_keys_parse(self):
+        text = MINIMAL.replace('"m1": 0', '"m1": 0, "tolerances": {"activity": 1e-7}')
+        assert parse_problem(text).make_tolerances().activity == 1e-7
+
+    @pytest.mark.parametrize("key", ["symmetry_rel", "bilinearity_rel", "membership"])
+    def test_removed_tolerance_keys_rejected(self, key):
+        """Tolerances that no check read are not accepted as settings."""
+        text = MINIMAL.replace('"m1": 0', f'"m1": 0, "tolerances": {{"{key}": 1e-9}}')
+        with pytest.raises(ParseError, match=key):
+            parse_problem(text)
+
     def test_asymmetric_matrix_rejected(self):
         text = MINIMAL.replace("[[0, 0, 2.0]]", "[[0, 0, 2.0], [0, 0, 1e-3]]")
         pf = parse_problem(text)  # duplicate diagonal triplets just add up

@@ -121,7 +121,7 @@ class TestKTangent:
 class TestCriticalCone:
     def test_example1_display_cone_members(self):
         ex = build_example1(12)
-        cone = ex.display_critical_cone()
+        cone = ex.display_critical_cone(multiplier_set(ex.problem, ex.xbar))
         assert cone.contains(ex.direction_lower_indicator())
         assert cone.contains(ex.direction_upper_indicator())
         codes = cone.base_pattern.codes
@@ -131,13 +131,13 @@ class TestCriticalCone:
     def test_example1_full_cone_excludes_h1(self):
         """With the constraint row, chi_(0,1/3) is no longer critical."""
         ex = build_example1(12)
-        cone = critical_cone(ex.problem, ex.xbar, 0.0)
+        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0)
         assert not cone.contains(ex.direction_lower_indicator())
         assert cone.contains(ex.direction_upper_indicator())
 
     def test_example2_member(self):
         ex = build_example2(6)
-        cone = critical_cone(ex.problem, ex.xbar, 0.0)
+        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0)
         assert cone.contains(np.array([0.0, 1.0, 0.0]))
         assert not cone.contains(np.array([0.0, 0.0, -1.0]))
 
@@ -147,7 +147,7 @@ class TestCriticalCone:
             quadratic(0.0, np.zeros(2), np.eye(2)),
             (quadratic(0.0, np.array([1.0, 1.0]), np.zeros((2, 2))),),
             1, BoxSet(np.zeros(2), np.ones(2)), np.ones(2))
-        cone = critical_cone(p, np.zeros(2), 0.0)
+        cone = critical_cone(p, multiplier_set(p, np.zeros(2)), 0.0)
         assert cone.contains(np.array([1.0, -1.0])) is False  # pattern >=0
         assert cone.contains(np.array([0.0, 0.0]))
         h = np.array([1.0, 1.0])
@@ -156,9 +156,10 @@ class TestCriticalCone:
         assert cone.contains(np.zeros(2))
 
     def test_infeasible_point_rejected(self):
+        """The cone's point object, the multiplier set, refuses the point."""
         ex = build_example1(12)
         with pytest.raises(InfeasiblePoint):
-            critical_cone(ex.problem, np.full(12, 2.0), 0.0)
+            critical_cone(ex.problem, multiplier_set(ex.problem, np.full(12, 2.0)), 0.0)
 
     @pytest.mark.parametrize("eta", [-0.1, float("nan")])
     @pytest.mark.parametrize("build, size", [(build_example1, 12), (build_example2, 4)])
@@ -168,12 +169,12 @@ class TestCriticalCone:
         "holds"."""
         ex = build(size)
         with pytest.raises(UsageError):
-            critical_cone(ex.problem, ex.xbar, eta)
+            critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), eta)
 
     def test_eta_zero_contained_in_eta_positive(self):
         ex = build_example1(12)
-        cone0 = critical_cone(ex.problem, ex.xbar, 0.0)
-        cone_eta = critical_cone(ex.problem, ex.xbar, 0.5)
+        mset = multiplier_set(ex.problem, ex.xbar)
+        cone0, cone_eta = critical_cone(ex.problem, mset, 0.0), critical_cone(ex.problem, mset, 0.5)
         rng = np.random.default_rng(23)
         members = random_directions(cone0, 40, rng)
         assert len(members)
@@ -184,7 +185,7 @@ class TestCriticalCone:
         """Stationary point, strictly positive multiplier: critical
         directions have zero objective derivative."""
         ex = build_example1(12)
-        cone = ex.display_critical_cone()
+        cone = ex.display_critical_cone(multiplier_set(ex.problem, ex.xbar))
         rng = np.random.default_rng(29)
         fgrad = ex.f_grad
         for h in random_directions(cone, 60, rng):
@@ -194,7 +195,7 @@ class TestCriticalCone:
 class TestRadialDensityGap:
     def test_box_always_dense(self):
         box = BoxSet(np.zeros(2), np.ones(2))
-        rep = radial_density_gap(box, np.zeros(2), [])
+        rep = radial_density_gap(box, [])
         assert rep.dense
 
     def test_two_functional_gap(self):
@@ -203,7 +204,7 @@ class TestRadialDensityGap:
         truncation."""
         h = np.array([0.0, 1.0, 0.0])
         rows = [(np.array([1.0, 0.0, 0.0]), "eq"), (np.array([0.0, 0.0, -1.0]), "le")]
-        rep = radial_density_gap(example2_cones(), np.zeros(3), rows, h)
+        rep = radial_density_gap(example2_cones(), rows, h)
         assert not rep.dense
         assert rep.witness is not None
         assert all(d >= 0.1 for d in rep.distances)
@@ -214,7 +215,7 @@ class TestRadialDensityGap:
         distance decays with the truncation."""
         h = np.array([0.0, 1.0, 0.0])
         rows = [(np.array([1.0, 0.0, 0.0]), "eq")]
-        rep = radial_density_gap(example2_cones(), np.zeros(3), rows, h)
+        rep = radial_density_gap(example2_cones(), rows, h)
         assert rep.dense
         assert rep.distances[0] > rep.distances[1] > rep.distances[2]
         assert rep.distances[-1] < 0.05
@@ -252,12 +253,12 @@ def _sweep_cones():
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         for eta in (0.0, 0.1):
-            yield f"example1 {grid} eta {eta}", critical_cone(ex.problem, ex.xbar, eta, mset=mset)
+            yield f"example1 {grid} eta {eta}", critical_cone(ex.problem, mset, eta)
     for seed in (0, 1):
         p, x = many_multiplier_spec(seed)
         mset = multiplier_set(p, x)
         for eta in (0.0, 0.1):
-            yield f"many {seed} eta {eta}", critical_cone(p, x, eta, mset=mset)
+            yield f"many {seed} eta {eta}", critical_cone(p, mset, eta)
 
 
 class TestStructuredSweep:
@@ -281,7 +282,7 @@ class TestStructuredSweep:
         """Gaussian starts on example1's eta = 0.1 cone need different
         numbers of projections; each landed row matches its one-row case."""
         ex = build_example1(120)
-        cone = critical_cone(ex.problem, ex.xbar, 0.1, mset=multiplier_set(ex.problem, ex.xbar))
+        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
         H = np.random.default_rng(8).standard_normal((40, ex.grid))
         V, ok = _land(cone, H)
         for h, v, landed in zip(H, V, ok):
@@ -295,7 +296,7 @@ class TestStructuredSweep:
         """The eta = 0.1 cone of example1 keeps an equality row, so some
         candidates are not members and need the sweep."""
         ex = build_example1(120)
-        cone = critical_cone(ex.problem, ex.xbar, 0.1, mset=multiplier_set(ex.problem, ex.xbar))
+        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
         assert cone.eq_rows
         rows = structured_directions(cone, 64)
         assert any(not set(np.unique(h)) <= {-1.0, 0.0, 1.0} for h in rows)
@@ -309,12 +310,12 @@ def _landing_cones():
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         for eta in (0.0, 0.1):
-            cone = critical_cone(ex.problem, ex.xbar, eta, mset=mset)
+            cone = critical_cone(ex.problem, mset, eta)
             assert bool(cone.eq_rows) == (eta > 0.0)
             yield f"example1 {grid} eta {eta}", cone
     for seed in range(4):
         p, x = many_multiplier_spec(seed)
-        yield f"many {seed}", critical_cone(p, x, 0.0, mset=multiplier_set(p, x))
+        yield f"many {seed}", critical_cone(p, multiplier_set(p, x), 0.0)
 
 
 def _singular_face_cone():

@@ -174,17 +174,17 @@ def check_every_violation(p, x):
     were checked."""
     hull = isinstance(p.abstract_set, GeneratedConeSet)
     checked = 0
+    mset = multiplier_set(p, x)
     for check, rays in ((check_rzkcq, lambda s: s.rays + s.deep_rays),
                         (check_weaker_cq, lambda s: s.normal_row_rays())):
-        v = check(p, x)
+        v = check(p, mset)
         if not v.holds:
             assert_valid_witness(p, x, v, rays(p.abstract_set) if hull else None)
             checked += 1
-    mset = multiplier_set(p, x)
     for vert in mset.vertices:
         mult = mset.multipliers(vert)
         try:
-            v = check_strict_cq(p, x, mult)
+            v = check_strict_cq(p, mset, mult)
         except UsageError:  # an annihilator section that does not absorb
             continue
         if not v.holds:
@@ -230,7 +230,7 @@ def achieved_cones(p, x):
     mset = multiplier_set(p, x)
     out = {}
     for vert in mset.vertices:
-        v = check_strict_cq(p, x, mset.multipliers(vert))
+        v = check_strict_cq(p, mset, mset.multipliers(vert))
         out[tuple(np.round(vert, 9) + 0.0)] = (v.holds, v.achieved_cone)
     return out
 
@@ -266,7 +266,8 @@ class TestWeightInvariance:
 
     @staticmethod
     def verdicts(p, x):
-        return check_rzkcq(p, x).holds, check_weaker_cq(p, x).holds, achieved_cones(p, x)
+        mset = multiplier_set(p, x)
+        return check_rzkcq(p, mset).holds, check_weaker_cq(p, mset).holds, achieved_cones(p, x)
 
     @pytest.mark.parametrize("weights", [(0.5, 2.0, 1.5), (3.0, 0.25, 1.0), (1e-3, 1.0, 1e3)])
     def test_two_constraint_box(self, weights):
@@ -322,8 +323,9 @@ class TestStrictCQTolerance:
     def test_hull_annihilator_uses_the_residual_tolerance(self):
         """A residual tolerance above eps keeps both wedge rays, whose
         constraint derivatives +-1 reach all of R; the default drops them."""
-        p, x = thin_wedge_hull(1e-7), np.zeros(3)
+        p = thin_wedge_hull(1e-7)
+        mset = multiplier_set(p, np.zeros(3))
         mult = Multipliers(np.array([0.0, 0.0, -1.0]), np.zeros(1))
-        tight = check_strict_cq(p, x, mult)
+        tight = check_strict_cq(p, mset, mult)
         assert not tight.holds and tight.achieved_cone == "{0}"
-        assert check_strict_cq(p, x, mult, replace(DEFAULT_TOLERANCES, residual=1e-5)).holds
+        assert check_strict_cq(p, mset, mult, replace(DEFAULT_TOLERANCES, residual=1e-5)).holds

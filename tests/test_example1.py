@@ -71,7 +71,7 @@ class TestCoercivityChain:
         """500 seeded random tangent directions: q(h) >= ||h||^2 - 1e-9."""
         ex = build_example1(12)
         mset = multiplier_set(ex.problem, ex.xbar)
-        oracle = curvature_oracle(ex.problem, ex.xbar, mset)
+        oracle = curvature_oracle(ex.problem, mset)
         rng = np.random.default_rng(61)
         for _ in range(500):
             h = rng.standard_normal(12)

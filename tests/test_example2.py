@@ -114,7 +114,7 @@ class TestProblem:
     def test_negative_curvature_independent_of_truncation(self, trunc):
         ex = build_example2(trunc)
         mset = multiplier_set(ex.problem, ex.xbar)
-        val, _ = q_of_h(curvature_oracle(ex.problem, ex.xbar, mset),
+        val, _ = q_of_h(curvature_oracle(ex.problem, mset),
                         np.array([0.0, 1.0, 0.0]))
         assert val == pytest.approx(-2.0 * DELTA, abs=1e-12)
 

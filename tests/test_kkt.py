@@ -13,7 +13,6 @@ from kkt2.kkt import (
     check_strict_cq,
     check_weaker_cq,
     foc_residual,
-    lagrangian_value,
     multiplier_set,
     validate_multipliers,
 )
@@ -22,6 +21,16 @@ from kkt2.linalg import cone_facets
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
 from helpers import brute_force_nnls, random_stationary_problem
+
+
+def cq_verdicts(p, x) -> tuple[bool, bool]:
+    """Whether the RZKCQ and the weaker CQ hold at x."""
+    mset = multiplier_set(p, x)
+    return check_rzkcq(p, mset).holds, check_weaker_cq(p, mset).holds
+
+
+def foc_at(p, x):
+    return foc_residual(p, multiplier_set(p, x))
 
 
 def unconstrained_interior(n=2):
@@ -83,7 +92,7 @@ class TestMultiplierSet:
             mset = multiplier_set(p, xbar)
             assert not mset.empty
             for v in mset.vertices:
-                validate_multipliers(p, xbar, mset.multipliers(v))
+                validate_multipliers(p, mset, mset.multipliers(v))
                 checked += 1
         assert checked > 10
 
@@ -105,8 +114,7 @@ class TestMultiplierSet:
         vb = sorted(float(v[0]) for v in base.vertices)
         vn = sorted(float(v[0]) for v in new.vertices)
         assert vn == pytest.approx([v / c for v in vb], abs=1e-9)
-        assert check_rzkcq(scaled, x).holds == check_rzkcq(p, x).holds
-        assert check_weaker_cq(scaled, x).holds == check_weaker_cq(p, x).holds
+        assert cq_verdicts(scaled, x) == cq_verdicts(p, x)
 
 
 def _scaled_form(form, c):
@@ -122,34 +130,34 @@ def _scaled_form(form, c):
 class TestCQs:
     def test_example1_rzkcq_holds(self):
         ex = build_example1(12)
-        assert check_rzkcq(ex.problem, ex.xbar).holds
-        assert check_weaker_cq(ex.problem, ex.xbar).holds
+        assert cq_verdicts(ex.problem, ex.xbar) == (True, True)
 
     def test_example2_rzkcq_holds(self):
         ex = build_example2(8)
-        assert check_rzkcq(ex.problem, ex.xbar).holds
-        assert check_weaker_cq(ex.problem, ex.xbar).holds
+        assert cq_verdicts(ex.problem, ex.xbar) == (True, True)
 
     def test_zero_jacobian_fails_with_witness(self):
         p = ProblemSpec(
             quadratic(0.0, np.zeros(1), np.zeros((1, 1))),
             (quadratic(0.0, np.zeros(1), np.zeros((1, 1))),),
             0, BoxSet(np.array([-1.0]), np.array([1.0])), np.ones(1))
-        v = check_rzkcq(p, np.zeros(1))
+        mset = multiplier_set(p, np.zeros(1))
+        v = check_rzkcq(p, mset)
         assert not v.holds
         assert v.witness is not None and abs(v.witness[0]) > 1e-7
-        assert not check_weaker_cq(p, np.zeros(1)).holds
+        assert not check_weaker_cq(p, mset).holds
 
     def test_weaker_matches_rzkcq_on_boxes(self):
         rng = np.random.default_rng(37)
         for _ in range(25):
             p, xbar, _, _ = random_stationary_problem(rng)
-            assert check_rzkcq(p, xbar).holds == check_weaker_cq(p, xbar).holds
+            rzkcq, weaker = cq_verdicts(p, xbar)
+            assert rzkcq == weaker
 
     def test_strict_cq_example2_halfline(self):
         ex = build_example2(8)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(ex.problem, ex.xbar, mset.multipliers(mset.vertices[0]))
+        verdict = check_strict_cq(ex.problem, mset, mset.multipliers(mset.vertices[0]))
         assert not verdict.holds
         assert verdict.achieved_cone == "(-inf, 0]"
 
@@ -157,7 +165,7 @@ class TestCQs:
         """Non-unique multipliers: the strict qualification cannot hold."""
         ex = build_example1(12)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(ex.problem, ex.xbar, mset.multipliers(np.array([0.5])))
+        verdict = check_strict_cq(ex.problem, mset, mset.multipliers(np.array([0.5])))
         assert not verdict.holds
 
     def test_strict_cq_full_rank_free_box(self):
@@ -166,39 +174,40 @@ class TestCQs:
             (quadratic(0.0, np.array([1.0, 0.0]), np.zeros((2, 2))),),
             1, BoxSet(np.full(2, -np.inf), np.full(2, np.inf)), np.ones(2))
         mset = multiplier_set(p, np.zeros(2))
-        assert check_strict_cq(p, np.zeros(2), mset.multipliers(mset.vertices[0])).holds
+        assert check_strict_cq(p, mset, mset.multipliers(mset.vertices[0])).holds
 
     def test_rzkcq_implies_bounded(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
             p, xbar, _, _ = random_stationary_problem(rng)
-            if check_rzkcq(p, xbar).holds:
-                assert multiplier_set(p, xbar).bounded
+            mset = multiplier_set(p, xbar)
+            if check_rzkcq(p, mset).holds:
+                assert mset.bounded
 
 
 class TestFOC:
     def test_example1_stationary(self):
         ex = build_example1(12)
-        res = foc_residual(ex.problem, ex.xbar)
+        res = foc_at(ex.problem, ex.xbar)
         assert res.stationary and res.residual == 0.0
 
     def test_example2_stationary(self):
         ex = build_example2(5)
-        assert foc_residual(ex.problem, ex.xbar).stationary
+        assert foc_at(ex.problem, ex.xbar).stationary
 
     def test_interior_nonstationary_residual(self):
         """No constraints, interior point: residual is the gradient norm."""
         p = ProblemSpec(
             quadratic(0.0, np.array([2.0, -1.0]), np.zeros((2, 2))), (), 0,
             BoxSet(np.full(2, -5.0), np.full(2, 5.0)), np.ones(2))
-        res = foc_residual(p, np.zeros(2))
+        res = foc_at(p, np.zeros(2))
         assert not res.stationary
         assert res.residual == pytest.approx(np.sqrt(5.0), abs=1e-9)
 
     def test_large_multiplier(self):
         """The nearest stationary gradient needs mu = -2000.5, far outside
         any fixed search interval."""
-        res = foc_residual(large_multiplier_problem(), np.zeros(2))
+        res = foc_at(large_multiplier_problem(), np.zeros(2))
         assert not res.stationary
         assert res.residual == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
         assert res.best_mu == pytest.approx([-2000.5], rel=1e-12)
@@ -211,7 +220,7 @@ class TestFOC:
         p = replace(ex.problem, objective=quadratic(0.0, np.array([0.0, -1.0, 0.3]),
                                                     np.zeros((3, 3))))
         start = time.perf_counter()
-        res = foc_residual(p, ex.xbar)
+        res = foc_at(p, ex.xbar)
         assert time.perf_counter() - start < 1.0
         assert not res.stationary
         assert res.residual == pytest.approx(1.044030650891055, rel=1e-12)
@@ -223,7 +232,7 @@ class TestFOC:
         written out by hand, and best_mu attains it."""
         problems = list(nonstationary_box_problems(200))
         for p, x in problems:
-            res = foc_residual(p, x)
+            res = foc_at(p, x)
             expected = brute_force_nnls(*stationarity_system(p, x))
             assert res.residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
             assert distance_to_stationarity(p, x, res.best_mu) == pytest.approx(
@@ -232,7 +241,7 @@ class TestFOC:
     def test_hull_problems_match_brute_force(self):
         for p in nonstationary_hull_problems(60):
             x = np.zeros(p.dim)
-            res = foc_residual(p, x)
+            res = foc_at(p, x)
             assert res.residual == pytest.approx(brute_force_nnls(*stationarity_system(p, x)),
                                                  rel=1e-9, abs=1e-12)
             assert distance_to_stationarity(p, x, res.best_mu) == pytest.approx(
@@ -244,14 +253,14 @@ class TestFOC:
         for p, x in (*nonstationary_box_problems(200), *hulls):
             A, b = stationarity_system(p, x)
             expected = reference(A, b)[1] if A.shape[1] else float(np.linalg.norm(b))
-            assert foc_residual(p, x).residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert foc_at(p, x).residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_failed_nnls_check_is_a_numeric_error(self, monkeypatch):
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda a, b, rcond=None: (1.5 * lstsq(a, b, rcond=rcond)[0],))
         with pytest.raises(NumericError):
-            foc_residual(large_multiplier_problem(), np.zeros(2))
+            foc_at(large_multiplier_problem(), np.zeros(2))
 
 
 def large_multiplier_problem():
@@ -344,37 +353,3 @@ def distance_to_stationarity(p, x, mu):
     gens = normal_generators(p, x)
     A = np.array([s * g for g in gens]).T if gens else np.zeros((p.dim, 0))
     return brute_force_nnls(A, s * lam)
-
-
-class TestLagrangian:
-    def test_zero_multipliers_give_objective(self):
-        p = unconstrained_interior()
-        from kkt2.kkt import Multipliers
-
-        x = np.array([0.3, -0.2])
-        val = lagrangian_value(p, x, Multipliers(np.zeros(2), np.zeros(0)))
-        assert val == pytest.approx(p.objective.value(x), abs=1e-12)
-
-    def test_affine_closed_form(self):
-        p = ProblemSpec(
-            quadratic(1.0, np.array([2.0, 0.0]), np.zeros((2, 2))),
-            (quadratic(-1.0, np.array([0.0, 3.0]), np.zeros((2, 2))),),
-            0, BoxSet(np.full(2, -5.0), np.full(2, 5.0)), np.ones(2))
-        from kkt2.kkt import Multipliers
-
-        x = np.array([1.0, 2.0])
-        lam = np.array([0.5, -0.5])
-        mu = np.array([2.0])
-        # f + <lam, x> + mu g = (1 + 2) + (0.5 - 1.0) + 2 (-1 + 6)
-        expected = 3.0 - 0.5 + 2.0 * 5.0
-        assert lagrangian_value(p, x, Multipliers(lam, mu)) == pytest.approx(expected)
-
-    def test_example1_value_at_base_point(self):
-        """L(xbar, lambda(mu), mu) = <lambda, xbar> = mu/4 + (1 - mu)/12
-        (the lambda support sits exactly on the active pieces where
-        xbar = -1 or +1)."""
-        ex = build_example1(12)
-        mset = multiplier_set(ex.problem, ex.xbar)
-        for mu in (0.0, 0.3, 1.0):
-            val = lagrangian_value(ex.problem, ex.xbar, mset.multipliers(np.array([mu])))
-            assert val == pytest.approx(mu / 4.0 + (1.0 - mu) / 12.0, abs=1e-12)

@@ -1,4 +1,4 @@
-"""LP kernel, vertex enumeration, and weighted-vector tests."""
+"""LP kernel, vertex enumeration, and weighted inner-product tests."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,12 @@ from kkt2.errors import DimensionMismatch, IterationLimit, PolytopeTooLarge, Unb
 from kkt2.linalg import (
     LinearProgram,
     PolytopeH,
-    WeightedVector,
     conic_distance,
     enumerate_vertices,
     solve_lp,
+    weighted_norm,
 )
+from kkt2.model import BoxSet, ProblemSpec, quadratic
 
 from helpers import random_bounded_polytope
 
@@ -191,28 +192,34 @@ class TestRecessionCone:
         assert sorted(float(v[0]) for v in verts) == pytest.approx([-1.0 / 8.0, 0.0], abs=1e-12)
 
 
+def weighted_space(weights) -> ProblemSpec:
+    """A problem that only carries the weighted inner product."""
+    n = len(weights)
+    return ProblemSpec(quadratic(0.0, np.zeros(n), np.zeros((n, n))), (), 0,
+                       BoxSet(np.full(n, -1.0), np.full(n, 1.0)), np.asarray(weights))
+
+
 class TestWeightedVector:
+    """Vectors under a problem's weighted inner product: ``ProblemSpec.inner``
+    and ``norm``, and ``weighted_norm``."""
+
     def test_positive_weights_required(self):
         with pytest.raises(DimensionMismatch):
-            WeightedVector(np.ones(2), np.array([1.0, 0.0]))
+            weighted_space(np.array([1.0, 0.0]))
 
     def test_norm_zero_iff_zero(self):
-        v = WeightedVector(np.zeros(3), np.array([0.5, 1.0, 2.0]))
-        assert v.norm() == 0.0
-        w = WeightedVector(np.array([0.0, 1e-8, 0.0]), np.array([0.5, 1.0, 2.0]))
-        assert w.norm() > 0.0
+        weights = np.array([0.5, 1.0, 2.0])
+        assert weighted_space(weights).norm(np.zeros(3)) == 0.0
+        assert weighted_norm(weights, np.array([0.0, 1e-8, 0.0])) > 0.0
 
     def test_parallelogram_law(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(1, 8))
-            weights = rng.uniform(0.1, 3.0, n)
-            a = WeightedVector(rng.standard_normal(n), weights)
-            b = WeightedVector(rng.standard_normal(n), weights)
-            apb = WeightedVector(a.entries + b.entries, weights)
-            amb = WeightedVector(a.entries - b.entries, weights)
-            lhs = apb.norm2() + amb.norm2()
-            rhs = 2.0 * (a.norm2() + b.norm2())
+            space = weighted_space(rng.uniform(0.1, 3.0, n))
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            lhs = space.norm(a + b) ** 2 + space.norm(a - b) ** 2
+            rhs = 2.0 * (space.inner(a, a) + space.inner(b, b))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

@@ -1,5 +1,7 @@
 """Problem model: feasibility, active sets, derivative validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestValidateDerivatives:
         ex = build_example1(120)
         rep = validate_derivatives(ex.problem, ex.xbar)
         assert rep.passed
+
+    def test_memory_does_not_grow_with_the_square_of_the_dimension(self):
+        """The 16 probe directions are unit vectors of length n: at example1
+        grid 1920 an n x n identity per probe would hold about 470 MB."""
+        ex = build_example1(1920)
+        tracemalloc.start()
+        try:
+            rep = validate_derivatives(ex.problem, ex.xbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 10 * 2**20
 
     def test_nonfinite_value_raises(self):
         f = SmoothFunction(

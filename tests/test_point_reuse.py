@@ -1,23 +1,30 @@
-"""Per-point data computed once: the strict CQ on the multiplier set's point
-data, vertex dedup with one array test per vertex, and descent directions
-evaluated once.  Each fast path is compared with the direct computation it
-replaces, bit for bit."""
+"""Per-point data computed once: one multiplier set per run, read by every
+check, the strict CQ on the set's point data, vertex dedup with one array
+test per vertex, and descent directions evaluated once.  Each fast path is
+compared with the direct computation it replaces, bit for bit."""
+
+import json
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kkt2.cli
 import kkt2.kkt
+import kkt2.model
 from kkt2 import curvature, linalg, stages
 from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
 from kkt2.curvature import (check_snc, check_snc_fixed_multiplier, check_ssc,
                             curvature_oracle, q_of_h)
-from kkt2.errors import UsageError
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import check_strict_cq, multiplier_set
 from kkt2.linalg import PolytopeH, enumerate_vertices
+from kkt2.model import check_feasible
 from kkt2.report import new_report
 
-from helpers import many_multiplier_spec
+from helpers import many_multiplier_problem, many_multiplier_spec
 
 BUDGET = SearchBudget(random=256, seed=3)
 
@@ -33,30 +40,28 @@ def _instances():
 INSTANCES = _instances()
 
 
+def _direct(p, x, mset):
+    """``mset`` with its point data computed directly from the problem, as
+    each check computed them for itself before it read them off the set."""
+    G = np.array(p.constraint_gradients(x), dtype=float).reshape(p.n_constraints, p.dim)
+    return replace(mset, info=check_feasible(p, x).info,
+                   f_grad=np.asarray(p.objective.gradient(x), dtype=float), g_grads=G)
+
+
 class TestStrictCQOnMultiplierSet:
     @pytest.mark.parametrize("label, p, x", INSTANCES, ids=[i[0] for i in INSTANCES])
     def test_same_verdict_at_every_vertex(self, label, p, x):
         mset = multiplier_set(p, x)
+        direct_set = _direct(p, x, mset)
         assert mset.vertices
         for vert in mset.vertices:
             mult = mset.multipliers(vert)
-            direct, reused = check_strict_cq(p, x, mult), check_strict_cq(p, x, mult, mset=mset)
+            direct, reused = check_strict_cq(p, direct_set, mult), check_strict_cq(p, mset, mult)
             assert (reused.holds, reused.achieved_cone) == (direct.holds, direct.achieved_cone)
             if direct.witness is None:
                 assert reused.witness is None
             else:
                 assert reused.witness.tobytes() == direct.witness.tobytes()
-
-    def test_other_point_rejected(self):
-        _, p, x = INSTANCES[0]
-        mset = multiplier_set(p, x)
-        mult = mset.multipliers(mset.vertices[0])
-        other = x.copy()
-        other[0] += 1e-3  # a free coordinate: still feasible
-        with pytest.raises(UsageError, match="another point"):
-            check_strict_cq(p, other, mult, mset=mset)
-        with pytest.raises(UsageError, match="another point"):
-            kkt2.kkt.validate_multipliers(p, other, mult, mset=mset)
 
     def test_strict_stage_checks_feasibility_once_per_point(self, monkeypatch):
         """With the polytope built, the per-vertex loop calls check_feasible
@@ -175,9 +180,9 @@ class TestSingleEvaluation:
     def test_sup_form(self, seed, spies):
         p, x = many_multiplier_spec(seed)
         mset = multiplier_set(p, x)
-        check_snc(p, x, mset, budget=BUDGET)
-        check_ssc(p, x, mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
-        oracle = curvature_oracle(p, x, mset)
+        check_snc(p, mset, budget=BUDGET)
+        check_ssc(p, mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
+        oracle = curvature_oracle(p, mset)
         assert any(accepted for accepted, _ in spies)
         for accepted, evaluated in spies:
             for cand in accepted:
@@ -189,9 +194,83 @@ class TestSingleEvaluation:
         p, x = many_multiplier_spec(0)
         mset = multiplier_set(p, x)
         mu = np.mean(mset.vertices, axis=0)
-        check_snc_fixed_multiplier(p, x, mu, mset, budget=BUDGET)
+        check_snc_fixed_multiplier(p, mset, mu, budget=BUDGET)
         (accepted, evaluated), = spies
         assert accepted and not evaluated  # a fixed-mu search never calls q_of_h
-        oracle = curvature_oracle(p, x, mset)
+        oracle = curvature_oracle(p, mset)
         for cand in accepted:
             assert cand.value == oracle.fixed_mu_value(cand.h, mu)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Wraps ``check_feasible`` and ``multiplier_set`` under every name a
+    kkt2 module holds them by, as a tracer does, and counts their calls."""
+    counts = Counter()
+    for fn in (kkt2.model.check_feasible, kkt2.kkt.multiplier_set):
+        def wrapper(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "kkt2" or name.startswith("kkt2.")):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+class TestOnePointObjectPerRun:
+    """Every CLI subcommand and both chains build at most one multiplier set
+    and check feasibility at most twice: once for the feasibility record and
+    once in ``multiplier_set``.  Runs that read neither build no set."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("runs")
+        problem, point = many_multiplier_problem(np.random.default_rng(7), n=12, m=5,
+                                                 n_lower=3, rank=2, scale=0.01)
+        (d / "p.json").write_text(json.dumps(problem))
+        (d / "x.json").write_text(json.dumps({"point": point}))
+        (d / "e1.json").write_text(json.dumps({"builtin": "example1", "grid": 12}))
+        return d
+
+    @pytest.mark.parametrize("argv, sets, feasible", [
+        (["check-foc"], 1, 2),
+        (["check-cq"], 1, 2),
+        (["check-cq", "--rzkcq", "--weaker", "--strict"], 1, 2),
+        (["multipliers"], 1, 2),
+        (["check-snc"], 1, 2),
+        (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], 1, 2),
+        (["validate-derivatives"], 0, 0),
+    ])
+    def test_file_subcommands(self, files, argv, sets, feasible, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch)
+        kkt2.cli.main([argv[0], str(files / "p.json"), "--at", str(files / "x.json"),
+                       *argv[1:], "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["checks"]
+        assert (counts["multiplier_set"], counts["check_feasible"]) == (sets, feasible)
+
+    def test_growth_builds_no_multiplier_set(self, files, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch)
+        kkt2.cli.main(["growth", str(files / "e1.json"), "--alpha", "0.5", "--eps", "0.05",
+                       "--samples", "50", "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["checks"]
+        assert (counts["multiplier_set"], counts["check_feasible"]) == (0, 1)
+
+    @pytest.mark.parametrize("argv", [["example1", "--grid", "12"], ["example2", "--trunc", "4"]])
+    def test_chains(self, argv, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch)
+        kkt2.cli.main(["repro", *argv, "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["checks"]
+        assert (counts["multiplier_set"], counts["check_feasible"]) == (1, 2)
+
+    def test_cq_without_strict_does_not_enumerate_vertices(self, files, monkeypatch, capsys):
+        """The RZKCQ and the weaker CQ read only the point data, so the
+        double description of the multiplier polytope never starts."""
+        calls = []
+        real = kkt2.kkt.enumerate_vertices
+        monkeypatch.setattr(kkt2.kkt, "enumerate_vertices",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        kkt2.cli.main(["check-cq", str(files / "p.json"), "--at", str(files / "x.json")])
+        assert "rzkcq" in capsys.readouterr().out
+        assert not calls
