@@ -1,10 +1,14 @@
 """Cone calculus at a feasible point.
 
 Sign-pattern cones describe the radial/tangent/normal cones of a box and
-their polars exactly; critical cones add linear cuts from the constraint
-derivatives and the objective.  Cuts whose terms are single-signed on the
-cone are absorbed into the pattern (they force components to zero), which
-is what turns e.g. an objective cut into a plain componentwise condition.
+their polars exactly.  The point object (``kkt.multiplier_set``) carries the
+two tangent patterns every cone here starts from: the box's
+(``tangent_cone_box``, built once per point) and K's at g(x) (=0 on
+equalities, <=0 on active inequalities, free on inactive ones).  Critical
+cones add linear cuts from the constraint derivatives and the objective.
+Cuts whose terms are single-signed on the cone are absorbed into the
+pattern (they force components to zero), which is what turns e.g. an
+objective cut into a plain componentwise condition.
 At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier, so its implicit equalities enter as
 equalities (``_annihilator_rows``) and random draws land in it after one
@@ -34,7 +38,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
 from .linalg import cone_facets, cone_is_trivial, conic_distance
-from .model import ActiveSetInfo, BoxSet, GeneratedConeSet, ProblemSpec, as_entries
+from .model import BoxSet, GeneratedConeSet, as_entries
 
 if TYPE_CHECKING:
     from .kkt import MultiplierSet
@@ -102,7 +106,9 @@ class SignPatternCone:
 
 
 def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> SignPatternCone:
-    """>=0 at lower-active, <=0 at upper-active, =0 where bounds coincide."""
+    """>=0 at lower-active, <=0 at upper-active, =0 where bounds coincide.
+    ``kkt.multiplier_set`` builds it once per point (``c_pattern``), and
+    every later check reads it there."""
     v = as_entries(x, box.dim)
     if not box.contains(v, tol.activity):
         raise InfeasiblePoint("point is outside the box")
@@ -112,33 +118,6 @@ def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> Si
     codes[up] = NONPOS
     codes[lo & up] = ZERO
     return SignPatternCone(codes)
-
-
-def normal_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> SignPatternCone:
-    return tangent_cone_box(box, x, tol).polar()
-
-
-@dataclass(frozen=True)
-class KTangentRows:
-    """Tangent cone of the constraint-range cone at g(x): z_i = 0 on
-    equalities, z_i <= 0 on active inequalities, free on inactive ones."""
-
-    eq: tuple[int, ...]
-    leq: tuple[int, ...]
-    free: tuple[int, ...]
-
-    def pattern(self, m: int) -> SignPatternCone:
-        codes = np.full(m, FREE, dtype=np.int8)
-        codes[list(self.eq)] = ZERO
-        codes[list(self.leq)] = NONPOS
-        return SignPatternCone(codes)
-
-
-def tangent_cone_K(p: ProblemSpec, info: ActiveSetInfo) -> KTangentRows:
-    eq = tuple(range(p.m1))
-    leq = tuple(i for i in info.active if i >= p.m1)
-    free = tuple(i for i in info.inactive)
-    return KTangentRows(eq, leq, free)
 
 
 # --------------------------------------------------------------------------
@@ -339,9 +318,7 @@ class CriticalCone:
         return ok
 
 
-def _annihilator_rows(
-    mset: "MultiplierSet", krows: KTangentRows, tol: Tolerances
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _annihilator_rows(mset: "MultiplierSet") -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Equality and inequality rows of a box's critical cone (eta = 0) as the
     annihilator section of one multiplier (mu, lambda): at a KKT point every
     multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 : g'(x)h in
@@ -355,24 +332,22 @@ def _annihilator_rows(
     inequalities with mu_i > 0; entries within ``tol.residual`` of zero
     count as zero, as in the strict CQ.
     """
+    tol, codes = mset.tol, mset.k_pattern.codes
     mu = np.mean(np.asarray(mset.vertices, dtype=float), axis=0)
     lam, grads = mset.lam_of(mu), mset.g_grads
     lam_zero = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    tight = [i for i in krows.leq if mu[i] > tol.residual]
+    leq = codes == NONPOS
+    tight = leq & (mu > tol.residual)
     eq_rows = [np.where(np.abs(lam) <= lam_zero, 0.0, lam)]
-    eq_rows += [grads[i] for i in (*krows.eq, *tight)]
-    return eq_rows, [grads[i] for i in krows.leq if i not in tight]
+    eq_rows += [grads[i] for i in (*np.flatnonzero(codes == ZERO), *np.flatnonzero(tight))]
+    return eq_rows, list(grads[leq & ~tight])
 
 
 def critical_cone(
-    p: ProblemSpec,
-    mset: "MultiplierSet",
-    eta: float = 0.0,
-    constraint_rows: bool = True,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    mset: "MultiplierSet", eta: float = 0.0, constraint_rows: bool = True
 ) -> CriticalCone:
     """Critical cone (eta = 0) or extended critical cone (eta > 0) at the
-    point of ``mset``, read with its active sets, f'(x) and g'(x).
+    point of ``mset``, read with its tangent patterns, f'(x) and g'(x).
 
     ``constraint_rows=False`` drops the g'(x)-cuts and keeps only the
     tangent cone intersected with the objective cut.  With eta = 0 the
@@ -388,19 +363,19 @@ def critical_cone(
 
     if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
         raise UsageError("eta must be nonnegative")
-    v, fgrad, grads = mset.x, mset.f_grad, mset.g_grads
-    is_box = isinstance(p.abstract_set, BoxSet)
+    p, fgrad, grads = mset.problem, mset.f_grad, mset.g_grads
+    is_box = mset.c_pattern is not None
     annihilator = (constraint_rows and is_box and eta == 0.0 and mset.bounded
                    and bool(mset.vertices))
 
     eq_rows: list[np.ndarray] = []
     ineq_rows: list[np.ndarray] = []
     if annihilator:
-        eq_rows, ineq_rows = _annihilator_rows(mset, tangent_cone_K(p, mset.info), tol)
+        eq_rows, ineq_rows = _annihilator_rows(mset)
     elif constraint_rows:
-        krows = tangent_cone_K(p, mset.info)
-        eq_rows += [grads[i] for i in krows.eq]
-        ineq_rows += [grads[i] for i in krows.leq]
+        codes = mset.k_pattern.codes
+        eq_rows += list(grads[codes == ZERO])
+        ineq_rows += list(grads[codes == NONPOS])
     # eta = 0: the objective cut is a row like the others, implied by the
     # annihilator rows; eta > 0: it stays the non-polyhedral test
     # f'(x).h <= eta ||h||
@@ -411,8 +386,7 @@ def critical_cone(
         ineq_rows.append(fgrad)
 
     if is_box:
-        pattern = tangent_cone_box(p.abstract_set, v, tol)
-        pattern, eq_left, ineq_left = absorb_rows(pattern, eq_rows, ineq_rows, p.weights)
+        pattern, eq_left, ineq_left = absorb_rows(mset.c_pattern, eq_rows, ineq_rows, p.weights)
         zero = pattern._zero
         return CriticalCone(
             p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
@@ -420,7 +394,7 @@ def critical_cone(
         )
 
     cone_set = p.abstract_set
-    if np.max(np.abs(v - cone_set.base)) > tol.activity:
+    if np.max(np.abs(mset.x - cone_set.base)) > mset.tol.activity:
         raise UsageError("generated-cone problems support cone queries at the base point only")
     return CriticalCone(p.weights, None, cone_set.tangent_rays(), tuple(eq_rows),
                         tuple(ineq_rows), objective, eta)
@@ -513,7 +487,11 @@ def _project_rows(cone: CriticalCone, W: np.ndarray, face: bool) -> None:
     np.copyto(W, 0.0, where=~m)
 
 
-def _land_rows(cone: CriticalCone, V: np.ndarray, iterations: int = 60) -> None:
+# Projections a row of the landing sweep gets before it gives up.
+_LAND_ITERATIONS = 60
+
+
+def _land_rows(cone: CriticalCone, V: np.ndarray) -> None:
     """Land the rows of V in a pattern cone, in place: clamp them, then
     project each row that misses the equality rows and clamp it again.  The
     first projection is onto the rows' null space (``_project_rows``), so a
@@ -521,15 +499,15 @@ def _land_rows(cone: CriticalCone, V: np.ndarray, iterations: int = 60) -> None:
     among them, keeps those draws; later ones are exact on the row's face,
     so a step that clamps nothing lands, and each other step adds the
     coordinates it clamps to the face.  Each row stops on its own once its
-    equality residual is within 1e-10 (1 + max|v|), or after ``iterations``
-    projections, so it gets the steps it would get alone."""
+    equality residual is within 1e-10 (1 + max|v|), or after
+    ``_LAND_ITERATIONS`` projections, so it gets the steps it would get alone."""
     pattern = cone.base_pattern
     pattern.clamp_rows(V)
     if not cone.eq_rows:
         return
     RW = cone._eq_weighted
     moving, W = np.arange(len(V)), V  # W: the rows of V still moving
-    for step in range(iterations):
+    for step in range(_LAND_ITERATIONS):
         off = np.abs(W @ RW.T).max(axis=1, initial=0.0) > 1e-10 * (
             1.0 + np.abs(W).max(axis=1, initial=0.0))
         if not off.all():
@@ -542,19 +520,19 @@ def _land_rows(cone: CriticalCone, V: np.ndarray, iterations: int = 60) -> None:
     V[moving] = W
 
 
-def _land(cone: CriticalCone, H: np.ndarray, iterations: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def _land(cone: CriticalCone, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_land_rows`` on a copy of the rows of H (pattern cones).  Returns
     the landed rows and the mask of those that are nonzero members at
     1e-7."""
     V = np.array(H, dtype=float)
-    _land_rows(cone, V, iterations)
+    _land_rows(cone, V)
     return V, (np.abs(V).max(axis=1, initial=0.0) > 1e-12) & cone.contains_rows(V, 1e-7)
 
 
-def into_cone(cone: CriticalCone, h: np.ndarray, iterations: int = 60) -> Optional[np.ndarray]:
+def into_cone(cone: CriticalCone, h: np.ndarray) -> Optional[np.ndarray]:
     """The one-row case of ``_land``: h landed in a pattern cone, None if it
     fails."""
-    V, ok = _land(cone, np.asarray(h, dtype=float)[None], iterations)
+    V, ok = _land(cone, np.asarray(h, dtype=float)[None])
     return V[0] if ok[0] else None
 
 
@@ -606,9 +584,7 @@ def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
 _BLOCK_ENTRIES = 16384
 
 
-def _random_pattern_batch(
-    cone: CriticalCone, count: int, rng: np.random.Generator, iterations: int = 60
-) -> np.ndarray:
+def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian starts landed in one ``_land_rows`` sweep; returns the
     unit-norm rows that landed inside the cone.  The sweep works in place,
     so it holds one count x n array and the rows still moving."""
@@ -616,7 +592,7 @@ def _random_pattern_batch(
     assert cone.base_pattern is not None
     w = cone.weights
     H = rng.standard_normal((count, cone.dim))
-    _land_rows(cone, H, iterations)
+    _land_rows(cone, H)
 
     # the tests run on the unit rows: a start that the sweep collapses to
     # round-off residue passes absolute tests, but not once it is normalized

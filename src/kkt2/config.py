@@ -14,7 +14,7 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class Tolerances:
-    feasibility: float = 1e-9        # LP / polytope row satisfaction
+    feasibility: float = 1e-9        # double-description tightness, polytope rows, CQ axis signs
     vertex_dedup: float = 1e-8       # vertex enumeration duplicate merge
     activity: float = 1e-8           # constraint / bound activity
     residual: float = 1e-9           # stationarity residual

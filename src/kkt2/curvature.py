@@ -80,8 +80,9 @@ class CurvatureOracle:
         return grad
 
 
-def curvature_oracle(p: ProblemSpec, mset: MultiplierSet) -> CurvatureOracle:
+def curvature_oracle(mset: MultiplierSet) -> CurvatureOracle:
     """The Hessians at the point of ``mset``, with its multiplier vertices."""
+    p = mset.problem
     f_form = p.objective.hessian(mset.x)
     g_forms = tuple(c.hessian(mset.x) for c in p.constraints)
     return CurvatureOracle(p.weights, f_form, g_forms, mset)
@@ -299,12 +300,24 @@ def _search_min(
     return _Search(len(rows) + len(steps), chosen.normalized, witness)
 
 
+def _verdict(kind: str, violated: bool, found: _Search, mu: Optional[np.ndarray] = None,
+             **fields) -> SecondOrderVerdict:
+    """``<kind>_violated`` with the witness of ``found``, or ``<kind>_holds``
+    without one.  ``mu``, a fixed-mu search's multiplier, replaces the
+    witness's and stays on a verdict that holds."""
+    w = found.witness if violated else None
+    h, value, normalized, w_mu = (w.h, w.value, w.normalized, w.mu) if w is not None \
+        else (None,) * 4
+    return SecondOrderVerdict(
+        f"{kind}_{'violated' if violated else 'holds'}", h, value, normalized,
+        w_mu if mu is None else mu, sampled_min=found.sampled_min,
+        directions_evaluated=found.evaluated, **fields)
+
+
 def check_snc(
-    p: ProblemSpec,
     mset: MultiplierSet,
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     hypotheses: tuple[str, ...] = (),
 ) -> SecondOrderVerdict:
     """Search the critical cone for directions with q(h) < 0.
@@ -312,33 +325,19 @@ def check_snc(
     A violation witness is exact; the 'holds' verdict is the sampled minimum
     over the battery (heuristic certificate)."""
 
-    oracle = curvature_oracle(p, mset)
+    oracle = curvature_oracle(mset)
     if cone is None:
-        cone = critical_cone(p, mset, 0.0, tol=tol)
-
+        cone = critical_cone(mset, 0.0)
     found = _search_min(oracle, cone, budget)
-    section = _section_size(cone)
-    if found.sampled_min < -tol.violation:
-        witness = found.witness
-        return SecondOrderVerdict(
-            "snc_violated", witness.h, witness.value, witness.normalized,
-            witness.mu, sampled_min=found.sampled_min,
-            directions_evaluated=found.evaluated, hypotheses=hypotheses,
-            section_generators=section,
-        )
-    return SecondOrderVerdict(
-        "snc_holds", None, None, None, None, sampled_min=found.sampled_min,
-        directions_evaluated=found.evaluated, hypotheses=hypotheses, section_generators=section,
-    )
+    return _verdict("snc", found.sampled_min < -mset.tol.violation, found,
+                    hypotheses=hypotheses, section_generators=_section_size(cone))
 
 
 def check_snc_fixed_multiplier(
-    p: ProblemSpec,
     mset: MultiplierSet,
     mu,
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> SecondOrderVerdict:
     """Same search over a single multiplier's quadratic form instead of the
     maximized one.  Used to demonstrate that fixing one multiplier can leave
@@ -346,33 +345,21 @@ def check_snc_fixed_multiplier(
     coercive."""
 
     mu = np.asarray(mu, dtype=float)
-    if not mset.contains_mu(mu, tol):
+    if not mset.contains_mu(mu):
         raise UsageError("mu is not in the multiplier set")
-    validate_multipliers(p, mset, mset.multipliers(mu), tol)
-    oracle = curvature_oracle(p, mset)
+    validate_multipliers(mset, mset.multipliers(mu))
+    oracle = curvature_oracle(mset)
     if cone is None:
-        cone = critical_cone(p, mset, 0.0, tol=tol)
-
+        cone = critical_cone(mset, 0.0)
     found = _search_min(oracle, cone, budget, mu)
-    if found.sampled_min < -tol.violation:
-        witness = found.witness
-        return SecondOrderVerdict(
-            "snc_violated", witness.h, witness.value, witness.normalized, mu,
-            sampled_min=found.sampled_min, directions_evaluated=found.evaluated,
-        )
-    return SecondOrderVerdict(
-        "snc_holds", None, None, None, mu, sampled_min=found.sampled_min,
-        directions_evaluated=found.evaluated,
-    )
+    return _verdict("snc", found.sampled_min < -mset.tol.violation, found, mu)
 
 
 def check_ssc(
-    p: ProblemSpec,
     mset: MultiplierSet,
     eta: float,
     alpha_target: float,
     budget: SearchBudget = DEFAULT_BUDGET,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     hypotheses: tuple[str, ...] = (),
 ) -> SecondOrderVerdict:
     """Estimate the coercivity constant of q over the extended critical cone
@@ -382,30 +369,15 @@ def check_ssc(
 
     if eta <= 0:
         raise UsageError("the extended critical cone needs eta > 0")
-    oracle = curvature_oracle(p, mset)
-    cone_eta = critical_cone(p, mset, eta, tol=tol)
+    oracle = curvature_oracle(mset)
+    cone_eta = critical_cone(mset, eta)
     found = _search_min(oracle, cone_eta, budget)
     alpha_est = found.sampled_min
-    min_zero = _search_min(oracle, critical_cone(p, mset, 0.0, tol=tol), budget).sampled_min
-    consistent = (min_zero > 0) == (alpha_est > 0)
-
-    section = _section_size(cone_eta)
-    if alpha_est >= alpha_target - tol.alpha_slack:
-        return SecondOrderVerdict(
-            "ssc_holds", None, None, None, None, sampled_min=alpha_est,
-            directions_evaluated=found.evaluated, alpha_est=alpha_est,
-            hypotheses=hypotheses, positivity_consistent=consistent,
-            section_generators=section,
-        )
-    witness = found.witness
-    assert witness is not None
-    return SecondOrderVerdict(
-        "ssc_violated", witness.h, witness.value, witness.normalized,
-        witness.mu, sampled_min=alpha_est,
-        directions_evaluated=found.evaluated, alpha_est=alpha_est,
-        hypotheses=hypotheses, positivity_consistent=consistent,
-        section_generators=section,
-    )
+    min_zero = _search_min(oracle, critical_cone(mset, 0.0), budget).sampled_min
+    return _verdict("ssc", not alpha_est >= alpha_target - mset.tol.alpha_slack, found,
+                    alpha_est=alpha_est, hypotheses=hypotheses,
+                    positivity_consistent=(min_zero > 0) == (alpha_est > 0),
+                    section_generators=_section_size(cone_eta))
 
 
 # --------------------------------------------------------------------------

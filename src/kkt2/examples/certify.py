@@ -69,8 +69,8 @@ def _fixed_multiplier_gap(ctx: RunContext, cone) -> CheckRecord:
     condition on its own: each of 11 sampled ones has a violating direction."""
     gaps = []
     for mu in np.linspace(0.0, 1.0, 11):
-        verdict = check_snc_fixed_multiplier(ctx.problem, ctx.multipliers, np.array([mu]),
-                                             cone=cone, budget=ctx.budget, tol=ctx.tol)
+        verdict = check_snc_fixed_multiplier(ctx.multipliers, np.array([mu]), cone=cone,
+                                             budget=ctx.budget)
         gaps.append({"mu": float(mu), "violated": verdict.kind == "snc_violated",
                      "witness": second_order_witness_dict(verdict)})
     return CheckRecord("fixed_multiplier_gap", "pass" if all(g["violated"] for g in gaps)
@@ -80,7 +80,7 @@ def _fixed_multiplier_gap(ctx: RunContext, cone) -> CheckRecord:
 def _display_cone_checks(ctx: RunContext, ex: Example1Problem) -> list[CheckRecord]:
     """snc_sup and the fixed-multiplier gap on one display cone, built from
     the run's multiplier set: the direction battery is cached on it."""
-    cone = ex.display_critical_cone(ctx.multipliers, ctx.tol)
+    cone = ex.display_critical_cone(ctx.multipliers)
     return [snc_sup(ctx, cone), _fixed_multiplier_gap(ctx, cone)]
 
 

@@ -158,9 +158,6 @@ class Example2Problem:
     geometry: Example2Set
     xbar: np.ndarray
 
-    def critical_direction(self) -> np.ndarray:
-        return np.array([0.0, 1.0, 0.0])
-
 
 def _section_sampler(trunc: int):
     """Feasible samples for the growth check: random convex combinations of

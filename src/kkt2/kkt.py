@@ -1,8 +1,10 @@
 """First-order certification: multiplier polytope and constraint qualifications.
 
-``multiplier_set`` is a run's one point object: the point, its active sets,
-f'(x) and g'(x), and the multiplier polytope.  Every check from here to the
-second-order conditions takes it in place of x.
+``multiplier_set`` is a run's one point object: the problem, the point, the
+tolerances, the tangent patterns of C (boxes) and K at the point, f'(x) and
+g'(x), and the multiplier polytope.  Every check from here to the
+second-order conditions takes it alone, in place of the problem, x and the
+tolerances.
 
 The multiplier set is parameterized by mu alone (lambda is eliminated
 through stationarity, lambda(mu) = -f'(x) - sum_i mu_i g_i'(x)), which makes
@@ -22,7 +24,7 @@ and the normal cone's generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -37,18 +39,10 @@ from .cones import (
     ZERO,
     SignPatternCone,
     absorb_rows,
-    tangent_cone_K,
-    normal_cone_box,
     tangent_cone_box,
 )
 from .linalg import PolytopeH, cone_is_trivial, enumerate_vertices, nnls, weighted_norm
-from .model import (
-    ActiveSetInfo,
-    BoxSet,
-    ProblemSpec,
-    as_entries,
-    check_feasible,
-)
+from .model import BoxSet, ProblemSpec, as_entries, check_feasible
 
 Row = tuple[np.ndarray, float]
 
@@ -71,16 +65,22 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class MultiplierSet:
-    """The point x with what every check reads at it: the active sets
-    (``info``), f'(x), the m x n Jacobian g'(x), and the multiplier polytope
-    Lambda(x) over mu, with lambda eliminated.
+    """The point x of ``problem`` with what every check reads at it: the
+    tangent sign pattern of a box C at x (``c_pattern``; None on a hull,
+    whose ray families differ per question), K's tangent pattern at g(x)
+    over the m constraints (``k_pattern``: =0 on equalities, <=0 on active
+    inequalities, free on inactive ones), f'(x), the m x n Jacobian g'(x),
+    the multiplier polytope Lambda(x) over mu, with lambda eliminated, and
+    the tolerances every check reads.
 
     ``empty``, ``bounded`` and ``vertices`` come from one double description
     of the polytope, run on first read, so a run that reads only the point
     data never starts it."""
 
+    problem: ProblemSpec
     x: np.ndarray
-    info: ActiveSetInfo
+    c_pattern: Optional[SignPatternCone]
+    k_pattern: SignPatternCone
     f_grad: np.ndarray
     g_grads: np.ndarray  # m x n
     polytope: PolytopeH
@@ -120,44 +120,28 @@ class MultiplierSet:
     def multipliers(self, mu) -> Multipliers:
         return Multipliers(self.lam_of(mu), np.asarray(mu, dtype=float))
 
-    def contains_mu(self, mu, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def contains_mu(self, mu) -> bool:
         if self.m == 0:
             return not self.empty
-        return self.polytope.contains(np.asarray(mu, dtype=float), tol)
-
-
-def _mu_sign_rows(p: ProblemSpec, info: ActiveSetInfo) -> tuple[list[Row], list[Row]]:
-    """mu_i = 0 on inactive inequalities, mu_i >= 0 on active ones."""
-    m = p.n_constraints
-    eq: list[Row] = []
-    ineq: list[Row] = []
-    for i in info.inactive:
-        e = np.zeros(m)
-        e[i] = 1.0
-        eq.append((e, 0.0))
-    for i in info.active:
-        if i >= p.m1:
-            e = np.zeros(m)
-            e[i] = -1.0
-            ineq.append((e, 0.0))
-    return eq, ineq
+        return self.polytope.contains(np.asarray(mu, dtype=float), self.tol)
 
 
 def _abstract_cone(
-    p: ProblemSpec, x: np.ndarray, D: np.ndarray, hull_rays, tol: Tolerances
+    mset: MultiplierSet, D: np.ndarray, hull_rays
 ) -> tuple[SignPatternCone, np.ndarray]:
-    """The abstract set's cone at x as a sign pattern over k generator
-    coefficients, with the matrix whose column j is the derivative rows D
-    along generator j.
+    """The abstract set's cone at the point of ``mset`` as a sign pattern
+    over k generator coefficients, with the matrix whose column j is the
+    derivative rows D along generator j.
 
-    For a box the generators are the n coordinates under the tangent pattern,
-    and the matrix is D itself: the weighted product would scale column j by
+    For a box the generators are the n coordinates under ``c_pattern``, and
+    the matrix is D itself: the weighted product would scale column j by
     w_j > 0, which changes no sign condition.  For a hull they are the rays
     ``hull_rays(set)``, every coefficient >= 0, and entry (i, j) is
     <D[i], ray j>_w.
     """
-    if isinstance(p.abstract_set, BoxSet):
-        return tangent_cone_box(p.abstract_set, x, tol), D
+    if mset.c_pattern is not None:
+        return mset.c_pattern, D
+    p = mset.problem
     rays = hull_rays(p.abstract_set)
     w = p.weights
     M = np.array([[float(np.sum(w * row * d)) for d in rays] for row in D])
@@ -186,42 +170,46 @@ def multiplier_set(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> MultiplierSet:
     """The point data at x and Lambda(x) as an H-polytope over mu; raises at
-    an infeasible point.  No other check function tests feasibility or takes
-    first derivatives at x: each reads them off this object."""
+    an infeasible point.  No other check function tests feasibility, takes
+    first derivatives at x or builds a tangent pattern: each reads them off
+    this object."""
 
     v = as_entries(x, p.dim)
     feas = check_feasible(p, v, tol)
     if not feas.feasible:
         raise InfeasiblePoint("multiplier set requested at an infeasible point")
-    info = feas.info
-    assert info is not None
 
     f_grad = np.asarray(p.objective.gradient(v), dtype=float)
     m = p.n_constraints
     G = np.array(p.constraint_gradients(v), dtype=float).reshape(m, p.dim)
+    k_codes = np.full(m, FREE, dtype=np.int8)
+    k_codes[list(feas.info.active)] = NONPOS
+    k_codes[: p.m1] = ZERO
+    c_pattern = tangent_cone_box(p.abstract_set, v, tol) \
+        if isinstance(p.abstract_set, BoxSet) else None
+    mset = MultiplierSet(p, v, c_pattern, SignPatternCone(k_codes), f_grad, G, PolytopeH(m), tol)
 
     if m == 0:
         # Lambda(x) is {()} when lambda = -f'(x) lies in the normal cone,
         # else empty: the row 0 <= -1
-        ok = _lambda_in_normal_cone(p, v, -f_grad, tol)
-        return MultiplierSet(v, info, f_grad, G,
-                             PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)), tol)
+        ok = _lambda_in_normal_cone(mset, -f_grad)
+        return replace(mset, polytope=PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)))
 
     # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
-    # tangent cone: one row per generator, in the generator coordinates
-    pattern, GF = _abstract_cone(p, v, np.vstack([G, f_grad]),
-                                 lambda s: s.normal_row_rays(), tol)
+    # tangent cone: one row per generator, in the generator coordinates; mu
+    # lies in the normal cone of K, the polar of k_pattern
+    pattern, GF = _abstract_cone(mset, np.vstack([G, f_grad]), lambda s: s.normal_row_rays())
     pat_eq, pat_ineq = _polar_rows(pattern, -GF[:m], GF[m])
-    sign_eq, sign_ineq = _mu_sign_rows(p, info)
+    sign_eq, sign_ineq = _polar_rows(mset.k_pattern, np.eye(m))
     poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
-    return MultiplierSet(v, info, f_grad, G, poly, tol)
+    return replace(mset, polytope=poly)
 
 
-def _lambda_in_normal_cone(
-    p: ProblemSpec, x: np.ndarray, lam: np.ndarray, tol: Tolerances
-) -> bool:
-    if isinstance(p.abstract_set, BoxSet):
-        return normal_cone_box(p.abstract_set, x, tol).contains(lam, tol.residual)
+def _lambda_in_normal_cone(mset: MultiplierSet, lam: np.ndarray) -> bool:
+    tol = mset.tol
+    if mset.c_pattern is not None:
+        return mset.c_pattern.polar().contains(lam, tol.residual)
+    p = mset.problem
     w = p.weights
     scale = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
     return all(
@@ -230,24 +218,20 @@ def _lambda_in_normal_cone(
     )
 
 
-def validate_multipliers(
-    p: ProblemSpec, mset: MultiplierSet, mult: Multipliers,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def validate_multipliers(mset: MultiplierSet, mult: Multipliers) -> float:
     """Stationarity residual of (lambda, mu) at the point of ``mset``, read
-    with its active sets, f'(x) and Jacobian; raises on sign violations."""
+    with its patterns, f'(x) and Jacobian; raises on sign violations."""
 
+    w, tol, codes = mset.problem.weights, mset.tol, mset.k_pattern.codes
     resid_vec = mset.f_grad + mult.lam + (mset.g_grads.T @ mult.mu if mset.m else 0.0)
-    residual = weighted_norm(p.weights, resid_vec)
-    if residual > tol.residual * (1.0 + weighted_norm(p.weights, mset.f_grad)):
+    residual = weighted_norm(w, resid_vec)
+    if residual > tol.residual * (1.0 + weighted_norm(w, mset.f_grad)):
         raise UsageError(f"stationarity residual {residual:.3e} too large")
-    for i in mset.info.inactive:
-        if abs(mult.mu[i]) > tol.residual:
-            raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
-    for i in mset.info.active:
-        if i >= p.m1 and mult.mu[i] < -tol.residual:
-            raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
-    if not _lambda_in_normal_cone(p, mset.x, mult.lam, tol):
+    for i in np.flatnonzero((codes == FREE) & (np.abs(mult.mu) > tol.residual)):
+        raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
+    for i in np.flatnonzero((codes == NONPOS) & (mult.mu < -tol.residual)):
+        raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
+    if not _lambda_in_normal_cone(mset, mult.lam):
         raise UsageError("lambda violates the normal-cone pattern")
     return residual
 
@@ -289,38 +273,28 @@ def _polar_generators(
     return cone_is_trivial(MI.shape[0], eq, ineq, tol)[1]
 
 
-def _surjectivity_cq(
-    p: ProblemSpec, mset: MultiplierSet, hull_rays, name: str, tol: Tolerances
-) -> CQVerdict:
+def _surjectivity_cq(mset: MultiplierSet, hull_rays, name: str) -> CQVerdict:
     """g'(x)[C-cone] - T_K(g(x)) = R^m at the point of ``mset``, with the
     C-cone generated by the tangent pattern of a box or by
     ``hull_rays(set)`` of a hull."""
-    k_pattern = tangent_cone_K(p, mset.info).pattern(p.n_constraints)
-    c_pattern, M = _abstract_cone(p, mset.x, mset.g_grads, hull_rays, tol)
-    gens = _polar_generators(*_difference_map(c_pattern, M, k_pattern), tol)
+    c_pattern, M = _abstract_cone(mset, mset.g_grads, hull_rays)
+    gens = _polar_generators(*_difference_map(c_pattern, M, mset.k_pattern), mset.tol)
     return CQVerdict(name, not len(gens), witness=gens[0] if len(gens) else None)
 
 
-def check_rzkcq(
-    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CQVerdict:
+def check_rzkcq(mset: MultiplierSet) -> CQVerdict:
     """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe."""
-    return _surjectivity_cq(p, mset, lambda s: s.rays + s.deep_rays, "rzkcq", tol)
+    return _surjectivity_cq(mset, lambda s: s.rays + s.deep_rays, "rzkcq")
 
 
-def check_weaker_cq(
-    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CQVerdict:
+def check_weaker_cq(mset: MultiplierSet) -> CQVerdict:
     """Tangent-cone variant g'(x) T_C(x) - T_K(g(x)) = R^m; for boxes the
     radial and tangent cones share the sign pattern, so the verdict always
     matches check_rzkcq there."""
-    return _surjectivity_cq(p, mset, lambda s: s.normal_row_rays(), "weaker", tol)
+    return _surjectivity_cq(mset, lambda s: s.normal_row_rays(), "weaker")
 
 
-def check_strict_cq(
-    p: ProblemSpec, mset: MultiplierSet, mult: Multipliers,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> CQVerdict:
+def check_strict_cq(mset: MultiplierSet, mult: Multipliers) -> CQVerdict:
     """Strict qualification: g'(x)[T_C(x) ∩ lambda-annihilator] minus
     [T_K(g(x)) ∩ mu-annihilator] must be all of R^m.
 
@@ -333,29 +307,27 @@ def check_strict_cq(
     every polar generator has a nonpositive entry i.
     """
 
-    v, G = mset.x, mset.g_grads
-    validate_multipliers(p, mset, mult, tol)
+    p, tol, m = mset.problem, mset.tol, mset.m
+    validate_multipliers(mset, mult)
     lam_zero = tol.residual * (1.0 + float(np.max(np.abs(mult.lam), initial=0.0)))
     mult = Multipliers(np.where(np.abs(mult.lam) <= lam_zero, 0.0, mult.lam),
                        np.where(np.abs(mult.mu) <= tol.residual, 0.0, mult.mu))
-    m = p.n_constraints
-    k_base = tangent_cone_K(p, mset.info).pattern(m)
-    k_section, eq_left, _ = absorb_rows(k_base, [mult.mu], [], np.ones(m))
+    k_section, eq_left, _ = absorb_rows(mset.k_pattern, [mult.mu], [], np.ones(m))
     if eq_left:
         raise UsageError("mu-annihilator section did not absorb; invalid multipliers")
 
-    if isinstance(p.abstract_set, BoxSet):
-        t_pattern, M = _abstract_cone(p, v, G, None, tol)
-        c_section, eq_left, _ = absorb_rows(t_pattern, [mult.lam], [], p.weights)
+    if mset.c_pattern is not None:
+        c_section, eq_left, _ = absorb_rows(mset.c_pattern, [mult.lam], [], p.weights)
         if eq_left:
             raise UsageError("lambda-annihilator section did not absorb; invalid multipliers")
+        M = mset.g_grads
     else:
         kept_rays = [
             d for d in p.abstract_set.tangent_rays()
             if abs(float(np.sum(p.weights * mult.lam * d)))
             <= tol.residual * (1.0 + float(np.max(np.abs(d))))
         ]
-        c_section, M = _abstract_cone(p, v, G, lambda s: kept_rays, tol)
+        c_section, M = _abstract_cone(mset, mset.g_grads, lambda s: kept_rays)
 
     gens = _polar_generators(*_difference_map(c_section, M, k_section), tol)
     if not len(gens):
@@ -386,22 +358,22 @@ class FOCResult:
     best_mu: Optional[np.ndarray] = None
 
 
-def _normal_cone_generators(p: ProblemSpec, x: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Generators (rows) of the abstract set's normal cone at x: signed unit
-    vectors read off a box's normal pattern, or for a hull the generators
-    of {lambda : <lambda, d>_w <= 0 for every ray d}."""
-    if isinstance(p.abstract_set, BoxSet):
-        codes = normal_cone_box(p.abstract_set, x, tol).codes
+def _normal_cone_generators(mset: MultiplierSet) -> np.ndarray:
+    """Generators (rows) of the abstract set's normal cone at the point:
+    signed unit vectors read off the polar of a box's tangent pattern, or
+    for a hull the generators of {lambda : <lambda, d>_w <= 0 for every ray
+    d}."""
+    p = mset.problem
+    if mset.c_pattern is not None:
+        codes = mset.c_pattern.polar().codes
         eye = np.eye(p.dim)
         return np.vstack([eye[(codes == NONNEG) | (codes == FREE)],
                           -eye[(codes == NONPOS) | (codes == FREE)]])
     rows = [(p.weights * d, 0.0) for d in p.abstract_set.normal_row_rays()]
-    return cone_is_trivial(p.dim, [], rows, tol)[1]
+    return cone_is_trivial(p.dim, [], rows, mset.tol)[1]
 
 
-def foc_residual(
-    p: ProblemSpec, mset: MultiplierSet, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FOCResult:
+def foc_residual(mset: MultiplierSet) -> FOCResult:
     """Stationary iff the multiplier set is nonempty; otherwise reports the
     distance to stationarity, min over admissible mu of
     dist_w(-f'(x) - g'(x)^T mu, N_C(x)), with its argmin mu.
@@ -414,12 +386,11 @@ def foc_residual(
     if not mset.empty:
         return FOCResult(True, 0.0)
 
-    m, G = p.n_constraints, mset.g_grads
+    p, m, G = mset.problem, mset.m, mset.g_grads
     eq = np.arange(p.m1)
-    ineq = np.array([i for i in mset.info.active if i >= p.m1], dtype=int)
+    ineq = np.flatnonzero(mset.k_pattern.codes == NONPOS)
     s = np.sqrt(p.weights)
-    A = s[:, None] * np.vstack([G[eq], -G[eq], G[ineq],
-                                _normal_cone_generators(p, mset.x, tol)]).T
+    A = s[:, None] * np.vstack([G[eq], -G[eq], G[ineq], _normal_cone_generators(mset)]).T
     c, residual = nnls(A, -s * mset.f_grad)
     mu = np.zeros(m)
     mu[eq] = c[: p.m1] - c[p.m1 : 2 * p.m1]

@@ -71,7 +71,6 @@ class BilinearForm:
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], float]
-    symmetric: bool = True
     apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
     quad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -105,8 +104,7 @@ def matrix_form(H: np.ndarray, weights: Optional[np.ndarray] = None) -> Bilinear
     def rows(X):
         return np.einsum("ij,ij->i", X @ H, X)
 
-    return BilinearForm(evaluator=ev, symmetric=bool(np.allclose(H, H.T)), apply=ap,
-                        quad_rows=rows)
+    return BilinearForm(evaluator=ev, apply=ap, quad_rows=rows)
 
 
 # --------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class ActiveSetInfo:
-    """Active/inactive constraint indices and the box activity pattern.
+    """Active/inactive constraint indices.
 
     ``active`` contains every index i with |g_i(x)| <= tol; at a feasible
     point that includes all equality indices, so active and inactive
@@ -238,9 +238,6 @@ class ActiveSetInfo:
 
     active: tuple[int, ...]
     inactive: tuple[int, ...]
-    box_lower_active: tuple[int, ...]
-    box_upper_active: tuple[int, ...]
-    box_interior: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -287,16 +284,7 @@ def check_feasible(
 
     if violations:
         return FeasibilityResult(False, None, tuple(violations))
-
-    if isinstance(p.abstract_set, BoxSet):
-        lo_act, up_act, interior = p.abstract_set.classify(v, tol.activity)
-        lo = tuple(int(i) for i in np.nonzero(lo_act)[0])
-        up = tuple(int(i) for i in np.nonzero(up_act)[0])
-        mid = tuple(int(i) for i in np.nonzero(interior)[0])
-    else:
-        lo, up, mid = (), (), tuple(range(p.dim))
-    info = ActiveSetInfo(tuple(active), tuple(inactive), lo, up, mid)
-    return FeasibilityResult(True, info)
+    return FeasibilityResult(True, ActiveSetInfo(tuple(active), tuple(inactive)))
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def replay(problem: ProblemSpec, report: CertificationReport, tol: float = 1e-9)
     """
 
     x = as_entries(np.asarray(report.point, dtype=float), problem.dim)
-    oracle = curvature_oracle(problem, multiplier_set(problem, x))
+    oracle = curvature_oracle(multiplier_set(problem, x))
     out: list[tuple[str, bool, float]] = []
     for record in report.checks:
         w = record.witness

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from kkt2.cones import ZERO, CriticalCone, absorb_rows, tangent_cone_K, tangent_cone_box
+from kkt2.cones import NONPOS, ZERO, CriticalCone, absorb_rows
 from kkt2.linalg import PolytopeH
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
@@ -178,8 +178,7 @@ def brute_force_nnls(A, b) -> float:
     return best
 
 
-def plain_critical_cone(p: ProblemSpec, mset, eta: float = 0.0,
-                        constraint_rows: bool = True) -> CriticalCone:
+def plain_critical_cone(mset, eta: float = 0.0, constraint_rows: bool = True) -> CriticalCone:
     """A box's critical cone at the point of ``mset`` by its cut
     description: the tangent pattern cut by the active constraint rows (with
     ``constraint_rows``) and the objective, as the row f'(x).h <= 0 at
@@ -187,14 +186,12 @@ def plain_critical_cone(p: ProblemSpec, mset, eta: float = 0.0,
     single-signed rows absorbed (``absorb_rows``).  At eta = 0 with
     constraint rows, ``critical_cone`` describes the same set by the
     annihilator rows of one multiplier."""
-    krows = tangent_cone_K(p, mset.info)
-    G = mset.g_grads
-    eq = [G[i] for i in krows.eq] if constraint_rows else []
-    ineq = [G[i] for i in krows.leq] if constraint_rows else []
+    p, codes, G = mset.problem, mset.k_pattern.codes, mset.g_grads
+    eq = [G[i] for i in np.flatnonzero(codes == ZERO)] if constraint_rows else []
+    ineq = [G[i] for i in np.flatnonzero(codes == NONPOS)] if constraint_rows else []
     if eta == 0.0:
         ineq.append(mset.f_grad)
-    pattern, eq_left, ineq_left = absorb_rows(tangent_cone_box(p.abstract_set, mset.x), eq,
-                                              ineq, p.weights)
+    pattern, eq_left, ineq_left = absorb_rows(mset.c_pattern, eq, ineq, p.weights)
     zero = pattern.codes == ZERO
     return CriticalCone(p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
                         tuple(np.where(zero, 0.0, r) for r in ineq_left),

@@ -44,7 +44,7 @@ def _box_instances(count: int):
 
 @pytest.fixture(scope="module")
 def instances():
-    return [(p, xbar, mset, plain_critical_cone(p, mset), critical_cone(p, mset, 0.0))
+    return [(p, xbar, mset, plain_critical_cone(mset), critical_cone(mset, 0.0))
             for p, xbar, mset in _box_instances(60)]
 
 
@@ -74,8 +74,8 @@ class TestPromotion:
     def test_eta_positive_and_display_cones_are_unchanged(self, instances):
         p, xbar, mset, _, _ = instances[0]
         for eta, rows in ((0.3, True), (0.0, False)):
-            a = plain_critical_cone(p, mset, eta, constraint_rows=rows)
-            b = critical_cone(p, mset, eta, constraint_rows=rows)
+            a = plain_critical_cone(mset, eta, constraint_rows=rows)
+            b = critical_cone(mset, eta, constraint_rows=rows)
             assert np.array_equal(a.base_pattern.codes, b.base_pattern.codes)
             assert len(a.eq_rows) == len(b.eq_rows) and len(a.ineq_rows) == len(b.ineq_rows)
 
@@ -86,7 +86,7 @@ class TestProjector:
         """Eight equality rows of rank three at scale 0.01, as in the
         many-multiplier benchmark problems."""
         p, x = many_multiplier_spec(seed)
-        cone = critical_cone(p, multiplier_set(p, x), 0.0)
+        cone = critical_cone(multiplier_set(p, x), 0.0)
         assert len(cone.eq_rows) == 8 and not cone.ineq_rows
         assert np.linalg.matrix_rank(np.array(cone.eq_rows)) == 3
         codes = cone.base_pattern.codes
@@ -100,7 +100,7 @@ class TestProjector:
 
     def test_battery_accepts_every_draw(self):
         p, x = many_multiplier_spec(0)
-        cone = critical_cone(p, multiplier_set(p, x), 0.0)
+        cone = critical_cone(multiplier_set(p, x), 0.0)
         draws = random_directions(cone, 200, np.random.default_rng(5), max_rounds=1)
         assert draws.shape == (200, 24)
         assert all(cone.contains(h, 1e-9) for h in draws)

@@ -14,9 +14,7 @@ from kkt2.cones import (
     _land,
     critical_cone,
     into_cone,
-    normal_cone_box,
     radial_density_gap,
-    tangent_cone_K,
     tangent_cone_box,
 )
 from kkt2.cones import random_directions, structured_directions
@@ -24,9 +22,14 @@ from kkt2.errors import InfeasiblePoint, UsageError
 from kkt2.examples import build_example1, build_example2
 from kkt2.examples.example2 import Example2Set, GAMMA, DELTA
 from kkt2.kkt import multiplier_set
-from kkt2.model import BoxSet, ProblemSpec, check_feasible, quadratic
+from kkt2.model import BoxSet, ProblemSpec, quadratic
 
 from helpers import many_multiplier_spec
+
+
+def _unconstrained(box: BoxSet) -> ProblemSpec:
+    return ProblemSpec(quadratic(0.0, np.zeros(box.dim), np.zeros((box.dim, box.dim))), (), 0,
+                       box, np.ones(box.dim))
 
 
 def example2_cones(truncs=(5, 10, 20)):
@@ -44,10 +47,9 @@ class TestBoxCones:
 
     def test_interior_point_free_and_normal_zero(self):
         box = BoxSet(np.full(3, -1.0), np.full(3, 1.0))
-        pat = tangent_cone_box(box, np.zeros(3))
+        pat = multiplier_set(_unconstrained(box), np.zeros(3)).c_pattern
         assert all(c == FREE for c in pat.codes)
-        normal = normal_cone_box(box, np.zeros(3))
-        assert all(c == ZERO for c in normal.codes)
+        assert all(c == ZERO for c in pat.polar().codes)
 
     def test_fixed_component(self):
         box = BoxSet(np.array([0.0, -1.0]), np.array([0.0, 1.0]))
@@ -62,7 +64,7 @@ class TestBoxCones:
     def test_example1_normal_pattern(self):
         """<=0 at lower-active, =0 on the free middle, >=0 at upper-active."""
         ex = build_example1(12)
-        codes = normal_cone_box(ex.problem.abstract_set, ex.xbar).codes
+        codes = multiplier_set(ex.problem, ex.xbar).c_pattern.polar().codes
         assert all(codes[i] == NONPOS for i in range(4))
         assert all(codes[i] == ZERO for i in range(4, 8))
         assert all(codes[i] == NONNEG for i in range(8, 12))
@@ -92,14 +94,14 @@ class TestBoxCones:
 
 
 class TestKTangent:
+    """K's tangent pattern on the point object, and C's beside it."""
+
     def test_all_equalities(self):
         p = ProblemSpec(
             quadratic(0.0, np.zeros(2), np.zeros((2, 2))),
             tuple(quadratic(0.0, np.eye(2)[i], np.zeros((2, 2))) for i in range(2)),
             2, BoxSet(np.full(2, -1.0), np.full(2, 1.0)), np.ones(2))
-        info = check_feasible(p, np.zeros(2)).info
-        rows = tangent_cone_K(p, info)
-        assert rows.eq == (0, 1) and rows.leq == () and rows.free == ()
+        assert multiplier_set(p, np.zeros(2)).k_pattern.codes.tolist() == [ZERO, ZERO]
 
     def test_single_active_inequality(self):
         p = ProblemSpec(
@@ -107,15 +109,22 @@ class TestKTangent:
             (quadratic(0.0, np.array([1.0, 0.0]), np.zeros((2, 2))),
              quadratic(-1.0, np.array([0.0, 1.0]), np.zeros((2, 2)))),
             0, BoxSet(np.full(2, -2.0), np.full(2, 2.0)), np.ones(2))
-        info = check_feasible(p, np.zeros(2)).info
-        rows = tangent_cone_K(p, info)
-        assert rows.eq == () and rows.leq == (0,) and rows.free == (1,)
+        assert multiplier_set(p, np.zeros(2)).k_pattern.codes.tolist() == [NONPOS, FREE]
 
     def test_example2_single_equality_row(self):
         ex = build_example2(4)
-        info = check_feasible(ex.problem, ex.xbar).info
-        rows = tangent_cone_K(ex.problem, info)
-        assert rows.eq == (0,) and rows.leq == () and rows.free == ()
+        assert multiplier_set(ex.problem, ex.xbar).k_pattern.codes.tolist() == [ZERO]
+
+    def test_hull_has_no_box_pattern(self):
+        ex = build_example2(4)
+        assert multiplier_set(ex.problem, ex.xbar).c_pattern is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_box_pattern_is_the_tangent_pattern(self, seed):
+        p, x = many_multiplier_spec(seed)
+        pattern = multiplier_set(p, x).c_pattern
+        assert np.array_equal(pattern.codes, tangent_cone_box(p.abstract_set, x).codes)
+        assert set(pattern.codes.tolist()) == {FREE, NONNEG}
 
 
 class TestCriticalCone:
@@ -131,13 +140,13 @@ class TestCriticalCone:
     def test_example1_full_cone_excludes_h1(self):
         """With the constraint row, chi_(0,1/3) is no longer critical."""
         ex = build_example1(12)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.0)
         assert not cone.contains(ex.direction_lower_indicator())
         assert cone.contains(ex.direction_upper_indicator())
 
     def test_example2_member(self):
         ex = build_example2(6)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.0)
         assert cone.contains(np.array([0.0, 1.0, 0.0]))
         assert not cone.contains(np.array([0.0, 0.0, -1.0]))
 
@@ -147,7 +156,7 @@ class TestCriticalCone:
             quadratic(0.0, np.zeros(2), np.eye(2)),
             (quadratic(0.0, np.array([1.0, 1.0]), np.zeros((2, 2))),),
             1, BoxSet(np.zeros(2), np.ones(2)), np.ones(2))
-        cone = critical_cone(p, multiplier_set(p, np.zeros(2)), 0.0)
+        cone = critical_cone(multiplier_set(p, np.zeros(2)), 0.0)
         assert cone.contains(np.array([1.0, -1.0])) is False  # pattern >=0
         assert cone.contains(np.array([0.0, 0.0]))
         h = np.array([1.0, 1.0])
@@ -159,7 +168,7 @@ class TestCriticalCone:
         """The cone's point object, the multiplier set, refuses the point."""
         ex = build_example1(12)
         with pytest.raises(InfeasiblePoint):
-            critical_cone(ex.problem, multiplier_set(ex.problem, np.full(12, 2.0)), 0.0)
+            critical_cone(multiplier_set(ex.problem, np.full(12, 2.0)), 0.0)
 
     @pytest.mark.parametrize("eta", [-0.1, float("nan")])
     @pytest.mark.parametrize("build, size", [(build_example1, 12), (build_example2, 4)])
@@ -169,12 +178,12 @@ class TestCriticalCone:
         "holds"."""
         ex = build(size)
         with pytest.raises(UsageError):
-            critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), eta)
+            critical_cone(multiplier_set(ex.problem, ex.xbar), eta)
 
     def test_eta_zero_contained_in_eta_positive(self):
         ex = build_example1(12)
         mset = multiplier_set(ex.problem, ex.xbar)
-        cone0, cone_eta = critical_cone(ex.problem, mset, 0.0), critical_cone(ex.problem, mset, 0.5)
+        cone0, cone_eta = critical_cone(mset, 0.0), critical_cone(mset, 0.5)
         rng = np.random.default_rng(23)
         members = random_directions(cone0, 40, rng)
         assert len(members)
@@ -253,12 +262,12 @@ def _sweep_cones():
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         for eta in (0.0, 0.1):
-            yield f"example1 {grid} eta {eta}", critical_cone(ex.problem, mset, eta)
+            yield f"example1 {grid} eta {eta}", critical_cone(mset, eta)
     for seed in (0, 1):
         p, x = many_multiplier_spec(seed)
         mset = multiplier_set(p, x)
         for eta in (0.0, 0.1):
-            yield f"many {seed} eta {eta}", critical_cone(p, mset, eta)
+            yield f"many {seed} eta {eta}", critical_cone(mset, eta)
 
 
 class TestStructuredSweep:
@@ -282,7 +291,7 @@ class TestStructuredSweep:
         """Gaussian starts on example1's eta = 0.1 cone need different
         numbers of projections; each landed row matches its one-row case."""
         ex = build_example1(120)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
         H = np.random.default_rng(8).standard_normal((40, ex.grid))
         V, ok = _land(cone, H)
         for h, v, landed in zip(H, V, ok):
@@ -296,7 +305,7 @@ class TestStructuredSweep:
         """The eta = 0.1 cone of example1 keeps an equality row, so some
         candidates are not members and need the sweep."""
         ex = build_example1(120)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
         assert cone.eq_rows
         rows = structured_directions(cone, 64)
         assert any(not set(np.unique(h)) <= {-1.0, 0.0, 1.0} for h in rows)
@@ -310,12 +319,12 @@ def _landing_cones():
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         for eta in (0.0, 0.1):
-            cone = critical_cone(ex.problem, mset, eta)
+            cone = critical_cone(mset, eta)
             assert bool(cone.eq_rows) == (eta > 0.0)
             yield f"example1 {grid} eta {eta}", cone
     for seed in range(4):
         p, x = many_multiplier_spec(seed)
-        yield f"many {seed}", critical_cone(p, multiplier_set(p, x), 0.0)
+        yield f"many {seed}", critical_cone(multiplier_set(p, x), 0.0)
 
 
 def _singular_face_cone():

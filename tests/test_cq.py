@@ -177,14 +177,14 @@ def check_every_violation(p, x):
     mset = multiplier_set(p, x)
     for check, rays in ((check_rzkcq, lambda s: s.rays + s.deep_rays),
                         (check_weaker_cq, lambda s: s.normal_row_rays())):
-        v = check(p, mset)
+        v = check(mset)
         if not v.holds:
             assert_valid_witness(p, x, v, rays(p.abstract_set) if hull else None)
             checked += 1
     for vert in mset.vertices:
         mult = mset.multipliers(vert)
         try:
-            v = check_strict_cq(p, mset, mult)
+            v = check_strict_cq(mset, mult)
         except UsageError:  # an annihilator section that does not absorb
             continue
         if not v.holds:
@@ -230,7 +230,7 @@ def achieved_cones(p, x):
     mset = multiplier_set(p, x)
     out = {}
     for vert in mset.vertices:
-        v = check_strict_cq(p, mset, mset.multipliers(vert))
+        v = check_strict_cq(mset, mset.multipliers(vert))
         out[tuple(np.round(vert, 9) + 0.0)] = (v.holds, v.achieved_cone)
     return out
 
@@ -267,7 +267,7 @@ class TestWeightInvariance:
     @staticmethod
     def verdicts(p, x):
         mset = multiplier_set(p, x)
-        return check_rzkcq(p, mset).holds, check_weaker_cq(p, mset).holds, achieved_cones(p, x)
+        return check_rzkcq(mset).holds, check_weaker_cq(mset).holds, achieved_cones(p, x)
 
     @pytest.mark.parametrize("weights", [(0.5, 2.0, 1.5), (3.0, 0.25, 1.0), (1e-3, 1.0, 1e3)])
     def test_two_constraint_box(self, weights):
@@ -326,6 +326,7 @@ class TestStrictCQTolerance:
         p = thin_wedge_hull(1e-7)
         mset = multiplier_set(p, np.zeros(3))
         mult = Multipliers(np.array([0.0, 0.0, -1.0]), np.zeros(1))
-        tight = check_strict_cq(p, mset, mult)
+        tight = check_strict_cq(mset, mult)
         assert not tight.holds and tight.achieved_cone == "{0}"
-        assert check_strict_cq(p, mset, mult, replace(DEFAULT_TOLERANCES, residual=1e-5)).holds
+        loose = multiplier_set(p, np.zeros(3), replace(DEFAULT_TOLERANCES, residual=1e-5))
+        assert check_strict_cq(loose, mult).holds

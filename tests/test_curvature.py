@@ -45,7 +45,7 @@ class TestQofH:
     def test_example1_first_direction(self, ex1):
         """max over [0,1] of (1 - 3 mu): value 1 at mu = 0."""
         ex, mset = ex1
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         val, mu = q_of_h(oracle, ex.direction_lower_indicator())
         assert val == pytest.approx(1.0, abs=1e-12)
         assert mu[0] == pytest.approx(0.0, abs=1e-9)
@@ -53,14 +53,14 @@ class TestQofH:
     def test_example1_second_direction(self, ex1):
         """max over [0,1] of (-1 + 2 mu): value 1 at mu = 1."""
         ex, mset = ex1
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         val, mu = q_of_h(oracle, ex.direction_upper_indicator())
         assert val == pytest.approx(1.0, abs=1e-12)
         assert mu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_example2_negative_curvature(self, ex2):
         ex, mset = ex2
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         val, _ = q_of_h(oracle, np.array([0.0, 1.0, 0.0]))
         assert val == pytest.approx(-2.0 * DELTA, abs=1e-12)
         assert val == pytest.approx(-0.92820, abs=1e-5)
@@ -73,7 +73,7 @@ class TestQofH:
             mset = multiplier_set(p, xbar)
             if mset.empty or not mset.bounded or not mset.vertices:
                 continue
-            oracle = curvature_oracle(p, mset)
+            oracle = curvature_oracle(mset)
             for _ in range(4):
                 h = rng.standard_normal(p.dim)
                 v1, _ = q_of_h(oracle, h)
@@ -85,7 +85,7 @@ class TestQofH:
     def test_weak_duality_over_sampled_multipliers(self, ex1):
         """Every fixed multiplier's Hessian value is dominated by q."""
         ex, mset = ex1
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         rng = np.random.default_rng(47)
         for _ in range(30):
             h = rng.standard_normal(12)
@@ -96,11 +96,11 @@ class TestQofH:
     def test_monotone_in_multiplier_set(self, ex1):
         """Enlarging the multiplier polytope never decreases q."""
         ex, mset = ex1
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         interval = PolytopeH(1, (), ((np.array([1.0]), 1.3), (np.array([-1.0]), 0.2)))
         enlarged = replace(mset, polytope=interval)  # mu in [-0.2, 1.3]
         assert [float(v[0]) for v in enlarged.vertices] == pytest.approx([-0.2, 1.3])
-        oracle_big = curvature_oracle(ex.problem, enlarged)
+        oracle_big = curvature_oracle(enlarged)
         rng = np.random.default_rng(53)
         for _ in range(40):
             h = rng.standard_normal(12)
@@ -110,13 +110,13 @@ class TestQofH:
 class TestSNC:
     def test_example1_sup_form_holds(self, ex1):
         ex, mset = ex1
-        verdict = check_snc(ex.problem, mset, cone=ex.display_critical_cone(mset))
+        verdict = check_snc(mset, cone=ex.display_critical_cone(mset))
         assert verdict.kind == "snc_holds"
         assert verdict.sampled_min >= 1.0 - 1e-6
 
     def test_example2_violated_at_limit_ray(self, ex2):
         ex, mset = ex2
-        verdict = check_snc(ex.problem, mset)
+        verdict = check_snc(mset)
         assert verdict.kind == "snc_violated"
         assert np.allclose(verdict.witness, [0.0, 1.0, 0.0], atol=1e-12)
         assert verdict.witness_value == pytest.approx(-2.0 * DELTA, abs=1e-12)
@@ -126,17 +126,17 @@ class TestSNC:
             quadratic(0.0, np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]])), (), 0,
             BoxSet(np.full(2, -1.0), np.full(2, 1.0)), np.ones(2))
         mset = multiplier_set(p, np.zeros(2))
-        verdict = check_snc(p, mset)
+        verdict = check_snc(mset)
         assert verdict.kind == "snc_holds"
         assert verdict.sampled_min >= 0.0
 
     def test_witness_replays_from_cold_start(self, ex2):
         ex, _ = ex2
         mset1 = multiplier_set(ex.problem, ex.xbar)
-        v1 = check_snc(ex.problem, mset1)
+        v1 = check_snc(mset1)
         ex_again = build_example2(8)
         mset2 = multiplier_set(ex_again.problem, ex_again.xbar)
-        v2 = check_snc(ex_again.problem, mset2)
+        v2 = check_snc(mset2)
         assert v1.kind == v2.kind == "snc_violated"
         assert np.array_equal(v1.witness, v2.witness)
         assert v1.witness_value == v2.witness_value
@@ -148,11 +148,11 @@ class TestFixedMultiplier:
         by the lower indicator (value -2)."""
         ex, mset = ex1
         cone = ex.display_critical_cone(mset)
-        v0 = check_snc_fixed_multiplier(ex.problem, mset, np.array([0.0]), cone=cone)
+        v0 = check_snc_fixed_multiplier(mset, np.array([0.0]), cone=cone)
         assert v0.kind == "snc_violated"
         assert v0.witness_value == pytest.approx(-1.0, abs=1e-12)
         assert np.allclose(v0.witness, ex.direction_upper_indicator())
-        v1 = check_snc_fixed_multiplier(ex.problem, mset, np.array([1.0]), cone=cone)
+        v1 = check_snc_fixed_multiplier(mset, np.array([1.0]), cone=cone)
         assert v1.kind == "snc_violated"
         assert v1.witness_value == pytest.approx(-2.0, abs=1e-12)
         assert np.allclose(v1.witness, ex.direction_lower_indicator())
@@ -161,27 +161,27 @@ class TestFixedMultiplier:
         ex, mset = ex1
         cone = ex.display_critical_cone(mset)
         for mu in np.linspace(0.0, 1.0, 11):
-            v = check_snc_fixed_multiplier(ex.problem, mset, np.array([mu]), cone=cone)
+            v = check_snc_fixed_multiplier(mset, np.array([mu]), cone=cone)
             assert v.kind == "snc_violated"
             assert v.witness_value == pytest.approx(min(1 - 3 * mu, -1 + 2 * mu), abs=1e-9)
 
     def test_mu_outside_set_rejected(self, ex1):
         ex, mset = ex1
         with pytest.raises(UsageError):
-            check_snc_fixed_multiplier(ex.problem, mset, np.array([1.5]))
+            check_snc_fixed_multiplier(mset, np.array([1.5]))
 
 
 class TestSSC:
     def test_example1_coercive(self, ex1):
         ex, mset = ex1
-        verdict = check_ssc(ex.problem, mset, eta=0.1, alpha_target=1.0)
+        verdict = check_ssc(mset, eta=0.1, alpha_target=1.0)
         assert verdict.kind == "ssc_holds"
         assert verdict.alpha_est == pytest.approx(1.0, abs=1e-6)
         assert verdict.positivity_consistent
 
     def test_example2_violated(self, ex2):
         ex, mset = ex2
-        verdict = check_ssc(ex.problem, mset, eta=0.1, alpha_target=0.1)
+        verdict = check_ssc(mset, eta=0.1, alpha_target=0.1)
         assert verdict.kind == "ssc_violated"
         assert np.allclose(verdict.witness, [0.0, 1.0, 0.0], atol=1e-12)
         assert verdict.positivity_consistent
@@ -191,14 +191,14 @@ class TestSSC:
             quadratic(0.0, np.zeros(2), np.diag([1.0, 3.0])), (), 0,
             BoxSet(np.full(2, -np.inf), np.full(2, np.inf)), np.ones(2))
         mset = multiplier_set(p, np.zeros(2))
-        verdict = check_ssc(p, mset, eta=0.5, alpha_target=1.0)
+        verdict = check_ssc(mset, eta=0.5, alpha_target=1.0)
         assert verdict.kind == "ssc_holds"
         assert verdict.alpha_est == pytest.approx(1.0, abs=1e-9)
 
     def test_eta_must_be_positive(self, ex1):
         ex, mset = ex1
         with pytest.raises(UsageError):
-            check_ssc(ex.problem, mset, eta=0.0, alpha_target=1.0)
+            check_ssc(mset, eta=0.0, alpha_target=1.0)
 
 
 class TestGrowth:
@@ -339,7 +339,7 @@ class TestBatchedValues:
     def test_random_matrix_forms(self):
         rng = np.random.default_rng(71)
         for p, xbar, mset in _bounded_random_problems(rng, 25):
-            oracle = curvature_oracle(p, mset)
+            oracle = curvature_oracle(mset)
             H = rng.standard_normal((30, p.dim))
             _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
             mu = mset.vertices[-1]
@@ -352,7 +352,7 @@ class TestBatchedValues:
         block boundary of ``_battery_values``."""
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         assert oracle.f_form.quad_rows is not None
         assert all(g.quad_rows is not None for g in oracle.g_forms)
         rng = np.random.default_rng(grid)
@@ -371,7 +371,7 @@ class TestBatchedValues:
         """On (1/3, 3/4) the constraint form vanishes, so both vertices of
         the multiplier interval [0, 1] attain the max."""
         ex, mset = ex1
-        oracle = curvature_oracle(ex.problem, mset)
+        oracle = curvature_oracle(mset)
         H = np.random.default_rng(4).standard_normal((20, ex.grid))
         H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
         assert all(oracle.constraint_quads(h)[0] == 0.0 for h in H)
@@ -381,7 +381,7 @@ class TestBatchedValues:
     def test_block_boundaries(self, blocks, extra):
         rng = np.random.default_rng(10 * blocks + extra)
         p, xbar, mset = next(_bounded_random_problems(rng, 1))
-        oracle = curvature_oracle(p, mset)
+        oracle = curvature_oracle(mset)
         H = rng.standard_normal((blocks * (_BLOCK_ENTRIES // p.dim) + extra, p.dim))
         H[::5] = 0.0
         n2, values = _battery_values(oracle, H, p.weights, None)

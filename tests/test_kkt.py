@@ -26,11 +26,11 @@ from helpers import brute_force_nnls, random_stationary_problem
 def cq_verdicts(p, x) -> tuple[bool, bool]:
     """Whether the RZKCQ and the weaker CQ hold at x."""
     mset = multiplier_set(p, x)
-    return check_rzkcq(p, mset).holds, check_weaker_cq(p, mset).holds
+    return check_rzkcq(mset).holds, check_weaker_cq(mset).holds
 
 
 def foc_at(p, x):
-    return foc_residual(p, multiplier_set(p, x))
+    return foc_residual(multiplier_set(p, x))
 
 
 def unconstrained_interior(n=2):
@@ -92,7 +92,7 @@ class TestMultiplierSet:
             mset = multiplier_set(p, xbar)
             assert not mset.empty
             for v in mset.vertices:
-                validate_multipliers(p, mset, mset.multipliers(v))
+                validate_multipliers(mset, mset.multipliers(v))
                 checked += 1
         assert checked > 10
 
@@ -122,7 +122,6 @@ def _scaled_form(form, c):
 
     return BilinearForm(
         evaluator=lambda a, b: c * form(a, b),
-        symmetric=form.symmetric,
         apply=(lambda h: c * form.apply(h)) if form.apply else None,
     )
 
@@ -142,10 +141,10 @@ class TestCQs:
             (quadratic(0.0, np.zeros(1), np.zeros((1, 1))),),
             0, BoxSet(np.array([-1.0]), np.array([1.0])), np.ones(1))
         mset = multiplier_set(p, np.zeros(1))
-        v = check_rzkcq(p, mset)
+        v = check_rzkcq(mset)
         assert not v.holds
         assert v.witness is not None and abs(v.witness[0]) > 1e-7
-        assert not check_weaker_cq(p, mset).holds
+        assert not check_weaker_cq(mset).holds
 
     def test_weaker_matches_rzkcq_on_boxes(self):
         rng = np.random.default_rng(37)
@@ -157,7 +156,7 @@ class TestCQs:
     def test_strict_cq_example2_halfline(self):
         ex = build_example2(8)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(ex.problem, mset, mset.multipliers(mset.vertices[0]))
+        verdict = check_strict_cq(mset, mset.multipliers(mset.vertices[0]))
         assert not verdict.holds
         assert verdict.achieved_cone == "(-inf, 0]"
 
@@ -165,7 +164,7 @@ class TestCQs:
         """Non-unique multipliers: the strict qualification cannot hold."""
         ex = build_example1(12)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(ex.problem, mset, mset.multipliers(np.array([0.5])))
+        verdict = check_strict_cq(mset, mset.multipliers(np.array([0.5])))
         assert not verdict.holds
 
     def test_strict_cq_full_rank_free_box(self):
@@ -174,14 +173,14 @@ class TestCQs:
             (quadratic(0.0, np.array([1.0, 0.0]), np.zeros((2, 2))),),
             1, BoxSet(np.full(2, -np.inf), np.full(2, np.inf)), np.ones(2))
         mset = multiplier_set(p, np.zeros(2))
-        assert check_strict_cq(p, mset, mset.multipliers(mset.vertices[0])).holds
+        assert check_strict_cq(mset, mset.multipliers(mset.vertices[0])).holds
 
     def test_rzkcq_implies_bounded(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
             p, xbar, _, _ = random_stationary_problem(rng)
             mset = multiplier_set(p, xbar)
-            if check_rzkcq(p, mset).holds:
+            if check_rzkcq(mset).holds:
                 assert mset.bounded
 
 

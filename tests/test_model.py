@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kkt2.cones import FREE, NONNEG, NONPOS, ZERO
 from kkt2.errors import DimensionMismatch, NonFiniteValue
 from kkt2.examples import build_example1
+from kkt2.kkt import multiplier_set
 from kkt2.linalg import BilinearForm
 from kkt2.model import (
     BoxSet,
@@ -48,13 +50,12 @@ class TestCheckFeasible:
         assert res.info.inactive == ()
 
     def test_upper_bound_everywhere(self):
-        """x at the upper bound with no constraints: all upper-active."""
+        """x at the upper bound with no constraints: all upper-active, so
+        the point object's box pattern is <=0 everywhere."""
         p = simple_problem()
         res = check_feasible(p, np.ones(2))
         assert res.feasible
-        assert res.info.box_upper_active == (0, 1)
-        assert res.info.box_lower_active == ()
-        assert res.info.box_interior == ()
+        assert multiplier_set(p, np.ones(2)).c_pattern.codes.tolist() == [NONPOS, NONPOS]
 
     def test_equality_violation_reported(self):
         g = quadratic(1e-3, np.zeros(2), np.zeros((2, 2)))  # g == 1e-3
@@ -75,16 +76,19 @@ class TestCheckFeasible:
         assert len(a.info.active) == len(b.info.active) == 1
 
     def test_box_sets_partition(self):
+        """One code per coordinate of the point object's box pattern: >=0 at
+        the lower bound, <=0 at the upper one, free inside, and =0 on a
+        fixed component, which is active at both bounds."""
         rng = np.random.default_rng(4)
-        p = simple_problem()
+        p = ProblemSpec(quadratic(0.0, np.zeros(3), np.eye(3)), (), 0,
+                        BoxSet(np.array([-1.0, -1.0, 0.5]), np.array([1.0, 1.0, 0.5])),
+                        np.ones(3))
         for _ in range(25):
-            x = np.clip(rng.uniform(-1.2, 1.2, 2), -1.0, 1.0)
-            res = check_feasible(p, x)
-            idx = sorted(res.info.box_lower_active + res.info.box_upper_active
-                         + res.info.box_interior)
-            fixed = set(res.info.box_lower_active) & set(res.info.box_upper_active)
-            assert sorted(set(idx)) == [0, 1]
-            assert len(idx) == 2 + len(fixed)
+            x = np.append(np.clip(rng.uniform(-1.2, 1.2, 2), -1.0, 1.0), 0.5)
+            assert check_feasible(p, x).feasible
+            codes = multiplier_set(p, x).c_pattern.codes
+            expected = np.where(x == -1.0, NONNEG, np.where(x == 1.0, NONPOS, FREE))
+            assert codes.tolist() == [*expected[:2], ZERO]
 
 
 class TestValidateDerivatives:

@@ -1,7 +1,8 @@
 """Per-point data computed once: one multiplier set per run, read by every
-check, the strict CQ on the set's point data, vertex dedup with one array
-test per vertex, and descent directions evaluated once.  Each fast path is
-compared with the direct computation it replaces, bit for bit."""
+check, one box tangent pattern per run, the strict CQ on the set's point
+data, vertex dedup with one array test per vertex, and descent directions
+evaluated once.  Each fast path is compared with the direct computation it
+replaces, bit for bit."""
 
 import json
 import sys
@@ -12,16 +13,18 @@ import numpy as np
 import pytest
 
 import kkt2.cli
+import kkt2.cones
 import kkt2.kkt
 import kkt2.model
 from kkt2 import curvature, linalg, stages
+from kkt2.cones import FREE, NONPOS, ZERO, SignPatternCone, tangent_cone_box
 from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
 from kkt2.curvature import (check_snc, check_snc_fixed_multiplier, check_ssc,
                             curvature_oracle, q_of_h)
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import check_strict_cq, multiplier_set
 from kkt2.linalg import PolytopeH, enumerate_vertices
-from kkt2.model import check_feasible
+from kkt2.model import BoxSet, check_feasible
 from kkt2.report import new_report
 
 from helpers import many_multiplier_problem, many_multiplier_spec
@@ -42,9 +45,15 @@ INSTANCES = _instances()
 
 def _direct(p, x, mset):
     """``mset`` with its point data computed directly from the problem, as
-    each check computed them for itself before it read them off the set."""
+    each check computed them for itself before it read them off the set:
+    the derivatives, the box pattern, and K's pattern from the active set."""
     G = np.array(p.constraint_gradients(x), dtype=float).reshape(p.n_constraints, p.dim)
-    return replace(mset, info=check_feasible(p, x).info,
+    k_codes = np.full(p.n_constraints, FREE)
+    for i in check_feasible(p, x).info.active:
+        k_codes[i] = ZERO if i < p.m1 else NONPOS
+    box = isinstance(p.abstract_set, BoxSet)
+    return replace(mset, c_pattern=tangent_cone_box(p.abstract_set, x) if box else None,
+                   k_pattern=SignPatternCone(k_codes),
                    f_grad=np.asarray(p.objective.gradient(x), dtype=float), g_grads=G)
 
 
@@ -56,7 +65,7 @@ class TestStrictCQOnMultiplierSet:
         assert mset.vertices
         for vert in mset.vertices:
             mult = mset.multipliers(vert)
-            direct, reused = check_strict_cq(p, direct_set, mult), check_strict_cq(p, mset, mult)
+            direct, reused = check_strict_cq(direct_set, mult), check_strict_cq(mset, mult)
             assert (reused.holds, reused.achieved_cone) == (direct.holds, direct.achieved_cone)
             if direct.witness is None:
                 assert reused.witness is None
@@ -180,9 +189,9 @@ class TestSingleEvaluation:
     def test_sup_form(self, seed, spies):
         p, x = many_multiplier_spec(seed)
         mset = multiplier_set(p, x)
-        check_snc(p, mset, budget=BUDGET)
-        check_ssc(p, mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
-        oracle = curvature_oracle(p, mset)
+        check_snc(mset, budget=BUDGET)
+        check_ssc(mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
+        oracle = curvature_oracle(mset)
         assert any(accepted for accepted, _ in spies)
         for accepted, evaluated in spies:
             for cand in accepted:
@@ -194,19 +203,20 @@ class TestSingleEvaluation:
         p, x = many_multiplier_spec(0)
         mset = multiplier_set(p, x)
         mu = np.mean(mset.vertices, axis=0)
-        check_snc_fixed_multiplier(p, mset, mu, budget=BUDGET)
+        check_snc_fixed_multiplier(mset, mu, budget=BUDGET)
         (accepted, evaluated), = spies
         assert accepted and not evaluated  # a fixed-mu search never calls q_of_h
-        oracle = curvature_oracle(p, mset)
+        oracle = curvature_oracle(mset)
         for cand in accepted:
             assert cand.value == oracle.fixed_mu_value(cand.h, mu)
 
 
 def _count_calls(monkeypatch) -> Counter:
-    """Wraps ``check_feasible`` and ``multiplier_set`` under every name a
-    kkt2 module holds them by, as a tracer does, and counts their calls."""
+    """Wraps ``check_feasible``, ``multiplier_set`` and ``tangent_cone_box``
+    under every name a kkt2 module holds them by, as a tracer does, and
+    counts their calls."""
     counts = Counter()
-    for fn in (kkt2.model.check_feasible, kkt2.kkt.multiplier_set):
+    for fn in (kkt2.model.check_feasible, kkt2.kkt.multiplier_set, kkt2.cones.tangent_cone_box):
         def wrapper(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -222,7 +232,20 @@ def _count_calls(monkeypatch) -> Counter:
 class TestOnePointObjectPerRun:
     """Every CLI subcommand and both chains build at most one multiplier set
     and check feasibility at most twice: once for the feasibility record and
-    once in ``multiplier_set``.  Runs that read neither build no set."""
+    once in ``multiplier_set``.  Runs that read neither build no set.  A box
+    run builds its tangent pattern once, in ``multiplier_set``, and every
+    later check reads it off the point object; a hull run builds none."""
+
+    # (subcommand, multiplier sets, feasibility checks) on a box problem file
+    RUNS = [
+        (["check-foc"], 1, 2),
+        (["check-cq"], 1, 2),
+        (["check-cq", "--rzkcq", "--weaker", "--strict"], 1, 2),
+        (["multipliers"], 1, 2),
+        (["check-snc"], 1, 2),
+        (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], 1, 2),
+        (["validate-derivatives"], 0, 0),
+    ]
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -232,23 +255,25 @@ class TestOnePointObjectPerRun:
         (d / "p.json").write_text(json.dumps(problem))
         (d / "x.json").write_text(json.dumps({"point": point}))
         (d / "e1.json").write_text(json.dumps({"builtin": "example1", "grid": 12}))
+        (d / "e2.json").write_text(json.dumps({"builtin": "example2", "trunc": 4}))
         return d
 
-    @pytest.mark.parametrize("argv, sets, feasible", [
-        (["check-foc"], 1, 2),
-        (["check-cq"], 1, 2),
-        (["check-cq", "--rzkcq", "--weaker", "--strict"], 1, 2),
-        (["multipliers"], 1, 2),
-        (["check-snc"], 1, 2),
-        (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], 1, 2),
-        (["validate-derivatives"], 0, 0),
-    ])
+    @pytest.mark.parametrize("argv, sets, feasible", RUNS)
     def test_file_subcommands(self, files, argv, sets, feasible, monkeypatch, capsys):
+        """On a box problem file: one pattern per multiplier set."""
         counts = _count_calls(monkeypatch)
         kkt2.cli.main([argv[0], str(files / "p.json"), "--at", str(files / "x.json"),
                        *argv[1:], "--format", "json"])
         assert json.loads(capsys.readouterr().out)["checks"]
         assert (counts["multiplier_set"], counts["check_feasible"]) == (sets, feasible)
+        assert counts["tangent_cone_box"] == sets
+
+    @pytest.mark.parametrize("argv", [argv for argv, _, _ in RUNS], ids=" ".join)
+    def test_hull_file_subcommands_build_no_box_pattern(self, files, argv, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch)
+        kkt2.cli.main([argv[0], str(files / "e2.json"), *argv[1:], "--format", "json"])
+        assert json.loads(capsys.readouterr().out)["checks"]
+        assert counts["tangent_cone_box"] == 0
 
     def test_growth_builds_no_multiplier_set(self, files, monkeypatch, capsys):
         counts = _count_calls(monkeypatch)
@@ -256,6 +281,7 @@ class TestOnePointObjectPerRun:
                        "--samples", "50", "--format", "json"])
         assert json.loads(capsys.readouterr().out)["checks"]
         assert (counts["multiplier_set"], counts["check_feasible"]) == (0, 1)
+        assert counts["tangent_cone_box"] == 0
 
     @pytest.mark.parametrize("argv", [["example1", "--grid", "12"], ["example2", "--trunc", "4"]])
     def test_chains(self, argv, monkeypatch, capsys):
@@ -263,6 +289,7 @@ class TestOnePointObjectPerRun:
         kkt2.cli.main(["repro", *argv, "--format", "json"])
         assert json.loads(capsys.readouterr().out)["checks"]
         assert (counts["multiplier_set"], counts["check_feasible"]) == (1, 2)
+        assert counts["tangent_cone_box"] == (1 if argv[0] == "example1" else 0)
 
     def test_cq_without_strict_does_not_enumerate_vertices(self, files, monkeypatch, capsys):
         """The RZKCQ and the weaker CQ read only the point data, so the
@@ -274,3 +301,4 @@ class TestOnePointObjectPerRun:
         kkt2.cli.main(["check-cq", str(files / "p.json"), "--at", str(files / "x.json")])
         assert "rzkcq" in capsys.readouterr().out
         assert not calls
+

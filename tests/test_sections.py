@@ -29,7 +29,7 @@ class TestExample2Sections:
         trunc = 6
         ex = build_example2(trunc)
         # eta > 0: the objective stays a cut, not a row
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
         assert len(cone.eq_rows) == 1 and not cone.ineq_rows
         gens = cone.generators
         expected = [point_r(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)]
@@ -44,20 +44,20 @@ class TestExample2Sections:
     @pytest.mark.parametrize("trunc", [2, 8, 32])
     def test_critical_cone_is_the_limit_ray(self, trunc):
         ex = build_example2(trunc)
-        gens = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0).generators
+        gens = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.0).generators
         assert len(gens) == 1
         assert gens[0].tolist() == [0.0, 1.0, 0.0]  # verbatim, not rescaled
 
     def test_generators_are_computed_on_first_use(self):
         ex = build_example2(8)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.0)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.0)
         assert "generators" not in vars(cone)
         structured_directions(cone, 64)
         assert "generators" in vars(cone)
 
     def test_size_guard(self, monkeypatch):
         ex = build_example2(8)
-        cone = critical_cone(ex.problem, multiplier_set(ex.problem, ex.xbar), 0.1)
+        cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
         monkeypatch.setattr(linalg, "_MAX_GENERATORS", 6)  # the ray cone has 10 facets
         with pytest.raises(PolytopeTooLarge):
             cone.generators
@@ -129,7 +129,7 @@ class TestBattery:
         extreme rays, (0,1,0) among them."""
         ex = build_example2(8)
         budget = SearchBudget()
-        v = check_ssc(ex.problem, multiplier_set(ex.problem, ex.xbar), eta=0.1,
+        v = check_ssc(multiplier_set(ex.problem, ex.xbar), eta=0.1,
                       alpha_target=0.5, budget=budget)
         assert v.directions_evaluated == budget.structured + budget.random
         assert v.section_generators == 2 and not v.exact
@@ -138,7 +138,7 @@ class TestBattery:
 
     def test_single_ray_section_is_exact(self):
         ex = build_example2(8)
-        v = check_snc(ex.problem, multiplier_set(ex.problem, ex.xbar))
+        v = check_snc(multiplier_set(ex.problem, ex.xbar))
         assert v.directions_evaluated == 1  # the ray itself, no copies of it
         assert v.section_generators == 1 and v.exact
         assert v.violated and v.witness.tolist() == [0.0, 1.0, 0.0]
