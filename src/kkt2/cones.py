@@ -112,7 +112,7 @@ def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> Si
     v = as_entries(x, box.dim)
     if not box.contains(v, tol.activity):
         raise InfeasiblePoint("point is outside the box")
-    lo, up, _ = box.classify(v, tol.activity)
+    lo, up = box.classify(v, tol.activity)
     codes = np.full(box.dim, FREE, dtype=np.int8)
     codes[lo] = NONNEG
     codes[up] = NONPOS

@@ -14,8 +14,12 @@ one double-description run (``linalg.enumerate_vertices``).
 Surjectivity-type constraint qualifications are decided by polarity: a
 polyhedral cone difference equals the whole space iff only nu = 0 satisfies
 the polar system.  ``linalg.cone_is_trivial`` returns the generators of the
-polar cone; there are none iff the CQ holds, and when the strict CQ fails
-their signs give the achieved cone.
+polar cone; there are none iff the CQ holds.  When the strict CQ fails, the
+signs of the polar generators give the achieved cone.  A box reads them off
+the multiplier vertices: on polyhedral data the polar cone at a vertex mu
+is cone(mu - Lambda(x)), generated by the differences to the other
+vertices, so the strict CQ holds iff the multiplier is unique (Kyparisis
+1985; Shapiro 1997).  A hull takes them from the double description.
 
 When the multiplier set is empty, the distance to stationarity is one
 nonnegative least-squares problem (``linalg.nnls``) over the multipliers
@@ -113,6 +117,14 @@ class MultiplierSet:
     def vertices(self) -> tuple[np.ndarray, ...]:
         return self._enumeration[2]
 
+    @cached_property
+    def _box_surjectivity_polar(self) -> np.ndarray:
+        """Generators of the polar of g'(x)[T_C(x)] - T_K(g(x)) on a box: the
+        RZK CQ and its tangent variant share the sign pattern there, so both
+        verdicts read this one probe."""
+        return _polar_generators(
+            *_difference_map(self.c_pattern, self.g_grads, self.k_pattern), self.tol)
+
     def lam_of(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         return -self.f_grad - self.g_grads.T @ mu
@@ -192,7 +204,7 @@ def multiplier_set(
     if m == 0:
         # Lambda(x) is {()} when lambda = -f'(x) lies in the normal cone,
         # else empty: the row 0 <= -1
-        ok = _lambda_in_normal_cone(mset, -f_grad)
+        ok = bool(_lambda_in_normal_cone(mset, -f_grad[None])[0])
         return replace(mset, polytope=PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)))
 
     # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
@@ -205,35 +217,43 @@ def multiplier_set(
     return replace(mset, polytope=poly)
 
 
-def _lambda_in_normal_cone(mset: MultiplierSet, lam: np.ndarray) -> bool:
+def _lambda_in_normal_cone(mset: MultiplierSet, Lam: np.ndarray) -> np.ndarray:
+    """Row mask: each row of Lam lies in the abstract set's normal cone."""
     tol = mset.tol
     if mset.c_pattern is not None:
-        return mset.c_pattern.polar().contains(lam, tol.residual)
+        return mset.c_pattern.polar().contains_rows(Lam, tol.residual)
     p = mset.problem
-    w = p.weights
-    scale = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    return all(
-        float(np.sum(w * lam * d)) <= scale * (1.0 + float(np.max(np.abs(d))))
-        for d in p.abstract_set.normal_row_rays()
-    )
+    rays = np.array(p.abstract_set.normal_row_rays(), dtype=float).reshape(-1, p.dim)
+    scale = tol.residual * (1.0 + np.abs(Lam).max(axis=1, initial=0.0))
+    return np.all((Lam * p.weights) @ rays.T
+                  <= scale[:, None] * (1.0 + np.abs(rays).max(axis=1, initial=0.0)), axis=1)
+
+
+def _validate_rows(mset: MultiplierSet, Lam: np.ndarray, Mu: np.ndarray) -> np.ndarray:
+    """``validate_multipliers`` over the rows of Lam (k x n) and Mu (k x m)
+    in one array pass: the stationarity residual of each pair, its mu signs
+    against K's pattern and its lambda against the normal cone; raises at
+    the first violation, returns the residuals."""
+
+    w, tol, codes = mset.problem.weights, mset.tol, mset.k_pattern.codes
+    R = mset.f_grad + Lam + Mu @ mset.g_grads
+    residual = np.sqrt(np.sum(w * R * R, axis=1))
+    bound = tol.residual * (1.0 + weighted_norm(w, mset.f_grad))
+    for r in residual[residual > bound][:1]:
+        raise UsageError(f"stationarity residual {r:.3e} too large")
+    for i in np.flatnonzero(np.any((codes == FREE) & (np.abs(Mu) > tol.residual), axis=0))[:1]:
+        raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
+    for i in np.flatnonzero(np.any((codes == NONPOS) & (Mu < -tol.residual), axis=0))[:1]:
+        raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
+    if not np.all(_lambda_in_normal_cone(mset, Lam)):
+        raise UsageError("lambda violates the normal-cone pattern")
+    return residual
 
 
 def validate_multipliers(mset: MultiplierSet, mult: Multipliers) -> float:
     """Stationarity residual of (lambda, mu) at the point of ``mset``, read
     with its patterns, f'(x) and Jacobian; raises on sign violations."""
-
-    w, tol, codes = mset.problem.weights, mset.tol, mset.k_pattern.codes
-    resid_vec = mset.f_grad + mult.lam + (mset.g_grads.T @ mult.mu if mset.m else 0.0)
-    residual = weighted_norm(w, resid_vec)
-    if residual > tol.residual * (1.0 + weighted_norm(w, mset.f_grad)):
-        raise UsageError(f"stationarity residual {residual:.3e} too large")
-    for i in np.flatnonzero((codes == FREE) & (np.abs(mult.mu) > tol.residual)):
-        raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
-    for i in np.flatnonzero((codes == NONPOS) & (mult.mu < -tol.residual)):
-        raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
-    if not _lambda_in_normal_cone(mset, mult.lam):
-        raise UsageError("lambda violates the normal-cone pattern")
-    return residual
+    return float(_validate_rows(mset, mult.lam[None], mult.mu[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -277,20 +297,24 @@ def _surjectivity_cq(mset: MultiplierSet, hull_rays, name: str) -> CQVerdict:
     """g'(x)[C-cone] - T_K(g(x)) = R^m at the point of ``mset``, with the
     C-cone generated by the tangent pattern of a box or by
     ``hull_rays(set)`` of a hull."""
-    c_pattern, M = _abstract_cone(mset, mset.g_grads, hull_rays)
-    gens = _polar_generators(*_difference_map(c_pattern, M, mset.k_pattern), mset.tol)
+    if mset.c_pattern is not None:
+        gens = mset._box_surjectivity_polar
+    else:
+        c_pattern, M = _abstract_cone(mset, mset.g_grads, hull_rays)
+        gens = _polar_generators(*_difference_map(c_pattern, M, mset.k_pattern), mset.tol)
     return CQVerdict(name, not len(gens), witness=gens[0] if len(gens) else None)
 
 
 def check_rzkcq(mset: MultiplierSet) -> CQVerdict:
-    """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe."""
+    """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe (on a box the
+    point object's one probe, shared with ``check_weaker_cq``)."""
     return _surjectivity_cq(mset, lambda s: s.rays + s.deep_rays, "rzkcq")
 
 
 def check_weaker_cq(mset: MultiplierSet) -> CQVerdict:
     """Tangent-cone variant g'(x) T_C(x) - T_K(g(x)) = R^m; for boxes the
-    radial and tangent cones share the sign pattern, so the verdict always
-    matches check_rzkcq there."""
+    radial and tangent cones share the sign pattern, so both read the same
+    probe there."""
     return _surjectivity_cq(mset, lambda s: s.normal_row_rays(), "weaker")
 
 
@@ -301,10 +325,12 @@ def check_strict_cq(mset: MultiplierSet, mult: Multipliers) -> CQVerdict:
     The annihilator sections are pattern cones again (each annihilating row
     has single-signed terms, so it absorbs), once the entries of lambda and
     mu that validation accepts as zero are exactly zero; the verdict is the
-    same polar probe.  On failure the achieved cone is described by per-axis
-    reachability; for m = 1 that is one of {0}, (-inf,0], [0,inf), R.  The
-    achieved cone is the polar of the polar cone, so +e_i is reached iff
-    every polar generator has a nonpositive entry i.
+    same polar probe, and on failure the achieved cone is read off the polar
+    generators (``_achieved_cone``).
+
+    This is the reference route, one double description per multiplier;
+    ``stages.strict_cq`` runs it on hulls, and answers boxes by
+    ``strict_cq_by_vertices``.
     """
 
     p, tol, m = mset.problem, mset.tol, mset.m
@@ -332,18 +358,50 @@ def check_strict_cq(mset: MultiplierSet, mult: Multipliers) -> CQVerdict:
     gens = _polar_generators(*_difference_map(c_section, M, k_section), tol)
     if not len(gens):
         return CQVerdict("strict", True)
+    return CQVerdict("strict", False, witness=gens[0], achieved_cone=_achieved_cone(gens, tol))
 
-    axes = [(bool(np.all(gens[:, i] <= tol.feasibility)),
-             bool(np.all(gens[:, i] >= -tol.feasibility))) for i in range(m)]
-    if m == 1:
-        desc = {(True, True): "R", (False, True): "(-inf, 0]",
-                (True, False): "[0, inf)", (False, False): "{0}"}[axes[0]]
-    else:
-        desc = "; ".join(
-            f"axis {i}: +{'yes' if pl else 'no'}/-{'yes' if mi else 'no'}"
-            for i, (pl, mi) in enumerate(axes)
-        )
-    return CQVerdict("strict", False, witness=gens[0], achieved_cone=desc)
+
+def _achieved_cone(gens: np.ndarray, tol: Tolerances) -> str:
+    """The cone that the strict CQ's difference reaches, by per-axis
+    reachability, from generators (rows, each scaled to max-abs 1) of its
+    polar; for m = 1 one of {0}, (-inf, 0], [0, inf), R.  The achieved cone
+    is the polar of the polar cone, so +e_i is reached iff every generator
+    has a nonpositive entry i."""
+    plus = np.all(gens <= tol.feasibility, axis=0)
+    minus = np.all(gens >= -tol.feasibility, axis=0)
+    if len(plus) == 1:
+        return {(True, True): "R", (False, True): "(-inf, 0]",
+                (True, False): "[0, inf)", (False, False): "{0}"}[(bool(plus[0]), bool(minus[0]))]
+    return "; ".join(f"axis {i}: +{'yes' if pl else 'no'}/-{'yes' if mi else 'no'}"
+                     for i, (pl, mi) in enumerate(zip(plus, minus)))
+
+
+def strict_cq_by_vertices(mset: MultiplierSet) -> list[CQVerdict]:
+    """The strict CQ at every vertex of a box's bounded multiplier polytope,
+    read off the vertex list with no double description.
+
+    On polyhedral data the polar cone at a vertex v_j is cone(v_j -
+    Lambda(x)), generated by the differences v_j - v_k to the other
+    vertices.  So one vertex gives "holds", and with two or more every
+    vertex fails, with witness v_j - v_k for the first k != j and the
+    achieved cone of ``check_strict_cq``, each difference scaled to max-abs
+    1 like the double description's rows.  The vertices come from the
+    polytope's own rows; they are validated together, by the tests of
+    ``validate_multipliers``."""
+
+    if mset.c_pattern is None or not mset.vertices:
+        raise UsageError("the vertex route needs a box with multiplier vertices")
+    V = np.array(mset.vertices)
+    _validate_rows(mset, -mset.f_grad - V @ mset.g_grads, V)
+    if len(V) == 1:
+        return [CQVerdict("strict", True)]
+    verdicts = []
+    for j in range(len(V)):
+        D = np.delete(V[j] - V, j, axis=0)
+        D = D / np.abs(D).max(axis=1, keepdims=True) + 0.0  # + 0.0 drops negative zeros
+        verdicts.append(CQVerdict("strict", False, witness=D[0],
+                                  achieved_cone=_achieved_cone(D, mset.tol)))
+    return verdicts
 
 
 # --------------------------------------------------------------------------

@@ -63,13 +63,10 @@ class BoxSet:
         return np.clip(as_entries(x, self.dim), self.lower, self.upper)
 
     def classify(self, x, tol: float = 1e-8):
-        """Index sets (lower_active, upper_active, interior); fixed components
-        (lower == upper) count as both lower- and upper-active."""
+        """Masks (lower_active, upper_active); fixed components (lower ==
+        upper) count as both lower- and upper-active."""
         v = as_entries(x, self.dim)
-        lo_act = np.abs(v - self.lower) <= tol
-        up_act = np.abs(v - self.upper) <= tol
-        interior = ~(lo_act | up_act)
-        return lo_act, up_act, interior
+        return np.abs(v - self.lower) <= tol, np.abs(v - self.upper) <= tol
 
 
 @dataclass(frozen=True)

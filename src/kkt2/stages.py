@@ -17,7 +17,7 @@ import numpy as np
 from .config import SearchBudget, Tolerances
 from .curvature import check_snc, check_ssc, sample_growth
 from .kkt import FOCResult, check_rzkcq, check_strict_cq, check_weaker_cq
-from .kkt import foc_residual, multiplier_set
+from .kkt import foc_residual, multiplier_set, strict_cq_by_vertices
 from .model import ProblemSpec, check_feasible, validate_derivatives
 from .report import CertificationReport, CheckRecord, second_order_witness_dict
 
@@ -142,21 +142,23 @@ def multiplier_vertices(ctx: RunContext) -> CheckRecord:
 
 def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
     """The strict CQ at every multiplier vertex (``strict_cq[vertex k]``), or
-    at the first vertex only as one ``strict_cq`` record."""
+    at the first vertex only as one ``strict_cq`` record.  A box reads every
+    verdict off the vertex list (``strict_cq_by_vertices``: "holds" iff the
+    vertex is unique, else witnesses and achieved cones from the vertex
+    differences); a hull runs ``check_strict_cq``, one double description,
+    per vertex."""
     mset = ctx.multipliers
     if mset.empty or not mset.vertices:
         reason = "no multipliers exist" if mset.empty else \
             "multiplier vertices unavailable (unbounded set?)"
         return [CheckRecord("strict_cq", "fail", {"reason": reason})]
-    records = []
-    for k, vert in enumerate(mset.vertices if per_vertex else mset.vertices[:1]):
-        v = check_strict_cq(mset, mset.multipliers(vert))
-        records.append(CheckRecord(
-            f"strict_cq[vertex {k}]" if per_vertex else "strict_cq", _holds(v.holds),
-            {"mu": list(map(float, vert)), "achieved_cone": v.achieved_cone or ""},
-            _vector("witness", v.witness),
-        ))
-    return records
+    vertices = mset.vertices if per_vertex else mset.vertices[:1]
+    verdicts = strict_cq_by_vertices(mset) if mset.c_pattern is not None else \
+        [check_strict_cq(mset, mset.multipliers(vert)) for vert in vertices]
+    return [CheckRecord(f"strict_cq[vertex {k}]" if per_vertex else "strict_cq", _holds(v.holds),
+                        {"mu": list(map(float, vert)), "achieved_cone": v.achieved_cone or ""},
+                        _vector("witness", v.witness))
+            for k, (vert, v) in enumerate(zip(vertices, verdicts))]
 
 
 def _hypotheses(ctx: RunContext) -> tuple[str, ...]:

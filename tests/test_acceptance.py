@@ -29,7 +29,7 @@ from kkt2.examples import (
 )
 from kkt2.kkt import check_rzkcq, check_strict_cq, multiplier_set
 from kkt2.linalg import LinearProgram, enumerate_vertices, solve_lp
-from kkt2.model import validate_derivatives
+from kkt2.model import BoxSet, validate_derivatives
 from kkt2.report import replay
 
 from helpers import random_bounded_polytope, random_stationary_problem
@@ -228,21 +228,23 @@ def test_criterion_9_property_suites(capsys):
 
 def test_criterion_10_cq_logic(capsys):
     """On 50 random stationary problems: RZK CQ implies a bounded multiplier
-    polytope, and a holding strict CQ implies a single vertex."""
+    polytope, and a holding strict CQ implies a single vertex.  The problems
+    are boxes, polyhedral data, where the converse holds too: a single
+    vertex implies the strict CQ."""
     rng = np.random.default_rng(211)
     n_rzkcq = n_strict = 0
     for _ in range(50):
         p, xbar, _, _ = random_stationary_problem(rng)
+        assert isinstance(p.abstract_set, BoxSet)
         mset = multiplier_set(p, xbar)
         if check_rzkcq(mset).holds:
             assert mset.bounded, "RZK CQ held but the multiplier set is unbounded"
             n_rzkcq += 1
         if mset.bounded and mset.vertices:
             verdict = check_strict_cq(mset, mset.multipliers(mset.vertices[0]))
-            if verdict.holds:
-                assert len(mset.vertices) == 1, \
-                    "strict CQ held with multiple multiplier vertices"
-                n_strict += 1
+            assert verdict.holds == (len(mset.vertices) == 1), \
+                "strict CQ verdict disagrees with the multiplier's uniqueness"
+            n_strict += verdict.holds
     assert n_rzkcq >= 10, "generator produced too few CQ-satisfying problems"
     assert n_strict >= 5, "generator produced too few strict-CQ problems"
     with capsys.disabled():

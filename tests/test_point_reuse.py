@@ -91,6 +91,61 @@ class TestStrictCQOnMultiplierSet:
         assert set(counts.values()) == {0}
 
 
+def _count_cone_probes(monkeypatch) -> list:
+    """Counts calls of ``linalg.cone_is_trivial`` under every kkt2 alias."""
+    calls = []
+    real = linalg.cone_is_trivial
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("kkt2") and getattr(mod, "cone_is_trivial", None) is real:
+            monkeypatch.setattr(mod, "cone_is_trivial",
+                                lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _box_file(tmp_path, shape):
+    """A many-multiplier box problem file and its point file."""
+    problem, point = many_multiplier_problem(np.random.default_rng(0), *shape)
+    ppath, xpath = tmp_path / f"p{shape}.json", tmp_path / f"x{shape}.json"
+    ppath.write_text(json.dumps(problem))
+    xpath.write_text(json.dumps({"point": point}))
+    return str(ppath), str(xpath)
+
+
+class TestBoxCQProbes:
+    # (n, m, n_lower, rank, scale): 1, 2, 5 and 80 multiplier vertices
+    SHAPES = [(6, 2, 2, 2, 0.01), (8, 3, 2, 2, 0.01), (10, 4, 3, 2, 0.05),
+              (24, 8, 6, 3, 0.01)]
+
+    def test_strict_cq_probes_the_same_whatever_the_vertex_count(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        """``check-cq --strict`` reads a box's verdicts off the vertex list,
+        so the number of polar probes does not grow with the vertices."""
+        counts = {}
+        for shape in self.SHAPES:
+            ppath, xpath = _box_file(tmp_path, shape)
+            with monkeypatch.context() as m:
+                calls = _count_cone_probes(m)
+                code = kkt2.cli.main(["check-cq", ppath, "--at", xpath, "--strict",
+                                      "--format", "json"])
+            records = [r for r in json.loads(capsys.readouterr().out)["checks"]
+                       if r["name"].startswith("strict_cq")]
+            assert code == (0 if len(records) == 1 else 1)
+            counts[len(records)] = len(calls)
+        assert sorted(counts) == [1, 2, 5, 80]
+        assert len(set(counts.values())) == 1
+
+    def test_rzkcq_and_weaker_share_one_probe(self, tmp_path, monkeypatch, capsys):
+        """On a box both surjectivity CQs have the same polar system: plain
+        ``check-cq`` runs it once, and the records match it."""
+        ppath, xpath = _box_file(tmp_path, self.SHAPES[-1])
+        calls = _count_cone_probes(monkeypatch)
+        assert kkt2.cli.main(["check-cq", ppath, "--at", xpath, "--format", "json"]) == 0
+        assert len(calls) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(r["name"], r["verdict"]) for r in checks[1:]] == \
+            [("rzkcq", "holds"), ("weaker_cq", "holds")]
+
+
 def _pairwise_scaled_vertices(p, s, tol):
     """``linalg._scaled_vertices`` with the pairwise dedup loop it replaced."""
     L, R = linalg._double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
