@@ -10,12 +10,12 @@ Cuts whose terms are single-signed on the cone are absorbed into the
 pattern (they force components to zero), which is what turns e.g. an
 objective cut into a plain componentwise condition.
 At a KKT point a box's critical cone (eta = 0) is the annihilator section
-of one relative-interior multiplier, so its implicit equalities enter as
-equalities (``_annihilator_rows``) and random draws land in it after one
-projection.  Every box cone lands its draws with one in-place sweep
-(``_land_rows``): clamp, one projection onto the rows' null space, then
-exact projections onto the section of the rows by each row's face, each
-row stopping on its own.  A hull's critical cone starts from its tangent
+of one relative-interior multiplier (``MultiplierSet.annihilator``), so its
+implicit equalities enter as =0 coordinates and equality rows, and random
+draws land in it after one projection.  Every box cone lands its draws with
+one in-place sweep (``_land_rows``): clamp, one projection onto the rows'
+null space, then exact projections onto the section of the rows by each
+row's face, each row stopping on its own.  A hull's critical cone starts from its tangent
 rays instead: their facets (``linalg.cone_facets``) decide membership, and
 random draws combine its section generators: the facets plus the cuts, run
 through the double-description routine.  A box cone with leftover
@@ -129,15 +129,16 @@ def absorb_rows(
     pattern: SignPatternCone,
     eq_rows: Sequence[np.ndarray],
     ineq_rows: Sequence[np.ndarray],
-    weights: np.ndarray,
 ) -> tuple[SignPatternCone, list[np.ndarray], list[np.ndarray]]:
     """Fold rows whose terms are single-signed on the pattern into the pattern.
 
     A row <r, h>_w <= 0 whose nonzero terms w_i r_i h_i are all >= 0 on the
     cone holds iff every term vanishes, i.e. h_i = 0 on the row support; the
-    row disappears and those components become =0.  Equality rows absorb
-    when the terms are single-signed in either direction.  Iterates to a
-    fixed point, since zeroing components can unlock further rows.
+    row disappears and those components become =0.  The weights are
+    positive, so the term signs need only the row and the pattern.
+    Equality rows absorb when the terms are single-signed in either
+    direction.  Iterates to a fixed point, since zeroing components can
+    unlock further rows.
     """
 
     codes = np.array(pattern.codes, dtype=np.int8)
@@ -281,14 +282,6 @@ class CriticalCone:
         norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
         return H @ (w * g) <= self.eta * norms + scale * (1.0 + float(np.max(np.abs(g))))
 
-    def project_eq_rows(self, v: np.ndarray) -> np.ndarray:
-        """Weighted orthogonal projection onto the equality rows' null space,
-        of one vector or of the rows of a matrix."""
-        if self._eq_projector is None:
-            return v
-        A, B = self._eq_projector
-        return v - (v @ A.T) @ B
-
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
@@ -318,31 +311,6 @@ class CriticalCone:
         return ok
 
 
-def _annihilator_rows(mset: "MultiplierSet") -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Equality and inequality rows of a box's critical cone (eta = 0) as the
-    annihilator section of one multiplier (mu, lambda): at a KKT point every
-    multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 : g'(x)h in
-    T_K(g(x)), mu . g'(x)h = 0}, and the objective row is implied.
-
-    The multiplier is the vertex barycenter of the bounded polytope, a
-    relative-interior point, so mu_i or lambda_j is nonzero wherever some
-    multiplier's is (Goldman & Tucker 1956): every implicit equality of the
-    cone becomes explicit.  lambda is the first equality row (``absorb_rows``
-    turns it into =0 coordinates), then the equalities and the active
-    inequalities with mu_i > 0; entries within ``tol.residual`` of zero
-    count as zero, as in the strict CQ.
-    """
-    tol, codes = mset.tol, mset.k_pattern.codes
-    mu = np.mean(np.asarray(mset.vertices, dtype=float), axis=0)
-    lam, grads = mset.lam_of(mu), mset.g_grads
-    lam_zero = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    leq = codes == NONPOS
-    tight = leq & (mu > tol.residual)
-    eq_rows = [np.where(np.abs(lam) <= lam_zero, 0.0, lam)]
-    eq_rows += [grads[i] for i in (*np.flatnonzero(codes == ZERO), *np.flatnonzero(tight))]
-    return eq_rows, list(grads[leq & ~tight])
-
-
 def critical_cone(
     mset: "MultiplierSet", eta: float = 0.0, constraint_rows: bool = True
 ) -> CriticalCone:
@@ -355,10 +323,17 @@ def critical_cone(
     pattern whenever its terms are single-signed on the tangent cone.
 
     On a box at eta = 0 with constraint rows, a nonempty bounded multiplier
-    set gives the rows of the annihilator section (``_annihilator_rows``):
-    the same cone, with its implicit equalities explicit.  Box rows are zero
-    on the =0 coordinates, so one projection onto the equality rows keeps
-    those coordinates at zero.
+    set gives the annihilator section of its vertex barycenter mu: at a KKT
+    point every multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 :
+    g'(x)h in T_K(g(x)), mu . g'(x)h = 0}, and the objective row is
+    implied.  The barycenter is a relative-interior point, so mu_i or
+    lambda_j is nonzero wherever some multiplier's is (Goldman & Tucker
+    1956): every implicit equality of the cone becomes explicit.  The base
+    pattern is the C section (``MultiplierSet.annihilator``), and the rows
+    are the g_i'(x) with code =0 in the K section as equalities and those
+    with code <=0 as inequalities.  Box rows are zero on the =0
+    coordinates, so one projection onto the equality rows keeps those
+    coordinates at zero.
     """
 
     if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
@@ -368,14 +343,14 @@ def critical_cone(
     annihilator = (constraint_rows and is_box and eta == 0.0 and mset.bounded
                    and bool(mset.vertices))
 
+    base, k_pattern = mset.c_pattern, mset.k_pattern
+    if annihilator:
+        base, k_pattern, _ = mset.annihilator(np.mean(mset.vertex_matrix, axis=0))
     eq_rows: list[np.ndarray] = []
     ineq_rows: list[np.ndarray] = []
-    if annihilator:
-        eq_rows, ineq_rows = _annihilator_rows(mset)
-    elif constraint_rows:
-        codes = mset.k_pattern.codes
-        eq_rows += list(grads[codes == ZERO])
-        ineq_rows += list(grads[codes == NONPOS])
+    if constraint_rows:
+        eq_rows += list(grads[k_pattern.codes == ZERO])
+        ineq_rows += list(grads[k_pattern.codes == NONPOS])
     # eta = 0: the objective cut is a row like the others, implied by the
     # annihilator rows; eta > 0: it stays the non-polyhedral test
     # f'(x).h <= eta ||h||
@@ -386,7 +361,7 @@ def critical_cone(
         ineq_rows.append(fgrad)
 
     if is_box:
-        pattern, eq_left, ineq_left = absorb_rows(mset.c_pattern, eq_rows, ineq_rows, p.weights)
+        pattern, eq_left, ineq_left = absorb_rows(base, eq_rows, ineq_rows)
         zero = pattern._zero
         return CriticalCone(
             p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
@@ -461,9 +436,9 @@ def _project_rows(cone: CriticalCone, W: np.ndarray, face: bool) -> None:
     """One projection of the rows of W onto the equality rows, in place.
 
     Without ``face`` it is the weighted projection onto the rows' null
-    space (``project_eq_rows``).  With ``face`` it is exact on each row's
-    face: S is the =0 coordinates and the sign coordinates at 0, m masks the
-    coordinates outside S, and v <- m (v - R^T lam) with (R diag(w m) R^T)
+    space.  With ``face`` it is exact on each row's face: S is the =0
+    coordinates and the sign coordinates at 0, m masks the coordinates
+    outside S, and v <- m (v - R^T lam) with (R diag(w m) R^T)
     lam = R (w v) is the weighted projection onto {R (w v) = 0, v = 0 on S}.
     One row is a division; more rows use a pseudo-inverse, since a face can
     make them dependent.  The temporaries are a few arrays the size of W and
@@ -677,12 +652,11 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     return H
 
 
-def random_directions(
-    cone: CriticalCone,
-    count: int,
-    rng: np.random.Generator,
-    max_rounds: int = 10,
-) -> np.ndarray:
+# Rounds of ``random_directions`` before it returns what it has.
+_MAX_ROUNDS = 10
+
+
+def random_directions(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded unit-norm random members of the cone (deterministic given rng),
     at most ``count`` rows.  A round draws ``count`` starts and, unless they
     filled the request, ``count`` more; numpy fills arrays row by row, so
@@ -691,7 +665,7 @@ def random_directions(
 
     Box cones draw gaussian starts landed by ``_land_rows``, kept when they
     meet the cuts (``_random_pattern_batch``).  When the first half round
-    keeps fewer than ``count / (2 max_rounds)`` rows, too few for the
+    keeps fewer than ``count / (2 _MAX_ROUNDS)`` rows, too few for the
     rounds to fill the request, a box cone with listed generators
     (``has_generators``) draws the rest as combinations of them
     (``_random_section_batch``).  Ray-based cones draw combinations from
@@ -702,8 +676,8 @@ def random_directions(
     batch = _random_section_batch if cone.base_pattern is None else _random_pattern_batch
     chunks: list[np.ndarray] = []
     filled = 0
-    while filled < count and len(chunks) < 2 * max_rounds:
-        starved = len(chunks) == 1 and filled * 2 * max_rounds < count
+    while filled < count and len(chunks) < 2 * _MAX_ROUNDS:
+        starved = len(chunks) == 1 and filled * 2 * _MAX_ROUNDS < count
         if batch is _random_pattern_batch and starved and cone.has_generators:
             batch = _random_section_batch
         if batch is _random_section_batch and len(cone.generators) <= 1:

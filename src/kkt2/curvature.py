@@ -6,18 +6,20 @@ vertex; an LP cross-check is kept as an independent route).  Minimizing q
 over a cone-intersect-sphere is nonconvex, so the necessary/sufficient
 checks are falsifiers with a documented heuristic search: structured
 directions, seeded random cone samples, and a projected subgradient
-refinement.  The battery is one array, evaluated in row blocks with one
-``BilinearForm.quad_batch`` per form; the chosen direction is evaluated
-again by ``q_of_h`` (or ``CurvatureOracle.fixed_mu_value``), so reported
-values replay exactly.  A negative certificate (witness) is exact and
-replayable; a nonnegative verdict is a sampled certificate, labeled as such.
+refinement.  Every function reads f''(x), g''(x) and the multiplier
+vertices off the point object (``MultiplierSet.f_form``, ``g_forms`` and
+``vertex_matrix``, built once per point).  The battery is one array,
+evaluated in row blocks with one ``BilinearForm.quad_batch`` per form; the
+chosen direction is evaluated again by ``q_of_h`` (or ``fixed_mu_value``),
+so reported values replay exactly.  A negative certificate (witness) is
+exact and replayable; a nonnegative verdict is a sampled certificate,
+labeled as such.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,105 +29,83 @@ from .cones import (_BLOCK_ENTRIES, CriticalCone, critical_cone, into_cone, rand
                     structured_directions)
 from .errors import EmptyMultiplierSet, UnboundedMultiplierSet, UsageError
 from .kkt import MultiplierSet, validate_multipliers
-from .linalg import BilinearForm, LinearProgram, solve_lp, weighted_norm
+from .linalg import LinearProgram, solve_lp, weighted_norm
 from .model import BoxSet, ProblemSpec, as_entries
 
 
-@dataclass(frozen=True)
-class CurvatureOracle:
-    """f''(x), the constraint Hessians, and the multiplier vertices."""
-
-    weights: np.ndarray
-    f_form: BilinearForm
-    g_forms: tuple[BilinearForm, ...]
-    mset: MultiplierSet
-
-    @property
-    def m(self) -> int:
-        return len(self.g_forms)
-
-    def constraint_quads(self, h: np.ndarray) -> np.ndarray:
-        return np.array([form.quad(h) for form in self.g_forms])
-
-    def values(self, H: np.ndarray, mu: Optional[np.ndarray] = None) -> np.ndarray:
-        """Form values over the rows of H: q(h), or with ``mu`` the fixed-mu
-        form; equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
-        out = self.f_form.quad_batch(H)
-        if self.m:
-            S = np.column_stack([g.quad_batch(H) for g in self.g_forms])
-            if mu is not None:
-                return out + S @ mu
-            out = out + np.max(S @ self.vertex_matrix.T, axis=1)
-        return out
-
-    @cached_property
-    def vertex_matrix(self) -> np.ndarray:
-        """The multiplier vertices as the rows of one array."""
-        return np.asarray(self.mset.vertices, dtype=float)
-
-    def fixed_mu_value(self, h: np.ndarray, mu: np.ndarray) -> float:
-        base = self.f_form.quad(h)
-        if self.m:
-            base += float(np.asarray(mu) @ self.constraint_quads(h))
-        return base
-
-    def subgradient(self, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
-        """Riesz gradient of h -> L''(x, ., mu) h^2, if the forms support it."""
-        if self.f_form.apply is None or any(g.apply is None for g in self.g_forms):
-            return None
-        grad = 2.0 * np.asarray(self.f_form.apply(h), dtype=float)
-        for mu_i, g in zip(mu, self.g_forms):
-            if mu_i != 0.0:
-                grad += 2.0 * mu_i * np.asarray(g.apply(h), dtype=float)
-        return grad
+def _constraint_quads(mset: MultiplierSet, h: np.ndarray) -> np.ndarray:
+    return np.array([form.quad(h) for form in mset.g_forms])
 
 
-def curvature_oracle(mset: MultiplierSet) -> CurvatureOracle:
-    """The Hessians at the point of ``mset``, with its multiplier vertices."""
-    p = mset.problem
-    f_form = p.objective.hessian(mset.x)
-    g_forms = tuple(c.hessian(mset.x) for c in p.constraints)
-    return CurvatureOracle(p.weights, f_form, g_forms, mset)
+def _form_values(mset: MultiplierSet, H: np.ndarray, mu: Optional[np.ndarray]) -> np.ndarray:
+    """Form values over the rows of H: q(h), or with ``mu`` the fixed-mu
+    form; equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
+    out = mset.f_form.quad_batch(H)
+    if mset.m:
+        S = np.column_stack([g.quad_batch(H) for g in mset.g_forms])
+        if mu is not None:
+            return out + S @ mu
+        out = out + np.max(S @ mset.vertex_matrix.T, axis=1)
+    return out
 
 
-def _require_vertices(oracle: CurvatureOracle) -> None:
+def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
+    """The Lagrangian Hessian of one multiplier at h: f''(x)h^2 + sum_i mu_i
+    g_i''(x)h^2."""
+    hv = np.asarray(h, dtype=float)
+    base = mset.f_form.quad(hv)
+    if mset.m:
+        base += float(np.asarray(mu) @ _constraint_quads(mset, hv))
+    return base
+
+
+def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
+    """Riesz gradient of h -> L''(x, ., mu) h^2, if the forms support it."""
+    if mset.f_form.apply is None or any(g.apply is None for g in mset.g_forms):
+        return None
+    grad = 2.0 * np.asarray(mset.f_form.apply(h), dtype=float)
+    for mu_i, g in zip(mu, mset.g_forms):
+        if mu_i != 0.0:
+            grad += 2.0 * mu_i * np.asarray(g.apply(h), dtype=float)
+    return grad
+
+
+def _require_vertices(mset: MultiplierSet) -> None:
     """Raises unless q is defined: a nonempty bounded multiplier set, with
     its vertices when there are constraints."""
-    mset = oracle.mset
     if mset.empty:
         raise EmptyMultiplierSet("q(h) needs a nonempty multiplier set")
     if not mset.bounded:
         raise UnboundedMultiplierSet("q(h) needs a bounded multiplier set")
-    if oracle.m and not mset.vertices:
+    if mset.m and not mset.vertices:
         raise EmptyMultiplierSet("multiplier polytope has no enumerated vertices")
 
 
-def q_of_h(oracle: CurvatureOracle, h) -> tuple[float, np.ndarray]:
+def q_of_h(mset: MultiplierSet, h) -> tuple[float, np.ndarray]:
     """Maximized Lagrangian Hessian at h with a maximizing vertex."""
 
     hv = np.asarray(h, dtype=float)
-    mset = oracle.mset
-    _require_vertices(oracle)
-    base = oracle.f_form.quad(hv)
-    if oracle.m == 0:
+    _require_vertices(mset)
+    base = mset.f_form.quad(hv)
+    if mset.m == 0:
         return base, np.zeros(0)
-    s = oracle.constraint_quads(hv)
-    V = oracle.vertex_matrix
+    s = _constraint_quads(mset, hv)
+    V = mset.vertex_matrix
     best = int(np.argmax(V @ s))
     # the winner's value by the dot product of fixed_mu_value, so replays match
     return base + float(V[best] @ s), np.asarray(mset.vertices[best])
 
 
-def q_of_h_lp(oracle: CurvatureOracle, h) -> float:
+def q_of_h_lp(mset: MultiplierSet, h) -> float:
     """Independent route: maximize the linear functional over the polytope by
     LP instead of vertex enumeration."""
 
     hv = np.asarray(h, dtype=float)
-    base = oracle.f_form.quad(hv)
-    if oracle.m == 0:
+    base = mset.f_form.quad(hv)
+    if mset.m == 0:
         return base
-    s = oracle.constraint_quads(hv)
-    poly = oracle.mset.polytope
+    s = _constraint_quads(mset, hv)
+    poly = mset.polytope
     res = solve_lp(LinearProgram(s, poly.eq_rows, poly.ineq_rows, sense="max"))
     if not res.is_optimal or res.value is None:
         raise UnboundedMultiplierSet("sup over the multiplier polytope did not solve")
@@ -182,7 +162,7 @@ def _battery(cone: CriticalCone, budget: SearchBudget) -> tuple[np.ndarray, np.n
 
 
 def _descend(
-    oracle: CurvatureOracle,
+    mset: MultiplierSet,
     cone: CriticalCone,
     start: np.ndarray,
     evaluate: "callable",
@@ -199,7 +179,7 @@ def _descend(
         return []
     w = cone.weights
     cur = evaluate(start / weighted_norm(w, start))
-    grad = oracle.subgradient(cur.h, cur.mu)
+    grad = _subgradient(mset, cur.h, cur.mu)
     if grad is None:
         return []
     visited = []
@@ -219,7 +199,7 @@ def _descend(
         if trial.value < cur.value - 1e-14:
             cur = trial
             visited.append(cur)
-            grad = oracle.subgradient(cur.h, cur.mu)
+            grad = _subgradient(mset, cur.h, cur.mu)
             if grad is None:
                 break
             step = min(step * 1.5, 1.0)
@@ -239,7 +219,7 @@ class _Candidate:
 
 
 def _battery_values(
-    oracle: CurvatureOracle, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
+    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared weighted norms and form values of the rows of H, computed in
     blocks of about ``_BLOCK_ENTRIES`` entries so temporaries stay small."""
@@ -249,7 +229,7 @@ def _battery_values(
     for start in range(0, len(H), rows):
         block = H[start:start + rows]
         n2[start:start + len(block)] = np.sum(weights * block * block, axis=1)
-        values[start:start + len(block)] = oracle.values(block, mu)
+        values[start:start + len(block)] = _form_values(mset, block, mu)
     return n2, values
 
 
@@ -261,7 +241,7 @@ class _Search:
 
 
 def _search_min(
-    oracle: CurvatureOracle,
+    mset: MultiplierSet,
     cone: CriticalCone,
     budget: SearchBudget,
     mu: Optional[np.ndarray] = None,
@@ -275,20 +255,20 @@ def _search_min(
     ``q_of_h``/``fixed_mu_value`` as a replay computes them."""
 
     def evaluate(h: np.ndarray) -> _Candidate:
-        val, mu_h = q_of_h(oracle, h) if mu is None else (oracle.fixed_mu_value(h, mu), mu)
+        val, mu_h = q_of_h(mset, h) if mu is None else (fixed_mu_value(mset, h, mu), mu)
         return _Candidate(h, val, val / float(np.sum(w * h * h)), mu_h)
 
     if mu is None:
-        _require_vertices(oracle)
+        _require_vertices(mset)
     w = cone.weights
     H, structured = _battery(cone, budget)
-    n2, values = _battery_values(oracle, H, w, mu)
+    n2, values = _battery_values(mset, H, w, mu)
     rows = np.flatnonzero(n2 > 1e-20)
     if not len(rows):
         return _Search(0, math.inf, None)
     normalized = values[rows] / n2[rows]
     best = rows[int(np.argmin(normalized))]
-    steps = _descend(oracle, cone, H[best], evaluate, budget)
+    steps = _descend(mset, cone, H[best], evaluate, budget)
     best_step = min(steps, key=lambda c: c.normalized, default=None)
     if best_step is not None and best_step.normalized < float(np.min(normalized)):
         chosen = best_step
@@ -325,10 +305,9 @@ def check_snc(
     A violation witness is exact; the 'holds' verdict is the sampled minimum
     over the battery (heuristic certificate)."""
 
-    oracle = curvature_oracle(mset)
     if cone is None:
         cone = critical_cone(mset, 0.0)
-    found = _search_min(oracle, cone, budget)
+    found = _search_min(mset, cone, budget)
     return _verdict("snc", found.sampled_min < -mset.tol.violation, found,
                     hypotheses=hypotheses, section_generators=_section_size(cone))
 
@@ -347,11 +326,10 @@ def check_snc_fixed_multiplier(
     mu = np.asarray(mu, dtype=float)
     if not mset.contains_mu(mu):
         raise UsageError("mu is not in the multiplier set")
-    validate_multipliers(mset, mset.multipliers(mu))
-    oracle = curvature_oracle(mset)
+    validate_multipliers(mset, mu)
     if cone is None:
         cone = critical_cone(mset, 0.0)
-    found = _search_min(oracle, cone, budget, mu)
+    found = _search_min(mset, cone, budget, mu)
     return _verdict("snc", found.sampled_min < -mset.tol.violation, found, mu)
 
 
@@ -369,11 +347,10 @@ def check_ssc(
 
     if eta <= 0:
         raise UsageError("the extended critical cone needs eta > 0")
-    oracle = curvature_oracle(mset)
     cone_eta = critical_cone(mset, eta)
-    found = _search_min(oracle, cone_eta, budget)
+    found = _search_min(mset, cone_eta, budget)
     alpha_est = found.sampled_min
-    min_zero = _search_min(oracle, critical_cone(mset, 0.0), budget).sampled_min
+    min_zero = _search_min(mset, critical_cone(mset, 0.0), budget).sampled_min
     return _verdict("ssc", not alpha_est >= alpha_target - mset.tol.alpha_slack, found,
                     alpha_est=alpha_est, hypotheses=hypotheses,
                     positivity_consistent=(min_zero > 0) == (alpha_est > 0),

@@ -34,9 +34,7 @@ class Example1Problem:
     grid: int
     problem: ProblemSpec
     xbar: np.ndarray
-    midpoints: np.ndarray
     mask_lower: np.ndarray      # cells in (0, 1/3), x at the lower bound
-    mask_first_quarter: np.ndarray
     mask_middle: np.ndarray     # cells in (1/3, 2/3)
     mask_upper_left: np.ndarray  # cells in (2/3, 3/4)
     mask_upper_tail: np.ndarray  # cells in (3/4, 1)
@@ -165,9 +163,7 @@ def build_example1(grid: int) -> Example1Problem:
         grid=grid,
         problem=problem,
         xbar=xbar,
-        midpoints=t,
         mask_lower=mask_lower,
-        mask_first_quarter=mask_q,
         mask_middle=mask_middle,
         mask_upper_left=mask_ul,
         mask_upper_tail=mask_tail,

@@ -2,9 +2,12 @@
 
 ``multiplier_set`` is a run's one point object: the problem, the point, the
 tolerances, the tangent patterns of C (boxes) and K at the point, f'(x) and
-g'(x), and the multiplier polytope.  Every check from here to the
-second-order conditions takes it alone, in place of the problem, x and the
-tolerances.
+g'(x), and the multiplier polytope; f''(x) and g''(x) are built on first
+read.  Every check from here to the second-order conditions takes it alone,
+in place of the problem, x and the tolerances.  A multiplier is its mu:
+``MultiplierSet.annihilator(mu)`` gives lambda(mu) and the annihilator
+sections of both tangent patterns, which the strict CQ and a box's
+critical cone read.
 
 The multiplier set is parameterized by mu alone (lambda is eliminated
 through stationarity, lambda(mu) = -f'(x) - sum_i mu_i g_i'(x)), which makes
@@ -42,29 +45,12 @@ from .cones import (
     NONPOS,
     ZERO,
     SignPatternCone,
-    absorb_rows,
     tangent_cone_box,
 )
-from .linalg import PolytopeH, cone_is_trivial, enumerate_vertices, nnls, weighted_norm
+from .linalg import BilinearForm, PolytopeH, cone_is_trivial, enumerate_vertices, nnls
 from .model import BoxSet, ProblemSpec, as_entries, check_feasible
 
 Row = tuple[np.ndarray, float]
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """A single multiplier pair (lambda, mu) at a base point."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        lam.flags.writeable = False
-        mu.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -79,7 +65,8 @@ class MultiplierSet:
 
     ``empty``, ``bounded`` and ``vertices`` come from one double description
     of the polytope, run on first read, so a run that reads only the point
-    data never starts it."""
+    data never starts it.  The Hessians f''(x) and g_i''(x) (``f_form``,
+    ``g_forms``) are built on first read too, once per point."""
 
     problem: ProblemSpec
     x: np.ndarray
@@ -125,12 +112,48 @@ class MultiplierSet:
         return _polar_generators(
             *_difference_map(self.c_pattern, self.g_grads, self.k_pattern), self.tol)
 
+    @cached_property
+    def vertex_matrix(self) -> np.ndarray:
+        """The multiplier vertices as the rows of one array."""
+        return np.asarray(self.vertices, dtype=float)
+
+    @cached_property
+    def f_form(self) -> BilinearForm:
+        """f''(x)."""
+        return self.problem.objective.hessian(self.x)
+
+    @cached_property
+    def g_forms(self) -> tuple[BilinearForm, ...]:
+        """g_i''(x), one form per constraint."""
+        return tuple(c.hessian(self.x) for c in self.problem.constraints)
+
     def lam_of(self, mu) -> np.ndarray:
         mu = np.asarray(mu, dtype=float)
         return -self.f_grad - self.g_grads.T @ mu
 
-    def multipliers(self, mu) -> Multipliers:
-        return Multipliers(self.lam_of(mu), np.asarray(mu, dtype=float))
+    def annihilator(self, mu) -> tuple[Optional[SignPatternCone], SignPatternCone, np.ndarray]:
+        """(T_C(x) ∩ lambda-annihilator, T_K(g(x)) ∩ mu-annihilator, lambda)
+        for the multiplier mu, with lambda = lambda(mu); the C section is
+        None on a hull.
+
+        An entry of lambda within tol.residual (1 + max|lambda|) of zero is
+        zero (returned as exactly 0), and so is an entry of mu within
+        tol.residual; every other entry sets its coordinate to =0.  For a
+        valid multiplier each annihilating row is single-signed on its
+        tangent pattern, so this is the whole section."""
+        tol = self.tol
+        mu = np.asarray(mu, dtype=float)
+        lam = self.lam_of(mu)
+        lam_zero = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+        lam = np.where(np.abs(lam) <= lam_zero, 0.0, lam)
+        k_codes = np.array(self.k_pattern.codes)
+        k_codes[np.abs(mu) > tol.residual] = ZERO
+        c_section = None
+        if self.c_pattern is not None:
+            c_codes = np.array(self.c_pattern.codes)
+            c_codes[lam != 0.0] = ZERO
+            c_section = SignPatternCone(c_codes)
+        return c_section, SignPatternCone(k_codes), lam
 
     def contains_mu(self, mu) -> bool:
         if self.m == 0:
@@ -229,31 +252,25 @@ def _lambda_in_normal_cone(mset: MultiplierSet, Lam: np.ndarray) -> np.ndarray:
                   <= scale[:, None] * (1.0 + np.abs(rays).max(axis=1, initial=0.0)), axis=1)
 
 
-def _validate_rows(mset: MultiplierSet, Lam: np.ndarray, Mu: np.ndarray) -> np.ndarray:
-    """``validate_multipliers`` over the rows of Lam (k x n) and Mu (k x m)
-    in one array pass: the stationarity residual of each pair, its mu signs
-    against K's pattern and its lambda against the normal cone; raises at
-    the first violation, returns the residuals."""
+def _validate_rows(mset: MultiplierSet, Mu: np.ndarray) -> None:
+    """``validate_multipliers`` over the rows of Mu (k x m) in one array
+    pass: the mu signs against K's pattern and lambda(mu) against the normal
+    cone; raises at the first violation.  Stationarity holds by
+    construction, lambda(mu) = -f'(x) - g'(x)^T mu."""
 
-    w, tol, codes = mset.problem.weights, mset.tol, mset.k_pattern.codes
-    R = mset.f_grad + Lam + Mu @ mset.g_grads
-    residual = np.sqrt(np.sum(w * R * R, axis=1))
-    bound = tol.residual * (1.0 + weighted_norm(w, mset.f_grad))
-    for r in residual[residual > bound][:1]:
-        raise UsageError(f"stationarity residual {r:.3e} too large")
+    tol, codes = mset.tol, mset.k_pattern.codes
     for i in np.flatnonzero(np.any((codes == FREE) & (np.abs(Mu) > tol.residual), axis=0))[:1]:
         raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
     for i in np.flatnonzero(np.any((codes == NONPOS) & (Mu < -tol.residual), axis=0))[:1]:
         raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
-    if not np.all(_lambda_in_normal_cone(mset, Lam)):
+    if not np.all(_lambda_in_normal_cone(mset, -mset.f_grad - Mu @ mset.g_grads)):
         raise UsageError("lambda violates the normal-cone pattern")
-    return residual
 
 
-def validate_multipliers(mset: MultiplierSet, mult: Multipliers) -> float:
-    """Stationarity residual of (lambda, mu) at the point of ``mset``, read
-    with its patterns, f'(x) and Jacobian; raises on sign violations."""
-    return float(_validate_rows(mset, mult.lam[None], mult.mu[None])[0])
+def validate_multipliers(mset: MultiplierSet, mu) -> None:
+    """Raises unless mu, with lambda(mu), is a multiplier at the point of
+    ``mset``: mu against K's pattern, lambda(mu) against the normal cone."""
+    _validate_rows(mset, np.asarray(mu, dtype=float)[None])
 
 
 # --------------------------------------------------------------------------
@@ -318,39 +335,31 @@ def check_weaker_cq(mset: MultiplierSet) -> CQVerdict:
     return _surjectivity_cq(mset, lambda s: s.normal_row_rays(), "weaker")
 
 
-def check_strict_cq(mset: MultiplierSet, mult: Multipliers) -> CQVerdict:
-    """Strict qualification: g'(x)[T_C(x) ∩ lambda-annihilator] minus
-    [T_K(g(x)) ∩ mu-annihilator] must be all of R^m.
+def check_strict_cq(mset: MultiplierSet, mu) -> CQVerdict:
+    """Strict qualification at the multiplier mu: g'(x)[T_C(x) ∩
+    lambda-annihilator] minus [T_K(g(x)) ∩ mu-annihilator] must be all of
+    R^m.
 
-    The annihilator sections are pattern cones again (each annihilating row
-    has single-signed terms, so it absorbs), once the entries of lambda and
-    mu that validation accepts as zero are exactly zero; the verdict is the
-    same polar probe, and on failure the achieved cone is read off the polar
-    generators (``_achieved_cone``).
+    The annihilator sections are pattern cones again
+    (``MultiplierSet.annihilator``); on a hull the C-cone keeps the tangent
+    rays that lambda annihilates.  The verdict is the same polar probe, and
+    on failure the achieved cone is read off the polar generators
+    (``_achieved_cone``).
 
     This is the reference route, one double description per multiplier;
     ``stages.strict_cq`` runs it on hulls, and answers boxes by
     ``strict_cq_by_vertices``.
     """
 
-    p, tol, m = mset.problem, mset.tol, mset.m
-    validate_multipliers(mset, mult)
-    lam_zero = tol.residual * (1.0 + float(np.max(np.abs(mult.lam), initial=0.0)))
-    mult = Multipliers(np.where(np.abs(mult.lam) <= lam_zero, 0.0, mult.lam),
-                       np.where(np.abs(mult.mu) <= tol.residual, 0.0, mult.mu))
-    k_section, eq_left, _ = absorb_rows(mset.k_pattern, [mult.mu], [], np.ones(m))
-    if eq_left:
-        raise UsageError("mu-annihilator section did not absorb; invalid multipliers")
-
-    if mset.c_pattern is not None:
-        c_section, eq_left, _ = absorb_rows(mset.c_pattern, [mult.lam], [], p.weights)
-        if eq_left:
-            raise UsageError("lambda-annihilator section did not absorb; invalid multipliers")
+    p, tol = mset.problem, mset.tol
+    validate_multipliers(mset, mu)
+    c_section, k_section, lam = mset.annihilator(mu)
+    if c_section is not None:
         M = mset.g_grads
     else:
         kept_rays = [
             d for d in p.abstract_set.tangent_rays()
-            if abs(float(np.sum(p.weights * mult.lam * d)))
+            if abs(float(np.sum(p.weights * lam * d)))
             <= tol.residual * (1.0 + float(np.max(np.abs(d))))
         ]
         c_section, M = _abstract_cone(mset, mset.g_grads, lambda s: kept_rays)
@@ -392,7 +401,7 @@ def strict_cq_by_vertices(mset: MultiplierSet) -> list[CQVerdict]:
     if mset.c_pattern is None or not mset.vertices:
         raise UsageError("the vertex route needs a box with multiplier vertices")
     V = np.array(mset.vertices)
-    _validate_rows(mset, -mset.f_grad - V @ mset.g_grads, V)
+    _validate_rows(mset, V)
     if len(V) == 1:
         return [CQVerdict("strict", True)]
     verdicts = []

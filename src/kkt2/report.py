@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import curvature_oracle, q_of_h
+from .curvature import fixed_mu_value, q_of_h
 from .kkt import multiplier_set
 from .model import ProblemSpec, as_entries
 
@@ -157,7 +157,7 @@ def replay(problem: ProblemSpec, report: CertificationReport, tol: float = 1e-9)
     """
 
     x = as_entries(np.asarray(report.point, dtype=float), problem.dim)
-    oracle = curvature_oracle(multiplier_set(problem, x))
+    mset = multiplier_set(problem, x)
     out: list[tuple[str, bool, float]] = []
     for record in report.checks:
         w = record.witness
@@ -165,9 +165,9 @@ def replay(problem: ProblemSpec, report: CertificationReport, tol: float = 1e-9)
             continue
         h = np.asarray(w["direction"], dtype=float)
         if "mu" in w and w["mu"] is not None and len(np.atleast_1d(w["mu"])):
-            value = oracle.fixed_mu_value(h, np.asarray(w["mu"], dtype=float))
+            value = fixed_mu_value(mset, h, np.asarray(w["mu"], dtype=float))
         else:
-            value, _ = q_of_h(oracle, h)
+            value, _ = q_of_h(mset, h)
         recorded = float(w["value"])
         ok = abs(value - recorded) <= tol * (1.0 + abs(recorded))
         out.append((record.name, ok, value))

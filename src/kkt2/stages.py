@@ -27,8 +27,9 @@ class RunContext:
     """One run at one point.  ``feasibility`` is the feasibility stage's own
     record; ``multipliers`` is the run's point object (``kkt.multiplier_set``:
     the problem, the point and the tolerances, the tangent patterns of C and
-    K, f'(x), g'(x) and the multiplier polytope), built on first use; every
-    later stage passes it alone to the layer functions.  So a run checks
+    K, f'(x), g'(x), the multiplier polytope and, on first read, the
+    Hessians at x), built on first use; every later stage passes it alone
+    to the layer functions.  So a run checks
     feasibility at most twice and builds a box's tangent pattern at most
     once, and a run whose stages read neither (growth, derivative
     validation) builds no multiplier set."""
@@ -154,7 +155,7 @@ def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
         return [CheckRecord("strict_cq", "fail", {"reason": reason})]
     vertices = mset.vertices if per_vertex else mset.vertices[:1]
     verdicts = strict_cq_by_vertices(mset) if mset.c_pattern is not None else \
-        [check_strict_cq(mset, mset.multipliers(vert)) for vert in vertices]
+        [check_strict_cq(mset, vert) for vert in vertices]
     return [CheckRecord(f"strict_cq[vertex {k}]" if per_vertex else "strict_cq", _holds(v.holds),
                         {"mu": list(map(float, vert)), "achieved_cone": v.achieved_cone or ""},
                         _vector("witness", v.witness))

@@ -13,7 +13,7 @@ import numpy as np
 
 from kkt2.cones import NONPOS, ZERO, CriticalCone, absorb_rows
 from kkt2.linalg import PolytopeH
-from kkt2.model import BoxSet, ProblemSpec, quadratic
+from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
 
 
@@ -100,6 +100,32 @@ def random_stationary_problem(
     spec = ProblemSpec(objective, tuple(constraints), m1,
                        BoxSet(lower, upper), weights)
     return spec, xbar, lam, mu
+
+
+def random_hull(seed):
+    """A seeded hull problem at its base point with up to three linear
+    constraints, some of them zero or inactive."""
+    rng = np.random.default_rng(1000 + seed)
+    n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    m1 = int(rng.integers(0, m + 1))
+    w = np.ones(n) if seed % 2 else rng.uniform(0.5, 2.0, n)
+    rays = tuple(rng.standard_normal((int(rng.integers(1, 6)), n)))
+    limit = tuple(rng.standard_normal((int(rng.integers(0, 2)), n)))
+    deep = tuple(rng.standard_normal((int(rng.integers(0, 3)), n)))
+    cons, grads, mu = [], [], np.zeros(m)
+    for i in range(m):
+        lin = rng.standard_normal(n) if rng.random() >= 0.2 else np.zeros(n)
+        active = i < m1 or rng.random() < 0.7
+        cons.append(quadratic(0.0 if active else -0.5, lin, np.zeros((n, n)), w))
+        grads.append(lin / w)
+        if i < m1:
+            mu[i] = rng.standard_normal()
+        elif active and rng.random() < 0.7:
+            mu[i] = abs(rng.standard_normal())
+    f_grad = -sum(mu[i] * grads[i] for i in range(m))
+    objective = quadratic(0.0, w * f_grad, np.eye(n), w)
+    return ProblemSpec(objective, tuple(cons), m1,
+                       GeneratedConeSet(np.zeros(n), rays, limit, deep), w)
 
 
 def many_multiplier_problem(
@@ -191,7 +217,7 @@ def plain_critical_cone(mset, eta: float = 0.0, constraint_rows: bool = True) ->
     ineq = [G[i] for i in np.flatnonzero(codes == NONPOS)] if constraint_rows else []
     if eta == 0.0:
         ineq.append(mset.f_grad)
-    pattern, eq_left, ineq_left = absorb_rows(mset.c_pattern, eq, ineq, p.weights)
+    pattern, eq_left, ineq_left = absorb_rows(mset.c_pattern, eq, ineq)
     zero = pattern.codes == ZERO
     return CriticalCone(p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
                         tuple(np.where(zero, 0.0, r) for r in ineq_left),

@@ -14,7 +14,6 @@ from kkt2.config import SearchBudget
 from kkt2.curvature import (
     check_snc_fixed_multiplier,
     check_ssc,
-    curvature_oracle,
     q_of_h,
     q_of_h_lp,
 )
@@ -102,8 +101,7 @@ def test_criterion_4_example2_negative_curvature(capsys):
     for trunc in (2, 5, 10):
         ex = build_example2(trunc)
         mset = multiplier_set(ex.problem, ex.xbar)
-        val, _ = q_of_h(curvature_oracle(mset),
-                        np.array([0.0, 1.0, 0.0]))
+        val, _ = q_of_h(mset, np.array([0.0, 1.0, 0.0]))
         assert abs(val - (-2.0 * delta)) <= 1e-12
         assert abs(val - (-0.92820)) <= 1e-5
         values.append(val)
@@ -122,7 +120,7 @@ def test_criterion_5_example2_unique_multiplier_and_strict_cq(capsys):
     assert abs(float(mu[0])) <= 1e-10
     lam = mset.lam_of(mu)
     assert float(np.max(np.abs(lam - np.array([0.0, 0.0, 1.0])))) <= 1e-10
-    verdict = check_strict_cq(mset, mset.multipliers(mu))
+    verdict = check_strict_cq(mset, mu)
     assert not verdict.holds
     assert verdict.achieved_cone == "(-inf, 0]"
     with capsys.disabled():
@@ -197,12 +195,11 @@ def test_criterion_9_property_suites(capsys):
         mset = multiplier_set(p, xbar)
         if mset.empty or not mset.bounded or not mset.vertices:
             continue
-        oracle = curvature_oracle(mset)
         h = rng.standard_normal(p.dim)
-        v1, _ = q_of_h(oracle, h)
-        v2, _ = q_of_h(oracle, 2.0 * h)
+        v1, _ = q_of_h(mset, h)
+        v2, _ = q_of_h(mset, 2.0 * h)
         assert abs(v2 - 4.0 * v1) <= 1e-9 * max(1.0, abs(v1))
-        assert abs(q_of_h_lp(oracle, h) - v1) <= 1e-8 * (1.0 + abs(v1))
+        assert abs(q_of_h_lp(mset, h) - v1) <= 1e-8 * (1.0 + abs(v1))
         pairs += 1
 
     ex = build_example2(6)
@@ -241,7 +238,7 @@ def test_criterion_10_cq_logic(capsys):
             assert mset.bounded, "RZK CQ held but the multiplier set is unbounded"
             n_rzkcq += 1
         if mset.bounded and mset.vertices:
-            verdict = check_strict_cq(mset, mset.multipliers(mset.vertices[0]))
+            verdict = check_strict_cq(mset, mset.vertices[0])
             assert verdict.holds == (len(mset.vertices) == 1), \
                 "strict CQ verdict disagrees with the multiplier's uniqueness"
             n_strict += verdict.holds

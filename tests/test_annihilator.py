@@ -1,5 +1,6 @@
 """A box's critical cone as the annihilator section of a relative-interior
-multiplier: the same set as the cut description, every implicit equality
+multiplier: the sections of ``MultiplierSet.annihilator`` against row
+absorption, the same set as the cut description, every implicit equality
 explicit, a projector that lands in one step, and a battery that is not
 empty on a many-multiplier problem."""
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from kkt2.cli import main
-from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, critical_cone, random_directions
+from kkt2 import cones
+from kkt2.cones import (FREE, NONNEG, NONPOS, ZERO, _project_rows, absorb_rows,
+                        critical_cone, random_directions)
 from kkt2.kkt import multiplier_set
 
 from helpers import (many_multiplier_problem, many_multiplier_spec, plain_critical_cone,
-                     random_stationary_problem)
+                     random_hull, random_stationary_problem)
 
 TIGHT = 1e-9
 
@@ -46,6 +49,56 @@ def _box_instances(count: int):
 def instances():
     return [(p, xbar, mset, plain_critical_cone(mset), critical_cone(mset, 0.0))
             for p, xbar, mset in _box_instances(60)]
+
+
+def _absorbed_sections(mset, mu):
+    """The annihilator sections by row absorption: lambda(mu) and mu with
+    their entries within the residual tolerance zeroed, each absorbed as an
+    equality row into its tangent pattern, which must leave no row."""
+    tol = mset.tol
+    lam = mset.lam_of(mu)
+    lam = np.where(np.abs(lam) <= tol.residual * (1.0 + np.max(np.abs(lam))), 0.0, lam)
+    mu = np.where(np.abs(mu) <= tol.residual, 0.0, mu)
+    k_section, left, _ = absorb_rows(mset.k_pattern, [mu], [])
+    assert not left
+    c_section = None
+    if mset.c_pattern is not None:
+        c_section, left, _ = absorb_rows(mset.c_pattern, [lam], [])
+        assert not left
+    return c_section, k_section, lam
+
+
+def _section_instances():
+    """(label, multiplier set): the many-multiplier boxes of seeds 0-3, 50
+    seeded stationary boxes and 20 seeded hulls, each with vertices."""
+    out = [(f"many{s}", multiplier_set(*many_multiplier_spec(s))) for s in range(4)]
+    rng = np.random.default_rng(1956)
+    for k in range(50):
+        p, xbar, _, _ = random_stationary_problem(rng, max_dim=5, max_constraints=4)
+        out.append((f"box{k}", multiplier_set(p, xbar)))
+    for seed in range(20):
+        p = random_hull(seed)
+        out.append((f"hull{seed}", multiplier_set(p, np.zeros(p.dim))))
+    return [(label, mset) for label, mset in out if mset.vertices]
+
+
+class TestAnnihilatorSections:
+    def test_same_sections_as_row_absorption(self):
+        """At every vertex and at the vertex barycenter."""
+        boxes = hulls = 0
+        for label, mset in _section_instances():
+            for mu in (*mset.vertices, np.mean(mset.vertex_matrix, axis=0)):
+                c_section, k_section, lam = mset.annihilator(mu)
+                c_ref, k_ref, lam_ref = _absorbed_sections(mset, mu)
+                assert np.array_equal(k_section.codes, k_ref.codes), label
+                assert np.array_equal(lam, lam_ref), label
+                if c_ref is None:
+                    assert c_section is None
+                    hulls += 1
+                else:
+                    assert np.array_equal(c_section.codes, c_ref.codes), label
+                    boxes += 1
+        assert boxes >= 300 and hulls >= 20
 
 
 class TestPromotion:
@@ -92,16 +145,20 @@ class TestProjector:
         codes = cone.base_pattern.codes
         assert set(codes[:18]) == {FREE} and set(codes[18:]) == {ZERO}
         H = cone.base_pattern.clamp(np.random.default_rng(seed).standard_normal((50, 24)))
-        P = cone.project_eq_rows(H)
+        P = H.copy()
+        _project_rows(cone, P, face=False)
         RW = np.array(cone.eq_rows) * cone.weights
         assert np.abs(P @ RW.T).max() <= 1e-12 * np.abs(H).max()
         assert np.array_equal(cone.base_pattern.clamp(P), P)  # no second step needed
-        assert np.allclose(cone.project_eq_rows(P), P, rtol=0.0, atol=1e-14)
+        Q = P.copy()
+        _project_rows(cone, Q, face=False)
+        assert np.allclose(Q, P, rtol=0.0, atol=1e-14)
 
-    def test_battery_accepts_every_draw(self):
+    def test_battery_accepts_every_draw(self, monkeypatch):
         p, x = many_multiplier_spec(0)
         cone = critical_cone(multiplier_set(p, x), 0.0)
-        draws = random_directions(cone, 200, np.random.default_rng(5), max_rounds=1)
+        monkeypatch.setattr(cones, "_MAX_ROUNDS", 1)
+        draws = random_directions(cone, 200, np.random.default_rng(5))
         assert draws.shape == (200, 24)
         assert all(cone.contains(h, 1e-9) for h in draws)
 

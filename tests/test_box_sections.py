@@ -50,23 +50,25 @@ def _cut_slack(cone: CriticalCone, H: np.ndarray) -> np.ndarray:
 
 class TestManyMultiplierCones:
     @pytest.mark.parametrize("seed, size", [(0, 125), (1, 207)])
-    def test_benchmark_shaped_cones_fill_one_round(self, seed, size):
+    def test_benchmark_shaped_cones_fill_one_round(self, seed, size, monkeypatch):
         """The eta = 0.1 cones of the two many-multiplier benchmark problems:
         the sweep keeps about 1 in 700 starts, so the round's second half
         combines the section generators, and every combination lands."""
         p, x = many_multiplier_spec(seed)
         cone = critical_cone(multiplier_set(p, x), 0.1)
         assert cone.has_generators and len(cone.generators) == size
-        draws = random_directions(cone, 2000, np.random.default_rng(3), max_rounds=1)
+        monkeypatch.setattr(cones, "_MAX_ROUNDS", 1)
+        draws = random_directions(cone, 2000, np.random.default_rng(3))
         assert draws.shape == (2000, 24)
         assert all(cone.contains(h, 1e-7) for h in draws)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_small_many_multiplier_cones_fill_one_round(self, seed):
+    def test_small_many_multiplier_cones_fill_one_round(self, seed, monkeypatch):
         p, x = many_multiplier_spec(seed, n=10, m=4, n_lower=3, rank=2, scale=0.05)
         cone = critical_cone(multiplier_set(p, x), 0.1)
         assert cone.has_generators
-        draws = random_directions(cone, 500, np.random.default_rng(seed), max_rounds=1)
+        monkeypatch.setattr(cones, "_MAX_ROUNDS", 1)
+        draws = random_directions(cone, 500, np.random.default_rng(seed))
         assert draws.shape == (500, 10)
         assert all(cone.contains(h, 1e-7) for h in draws)
 
@@ -283,7 +285,7 @@ class TestHalfRounds:
         old = _one_round_before_halves(_random_section_batch, cone, 300, 9)
         assert new.shape == (300, cone.dim) and np.array_equal(new, old)
 
-    def test_rejecting_pattern_cone_keeps_the_landed_rows_of_the_old_round(self):
+    def test_rejecting_pattern_cone_keeps_the_landed_rows_of_the_old_round(self, monkeypatch):
         """Only the eta > 0 objective cut is tested, and about half the
         draws miss it, so the second half is drawn."""
         pattern = SignPatternCone(np.array([NONNEG, 0, 0, NONNEG]))
@@ -292,7 +294,8 @@ class TestHalfRounds:
         assert not cone.has_generators
         first = _random_pattern_batch(cone, 300, np.random.default_rng(9))
         assert 150 < len(first) < 300
-        new = random_directions(cone, 300, np.random.default_rng(9), max_rounds=1)
+        monkeypatch.setattr(cones, "_MAX_ROUNDS", 1)
+        new = random_directions(cone, 300, np.random.default_rng(9))
         old = _one_round_before_halves(_random_pattern_batch, cone, 300, 9)
         assert len(new) == len(old) > len(first)
         assert np.array_equal(new, old)
@@ -315,7 +318,7 @@ class TestStarvedSweep:
 
     def test_a_starved_sweep_continues_with_generators(self):
         """On a benchmark-shaped eta = 0.1 cone the first half round keeps
-        fewer than count / (2 max_rounds) rows; they come first, and
+        fewer than count / (2 _MAX_ROUNDS) rows; they come first, and
         combinations of the section generators, drawn from the same stream,
         fill the rest."""
         p, x = many_multiplier_spec(1)

@@ -12,10 +12,12 @@ from kkt2.curvature import (
     _BLOCK_ENTRIES,
     _battery_values,
     _box_feasible_samples,
+    _constraint_quads,
+    _form_values,
     check_snc,
     check_snc_fixed_multiplier,
     check_ssc,
-    curvature_oracle,
+    fixed_mu_value,
     q_of_h,
     q_of_h_lp,
     sample_growth,
@@ -45,23 +47,20 @@ class TestQofH:
     def test_example1_first_direction(self, ex1):
         """max over [0,1] of (1 - 3 mu): value 1 at mu = 0."""
         ex, mset = ex1
-        oracle = curvature_oracle(mset)
-        val, mu = q_of_h(oracle, ex.direction_lower_indicator())
+        val, mu = q_of_h(mset, ex.direction_lower_indicator())
         assert val == pytest.approx(1.0, abs=1e-12)
         assert mu[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_example1_second_direction(self, ex1):
         """max over [0,1] of (-1 + 2 mu): value 1 at mu = 1."""
         ex, mset = ex1
-        oracle = curvature_oracle(mset)
-        val, mu = q_of_h(oracle, ex.direction_upper_indicator())
+        val, mu = q_of_h(mset, ex.direction_upper_indicator())
         assert val == pytest.approx(1.0, abs=1e-12)
         assert mu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_example2_negative_curvature(self, ex2):
         ex, mset = ex2
-        oracle = curvature_oracle(mset)
-        val, _ = q_of_h(oracle, np.array([0.0, 1.0, 0.0]))
+        val, _ = q_of_h(mset, np.array([0.0, 1.0, 0.0]))
         assert val == pytest.approx(-2.0 * DELTA, abs=1e-12)
         assert val == pytest.approx(-0.92820, abs=1e-5)
 
@@ -73,38 +72,34 @@ class TestQofH:
             mset = multiplier_set(p, xbar)
             if mset.empty or not mset.bounded or not mset.vertices:
                 continue
-            oracle = curvature_oracle(mset)
             for _ in range(4):
                 h = rng.standard_normal(p.dim)
-                v1, _ = q_of_h(oracle, h)
-                v2, _ = q_of_h(oracle, 2.0 * h)
+                v1, _ = q_of_h(mset, h)
+                v2, _ = q_of_h(mset, 2.0 * h)
                 assert v2 == pytest.approx(4.0 * v1, rel=1e-9, abs=1e-12)
-                assert q_of_h_lp(oracle, h) == pytest.approx(v1, abs=1e-8 * (1 + abs(v1)))
+                assert q_of_h_lp(mset, h) == pytest.approx(v1, abs=1e-8 * (1 + abs(v1)))
                 pairs += 1
 
     def test_weak_duality_over_sampled_multipliers(self, ex1):
         """Every fixed multiplier's Hessian value is dominated by q."""
         ex, mset = ex1
-        oracle = curvature_oracle(mset)
         rng = np.random.default_rng(47)
         for _ in range(30):
             h = rng.standard_normal(12)
-            qv, _ = q_of_h(oracle, h)
+            qv, _ = q_of_h(mset, h)
             for mu in rng.uniform(0.0, 1.0, 5):
-                assert oracle.fixed_mu_value(h, np.array([mu])) <= qv + 1e-9
+                assert fixed_mu_value(mset, h, np.array([mu])) <= qv + 1e-9
 
     def test_monotone_in_multiplier_set(self, ex1):
         """Enlarging the multiplier polytope never decreases q."""
         ex, mset = ex1
-        oracle = curvature_oracle(mset)
         interval = PolytopeH(1, (), ((np.array([1.0]), 1.3), (np.array([-1.0]), 0.2)))
         enlarged = replace(mset, polytope=interval)  # mu in [-0.2, 1.3]
         assert [float(v[0]) for v in enlarged.vertices] == pytest.approx([-0.2, 1.3])
-        oracle_big = curvature_oracle(enlarged)
         rng = np.random.default_rng(53)
         for _ in range(40):
             h = rng.standard_normal(12)
-            assert q_of_h(oracle_big, h)[0] >= q_of_h(oracle, h)[0] - 1e-12
+            assert q_of_h(enlarged, h)[0] >= q_of_h(mset, h)[0] - 1e-12
 
 
 class TestSNC:
@@ -333,17 +328,16 @@ def _bounded_random_problems(rng, count):
 
 
 class TestBatchedValues:
-    """``CurvatureOracle.values`` and the block loop against ``q_of_h`` and
+    """``_form_values`` and the block loop against ``q_of_h`` and
     ``fixed_mu_value`` direction by direction."""
 
     def test_random_matrix_forms(self):
         rng = np.random.default_rng(71)
         for p, xbar, mset in _bounded_random_problems(rng, 25):
-            oracle = curvature_oracle(mset)
             H = rng.standard_normal((30, p.dim))
-            _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+            _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
             mu = mset.vertices[-1]
-            _assert_close(oracle.values(H, mu), [oracle.fixed_mu_value(h, mu) for h in H])
+            _assert_close(_form_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
 
     @pytest.mark.parametrize("grid", [12, 120, 480])
     def test_example1_forms_batch_rows(self, grid):
@@ -352,41 +346,38 @@ class TestBatchedValues:
         block boundary of ``_battery_values``."""
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
-        oracle = curvature_oracle(mset)
-        assert oracle.f_form.quad_rows is not None
-        assert all(g.quad_rows is not None for g in oracle.g_forms)
+        assert mset.f_form.quad_rows is not None
+        assert all(g.quad_rows is not None for g in mset.g_forms)
         rng = np.random.default_rng(grid)
         H = rng.standard_normal((_BLOCK_ENTRIES // grid + 3, grid))
         H[::7] = 0.0
         H[1] = ex.direction_lower_indicator()
         H[2] = ex.direction_upper_indicator()
         H[3] = ex.direction_lower_indicator() + ex.direction_upper_indicator()
-        _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+        _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
         for mu in (np.array([0.0]), np.array([0.3]), np.array([1.0])):
-            _assert_close(oracle.values(H, mu), [oracle.fixed_mu_value(h, mu) for h in H])
-        _, values = _battery_values(oracle, H, ex.problem.weights, None)
-        _assert_close(values, [q_of_h(oracle, h)[0] for h in H])
+            _assert_close(_form_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
+        _, values = _battery_values(mset, H, ex.problem.weights, None)
+        _assert_close(values, [q_of_h(mset, h)[0] for h in H])
 
     def test_vertex_ties(self, ex1):
         """On (1/3, 3/4) the constraint form vanishes, so both vertices of
         the multiplier interval [0, 1] attain the max."""
         ex, mset = ex1
-        oracle = curvature_oracle(mset)
         H = np.random.default_rng(4).standard_normal((20, ex.grid))
         H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
-        assert all(oracle.constraint_quads(h)[0] == 0.0 for h in H)
-        _assert_close(oracle.values(H), [q_of_h(oracle, h)[0] for h in H])
+        assert all(_constraint_quads(mset, h)[0] == 0.0 for h in H)
+        _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_boundaries(self, blocks, extra):
         rng = np.random.default_rng(10 * blocks + extra)
         p, xbar, mset = next(_bounded_random_problems(rng, 1))
-        oracle = curvature_oracle(mset)
         H = rng.standard_normal((blocks * (_BLOCK_ENTRIES // p.dim) + extra, p.dim))
         H[::5] = 0.0
-        n2, values = _battery_values(oracle, H, p.weights, None)
+        n2, values = _battery_values(mset, H, p.weights, None)
         _assert_close(n2, [float(np.sum(p.weights * h * h)) for h in H])
-        _assert_close(values, [q_of_h(oracle, h)[0] for h in H])
+        _assert_close(values, [q_of_h(mset, h)[0] for h in H])
         mu = mset.vertices[0]
-        _, fixed = _battery_values(oracle, H, p.weights, mu)
-        _assert_close(fixed, [oracle.fixed_mu_value(h, mu) for h in H])
+        _, fixed = _battery_values(mset, H, p.weights, mu)
+        _assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])

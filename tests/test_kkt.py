@@ -92,7 +92,7 @@ class TestMultiplierSet:
             mset = multiplier_set(p, xbar)
             assert not mset.empty
             for v in mset.vertices:
-                validate_multipliers(mset, mset.multipliers(v))
+                validate_multipliers(mset, v)
                 checked += 1
         assert checked > 10
 
@@ -156,7 +156,7 @@ class TestCQs:
     def test_strict_cq_example2_halfline(self):
         ex = build_example2(8)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(mset, mset.multipliers(mset.vertices[0]))
+        verdict = check_strict_cq(mset, mset.vertices[0])
         assert not verdict.holds
         assert verdict.achieved_cone == "(-inf, 0]"
 
@@ -164,7 +164,7 @@ class TestCQs:
         """Non-unique multipliers: the strict qualification cannot hold."""
         ex = build_example1(12)
         mset = multiplier_set(ex.problem, ex.xbar)
-        verdict = check_strict_cq(mset, mset.multipliers(np.array([0.5])))
+        verdict = check_strict_cq(mset, np.array([0.5]))
         assert not verdict.holds
 
     def test_strict_cq_full_rank_free_box(self):
@@ -173,7 +173,7 @@ class TestCQs:
             (quadratic(0.0, np.array([1.0, 0.0]), np.zeros((2, 2))),),
             1, BoxSet(np.full(2, -np.inf), np.full(2, np.inf)), np.ones(2))
         mset = multiplier_set(p, np.zeros(2))
-        assert check_strict_cq(mset, mset.multipliers(mset.vertices[0])).holds
+        assert check_strict_cq(mset, mset.vertices[0]).holds
 
     def test_rzkcq_implies_bounded(self):
         rng = np.random.default_rng(41)

@@ -14,17 +14,18 @@ import pytest
 
 import kkt2.cli
 import kkt2.cones
+import kkt2.examples.example1
 import kkt2.kkt
 import kkt2.model
 from kkt2 import curvature, linalg, stages
 from kkt2.cones import FREE, NONPOS, ZERO, SignPatternCone, tangent_cone_box
 from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
 from kkt2.curvature import (check_snc, check_snc_fixed_multiplier, check_ssc,
-                            curvature_oracle, q_of_h)
+                            fixed_mu_value, q_of_h)
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import check_strict_cq, multiplier_set
 from kkt2.linalg import PolytopeH, enumerate_vertices
-from kkt2.model import BoxSet, check_feasible
+from kkt2.model import BoxSet, SmoothFunction, check_feasible
 from kkt2.report import new_report
 
 from helpers import many_multiplier_problem, many_multiplier_spec
@@ -64,8 +65,7 @@ class TestStrictCQOnMultiplierSet:
         direct_set = _direct(p, x, mset)
         assert mset.vertices
         for vert in mset.vertices:
-            mult = mset.multipliers(vert)
-            direct, reused = check_strict_cq(direct_set, mult), check_strict_cq(mset, mult)
+            direct, reused = check_strict_cq(direct_set, vert), check_strict_cq(mset, vert)
             assert (reused.holds, reused.achieved_cone) == (direct.holds, direct.achieved_cone)
             if direct.witness is None:
                 assert reused.witness is None
@@ -231,9 +231,9 @@ class TestSingleEvaluation:
             searches[-1][0].extend(out)
             return out
 
-        def q(oracle, h):
+        def q(mset, h):
             searches[-1][1].append(np.asarray(h).tobytes())
-            return real_q(oracle, h)
+            return real_q(mset, h)
 
         monkeypatch.setattr(curvature, "_search_min", search)
         monkeypatch.setattr(curvature, "_descend", descend)
@@ -246,12 +246,11 @@ class TestSingleEvaluation:
         mset = multiplier_set(p, x)
         check_snc(mset, budget=BUDGET)
         check_ssc(mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
-        oracle = curvature_oracle(mset)
         assert any(accepted for accepted, _ in spies)
         for accepted, evaluated in spies:
             for cand in accepted:
                 assert evaluated.count(cand.h.tobytes()) == 1
-                value, mu = q_of_h(oracle, cand.h)
+                value, mu = q_of_h(mset, cand.h)
                 assert cand.value == value and cand.mu.tobytes() == mu.tobytes()
 
     def test_fixed_multiplier(self, spies):
@@ -261,9 +260,8 @@ class TestSingleEvaluation:
         check_snc_fixed_multiplier(mset, mu, budget=BUDGET)
         (accepted, evaluated), = spies
         assert accepted and not evaluated  # a fixed-mu search never calls q_of_h
-        oracle = curvature_oracle(mset)
         for cand in accepted:
-            assert cand.value == oracle.fixed_mu_value(cand.h, mu)
+            assert cand.value == fixed_mu_value(mset, cand.h, mu)
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -289,7 +287,8 @@ class TestOnePointObjectPerRun:
     and check feasibility at most twice: once for the feasibility record and
     once in ``multiplier_set``.  Runs that read neither build no set.  A box
     run builds its tangent pattern once, in ``multiplier_set``, and every
-    later check reads it off the point object; a hull run builds none."""
+    later check reads it off the point object; a hull run builds none.  The
+    Hessians at x are taken once per point object."""
 
     # (subcommand, multiplier sets, feasibility checks) on a box problem file
     RUNS = [
@@ -345,6 +344,27 @@ class TestOnePointObjectPerRun:
         assert json.loads(capsys.readouterr().out)["checks"]
         assert (counts["multiplier_set"], counts["check_feasible"]) == (1, 2)
         assert counts["tangent_cone_box"] == (1 if argv[0] == "example1" else 0)
+
+    def test_example1_chain_builds_each_hessian_twice(self, monkeypatch, capsys):
+        """``repro example1`` calls each function's ``hessian()`` twice: once
+        in derivative validation and once on the point object, whose forms
+        every second-order check reads (the sufficient and necessary
+        conditions and the eleven fixed-multiplier searches)."""
+        calls = Counter()
+
+        def counted(**fields):
+            hessian = fields["hessian"]
+
+            def wrapper(x, _name=fields["name"]):
+                calls[_name] += 1
+                return hessian(x)
+
+            return SmoothFunction(**{**fields, "hessian": wrapper})
+
+        monkeypatch.setattr(kkt2.examples.example1, "SmoothFunction", counted)
+        assert kkt2.cli.main(["repro", "example1", "--grid", "12", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]
+        assert calls == {"f": 2, "g": 2}
 
     def test_cq_without_strict_does_not_enumerate_vertices(self, files, monkeypatch, capsys):
         """The RZKCQ and the weaker CQ read only the point data, so the

@@ -50,7 +50,7 @@ def _reference(mset, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(kkt2.kkt, "cone_is_trivial", recording)
-        verdicts = [check_strict_cq(mset, mset.multipliers(v)) for v in mset.vertices]
+        verdicts = [check_strict_cq(mset, v) for v in mset.vertices]
     assert len(rows) == len(verdicts)
     return verdicts, rows
 
