@@ -87,17 +87,22 @@ def _cq_stages(args) -> list:
 
 
 def _resolve_seed(cli_seed: Optional[int], file_seed: Optional[int]) -> int:
-    if cli_seed is not None:
-        return cli_seed
+    """--seed, else KKT2_SEED, else the file's seed, else the default; a
+    negative --seed or KKT2_SEED is a usage error, as a negative file seed
+    is a parse error."""
+    seed, source = cli_seed, "--seed"
     env = os.environ.get("KKT2_SEED")
-    if env is not None:
+    if seed is None and env is not None:
+        source = "KKT2_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"KKT2_SEED must be an integer, got {env!r}") from exc
-    if file_seed is not None:
-        return file_seed
-    return DEFAULT_SEED
+    if seed is None:
+        return file_seed if file_seed is not None else DEFAULT_SEED
+    if seed < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse(parse, path: str, *args):

@@ -6,6 +6,8 @@ two tangent patterns every cone here starts from: the box's
 (``tangent_cone_box``, built once per point) and K's at g(x) (=0 on
 equalities, <=0 on active inequalities, free on inactive ones).  Critical
 cones add linear cuts from the constraint derivatives and the objective.
+Each cut r is tested by one formula, at tol (1 + max|h|) (1 + max|r|)
+(``CriticalCone._cuts_hold``), in membership and in every sampler.
 Cuts whose terms are single-signed on the cone are absorbed into the
 pattern (they force components to zero), which is what turns e.g. an
 objective cut into a plain componentwise condition.
@@ -220,12 +222,10 @@ class CriticalCone:
             Q = Vt[:rank]
             object.__setattr__(self, "_eq_matrix", R)
             object.__setattr__(self, "_eq_weighted", R * self.weights)
-            object.__setattr__(self, "_eq_bounds", 1.0 + np.abs(R).max(axis=1))
             object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
             object.__setattr__(self, "_eq_matrix", None)
             object.__setattr__(self, "_eq_weighted", None)
-            object.__setattr__(self, "_eq_bounds", None)
             object.__setattr__(self, "_eq_projector", None)
 
     @cached_property
@@ -260,7 +260,7 @@ class CriticalCone:
         double description, laid out as ``cone_is_trivial`` lays them out
         (each lineality vector l as l and -l, then the extreme rays).  The
         eta > 0 objective cut is not polyhedral; it stays a test on each
-        direction (``objective_cut_holds``).  Past ``_MAX_GENERATORS`` rays
+        direction (``_cuts_hold``).  Past ``_MAX_GENERATORS`` rays
         the double description raises ``PolytopeTooLarge``."""
         if self.base_pattern is None:
             L, R = self.ray_facets
@@ -272,15 +272,29 @@ class CriticalCone:
         ineq = [(a, 0.0) for a in (*R, *(self.weights * r for r in self.ineq_rows))]
         return cone_is_trivial(self.dim, eq, ineq)[1]
 
-    def objective_cut_holds(self, H: np.ndarray) -> np.ndarray:
-        """Row mask of f'(x).h <= eta ||h|| over the rows h of H, at the
-        sampling tolerance; all true when the cone keeps no objective cut."""
-        if self.objective_gradient is None:
-            return np.ones(len(H), dtype=bool)
-        w, g = self.weights, self.objective_gradient
-        scale = 1e-7 * (1.0 + np.abs(H).max(axis=1))
-        norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
-        return H @ (w * g) <= self.eta * norms + scale * (1.0 + float(np.max(np.abs(g))))
+    @cached_property
+    def _cuts(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(A, bounds, k): the weighted cut rows w r, the k equality rows
+        first, then the inequality rows and f'(x), with each row's bound
+        1 + max|r|."""
+        rows = [*self.eq_rows, *self.ineq_rows]
+        if self.objective_gradient is not None:
+            rows.append(self.objective_gradient)
+        R = np.array(rows, dtype=float).reshape(len(rows), self.dim)
+        return R * self.weights, 1.0 + np.abs(R).max(axis=1, initial=0.0), len(self.eq_rows)
+
+    def _cuts_hold(self, H: np.ndarray, tol: float) -> np.ndarray:
+        """Row mask over the rows h of H: every cut holds within tol (1 +
+        max|h|) (1 + max|r|), taken on |<r, h>_w| for an equality row r,
+        <r, h>_w for an inequality row and f'(x).h - eta ||h|| for the
+        objective cut."""
+        A, bounds, k = self._cuts
+        S = H @ A.T
+        S[:, :k] = np.abs(S[:, :k])
+        if self.objective_gradient is not None:
+            S[:, -1] -= self.eta * np.sqrt(np.maximum((H * H) @ self.weights, 0.0))
+        scale = tol * (1.0 + np.abs(H).max(axis=1, initial=0.0))
+        return np.all(S <= scale[:, None] * bounds, axis=1)
 
     @property
     def dim(self) -> int:
@@ -290,25 +304,16 @@ class CriticalCone:
         return bool(self.contains_rows(np.asarray(h, dtype=float)[None], tol)[0])
 
     def contains_rows(self, H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Row mask of ``contains`` over the rows of H: every test at the
-        scale tol (1 + max|h|) of its row."""
-        w = self.weights
-        scale = tol * (1.0 + np.abs(H).max(axis=1, initial=0.0))
+        """Row mask of ``contains`` over the rows of H: the base cone at the
+        scale tol (1 + max|h|) of its row, then every cut (``_cuts_hold``)."""
         if self.base_pattern is not None:
             ok = self.base_pattern.contains_rows(H, tol)
         else:
             L, R = self.ray_facets
+            scale = tol * (1.0 + np.abs(H).max(axis=1, initial=0.0))
             ok = ((np.abs(H @ L.T).max(axis=1, initial=0.0) <= scale)
                   & ((H @ R.T).max(axis=1, initial=0.0) <= scale))
-        if self._eq_weighted is not None:
-            ok &= np.all(np.abs(H @ self._eq_weighted.T) <= scale[:, None] * self._eq_bounds,
-                         axis=1)
-        for r in self.ineq_rows:
-            ok &= H @ (w * r) <= scale * (1.0 + float(np.max(np.abs(r))))
-        if self.objective_gradient is not None:
-            norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
-            ok &= H @ (w * self.objective_gradient) <= self.eta * norms + scale
-        return ok
+        return ok & self._cuts_hold(H, tol)
 
 
 def critical_cone(
@@ -336,8 +341,8 @@ def critical_cone(
     coordinates at zero.
     """
 
-    if not eta >= 0.0:  # also rejects NaN, which no direction's cut test passes
-        raise UsageError("eta must be nonnegative")
+    if not 0.0 <= eta < np.inf:  # also rejects NaN, which no direction's cut test passes
+        raise UsageError("eta must be nonnegative and finite")
     p, fgrad, grads = mset.problem, mset.f_grad, mset.g_grads
     is_box = mset.c_pattern is not None
     annihilator = (constraint_rows and is_box and eta == 0.0 and mset.bounded
@@ -525,7 +530,7 @@ def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
 
     if cone.base_pattern is None or (cone.has_generators and len(cone.generators) <= 1):
         G = cone.generators
-        return list(G[cone.objective_cut_holds(G)][:limit])
+        return list(G[cone._cuts_hold(G, 1e-7)][:limit])
     spans = [(start, stop, s) for start, stop, code in cone.base_pattern.runs()
              for s in _SIGNS[code]]
     for i, code in enumerate(cone.base_pattern.codes):
@@ -561,8 +566,10 @@ _BLOCK_ENTRIES = 16384
 
 def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian starts landed in one ``_land_rows`` sweep; returns the
-    unit-norm rows that landed inside the cone.  The sweep works in place,
-    so it holds one count x n array and the rows still moving."""
+    unit-norm rows that landed inside the cone.  The sweep ends with a
+    clamp, so every row lies in the pattern, and the rows are kept on the
+    cuts alone (``_cuts_hold``).  The sweep works in place, so it holds one
+    count x n array and the rows still moving."""
 
     assert cone.base_pattern is not None
     w = cone.weights
@@ -574,17 +581,7 @@ def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
     keep = norms > 1e-12
     np.divide(H, norms[:, None], out=H, where=keep[:, None])
-    scale = 1e-7 * (1.0 + np.abs(H).max(axis=1))
-    if cone.eq_rows:
-        keep &= np.max(np.abs(H @ cone._eq_weighted.T), axis=1) <= scale * (
-            1.0 + max(float(np.max(np.abs(r))) for r in cone.eq_rows)
-        )
-    for r in cone.ineq_rows:
-        keep &= H @ (w * r) <= scale * (1.0 + float(np.max(np.abs(r))))
-    if cone.objective_gradient is not None:
-        fh = H @ (w * cone.objective_gradient)
-        keep &= fh <= cone.eta + scale * (1.0 + float(np.max(np.abs(cone.objective_gradient))))
-    return H[keep]
+    return H[keep & cone._cuts_hold(H, 1e-7)]
 
 
 def _cut_reach(k: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
@@ -646,7 +643,7 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
         np.multiply(D, s[:, None], out=block)
         block += (1.0 - s)[:, None] * C
     norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
-    keep = (norms > 1e-12) & cone.objective_cut_holds(H)
+    keep = (norms > 1e-12) & cone._cuts_hold(H, 1e-7)
     H = H[keep]
     H /= norms[keep, None]
     return H

@@ -28,7 +28,7 @@ from .config import DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget, Tolerances
 from .cones import (_BLOCK_ENTRIES, CriticalCone, critical_cone, into_cone, random_directions,
                     structured_directions)
 from .errors import EmptyMultiplierSet, UnboundedMultiplierSet, UsageError
-from .kkt import MultiplierSet, validate_multipliers
+from .kkt import MultiplierSet
 from .linalg import LinearProgram, solve_lp, weighted_norm
 from .model import BoxSet, ProblemSpec, as_entries
 
@@ -326,7 +326,6 @@ def check_snc_fixed_multiplier(
     mu = np.asarray(mu, dtype=float)
     if not mset.contains_mu(mu):
         raise UsageError("mu is not in the multiplier set")
-    validate_multipliers(mset, mu)
     if cone is None:
         cone = critical_cone(mset, 0.0)
     found = _search_min(mset, cone, budget, mu)
@@ -345,8 +344,10 @@ def check_ssc(
     the eta = 0 cone agrees with the coercivity verdict (they are equivalent
     in finite dimensions)."""
 
-    if eta <= 0:
-        raise UsageError("the extended critical cone needs eta > 0")
+    if not 0.0 < eta < math.inf:
+        raise UsageError("the extended critical cone needs a finite eta > 0")
+    if not math.isfinite(alpha_target):
+        raise UsageError("alpha must be finite")
     cone_eta = critical_cone(mset, eta)
     found = _search_min(mset, cone_eta, budget)
     alpha_est = found.sampled_min
@@ -448,8 +449,10 @@ def sample_growth(
     bounds; generated-cone problems use the problem's feasible sampler when
     provided."""
 
-    if eps <= 0:
-        raise UsageError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise UsageError("eps must be positive and finite")
+    if not math.isfinite(alpha):
+        raise UsageError("alpha must be finite")
     if n_samples < 1:
         raise UsageError("the growth check needs at least one sample")
     v = as_entries(x, p.dim)

@@ -12,7 +12,9 @@ critical cone read.
 The multiplier set is parameterized by mu alone (lambda is eliminated
 through stationarity, lambda(mu) = -f'(x) - sum_i mu_i g_i'(x)), which makes
 it an H-polytope in R^m, whose emptiness, boundedness and vertices come from
-one double-description run (``linalg.enumerate_vertices``).
+one double-description run (``linalg.enumerate_vertices``), which checks
+each vertex against the polytope's rows.  Those rows (K's signs on mu,
+lambda(mu) in the normal cone) are the one multiplier test, ``contains_mu``.
 
 Surjectivity-type constraint qualifications are decided by polarity: a
 polyhedral cone difference equals the whole space iff only nu = 0 satisfies
@@ -156,9 +158,10 @@ class MultiplierSet:
         return c_section, SignPatternCone(k_codes), lam
 
     def contains_mu(self, mu) -> bool:
-        if self.m == 0:
-            return not self.empty
-        return self.polytope.contains(np.asarray(mu, dtype=float), self.tol)
+        """Whether mu is a multiplier: the polytope's own rows decide it
+        (``PolytopeH.contains``), K's signs and lambda(mu) in the normal
+        cone alike."""
+        return self.polytope.contains(mu, self.tol)
 
 
 def _abstract_cone(
@@ -227,7 +230,7 @@ def multiplier_set(
     if m == 0:
         # Lambda(x) is {()} when lambda = -f'(x) lies in the normal cone,
         # else empty: the row 0 <= -1
-        ok = bool(_lambda_in_normal_cone(mset, -f_grad[None])[0])
+        ok = _lambda_in_normal_cone(mset, -f_grad)
         return replace(mset, polytope=PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)))
 
     # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
@@ -240,37 +243,17 @@ def multiplier_set(
     return replace(mset, polytope=poly)
 
 
-def _lambda_in_normal_cone(mset: MultiplierSet, Lam: np.ndarray) -> np.ndarray:
-    """Row mask: each row of Lam lies in the abstract set's normal cone."""
+def _lambda_in_normal_cone(mset: MultiplierSet, lam: np.ndarray) -> bool:
+    """Whether lam lies in the abstract set's normal cone: the test of the
+    m = 0 polytope, whose one question is lambda = -f'(x)."""
     tol = mset.tol
     if mset.c_pattern is not None:
-        return mset.c_pattern.polar().contains_rows(Lam, tol.residual)
+        return mset.c_pattern.polar().contains(lam, tol.residual)
     p = mset.problem
     rays = np.array(p.abstract_set.normal_row_rays(), dtype=float).reshape(-1, p.dim)
-    scale = tol.residual * (1.0 + np.abs(Lam).max(axis=1, initial=0.0))
-    return np.all((Lam * p.weights) @ rays.T
-                  <= scale[:, None] * (1.0 + np.abs(rays).max(axis=1, initial=0.0)), axis=1)
-
-
-def _validate_rows(mset: MultiplierSet, Mu: np.ndarray) -> None:
-    """``validate_multipliers`` over the rows of Mu (k x m) in one array
-    pass: the mu signs against K's pattern and lambda(mu) against the normal
-    cone; raises at the first violation.  Stationarity holds by
-    construction, lambda(mu) = -f'(x) - g'(x)^T mu."""
-
-    tol, codes = mset.tol, mset.k_pattern.codes
-    for i in np.flatnonzero(np.any((codes == FREE) & (np.abs(Mu) > tol.residual), axis=0))[:1]:
-        raise UsageError(f"mu[{i}] must vanish on an inactive constraint")
-    for i in np.flatnonzero(np.any((codes == NONPOS) & (Mu < -tol.residual), axis=0))[:1]:
-        raise UsageError(f"mu[{i}] must be nonnegative on an active inequality")
-    if not np.all(_lambda_in_normal_cone(mset, -mset.f_grad - Mu @ mset.g_grads)):
-        raise UsageError("lambda violates the normal-cone pattern")
-
-
-def validate_multipliers(mset: MultiplierSet, mu) -> None:
-    """Raises unless mu, with lambda(mu), is a multiplier at the point of
-    ``mset``: mu against K's pattern, lambda(mu) against the normal cone."""
-    _validate_rows(mset, np.asarray(mu, dtype=float)[None])
+    scale = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+    return bool(np.all((lam * p.weights) @ rays.T
+                       <= scale * (1.0 + np.abs(rays).max(axis=1, initial=0.0))))
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +335,8 @@ def check_strict_cq(mset: MultiplierSet, mu) -> CQVerdict:
     """
 
     p, tol = mset.problem, mset.tol
-    validate_multipliers(mset, mu)
+    if not mset.contains_mu(mu):
+        raise UsageError("mu is not in the multiplier set")
     c_section, k_section, lam = mset.annihilator(mu)
     if c_section is not None:
         M = mset.g_grads
@@ -394,14 +378,12 @@ def strict_cq_by_vertices(mset: MultiplierSet) -> list[CQVerdict]:
     vertices.  So one vertex gives "holds", and with two or more every
     vertex fails, with witness v_j - v_k for the first k != j and the
     achieved cone of ``check_strict_cq``, each difference scaled to max-abs
-    1 like the double description's rows.  The vertices come from the
-    polytope's own rows; they are validated together, by the tests of
-    ``validate_multipliers``."""
+    1 like the double description's rows.  ``linalg.enumerate_vertices``
+    has checked every vertex against the polytope's rows."""
 
     if mset.c_pattern is None or not mset.vertices:
         raise UsageError("the vertex route needs a box with multiplier vertices")
-    V = np.array(mset.vertices)
-    _validate_rows(mset, V)
+    V = mset.vertex_matrix
     if len(V) == 1:
         return [CQVerdict("strict", True)]
     verdicts = []

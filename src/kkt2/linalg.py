@@ -9,11 +9,14 @@ and extreme rays.  Run on an H-representation it gives generators (is a
 polar cone trivial, which axes does a cone reach, what are a polytope's
 vertices, which rays span a cone section); run on the polar of a finitely
 generated cone it gives that cone's facets (Minkowski-Weyl), which decide
-hull and cone membership.  Every distance to a finitely generated cone is
-one Lawson-Hanson NNLS (``nnls``, ``conic_distance``): the non-stationary
-FOC residual and ``cones.radial_density_gap``.  The dense two-phase simplex
-with Bland's rule (``solve_lp``) remains as an independent reference for
-the tests.
+hull and cone membership.  An H-polytope has one membership test, one
+array pass over its rows (``PolytopeH.contains_rows``), and
+``enumerate_vertices`` checks every vertex it returns with it: a vertex that
+misses a row raises ``NumericError``.  Every distance to a finitely
+generated cone is one Lawson-Hanson NNLS (``nnls``, ``conic_distance``):
+the non-stationary FOC residual and ``cones.radial_density_gap``.  The
+dense two-phase simplex with Bland's rule (``solve_lp``) remains as an
+independent reference for the tests.
 
 All types are immutable after construction; operations are pure functions.
 """
@@ -21,6 +24,7 @@ All types are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -334,38 +338,35 @@ class PolytopeH:
         object.__setattr__(self, "eq_rows", eq)
         object.__setattr__(self, "ineq_rows", ineq)
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(A, b, k): every row as one array, the k equality rows first."""
+        rows = (*self.eq_rows, *self.ineq_rows)
+        A = np.array([a for a, _ in rows], dtype=float).reshape(len(rows), self.dim)
+        return A, np.array([b for _, b in rows], dtype=float), len(self.eq_rows)
+
+    def contains_rows(self, X, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Row mask: each row x of X (k x dim) lies in the polytope, with
+        |a.x - b| on every equality row and a.x - b on every inequality row
+        at most tol.feasibility (1 + |b|), in one array pass over the rows."""
+        A, b, k = self._stacked
+        S = np.asarray(X, dtype=float) @ A.T - b
+        S[:, :k] = np.abs(S[:, :k])
+        return np.all(S <= tol.feasibility * (1.0 + np.abs(b)), axis=1)
+
     def contains(self, point, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        x = _as_array(point, self.dim)
-        for a, b in self.eq_rows:
-            if abs(a @ x - b) > tol.feasibility * (1.0 + abs(b)):
-                return False
-        for a, b in self.ineq_rows:
-            if a @ x - b > tol.feasibility * (1.0 + abs(b)):
-                return False
-        return True
+        return bool(self.contains_rows(_as_array(point, self.dim)[None], tol)[0])
 
     def cleaned(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "PolytopeH":
-        """Drop zero rows and duplicate rows (after norm scaling)."""
-        eq: list[Row] = []
-        ineq: list[Row] = []
-        seen = set()
-        for kind, rows, out in (("eq", self.eq_rows, eq), ("ineq", self.ineq_rows, ineq)):
-            for a, b in rows:
-                scale = float(np.max(np.abs(a)))
-                if scale <= 1e-14:
-                    # 0 = b or 0 <= b: trivially true or false; an always-false
-                    # row is kept so feasibility tests still fail on it
-                    satisfied = abs(b) <= tol.feasibility if kind == "eq" else b >= -tol.feasibility
-                    if satisfied:
-                        continue
-                    out.append((a, b))
-                    continue
-                key = (kind,) + tuple(np.round(np.append(a / scale, b / scale), 12))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((a, b))
-        return PolytopeH(self.dim, tuple(eq), tuple(ineq))
+        """Drop the zero rows that always hold (0 = b or 0 <= b within
+        tol.feasibility); an always-false one is kept, so membership still
+        fails on it.  Repeated rows stay: the double description skips
+        them."""
+        def keep(a, b, is_eq):
+            holds = abs(b) <= tol.feasibility if is_eq else b >= -tol.feasibility
+            return np.abs(a).max(initial=0.0) > 1e-14 or not holds
+        return PolytopeH(self.dim, tuple(r for r in self.eq_rows if keep(*r, True)),
+                         tuple(r for r in self.ineq_rows if keep(*r, False)))
 
 
 # --------------------------------------------------------------------------
@@ -533,6 +534,9 @@ def enumerate_vertices(
     shrunk by the largest |b| of the rows scaled to max |a| = 1, which
     covers a coordinate whose smallest bound is a lower bound.  The first
     retry whose vertices all lie in p gives the answer.
+
+    The answer is checked against p's own rows (``PolytopeH.contains_rows``)
+    before it is returned: a vertex that misses one raises ``NumericError``.
     """
 
     vertices = _scaled_vertices(p, 1.0, tol)
@@ -542,10 +546,14 @@ def enumerate_vertices(
         for shrink in (_coordinate_bounds(p), s):
             if not vertices and np.any(shrink > 1.0):
                 wide = _scaled_vertices(p, shrink, tol)
-                if wide and all(p.contains(v, tol) for v in wide):
+                if wide and p.contains_rows(np.array(wide), tol).all():
                     vertices = wide
     if vertices is None:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
+    missed = np.flatnonzero(~p.contains_rows(np.array(vertices), tol)) if vertices else []
+    if len(missed):
+        raise NumericError(f"vertex {missed[0]} of the double description misses a row "
+                           "of the polytope")
     return vertices
 
 

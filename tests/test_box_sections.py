@@ -137,7 +137,7 @@ class TestSectionDraws:
         """Plain exponential combinations, kept when they meet the cut."""
         H = np.random.default_rng(seed).exponential(size=(count, len(cone.generators)))
         H = H @ cone.generators
-        H = H[cone.objective_cut_holds(H)]
+        H = H[cone._cuts_hold(H, 1e-7)]
         return H / np.linalg.norm(H, axis=1)[:, None]
 
     def test_empty_positive_group_draws_plain_combinations(self):

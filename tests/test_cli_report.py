@@ -12,8 +12,11 @@ import pytest
 from kkt2 import stages
 from kkt2.cli import main
 from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
-from kkt2.errors import ParseError
-from kkt2.examples import run_example2_certification
+from kkt2.cones import critical_cone
+from kkt2.curvature import check_ssc, sample_growth
+from kkt2.errors import ParseError, UsageError
+from kkt2.examples import build_example1, run_example2_certification
+from kkt2.kkt import multiplier_set
 from kkt2.problem_file import parse_problem, serialize_problem
 from kkt2.report import new_report, problem_digest, replay
 
@@ -304,6 +307,39 @@ class TestCLI:
                      "--eps", "0.2", "--samples", samples])
         assert code == 2
         assert "at least one sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-ssc", "--eta", "0.1", "--alpha", "nan"], "alpha must be finite"),
+        (["check-ssc", "--eta", "inf", "--alpha", "0.5"], "needs a finite eta > 0"),
+        (["growth", "--alpha", "nan", "--eps", "0.2"], "alpha must be finite"),
+        (["growth", "--alpha", "1.0", "--eps", "nan"], "eps must be positive and finite"),
+        (["growth", "--alpha", "1.0", "--eps", "inf"], "eps must be positive and finite"),
+        (["check-foc", "--seed", "-5"], "--seed must be a nonnegative integer"),
+    ])
+    def test_nonfinite_parameters_and_negative_seeds_are_usage_errors(
+            self, capsys, problem_file, stationary_point, argv, message):
+        """Neither a verdict nor a traceback: exit 2 with the reason."""
+        code = main([argv[0], problem_file, "--at", stationary_point, *argv[1:]])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_of_a_builtin_chain_and_of_the_environment(
+            self, capsys, problem_file, stationary_point, monkeypatch):
+        assert main(["repro", "example1", "--grid", "12", "--seed", "-5"]) == 2
+        monkeypatch.setenv("KKT2_SEED", "-3")
+        assert main(["check-foc", problem_file, "--at", stationary_point]) == 2
+        assert "KKT2_SEED must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_layer_functions_reject_nonfinite_parameters(self):
+        ex = build_example1(12)
+        mset = multiplier_set(ex.problem, ex.xbar)
+        for call in (lambda: critical_cone(mset, np.inf),
+                     lambda: check_ssc(mset, np.inf, 0.5),
+                     lambda: check_ssc(mset, 0.1, np.nan),
+                     lambda: sample_growth(ex.problem, ex.xbar, np.nan, 0.1),
+                     lambda: sample_growth(ex.problem, ex.xbar, 0.5, np.nan)):
+            with pytest.raises(UsageError):
+                call()
 
     @pytest.mark.parametrize("argv, exit_code, expected", [
         (["check-foc"], 0, [("feasibility", "pass"), ("stationarity", "holds"),

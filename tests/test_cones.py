@@ -201,6 +201,44 @@ class TestCriticalCone:
             assert abs(ex.problem.inner(fgrad, h)) <= 1e-9
 
 
+class TestOneCutFormula:
+    """Every cut of a critical cone is tested at tol (1 + max|h|) (1 +
+    max|r|) per row r, the objective cut f'(x).h <= eta ||h|| included."""
+
+    F, ETA, TOL = np.array([100.0, 0.0]), 0.5, 1e-7
+
+    def _cone(self):
+        return CriticalCone(np.ones(2), SignPatternCone(np.array([FREE, FREE])), (), (), (),
+                            self.F, self.ETA)
+
+    def _rows_at(self, excess):
+        """Rows h = (a, b) with f'(x).h = eta ||h|| + excess s, s = tol (1 +
+        max|h|) (1 + max|f'(x)|), by bisection on a for each b."""
+        rows = []
+        for b in (-2.0, -1.0, -0.25, 0.25, 1.0, 2.0):
+            def gap(a):
+                h = np.array([a, b])
+                s = self.TOL * (1.0 + np.abs(h).max()) * (1.0 + np.abs(self.F).max())
+                return self.F @ h - self.ETA * np.linalg.norm(h) - excess * s
+            lo, hi = 0.0, 1.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+            rows.append([hi, b])
+        return np.array(rows)
+
+    def test_objective_cut_scales_with_the_gradient(self):
+        cone = self._cone()
+        assert cone.contains_rows(self._rows_at(0.5), self.TOL).all()
+        assert not cone.contains_rows(self._rows_at(2.0), self.TOL).any()
+
+    def test_every_random_draw_passes_the_same_test(self):
+        cone = self._cone()
+        H = random_directions(cone, 2000, np.random.default_rng(5))
+        assert len(H) > 100
+        assert cone.contains_rows(H, self.TOL).all()
+
+
 class TestRadialDensityGap:
     def test_box_always_dense(self):
         box = BoxSet(np.zeros(2), np.ones(2))

@@ -14,7 +14,6 @@ from kkt2.kkt import (
     check_weaker_cq,
     foc_residual,
     multiplier_set,
-    validate_multipliers,
 )
 from kkt2.errors import NumericError
 from kkt2.linalg import cone_facets
@@ -84,15 +83,30 @@ class TestMultiplierSet:
             multiplier_set(ex.problem, np.full(12, 2.0))
 
     def test_vertices_reconstruct_valid_multipliers(self):
-        """Every vertex's lambda satisfies the normal-cone pattern exactly."""
+        """Every vertex is a multiplier, by tests written here from the
+        problem alone: mu vanishes on inactive constraints and is >= 0 on
+        active inequalities, and lambda(mu) = -f'(x) - g'(x)^T mu is 0 off
+        the bounds, <= 0 at lower-active and >= 0 at upper-active
+        coordinates."""
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(25):
             p, xbar, _, _ = random_stationary_problem(rng)
             mset = multiplier_set(p, xbar)
             assert not mset.empty
-            for v in mset.vertices:
-                validate_multipliers(mset, v)
+            g = p.constraint_values(xbar) if p.n_constraints else np.zeros(0)
+            inactive = np.arange(p.n_constraints) >= p.m1
+            inactive &= g < -1e-8
+            lo = xbar <= p.abstract_set.lower + 1e-8
+            up = xbar >= p.abstract_set.upper - 1e-8
+            G = np.array(p.constraint_gradients(xbar), dtype=float).reshape(-1, p.dim)
+            for mu in mset.vertices:
+                lam = -np.asarray(p.objective.gradient(xbar)) - G.T @ mu
+                tol = 1e-9 * (1.0 + np.abs(lam).max())
+                assert np.all(np.abs(mu[inactive]) <= 1e-9)
+                assert np.all(mu[p.m1:] >= -1e-9)
+                assert np.all(np.abs(lam[~lo & ~up]) <= tol)
+                assert np.all(lam[lo & ~up] <= tol) and np.all(lam[up & ~lo] >= -tol)
                 checked += 1
         assert checked > 10
 

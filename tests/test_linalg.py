@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kkt2 import linalg
+from kkt2.config import DEFAULT_TOLERANCES
 from kkt2.errors import DimensionMismatch, IterationLimit, PolytopeTooLarge, UnboundedPolytope
 from kkt2.linalg import (
     LinearProgram,
@@ -171,6 +172,39 @@ class TestVertexEnumeration:
             vals = [float(obj @ v) for v in verts]
             assert lo.value == pytest.approx(min(vals), abs=1e-8)
             assert hi.value == pytest.approx(max(vals), abs=1e-8)
+
+
+class TestMembership:
+    @staticmethod
+    def _row_loop(p, x, tol=DEFAULT_TOLERANCES):
+        """The per-row loop that ``contains_rows`` replaced: the reference."""
+        def within(r, b):
+            return r <= tol.feasibility * (1.0 + abs(b))
+        return (all(within(abs(a @ x - b), b) for a, b in p.eq_rows)
+                and all(within(a @ x - b, b) for a, b in p.ineq_rows))
+
+    def test_one_array_pass_matches_the_row_loop(self):
+        """Random polytopes cut by one equality row through a vertex, at their
+        vertices, at points near them and at random points."""
+        rng = np.random.default_rng(7)
+        hits = misses = 0
+        for _ in range(40):
+            q = random_bounded_polytope(rng)
+            v = enumerate_vertices(q)[0]
+            a = rng.standard_normal(q.dim)
+            p = PolytopeH(q.dim, ((a, float(a @ v)),), q.ineq_rows)
+            X = np.vstack([enumerate_vertices(p), v + 1e-8 * rng.standard_normal((5, p.dim)),
+                           rng.uniform(-3.0, 3.0, (5, p.dim))])
+            mask = p.contains_rows(X)
+            assert mask.tolist() == [self._row_loop(p, x) for x in X]
+            assert [p.contains(x) for x in X] == mask.tolist()
+            hits, misses = hits + int(mask.sum()), misses + int((~mask).sum())
+        assert hits > 40 and misses > 40
+
+    def test_the_polytope_of_no_coordinates(self):
+        """m = 0: {()} without rows, empty with the row 0 <= -1."""
+        assert PolytopeH(0).contains(np.zeros(0))
+        assert not PolytopeH(0, (), ((np.zeros(0), -1.0),)).contains(np.zeros(0))
 
 
 class TestRecessionCone:

@@ -4,15 +4,19 @@ description per vertex (``kkt.check_strict_cq``): equal verdicts and
 achieved cones at every vertex, and every new witness a nonzero solution
 of the polar rows of its vertex's annihilator section."""
 
+import json
+
 import numpy as np
 import pytest
 
 import kkt2.kkt
-from kkt2.errors import UsageError
+import kkt2.linalg
+from kkt2.cli import main
+from kkt2.errors import NumericError, UsageError
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import check_strict_cq, multiplier_set, strict_cq_by_vertices
 
-from helpers import many_multiplier_spec, random_stationary_problem
+from helpers import many_multiplier_problem, many_multiplier_spec, random_stationary_problem
 
 FEAS = 1e-9
 
@@ -96,18 +100,45 @@ def test_witness_is_the_first_other_vertex_difference():
         assert np.array_equal(v.witness, d / np.abs(d).max() + 0.0)
 
 
-def test_invalid_vertices_are_rejected():
-    """The vertices are validated together, with the sign and normal-cone
-    tests of ``validate_multipliers``."""
+def _off_row(monkeypatch, move):
+    """``linalg._scaled_vertices`` with its first vertex replaced by
+    move(vertex): the vertex the double description hands back misses a row
+    of the polytope."""
+    real = kkt2.linalg._scaled_vertices
+
+    def moved(p, d, tol):
+        vertices = real(p, d, tol)
+        return [move(vertices[0]), *vertices[1:]] if vertices else vertices
+
+    monkeypatch.setattr(kkt2.linalg, "_scaled_vertices", moved)
+
+
+@pytest.mark.parametrize("move", [
+    lambda v: -v,  # mu < 0 on an active inequality
+    lambda v: 10.0 * v,  # lambda(mu) off the free coordinates' = 0
+], ids=["negated", "scaled"])
+def test_a_vertex_off_its_rows_is_a_numeric_failure(move, monkeypatch):
+    """``enumerate_vertices`` checks every vertex against the polytope's own
+    rows where it makes them, so a vertex that misses one never reaches the
+    strict CQ: reading the vertices raises ``NumericError`` (exit 3), on a
+    fresh multiplier set per case."""
     p, x = many_multiplier_spec(1)
-    mset = multiplier_set(p, x)
-    v = mset.vertices[0]
-    mset.__dict__["vertices"] = (v, -v)  # mu < 0 on an active inequality
-    with pytest.raises(UsageError, match="nonnegative"):
-        strict_cq_by_vertices(mset)
-    mset.__dict__["vertices"] = (v, 10.0 * v)  # lambda off the free coordinates' = 0
-    with pytest.raises(UsageError, match="normal-cone"):
-        strict_cq_by_vertices(mset)
+    assert multiplier_set(p, x).vertices
+    _off_row(monkeypatch, move)
+    with pytest.raises(NumericError, match="misses a row"):
+        multiplier_set(p, x).vertices
+
+
+def test_check_cq_strict_exits_3_on_a_vertex_off_its_rows(monkeypatch, tmp_path, capsys):
+    spec, x = many_multiplier_problem(np.random.default_rng(1), 24, 8, 6, 3, 0.01)
+    problem, point = tmp_path / "problem.json", tmp_path / "point.json"
+    problem.write_text(json.dumps(spec))
+    point.write_text(json.dumps({"point": list(map(float, x))}))
+    assert main(["check-cq", str(problem), "--at", str(point), "--strict"]) == 1
+    capsys.readouterr()
+    _off_row(monkeypatch, lambda v: -v)
+    assert main(["check-cq", str(problem), "--at", str(point), "--strict"]) == 3
+    assert "misses a row of the polytope" in capsys.readouterr().err
 
 
 def test_hulls_keep_the_double_description():
