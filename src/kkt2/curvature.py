@@ -9,17 +9,24 @@ directions, seeded random cone samples, and a projected subgradient
 refinement.  Every function reads f''(x), g''(x) and the multiplier
 vertices off the point object (``MultiplierSet.f_form``, ``g_forms`` and
 ``vertex_matrix``, built once per point).  The battery is one array,
-evaluated in row blocks with one ``BilinearForm.quad_batch`` per form; the
-chosen direction is evaluated again by ``q_of_h`` (or ``fixed_mu_value``),
-so reported values replay exactly.  A negative certificate (witness) is
-exact and replayable; a nonnegative verdict is a sampled certificate,
-labeled as such.
+drawn once per cone and budget and cached on the cone (``_Battery``).  Its
+form columns, ||h||_w^2, f''(x)h^2 and each g_i''(x)h^2, are computed in
+row blocks with one ``BilinearForm.quad_batch`` per form on the cone's
+first search, and kept with the point object that computed them as their
+key, so a search with another point object computes them again.  Every
+search combines them with its own multipliers: f + S mu for a fixed mu,
+f + max over the vertices for q.  The columns add (1 + m)/n to a battery's
+memory, so ``check_ssc`` holds one battery at a time, and witnesses are
+copies of their rows.  The chosen direction is evaluated again by
+``q_of_h`` (or ``fixed_mu_value``), so reported values replay exactly.  A
+negative certificate (witness) is exact and replayable; a nonnegative
+verdict is a sampled certificate, labeled as such.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,16 +44,18 @@ def _constraint_quads(mset: MultiplierSet, h: np.ndarray) -> np.ndarray:
     return np.array([form.quad(h) for form in mset.g_forms])
 
 
-def _form_values(mset: MultiplierSet, H: np.ndarray, mu: Optional[np.ndarray]) -> np.ndarray:
-    """Form values over the rows of H: q(h), or with ``mu`` the fixed-mu
-    form; equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
-    out = mset.f_form.quad_batch(H)
-    if mset.m:
-        S = np.column_stack([g.quad_batch(H) for g in mset.g_forms])
-        if mu is not None:
-            return out + S @ mu
-        out = out + np.max(S @ mset.vertex_matrix.T, axis=1)
-    return out
+_Columns = tuple[np.ndarray, Optional[np.ndarray]]
+
+
+def _combine(mset: MultiplierSet, columns: _Columns, mu: Optional[np.ndarray]) -> np.ndarray:
+    """Form values from the columns (f, S) of a row block, f''(x)h^2 and
+    the matrix of g_i''(x)h^2 (None without constraints): q(h) = f + max
+    over the vertices of S mu, or with ``mu`` the fixed-mu form f + S mu;
+    equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
+    f, S = columns
+    if S is None:
+        return f
+    return f + S @ mu if mu is not None else f + np.max(S @ mset.vertex_matrix.T, axis=1)
 
 
 def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
@@ -141,12 +150,37 @@ def _section_size(cone: CriticalCone) -> Optional[int]:
     return len(cone.generators) if cone.has_generators else None
 
 
-def _battery(cone: CriticalCone, budget: SearchBudget) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate directions as the rows of one array, with the mask of the
-    structured ones, which come first and keep their canonical scaling;
-    random ones are unit norm.  Cached per cone, keyed by the budget, so
-    repeated searches over one cone reuse the directions (generation is
-    seeded, so this does not change any result)."""
+@dataclass
+class _Battery:
+    """A cone's candidate directions as the rows of one array, with the mask
+    of the structured ones, and their form columns at one point object.
+
+    ``columns`` computes the columns (``_battery_columns``) on the first
+    search with ``mset`` and keeps them with ``mset`` itself as their key:
+    a later search with the same object only combines them with its
+    multiplier or the vertices, and a search with another point object
+    recomputes them."""
+
+    H: np.ndarray
+    structured: np.ndarray
+    mset: Optional[MultiplierSet] = None
+    n2: Optional[np.ndarray] = None
+    blocks: list[_Columns] = field(default_factory=list)
+
+    def columns(self, mset: MultiplierSet, weights: np.ndarray) -> tuple[np.ndarray, list]:
+        """(n2, blocks) of ``_battery_columns`` for ``mset``."""
+        if self.mset is not mset:
+            self.n2, self.blocks = _battery_columns(mset, self.H, weights)
+            self.mset = mset
+        return self.n2, self.blocks
+
+
+def _battery(cone: CriticalCone, budget: SearchBudget) -> _Battery:
+    """Candidate directions, the structured ones first, keeping their
+    canonical scaling; random ones are unit norm.  Cached per cone, keyed by
+    the budget, so repeated searches over one cone reuse the directions and
+    their form columns (generation is seeded, so this does not change any
+    result)."""
 
     key = (budget.seed, budget.structured, budget.random)
     cache = cone._battery_cache
@@ -157,7 +191,7 @@ def _battery(cone: CriticalCone, budget: SearchBudget) -> tuple[np.ndarray, np.n
         n_random = budget.structured + budget.random - len(structured)
         H = np.concatenate([structured, random_directions(cone, n_random, rng)])
         H.flags.writeable = False
-        cache[key] = H, np.arange(len(H)) < len(structured)
+        cache[key] = _Battery(H, np.arange(len(H)) < len(structured))
     return cache[key]
 
 
@@ -218,19 +252,47 @@ class _Candidate:
     mu: np.ndarray
 
 
-def _battery_values(
-    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared weighted norms and form values of the rows of H, computed in
-    blocks of about ``_BLOCK_ENTRIES`` entries so temporaries stay small."""
-    n2 = np.empty(len(H))
-    values = np.empty(len(H))
+def _battery_columns(
+    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, list[_Columns]]:
+    """Squared weighted norms of the rows of H, and their form columns:
+    f''(x)h^2, and with constraints the matrix S of g_i''(x)h^2, one column
+    per constraint (None without).  The forms are evaluated per row block of
+    about ``_BLOCK_ENTRIES`` entries, with one ``quad_batch`` per form, so
+    temporaries stay small.  The blocks' columns are views of one array
+    each: a battery keeps its columns across searches, and two small arrays
+    per block kept that long fragment the allocator's heap (a process
+    certifying the many-multiplier benchmark problems over and over peaked
+    at 54 MB that way, and at 49 MB with one array per column set)."""
+    n2, f = np.empty(len(H)), np.empty(len(H))
+    S = np.empty((len(H), mset.m)) if mset.m else None
+    blocks = []
     rows = max(1, _BLOCK_ENTRIES // H.shape[1])
     for start in range(0, len(H), rows):
         block = H[start:start + rows]
-        n2[start:start + len(block)] = np.sum(weights * block * block, axis=1)
-        values[start:start + len(block)] = _form_values(mset, block, mu)
-    return n2, values
+        part = slice(start, start + len(block))
+        n2[part] = np.sum(weights * block * block, axis=1)
+        f[part] = mset.f_form.quad_batch(block)
+        for i, g in enumerate(mset.g_forms):
+            S[part, i] = g.quad_batch(block)
+        blocks.append((f[part], None if S is None else S[part]))
+    return n2, blocks
+
+
+def _block_values(mset: MultiplierSet, blocks: list[_Columns],
+                  mu: Optional[np.ndarray]) -> np.ndarray:
+    """Form values of the rows of every block, each block combined on its
+    own (``_combine``)."""
+    return np.concatenate([_combine(mset, c, mu) for c in blocks] or [np.empty(0)])
+
+
+def _battery_values(
+    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared weighted norms and form values of the rows of H, computed
+    afresh in row blocks."""
+    n2, blocks = _battery_columns(mset, H, weights)
+    return n2, _block_values(mset, blocks, mu)
 
 
 @dataclass(frozen=True)
@@ -249,10 +311,13 @@ def _search_min(
     """Minimizes the normalized form value, q(h) or with ``mu`` the fixed-mu
     form, over the battery and a descent from its best direction.
 
-    The battery is evaluated in row blocks (``_battery_values``); only the
-    descent trials and the chosen directions are evaluated one by one, each
-    once, so ``sampled_min`` and the witness come from
-    ``q_of_h``/``fixed_mu_value`` as a replay computes them."""
+    The battery's form columns are computed in row blocks on the cone's
+    first search with ``mset`` and combined with ``mu`` or the vertices on
+    every search (``_Battery.columns``); only the descent trials and the
+    chosen directions are evaluated one by one, each once, so
+    ``sampled_min`` and the witness come from ``q_of_h``/``fixed_mu_value``
+    as a replay computes them.  The chosen rows are copied, so a verdict
+    holds no battery alive."""
 
     def evaluate(h: np.ndarray) -> _Candidate:
         val, mu_h = q_of_h(mset, h) if mu is None else (fixed_mu_value(mset, h, mu), mu)
@@ -261,8 +326,10 @@ def _search_min(
     if mu is None:
         _require_vertices(mset)
     w = cone.weights
-    H, structured = _battery(cone, budget)
-    n2, values = _battery_values(mset, H, w, mu)
+    battery = _battery(cone, budget)
+    H, structured = battery.H, battery.structured
+    n2, blocks = battery.columns(mset, w)
+    values = _block_values(mset, blocks, mu)
     rows = np.flatnonzero(n2 > 1e-20)
     if not len(rows):
         return _Search(0, math.inf, None)
@@ -273,10 +340,10 @@ def _search_min(
     if best_step is not None and best_step.normalized < float(np.min(normalized)):
         chosen = best_step
     else:
-        chosen = evaluate(H[best])
+        chosen = evaluate(H[best].copy())
     # prefer a canonically scaled structured witness when it ties the best
     ties = rows[structured[rows] & (normalized <= chosen.normalized + 1e-9)]
-    witness = evaluate(H[ties[0]]) if len(ties) else chosen
+    witness = evaluate(H[ties[0]].copy()) if len(ties) else chosen
     return _Search(len(rows) + len(steps), chosen.normalized, witness)
 
 
@@ -350,12 +417,16 @@ def check_ssc(
         raise UsageError("alpha must be finite")
     cone_eta = critical_cone(mset, eta)
     found = _search_min(mset, cone_eta, budget)
+    section_generators = _section_size(cone_eta)
+    # one battery at a time: the extended cone's directions and form columns
+    # go before the eta = 0 cone draws its own
+    del cone_eta
     alpha_est = found.sampled_min
     min_zero = _search_min(mset, critical_cone(mset, 0.0), budget).sampled_min
     return _verdict("ssc", not alpha_est >= alpha_target - mset.tol.alpha_slack, found,
                     alpha_est=alpha_est, hypotheses=hypotheses,
                     positivity_consistent=(min_zero > 0) == (alpha_est > 0),
-                    section_generators=_section_size(cone_eta))
+                    section_generators=section_generators)
 
 
 # --------------------------------------------------------------------------

@@ -227,33 +227,15 @@ def multiplier_set(
         if isinstance(p.abstract_set, BoxSet) else None
     mset = MultiplierSet(p, v, c_pattern, SignPatternCone(k_codes), f_grad, G, PolytopeH(m), tol)
 
-    if m == 0:
-        # Lambda(x) is {()} when lambda = -f'(x) lies in the normal cone,
-        # else empty: the row 0 <= -1
-        ok = _lambda_in_normal_cone(mset, -f_grad)
-        return replace(mset, polytope=PolytopeH(0, (), () if ok else ((np.zeros(0), -1.0),)))
-
     # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
     # tangent cone: one row per generator, in the generator coordinates; mu
-    # lies in the normal cone of K, the polar of k_pattern
+    # lies in the normal cone of K, the polar of k_pattern.  With m = 0 the
+    # rows are 0 = b or 0 <= b, so Lambda(x) is {()} or empty by the same test
     pattern, GF = _abstract_cone(mset, np.vstack([G, f_grad]), lambda s: s.normal_row_rays())
     pat_eq, pat_ineq = _polar_rows(pattern, -GF[:m], GF[m])
     sign_eq, sign_ineq = _polar_rows(mset.k_pattern, np.eye(m))
     poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
     return replace(mset, polytope=poly)
-
-
-def _lambda_in_normal_cone(mset: MultiplierSet, lam: np.ndarray) -> bool:
-    """Whether lam lies in the abstract set's normal cone: the test of the
-    m = 0 polytope, whose one question is lambda = -f'(x)."""
-    tol = mset.tol
-    if mset.c_pattern is not None:
-        return mset.c_pattern.polar().contains(lam, tol.residual)
-    p = mset.problem
-    rays = np.array(p.abstract_set.normal_row_rays(), dtype=float).reshape(-1, p.dim)
-    scale = tol.residual * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
-    return bool(np.all((lam * p.weights) @ rays.T
-                       <= scale * (1.0 + np.abs(rays).max(axis=1, initial=0.0))))
 
 
 # --------------------------------------------------------------------------

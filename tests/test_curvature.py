@@ -13,7 +13,6 @@ from kkt2.curvature import (
     _battery_values,
     _box_feasible_samples,
     _constraint_quads,
-    _form_values,
     check_snc,
     check_snc_fixed_multiplier,
     check_ssc,
@@ -316,6 +315,11 @@ def _assert_close(batched, scalar):
     assert np.all(np.abs(batched - scalar) <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
 
 
+def _values(mset, H, mu):
+    """Fresh form values of the rows of H through the battery's block path."""
+    return _battery_values(mset, H, np.ones(H.shape[1]), mu)[1]
+
+
 def _bounded_random_problems(rng, count):
     found = 0
     while found < count:
@@ -328,16 +332,16 @@ def _bounded_random_problems(rng, count):
 
 
 class TestBatchedValues:
-    """``_form_values`` and the block loop against ``q_of_h`` and
+    """The block loop of the batteries against ``q_of_h`` and
     ``fixed_mu_value`` direction by direction."""
 
     def test_random_matrix_forms(self):
         rng = np.random.default_rng(71)
         for p, xbar, mset in _bounded_random_problems(rng, 25):
             H = rng.standard_normal((30, p.dim))
-            _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+            _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
             mu = mset.vertices[-1]
-            _assert_close(_form_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
+            _assert_close(_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
 
     @pytest.mark.parametrize("grid", [12, 120, 480])
     def test_example1_forms_batch_rows(self, grid):
@@ -354,9 +358,9 @@ class TestBatchedValues:
         H[1] = ex.direction_lower_indicator()
         H[2] = ex.direction_upper_indicator()
         H[3] = ex.direction_lower_indicator() + ex.direction_upper_indicator()
-        _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+        _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
         for mu in (np.array([0.0]), np.array([0.3]), np.array([1.0])):
-            _assert_close(_form_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
+            _assert_close(_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
         _, values = _battery_values(mset, H, ex.problem.weights, None)
         _assert_close(values, [q_of_h(mset, h)[0] for h in H])
 
@@ -367,7 +371,7 @@ class TestBatchedValues:
         H = np.random.default_rng(4).standard_normal((20, ex.grid))
         H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
         assert all(_constraint_quads(mset, h)[0] == 0.0 for h in H)
-        _assert_close(_form_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+        _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_boundaries(self, blocks, extra):

@@ -217,6 +217,21 @@ class TestFOC:
         assert not res.stationary
         assert res.residual == pytest.approx(np.sqrt(5.0), abs=1e-9)
 
+    def test_inactive_constraint_keeps_the_verdict(self):
+        """With no constraints the polytope's own rows decide stationarity
+        too: on the box [0, 1] x [-1, 1] at x = 0 with f'(x) = (1000, 5e-9),
+        the 5e-9 on the free coordinate fails its row at tol.feasibility with
+        and without the inactive constraint x0 + x1 - 1 <= 0."""
+        objective = quadratic(0.0, np.array([1000.0, 5e-9]), np.zeros((2, 2)))
+        box = BoxSet(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+        inactive = quadratic(-1.0, np.array([1.0, 1.0]), np.zeros((2, 2)))
+        results = [foc_at(ProblemSpec(objective, cons, 0, box, np.ones(2)), np.zeros(2))
+                   for cons in ((), (inactive,))]
+        for res in results:
+            assert not res.stationary
+            assert res.residual == pytest.approx(5e-9, rel=1e-6)
+        assert results[0].residual == results[1].residual
+
     def test_large_multiplier(self):
         """The nearest stationary gradient needs mu = -2000.5, far outside
         any fixed search interval."""

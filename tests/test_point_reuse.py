@@ -1,11 +1,13 @@
 """Per-point data computed once: one multiplier set per run, read by every
 check, one box tangent pattern per run, the strict CQ on the set's point
-data, vertex dedup with one array test per vertex, and descent directions
-evaluated once.  Each fast path is compared with the direct computation it
+data, vertex dedup with one array test per vertex, descent directions
+evaluated once, and a battery's form columns evaluated once per cone and
+point object.  Each fast path is compared with the direct computation it
 replaces, bit for bit."""
 
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -18,10 +20,11 @@ import kkt2.examples.example1
 import kkt2.kkt
 import kkt2.model
 from kkt2 import curvature, linalg, stages
-from kkt2.cones import FREE, NONPOS, ZERO, SignPatternCone, tangent_cone_box
-from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
-from kkt2.curvature import (check_snc, check_snc_fixed_multiplier, check_ssc,
+from kkt2.cones import FREE, NONPOS, ZERO, SignPatternCone, critical_cone, tangent_cone_box
+from kkt2.config import DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget
+from kkt2.curvature import (_battery_values, check_snc, check_snc_fixed_multiplier, check_ssc,
                             fixed_mu_value, q_of_h)
+from kkt2.examples.certify import run_example1_certification
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import check_strict_cq, multiplier_set
 from kkt2.linalg import PolytopeH, enumerate_vertices
@@ -377,3 +380,125 @@ class TestOnePointObjectPerRun:
         assert "rzkcq" in capsys.readouterr().out
         assert not calls
 
+
+
+def _search(mset, cone, mu):
+    """The sup-form search (mu None) or the fixed-mu search over ``cone``."""
+    if mu is None:
+        return check_snc(mset, cone=cone)
+    return check_snc_fixed_multiplier(mset, mu, cone=cone)
+
+
+def _verdict_bytes(v) -> tuple:
+    return (v.kind, v.sampled_min, v.directions_evaluated, v.witness_value,
+            v.witness_normalized, *(None if a is None else np.asarray(a).tobytes()
+                                    for a in (v.witness, v.witness_mu)))
+
+
+def _display_cone_case():
+    """Example1's display cone with the sup form and the chain's 11 fixed
+    multipliers."""
+    ex = build_example1(480)
+    mset = multiplier_set(ex.problem, ex.xbar)
+    return mset, ex.display_critical_cone, [np.array([mu]) for mu in np.linspace(0.0, 1.0, 11)]
+
+
+def _many_multiplier_case():
+    """The first many-multiplier box on its critical cone, with the sup form,
+    four vertices and the barycenter as fixed multipliers."""
+    mset = multiplier_set(*many_multiplier_spec(0))
+    mus = [*mset.vertices[:4], np.mean(mset.vertices, axis=0)]
+    return mset, lambda m: critical_cone(m, 0.0), mus
+
+
+def _count_quad_batch(monkeypatch) -> Counter:
+    """Counts ``BilinearForm.quad_batch`` calls by form and row block.  The
+    blocks are kept alive, so no two of them share a key."""
+    calls, blocks = Counter(), []
+    real = linalg.BilinearForm.quad_batch
+
+    def spy(form, H):
+        blocks.append(H)
+        calls[id(form), H.__array_interface__["data"][0], H.shape] += 1
+        return real(form, H)
+
+    monkeypatch.setattr(linalg.BilinearForm, "quad_batch", spy)
+    return calls
+
+
+class TestBatteryColumnsOncePerCone:
+    """A cone's battery evaluates f''(x)h^2 and g''(x)h^2 once per point
+    object; every search over the cone combines those cached columns with
+    its multiplier or the vertices, and reports what a search over a fresh
+    battery reports."""
+
+    @pytest.mark.parametrize("case", [_display_cone_case, _many_multiplier_case],
+                             ids=["example1_display", "many0"])
+    def test_cached_values_equal_fresh_ones(self, case):
+        mset, make_cone, mus = case()
+        cone = make_cone(mset)
+        searches = [None, *mus]
+        verdicts = [_search(mset, cone, mu) for mu in searches]
+        battery = curvature._battery(cone, DEFAULT_BUDGET)
+        assert battery.mset is mset
+        for mu, verdict in zip(searches, verdicts):
+            n2, fresh = _battery_values(mset, battery.H, cone.weights, mu)
+            cached = curvature._block_values(mset, battery.blocks, mu)
+            assert cached.tobytes() == fresh.tobytes()
+            assert battery.n2.tobytes() == n2.tobytes()
+            # the same search over a new cone draws and evaluates a new battery
+            assert _verdict_bytes(verdict) == _verdict_bytes(_search(mset, make_cone(mset), mu))
+            if verdict.witness is not None:
+                replay = q_of_h(mset, verdict.witness)[0] if mu is None else \
+                    fixed_mu_value(mset, verdict.witness, mu)
+                assert verdict.witness_value == replay
+                assert verdict.witness.base is None  # a copy, not a battery row
+
+    def test_example1_chain_evaluates_each_block_once(self, monkeypatch):
+        """``repro example1`` evaluates each form once per row block of each
+        battery: the display cone's sup form and its 11 fixed multipliers
+        share one pass of 576 rows instead of 12."""
+        calls = _count_quad_batch(monkeypatch)
+        _, report = run_example1_certification(480)
+        assert report.checks[-1].verdict == "pass"
+        assert max(calls.values()) == 1
+        rows = Counter()
+        for (form, _, shape), _ in calls.items():
+            rows[form] += shape[0]
+        # two forms (f and g), each over the two ssc cones and the display cone
+        assert len(rows) == 2 and all(r >= 576 for r in rows.values())
+
+    def test_second_point_object_recomputes(self, monkeypatch):
+        """Columns are kept with the point object that computed them: a search
+        with another ``MultiplierSet`` over the same cone evaluates the forms
+        again, and reports what the first one did."""
+        p, x = many_multiplier_spec(0)
+        first, second = multiplier_set(p, x), multiplier_set(p, x)
+        cone = critical_cone(first, 0.0)
+        calls = _count_quad_batch(monkeypatch)
+        verdict = check_snc(first, cone=cone, budget=BUDGET)
+        once = sum(calls.values())
+        assert once == len(calls) > 0 and len({form for form, _, _ in calls}) == 1 + first.m
+        check_snc_fixed_multiplier(first, first.vertices[0], cone=cone, budget=BUDGET)
+        assert sum(calls.values()) == once
+        again = check_snc(second, cone=cone, budget=BUDGET)
+        assert sum(calls.values()) == 2 * once
+        assert curvature._battery(cone, BUDGET).mset is second
+        assert _verdict_bytes(again) == _verdict_bytes(verdict)
+
+    def test_ssc_holds_one_battery_at_a_time(self):
+        """``check_ssc`` drops the extended cone, with its battery and form
+        columns, before the eta = 0 cone draws its own, and no verdict keeps
+        a battery row.  With 16,448 directions in R^24 a battery is 3.2 MB
+        and its columns 1.3 MB; the search peaked at 10.9 MB with both
+        batteries alive and peaks at 7.9 MB without."""
+        mset = multiplier_set(*many_multiplier_spec(0))
+        mset.f_form, mset.g_forms, mset.vertex_matrix  # point data, built before measuring
+        tracemalloc.start()
+        try:
+            verdict = check_ssc(mset, eta=0.1, alpha_target=0.5, budget=SearchBudget(random=16384))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == "ssc_holds"
+        assert peak < 9.0e6
