@@ -446,60 +446,109 @@ class GrowthSampleResult:
     tries: int = 0
 
 
-def _correct_equalities(
-    p: ProblemSpec, box: BoxSet, cand: np.ndarray, grads: np.ndarray,
-) -> np.ndarray:
-    """Chord-Newton steps onto g_i = 0 (i < m1) that move only the
-    coordinates of cand off the box bounds (the free-variable step of
-    projected Newton methods).  ``grads`` holds the equality gradients at the
-    base point, one row each; step directions are these rows with the bound
-    coordinates zeroed, so the projection cannot undo the step."""
+# Tries per row block of the growth sampler: about _GROWTH_BLOCK_ENTRIES
+# entries per (rows, n) temporary, and at least _GROWTH_MIN_ROWS rows.  On a
+# 2-vCPU host, a growth run on example1 at grid 120 (250 samples) peaked at
+# 36.5 MB RSS one try at a time, 37.0 MB with 4096-entry blocks and 37.9 MB
+# with 16384.  At grid 1920 (2000 samples, 1.50 s one try at a time) blocks
+# of 2, 8, 16 and 32 rows took 1.27, 0.82, 0.61 and 0.63 s.
+_GROWTH_BLOCK_ENTRIES = 4096
+_GROWTH_MIN_ROWS = 16
+
+
+def _growth_rows(n: int) -> int:
+    return max(_GROWTH_MIN_ROWS, _GROWTH_BLOCK_ENTRIES // n)
+
+
+def _distances(w: np.ndarray, S: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||s - x||_w for every row s of S, rounded as ``weighted_norm`` rounds
+    one."""
+    D = S - x
+    return np.sqrt(np.sum(w * D * D, axis=1))
+
+
+def _correct_equalities(p: ProblemSpec, box: BoxSet, C: np.ndarray, grads: np.ndarray) -> None:
+    """Chord-Newton steps onto g_i = 0 (i < m1), in place on the rows of C,
+    that move only the coordinates of a row off the box bounds (the
+    free-variable step of projected Newton methods).  ``grads`` holds the
+    equality gradients at the base point, one row each; a row's step
+    directions are these rows with its bound coordinates zeroed, so the
+    projection cannot undo the step.  Each row stops on its own: once its
+    equality residual is within 1e-13, on a singular or non-finite Jacobian
+    or step, or after 8 steps."""
 
     eqs = p.constraints[:p.m1]
+    rows = np.arange(len(C))  # the rows still moving
     for _ in range(8):
-        gval = np.array([g.value(cand) for g in eqs])
-        if np.max(np.abs(gval)) <= 1e-13:
-            break
-        dirs = np.where((cand == box.lower) | (cand == box.upper), 0.0, grads)
-        jac = (np.array([g.gradient(cand) for g in eqs]) * p.weights) @ dirs.T
-        if not abs(np.linalg.det(jac)) >= 1e-14:
-            break  # singular or non-finite Jacobian
-        coef = np.linalg.solve(jac, gval)
-        if not np.all(np.isfinite(coef)):
-            break
-        cand = box.project(cand - coef @ dirs)
-    return cand
+        X = C[rows]
+        gval = np.stack([g.values(X) for g in eqs], axis=1)
+        off = ~(np.max(np.abs(gval), axis=1) <= 1e-13)
+        rows, X, gval = rows[off], X[off], gval[off]
+        if not len(rows):
+            return
+        dirs = np.where(((X == box.lower) | (X == box.upper))[:, None, :], 0.0, grads)
+        jac = (np.stack([g.gradients(X) for g in eqs], axis=1) * p.weights) \
+            @ dirs.transpose(0, 2, 1)
+        # rows with a non-finite or singular Jacobian, or a non-finite step, stop
+        ok = np.all(np.isfinite(jac), axis=(1, 2))
+        ok[ok] = np.abs(np.linalg.det(jac[ok])) >= 1e-14
+        coef = np.linalg.solve(jac[ok], gval[ok][:, :, None])[:, :, 0]
+        finite = np.all(np.isfinite(coef), axis=1)
+        ok[ok] = finite
+        rows = rows[ok]
+        step = np.einsum("ki,kin->kn", coef[finite], dirs[ok])
+        C[rows] = np.clip(X[ok] - step, box.lower, box.upper)
 
 
 def _box_feasible_samples(
     p: ProblemSpec, x: np.ndarray, eps: float, count: int, rng: np.random.Generator,
     tol: Tolerances,
-) -> tuple[list[np.ndarray], int]:
-    """Feasible points in the eps-ball around x and the number of tries."""
+) -> tuple[np.ndarray, int]:
+    """Feasible points in the eps-ball around x, one row each, and the
+    number of tries.
+
+    Tries run in row blocks (``_growth_rows``).  Each try draws its step and
+    then, unless the step is zero, its radius, in the order of a one-by-one
+    loop, so the samples and the count of tries do not depend on the block
+    size.  A block is projected onto the box, corrected onto the equalities
+    (``_correct_equalities``) and tested in one array pass: every equality
+    residual and inequality within ``tol.residual``, the point in the box
+    and in the ball.  ``tries`` counts up to the ``count``-th accepted try,
+    at most 40 per sample."""
     assert isinstance(p.abstract_set, BoxSet)
     box = p.abstract_set
-    out: list[np.ndarray] = []
-    m1 = p.m1
-    grads = np.array([g.gradient(x) for g in p.constraints[:m1]], dtype=float)
-    tries = 0
-    while len(out) < count and tries < 40 * count:
-        tries += 1
-        step = rng.standard_normal(p.dim)
-        nrm = weighted_norm(p.weights, step)
-        if nrm <= 0:
-            continue
-        cand = x + step * (eps * rng.random() / nrm)
-        cand = box.project(cand)
+    w, n, m1 = p.weights, p.dim, p.m1
+    grads = np.array([g.gradients(x[None])[0] for g in p.constraints[:m1]]).reshape(m1, n)
+    block, limit = _growth_rows(n), 40 * count
+    samples = np.empty((count, n))
+    accepted = tries = 0
+    while accepted < count and tries < limit:
+        k = min(block, limit - tries)
+        steps, scale = np.empty((k, n)), np.zeros(k)
+        drawn = np.zeros(k, dtype=bool)
+        for j in range(k):
+            steps[j] = rng.standard_normal(n)
+            nrm = weighted_norm(w, steps[j])
+            if nrm <= 0:
+                continue  # counted and rejected, with no radius drawn
+            drawn[j] = True
+            scale[j] = eps * rng.random() / nrm
+        C = np.clip(x + steps[drawn] * scale[drawn, None], box.lower, box.upper)
         if m1:
-            cand = _correct_equalities(p, box, cand, grads)
-        gvals = p.constraint_values(cand) if p.n_constraints else np.zeros(0)
-        ok = all(abs(gvals[i]) <= tol.residual for i in range(m1))
-        ok = ok and all(gvals[i] <= tol.residual for i in range(m1, p.n_constraints))
-        ok = ok and box.contains(cand, tol.activity)
-        ok = ok and weighted_norm(p.weights, cand - x) <= eps * (1.0 + 1e-9)
-        if ok:
-            out.append(cand)
-    return out, tries
+            _correct_equalities(p, box, C, grads)
+        ok = np.all((C >= box.lower - tol.activity) & (C <= box.upper + tol.activity), axis=1)
+        for i, g in enumerate(p.constraints):
+            gval = g.values(C)
+            ok &= (np.abs(gval) if i < m1 else gval) <= tol.residual
+        ok &= _distances(w, C, x) <= eps * (1.0 + 1e-9)
+        kept = np.flatnonzero(drawn)[ok][:count - accepted]  # their tries in the block
+        samples[accepted:accepted + len(kept)] = C[ok][:len(kept)]
+        accepted += len(kept)
+        if accepted == count:
+            tries += int(kept[-1]) + 1
+        else:
+            tries += k
+    return samples[:accepted], tries
 
 
 def sample_growth(
@@ -517,8 +566,12 @@ def sample_growth(
     Sampling consistency, not a proof: a 'consistent' outcome means no
     sampled violation.  Box problems project perturbations onto the box and
     Newton-correct every equality constraint on the coordinates off the box
-    bounds; generated-cone problems use the problem's feasible sampler when
-    provided."""
+    bounds, a row block of tries at a time with the draws in the order of a
+    one-by-one loop (``_box_feasible_samples``); generated-cone problems use
+    the problem's feasible sampler when provided.  The margins are computed
+    in row blocks through ``SmoothFunction.values``; the worst one is the
+    first minimum over the samples in their order, and the counterexample
+    its sample when it is below ``-tol.growth_slack``."""
 
     if not 0.0 < eps < math.inf:
         raise UsageError("eps must be positive and finite")
@@ -534,18 +587,21 @@ def sample_growth(
         samples, tries = _box_feasible_samples(p, v, eps, n_samples, rng, tol)
     else:
         samples, tries = [], 0
-    if not samples:
+    if not len(samples):
         return GrowthSampleResult(True, 0, math.inf, None, note="no feasible samples found",
                                   tries=tries)
 
     f0 = p.objective.value(v)
-    worst = math.inf
-    counterexample = None
-    for s in samples:
-        margin = p.objective.value(s) - f0 - 0.5 * alpha * p.norm(s - v) ** 2
-        if margin < worst:
-            worst = margin
-            if margin < -tol.growth_slack:
-                counterexample = s
-    return GrowthSampleResult(counterexample is None, len(samples), worst, counterexample,
-                              tries=tries)
+    rows = _growth_rows(p.dim)
+    margins = np.empty(len(samples))
+    for start in range(0, len(samples), rows):
+        S = np.asarray(samples[start:start + rows], dtype=float)
+        margins[start:start + len(S)] = (p.objective.values(S) - f0
+                                         - 0.5 * alpha * _distances(p.weights, S, v) ** 2)
+    # a NaN margin counts as +inf: a running strict minimum never takes it
+    margins[np.isnan(margins)] = math.inf
+    worst = int(np.argmin(margins))
+    counterexample = np.array(samples[worst], dtype=float) \
+        if margins[worst] < -tol.growth_slack else None
+    return GrowthSampleResult(counterexample is None, len(samples), float(margins[worst]),
+                              counterexample, tries=tries)

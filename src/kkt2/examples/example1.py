@@ -65,7 +65,9 @@ def _grid_forms(n: int):
     (avg over (0,1/3) h, -avg over (3/4,1) h); the objective form adds the
     mean-centered energies on (0,1/3) and (3/4,1) plus the plain energy on
     (1/3,3/4).  All integrals are exact cell sums.  ``quad_rows`` computes
-    the same averages and energies over a block of rows in one call.
+    the same averages and energies over a block of rows in one call.  The
+    Riesz map is computed a block of rows at a time (returned as
+    ``apply_rows``), and ``apply`` is its one-row case.
     """
 
     i3, i34 = n // 3, (3 * n) // 4
@@ -74,12 +76,15 @@ def _grid_forms(n: int):
     def averages(h):
         return float(h[:i3].sum()) / i3, -float(h[i34:].sum()) / (n - i34)
 
+    def average_rows(H):
+        return np.column_stack([H[:, :i3].sum(axis=1) / i3, -H[:, i34:].sum(axis=1) / (n - i34)])
+
     def energy(X):
         return np.einsum("ij,ij->i", X, X)
 
     def make_form(matrix, with_integrals):
         def rows(H):
-            P = np.column_stack([H[:, :i3].sum(axis=1) / i3, -H[:, i34:].sum(axis=1) / (n - i34)])
+            P = average_rows(H)
             val = np.einsum("ij,ij->i", P @ matrix, P)
             if with_integrals:
                 val += (energy(H[:, :i3]) - i3 * P[:, 0] ** 2) / n
@@ -97,19 +102,22 @@ def _grid_forms(n: int):
                 val += (float(a[i34:] @ b[i34:]) - (n - i34) * na * nb) / n
             return val
 
-        def ap(h):
-            mh, nh = averages(h)
-            coef = matrix @ np.array([mh, nh])
-            out = np.zeros(n)
-            out[:i3] = coef[0] / len_lower
-            out[i34:] = -coef[1] / len_tail
+        def ap_rows(H):
+            P = average_rows(H)
+            coef = P @ matrix.T
+            out = np.zeros_like(H)
+            out[:, :i3] = (coef[:, 0] / len_lower)[:, None]
+            out[:, i34:] = (-coef[:, 1] / len_tail)[:, None]
             if with_integrals:
-                out[:i3] += h[:i3] - mh
-                out[i3:i34] += h[i3:i34]
-                out[i34:] += h[i34:] + nh
+                out[:, :i3] += H[:, :i3] - P[:, :1]
+                out[:, i3:i34] += H[:, i3:i34]
+                out[:, i34:] += H[:, i34:] + P[:, 1:]
             return out
 
-        return BilinearForm(evaluator=ev, apply=ap, quad_rows=rows)
+        def ap(h):
+            return ap_rows(h[None])[0]
+
+        return BilinearForm(evaluator=ev, apply=ap, quad_rows=rows), ap_rows
 
     return make_form
 
@@ -135,10 +143,10 @@ def build_example1(grid: int) -> Example1Problem:
     g_grad = np.where(mask_q | mask_ul, 1.0, 0.0)
 
     make_form = _grid_forms(n)
-    f_form = make_form(MATRIX_A1, with_integrals=True)
-    g_form = make_form(MATRIX_A2 - MATRIX_A1, with_integrals=False)
 
-    def make_function(grad0, form, name):
+    def make_function(grad0, matrix, with_integrals, name):
+        form, apply_rows = make_form(matrix, with_integrals)
+
         def value(x):
             h = x - xbar
             return float(np.sum(w * grad0 * h)) + 0.5 * form(h, h)
@@ -149,11 +157,19 @@ def build_example1(grid: int) -> Example1Problem:
         def hessian(_x):
             return form
 
-        return SmoothFunction(value=value, gradient=gradient, hessian=hessian, name=name)
+        def value_rows(X):
+            H = X - xbar
+            return np.sum(w * grad0 * H, axis=1) + 0.5 * form.quad_batch(H)
+
+        def gradient_rows(X):
+            return grad0 + apply_rows(X - xbar)
+
+        return SmoothFunction(value=value, gradient=gradient, hessian=hessian, name=name,
+                              value_rows=value_rows, gradient_rows=gradient_rows)
 
     problem = ProblemSpec(
-        objective=make_function(f_grad, f_form, "f"),
-        constraints=(make_function(g_grad, g_form, "g"),),
+        objective=make_function(f_grad, MATRIX_A1, True, "f"),
+        constraints=(make_function(g_grad, MATRIX_A2 - MATRIX_A1, False, "g"),),
         m1=1,
         abstract_set=BoxSet(np.full(n, -1.0), np.full(n, 1.0)),
         weights=w,

@@ -137,12 +137,31 @@ class SmoothFunction:
     ``gradient`` returns the Riesz representative with respect to the
     problem's weighted inner product, so that the directional derivative
     along h equals sum_i w_i grad_i h_i.
+    ``value_rows(X)`` and ``gradient_rows(X)``, when provided, return the
+    values and gradients at the rows of X in one call, as ``quadratic`` and
+    example1's functions do; the growth sampler evaluates through them.
+    ``values`` and ``gradients`` fall back to a loop over the rows, so a
+    user function needs only ``value`` and ``gradient``.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], BilinearForm]
     name: str = ""
+    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """``value(x)`` for every row x of X."""
+        if self.value_rows is not None:
+            return np.asarray(self.value_rows(X), dtype=float)
+        return np.array([self.value(x) for x in X], dtype=float).reshape(len(X))
+
+    def gradients(self, X: np.ndarray) -> np.ndarray:
+        """``gradient(x)`` for every row x of X, one row each."""
+        if self.gradient_rows is not None:
+            return np.asarray(self.gradient_rows(X), dtype=float)
+        return np.array([self.gradient(x) for x in X], dtype=float).reshape(X.shape)
 
 
 def quadratic(
@@ -174,7 +193,14 @@ def quadratic(
     def hess(_x):
         return matrix_form(matrix, weights)
 
-    return SmoothFunction(value=val, gradient=grad, hessian=hess, name=name)
+    def val_rows(X):
+        return constant + X @ linear + 0.5 * np.einsum("ij,ij->i", X @ matrix, X)
+
+    def grad_rows(X):
+        return winv * (linear + X @ matrix)  # matrix is symmetric
+
+    return SmoothFunction(value=val, gradient=grad, hessian=hess, name=name,
+                          value_rows=val_rows, gradient_rows=grad_rows)
 
 
 @dataclass(frozen=True)

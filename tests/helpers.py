@@ -1,7 +1,8 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and two references: a brute-force NNLS and a box's critical
-cone by its cut description."""
+multipliers, and three references: a brute-force NNLS, a box's critical
+cone by its cut description, and the growth sampler's box path one try at a
+time."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import math
 import numpy as np
 
 from kkt2.cones import NONPOS, ZERO, CriticalCone, absorb_rows
-from kkt2.linalg import PolytopeH
+from kkt2.config import Tolerances
+from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
 
@@ -222,3 +224,68 @@ def plain_critical_cone(mset, eta: float = 0.0, constraint_rows: bool = True) ->
     return CriticalCone(p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
                         tuple(np.where(zero, 0.0, r) for r in ineq_left),
                         mset.f_grad if eta > 0.0 else None, eta)
+
+
+def _correct_equalities_per_try(
+    p: ProblemSpec, box: BoxSet, cand: np.ndarray, grads: np.ndarray,
+) -> np.ndarray:
+    """Chord-Newton steps onto g_i = 0 (i < m1) that move only the
+    coordinates of cand off the box bounds (the free-variable step of
+    projected Newton methods).  ``grads`` holds the equality gradients at the
+    base point, one row each; step directions are these rows with the bound
+    coordinates zeroed, so the projection cannot undo the step."""
+
+    eqs = p.constraints[:p.m1]
+    for _ in range(8):
+        gval = np.array([g.value(cand) for g in eqs])
+        if np.max(np.abs(gval)) <= 1e-13:
+            break
+        dirs = np.where((cand == box.lower) | (cand == box.upper), 0.0, grads)
+        jac = (np.array([g.gradient(cand) for g in eqs]) * p.weights) @ dirs.T
+        if not abs(np.linalg.det(jac)) >= 1e-14:
+            break  # singular or non-finite Jacobian
+        coef = np.linalg.solve(jac, gval)
+        if not np.all(np.isfinite(coef)):
+            break
+        cand = box.project(cand - coef @ dirs)
+    return cand
+
+
+def box_samples_per_try(
+    p: ProblemSpec, x: np.ndarray, eps: float, count: int, rng: np.random.Generator,
+    tol: Tolerances,
+) -> tuple[list[np.ndarray], int]:
+    """The growth sampler's box path one try at a time, through the per-point
+    ``value`` and ``gradient``: the reference of ``_box_feasible_samples``.
+    Feasible points in the eps-ball around x and the number of tries."""
+    assert isinstance(p.abstract_set, BoxSet)
+    box = p.abstract_set
+    out: list[np.ndarray] = []
+    m1 = p.m1
+    grads = np.array([g.gradient(x) for g in p.constraints[:m1]], dtype=float)
+    tries = 0
+    while len(out) < count and tries < 40 * count:
+        tries += 1
+        step = rng.standard_normal(p.dim)
+        nrm = weighted_norm(p.weights, step)
+        if nrm <= 0:
+            continue
+        cand = x + step * (eps * rng.random() / nrm)
+        cand = box.project(cand)
+        if m1:
+            cand = _correct_equalities_per_try(p, box, cand, grads)
+        gvals = p.constraint_values(cand) if p.n_constraints else np.zeros(0)
+        ok = all(abs(gvals[i]) <= tol.residual for i in range(m1))
+        ok = ok and all(gvals[i] <= tol.residual for i in range(m1, p.n_constraints))
+        ok = ok and box.contains(cand, tol.activity)
+        ok = ok and weighted_norm(p.weights, cand - x) <= eps * (1.0 + 1e-9)
+        if ok:
+            out.append(cand)
+    return out, tries
+
+
+def growth_margins_per_sample(p: ProblemSpec, x: np.ndarray, samples, alpha: float) -> list[float]:
+    """The quadratic growth margins f(s) - f(x) - alpha/2 ||s - x||^2, one
+    sample at a time through the per-point ``value``."""
+    f0 = p.objective.value(x)
+    return [p.objective.value(s) - f0 - 0.5 * alpha * p.norm(s - x) ** 2 for s in samples]

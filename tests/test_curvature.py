@@ -1,6 +1,7 @@
 """Second-order checks: maximized Hessian, searches, growth sampling."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from kkt2.curvature import (
     _battery_values,
     _box_feasible_samples,
     _constraint_quads,
+    _growth_rows,
     check_snc,
     check_snc_fixed_multiplier,
     check_ssc,
@@ -24,10 +26,10 @@ from kkt2.curvature import (
 from kkt2.errors import UsageError
 from kkt2.examples import DELTA, build_example1, build_example2
 from kkt2.kkt import multiplier_set
-from kkt2.linalg import PolytopeH, weighted_norm
-from kkt2.model import BoxSet, ProblemSpec, quadratic
+from kkt2.linalg import PolytopeH, matrix_form, weighted_norm
+from kkt2.model import BoxSet, ProblemSpec, SmoothFunction, quadratic
 
-from helpers import random_stationary_problem
+from helpers import box_samples_per_try, growth_margins_per_sample, random_stationary_problem
 
 
 @pytest.fixture(scope="module")
@@ -279,11 +281,8 @@ class TestBoxSampler:
     def test_zero_sample_pass_shows_its_tries(self):
         """Two equalities in one variable isolate the origin: the vacuous
         'pass' reports every try it spent."""
-        g_a = quadratic(0.0, np.array([1.0]), np.zeros((1, 1)))
-        g_b = quadratic(0.0, np.array([1.0]), np.array([[2.0]]))
-        p = ProblemSpec(quadratic(0.0, np.zeros(1), np.eye(1)), (g_a, g_b), 2,
-                        BoxSet(np.full(1, -1.0), np.ones(1)), np.ones(1))
-        res = sample_growth(p, np.zeros(1), alpha=0.1, eps=0.1, n_samples=10)
+        res = sample_growth(_isolated_origin_problem(), np.zeros(1), alpha=0.1, eps=0.1,
+                            n_samples=10)
         assert (res.samples_accepted, res.tries) == (0, 400)
         assert res.note == "no feasible samples found"
 
@@ -305,8 +304,107 @@ class TestBoxSampler:
             p, xbar, _, _ = random_stationary_problem(rng)
             samples, _ = _box_feasible_samples(p, xbar, 0.05, 50, rng, DEFAULT_TOLERANCES)
             assert all(_passes_acceptance(p, xbar, s, 0.05) for s in samples)
-            with_equalities += bool(p.m1 and samples)
+            with_equalities += bool(p.m1 and len(samples))
         assert with_equalities >= 10
+
+
+def _isolated_origin_problem():
+    """Two equalities in one variable that only the origin satisfies."""
+    g_a = quadratic(0.0, np.array([1.0]), np.zeros((1, 1)))
+    g_b = quadratic(0.0, np.array([1.0]), np.array([[2.0]]))
+    return ProblemSpec(quadratic(0.0, np.zeros(1), np.eye(1)), (g_a, g_b), 2,
+                       BoxSet(np.full(1, -1.0), np.ones(1)), np.ones(1))
+
+
+class _ZeroFirstStep:
+    """A generator whose first normal draw is all zeros; every other draw
+    comes from a seeded numpy generator.  ``calls`` lists the draws in order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, size):
+        self.calls.append("normal")
+        step = self.rng.standard_normal(size)
+        return np.zeros(size) if len(self.calls) == 1 else step
+
+    def random(self):
+        self.calls.append("radius")
+        return self.rng.random()
+
+
+class TestSamplerMatchesPerTry:
+    """The row-block sampler against the one-try-at-a-time loop of
+    ``helpers.box_samples_per_try``: the same tries, the same accepted
+    count, and the same samples up to rounding."""
+
+    @staticmethod
+    def _compare(p, x, count, make_rng, eps=0.05):
+        ref, ref_tries = box_samples_per_try(p, x, eps, count, make_rng(), DEFAULT_TOLERANCES)
+        got, tries = _box_feasible_samples(p, x, eps, count, make_rng(), DEFAULT_TOLERANCES)
+        assert (tries, len(got)) == (ref_tries, len(ref))
+        assert got.shape == (len(ref), p.dim)
+        for s, r in zip(got, ref):
+            assert np.max(np.abs(s - r)) <= 1e-12
+        return got, tries
+
+    @pytest.mark.parametrize("seed", [1, 7, 902])
+    @pytest.mark.parametrize("grid", [12, 120, 480])
+    def test_example1(self, grid, seed):
+        ex = build_example1(grid)
+        self._compare(ex.problem, ex.xbar, 150, lambda: np.random.default_rng(seed))
+
+    def test_two_equalities(self):
+        got, _ = self._compare(_two_equality_problem(), np.zeros(4), 200,
+                               lambda: np.random.default_rng(DEFAULT_BUDGET.seed))
+        assert len(got)
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(59)
+        for k in range(40):
+            p, xbar, _, _ = random_stationary_problem(rng, weights_one=bool(k % 2))
+            self._compare(p, xbar, 50, lambda: np.random.default_rng(k))
+
+    def test_zero_samples(self):
+        got, tries = self._compare(_isolated_origin_problem(), np.zeros(1), 10,
+                                   lambda: np.random.default_rng(0))
+        assert (len(got), tries) == (0, 400)
+
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_count_ends_inside_a_block(self, blocks):
+        """A count smaller than one block, and one that ends in the second."""
+        ex = build_example1(120)
+        rows = _growth_rows(ex.grid)
+        got, tries = self._compare(ex.problem, ex.xbar, blocks * rows + 5,
+                                   lambda: np.random.default_rng(3))
+        assert tries % rows != 0
+
+    def test_zero_step_is_a_rejected_try_without_a_radius(self):
+        ex = build_example1(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._compare(ex.problem, ex.xbar, 30, lambda: _ZeroFirstStep(5))
+            stub = _ZeroFirstStep(5)
+            _box_feasible_samples(ex.problem, ex.xbar, 0.05, 30, stub, DEFAULT_TOLERANCES)
+        assert stub.calls[:3] == ["normal", "normal", "radius"]
+
+    @pytest.mark.parametrize("builder", [lambda: build_example1(12), lambda: build_example2(8)])
+    def test_margins_match_per_sample(self, builder):
+        """The block margins against one sample at a time, on the box path
+        and on the problem's own feasible sampler."""
+        ex = builder()
+        alpha = 0.5
+        res = sample_growth(ex.problem, ex.xbar, alpha=alpha, eps=0.05, n_samples=300)
+        rng = np.random.default_rng(DEFAULT_BUDGET.seed)
+        if ex.problem.feasible_sampler is not None:
+            samples = ex.problem.feasible_sampler(rng, ex.xbar, 0.05, 300)
+        else:
+            samples, _ = box_samples_per_try(ex.problem, ex.xbar, 0.05, 300, rng,
+                                             DEFAULT_TOLERANCES)
+        margins = growth_margins_per_sample(ex.problem, ex.xbar, samples, alpha)
+        assert res.samples_accepted == len(samples)
+        assert abs(res.worst_margin - min(margins)) <= 1e-12
 
 
 def _assert_close(batched, scalar):
@@ -331,9 +429,20 @@ def _bounded_random_problems(rng, count):
             yield p, xbar, mset
 
 
+def _assert_rows_match(fn, X):
+    """``values``/``gradients`` of ``fn`` against ``value``/``gradient`` row
+    by row, within 1e-12 relative."""
+    _assert_close(fn.values(X), [fn.value(x) for x in X])
+    grads = fn.gradients(X)
+    assert grads.shape == X.shape
+    for g, x in zip(grads, X):
+        _assert_close(g, fn.gradient(x))
+
+
 class TestBatchedValues:
     """The block loop of the batteries against ``q_of_h`` and
-    ``fixed_mu_value`` direction by direction."""
+    ``fixed_mu_value`` direction by direction, and the row evaluators of
+    ``SmoothFunction`` against its per-point callables."""
 
     def test_random_matrix_forms(self):
         rng = np.random.default_rng(71)
@@ -385,3 +494,55 @@ class TestBatchedValues:
         mu = mset.vertices[0]
         _, fixed = _battery_values(mset, H, p.weights, mu)
         _assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])
+
+    def test_quadratic_with_weights(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 17):
+            M = rng.standard_normal((n, n))
+            fn = quadratic(0.7, rng.standard_normal(n), M, rng.uniform(0.5, 2.0, n))
+            _assert_rows_match(fn, rng.standard_normal((9, n)))
+            _assert_rows_match(fn, np.empty((0, n)))
+
+    @pytest.mark.parametrize("grid", [12, 120])
+    def test_example1_functions(self, grid):
+        """Gaussian rows around xbar, clipped so many entries sit on the box
+        bounds, plus xbar itself and the bounds."""
+        ex = build_example1(grid)
+        rng = np.random.default_rng(grid)
+        X = np.clip(ex.xbar + 0.8 * rng.standard_normal((12, grid)), -1.0, 1.0)
+        X[0], X[1], X[2] = ex.xbar, -1.0, 1.0
+        assert np.any(np.abs(X[3:]) == 1.0)
+        for fn in (ex.problem.objective, *ex.problem.constraints):
+            assert fn.value_rows is not None and fn.gradient_rows is not None
+            _assert_rows_match(fn, X)
+
+    def test_fallback_without_row_callables(self):
+        M = np.array([[2.0, 0.5], [0.5, 1.0]])
+        fn = SmoothFunction(lambda x: float(x @ M @ x), lambda x: 2.0 * M @ x,
+                            lambda _x: matrix_form(2.0 * M))
+        assert fn.value_rows is None and fn.gradient_rows is None
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        _assert_close(fn.values(X), [float(x @ M @ x) for x in X])
+        assert np.array_equal(fn.gradients(X), np.array([2.0 * M @ x for x in X]))
+        assert fn.values(np.empty((0, 2))).shape == (0,)
+        assert fn.gradients(np.empty((0, 2))).shape == (0, 2)
+
+    def test_growth_makes_no_per_point_constraint_calls(self):
+        """On example1 the sampler evaluates its constraint only through the
+        row callables."""
+        ex = build_example1(120)
+        g = ex.problem.constraints[0]
+        calls = []
+
+        def counted(name, f):
+            def call(x):
+                calls.append(name)
+                return f(x)
+            return call
+
+        g_counted = replace(g, value=counted("value", g.value),
+                            gradient=counted("gradient", g.gradient))
+        p = replace(ex.problem, constraints=(g_counted,))
+        res = sample_growth(p, ex.xbar, alpha=0.5, eps=0.05, n_samples=250)
+        assert res.samples_accepted == 250
+        assert calls == []
