@@ -11,7 +11,7 @@ vertices off the point object (``MultiplierSet.f_form``, ``g_forms`` and
 ``vertex_matrix``, built once per point).  The battery is one array,
 drawn once per cone and budget and cached on the cone (``_Battery``).  Its
 form columns, ||h||_w^2, f''(x)h^2 and each g_i''(x)h^2, are computed in
-row blocks with one ``BilinearForm.quad_batch`` per form on the cone's
+row blocks with one ``BilinearForm.quad_rows`` call per form on the cone's
 first search, and kept with the point object that computed them as their
 key, so a search with another point object computes them again.  Every
 search combines them with its own multipliers: f + S mu for a fixed mu,
@@ -70,12 +70,12 @@ def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
 
 def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
     """Riesz gradient of h -> L''(x, ., mu) h^2, if the forms support it."""
-    if mset.f_form.apply is None or any(g.apply is None for g in mset.g_forms):
+    if mset.f_form.apply_rows is None or any(g.apply_rows is None for g in mset.g_forms):
         return None
-    grad = 2.0 * np.asarray(mset.f_form.apply(h), dtype=float)
+    grad = 2.0 * mset.f_form.apply(h)
     for mu_i, g in zip(mu, mset.g_forms):
         if mu_i != 0.0:
-            grad += 2.0 * mu_i * np.asarray(g.apply(h), dtype=float)
+            grad += 2.0 * mu_i * g.apply(h)
     return grad
 
 
@@ -258,7 +258,7 @@ def _battery_columns(
     """Squared weighted norms of the rows of H, and their form columns:
     f''(x)h^2, and with constraints the matrix S of g_i''(x)h^2, one column
     per constraint (None without).  The forms are evaluated per row block of
-    about ``_BLOCK_ENTRIES`` entries, with one ``quad_batch`` per form, so
+    about ``_BLOCK_ENTRIES`` entries, with one ``quad_rows`` call per form, so
     temporaries stay small.  The blocks' columns are views of one array
     each: a battery keeps its columns across searches, and two small arrays
     per block kept that long fragment the allocator's heap (a process
@@ -272,9 +272,9 @@ def _battery_columns(
         block = H[start:start + rows]
         part = slice(start, start + len(block))
         n2[part] = np.sum(weights * block * block, axis=1)
-        f[part] = mset.f_form.quad_batch(block)
+        f[part] = mset.f_form.quad_rows(block)
         for i, g in enumerate(mset.g_forms):
-            S[part, i] = g.quad_batch(block)
+            S[part, i] = g.quad_rows(block)
         blocks.append((f[part], None if S is None else S[part]))
     return n2, blocks
 
@@ -518,7 +518,7 @@ def _box_feasible_samples(
     assert isinstance(p.abstract_set, BoxSet)
     box = p.abstract_set
     w, n, m1 = p.weights, p.dim, p.m1
-    grads = np.array([g.gradients(x[None])[0] for g in p.constraints[:m1]]).reshape(m1, n)
+    grads = np.array([g.gradient(x) for g in p.constraints[:m1]]).reshape(m1, n)
     block, limit = _growth_rows(n), 40 * count
     samples = np.empty((count, n))
     accepted = tries = 0

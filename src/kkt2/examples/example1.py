@@ -22,7 +22,7 @@ import numpy as np
 from ..cones import CriticalCone, critical_cone
 from ..errors import UsageError
 from ..kkt import MultiplierSet
-from ..linalg import BilinearForm
+from ..linalg import BilinearForm, row_dots
 from ..model import BoxSet, ProblemSpec, SmoothFunction
 
 MATRIX_A1 = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -57,69 +57,36 @@ class Example1Problem:
         return critical_cone(mset, 0.0, constraint_rows=False)
 
 
-def _grid_forms(n: int):
-    """The two constant bilinear forms on an n-cell grid, built from slice
-    arithmetic so every evaluation is a handful of short dot products.
+def _grid_form(n: int, matrix: np.ndarray, with_integrals: bool) -> BilinearForm:
+    """A constant bilinear form on an n-cell grid with weights 1/n.
 
-    The rank-two coupling acts through the average pair
-    (avg over (0,1/3) h, -avg over (3/4,1) h); the objective form adds the
-    mean-centered energies on (0,1/3) and (3/4,1) plus the plain energy on
-    (1/3,3/4).  All integrals are exact cell sums.  ``quad_rows`` computes
-    the same averages and energies over a block of rows in one call.  The
-    Riesz map is computed a block of rows at a time (returned as
-    ``apply_rows``), and ``apply`` is its one-row case.
+    ``T`` maps h to its average pair p = (avg over (0,1/3) h, -avg over
+    (3/4,1) h), through which the rank-two coupling p^T ``matrix`` p acts.
+    The objective form (``with_integrals``) adds the mean-centered energies
+    on (0,1/3) and (3/4,1) and the plain energy on (1/3,3/4).  Those three
+    runs cover the grid, and a centered energy is the plain one less the run
+    length times the squared average, so they add up to
+    ||h||_w^2 - p^T diag(1/3, 1/4) p.  The form is therefore p^T C p, plus
+    ||h||_w^2 with the integrals, and its Riesz map is n T C p, plus h.  All
+    integrals are exact cell sums.
     """
 
     i3, i34 = n // 3, (3 * n) // 4
-    len_lower, len_tail = i3 / n, (n - i34) / n
+    T = np.zeros((n, 2))
+    T[:i3, 0] = 1.0 / i3
+    T[i34:, 1] = -1.0 / (n - i34)
+    C = matrix - np.diag([i3 / n, (n - i34) / n]) if with_integrals else matrix
 
-    def averages(h):
-        return float(h[:i3].sum()) / i3, -float(h[i34:].sum()) / (n - i34)
+    def quad_rows(H):
+        P = H @ T
+        val = row_dots(P @ C, P)
+        return val + row_dots(H, H) / n if with_integrals else val
 
-    def average_rows(H):
-        return np.column_stack([H[:, :i3].sum(axis=1) / i3, -H[:, i34:].sum(axis=1) / (n - i34)])
+    def apply_rows(H):
+        out = n * (H @ T @ C @ T.T)
+        return out + H if with_integrals else out
 
-    def energy(X):
-        return np.einsum("ij,ij->i", X, X)
-
-    def make_form(matrix, with_integrals):
-        def rows(H):
-            P = average_rows(H)
-            val = np.einsum("ij,ij->i", P @ matrix, P)
-            if with_integrals:
-                val += (energy(H[:, :i3]) - i3 * P[:, 0] ** 2) / n
-                val += energy(H[:, i3:i34]) / n
-                val += (energy(H[:, i34:]) - (n - i34) * P[:, 1] ** 2) / n
-            return val
-
-        def ev(a, b):
-            ma, na = averages(a)
-            mb, nb = averages(b)
-            val = float(np.array([ma, na]) @ matrix @ np.array([mb, nb]))
-            if with_integrals:
-                val += (float(a[:i3] @ b[:i3]) - i3 * ma * mb) / n
-                val += float(a[i3:i34] @ b[i3:i34]) / n
-                val += (float(a[i34:] @ b[i34:]) - (n - i34) * na * nb) / n
-            return val
-
-        def ap_rows(H):
-            P = average_rows(H)
-            coef = P @ matrix.T
-            out = np.zeros_like(H)
-            out[:, :i3] = (coef[:, 0] / len_lower)[:, None]
-            out[:, i34:] = (-coef[:, 1] / len_tail)[:, None]
-            if with_integrals:
-                out[:, :i3] += H[:, :i3] - P[:, :1]
-                out[:, i3:i34] += H[:, i3:i34]
-                out[:, i34:] += H[:, i34:] + P[:, 1:]
-            return out
-
-        def ap(h):
-            return ap_rows(h[None])[0]
-
-        return BilinearForm(evaluator=ev, apply=ap, quad_rows=rows), ap_rows
-
-    return make_form
+    return BilinearForm(quad_rows, apply_rows)
 
 
 def build_example1(grid: int) -> Example1Problem:
@@ -142,30 +109,17 @@ def build_example1(grid: int) -> Example1Problem:
     f_grad = np.where(mask_ul, -1.0, 0.0)
     g_grad = np.where(mask_q | mask_ul, 1.0, 0.0)
 
-    make_form = _grid_forms(n)
-
     def make_function(grad0, matrix, with_integrals, name):
-        form, apply_rows = make_form(matrix, with_integrals)
+        form = _grid_form(n, matrix, with_integrals)
 
-        def value(x):
-            h = x - xbar
-            return float(np.sum(w * grad0 * h)) + 0.5 * form(h, h)
-
-        def gradient(x):
-            return grad0 + form.apply(x - xbar)
-
-        def hessian(_x):
-            return form
-
-        def value_rows(X):
+        def values(X):
             H = X - xbar
-            return np.sum(w * grad0 * H, axis=1) + 0.5 * form.quad_batch(H)
+            return np.sum(w * grad0 * H, axis=1) + 0.5 * form.quad_rows(H)
 
-        def gradient_rows(X):
-            return grad0 + apply_rows(X - xbar)
+        def gradients(X):
+            return grad0 + form.apply_rows(X - xbar)
 
-        return SmoothFunction(value=value, gradient=gradient, hessian=hessian, name=name,
-                              value_rows=value_rows, gradient_rows=gradient_rows)
+        return SmoothFunction(values=values, gradients=gradients, hessian=lambda _x: form, name=name)
 
     problem = ProblemSpec(
         objective=make_function(f_grad, MATRIX_A1, True, "f"),

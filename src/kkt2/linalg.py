@@ -60,55 +60,52 @@ def weighted_norm(weights: np.ndarray, a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(weights * a * a)))
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The plain dot product of each row of A with the same row of B, by one
+    stacked matmul.  On a single row of 24 entries it takes about 2.5 us
+    where ``np.einsum("ij,ij->i", A, B)`` takes 3-5 us, and row evaluators
+    run on single rows at every descent step (numpy 1.24 has no vecdot)."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class BilinearForm:
-    """A bilinear form on weighted vectors.
+    """A symmetric bilinear form B on weighted vectors, given by its row
+    evaluators on plain entry arrays.
 
-    ``evaluator(a, b)`` returns the form value on plain entry arrays.
-    ``apply(h)``, when provided, returns the Riesz representative of
-    ``v -> form(h, v)`` with respect to the weighted inner product; the
-    descent refinement in the curvature searches needs it.
-    ``quad_rows(H)``, when provided, returns ``quad`` over the rows of H in
-    one call, as ``matrix_form`` and example1's grid forms do; the curvature
-    batteries evaluate through it.  ``quad_batch`` falls back to a loop over
-    the rows, so a user Hessian needs only ``evaluator``.
+    ``quad_rows(H)`` returns B(h, h) for every row h of the (k, n) array H,
+    as a length-k array.  ``apply_rows(H)``, when provided, returns for every
+    row h the Riesz representative of ``v -> B(h, v)`` with respect to the
+    weighted inner product, as a (k, n) array; the descent refinement in the
+    curvature searches needs it.  ``quad(h)`` and ``apply(h)`` are their
+    one-row cases, so a form is evaluated one way whatever the row count.
     """
 
-    evaluator: Callable[[np.ndarray, np.ndarray], float]
-    apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    quad_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(self.evaluator(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+    quad_rows: Callable[[np.ndarray], np.ndarray]
+    apply_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def quad(self, h: np.ndarray) -> float:
-        return self(h, h)
+        return float(self.quad_rows(np.asarray(h, dtype=float)[None])[0])
 
-    def quad_batch(self, H: np.ndarray) -> np.ndarray:
-        """``quad(h)`` for every row h of H."""
-        if self.quad_rows is not None:
-            return np.asarray(self.quad_rows(H), dtype=float)
-        return np.array([self.quad(h) for h in H], dtype=float).reshape(len(H))
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        return self.apply_rows(np.asarray(h, dtype=float)[None])[0]
 
 
 def matrix_form(H: np.ndarray, weights: Optional[np.ndarray] = None) -> BilinearForm:
-    """Bilinear form u, v -> u^T H v with Riesz map W^{-1} H."""
+    """Bilinear form u, v -> u^T H v, H symmetric, with Riesz map W^{-1} H."""
 
     H = np.asarray(H, dtype=float)
     if weights is None:
         weights = np.ones(H.shape[0])
     winv = 1.0 / np.asarray(weights, dtype=float)
 
-    def ev(a, b):
-        return float(a @ H @ b)
+    def quad_rows(X):
+        return row_dots(X @ H, X)
 
-    def ap(h):
-        return winv * (H @ np.asarray(h, dtype=float))
+    def apply_rows(X):
+        return winv * (H @ X.T).T  # on one row, the matrix-vector product H @ h
 
-    def rows(X):
-        return np.einsum("ij,ij->i", X @ H, X)
-
-    return BilinearForm(evaluator=ev, apply=ap, quad_rows=rows)
+    return BilinearForm(quad_rows, apply_rows)
 
 
 # --------------------------------------------------------------------------

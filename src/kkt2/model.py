@@ -132,36 +132,28 @@ AbstractSet = Union[BoxSet, GeneratedConeSet]
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Twice differentiable scalar function with supplied derivatives.
+    """Twice differentiable scalar function with supplied derivatives, given
+    by its row evaluators.
 
-    ``gradient`` returns the Riesz representative with respect to the
+    ``values(X)`` returns the values at the rows of the (k, n) array X as a
+    length-k array, and ``gradients(X)`` the gradients there as a (k, n)
+    array.  A gradient is the Riesz representative with respect to the
     problem's weighted inner product, so that the directional derivative
-    along h equals sum_i w_i grad_i h_i.
-    ``value_rows(X)`` and ``gradient_rows(X)``, when provided, return the
-    values and gradients at the rows of X in one call, as ``quadratic`` and
-    example1's functions do; the growth sampler evaluates through them.
-    ``values`` and ``gradients`` fall back to a loop over the rows, so a
-    user function needs only ``value`` and ``gradient``.
+    along h equals sum_i w_i grad_i h_i.  ``hessian(x)`` returns f''(x) as a
+    ``BilinearForm``.  ``value(x)`` and ``gradient(x)`` are the one-row
+    cases, so a function is evaluated one way whatever the row count.
     """
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray]
+    gradients: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], BilinearForm]
     name: str = ""
-    value_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gradient_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """``value(x)`` for every row x of X."""
-        if self.value_rows is not None:
-            return np.asarray(self.value_rows(X), dtype=float)
-        return np.array([self.value(x) for x in X], dtype=float).reshape(len(X))
+    def value(self, x) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
-    def gradients(self, X: np.ndarray) -> np.ndarray:
-        """``gradient(x)`` for every row x of X, one row each."""
-        if self.gradient_rows is not None:
-            return np.asarray(self.gradient_rows(X), dtype=float)
-        return np.array([self.gradient(x) for x in X], dtype=float).reshape(X.shape)
+    def gradient(self, x) -> np.ndarray:
+        return self.gradients(np.asarray(x, dtype=float)[None])[0]
 
 
 def quadratic(
@@ -183,24 +175,17 @@ def quadratic(
     if weights is None:
         weights = np.ones(n)
     winv = 1.0 / np.asarray(weights, dtype=float)
+    form = matrix_form(matrix, weights)
 
-    def val(x):
-        return float(constant + linear @ x + 0.5 * x @ matrix @ x)
+    def values(X):
+        return constant + X @ linear + 0.5 * form.quad_rows(X)
 
-    def grad(x):
-        return winv * (linear + matrix @ x)
+    def gradients(X):
+        # one row gives the matrix-vector product matrix @ x (X @ matrix
+        # rounds differently)
+        return winv * (linear + (matrix @ X.T).T)
 
-    def hess(_x):
-        return matrix_form(matrix, weights)
-
-    def val_rows(X):
-        return constant + X @ linear + 0.5 * np.einsum("ij,ij->i", X @ matrix, X)
-
-    def grad_rows(X):
-        return winv * (linear + X @ matrix)  # matrix is symmetric
-
-    return SmoothFunction(value=val, gradient=grad, hessian=hess, name=name,
-                          value_rows=val_rows, gradient_rows=grad_rows)
+    return SmoothFunction(values=values, gradients=gradients, hessian=lambda _x: form, name=name)
 
 
 @dataclass(frozen=True)
@@ -327,7 +312,12 @@ def validate_derivatives(
 
     Step h = 1e-5 (1 + ||x||).  The gradient is probed along every
     coordinate (capped), the Hessian along coordinate and random directions
-    through the quadratic form h -> H[h, h].
+    through the quadratic form h -> H[h, h].  Each function is evaluated in
+    one ``values`` call on the block of all probe points (x, then x + h e_i
+    and x + h d, then x - h e_i and x - h d), and its gradient and Hessian
+    in one call each.  A result of the wrong shape raises
+    ``DimensionMismatch``, and a value, gradient or Hessian value that is
+    not finite raises ``NonFiniteValue``.
     """
 
     v = as_entries(x, p.dim)
@@ -342,52 +332,45 @@ def validate_derivatives(
     coords = list(range(p.dim)) if p.dim <= 32 else sorted(
         rng.choice(p.dim, size=32, replace=False).tolist()
     )
-    probe_dirs = []
-    for i in coords[:directions]:
-        e = np.zeros(p.dim)
-        e[i] = 1.0
-        probe_dirs.append(e)
-    for _ in range(max(0, directions - len(probe_dirs))):
+    c, unit = len(coords), coords[:directions]
+    # Hessian probe directions: unit coordinates, then weighted-unit random ones
+    D = np.zeros((len(unit) + max(0, directions - len(unit)), p.dim))
+    D[np.arange(len(unit)), unit] = 1.0
+    for row in D[len(unit):]:
         d = rng.standard_normal(p.dim)
-        probe_dirs.append(d / weighted_norm(p.weights, d))
+        row[:] = d / weighted_norm(p.weights, d)
+    offsets = np.zeros((c, p.dim))
+    offsets[np.arange(c), coords] = step
+    offsets = np.concatenate([offsets, step * D])
+    probes = v + np.concatenate([np.zeros((1, p.dim)), offsets, -offsets])
 
     for name, fn in funcs:
+        F = np.asarray(fn.values(probes), dtype=float)
         grad = np.asarray(fn.gradient(v), dtype=float)
-        hess = fn.hessian(v)
-        f0 = fn.value(v)
-        if not math.isfinite(f0):
+        analytic_h = np.asarray(fn.hessian(v).quad_rows(D), dtype=float)
+        if (F.shape, grad.shape, analytic_h.shape) != ((len(probes),), (p.dim,), (len(D),)):
+            raise DimensionMismatch(
+                f"{name}: values, gradient and quad_rows returned shapes {F.shape}, {grad.shape}"
+                f" and {analytic_h.shape} for {len(probes)} and {len(D)} rows of dimension {p.dim}")
+        if not math.isfinite(F[0]):
             raise NonFiniteValue(f"{name} not finite at the validation point")
-        worst_g = 0.0
-        worst_h = 0.0
-        grad_ok = True
-        for i in coords:
-            e = np.zeros(p.dim)
-            e[i] = step
-            fp, fm = fn.value(v + e), fn.value(v - e)
-            if not (math.isfinite(fp) and math.isfinite(fm)):
-                raise NonFiniteValue(f"{name} not finite at a probe point")
-            fd = (fp - fm) / (2.0 * step)
-            analytic = p.weights[i] * grad[i]
-            err = abs(analytic - fd)
-            worst_g = max(worst_g, err)
-            if err > max(tol.derivative_abs, tol.derivative_rel * abs(fd)):
-                grad_ok = False
-        hess_ok = True
-        for d in probe_dirs:
-            hd = step * d
-            fd2 = (fn.value(v + hd) - 2.0 * f0 + fn.value(v - hd)) / (step * step)
-            analytic = hess(d, d)
-            err = abs(analytic - fd2)
-            worst_h = max(worst_h, err)
-            if err > max(tol.derivative_abs, tol.derivative_rel * abs(fd2)):
-                hess_ok = False
-        ok = grad_ok and hess_ok
+        if not np.all(np.isfinite(F)):
+            raise NonFiniteValue(f"{name} not finite at a probe point")
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(analytic_h))):
+            raise NonFiniteValue(f"{name}: gradient or Hessian not finite at the validation point")
+        f0, plus, minus = F[0], F[1:1 + len(offsets)], F[1 + len(offsets):]
+        fd = (plus[:c] - minus[:c]) / (2.0 * step)
+        err_g = np.abs(p.weights[coords] * grad[coords] - fd)
+        fd2 = (plus[c:] - 2.0 * f0 + minus[c:]) / (step * step)
+        err_h = np.abs(analytic_h - fd2)
+        ok = bool(np.all(err_g <= np.maximum(tol.derivative_abs, tol.derivative_rel * np.abs(fd)))
+                  and np.all(err_h <= np.maximum(tol.derivative_abs, tol.derivative_rel * np.abs(fd2))))
         ok_all = ok_all and ok
         reports.append(
             {
                 "function": name,
-                "gradient_max_error": worst_g,
-                "hessian_max_error": worst_h,
+                "gradient_max_error": float(np.max(err_g, initial=0.0)),
+                "hessian_max_error": float(np.max(err_h, initial=0.0)),
                 "passed": ok,
             }
         )

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kkt2.problem_file
 from kkt2 import stages
 from kkt2.cli import main
 from kkt2.config import DEFAULT_TOLERANCES, SearchBudget
@@ -322,6 +324,26 @@ class TestCLI:
         code = main([argv[0], problem_file, "--at", stationary_point, *argv[1:]])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_nonfinite_probe_value_exits_3(self, capsys, tmp_path, monkeypatch):
+        """A problem-file objective made NaN off the coordinate axes:
+        derivative validation meets it at a random Hessian probe and the
+        CLI exits 3 with the reason, not with a verdict."""
+        real = kkt2.problem_file.quadratic
+
+        def nan_off_the_axes(*args, **kwargs):
+            fn = real(*args, **kwargs)
+            return replace(fn, values=lambda X: np.where(X[:, 0] * X[:, 1] == 0.0, fn.values(X), np.nan))
+
+        monkeypatch.setattr(kkt2.problem_file, "quadratic", nan_off_the_axes)
+        spec, point = tmp_path / "p.json", tmp_path / "x.json"
+        spec.write_text(json.dumps({
+            "dimension": 2, "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "objective": {"constant": 0.0, "linear": [0.0, 0.0], "quadratic": [[0, 0, 2.0], [1, 1, 2.0]]},
+            "constraints": [], "m1": 0}))
+        point.write_text(json.dumps({"point": [0.0, 0.0]}))
+        assert main(["validate-derivatives", str(spec), "--at", str(point)]) == 3
+        assert "not finite at a probe point" in capsys.readouterr().err
 
     def test_negative_seed_of_a_builtin_chain_and_of_the_environment(
             self, capsys, problem_file, stationary_point, monkeypatch):

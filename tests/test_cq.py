@@ -254,18 +254,18 @@ class TestWeightInvariance:
             p, xbar, _, _ = random_stationary_problem(rng, max_dim=4, max_constraints=3)
             weights = np.random.default_rng(900 + seed).uniform(0.2, 5.0, p.dim)
             reweighted = ProblemSpec(
-                _reweighted(p.objective, xbar, p.dim, weights),
-                tuple(_reweighted(g, xbar, p.dim, weights) for g in p.constraints),
+                _reweighted(p.objective, xbar, p.weights, weights),
+                tuple(_reweighted(g, xbar, p.weights, weights) for g in p.constraints),
                 p.m1, p.abstract_set, weights)
             assert self.verdicts(reweighted, xbar) == self.verdicts(p, xbar)
 
 
-def _reweighted(f, x, n, weights):
+def _reweighted(f, x, old_weights, weights):
     """The same plain-coordinate quadratic as f (unit weights), stored with
-    other weights: quadratic() keeps the plain linear term and matrix."""
+    other weights: quadratic() keeps the plain linear term and matrix, which
+    is the Riesz map of f''(x) scaled back by the weights f was built with."""
     g = np.asarray(f.gradient(x), dtype=float)
-    H = np.array([[f.hessian(x)(np.eye(n)[i], np.eye(n)[j]) for j in range(n)]
-                  for i in range(n)])
+    H = f.hessian(x).apply_rows(np.eye(len(x))) * old_weights
     linear_term = g - H @ x
     constant = f.value(x) - linear_term @ x - 0.5 * x @ H @ x
     return quadratic(constant, linear_term, H, weights)

@@ -26,8 +26,8 @@ from kkt2.curvature import (
 from kkt2.errors import UsageError
 from kkt2.examples import DELTA, build_example1, build_example2
 from kkt2.kkt import multiplier_set
-from kkt2.linalg import PolytopeH, matrix_form, weighted_norm
-from kkt2.model import BoxSet, ProblemSpec, SmoothFunction, quadratic
+from kkt2.linalg import PolytopeH, weighted_norm
+from kkt2.model import BoxSet, ProblemSpec, quadratic
 
 from helpers import box_samples_per_try, growth_margins_per_sample, random_stationary_problem
 
@@ -429,20 +429,10 @@ def _bounded_random_problems(rng, count):
             yield p, xbar, mset
 
 
-def _assert_rows_match(fn, X):
-    """``values``/``gradients`` of ``fn`` against ``value``/``gradient`` row
-    by row, within 1e-12 relative."""
-    _assert_close(fn.values(X), [fn.value(x) for x in X])
-    grads = fn.gradients(X)
-    assert grads.shape == X.shape
-    for g, x in zip(grads, X):
-        _assert_close(g, fn.gradient(x))
-
-
 class TestBatchedValues:
     """The block loop of the batteries against ``q_of_h`` and
-    ``fixed_mu_value`` direction by direction, and the row evaluators of
-    ``SmoothFunction`` against its per-point callables."""
+    ``fixed_mu_value`` direction by direction, and ``quadratic``'s row
+    evaluators against its defining formulas."""
 
     def test_random_matrix_forms(self):
         rng = np.random.default_rng(71)
@@ -459,8 +449,6 @@ class TestBatchedValues:
         block boundary of ``_battery_values``."""
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
-        assert mset.f_form.quad_rows is not None
-        assert all(g.quad_rows is not None for g in mset.g_forms)
         rng = np.random.default_rng(grid)
         H = rng.standard_normal((_BLOCK_ENTRIES // grid + 3, grid))
         H[::7] = 0.0
@@ -496,53 +484,40 @@ class TestBatchedValues:
         _assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])
 
     def test_quadratic_with_weights(self):
+        """``quadratic``'s rows against its defining formulas row by row:
+        c + l.x + x.M_s.x / 2 and W^-1 (l + M_s x), M_s the symmetric part."""
         rng = np.random.default_rng(12)
         for n in (1, 3, 17):
-            M = rng.standard_normal((n, n))
-            fn = quadratic(0.7, rng.standard_normal(n), M, rng.uniform(0.5, 2.0, n))
-            _assert_rows_match(fn, rng.standard_normal((9, n)))
-            _assert_rows_match(fn, np.empty((0, n)))
-
-    @pytest.mark.parametrize("grid", [12, 120])
-    def test_example1_functions(self, grid):
-        """Gaussian rows around xbar, clipped so many entries sit on the box
-        bounds, plus xbar itself and the bounds."""
-        ex = build_example1(grid)
-        rng = np.random.default_rng(grid)
-        X = np.clip(ex.xbar + 0.8 * rng.standard_normal((12, grid)), -1.0, 1.0)
-        X[0], X[1], X[2] = ex.xbar, -1.0, 1.0
-        assert np.any(np.abs(X[3:]) == 1.0)
-        for fn in (ex.problem.objective, *ex.problem.constraints):
-            assert fn.value_rows is not None and fn.gradient_rows is not None
-            _assert_rows_match(fn, X)
-
-    def test_fallback_without_row_callables(self):
-        M = np.array([[2.0, 0.5], [0.5, 1.0]])
-        fn = SmoothFunction(lambda x: float(x @ M @ x), lambda x: 2.0 * M @ x,
-                            lambda _x: matrix_form(2.0 * M))
-        assert fn.value_rows is None and fn.gradient_rows is None
-        X = np.random.default_rng(3).standard_normal((6, 2))
-        _assert_close(fn.values(X), [float(x @ M @ x) for x in X])
-        assert np.array_equal(fn.gradients(X), np.array([2.0 * M @ x for x in X]))
-        assert fn.values(np.empty((0, 2))).shape == (0,)
-        assert fn.gradients(np.empty((0, 2))).shape == (0, 2)
+            M, lin, w = rng.standard_normal((n, n)), rng.standard_normal(n), rng.uniform(0.5, 2.0, n)
+            Ms = 0.5 * (M + M.T)
+            fn = quadratic(0.7, lin, M, w)
+            X = rng.standard_normal((9, n))
+            _assert_close(fn.values(X), [0.7 + lin @ x + 0.5 * x @ Ms @ x for x in X])
+            _assert_close(fn.gradients(X), [(lin + Ms @ x) / w for x in X])
+            _assert_close(fn.hessian(X[0]).quad_rows(X), [x @ Ms @ x for x in X])
+            for x in X:
+                assert fn.value(x) == fn.values(x[None])[0]
+                assert np.array_equal(fn.gradient(x), fn.gradients(x[None])[0])
+            assert fn.values(np.empty((0, n))).shape == (0,)
+            assert fn.gradients(np.empty((0, n))).shape == (0, n)
 
     def test_growth_makes_no_per_point_constraint_calls(self):
-        """On example1 the sampler evaluates its constraint only through the
-        row callables."""
+        """On example1 the sampler evaluates its constraint a row block at a
+        time: its one one-row call is the constraint gradient at x."""
         ex = build_example1(120)
         g = ex.problem.constraints[0]
         calls = []
 
         def counted(name, f):
-            def call(x):
-                calls.append(name)
-                return f(x)
+            def call(X):
+                calls.append((name, len(X)))
+                return f(X)
             return call
 
-        g_counted = replace(g, value=counted("value", g.value),
-                            gradient=counted("gradient", g.gradient))
+        g_counted = replace(g, values=counted("values", g.values),
+                            gradients=counted("gradients", g.gradients))
         p = replace(ex.problem, constraints=(g_counted,))
         res = sample_growth(p, ex.xbar, alpha=0.5, eps=0.05, n_samples=250)
         assert res.samples_accepted == 250
-        assert calls == []
+        assert [c for c in calls if c[1] == 1] == [("gradients", 1)]
+        assert len(calls) < res.tries / 2

@@ -119,8 +119,8 @@ class TestMultiplierSet:
         g = p.constraints[0]
         scaled = ProblemSpec(
             p.objective,
-            (type(g)(value=lambda v: c * g.value(v),
-                     gradient=lambda v: c * g.gradient(v),
+            (type(g)(values=lambda X: c * g.values(X),
+                     gradients=lambda X: c * g.gradients(X),
                      hessian=lambda v: _scaled_form(g.hessian(v), c)),),
             p.m1, p.abstract_set, p.weights)
         base = multiplier_set(p, x)
@@ -135,8 +135,8 @@ def _scaled_form(form, c):
     from kkt2.linalg import BilinearForm
 
     return BilinearForm(
-        evaluator=lambda a, b: c * form(a, b),
-        apply=(lambda h: c * form.apply(h)) if form.apply else None,
+        lambda H: c * form.quad_rows(H),
+        (lambda H: c * form.apply_rows(H)) if form.apply_rows else None,
     )
 
 

@@ -1,6 +1,7 @@
 """Problem model: feasibility, active sets, derivative validation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kkt2.cones import FREE, NONNEG, NONPOS, ZERO
 from kkt2.errors import DimensionMismatch, NonFiniteValue
 from kkt2.examples import build_example1
 from kkt2.kkt import multiplier_set
-from kkt2.linalg import BilinearForm
+from kkt2.linalg import BilinearForm, matrix_form
 from kkt2.model import (
     BoxSet,
     ProblemSpec,
@@ -106,8 +107,8 @@ class TestValidateDerivatives:
         A = np.array([[2.0, 0.0], [0.0, 1.0]])
         good = quadratic(0.0, np.array([1.0, -1.0]), A)
         bad = SmoothFunction(
-            value=good.value,
-            gradient=lambda x: 1.01 * good.gradient(x),
+            values=good.values,
+            gradients=lambda X: 1.01 * good.gradients(X),
             hessian=good.hessian,
         )
         p = ProblemSpec(bad, (), 0, BoxSet(np.full(2, -5.0), np.full(2, 5.0)), np.ones(2))
@@ -135,36 +136,122 @@ class TestValidateDerivatives:
 
     def test_nonfinite_value_raises(self):
         f = SmoothFunction(
-            value=lambda x: float("inf"),
-            gradient=lambda x: np.zeros(1),
-            hessian=lambda x: BilinearForm(lambda a, b: 0.0),
+            values=lambda X: np.full(len(X), np.inf),
+            gradients=np.zeros_like,
+            hessian=lambda x: _zero_form(),
         )
         p = ProblemSpec(f, (), 0, BoxSet(np.array([-1.0]), np.array([1.0])), np.ones(1))
         with pytest.raises(NonFiniteValue):
             validate_derivatives(p, np.zeros(1))
 
+    def test_nan_off_the_axes_raises(self):
+        """x.x on the coordinate axes and NaN off them: the coordinate probes
+        are finite, the two random Hessian probes are not."""
+        f = SmoothFunction(
+            values=lambda X: np.where(X[:, 0] * X[:, 1] == 0.0, np.sum(X * X, axis=1), np.nan),
+            gradients=lambda X: 2.0 * X,
+            hessian=lambda x: matrix_form(2.0 * np.eye(2)),
+        )
+        p = ProblemSpec(f, (), 0, BoxSet(np.full(2, -1.0), np.full(2, 1.0)), np.ones(2))
+        with pytest.raises(NonFiniteValue, match="probe point"):
+            validate_derivatives(p, np.zeros(2), directions=4)
+        # on the axes alone (the two unit directions) the same function passes
+        assert validate_derivatives(p, np.zeros(2), directions=2).passed
+
+    @pytest.mark.parametrize("broken", ["gradients", "hessian"])
+    def test_nonfinite_analytic_derivative_raises(self, broken):
+        good = quadratic(0.0, np.zeros(2), np.eye(2))
+        fields = {"gradients": lambda X: np.full(X.shape, np.nan),
+                  "hessian": lambda x: BilinearForm(lambda H: np.full(len(H), np.nan))}
+        f = replace(good, **{broken: fields[broken]})
+        p = ProblemSpec(f, (), 0, BoxSet(np.full(2, -1.0), np.full(2, 1.0)), np.ones(2))
+        with pytest.raises(NonFiniteValue, match="not finite at the validation point"):
+            validate_derivatives(p, np.zeros(2))
+
+    @pytest.mark.parametrize("broken", ["values", "gradients", "hessian"])
+    def test_row_evaluators_of_the_wrong_shape_are_rejected(self, broken):
+        """A (k, 1) column of values, a gradient row of the wrong length and
+        a (k, 1) column of form values are usage errors, not a verdict."""
+        good = quadratic(0.0, np.zeros(2), np.eye(2))
+        fields = {"values": lambda X: good.values(X)[:, None],
+                  "gradients": lambda X: good.gradients(X)[:, :1],
+                  "hessian": lambda x: BilinearForm(lambda H: good.hessian(x).quad_rows(H)[:, None])}
+        f = replace(good, **{broken: fields[broken]})
+        p = ProblemSpec(f, (), 0, BoxSet(np.full(2, -1.0), np.full(2, 1.0)), np.ones(2))
+        with pytest.raises(DimensionMismatch, match="returned shapes"):
+            validate_derivatives(p, np.zeros(2))
+
+    def test_one_values_call_per_function(self):
+        """Every probe point of a function goes through one ``values`` call,
+        and its gradient through one ``gradients`` call: at example1 grid
+        480, 1 + 2 * 32 coordinate probes and 2 * 16 Hessian probes."""
+        ex = build_example1(480)
+        calls = []
+
+        def spied(fn):
+            def values(X):
+                calls.append((fn.name, "values", X.shape))
+                return fn.values(X)
+
+            def gradients(X):
+                calls.append((fn.name, "gradients", X.shape))
+                return fn.gradients(X)
+
+            return replace(fn, values=values, gradients=gradients)
+
+        p = ex.problem
+        p = replace(p, objective=spied(p.objective), constraints=tuple(map(spied, p.constraints)))
+        assert validate_derivatives(p, ex.xbar).passed
+        assert sorted(calls) == [("f", "gradients", (1, 480)), ("f", "values", (97, 480)),
+                                 ("g", "gradients", (1, 480)), ("g", "values", (97, 480))]
+
+
+def _zero_form() -> BilinearForm:
+    return BilinearForm(lambda H: np.zeros(len(H)), np.zeros_like)
+
+
+def _form_pairs():
+    """Example1's two grid forms at grid 24, and the Hessian of a quadratic
+    with non-unit weights, each with its weights."""
+    ex = build_example1(24)
+    p = ex.problem
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(0.5, 2.0, 7)
+    q = quadratic(0.0, np.zeros(7), rng.standard_normal((7, 7)), weights)
+    return [(p.objective.hessian(ex.xbar), p.weights), (p.constraints[0].hessian(ex.xbar), p.weights),
+            (q.hessian(np.zeros(7)), weights)]
+
 
 class TestBilinearFormContracts:
-    def test_symmetry_and_bilinearity(self):
-        ex = build_example1(24)
-        rng = np.random.default_rng(6)
-        f2 = ex.problem.objective.hessian(ex.xbar)
-        g2 = ex.problem.constraints[0].hessian(ex.xbar)
-        for form in (f2, g2):
-            for _ in range(20):
-                a, b, c = (rng.standard_normal(24) for _ in range(3))
-                alpha = rng.standard_normal()
-                sym_scale = max(abs(form(a, b)), abs(form(b, a)), 1e-30)
-                assert abs(form(a, b) - form(b, a)) <= 1e-12 * max(1.0, sym_scale)
-                lin = form(alpha * a + b, c)
-                ref = alpha * form(a, c) + form(b, c)
-                assert abs(lin - ref) <= 1e-10 * max(1.0, abs(lin), abs(ref))
+    """Symmetry and linearity of a form through its Riesz map: <apply(a), b>_w
+    is B(a, b)."""
 
-    def test_apply_consistent_with_evaluator(self):
-        ex = build_example1(24)
-        p = ex.problem
-        rng = np.random.default_rng(8)
-        f2 = p.objective.hessian(ex.xbar)
-        for _ in range(10):
-            h, v = rng.standard_normal(24), rng.standard_normal(24)
-            assert f2(h, v) == pytest.approx(p.inner(f2.apply(h), v), abs=1e-12)
+    @pytest.mark.parametrize("case", range(3))
+    def test_symmetry_and_linearity(self, case):
+        form, w = _form_pairs()[case]
+        rng = np.random.default_rng(6 + case)
+        A, B = rng.standard_normal((2, 20, len(w)))
+        alpha = rng.standard_normal(20)[:, None]
+        AB = np.einsum("ij,ij->i", form.apply_rows(A) * w, B)
+        BA = np.einsum("ij,ij->i", form.apply_rows(B) * w, A)
+        np.testing.assert_allclose(AB, BA, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(form.apply_rows(alpha * A + B),
+                                   alpha * form.apply_rows(A) + form.apply_rows(B),
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_quad_is_the_form_on_the_diagonal(self, case):
+        form, w = _form_pairs()[case]
+        H = np.random.default_rng(8 + case).standard_normal((10, len(w)))
+        np.testing.assert_allclose(form.quad_rows(H),
+                                   np.einsum("ij,ij->i", form.apply_rows(H) * w, H),
+                                   rtol=1e-12, atol=1e-12)
+        for h in H:
+            assert form.quad(h) == form.quad_rows(h[None])[0]
+            assert np.array_equal(form.apply(h), form.apply_rows(h[None])[0])
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_zero_rows(self, case):
+        form, w = _form_pairs()[case]
+        assert form.quad_rows(np.empty((0, len(w)))).shape == (0,)
+        assert form.apply_rows(np.empty((0, len(w)))).shape == (0, len(w))

@@ -411,18 +411,24 @@ def _many_multiplier_case():
     return mset, lambda m: critical_cone(m, 0.0), mus
 
 
-def _count_quad_batch(monkeypatch) -> Counter:
-    """Counts ``BilinearForm.quad_batch`` calls by form and row block.  The
-    blocks are kept alive, so no two of them share a key."""
+def _count_block_quads(monkeypatch) -> Counter:
+    """Counts the ``quad_rows`` calls on row blocks (more than one row) by
+    form and block, for every form built after this call; one-row calls are
+    the ``quad`` of chosen directions and descent steps.  The blocks are
+    kept alive, so no two of them share a key."""
     calls, blocks = Counter(), []
-    real = linalg.BilinearForm.quad_batch
+    real_init = linalg.BilinearForm.__init__
 
-    def spy(form, H):
-        blocks.append(H)
-        calls[id(form), H.__array_interface__["data"][0], H.shape] += 1
-        return real(form, H)
+    def init(form, quad_rows, apply_rows=None):
+        def spy(H):
+            if len(H) > 1:
+                blocks.append(H)
+                calls[id(form), H.__array_interface__["data"][0], H.shape] += 1
+            return quad_rows(H)
 
-    monkeypatch.setattr(linalg.BilinearForm, "quad_batch", spy)
+        real_init(form, spy, apply_rows)
+
+    monkeypatch.setattr(linalg.BilinearForm, "__init__", init)
     return calls
 
 
@@ -458,7 +464,7 @@ class TestBatteryColumnsOncePerCone:
         """``repro example1`` evaluates each form once per row block of each
         battery: the display cone's sup form and its 11 fixed multipliers
         share one pass of 576 rows instead of 12."""
-        calls = _count_quad_batch(monkeypatch)
+        calls = _count_block_quads(monkeypatch)
         _, report = run_example1_certification(480)
         assert report.checks[-1].verdict == "pass"
         assert max(calls.values()) == 1
@@ -472,10 +478,10 @@ class TestBatteryColumnsOncePerCone:
         """Columns are kept with the point object that computed them: a search
         with another ``MultiplierSet`` over the same cone evaluates the forms
         again, and reports what the first one did."""
+        calls = _count_block_quads(monkeypatch)
         p, x = many_multiplier_spec(0)
         first, second = multiplier_set(p, x), multiplier_set(p, x)
         cone = critical_cone(first, 0.0)
-        calls = _count_quad_batch(monkeypatch)
         verdict = check_snc(first, cone=cone, budget=BUDGET)
         once = sum(calls.values())
         assert once == len(calls) > 0 and len({form for form, _, _ in calls}) == 1 + first.m
