@@ -8,22 +8,21 @@ equalities, <=0 on active inequalities, free on inactive ones).  Critical
 cones add linear cuts from the constraint derivatives and the objective.
 Each cut r is tested by one formula, at tol (1 + max|h|) (1 + max|r|)
 (``CriticalCone._cuts_hold``), in membership and in every sampler.
-Cuts whose terms are single-signed on the cone are absorbed into the
-pattern (they force components to zero), which is what turns e.g. an
-objective cut into a plain componentwise condition.
+Every box cone is read off the point object and never folded afterwards.
 At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier (``MultiplierSet.annihilator``), so its
 implicit equalities enter as =0 coordinates and equality rows, and random
-draws land in it after one projection.  Every box cone lands its draws with
+draws land in it after one projection; other box cones keep K's rows and
+the objective cut as plain rows.  Every box cone lands its draws with
 one in-place sweep (``_land_rows``): clamp, one projection onto the rows'
 null space, then exact projections onto the section of the rows by each
 row's face, each row stopping on its own.  A hull's critical cone starts from its tangent
 rays instead: their facets (``linalg.cone_facets``) decide membership, and
 random draws combine its section generators: the facets plus the cuts, run
-through the double-description routine.  A box cone with leftover
-inequality rows, where landed gaussian starts rarely meet the rows and the
-objective cut, lists the same generators with its sign pattern read as
-rows, and draws from them once the starts stop landing.
+through the double-description routine.  A box cone with inequality
+rows, where landed gaussian starts rarely meet the rows and the objective
+cut, lists the same generators with its sign pattern read as rows, and
+draws from them once the starts stop landing.
 ``radial_density_gap`` measures the Euclidean distance from a direction to
 the same kind of section, one NNLS (``linalg.conic_distance``) per
 truncation; nothing here solves an LP.
@@ -123,69 +122,6 @@ def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> Si
 
 
 # --------------------------------------------------------------------------
-# Row absorption
-# --------------------------------------------------------------------------
-
-
-def absorb_rows(
-    pattern: SignPatternCone,
-    eq_rows: Sequence[np.ndarray],
-    ineq_rows: Sequence[np.ndarray],
-) -> tuple[SignPatternCone, list[np.ndarray], list[np.ndarray]]:
-    """Fold rows whose terms are single-signed on the pattern into the pattern.
-
-    A row <r, h>_w <= 0 whose nonzero terms w_i r_i h_i are all >= 0 on the
-    cone holds iff every term vanishes, i.e. h_i = 0 on the row support; the
-    row disappears and those components become =0.  The weights are
-    positive, so the term signs need only the row and the pattern.
-    Equality rows absorb when the terms are single-signed in either
-    direction.  Iterates to a fixed point, since zeroing components can
-    unlock further rows.
-    """
-
-    codes = np.array(pattern.codes, dtype=np.int8)
-    pending: list[tuple[np.ndarray, bool]] = [(np.asarray(r, dtype=float), True) for r in eq_rows]
-    pending += [(np.asarray(r, dtype=float), False) for r in ineq_rows]
-
-    def term_signs(r):
-        signs = []
-        support = []
-        for i in np.nonzero(np.abs(r) > 1e-14)[0]:
-            c = codes[i]
-            if c == ZERO:
-                continue
-            if c == FREE:
-                return None, None
-            s = 1.0 if ((r[i] > 0) == (c == NONNEG)) else -1.0
-            signs.append(s)
-            support.append(i)
-        return signs, support
-
-    changed = True
-    while changed:
-        changed = False
-        remaining: list[tuple[np.ndarray, bool]] = []
-        for r, is_eq in pending:
-            signs, support = term_signs(r)
-            if signs is None:
-                remaining.append((r, is_eq))
-                continue
-            if not support:
-                continue  # row already implied by the pattern
-            same_sign = all(s > 0 for s in signs) or (is_eq and all(s < 0 for s in signs))
-            if same_sign:
-                codes[support] = ZERO
-                changed = True
-            else:
-                remaining.append((r, is_eq))
-        pending = remaining
-
-    eq_left = [r for r, is_eq in pending if is_eq]
-    ineq_left = [r for r, is_eq in pending if not is_eq]
-    return SignPatternCone(codes), eq_left, ineq_left
-
-
-# --------------------------------------------------------------------------
 # Critical cones
 # --------------------------------------------------------------------------
 
@@ -196,35 +132,38 @@ class CriticalCone:
 
     ``base_pattern`` (box problems) or ``base_rays`` (generated-cone
     problems) carries the abstract-set geometry; ``eq_rows``/``ineq_rows``
-    are leftover functional cuts applied through the weighted inner product;
-    the objective cut is f'(x).h <= eta ||h|| when ``objective_gradient`` is
-    kept (eta = 0 gives the plain critical cone).
+    are the functional cuts, read-only (k, n) arrays (any sequence of rows
+    is coerced), applied through the weighted inner product; the objective
+    cut is f'(x).h <= eta ||h|| when ``objective_gradient`` is kept (eta = 0
+    gives the plain critical cone).
     """
 
     weights: np.ndarray
     base_pattern: Optional[SignPatternCone]
     base_rays: tuple[np.ndarray, ...]
-    eq_rows: tuple[np.ndarray, ...]
-    ineq_rows: tuple[np.ndarray, ...]
+    eq_rows: np.ndarray
+    ineq_rows: np.ndarray
     objective_gradient: Optional[np.ndarray]
     eta: float
 
     def __post_init__(self):
+        for name in ("eq_rows", "ineq_rows"):
+            R = np.array(getattr(self, name), dtype=float).reshape(-1, self.dim)
+            R.flags.writeable = False
+            object.__setattr__(self, name, R)
         object.__setattr__(self, "_battery_cache", {})
-        if self.eq_rows:
+        if len(self.eq_rows):
             # h -> h - (h @ A.T) @ B is the weighted projection onto the rows'
             # null space: with s = sqrt(w), the rows of Q are an orthonormal
             # basis of the rows of R * s, A = Q * s and B = Q / s
-            R = np.array([np.asarray(r, dtype=float) for r in self.eq_rows])
+            R = self.eq_rows
             s = np.sqrt(self.weights)
             _, sv, Vt = np.linalg.svd(R * s, full_matrices=False)
             rank = int(np.sum(sv > sv[0] * max(R.shape) * np.finfo(float).eps))
             Q = Vt[:rank]
-            object.__setattr__(self, "_eq_matrix", R)
             object.__setattr__(self, "_eq_weighted", R * self.weights)
             object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
-            object.__setattr__(self, "_eq_matrix", None)
             object.__setattr__(self, "_eq_weighted", None)
             object.__setattr__(self, "_eq_projector", None)
 
@@ -237,13 +176,13 @@ class CriticalCone:
     @cached_property
     def has_generators(self) -> bool:
         """Whether ``generators`` is listed: always for ray-based cones; for
-        box cones with leftover inequality rows unless the section has more
-        than ``_MAX_GENERATORS`` generators (one mixed-sign row over p >= 0
+        box cones with inequality rows unless the section has more than
+        ``_MAX_GENERATORS`` generators (one mixed-sign row over p >= 0
         and q <= 0 coordinates alone adds p q rays).  Box cones without
         inequality rows need none: the landing sweep lands in them."""
         if self.base_pattern is None:
             return True
-        if not self.ineq_rows:
+        if not len(self.ineq_rows):
             return False
         try:
             self.generators
@@ -268,8 +207,8 @@ class CriticalCone:
             codes = self.base_pattern.codes
             signed = np.eye(self.dim) * np.where(codes == NONNEG, -1.0, 1.0)[:, None]
             L, R = signed[codes == ZERO], signed[(codes == NONNEG) | (codes == NONPOS)]
-        eq = [(a, 0.0) for a in (*L, *(self.weights * r for r in self.eq_rows))]
-        ineq = [(a, 0.0) for a in (*R, *(self.weights * r for r in self.ineq_rows))]
+        eq = [(a, 0.0) for a in (*L, *(self.weights * self.eq_rows))]
+        ineq = [(a, 0.0) for a in (*R, *(self.weights * self.ineq_rows))]
         return cone_is_trivial(self.dim, eq, ineq)[1]
 
     @cached_property
@@ -277,10 +216,8 @@ class CriticalCone:
         """(A, bounds, k): the weighted cut rows w r, the k equality rows
         first, then the inequality rows and f'(x), with each row's bound
         1 + max|r|."""
-        rows = [*self.eq_rows, *self.ineq_rows]
-        if self.objective_gradient is not None:
-            rows.append(self.objective_gradient)
-        R = np.array(rows, dtype=float).reshape(len(rows), self.dim)
+        objective = () if self.objective_gradient is None else (self.objective_gradient,)
+        R = np.vstack([self.eq_rows, self.ineq_rows, *objective])
         return R * self.weights, 1.0 + np.abs(R).max(axis=1, initial=0.0), len(self.eq_rows)
 
     def _cuts_hold(self, H: np.ndarray, tol: float) -> np.ndarray:
@@ -316,68 +253,51 @@ class CriticalCone:
         return ok & self._cuts_hold(H, tol)
 
 
-def critical_cone(
-    mset: "MultiplierSet", eta: float = 0.0, constraint_rows: bool = True
-) -> CriticalCone:
+def critical_cone(mset: "MultiplierSet", eta: float = 0.0) -> CriticalCone:
     """Critical cone (eta = 0) or extended critical cone (eta > 0) at the
     point of ``mset``, read with its tangent patterns, f'(x) and g'(x).
 
-    ``constraint_rows=False`` drops the g'(x)-cuts and keeps only the
-    tangent cone intersected with the objective cut.  With eta = 0 the
-    objective cut enters as f'(x).h <= 0; it is absorbed into the sign
-    pattern whenever its terms are single-signed on the tangent cone.
+    On a box at eta = 0, a nonempty bounded multiplier set gives the
+    annihilator section of its vertex barycenter mu: at a KKT point every
+    multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 : g'(x)h in
+    T_K(g(x)), mu . g'(x)h = 0}, and the objective row is implied.  The
+    barycenter is a relative-interior point, so mu_i or lambda_j is nonzero
+    wherever some multiplier's is (Goldman & Tucker 1956): every implicit
+    equality of the cone becomes explicit.  The base pattern is the C
+    section (``MultiplierSet.annihilator``), and the rows are the g_i'(x)
+    with code =0 in the K section as equalities and those with code <=0 as
+    inequalities.
 
-    On a box at eta = 0 with constraint rows, a nonempty bounded multiplier
-    set gives the annihilator section of its vertex barycenter mu: at a KKT
-    point every multiplier gives C(x) = {h in T_C(x), <lambda, h>_w = 0 :
-    g'(x)h in T_K(g(x)), mu . g'(x)h = 0}, and the objective row is
-    implied.  The barycenter is a relative-interior point, so mu_i or
-    lambda_j is nonzero wherever some multiplier's is (Goldman & Tucker
-    1956): every implicit equality of the cone becomes explicit.  The base
-    pattern is the C section (``MultiplierSet.annihilator``), and the rows
-    are the g_i'(x) with code =0 in the K section as equalities and those
-    with code <=0 as inequalities.  Box rows are zero on the =0
-    coordinates, so one projection onto the equality rows keeps those
-    coordinates at zero.
+    Otherwise the base is the tangent pattern (or the hull's tangent rays)
+    with K's rows, and the objective cut is the row f'(x).h <= 0 at eta = 0
+    or the non-polyhedral test f'(x).h <= eta ||h|| at eta > 0.  A box
+    cone's rows are zeroed on its =0 coordinates, so one projection onto the
+    equality rows keeps those coordinates at zero, and a row that is then
+    exactly zero, implied by the pattern, is dropped.
     """
 
     if not 0.0 <= eta < np.inf:  # also rejects NaN, which no direction's cut test passes
         raise UsageError("eta must be nonnegative and finite")
     p, fgrad, grads = mset.problem, mset.f_grad, mset.g_grads
-    is_box = mset.c_pattern is not None
-    annihilator = (constraint_rows and is_box and eta == 0.0 and mset.bounded
-                   and bool(mset.vertices))
-
     base, k_pattern = mset.c_pattern, mset.k_pattern
+    annihilator = base is not None and eta == 0.0 and mset.bounded and bool(mset.vertices)
     if annihilator:
         base, k_pattern, _ = mset.annihilator(np.mean(mset.vertex_matrix, axis=0))
-    eq_rows: list[np.ndarray] = []
-    ineq_rows: list[np.ndarray] = []
-    if constraint_rows:
-        eq_rows += list(grads[k_pattern.codes == ZERO])
-        ineq_rows += list(grads[k_pattern.codes == NONPOS])
-    # eta = 0: the objective cut is a row like the others, implied by the
-    # annihilator rows; eta > 0: it stays the non-polyhedral test
-    # f'(x).h <= eta ||h||
-    objective = None
-    if eta > 0.0:
-        objective = fgrad
-    elif not annihilator:
-        ineq_rows.append(fgrad)
+    eq_rows, ineq_rows = grads[k_pattern.codes == ZERO], grads[k_pattern.codes == NONPOS]
+    if eta == 0.0 and not annihilator:
+        ineq_rows = np.vstack([ineq_rows, fgrad])
+    objective = fgrad if eta > 0.0 else None
 
-    if is_box:
-        pattern, eq_left, ineq_left = absorb_rows(base, eq_rows, ineq_rows)
-        zero = pattern._zero
-        return CriticalCone(
-            p.weights, pattern, (), tuple(np.where(zero, 0.0, r) for r in eq_left),
-            tuple(np.where(zero, 0.0, r) for r in ineq_left), objective, eta
-        )
+    if base is not None:
+        eq_rows, ineq_rows = (np.where(base._zero, 0.0, R) for R in (eq_rows, ineq_rows))
+        eq_rows, ineq_rows = (R[np.any(R != 0.0, axis=1)] for R in (eq_rows, ineq_rows))
+        return CriticalCone(p.weights, base, (), eq_rows, ineq_rows, objective, eta)
 
     cone_set = p.abstract_set
     if np.max(np.abs(mset.x - cone_set.base)) > mset.tol.activity:
         raise UsageError("generated-cone problems support cone queries at the base point only")
-    return CriticalCone(p.weights, None, cone_set.tangent_rays(), tuple(eq_rows),
-                        tuple(ineq_rows), objective, eta)
+    return CriticalCone(p.weights, None, cone_set.tangent_rays(), eq_rows, ineq_rows,
+                        objective, eta)
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +372,7 @@ def _project_rows(cone: CriticalCone, W: np.ndarray, face: bool) -> None:
         A, B = cone._eq_projector
         W -= (W @ A.T) @ B
         return
-    R, RW = cone._eq_matrix, cone._eq_weighted
+    R, RW = cone.eq_rows, cone._eq_weighted
     m = W != 0.0
     m |= cone.base_pattern.codes == FREE
     rhs = W @ RW.T
@@ -483,7 +403,7 @@ def _land_rows(cone: CriticalCone, V: np.ndarray) -> None:
     ``_LAND_ITERATIONS`` projections, so it gets the steps it would get alone."""
     pattern = cone.base_pattern
     pattern.clamp_rows(V)
-    if not cone.eq_rows:
+    if not len(cone.eq_rows):
         return
     RW = cone._eq_weighted
     moving, W = np.arange(len(V)), V  # W: the rows of V still moving

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cones import CriticalCone, critical_cone
+from ..cones import CriticalCone
 from ..errors import UsageError
 from ..kkt import MultiplierSet
 from ..linalg import BilinearForm, row_dots
@@ -51,10 +51,12 @@ class Example1Problem:
 
     def display_critical_cone(self, mset: MultiplierSet) -> CriticalCone:
         """The tangent cone at xbar, whose multiplier set is ``mset``, cut by
-        the objective only (no constraint rows); the objective cut absorbs
-        into the sign pattern, leaving >=0 on (0,1/3), free on (1/3,2/3), =0
-        on (2/3,3/4), <=0 on (3/4,1)."""
-        return critical_cone(mset, 0.0, constraint_rows=False)
+        the objective only: T_C ∩ {f'(xbar).h <= 0}.  mu = 0 is a multiplier,
+        so -f'(xbar) lies in the normal cone and the cut is the annihilator
+        section of lambda(0) (``MultiplierSet.annihilator``), without rows:
+        >=0 on (0,1/3), free on (1/3,2/3), =0 on (2/3,3/4), <=0 on (3/4,1)."""
+        section, _, _ = mset.annihilator(np.zeros(mset.m))
+        return CriticalCone(mset.problem.weights, section, (), (), (), None, 0.0)
 
 
 def _grid_form(n: int, matrix: np.ndarray, with_integrals: bool) -> BilinearForm:

@@ -1,18 +1,19 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and three references: a brute-force NNLS, a box's critical
-cone by its cut description, and the growth sampler's box path one try at a
-time."""
+multipliers, and four references: a brute-force NNLS, row absorption into
+a sign pattern, a box's critical cone by its cut description, and the growth
+sampler's box path one try at a time."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
-from kkt2.cones import NONPOS, ZERO, CriticalCone, absorb_rows
+from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone
 from kkt2.config import Tolerances
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
@@ -204,6 +205,64 @@ def brute_force_nnls(A, b) -> float:
             if np.all(c >= -1e-12):
                 best = min(best, float(np.linalg.norm(cols @ c - b)))
     return best
+
+
+def absorb_rows(
+    pattern: SignPatternCone,
+    eq_rows: Sequence[np.ndarray],
+    ineq_rows: Sequence[np.ndarray],
+) -> tuple[SignPatternCone, list[np.ndarray], list[np.ndarray]]:
+    """Fold rows whose terms are single-signed on the pattern into the pattern.
+
+    A row <r, h>_w <= 0 whose nonzero terms w_i r_i h_i are all >= 0 on the
+    cone holds iff every term vanishes, i.e. h_i = 0 on the row support; the
+    row disappears and those components become =0.  The weights are
+    positive, so the term signs need only the row and the pattern.
+    Equality rows absorb when the terms are single-signed in either
+    direction.  Iterates to a fixed point, since zeroing components can
+    unlock further rows.
+    """
+
+    codes = np.array(pattern.codes, dtype=np.int8)
+    pending: list[tuple[np.ndarray, bool]] = [(np.asarray(r, dtype=float), True) for r in eq_rows]
+    pending += [(np.asarray(r, dtype=float), False) for r in ineq_rows]
+
+    def term_signs(r):
+        signs = []
+        support = []
+        for i in np.nonzero(np.abs(r) > 1e-14)[0]:
+            c = codes[i]
+            if c == ZERO:
+                continue
+            if c == FREE:
+                return None, None
+            s = 1.0 if ((r[i] > 0) == (c == NONNEG)) else -1.0
+            signs.append(s)
+            support.append(i)
+        return signs, support
+
+    changed = True
+    while changed:
+        changed = False
+        remaining: list[tuple[np.ndarray, bool]] = []
+        for r, is_eq in pending:
+            signs, support = term_signs(r)
+            if signs is None:
+                remaining.append((r, is_eq))
+                continue
+            if not support:
+                continue  # row already implied by the pattern
+            same_sign = all(s > 0 for s in signs) or (is_eq and all(s < 0 for s in signs))
+            if same_sign:
+                codes[support] = ZERO
+                changed = True
+            else:
+                remaining.append((r, is_eq))
+        pending = remaining
+
+    eq_left = [r for r, is_eq in pending if is_eq]
+    ineq_left = [r for r, is_eq in pending if not is_eq]
+    return SignPatternCone(codes), eq_left, ineq_left
 
 
 def plain_critical_cone(mset, eta: float = 0.0, constraint_rows: bool = True) -> CriticalCone:

@@ -1,22 +1,25 @@
 """A box's critical cone as the annihilator section of a relative-interior
 multiplier: the sections of ``MultiplierSet.annihilator`` against row
-absorption, the same set as the cut description, every implicit equality
-explicit, a projector that lands in one step, and a battery that is not
-empty on a many-multiplier problem."""
+absorption, the same set as the cut description (also at eta > 0, and as
+example1's display cone), every implicit equality explicit, a projector
+that lands in one step, and a battery that is not empty on a
+many-multiplier problem."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kkt2.cli import main
+from kkt2.examples import build_example1
 from kkt2 import cones
-from kkt2.cones import (FREE, NONNEG, NONPOS, ZERO, _project_rows, absorb_rows,
-                        critical_cone, random_directions)
+from kkt2.cones import (FREE, NONNEG, NONPOS, ZERO, _project_rows, critical_cone,
+                        random_directions)
 from kkt2.kkt import multiplier_set
 
-from helpers import (many_multiplier_problem, many_multiplier_spec, plain_critical_cone,
-                     random_hull, random_stationary_problem)
+from helpers import (absorb_rows, many_multiplier_problem, many_multiplier_spec,
+                     plain_critical_cone, random_hull, random_stationary_problem)
 
 TIGHT = 1e-9
 
@@ -124,13 +127,40 @@ class TestPromotion:
             for r in (*cone.eq_rows, *cone.ineq_rows):
                 assert np.all(r[zero] == 0.0)
 
-    def test_eta_positive_and_display_cones_are_unchanged(self, instances):
-        p, xbar, mset, _, _ = instances[0]
-        for eta, rows in ((0.3, True), (0.0, False)):
-            a = plain_critical_cone(mset, eta, constraint_rows=rows)
-            b = critical_cone(mset, eta, constraint_rows=rows)
-            assert np.array_equal(a.base_pattern.codes, b.base_pattern.codes)
-            assert len(a.eq_rows) == len(b.eq_rows) and len(a.ineq_rows) == len(b.ineq_rows)
+    def test_eta_positive_cone_is_the_cut_description(self, instances):
+        """At eta = 0.3 both describe T_C cut by K's rows and f'(x).h <= 0.3
+        ||h||; the objective test is the same on both, so the rest must be
+        the same set: each contains the other's generators."""
+        checked = 0
+        for _, _, mset, _, _ in instances:
+            a, b = (replace(c, objective_gradient=None, eta=0.0)
+                    for c in (plain_critical_cone(mset, 0.3), critical_cone(mset, 0.3)))
+            for c, d in ((a, b), (b, a)):
+                for g in c.generators:
+                    assert d.contains(g, 1e-7)
+                    checked += 1
+        assert checked >= 100
+
+
+@pytest.mark.parametrize("grid", [12, 120, 480])
+def test_example1_display_cone_is_the_objective_cut(grid):
+    """The display cone, the C section of lambda(0), is T_C ∩ {f'(x).h <=
+    0} with the cut absorbed: the same pattern, and no rows on either."""
+    ex = build_example1(grid)
+    mset = multiplier_set(ex.problem, ex.xbar)
+    display = ex.display_critical_cone(mset)
+    absorbed = plain_critical_cone(mset, 0.0, constraint_rows=False)
+    for cone in (display, absorbed):
+        assert not len(cone.eq_rows) and not len(cone.ineq_rows)
+        assert cone.objective_gradient is None
+    assert np.array_equal(display.base_pattern.codes, absorbed.base_pattern.codes)
+
+
+@pytest.mark.parametrize("grid", [12, 120, 480, 1920])
+def test_example1_zero_is_a_multiplier(grid):
+    """What the display cone rests on: -f'(x) lies in the normal cone."""
+    ex = build_example1(grid)
+    assert multiplier_set(ex.problem, ex.xbar).contains_mu(np.zeros(1))
 
 
 class TestProjector:
@@ -140,14 +170,14 @@ class TestProjector:
         many-multiplier benchmark problems."""
         p, x = many_multiplier_spec(seed)
         cone = critical_cone(multiplier_set(p, x), 0.0)
-        assert len(cone.eq_rows) == 8 and not cone.ineq_rows
-        assert np.linalg.matrix_rank(np.array(cone.eq_rows)) == 3
+        assert len(cone.eq_rows) == 8 and not len(cone.ineq_rows)
+        assert np.linalg.matrix_rank(cone.eq_rows) == 3
         codes = cone.base_pattern.codes
         assert set(codes[:18]) == {FREE} and set(codes[18:]) == {ZERO}
         H = cone.base_pattern.clamp(np.random.default_rng(seed).standard_normal((50, 24)))
         P = H.copy()
         _project_rows(cone, P, face=False)
-        RW = np.array(cone.eq_rows) * cone.weights
+        RW = cone.eq_rows * cone.weights
         assert np.abs(P @ RW.T).max() <= 1e-12 * np.abs(H).max()
         assert np.array_equal(cone.base_pattern.clamp(P), P)  # no second step needed
         Q = P.copy()

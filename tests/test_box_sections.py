@@ -30,7 +30,7 @@ def _stationary_cones(eta: float):
     for _ in range(60):
         p, xbar, _, _ = random_stationary_problem(rng, max_dim=5, max_constraints=4)
         cone = plain_critical_cone(multiplier_set(p, xbar), eta)
-        if cone.ineq_rows and p.dim >= 2:
+        if len(cone.ineq_rows) and p.dim >= 2:
             yield cone
 
 
@@ -249,7 +249,7 @@ class TestSizeGuard:
         monkeypatch.setattr(linalg, "_MAX_GENERATORS", 8)
         p, x = many_multiplier_spec(0, n=10, m=4, n_lower=3, rank=2, scale=0.05)
         cone = critical_cone(multiplier_set(p, x), 0.1)
-        assert cone.ineq_rows and not cone.has_generators
+        assert len(cone.ineq_rows) and not cone.has_generators
         draws = random_directions(cone, 200, np.random.default_rng(1))
         assert all(cone.contains(h, 1e-7) for h in draws)
         assert main(["check-ssc", ppath, "--at", xpath, "--eta", "0.1", "--alpha", "0.5"]) == 0

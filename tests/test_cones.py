@@ -344,21 +344,22 @@ class TestStructuredSweep:
         candidates are not members and need the sweep."""
         ex = build_example1(120)
         cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
-        assert cone.eq_rows
+        assert len(cone.eq_rows)
         rows = structured_directions(cone, 64)
         assert any(not set(np.unique(h)) <= {-1.0, 0.0, 1.0} for h in rows)
 
 
 def _landing_cones():
     """Pattern cones with equality rows: example1's eta = 0.1 cones (one
-    row; its eta = 0 cones absorb every row) and the annihilator sections of
-    the many-multiplier problems (eight rows)."""
+    row; at eta = 0 that row is zero off the =0 coordinates and is dropped)
+    and the annihilator sections of the many-multiplier problems (eight
+    rows)."""
     for grid in (120, 480):
         ex = build_example1(grid)
         mset = multiplier_set(ex.problem, ex.xbar)
         for eta in (0.0, 0.1):
             cone = critical_cone(mset, eta)
-            assert bool(cone.eq_rows) == (eta > 0.0)
+            assert bool(len(cone.eq_rows)) == (eta > 0.0)
             yield f"example1 {grid} eta {eta}", cone
     for seed in range(4):
         p, x = many_multiplier_spec(seed)
@@ -382,7 +383,7 @@ def _assert_landed(name, cone, V):
     assert np.all(V[:, codes == NONNEG] >= 0.0), name
     assert np.all(V[:, codes == NONPOS] <= 0.0), name
     assert np.all(V[:, codes == ZERO] == 0.0), name
-    if cone.eq_rows:
+    if len(cone.eq_rows):
         residual = np.abs(V @ cone._eq_weighted.T).max(axis=1)
         assert np.all(residual <= 1e-10 * (1.0 + np.abs(V).max(axis=1))), name
 

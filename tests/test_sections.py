@@ -30,7 +30,7 @@ class TestExample2Sections:
         ex = build_example2(trunc)
         # eta > 0: the objective stays a cut, not a row
         cone = critical_cone(multiplier_set(ex.problem, ex.xbar), 0.1)
-        assert len(cone.eq_rows) == 1 and not cone.ineq_rows
+        assert len(cone.eq_rows) == 1 and not len(cone.ineq_rows)
         gens = cone.generators
         expected = [point_r(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)]
         expected.append(np.array([0.0, 1.0, 0.0]))
