@@ -4,8 +4,10 @@ Exit codes: 0 every requested check passes/holds, 1 a check is violated
 (witness embedded in the report), 2 usage or parse error, 3 internal
 numeric failure.  Reports print as aligned text or canonical JSON; the
 report seed comes from --seed, else the KKT2_SEED environment variable,
-else the problem file, else the library default.  Each file subcommand
-runs a list of ``kkt2.stages`` built from its flags.
+else the problem file, else the library default.  A file report's
+``problem_digest`` is the first 16 hex digits of the SHA-256 of the
+problem file's bytes.  Each file subcommand runs a list of
+``kkt2.stages`` built from its flags.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from . import stages
 from .config import DEFAULT_SEED, SearchBudget
 from .errors import NumericError, ParseError, UsageError
-from .problem_file import parse_point, parse_problem, serialize_problem
+from .problem_file import parse_point, parse_problem
 from .report import CertificationReport, new_report, problem_digest
 
 EXIT_OK = 0
@@ -106,27 +108,28 @@ def _resolve_seed(cli_seed: Optional[int], file_seed: Optional[int]) -> int:
 
 
 def _parse(parse, path: str, *args):
-    """``parse(text of path, *args)``; read and parse errors name the file."""
+    """``(parse(text of path, *args), the file's bytes)``, read once and
+    decoded as UTF-8; read, decode and parse errors name the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read: {getattr(exc, 'strerror', None) or exc}", path) from exc
     try:
-        return parse(text, *args)
+        return parse(text, *args), data
     except ParseError as exc:
         raise ParseError(str(exc), path) from exc
 
 
 def _context(args, started: float) -> stages.RunContext:
-    pf = _parse(parse_problem, args.problem)
+    pf, data = _parse(parse_problem, args.problem)
     spec, point = pf.build()
     if args.at is not None:
-        point = _parse(parse_point, args.at, spec.dim)
+        point, _ = _parse(parse_point, args.at, spec.dim)
     elif point is None:
         raise UsageError("--at is required for file-defined problems")
     seed = _resolve_seed(args.seed, pf.seed)
-    report = new_report(pf.builtin or "file problem", problem_digest(serialize_problem(pf)),
-                        seed, point)
+    report = new_report(pf.builtin or "file problem", problem_digest(data), seed, point)
     return stages.RunContext(spec, point, pf.make_tolerances(), pf.make_budget(seed), report,
                              started)
 

@@ -131,7 +131,6 @@ class SecondOrderVerdict:
     sampled_min: float
     directions_evaluated: int
     alpha_est: Optional[float] = None
-    hypotheses: tuple[str, ...] = ()
     positivity_consistent: Optional[bool] = None
     section_generators: Optional[int] = None  # cones with listed generators only
 
@@ -365,7 +364,6 @@ def check_snc(
     mset: MultiplierSet,
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
-    hypotheses: tuple[str, ...] = (),
 ) -> SecondOrderVerdict:
     """Search the critical cone for directions with q(h) < 0.
 
@@ -376,7 +374,7 @@ def check_snc(
         cone = critical_cone(mset, 0.0)
     found = _search_min(mset, cone, budget)
     return _verdict("snc", found.sampled_min < -mset.tol.violation, found,
-                    hypotheses=hypotheses, section_generators=_section_size(cone))
+                    section_generators=_section_size(cone))
 
 
 def check_snc_fixed_multiplier(
@@ -404,7 +402,6 @@ def check_ssc(
     eta: float,
     alpha_target: float,
     budget: SearchBudget = DEFAULT_BUDGET,
-    hypotheses: tuple[str, ...] = (),
 ) -> SecondOrderVerdict:
     """Estimate the coercivity constant of q over the extended critical cone
     and compare with the target; also cross-checks that strict positivity on
@@ -424,8 +421,7 @@ def check_ssc(
     alpha_est = found.sampled_min
     min_zero = _search_min(mset, critical_cone(mset, 0.0), budget).sampled_min
     return _verdict("ssc", not alpha_est >= alpha_target - mset.tol.alpha_slack, found,
-                    alpha_est=alpha_est, hypotheses=hypotheses,
-                    positivity_consistent=(min_zero > 0) == (alpha_est > 0),
+                    alpha_est=alpha_est, positivity_consistent=(min_zero > 0) == (alpha_est > 0),
                     section_generators=section_generators)
 
 

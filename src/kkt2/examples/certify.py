@@ -42,7 +42,7 @@ EXAMPLE2_EXPECTATIONS = {
 
 def _chain(ex, label: str, digest: str, budget: SearchBudget, started: float, stages: list,
            expectations: dict) -> CertificationReport:
-    report = new_report(label, problem_digest(digest), budget.seed, ex.xbar)
+    report = new_report(label, problem_digest(digest.encode()), budget.seed, ex.xbar)
     ctx = RunContext(ex.problem, ex.xbar, DEFAULT_TOLERANCES, budget, report, started)
     return run(ctx, [*stages, lambda c: _chain_expectations(c, expectations)])
 

@@ -7,7 +7,8 @@ all other numbers must be finite.  Quadratic matrices are given in sparse
 triplet form [i, j, value]; off-diagonal entries need both mirror triplets
 (asymmetry beyond 1e-9 is an error, smaller asymmetry is averaged away).
 
-Parsing is round-trip stable: parse(serialize(parse(text))) == parse(text).
+``parse_problem`` validates a file and builds its problem in one pass; the
+CLI's ``problem_digest`` hashes the file's bytes as read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import SearchBudget, Tolerances
 from .errors import ParseError
-from .model import BoxSet, ProblemSpec, quadratic
+from .model import BoxSet, ProblemSpec, SmoothFunction, quadratic
 
 _TOP_KEYS_BUILTIN = {"builtin", "grid", "trunc", "seed", "tolerances", "budget"}
 _TOP_KEYS_EXPLICIT = {
@@ -36,102 +37,32 @@ _BUDGET_KEYS = {f.name for f in dataclasses.fields(SearchBudget)} - {"seed"}
 
 
 @dataclass(frozen=True)
-class QuadraticData:
-    constant: float
-    linear: tuple[float, ...]
-    matrix: np.ndarray  # dense symmetric
-
-    def to_dict(self) -> dict:
-        rows, cols = np.nonzero(self.matrix)  # row-major order
-        triplets = [list(t) for t in zip(rows.tolist(), cols.tolist(),
-                                         self.matrix[rows, cols].tolist())]
-        return {
-            "constant": self.constant,
-            "linear": list(self.linear),
-            "quadratic": triplets,
-        }
-
-
-@dataclass(frozen=True)
 class ProblemFile:
+    """A parsed problem file: a builtin's name and size, or the explicit
+    problem built while it was validated, plus the file's seed, tolerance
+    and budget settings."""
+
     builtin: Optional[str]
     builtin_size: Optional[int]
-    dimension: Optional[int]
-    weights: Optional[tuple[float, ...]]
-    box_lower: Optional[tuple[float, ...]]
-    box_upper: Optional[tuple[float, ...]]
-    objective: Optional[QuadraticData]
-    constraints: tuple[QuadraticData, ...]
-    m1: int
+    problem: Optional[ProblemSpec]
     seed: Optional[int]
     tolerances: Optional[dict]
     budget: Optional[dict]
 
-    def to_dict(self) -> dict:
-        if self.builtin is not None:
-            out: dict = {"builtin": self.builtin}
-            out["grid" if self.builtin == "example1" else "trunc"] = self.builtin_size
-        else:
-            out = {
-                "dimension": self.dimension,
-                "box": {
-                    "lower": [_bound_out(v) for v in self.box_lower or ()],
-                    "upper": [_bound_out(v) for v in self.box_upper or ()],
-                },
-                "objective": self.objective.to_dict() if self.objective else None,
-                "constraints": [c.to_dict() for c in self.constraints],
-                "m1": self.m1,
-            }
-            if self.weights is not None:
-                out["weights"] = list(self.weights)
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.tolerances is not None:
-            out["tolerances"] = dict(self.tolerances)
-        if self.budget is not None:
-            out["budget"] = dict(self.budget)
-        return out
-
     def build(self):
-        """Returns (ProblemSpec, default point or None)."""
+        """Returns (ProblemSpec, default point or None); a builtin is built here."""
+        if self.builtin is None:
+            return self.problem, None
         from .examples import build_example1, build_example2
 
-        if self.builtin == "example1":
-            ex = build_example1(self.builtin_size or 120)
-            return ex.problem, ex.xbar
-        if self.builtin == "example2":
-            ex = build_example2(self.builtin_size or 8)
-            return ex.problem, ex.xbar
-        n = self.dimension
-        assert n is not None and self.objective is not None
-        weights = np.array(self.weights) if self.weights is not None else np.ones(n)
-        obj = quadratic(
-            self.objective.constant,
-            np.array(self.objective.linear),
-            self.objective.matrix,
-            weights,
-            name="objective",
-        )
-        cons = tuple(
-            quadratic(c.constant, np.array(c.linear), c.matrix, weights,
-                      name=f"constraint_{i}")
-            for i, c in enumerate(self.constraints)
-        )
-        box = BoxSet(np.array(self.box_lower), np.array(self.box_upper))
-        spec = ProblemSpec(obj, cons, self.m1, box, weights, name="file problem")
-        return spec, None
+        ex = (build_example1 if self.builtin == "example1" else build_example2)(self.builtin_size)
+        return ex.problem, ex.xbar
 
     def make_tolerances(self) -> Tolerances:
         return dataclasses.replace(Tolerances(), **(self.tolerances or {}))
 
     def make_budget(self, seed: int) -> SearchBudget:
         return SearchBudget(seed=seed, **(self.budget or {}))
-
-
-def _bound_out(v: float):
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
 
 
 def _require_keys(d: dict, allowed: set, path: str) -> None:
@@ -180,7 +111,7 @@ def _triplet(trip, n: int, path: str, k: int) -> tuple[int, int, float]:
     raise ParseError("triplet must be [i, j, value]", f"{path}.quadratic[{k}]")
 
 
-def _parse_quadratic(d, n: int, path: str) -> QuadraticData:
+def _parse_quadratic(d, n: int, path: str, weights: np.ndarray, name: str) -> SmoothFunction:
     if not isinstance(d, dict):
         raise ParseError("expected an object", path)
     _require_keys(d, _FUNC_KEYS, path)
@@ -195,8 +126,7 @@ def _parse_quadratic(d, n: int, path: str) -> QuadraticData:
     asym = float(np.max(np.abs(H - H.T), initial=0.0))
     if asym > 1e-9:
         raise ParseError(f"quadratic matrix asymmetric by {asym:.3e}", f"{path}.quadratic")
-    H = 0.5 * (H + H.T)
-    return QuadraticData(constant, linear, H)
+    return quadratic(constant, np.array(linear), H, weights, name=name)  # averages H and H^T
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -237,11 +167,8 @@ def parse_problem(text: str) -> ProblemFile:
         size = data.get(size_key, 120 if name == "example1" else 8)
         if isinstance(size, bool) or not isinstance(size, int) or size <= 0:
             raise ParseError("size must be a positive integer", size_key)
-        return ProblemFile(
-            builtin=name, builtin_size=size, dimension=None, weights=None,
-            box_lower=None, box_upper=None, objective=None, constraints=(),
-            m1=0, seed=seed, tolerances=tolerances, budget=budget,
-        )
+        return ProblemFile(builtin=name, builtin_size=size, problem=None, seed=seed,
+                           tolerances=tolerances, budget=budget)
 
     _require_keys(data, _TOP_KEYS_EXPLICIT, "")
     for key in ("dimension", "box", "objective"):
@@ -250,10 +177,10 @@ def parse_problem(text: str) -> ProblemFile:
     n = data["dimension"]
     if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
         raise ParseError("dimension must be a positive integer", "dimension")
-    weights = None
+    weights = np.ones(n)
     if "weights" in data:
-        weights = _vector(data["weights"], n, "weights")
-        if any(w <= 0 for w in weights):
+        weights = np.array(_vector(data["weights"], n, "weights"))
+        if np.any(weights <= 0):
             raise ParseError("weights must be strictly positive", "weights")
     box = data["box"]
     if not isinstance(box, dict):
@@ -263,26 +190,21 @@ def parse_problem(text: str) -> ProblemFile:
     upper = _vector(box.get("upper", []), n, "box.upper", bounds=True)
     if any(lo > up for lo, up in zip(lower, upper)):
         raise ParseError("requires lower <= upper componentwise", "box")
-    objective = _parse_quadratic(data["objective"], n, "objective")
+    objective = _parse_quadratic(data["objective"], n, "objective", weights, "objective")
     cons_raw = data.get("constraints", [])
     if not isinstance(cons_raw, list):
         raise ParseError("expected a list", "constraints")
     constraints = tuple(
-        _parse_quadratic(c, n, f"constraints[{i}]") for i, c in enumerate(cons_raw)
+        _parse_quadratic(c, n, f"constraints[{i}]", weights, f"constraint_{i}")
+        for i, c in enumerate(cons_raw)
     )
     m1 = data.get("m1", 0)
     if isinstance(m1, bool) or not isinstance(m1, int) or not 0 <= m1 <= len(constraints):
         raise ParseError("m1 must be an integer between 0 and the constraint count", "m1")
-    return ProblemFile(
-        builtin=None, builtin_size=None, dimension=n, weights=weights,
-        box_lower=lower, box_upper=upper, objective=objective,
-        constraints=constraints, m1=m1, seed=seed,
-        tolerances=tolerances, budget=budget,
-    )
-
-
-def serialize_problem(pf: ProblemFile) -> str:
-    return json.dumps(pf.to_dict(), sort_keys=True, separators=(",", ":"))
+    spec = ProblemSpec(objective, constraints, m1, BoxSet(np.array(lower), np.array(upper)),
+                       weights, name="file problem")
+    return ProblemFile(builtin=None, builtin_size=None, problem=spec, seed=seed,
+                       tolerances=tolerances, budget=budget)
 
 
 def parse_point(text: str, n: int) -> np.ndarray:

@@ -121,8 +121,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def problem_digest(description: str) -> str:
-    return hashlib.sha256(description.encode("utf-8")).hexdigest()[:16]
+def problem_digest(data: bytes) -> str:
+    """First 16 hex digits of the SHA-256 of a problem file's bytes or a chain's key."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def new_report(problem_name: str, digest: str, seed: int, point) -> CertificationReport:

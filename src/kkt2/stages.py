@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import SearchBudget, Tolerances
 from .curvature import check_snc, check_ssc, sample_growth
-from .kkt import FOCResult, check_rzkcq, check_strict_cq, check_weaker_cq
+from .kkt import check_rzkcq, check_strict_cq, check_weaker_cq
 from .kkt import foc_residual, multiplier_set, strict_cq_by_vertices
 from .model import ProblemSpec, check_feasible, validate_derivatives
 from .report import CertificationReport, CheckRecord, second_order_witness_dict
@@ -40,7 +40,6 @@ class RunContext:
     budget: SearchBudget
     report: CertificationReport
     started: float  # time.perf_counter() when the run began
-    foc: Optional[FOCResult] = None
 
     @cached_property
     def feasibility(self):
@@ -120,16 +119,17 @@ def weaker_cq(ctx: RunContext) -> CheckRecord:
 
 
 def stationarity(ctx: RunContext) -> CheckRecord:
-    ctx.foc = foc = foc_residual(ctx.multipliers)
+    foc = foc_residual(ctx.multipliers)
     return CheckRecord("stationarity", "holds" if foc.stationary else "not_stationary",
                        {"residual": foc.residual}, _vector("best_mu", foc.best_mu))
 
 
 def multiplier_count(ctx: RunContext) -> list[CheckRecord]:
-    """Size of the multiplier polytope, after a stationarity stage that holds."""
-    if not ctx.foc.stationary:
-        return []
+    """Size of the multiplier polytope when the point is stationary, that is
+    when the polytope is nonempty (``foc_residual``'s test)."""
     mset = ctx.multipliers
+    if mset.empty:
+        return []
     return [CheckRecord("multiplier_set", "pass",
                         {"bounded": mset.bounded, "n_vertices": len(mset.vertices)})]
 
@@ -181,20 +181,19 @@ def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     """Sup-form necessary condition over the critical cone (or ``cone``)."""
     if ctx.multipliers.empty:
         return CheckRecord("snc_sup", "fail", {"reason": "empty multiplier set"})
-    v = check_snc(ctx.multipliers, cone=cone, budget=ctx.budget, hypotheses=_hypotheses(ctx))
+    v = check_snc(ctx.multipliers, cone=cone, budget=ctx.budget)
     return CheckRecord("snc_sup", _holds(not v.violated),
                        {"sampled_min": v.sampled_min, "directions": v.directions_evaluated,
                         **_section(v)},
-                       second_order_witness_dict(v), list(v.hypotheses))
+                       second_order_witness_dict(v), list(_hypotheses(ctx)))
 
 
 def ssc(ctx: RunContext, eta: float, alpha: float) -> CheckRecord:
     """Coercivity with constant ``alpha`` on the eta-extended critical cone."""
     if ctx.multipliers.empty:
         return CheckRecord("ssc", "fail", {"reason": "empty multiplier set"})
-    v = check_ssc(ctx.multipliers, eta=eta, alpha_target=alpha, budget=ctx.budget,
-                  hypotheses=_hypotheses(ctx))
+    v = check_ssc(ctx.multipliers, eta=eta, alpha_target=alpha, budget=ctx.budget)
     return CheckRecord("ssc", _holds(not v.violated),
                        {"alpha_est": v.alpha_est, "directions": v.directions_evaluated,
                         "positivity_consistent": v.positivity_consistent, **_section(v)},
-                       second_order_witness_dict(v), list(v.hypotheses))
+                       second_order_witness_dict(v), list(_hypotheses(ctx)))

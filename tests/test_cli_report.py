@@ -1,5 +1,6 @@
 """Problem files, CLI behavior, report determinism and witness replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -19,8 +20,8 @@ from kkt2.curvature import check_ssc, sample_growth
 from kkt2.errors import ParseError, UsageError
 from kkt2.examples import build_example1, run_example2_certification
 from kkt2.kkt import multiplier_set
-from kkt2.problem_file import parse_problem, serialize_problem
-from kkt2.report import new_report, problem_digest, replay
+from kkt2.problem_file import parse_problem
+from kkt2.report import new_report, replay
 
 from helpers import many_multiplier_problem, random_stationary_problem
 
@@ -43,18 +44,33 @@ class TestProblemFile:
         assert spec.dim == 1
         assert spec.objective.value(np.array([2.0])) == pytest.approx(4.0)
 
-    def test_round_trip_stable(self):
-        pf = parse_problem(MINIMAL)
-        text = serialize_problem(pf)
-        pf2 = parse_problem(text)
-        assert serialize_problem(pf2) == text
+    def test_file_problem_is_built_as_parsed(self):
+        """The explicit problem is built while parsing, with the file's
+        weights, bounds, equality count and function names."""
+        pf = parse_problem(json.dumps({
+            "dimension": 2, "weights": [2.0, 0.5],
+            "box": {"lower": [-1.0, 0.0], "upper": [1.0, 3.0]},
+            "objective": {"linear": [1.0, 1.0], "quadratic": [[0, 1, 1.0], [1, 0, 1.0]]},
+            "constraints": [{"constant": -1.0, "linear": [1.0, 0.0]}, {"linear": [0.0, 1.0]}],
+            "m1": 1, "seed": 3}))
+        spec, point = pf.build()
+        assert spec is pf.problem and point is None and pf.seed == 3
+        assert spec.weights.tolist() == [2.0, 0.5] and spec.m1 == 1
+        assert spec.abstract_set.lower.tolist() == [-1.0, 0.0]
+        assert spec.abstract_set.upper.tolist() == [1.0, 3.0]
+        assert [f.name for f in (spec.objective, *spec.constraints)] == \
+            ["objective", "constraint_0", "constraint_1"]
+        x = np.array([1.0, 2.0])
+        assert spec.objective.value(x) == pytest.approx(1.0 + 2.0 + 2.0)
+        # the weighted Riesz gradient W^{-1} (linear + M x)
+        assert spec.objective.gradient(x).tolist() == pytest.approx([1.5, 4.0])
+        assert spec.constraints[0].value(x) == pytest.approx(0.0)
 
     def test_infinite_bound_sentinels(self):
         text = MINIMAL.replace('"upper": [1.0]', '"upper": ["inf"]')
         pf = parse_problem(text)
         spec, _ = pf.build()
         assert spec.abstract_set.upper[0] == np.inf
-        assert "inf" in serialize_problem(pf)
 
     def test_unknown_key_rejected(self):
         text = MINIMAL.replace('"m1": 0', '"m1": 0, "mystery": 1')
@@ -75,7 +91,8 @@ class TestProblemFile:
     def test_asymmetric_matrix_rejected(self):
         text = MINIMAL.replace("[[0, 0, 2.0]]", "[[0, 0, 2.0], [0, 0, 1e-3]]")
         pf = parse_problem(text)  # duplicate diagonal triplets just add up
-        assert pf.objective.matrix[0, 0] == pytest.approx(2.0 + 1e-3)
+        x = np.zeros(1)
+        assert pf.problem.objective.hessian(x).quad(np.ones(1)) == pytest.approx(2.0 + 1e-3)
         bad = """
         {
           "dimension": 2,
@@ -113,14 +130,6 @@ class TestProblemFile:
         with pytest.raises(ParseError, match=message) as exc:
             parse_problem(json.dumps(problem))
         assert exc.value.path == f"{where}.quadratic[2]"
-
-    def test_digests_pinned(self):
-        """Serialization, and so problem_digest, is unchanged: the constants
-        are the digests of the row-major triplet walk it replaced."""
-        assert problem_digest(serialize_problem(parse_problem(MINIMAL))) == "d892e45655a2750c"
-        problem, _ = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
-        pf = parse_problem(json.dumps(problem))
-        assert problem_digest(serialize_problem(pf)) == "0b9ae1c81a81935e"
 
     def test_builtin_forms(self):
         pf = parse_problem('{"builtin": "example1", "grid": 24}')
@@ -277,6 +286,42 @@ class TestCLI:
         assert record.witness is None
         ctx.report.checks.append(record)
         assert not ctx.report.any_violation
+
+    def test_multiplier_count_without_a_stationarity_stage(self):
+        """The count reads the multiplier set itself, so it needs no
+        stationarity stage before it."""
+        spec, _ = parse_problem(MINIMAL).build()
+        x = np.zeros(1)
+        ctx = stages.RunContext(spec, x, DEFAULT_TOLERANCES, SearchBudget(),
+                                new_report("minimal", "", 0, x), 0.0)
+        report = stages.run(ctx, [stages.feasibility, stages.multiplier_count])
+        assert [(c.name, c.verdict) for c in report.checks] == \
+            [("feasibility", "pass"), ("multiplier_set", "pass")]
+        assert report.checks[-1].numbers == {"bounded": True, "n_vertices": 1}
+
+    @pytest.mark.parametrize("which", ["many_multiplier", "builtin", "crlf"])
+    def test_digest_is_the_file_bytes(self, capsys, tmp_path, which):
+        """problem_digest is what ``sha256sum FILE | cut -c1-16`` prints, for
+        CRLF line ends too; the point file does not enter it."""
+        at = tmp_path / "x.json"
+        if which == "many_multiplier":
+            problem, point = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
+            data = json.dumps(problem).encode()
+            at.write_text(json.dumps({"point": point}))
+        elif which == "builtin":
+            data = b'{"builtin": "example1", "grid": 12}'
+            at.write_text(json.dumps({"point": build_example1(12).xbar.tolist()}))
+        else:
+            data = MINIMAL.replace("\n", "\r\n").encode()
+            at.write_text('{"point": [0.0]}')
+        path = tmp_path / "problem.json"
+        path.write_bytes(data)
+        assert main(["check-foc", str(path), "--at", str(at), "--format", "json"]) == 0
+        digest = json.loads(capsys.readouterr().out)["problem_digest"]
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        if which == "crlf":
+            assert b"\r\n" in path.read_bytes()
+            assert digest != hashlib.sha256(MINIMAL.encode()).hexdigest()[:16]
 
     def test_unreadable_problem_directory_exit_two(self, capsys, tmp_path):
         assert main(["check-foc", str(tmp_path)]) == 2
