@@ -32,6 +32,8 @@ class SearchBudget:
 
     structured: int = 64
     random: int = 512
+    # rungs of the descent's step ladder, each tried alone or in a screened
+    # row block: one step per rung either way
     descent_steps: int = 200
     seed: int = DEFAULT_SEED
 

@@ -64,7 +64,8 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The plain dot product of each row of A with the same row of B, by one
     stacked matmul.  On a single row of 24 entries it takes about 2.5 us
     where ``np.einsum("ij,ij->i", A, B)`` takes 3-5 us, and row evaluators
-    run on single rows at every descent step (numpy 1.24 has no vecdot)."""
+    run on single rows for every descent rung tried alone (numpy 1.24 has
+    no vecdot)."""
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 

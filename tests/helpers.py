@@ -1,8 +1,9 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and four references: a brute-force NNLS, row absorption into
-a sign pattern, a box's critical cone by its cut description, and the growth
-sampler's box path one try at a time."""
+multipliers, and six references: an LP maximum by HiGHS, a brute-force
+NNLS, row absorption into a sign pattern, a box's critical cone by its cut
+description, the growth sampler's box path one try at a time, and the
+curvature descent one rung at a time."""
 
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone
-from kkt2.config import Tolerances
+from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
+from kkt2.config import SearchBudget, Tolerances
+from kkt2.curvature import _subgradient
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
@@ -37,6 +39,18 @@ def random_bounded_polytope(rng: np.random.Generator, max_dim: int = 5) -> Polyt
         rows.append((e, bound))
         rows.append((-e, bound))
     return PolytopeH(d, (), tuple(rows))
+
+
+def highs_max(linprog, poly: PolytopeH, c: np.ndarray):
+    """max c.mu over the rows of ``poly`` by scipy's ``linprog`` (HiGHS),
+    an LP route independent of kkt2's: its result, whose ``-fun`` is the
+    maximum."""
+    A_eq = np.array([a for a, _ in poly.eq_rows]).reshape(-1, poly.dim)
+    A_ub = np.array([a for a, _ in poly.ineq_rows]).reshape(-1, poly.dim)
+    return linprog(-c, A_ub=A_ub if len(A_ub) else None,
+                   b_ub=[b for _, b in poly.ineq_rows] or None,
+                   A_eq=A_eq if len(A_eq) else None, b_eq=[b for _, b in poly.eq_rows] or None,
+                   bounds=[(None, None)] * poly.dim, method="highs")
 
 
 def random_stationary_problem(
@@ -348,3 +362,45 @@ def growth_margins_per_sample(p: ProblemSpec, x: np.ndarray, samples, alpha: flo
     sample at a time through the per-point ``value``."""
     f0 = p.objective.value(x)
     return [p.objective.value(s) - f0 - 0.5 * alpha * p.norm(s - x) ** 2 for s in samples]
+
+
+def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, evaluate,
+                     budget: SearchBudget) -> tuple[list, int]:
+    """The curvature descent one rung at a time, each through the one-row
+    ``into_cone`` and ``evaluate``: the reference of ``curvature._descend``.
+    The accepted candidates in order and the number of rungs tried."""
+    if cone.base_pattern is None:
+        return [], 0
+    w = cone.weights
+    cur = evaluate(start / weighted_norm(w, start))
+    grad = _subgradient(mset, cur.h, cur.mu)
+    if grad is None:
+        return [], 0
+    visited = []
+    step = 0.5
+    rungs = 0
+    for _ in range(budget.descent_steps):
+        rungs += 1
+        cand = into_cone(cone, cur.h - step * grad)
+        if cand is None:
+            step *= 0.5
+            if step < 1e-8:
+                break
+            continue
+        nrm = weighted_norm(w, cand)
+        if nrm <= 1e-12:
+            step *= 0.5
+            continue
+        trial = evaluate(cand / nrm)
+        if trial.value < cur.value - 1e-14:
+            cur = trial
+            visited.append(cur)
+            grad = _subgradient(mset, cur.h, cur.mu)
+            if grad is None:
+                break
+            step = min(step * 1.5, 1.0)
+        else:
+            step *= 0.5
+            if step < 1e-8:
+                break
+    return visited, rungs

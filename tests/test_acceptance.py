@@ -8,14 +8,16 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from kkt2.cli import main
 from kkt2.config import SearchBudget
 from kkt2.curvature import (
+    _constraint_quads,
     check_snc_fixed_multiplier,
     check_ssc,
+    fixed_mu_value,
     q_of_h,
-    q_of_h_lp,
 )
 from kkt2.cones import SignPatternCone
 from kkt2.examples import (
@@ -31,7 +33,7 @@ from kkt2.linalg import LinearProgram, enumerate_vertices, solve_lp
 from kkt2.model import BoxSet, validate_derivatives
 from kkt2.report import replay
 
-from helpers import random_bounded_polytope, random_stationary_problem
+from helpers import highs_max, random_bounded_polytope, random_stationary_problem
 
 
 def report_line(criterion: str, detail: str):
@@ -170,7 +172,8 @@ def test_criterion_8_matrix_property(capsys):
 
 def test_criterion_9_property_suites(capsys):
     """Bipolar identity, LP-vs-vertex oracle agreement, q homogeneity and
-    vertex attainment, witness replay determinism, derivative validation."""
+    vertex attainment (its vertex is a multiplier and replays its value),
+    witness replay determinism, derivative validation."""
     rng = np.random.default_rng(101)
     for _ in range(100):
         codes = rng.integers(0, 4, size=int(rng.integers(1, 12))).astype(np.int8)
@@ -196,10 +199,11 @@ def test_criterion_9_property_suites(capsys):
         if mset.empty or not mset.bounded or not mset.vertices:
             continue
         h = rng.standard_normal(p.dim)
-        v1, _ = q_of_h(mset, h)
+        v1, mu = q_of_h(mset, h)
         v2, _ = q_of_h(mset, 2.0 * h)
         assert abs(v2 - 4.0 * v1) <= 1e-9 * max(1.0, abs(v1))
-        assert abs(q_of_h_lp(mset, h) - v1) <= 1e-8 * (1.0 + abs(v1))
+        # the maximizing vertex is a multiplier and replays q's value
+        assert mset.contains_mu(mu) and fixed_mu_value(mset, h, mu) == v1
         pairs += 1
 
     ex = build_example2(6)
@@ -221,6 +225,27 @@ def test_criterion_9_property_suites(capsys):
         report_line("criterion-9",
                     f"bipolar x100, oracle LPs x{agree}, q pairs x{pairs}, "
                     "replay deterministic, builtin derivatives pass")
+
+
+def test_criterion_9_sup_by_highs(capsys):
+    """q's sup over the multiplier vertices is the LP maximum over the
+    polytope's rows by HiGHS, an independent solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(103)
+    pairs = 0
+    while pairs < 200:
+        p, xbar, _, _ = random_stationary_problem(rng)
+        mset = multiplier_set(p, xbar)
+        if mset.empty or not mset.bounded or not mset.vertices or not mset.m:
+            continue
+        h = rng.standard_normal(p.dim)
+        v1, _ = q_of_h(mset, h)
+        res = highs_max(linprog, mset.polytope, _constraint_quads(mset, h))
+        assert res.status == 0
+        assert abs(mset.f_form.quad(h) - res.fun - v1) <= 1e-8 * (1.0 + abs(v1))
+        pairs += 1
+    with capsys.disabled():
+        report_line("criterion-9", f"sup over the polytope by HiGHS x{pairs}")
 
 
 def test_criterion_10_cq_logic(capsys):

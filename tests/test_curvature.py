@@ -9,8 +9,12 @@ import pytest
 
 from kkt2.cli import main
 from kkt2.config import DEFAULT_BUDGET, DEFAULT_TOLERANCES
+from kkt2 import curvature
+from kkt2.cones import critical_cone
 from kkt2.curvature import (
     _BLOCK_ENTRIES,
+    _EXACT_RUNGS,
+    _PASS,
     _battery_values,
     _box_feasible_samples,
     _constraint_quads,
@@ -20,7 +24,6 @@ from kkt2.curvature import (
     check_ssc,
     fixed_mu_value,
     q_of_h,
-    q_of_h_lp,
     sample_growth,
 )
 from kkt2.errors import UsageError
@@ -29,7 +32,8 @@ from kkt2.kkt import multiplier_set
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
-from helpers import box_samples_per_try, growth_margins_per_sample, random_stationary_problem
+from helpers import (box_samples_per_try, descend_per_rung, growth_margins_per_sample,
+                     highs_max, many_multiplier_spec, random_stationary_problem)
 
 
 @pytest.fixture(scope="module")
@@ -65,21 +69,45 @@ class TestQofH:
         assert val == pytest.approx(-2.0 * DELTA, abs=1e-12)
         assert val == pytest.approx(-0.92820, abs=1e-5)
 
-    def test_homogeneity_and_lp_agreement(self):
-        rng = np.random.default_rng(43)
-        pairs = 0
-        while pairs < 60:
+    @staticmethod
+    def _pairs(seed, count):
+        """``count`` (mset, h) pairs, four gaussian directions per random
+        stationary problem with a bounded polytope and its vertices."""
+        rng = np.random.default_rng(seed)
+        pairs = []
+        while len(pairs) < count:
             p, xbar, _, _ = random_stationary_problem(rng)
             mset = multiplier_set(p, xbar)
             if mset.empty or not mset.bounded or not mset.vertices:
                 continue
-            for _ in range(4):
-                h = rng.standard_normal(p.dim)
-                v1, _ = q_of_h(mset, h)
-                v2, _ = q_of_h(mset, 2.0 * h)
-                assert v2 == pytest.approx(4.0 * v1, rel=1e-9, abs=1e-12)
-                assert q_of_h_lp(mset, h) == pytest.approx(v1, abs=1e-8 * (1 + abs(v1)))
-                pairs += 1
+            pairs += [(mset, rng.standard_normal(p.dim)) for _ in range(4)]
+        return pairs
+
+    def test_homogeneity_and_vertex_attainment(self):
+        """q is 2-homogeneous, and its multiplier is in the polytope, gives
+        q's value through ``fixed_mu_value`` bit for bit, and no vertex gives
+        more."""
+        for mset, h in self._pairs(43, 60):
+            v1, mu = q_of_h(mset, h)
+            v2, _ = q_of_h(mset, 2.0 * h)
+            assert v2 == pytest.approx(4.0 * v1, rel=1e-9, abs=1e-12)
+            assert mset.contains_mu(mu)
+            assert fixed_mu_value(mset, h, mu) == v1
+            assert max(fixed_mu_value(mset, h, v) for v in mset.vertices) \
+                <= v1 + 1e-12 * (1.0 + abs(v1))
+
+    def test_sup_agrees_with_highs(self):
+        """q's sup over the vertices is the sup over the polytope's rows,
+        maximized by HiGHS."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for mset, h in self._pairs(43, 60):
+            v1, _ = q_of_h(mset, h)
+            if not mset.m:
+                assert v1 == mset.f_form.quad(h)
+                continue
+            res = highs_max(linprog, mset.polytope, _constraint_quads(mset, h))
+            assert res.status == 0
+            assert mset.f_form.quad(h) - res.fun == pytest.approx(v1, abs=1e-8 * (1 + abs(v1)))
 
     def test_weak_duality_over_sampled_multipliers(self, ex1):
         """Every fixed multiplier's Hessian value is dominated by q."""
@@ -521,3 +549,105 @@ class TestBatchedValues:
         assert res.samples_accepted == 250
         assert [c for c in calls if c[1] == 1] == [("gradients", 1)]
         assert len(calls) < res.tries / 2
+
+
+def _spy_descents(monkeypatch, reference: bool):
+    """Records every ``_descend`` call as [its outcome, the reference's
+    outcome, its one-row ``into_cone`` calls], with ``reference`` running
+    ``helpers.descend_per_rung`` on the same arguments beside it, and the
+    outcomes of every screened block."""
+    record = {"descents": [], "screens": []}
+    real_descend, real_screen, real_into_cone = (curvature._descend, curvature._screen,
+                                                 curvature.into_cone)
+
+    def descend(mset, cone, start, evaluate, budget, mu=None):
+        entry = [None, None, 0]
+        record["descents"].append(entry)
+        entry[0] = real_descend(mset, cone, start, evaluate, budget, mu)
+        if reference:
+            entry[1] = descend_per_rung(mset, cone, start, evaluate, budget)
+        return entry[0]
+
+    def screen(*args):
+        out = real_screen(*args)
+        record["screens"].append(out)
+        return out
+
+    def into_cone(cone, h):
+        record["descents"][-1][2] += 1
+        return real_into_cone(cone, h)
+
+    monkeypatch.setattr(curvature, "_descend", descend)
+    monkeypatch.setattr(curvature, "_screen", screen)
+    monkeypatch.setattr(curvature, "into_cone", into_cone)
+    return record
+
+
+def _assert_rungs_alone(record) -> None:
+    """Each descent tries at most ``_EXACT_RUNGS`` rungs alone after its
+    start and after each accepted step, plus the screened rung it accepts:
+    a rung that passes its screen passes alone too.  A descent of the
+    one-rung loop tries every rung alone, 26 from 0.5 to a failing ladder's
+    floor."""
+    for (visited, rungs), _, calls in record["descents"]:
+        assert calls <= min(rungs, _EXACT_RUNGS * (1 + len(visited)) + len(visited))
+
+
+def _descent_searches(case: str):
+    """(mset, cone, mu) searches of one problem: a many-multiplier box at
+    eta 0 and 0.1 with the sup form and the vertices' barycenter, or
+    example1's display cone with mu in linspace(0, 1, 11) and the sup form
+    over its eta 0 and 0.1 cones."""
+    if case.startswith("many"):
+        mset = multiplier_set(*many_multiplier_spec(int(case[4:])))
+        bary = np.mean(mset.vertices, axis=0)
+        return [(mset, critical_cone(mset, eta), mu) for eta in (0.0, 0.1) for mu in (None, bary)]
+    ex = build_example1(int(case[5:]))
+    mset = multiplier_set(ex.problem, ex.xbar)
+    display = ex.display_critical_cone(mset)
+    return [*((mset, critical_cone(mset, eta), None) for eta in (0.0, 0.1)),
+            (mset, display, None),
+            *((mset, display, np.array([mu])) for mu in np.linspace(0.0, 1.0, 11))]
+
+
+class TestDescentMatchesPerRung:
+    """The descent with its failing ladders screened in row blocks against
+    the one-rung-at-a-time loop of ``helpers.descend_per_rung``: the same
+    accepted candidates, byte for byte, and the same number of rungs.  The
+    step budgets end before, at and inside screened blocks."""
+
+    @pytest.mark.parametrize("steps", [1, 3, 5, 30, 200])
+    @pytest.mark.parametrize("case", [*(f"many{seed}" for seed in range(6)),
+                                      "grid_12", "grid_120", "grid_480"])
+    def test_same_steps(self, case, steps, monkeypatch):
+        record = _spy_descents(monkeypatch, reference=True)
+        budget = replace(DEFAULT_BUDGET, descent_steps=steps)
+        for mset, cone, mu in _descent_searches(case):
+            curvature._search_min(mset, cone, budget, mu)
+        assert record["descents"]
+        for (got, rungs), (want, want_rungs), _ in record["descents"]:
+            assert rungs == want_rungs <= steps
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.h.tobytes() == b.h.tobytes()
+                assert a.value == b.value and a.normalized == b.normalized
+                assert np.asarray(a.mu).tobytes() == np.asarray(b.mu).tobytes()
+        _assert_rungs_alone(record)
+        # a block follows _EXACT_RUNGS failed rungs and stops at the budget;
+        # example1's ladders accept nothing, so each is screened past them
+        assert all(len(out) <= steps - _EXACT_RUNGS for out in record["screens"])
+        if case.startswith("grid"):
+            assert bool(record["screens"]) == (steps > _EXACT_RUNGS)
+
+
+def test_example1_descents_screen_their_ladders(monkeypatch, capsys):
+    """During ``repro example1 --grid 120`` each descent's failing ladder is
+    screened: it tries at most ``_EXACT_RUNGS`` rungs alone, plus one per
+    screened rung that passes, where the one-rung loop tries 26."""
+    record = _spy_descents(monkeypatch, reference=False)
+    assert main(["repro", "example1", "--grid", "120"]) == 0
+    capsys.readouterr()
+    descents = record["descents"]
+    assert len(descents) >= 14 and record["screens"]
+    _assert_rungs_alone(record)
+    assert sum(calls for _, _, calls in descents) < sum(rungs for (_, rungs), _, _ in descents)

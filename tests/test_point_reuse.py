@@ -231,7 +231,7 @@ class TestSingleEvaluation:
 
         def descend(*args):
             out = real_descend(*args)
-            searches[-1][0].extend(out)
+            searches[-1][0].extend(out[0])
             return out
 
         def q(mset, h):
@@ -413,9 +413,10 @@ def _many_multiplier_case():
 
 def _count_block_quads(monkeypatch) -> Counter:
     """Counts the ``quad_rows`` calls on row blocks (more than one row) by
-    form and block, for every form built after this call; one-row calls are
-    the ``quad`` of chosen directions and descent steps.  The blocks are
-    kept alive, so no two of them share a key."""
+    form and block, for every form built after this call: battery blocks
+    and screened descent ladders.  One-row calls are the ``quad`` of chosen
+    directions and of descent rungs tried alone.  The blocks are kept
+    alive, so no two of them share a key."""
     calls, blocks = Counter(), []
     real_init = linalg.BilinearForm.__init__
 
