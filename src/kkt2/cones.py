@@ -411,13 +411,15 @@ def _land_rows(cone: CriticalCone, V: np.ndarray) -> None:
         off = np.abs(W @ RW.T).max(axis=1, initial=0.0) > 1e-10 * (
             1.0 + np.abs(W).max(axis=1, initial=0.0))
         if not off.all():
-            V[moving[~off]] = W[~off]
+            if W is not V:  # until a first row stops, W is V, landed in place
+                V[moving[~off]] = W[~off]
             moving, W = moving[off], W[off]
             if not len(moving):
                 return
         _project_rows(cone, W, step > 0)
         pattern.clamp_rows(W)
-    V[moving] = W
+    if W is not V:
+        V[moving] = W
 
 
 def _land(cone: CriticalCone, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,12 +556,13 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     rows = max(1, _BLOCK_ENTRIES // len(G))
     for start in range(0, count, rows):
         block = H[start:start + rows]
+        r = len(block)
         if len(groups) == 1:
-            np.matmul(rng.exponential(size=(len(block), len(G))), G, out=block)
+            np.matmul(rng.standard_exponential((r, len(G))), G, out=block)
             continue
-        C = unit(rng.exponential(size=(len(block), len(groups[0]))) @ groups[0])
-        D = unit(rng.exponential(size=(len(block), len(groups[1]))) @ groups[1])
-        s = rng.random(len(block)) * _cut_reach((C * D) @ w, D @ wf, eta)
+        C = unit(rng.standard_exponential((r, len(groups[0]))) @ groups[0])
+        D = unit(rng.standard_exponential((r, len(groups[1]))) @ groups[1])
+        s = rng.random(r) * _cut_reach((C * D) @ w, D @ wf, eta)
         np.multiply(D, s[:, None], out=block)
         block += (1.0 - s)[:, None] * C
     norms = np.sqrt(np.maximum((H * H) @ w, 0.0))

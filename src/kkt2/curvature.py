@@ -625,10 +625,12 @@ def sample_growth(
     Newton-correct every equality constraint on the coordinates off the box
     bounds, a row block of tries at a time with the draws in the order of a
     one-by-one loop (``_box_feasible_samples``); generated-cone problems use
-    the problem's feasible sampler when provided.  The margins are computed
-    in row blocks through ``SmoothFunction.values``; the worst one is the
-    first minimum over the samples in their order, and the counterexample
-    its sample when it is below ``-tol.growth_slack``."""
+    the problem's feasible sampler when provided, which returns its samples
+    as one (count, n) array (example2's draws them in row blocks too).  The
+    margins are computed in row blocks, views of that array, through
+    ``SmoothFunction.values``; the worst one is the first minimum over the
+    samples in their order, and the counterexample its sample when it is
+    below ``-tol.growth_slack``."""
 
     if not 0.0 < eps < math.inf:
         raise UsageError("eps must be positive and finite")
@@ -643,7 +645,7 @@ def sample_growth(
     elif isinstance(p.abstract_set, BoxSet):
         samples, tries = _box_feasible_samples(p, v, eps, n_samples, rng, tol)
     else:
-        samples, tries = [], 0
+        samples, tries = np.empty((0, p.dim)), 0
     if not len(samples):
         return GrowthSampleResult(True, 0, math.inf, None, note="no feasible samples found",
                                   tries=tries)
@@ -652,13 +654,12 @@ def sample_growth(
     rows = _growth_rows(p.dim)
     margins = np.empty(len(samples))
     for start in range(0, len(samples), rows):
-        S = np.asarray(samples[start:start + rows], dtype=float)
+        S = samples[start:start + rows]
         margins[start:start + len(S)] = (p.objective.values(S) - f0
                                          - 0.5 * alpha * _distances(p.weights, S, v) ** 2)
     # a NaN margin counts as +inf: a running strict minimum never takes it
     margins[np.isnan(margins)] = math.inf
     worst = int(np.argmin(margins))
-    counterexample = np.array(samples[worst], dtype=float) \
-        if margins[worst] < -tol.growth_slack else None
+    counterexample = samples[worst].copy() if margins[worst] < -tol.growth_slack else None
     return GrowthSampleResult(counterexample is None, len(samples), float(margins[worst]),
                               counterexample, tries=tries)

@@ -42,12 +42,24 @@ def point_q(n: float) -> np.ndarray:
     return np.array([-(s**-3.0), s**-2.0, 0.0])
 
 
+def _section_coordinates(k, n) -> tuple[np.ndarray, np.ndarray]:
+    """x2 and x3 of R_{k,n} (its x1 is 0), broadcast over arrays of k and n.
+
+    The powers go through ``np.float_power``, which calls the C library's
+    pow as ``**`` on Python floats does, so every entry is the scalar
+    formula's value bit for bit (``np.power``'s SIMD loops round some
+    powers differently)."""
+    k = np.asarray(k, dtype=float)
+    n = np.asarray(n, dtype=float)
+    lam = 1.0 / (1.0 + np.float_power(n / (k * GAMMA), 3.0))
+    return (lam * np.float_power(k, -2.0) + (1.0 - lam) * np.float_power(n / GAMMA, -2.0),
+            -lam * np.float_power(k, -4.0))
+
+
 def point_r(k: int, n: int) -> np.ndarray:
     """Intersection of the segment P_k -- Q_n with the plane x1 = 0."""
-    lam = 1.0 / (1.0 + (n / (k * GAMMA)) ** 3)
-    return np.array(
-        [0.0, lam * k**-2.0 + (1.0 - lam) * (n / GAMMA) ** -2.0, -lam * k**-4.0]
-    )
+    x2, x3 = _section_coordinates(k, n)
+    return np.array([0.0, x2, x3])
 
 
 @dataclass(frozen=True)
@@ -159,26 +171,42 @@ class Example2Problem:
     xbar: np.ndarray
 
 
+# Weights per row block of the section sampler: at trunc 8 a block is 252
+# rows of 65 weights; past trunc 127 it is one row.
+_SAMPLER_BLOCK_ENTRIES = 16384
+
+
 def _section_sampler(trunc: int):
     """Feasible samples for the growth check: random convex combinations of
     the origin and the plane-section points R_{k,n}, rescaled into the ball.
-    Every sample lies in the hull and satisfies x1 = 0 exactly."""
+    Every sample lies in the hull and satisfies x1 = 0 exactly.
 
-    verts = [np.zeros(3)] + [
-        point_r(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)
-    ]
-    V = np.array(verts)
+    The combination weights are Dirichlet(1, ..., 1) over the origin and
+    the R_{k,n} (k outer, n inner); a combination outside the eps-ball is
+    scaled radially to a uniform fraction of eps.  Samples are drawn in
+    row blocks of max(1, 16384 // (1 + trunc^2)) rows, one array of shape
+    (count, 3) in all.  A block first draws all its weights, row by row, with
+    one ``rng.standard_exponential((rows, 1 + trunc^2))`` call, then one
+    radius per row with ``rng.random(rows)``; a row inside the ball leaves
+    its radius unused."""
+
+    x2, x3 = _section_coordinates(np.arange(1, trunc + 1)[:, None], np.arange(1, trunc + 1))
+    V = np.zeros((1 + trunc * trunc, 3))
+    V[1:, 1], V[1:, 2] = x2.ravel(), x3.ravel()
+    rows = max(1, _SAMPLER_BLOCK_ENTRIES // len(V))
 
     def sampler(rng: np.random.Generator, center: np.ndarray, eps: float, count: int):
-        out = []
-        for _ in range(count):
-            weights = rng.exponential(size=len(verts))
-            weights /= weights.sum()
-            x = weights @ V
-            nrm = float(np.linalg.norm(x - center))
-            if nrm > eps:
-                x = center + (x - center) * (eps * rng.random() / nrm)
-            out.append(x)
+        out = np.empty((count, 3))
+        for start in range(0, count, rows):
+            X = out[start:start + rows]
+            W = rng.standard_exponential((len(X), len(V)))
+            W /= W.sum(axis=1, keepdims=True)
+            np.matmul(W, V, out=X)
+            radius = rng.random(len(X))
+            D = X - center
+            nrm = np.sqrt(np.sum(D * D, axis=1))
+            far = nrm > eps
+            X[far] = center + D[far] * (eps * radius[far] / nrm[far])[:, None]
         return out
 
     return sampler
@@ -230,28 +258,26 @@ def verify_halfspace_representation(
     geometry: Example2Set, tol: float = 1e-10
 ) -> tuple[bool, list[RowCheck]]:
     """Every generated point satisfies every listed row, and exactly the
-    annotated points lie on each boundary (both at the given tolerance)."""
+    annotated points lie on each boundary (both at the given tolerance).
+    The slacks of all rows at all points come from one matrix product."""
 
     pts = geometry.points
-    checks: list[RowCheck] = []
-    for row in geometry.halfspace_rows():
-        worst_slack = math.inf
-        worst_eq = 0.0
-        ok_sat = True
-        ok_eq = True
-        for name, x in pts.items():
-            v = float(row.coef @ x)
-            slack = row.rhs - v if row.sense == "le" else v - row.rhs
-            worst_slack = min(worst_slack, slack)
-            if slack < -tol:
-                ok_sat = False
-            if name in row.equality_points:
-                worst_eq = max(worst_eq, abs(slack))
-                if abs(slack) > tol:
-                    ok_eq = False
-            elif slack <= tol:
-                ok_eq = False  # an unannotated point on the boundary
-        checks.append(RowCheck(row.label, ok_sat, ok_eq, worst_slack, worst_eq))
+    column = {name: j for j, name in enumerate(pts)}
+    rows = geometry.halfspace_rows()
+    values = np.array([row.coef for row in rows]) @ np.array(list(pts.values())).T
+    rhs = np.array([[row.rhs] for row in rows])
+    slack = np.where([[row.sense == "le"] for row in rows], rhs - values, values - rhs)
+    on = np.zeros(slack.shape, dtype=bool)  # the annotated boundary points
+    for i, row in enumerate(rows):
+        on[i, [column[name] for name in row.equality_points]] = True
+    gap = np.abs(slack)
+    satisfied = ~np.any(slack < -tol, axis=1)
+    # an annotated point off the boundary, or an unannotated one on it
+    exact = ~np.any(np.where(on, gap > tol, slack <= tol), axis=1)
+    worst_slack = slack.min(axis=1)
+    worst_eq = np.max(gap, axis=1, where=on, initial=0.0)
+    checks = [RowCheck(row.label, bool(satisfied[i]), bool(exact[i]), float(worst_slack[i]),
+                       float(worst_eq[i])) for i, row in enumerate(rows)]
     return all(c.satisfied and c.equality_exact for c in checks), checks
 
 
@@ -259,27 +285,18 @@ def verify_section_membership(
     geometry: Example2Set, k_max: int, n_max: int, tol: float = 1e-10
 ) -> tuple[bool, float, float]:
     """R_{k,n} lies under the parabola x3 <= -delta x2^2 for all k,n in
-    range, with boundary equality exactly on the diagonal k = n.
+    range, with boundary equality exactly on the diagonal k = n.  The
+    whole k x n grid is evaluated at once.
 
     Returns (ok, worst membership residual, worst diagonal residual)."""
 
     if k_max < 2 or n_max < 2:
         raise UsageError("k_max and n_max must be at least 2")
-    worst_member = -math.inf
-    worst_diag = 0.0
-    ok = True
-    for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            x = point_r(k, n)
-            resid = float(x[2] + geometry.delta * x[1] ** 2)  # must be <= 0
-            worst_member = max(worst_member, resid)
-            if resid > tol or x[1] < -tol:
-                ok = False
-            if k == n:
-                worst_diag = max(worst_diag, abs(resid))
-                if abs(resid) > tol:
-                    ok = False
-    return ok, worst_member, worst_diag
+    x2, x3 = _section_coordinates(np.arange(1, k_max + 1)[:, None], np.arange(1, n_max + 1))
+    resid = x3 + geometry.delta * np.float_power(x2, 2.0)  # must be <= 0
+    diag = np.abs(np.diagonal(resid))  # k = n
+    ok = not (np.any(resid > tol) or np.any(x2 < -tol) or np.any(diag > tol))
+    return ok, float(resid.max()), float(diag.max())
 
 
 def verify_section_hull(

@@ -191,7 +191,11 @@ def quadratic(
 @dataclass(frozen=True)
 class ProblemSpec:
     """A problem instance: objective, constraints with m1 leading equalities,
-    abstract set, and the weight vector defining the inner product."""
+    abstract set, and the weight vector defining the inner product.
+
+    ``feasible_sampler(rng, center, eps, count)``, when given, returns a
+    (count, n) float array of feasible points in the eps-ball around
+    center, one row each: the growth check's samples."""
 
     objective: SmoothFunction
     constraints: tuple[SmoothFunction, ...]
@@ -199,7 +203,7 @@ class ProblemSpec:
     abstract_set: AbstractSet
     weights: np.ndarray
     name: str = ""
-    feasible_sampler: Optional[Callable[[np.random.Generator, np.ndarray, float, int], list[np.ndarray]]] = None
+    feasible_sampler: Optional[Callable[[np.random.Generator, np.ndarray, float, int], np.ndarray]] = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -1,9 +1,10 @@
 """Shared generators for randomized tests: bounded polytopes, ray-based
 cones, reverse-engineered stationary problems, problem files with many
-multipliers, and six references: an LP maximum by HiGHS, a brute-force
+multipliers, and the references: an LP maximum by HiGHS, a brute-force
 NNLS, row absorption into a sign pattern, a box's critical cone by its cut
-description, the growth sampler's box path one try at a time, and the
-curvature descent one rung at a time."""
+description, the growth sampler's box path one try at a time, the curvature
+descent one rung at a time, example2's section sampler one sample at a time,
+and example2's half-space and section formula checks one point at a time."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
 from kkt2.config import SearchBudget, Tolerances
 from kkt2.curvature import _subgradient
+from kkt2.examples.example2 import GAMMA, Example2Set, RowCheck
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
@@ -404,3 +406,90 @@ def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, evaluate,
             if step < 1e-8:
                 break
     return visited, rungs
+
+
+def point_r_scalar(k: int, n: int) -> np.ndarray:
+    """R_{k,n} by the scalar formula: the intersection of the segment
+    P_k -- Q_n with the plane x1 = 0."""
+    lam = 1.0 / (1.0 + (n / (k * GAMMA)) ** 3)
+    return np.array(
+        [0.0, lam * k**-2.0 + (1.0 - lam) * (n / GAMMA) ** -2.0, -lam * k**-4.0]
+    )
+
+
+def section_sampler_per_sample(trunc: int):
+    """Example2's growth sampler one sample at a time: the reference of
+    ``example2._section_sampler``, with the same distribution but the draws
+    in another order (each sample's weights, then its radius if it needs
+    one)."""
+
+    verts = [np.zeros(3)] + [
+        point_r_scalar(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)
+    ]
+    V = np.array(verts)
+
+    def sampler(rng: np.random.Generator, center: np.ndarray, eps: float, count: int):
+        out = []
+        for _ in range(count):
+            weights = rng.exponential(size=len(verts))
+            weights /= weights.sum()
+            x = weights @ V
+            nrm = float(np.linalg.norm(x - center))
+            if nrm > eps:
+                x = center + (x - center) * (eps * rng.random() / nrm)
+            out.append(x)
+        return out
+
+    return sampler
+
+
+def halfspace_checks_per_point(
+    geometry: Example2Set, tol: float = 1e-10
+) -> tuple[bool, list[RowCheck]]:
+    """``example2.verify_halfspace_representation`` one row and one point at
+    a time."""
+
+    pts = geometry.points
+    checks: list[RowCheck] = []
+    for row in geometry.halfspace_rows():
+        worst_slack = math.inf
+        worst_eq = 0.0
+        ok_sat = True
+        ok_eq = True
+        for name, x in pts.items():
+            v = float(row.coef @ x)
+            slack = row.rhs - v if row.sense == "le" else v - row.rhs
+            worst_slack = min(worst_slack, slack)
+            if slack < -tol:
+                ok_sat = False
+            if name in row.equality_points:
+                worst_eq = max(worst_eq, abs(slack))
+                if abs(slack) > tol:
+                    ok_eq = False
+            elif slack <= tol:
+                ok_eq = False  # an unannotated point on the boundary
+        checks.append(RowCheck(row.label, ok_sat, ok_eq, worst_slack, worst_eq))
+    return all(c.satisfied and c.equality_exact for c in checks), checks
+
+
+def section_membership_per_point(
+    geometry: Example2Set, k_max: int, n_max: int, tol: float = 1e-10
+) -> tuple[bool, float, float]:
+    """``example2.verify_section_membership`` one point R_{k,n} at a time,
+    through the scalar formula."""
+
+    worst_member = -math.inf
+    worst_diag = 0.0
+    ok = True
+    for k in range(1, k_max + 1):
+        for n in range(1, n_max + 1):
+            x = point_r_scalar(k, n)
+            resid = float(x[2] + geometry.delta * x[1] ** 2)  # must be <= 0
+            worst_member = max(worst_member, resid)
+            if resid > tol or x[1] < -tol:
+                ok = False
+            if k == n:
+                worst_diag = max(worst_diag, abs(resid))
+                if abs(resid) > tol:
+                    ok = False
+    return ok, worst_member, worst_diag

@@ -1,6 +1,8 @@
 """Construction checks for the builtin example2 problem."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,15 @@ from kkt2.examples import (
     verify_matrix_property,
     verify_section_membership,
 )
+from kkt2.examples.example2 import _section_coordinates
 from kkt2.kkt import multiplier_set
+
+from helpers import (
+    halfspace_checks_per_point,
+    point_r_scalar,
+    section_membership_per_point,
+    section_sampler_per_sample,
+)
 
 
 class TestConstants:
@@ -83,6 +93,102 @@ class TestGeometry:
         from kkt2.examples import verify_section_hull
 
         assert verify_section_hull(build_example2(5).geometry, samples=100, seed=3)
+
+
+class TestFormulaChecksMatchPerPoint:
+    """The one-pass formula checks against the per-point loops."""
+
+    @staticmethod
+    def _assert_same_rows(got, want):
+        assert got[0] == want[0]
+        assert [(c.label, c.satisfied, c.equality_exact) for c in got[1]] == \
+            [(c.label, c.satisfied, c.equality_exact) for c in want[1]]
+        for a, b in zip(got[1], want[1]):
+            assert abs(a.worst_slack - b.worst_slack) <= 1e-12
+            assert abs(a.worst_equality_residual - b.worst_equality_residual) <= 1e-12
+
+    @pytest.mark.parametrize("trunc", range(2, 41))
+    def test_halfspace_representation(self, trunc):
+        geometry = build_example2(trunc).geometry
+        self._assert_same_rows(verify_halfspace_representation(geometry),
+                               halfspace_checks_per_point(geometry))
+
+    @pytest.mark.parametrize("trunc", range(2, 41))
+    def test_section_membership(self, trunc):
+        """Square and lopsided grids up to trunc; the worst values are the
+        scalar formula's bit for bit."""
+        geometry = build_example2(trunc).geometry
+        for k_max, n_max in ((trunc, trunc), (2, trunc), (trunc, 2)):
+            got = verify_section_membership(geometry, k_max, n_max)
+            assert got == section_membership_per_point(geometry, k_max, n_max)
+
+    def test_section_coordinates_are_the_scalar_formula(self):
+        x2, x3 = _section_coordinates(np.arange(1, 41)[:, None], np.arange(1, 41))
+        want = np.array([[point_r_scalar(k, n) for n in range(1, 41)] for k in range(1, 41)])
+        assert np.array_equal(x2, want[:, :, 1]) and np.array_equal(x3, want[:, :, 2])
+        assert np.array_equal(point_r(7, 3), point_r_scalar(7, 3))
+
+    def test_tampered_row_coefficient_fails(self):
+        geometry = build_example2(8).geometry
+        rows = geometry.halfspace_rows()
+        rows[5] = replace(rows[5], coef=rows[5].coef + np.array([0.0, 1e-6, 0.0]))
+        tampered = SimpleNamespace(points=geometry.points, halfspace_rows=lambda: rows)
+        got, want = verify_halfspace_representation(tampered), halfspace_checks_per_point(tampered)
+        assert not got[0]
+        assert not (got[1][5].satisfied and got[1][5].equality_exact)
+        self._assert_same_rows(got, want)
+
+    def test_unannotated_boundary_point_fails(self):
+        """The midpoint of O and Q1 lies on the rows tight at O and Q1."""
+        geometry = build_example2(8).geometry
+        points = dict(geometry.points, M=0.5 * point_q(1))
+        tampered = SimpleNamespace(points=points, halfspace_rows=geometry.halfspace_rows)
+        got, want = verify_halfspace_representation(tampered), halfspace_checks_per_point(tampered)
+        assert not got[0]
+        assert [c.equality_exact for c in got[1][:2]] == [False, False]
+        assert all(c.satisfied for c in got[1])
+        self._assert_same_rows(got, want)
+
+    def test_wrong_delta_fails(self):
+        """A parabola 1% steeper puts the diagonal points above it."""
+        geometry = SimpleNamespace(delta=1.01 * DELTA)
+        got = verify_section_membership(geometry, 30, 30)
+        assert not got[0]
+        assert got == section_membership_per_point(geometry, 30, 30)
+
+
+class TestSectionSampler:
+    """example2's growth sampler, drawn in row blocks, against the per-sample
+    reference: feasibility sample by sample, and the same distribution."""
+
+    COUNT, EPS = 20_000, 0.05
+
+    @pytest.mark.parametrize("trunc", [8, 40])
+    def test_samples_feasible_and_distributed_as_per_sample(self, trunc):
+        ex = build_example2(trunc)
+        S = ex.problem.feasible_sampler(np.random.default_rng(5), ex.xbar, self.EPS, self.COUNT)
+        assert isinstance(S, np.ndarray) and S.shape == (self.COUNT, 3) and S.dtype == float
+        assert np.all(S[:, 0] == 0.0)
+        norms = np.linalg.norm(S - ex.xbar, axis=1)
+        assert np.all(norms <= self.EPS * (1.0 + 1e-12))
+        cone = ex.geometry.cone_set()
+        assert all(cone.contains(x) for x in S)
+
+        ref = np.array(section_sampler_per_sample(trunc)(
+            np.random.default_rng(6), ex.xbar, self.EPS, self.COUNT))
+        for got, want in [*zip(S.T, ref.T), (norms, np.linalg.norm(ref - ex.xbar, axis=1))]:
+            se = math.sqrt((got.var() + want.var()) / self.COUNT)
+            assert abs(got.mean() - want.mean()) <= 5.0 * se
+
+    def test_stream_order_of_a_block(self):
+        """A block draws its weights, then one radius per row: the first
+        sample is the first weight row, normalized, times the vertices."""
+        ex = build_example2(3)
+        S = ex.problem.feasible_sampler(np.random.default_rng(9), ex.xbar, 10.0, 4)
+        rng = np.random.default_rng(9)
+        W = rng.standard_exponential((4, 10))
+        V = np.array([np.zeros(3)] + [point_r(k, n) for k in range(1, 4) for n in range(1, 4)])
+        np.testing.assert_allclose(S, (W / W.sum(axis=1, keepdims=True)) @ V, rtol=0, atol=1e-15)
 
 
 class TestMatrixProperty:
