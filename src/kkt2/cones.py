@@ -13,19 +13,21 @@ At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier (``MultiplierSet.annihilator``), so its
 implicit equalities enter as =0 coordinates and equality rows, and random
 draws land in it after one projection; other box cones keep K's rows and
-the objective cut as plain rows.  Every box cone lands its draws with
-one in-place sweep (``_land_rows``): clamp, one projection onto the rows'
-null space, then exact projections onto the section of the rows by each
-row's face, each row stopping on its own.  A hull's critical cone starts from its tangent
-rays instead: their facets (``linalg.cone_facets``) decide membership, and
-random draws combine its section generators: the facets plus the cuts, run
-through the double-description routine.  A box cone with inequality
-rows, where landed gaussian starts rarely meet the rows and the objective
-cut, lists the same generators with its sign pattern read as rows, and
-draws from them once the starts stop landing.
+the objective cut as plain rows.  Every box cone lands its draws with one
+in-place sweep (``_land_rows``): clamp, one projection onto the rows' null
+space, then exact projections onto the section of the rows by each row's
+face, each row stopping on its own.  A hull's critical cone starts from its
+tangent rays instead (``base_rays``): their facets (``linalg.cone_facets``)
+decide membership, and random draws combine its section generators: the
+facets plus the cuts, run through the double-description routine.  A box
+cone with inequality rows, where landed gaussian starts rarely meet the
+rows and the objective cut, lists the same generators with its sign
+pattern read as rows, and draws from them once the starts stop landing.
 ``radial_density_gap`` measures the Euclidean distance from a direction to
-the same kind of section, one NNLS (``linalg.conic_distance``) per
-truncation; nothing here solves an LP.
+the same kind of section, cut by equality and inequality row matrices, one
+NNLS (``linalg.conic_distance``) per truncation; nothing here solves an LP.
+Cut rows, rays, generators and direction lists are each one (k, n) array
+(the "Polyhedral data" note of ``linalg``).
 """
 
 from __future__ import annotations
@@ -38,14 +40,14 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import cone_facets, cone_is_trivial, conic_distance
+from .linalg import _as_rows, cone_facets, cone_is_trivial, conic_distance
 from .model import BoxSet, GeneratedConeSet, as_entries
 
 if TYPE_CHECKING:
     from .kkt import MultiplierSet
 
 FREE, NONNEG, NONPOS, ZERO = 0, 1, 2, 3
-_POLAR = {FREE: ZERO, NONNEG: NONPOS, NONPOS: NONNEG, ZERO: FREE}
+_POLAR = np.array([ZERO, NONPOS, NONNEG, FREE], dtype=np.int8)  # the polar code of each code
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class SignPatternCone:
         return self.codes.shape[0]
 
     def polar(self) -> "SignPatternCone":
-        return SignPatternCone(np.array([_POLAR[int(c)] for c in self.codes], dtype=np.int8))
+        return SignPatternCone(_POLAR[self.codes])
 
     def contains(self, h, tol: float = 1e-9) -> bool:
         return bool(self.contains_rows(np.asarray(h, dtype=float)[None], tol)[0])
@@ -96,14 +98,9 @@ class SignPatternCone:
 
     def runs(self) -> list[tuple[int, int, int]]:
         """Maximal index-contiguous runs of equal code as (start, stop, code)."""
-        out = []
-        start = 0
         c = self.codes
-        for i in range(1, self.dim + 1):
-            if i == self.dim or c[i] != c[start]:
-                out.append((start, i, int(c[start])))
-                start = i
-        return out
+        cuts = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist(), self.dim]
+        return [(i, j, int(c[i])) for i, j in zip(cuts, cuts[1:]) if i < j]
 
 
 def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> SignPatternCone:
@@ -131,26 +128,25 @@ class CriticalCone:
     """Tangent directions kept first-order feasible with the objective cut.
 
     ``base_pattern`` (box problems) or ``base_rays`` (generated-cone
-    problems) carries the abstract-set geometry; ``eq_rows``/``ineq_rows``
-    are the functional cuts, read-only (k, n) arrays (any sequence of rows
-    is coerced), applied through the weighted inner product; the objective
+    problems, (0, n) on a box) carries the abstract-set geometry;
+    ``eq_rows``/``ineq_rows`` are the functional cuts, applied through the
+    weighted inner product.  All three are read-only (k, n) arrays (any
+    sequence of rows is coerced, ``linalg._as_rows``).  The objective
     cut is f'(x).h <= eta ||h|| when ``objective_gradient`` is kept (eta = 0
     gives the plain critical cone).
     """
 
     weights: np.ndarray
     base_pattern: Optional[SignPatternCone]
-    base_rays: tuple[np.ndarray, ...]
+    base_rays: np.ndarray
     eq_rows: np.ndarray
     ineq_rows: np.ndarray
     objective_gradient: Optional[np.ndarray]
     eta: float
 
     def __post_init__(self):
-        for name in ("eq_rows", "ineq_rows"):
-            R = np.array(getattr(self, name), dtype=float).reshape(-1, self.dim)
-            R.flags.writeable = False
-            object.__setattr__(self, name, R)
+        for name in ("base_rays", "eq_rows", "ineq_rows"):
+            object.__setattr__(self, name, _as_rows(getattr(self, name), self.dim))
         object.__setattr__(self, "_battery_cache", {})
         if len(self.eq_rows):
             # h -> h - (h @ A.T) @ B is the weighted projection onto the rows'
@@ -207,9 +203,8 @@ class CriticalCone:
             codes = self.base_pattern.codes
             signed = np.eye(self.dim) * np.where(codes == NONNEG, -1.0, 1.0)[:, None]
             L, R = signed[codes == ZERO], signed[(codes == NONNEG) | (codes == NONPOS)]
-        eq = [(a, 0.0) for a in (*L, *(self.weights * self.eq_rows))]
-        ineq = [(a, 0.0) for a in (*R, *(self.weights * self.ineq_rows))]
-        return cone_is_trivial(self.dim, eq, ineq)[1]
+        return cone_is_trivial(self.dim, np.vstack([L, self.weights * self.eq_rows]),
+                               np.vstack([R, self.weights * self.ineq_rows]))[1]
 
     @cached_property
     def _cuts(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -280,9 +275,9 @@ def critical_cone(mset: "MultiplierSet", eta: float = 0.0) -> CriticalCone:
         raise UsageError("eta must be nonnegative and finite")
     p, fgrad, grads = mset.problem, mset.f_grad, mset.g_grads
     base, k_pattern = mset.c_pattern, mset.k_pattern
-    annihilator = base is not None and eta == 0.0 and mset.bounded and bool(mset.vertices)
+    annihilator = base is not None and eta == 0.0 and mset.bounded and len(mset.vertices) > 0
     if annihilator:
-        base, k_pattern, _ = mset.annihilator(np.mean(mset.vertex_matrix, axis=0))
+        base, k_pattern, _ = mset.annihilator(np.mean(mset.vertices, axis=0))
     eq_rows, ineq_rows = grads[k_pattern.codes == ZERO], grads[k_pattern.codes == NONPOS]
     if eta == 0.0 and not annihilator:
         ineq_rows = np.vstack([ineq_rows, fgrad])
@@ -314,12 +309,14 @@ class DensityReport:
 
 def radial_density_gap(
     descriptor: Union[BoxSet, Sequence[GeneratedConeSet]],
-    rows: Sequence[tuple[np.ndarray, str]],
+    eq=(),
+    ineq=(),
     h=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DensityReport:
     """Evidence for/against density of the radial cone section in the tangent
-    cone section cut by ``rows`` ((functional, "eq"|"le") pairs).
+    cone section {d : E d = 0, I d <= 0} cut by the functionals of the row
+    matrices E = ``eq`` and I = ``ineq``.
 
     Boxes are polyhedral, so the radial and tangent cones agree and every
     section is dense.  For a generated-cone set, the candidate tangent
@@ -340,8 +337,6 @@ def radial_density_gap(
     if h is None:
         raise UsageError("a candidate tangent direction h is required for hull sets")
     hv = np.asarray(h, dtype=float)
-    eq = tuple(r for r, kind in rows if kind == "eq")
-    ineq = tuple(r for r, kind in rows if kind != "eq")
 
     def distance(c: GeneratedConeSet) -> float:
         section = CriticalCone(np.ones(c.dim), None, c.rays, eq, ineq, None, 0.0)
@@ -441,18 +436,19 @@ def into_cone(cone: CriticalCone, h: np.ndarray) -> Optional[np.ndarray]:
 _SIGNS = {FREE: (1.0, -1.0), NONNEG: (1.0,), NONPOS: (-1.0,), ZERO: ()}
 
 
-def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
-    """Canonical candidates: run indicators for pattern cones (paper scaling,
-    entries in {0, +-1}), then unit coordinates, up to ``4 limit``
-    candidates, each landed in the cone when needed (one ``_land`` sweep over
-    the non-members; a landed row within 1e-12 of one kept before is
-    dropped); the section generators that meet the objective cut for
-    ray-based cones, and for box cones whose listed section is a single ray,
-    which run indicators and gaussian starts can all miss."""
+def structured_directions(cone: CriticalCone, limit: int) -> np.ndarray:
+    """Canonical candidates, the rows of one read-only (k, n) array: run
+    indicators for pattern cones (paper scaling, entries in {0, +-1}), then
+    unit coordinates, up to ``4 limit`` candidates, each landed in the cone
+    when needed (one ``_land`` sweep over the non-members; a landed row
+    within 1e-12 of one kept before is dropped); the section generators that
+    meet the objective cut for ray-based cones, and for box cones whose
+    listed section is a single ray, which run indicators and gaussian starts
+    can all miss."""
 
     if cone.base_pattern is None or (cone.has_generators and len(cone.generators) <= 1):
         G = cone.generators
-        return list(G[cone._cuts_hold(G, 1e-7)][:limit])
+        return _as_rows(G[cone._cuts_hold(G, 1e-7)][:limit], cone.dim)
     spans = [(start, stop, s) for start, stop, code in cone.base_pattern.runs()
              for s in _SIGNS[code]]
     for i, code in enumerate(cone.base_pattern.codes):
@@ -477,7 +473,8 @@ def structured_directions(cone: CriticalCone, limit: int) -> list[np.ndarray]:
         if member[k] or not np.any(np.abs(out[:kept] - raw[k]).max(axis=1) <= 1e-12):
             out[kept] = raw[k]
             kept += 1
-    return list(out[:kept])
+    del raw, V  # freed before the copy: beside them it raised example1's peak RSS by 2 MB
+    return _as_rows(out[:kept], cone.dim)
 
 
 # Entries per row block of a battery, drawn or evaluated: 128 KB

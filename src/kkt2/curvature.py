@@ -8,7 +8,7 @@ checks are falsifiers with a documented heuristic search: structured
 directions, seeded random cone samples, and a projected subgradient
 refinement.  Every function reads f''(x), g''(x) and the multiplier
 vertices off the point object (``MultiplierSet.f_form``, ``g_forms`` and
-``vertex_matrix``, built once per point).  The battery is one array,
+``vertices``, built once per point).  The battery is one array,
 drawn once per cone and budget and cached on the cone (``_Battery``).  Its
 form columns, ||h||_w^2, f''(x)h^2 and each g_i''(x)h^2, are computed in
 row blocks with one ``BilinearForm.quad_rows`` call per form on the cone's
@@ -59,7 +59,7 @@ def _combine(mset: MultiplierSet, columns: _Columns, mu: Optional[np.ndarray]) -
     f, S = columns
     if S is None:
         return f
-    return f + S @ mu if mu is not None else f + np.max(S @ mset.vertex_matrix.T, axis=1)
+    return f + S @ mu if mu is not None else f + np.max(S @ mset.vertices.T, axis=1)
 
 
 def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
@@ -90,7 +90,7 @@ def _require_vertices(mset: MultiplierSet) -> None:
         raise EmptyMultiplierSet("q(h) needs a nonempty multiplier set")
     if not mset.bounded:
         raise UnboundedMultiplierSet("q(h) needs a bounded multiplier set")
-    if mset.m and not mset.vertices:
+    if mset.m and not len(mset.vertices):
         raise EmptyMultiplierSet("multiplier polytope has no enumerated vertices")
 
 
@@ -103,10 +103,10 @@ def q_of_h(mset: MultiplierSet, h) -> tuple[float, np.ndarray]:
     if mset.m == 0:
         return base, np.zeros(0)
     s = _constraint_quads(mset, hv)
-    V = mset.vertex_matrix
+    V = mset.vertices
     best = int(np.argmax(V @ s))
     # the winner's value by the dot product of fixed_mu_value, so replays match
-    return base + float(V[best] @ s), np.asarray(mset.vertices[best])
+    return base + float(V[best] @ s), V[best]
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def _battery(cone: CriticalCone, budget: SearchBudget) -> _Battery:
     cache = cone._battery_cache
     if key not in cache:
         rng = np.random.default_rng(budget.seed)
-        structured = np.reshape(structured_directions(cone, budget.structured), (-1, cone.dim))
+        structured = structured_directions(cone, budget.structured)
         # top the battery up to the full budget with random members
         n_random = budget.structured + budget.random - len(structured)
         H = np.concatenate([structured, random_directions(cone, n_random, rng)])

@@ -87,7 +87,7 @@ def _display_cone_checks(ctx: RunContext, ex: Example1Problem) -> list[CheckReco
 def _multiplier_uniqueness(ctx: RunContext) -> CheckRecord:
     mset = ctx.multipliers
     unique = len(mset.vertices) == 1 and abs(float(mset.vertices[0][0])) <= 1e-10
-    lam = mset.lam_of(mset.vertices[0]) if mset.vertices else None
+    lam = mset.lam_of(mset.vertices[0]) if len(mset.vertices) else None
     lam_ok = lam is not None and float(np.max(np.abs(lam - np.array([0.0, 0.0, 1.0])))) <= 1e-10
     return CheckRecord("multiplier_uniqueness", "pass" if unique and lam_ok else "fail", {
         "n_vertices": len(mset.vertices), "mu": [float(v[0]) for v in mset.vertices],

@@ -148,18 +148,17 @@ class Example2Set:
         return rows
 
     def cone_set(self) -> GeneratedConeSet:
+        """The rays P_1..P_N, Q_1..Q_N, the limit ray, the deep tail and the
+        hull points O, P_1..P_N, Q_1..Q_N, each family one (k, 3) array."""
         N = self.trunc
-        rays = tuple(point_p(n) for n in range(1, N + 1)) + tuple(
-            point_q(n) for n in range(1, N + 1)
-        )
-        deep = tuple(np.array([float(n), float(n) ** 2, -1.0]) for n in _DEEP_TAIL)
-        hull = (np.zeros(3),) + rays
+        rays = np.array([point_p(n) for n in range(1, N + 1)]
+                        + [point_q(n) for n in range(1, N + 1)])
         return GeneratedConeSet(
             base=np.zeros(3),
             rays=rays,
-            limit_rays=(np.array([0.0, 1.0, 0.0]),),
-            deep_rays=deep,
-            hull_points=hull,
+            limit_rays=[[0.0, 1.0, 0.0]],
+            deep_rays=[[float(n), float(n) ** 2, -1.0] for n in _DEEP_TAIL],
+            hull_points=np.vstack([np.zeros(3), rays]),
         )
 
 
@@ -322,8 +321,8 @@ def verify_section_hull(
             if abs(r[0]) > tol or float(np.max(np.abs(r - on_segment))) > tol:
                 return False
 
-    section_pts = tuple([np.zeros(3)] + [point_r(k, n)
-                        for k in range(1, N + 1) for n in range(1, N + 1)])
+    section_pts = np.array([np.zeros(3)] + [point_r(k, n)
+                           for k in range(1, N + 1) for n in range(1, N + 1)])
     section = GeneratedConeSet(base=np.zeros(3), rays=(), hull_points=section_pts)
     gens = list(pts.values())
     rng = np.random.default_rng(seed)

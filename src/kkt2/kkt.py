@@ -18,7 +18,8 @@ lambda(mu) in the normal cone) are the one multiplier test, ``contains_mu``.
 
 Surjectivity-type constraint qualifications are decided by polarity: a
 polyhedral cone difference equals the whole space iff only nu = 0 satisfies
-the polar system.  ``linalg.cone_is_trivial`` returns the generators of the
+the polar system, whose two row matrices are masks on the pattern codes
+(``_polar_rows``).  ``linalg.cone_is_trivial`` returns the generators of the
 polar cone; there are none iff the CQ holds.  When the strict CQ fails, the
 signs of the polar generators give the achieved cone.  A box reads them off
 the multiplier vertices: on polyhedral data the polar cone at a vertex mu
@@ -52,8 +53,6 @@ from .cones import (
 from .linalg import BilinearForm, PolytopeH, cone_is_trivial, enumerate_vertices, nnls
 from .model import BoxSet, ProblemSpec, as_entries, check_feasible
 
-Row = tuple[np.ndarray, float]
-
 
 @dataclass(frozen=True)
 class MultiplierSet:
@@ -67,8 +66,9 @@ class MultiplierSet:
 
     ``empty``, ``bounded`` and ``vertices`` come from one double description
     of the polytope, run on first read, so a run that reads only the point
-    data never starts it.  The Hessians f''(x) and g_i''(x) (``f_form``,
-    ``g_forms``) are built on first read too, once per point."""
+    data never starts it; ``vertices`` is one read-only (k, m) array.  The
+    Hessians f''(x) and g_i''(x) (``f_form``, ``g_forms``) are built on
+    first read too, once per point."""
 
     problem: ProblemSpec
     x: np.ndarray
@@ -84,15 +84,15 @@ class MultiplierSet:
         return self.g_grads.shape[0]
 
     @cached_property
-    def _enumeration(self) -> tuple[bool, bool, tuple[np.ndarray, ...]]:
+    def _enumeration(self) -> tuple[bool, bool, np.ndarray]:
         """(empty, bounded, vertices).  An empty polytope reads as unbounded,
         except without constraints, where mu has no entries and the set is
         {()} or empty."""
         try:
-            vertices = tuple(enumerate_vertices(self.polytope, self.tol))
+            vertices = enumerate_vertices(self.polytope, self.tol)
         except UnboundedPolytope:
-            return False, False, ()
-        return not vertices, bool(vertices) or self.m == 0, vertices
+            return False, False, np.empty((0, self.m))
+        return not len(vertices), len(vertices) > 0 or self.m == 0, vertices
 
     @cached_property
     def empty(self) -> bool:
@@ -103,7 +103,7 @@ class MultiplierSet:
         return self._enumeration[1]
 
     @cached_property
-    def vertices(self) -> tuple[np.ndarray, ...]:
+    def vertices(self) -> np.ndarray:
         return self._enumeration[2]
 
     @cached_property
@@ -113,11 +113,6 @@ class MultiplierSet:
         verdicts read this one probe."""
         return _polar_generators(
             *_difference_map(self.c_pattern, self.g_grads, self.k_pattern), self.tol)
-
-    @cached_property
-    def vertex_matrix(self) -> np.ndarray:
-        """The multiplier vertices as the rows of one array."""
-        return np.asarray(self.vertices, dtype=float)
 
     @cached_property
     def f_form(self) -> BilinearForm:
@@ -174,34 +169,30 @@ def _abstract_cone(
     For a box the generators are the n coordinates under ``c_pattern``, and
     the matrix is D itself: the weighted product would scale column j by
     w_j > 0, which changes no sign condition.  For a hull they are the rays
-    ``hull_rays(set)``, every coefficient >= 0, and entry (i, j) is
-    <D[i], ray j>_w.
+    ``hull_rays(set)``, the rows of a (k, n) array, every coefficient >= 0,
+    and entry (i, j) is <D[i], ray j>_w, summed entry by entry as
+    ``np.sum`` sums one row.
     """
     if mset.c_pattern is not None:
         return mset.c_pattern, D
-    p = mset.problem
-    rays = hull_rays(p.abstract_set)
-    w = p.weights
-    M = np.array([[float(np.sum(w * row * d)) for d in rays] for row in D])
-    return SignPatternCone(np.full(len(rays), NONNEG)), M.reshape(len(D), len(rays))
+    rays = hull_rays(mset.problem.abstract_set)
+    M = np.sum((mset.problem.weights * D)[:, None, :] * rays, axis=2)
+    return SignPatternCone(np.full(len(rays), NONNEG)), M
 
 
 def _polar_rows(
     pattern: SignPatternCone, M: np.ndarray, rhs: Optional[np.ndarray] = None
-) -> tuple[list[Row], list[Row]]:
-    """Rows in y of "y . M[:, j] - rhs_j has the sign of the polar of code j",
-    for every column j (rhs defaults to 0)."""
-    eq: list[Row] = []
-    ineq: list[Row] = []
-    for j, code in enumerate(pattern.polar().codes):
-        b = 0.0 if rhs is None else rhs[j]
-        if code == NONPOS:
-            ineq.append((M[:, j], b))
-        elif code == NONNEG:
-            ineq.append((-M[:, j], -b))
-        elif code == ZERO:
-            eq.append((M[:, j], b))
-    return eq, ineq
+) -> PolytopeH:
+    """The system in y of "y . M[:, j] - rhs_j has the sign of the polar of
+    code j" over the columns j (rhs defaults to 0): the =0 columns give the
+    equality rows, the <=0 and >=0 columns (negated) the inequality rows,
+    each block in column order."""
+    polar = pattern.polar().codes
+    sign = np.where(polar == NONPOS, 1.0, np.where(polar == NONNEG, -1.0, 0.0))
+    eq, ineq = polar == ZERO, sign != 0.0
+    b = np.zeros(M.shape[1]) if rhs is None else rhs
+    return PolytopeH(np.vstack([M.T[eq], (M.T * sign[:, None])[ineq]]),
+                     np.concatenate([b[eq], (b * sign)[ineq]]), int(np.count_nonzero(eq)))
 
 
 def multiplier_set(
@@ -225,16 +216,18 @@ def multiplier_set(
     k_codes[: p.m1] = ZERO
     c_pattern = tangent_cone_box(p.abstract_set, v, tol) \
         if isinstance(p.abstract_set, BoxSet) else None
-    mset = MultiplierSet(p, v, c_pattern, SignPatternCone(k_codes), f_grad, G, PolytopeH(m), tol)
+    mset = MultiplierSet(p, v, c_pattern, SignPatternCone(k_codes), f_grad, G,
+                         PolytopeH(np.zeros((0, m)), np.zeros(0)), tol)
 
-    # lambda(mu) = -f'(x) - G^T mu lies in the normal cone, the polar of the
-    # tangent cone: one row per generator, in the generator coordinates; mu
-    # lies in the normal cone of K, the polar of k_pattern.  With m = 0 the
-    # rows are 0 = b or 0 <= b, so Lambda(x) is {()} or empty by the same test
+    # mu lies in the normal cone of K (the polar of k_pattern) and lambda(mu)
+    # = -f'(x) - G^T mu in the abstract set's normal cone: one row per
+    # generator, in the generator coordinates.  One system over the columns
+    # [I, -G'] puts K's rows first in each block.  With m = 0 the rows are
+    # 0 = b or 0 <= b, so Lambda(x) is {()} or empty by the same test
     pattern, GF = _abstract_cone(mset, np.vstack([G, f_grad]), lambda s: s.normal_row_rays())
-    pat_eq, pat_ineq = _polar_rows(pattern, -GF[:m], GF[m])
-    sign_eq, sign_ineq = _polar_rows(mset.k_pattern, np.eye(m))
-    poly = PolytopeH(m, tuple(sign_eq + pat_eq), tuple(sign_ineq + pat_ineq)).cleaned(tol)
+    both = SignPatternCone(np.concatenate([mset.k_pattern.codes, pattern.codes]))
+    poly = _polar_rows(both, np.hstack([np.eye(m), -GF[:m]]),
+                       np.concatenate([np.zeros(m), GF[m]])).cleaned(tol)
     return replace(mset, polytope=poly)
 
 
@@ -271,8 +264,8 @@ def _polar_generators(
     """Generators (rows) of the polar of MI[pattern]: the nu with nu . MI[:, j]
     in the polar of every code j.  MI[pattern] = R^m iff there are none, and
     the first one is the witness when there are."""
-    eq, ineq = _polar_rows(pattern, MI)
-    return cone_is_trivial(MI.shape[0], eq, ineq, tol)[1]
+    polar = _polar_rows(pattern, MI)
+    return cone_is_trivial(MI.shape[0], polar.eq_rows, polar.ineq_rows, tol)[1]
 
 
 def _surjectivity_cq(mset: MultiplierSet, hull_rays, name: str) -> CQVerdict:
@@ -290,7 +283,7 @@ def _surjectivity_cq(mset: MultiplierSet, hull_rays, name: str) -> CQVerdict:
 def check_rzkcq(mset: MultiplierSet) -> CQVerdict:
     """g'(x) R_C(x) - R_K(g(x)) = R^m, via the polar probe (on a box the
     point object's one probe, shared with ``check_weaker_cq``)."""
-    return _surjectivity_cq(mset, lambda s: s.rays + s.deep_rays, "rzkcq")
+    return _surjectivity_cq(mset, lambda s: np.vstack([s.rays, s.deep_rays]), "rzkcq")
 
 
 def check_weaker_cq(mset: MultiplierSet) -> CQVerdict:
@@ -307,9 +300,10 @@ def check_strict_cq(mset: MultiplierSet, mu) -> CQVerdict:
 
     The annihilator sections are pattern cones again
     (``MultiplierSet.annihilator``); on a hull the C-cone keeps the tangent
-    rays that lambda annihilates.  The verdict is the same polar probe, and
-    on failure the achieved cone is read off the polar generators
-    (``_achieved_cone``).
+    rays d that lambda annihilates, |<lambda, d>_w| <= tol.residual max|d|,
+    a test that no rescaling of the rays changes.  The verdict is the same
+    polar probe, and on failure the achieved cone is read off the polar
+    generators (``_achieved_cone``).
 
     This is the reference route, one double description per multiplier;
     ``stages.strict_cq`` runs it on hulls, and answers boxes by
@@ -323,12 +317,10 @@ def check_strict_cq(mset: MultiplierSet, mu) -> CQVerdict:
     if c_section is not None:
         M = mset.g_grads
     else:
-        kept_rays = [
-            d for d in p.abstract_set.tangent_rays()
-            if abs(float(np.sum(p.weights * lam * d)))
-            <= tol.residual * (1.0 + float(np.max(np.abs(d))))
-        ]
-        c_section, M = _abstract_cone(mset, mset.g_grads, lambda s: kept_rays)
+        T = p.abstract_set.tangent_rays()
+        scale = np.abs(T).max(axis=1, initial=0.0)
+        kept = np.abs(np.sum(p.weights * lam * T, axis=1)) <= tol.residual * scale
+        c_section, M = _abstract_cone(mset, mset.g_grads, lambda s: T[kept])
 
     gens = _polar_generators(*_difference_map(c_section, M, k_section), tol)
     if not len(gens):
@@ -363,9 +355,9 @@ def strict_cq_by_vertices(mset: MultiplierSet) -> list[CQVerdict]:
     1 like the double description's rows.  ``linalg.enumerate_vertices``
     has checked every vertex against the polytope's rows."""
 
-    if mset.c_pattern is None or not mset.vertices:
+    if mset.c_pattern is None or not len(mset.vertices):
         raise UsageError("the vertex route needs a box with multiplier vertices")
-    V = mset.vertex_matrix
+    V = mset.vertices
     if len(V) == 1:
         return [CQVerdict("strict", True)]
     verdicts = []
@@ -400,8 +392,7 @@ def _normal_cone_generators(mset: MultiplierSet) -> np.ndarray:
         eye = np.eye(p.dim)
         return np.vstack([eye[(codes == NONNEG) | (codes == FREE)],
                           -eye[(codes == NONPOS) | (codes == FREE)]])
-    rows = [(p.weights * d, 0.0) for d in p.abstract_set.normal_row_rays()]
-    return cone_is_trivial(p.dim, [], rows, mset.tol)[1]
+    return cone_is_trivial(p.dim, (), p.weights * p.abstract_set.normal_row_rays(), mset.tol)[1]
 
 
 def foc_residual(mset: MultiplierSet) -> FOCResult:

@@ -1,31 +1,45 @@
 """Weighted norms, bilinear forms, a dense LP kernel, polyhedral cones and
-nonnegative least squares.
+nonnegative least squares, sized for desk-scale certification work:
+multiplier polytopes with a few dozen vertices, cones with a few dozen
+generators.
 
-Everything here is sized for desk-scale certification work: multiplier
-polytopes with a few dozen vertices, cones with a few dozen generators.
 Every polyhedral question of a certification run is answered without LPs,
-by one double-description routine that returns a cone's lineality basis
-and extreme rays.  Run on an H-representation it gives generators (is a
-polar cone trivial, which axes does a cone reach, what are a polytope's
-vertices, which rays span a cone section); run on the polar of a finitely
-generated cone it gives that cone's facets (Minkowski-Weyl), which decide
-hull and cone membership.  An H-polytope has one membership test, one
-array pass over its rows (``PolytopeH.contains_rows``), and
-``enumerate_vertices`` checks every vertex it returns with it: a vertex that
-misses a row raises ``NumericError``.  Every distance to a finitely
-generated cone is one Lawson-Hanson NNLS (``nnls``, ``conic_distance``):
-the non-stationary FOC residual and ``cones.radial_density_gap``.  The
-dense two-phase simplex with Bland's rule (``solve_lp``) remains as an
-independent reference for the tests.
+by one double-description routine.  Run on an H-representation it gives
+generators (is a polar cone trivial, which axes does a cone reach, what are
+a polytope's vertices, which rays span a cone section); run on the polar of
+a finitely generated cone it gives that cone's facets (Minkowski-Weyl),
+which decide hull and cone membership.  An H-polytope has one membership
+test, one array pass over its rows (``PolytopeH.contains_rows``), and
+``enumerate_vertices`` checks every vertex with it: a vertex that misses a
+row raises ``NumericError``.  Every distance to a finitely generated cone is
+one Lawson-Hanson NNLS (``nnls``, ``conic_distance``).  The dense two-phase
+simplex with Bland's rule (``solve_lp``) remains as an independent
+reference for the tests.
 
-All types are immutable after construction; operations are pure functions.
+Polyhedral data.  Each kind has one array form, kept as a read-only copy
+(``_as_rows``: rows of the wrong width raise ``DimensionMismatch``):
+
+* a linear system is ``PolytopeH(A, b, n_eq)``: a (k, n) matrix A and a
+  length-k vector b, the n_eq equality rows a.x = b first, then the rows
+  a.x <= b (``eq_rows`` and ``ineq_rows`` are the two blocks of A); a
+  ``LinearProgram`` takes its rows as one;
+* a cone {y : E y = 0, I y <= 0} is its two row matrices E and I, with no
+  right-hand side (``cone_is_trivial``);
+* a ray family, a vertex list and a direction list are each one (k, n)
+  array, (0, n) when empty (``model.GeneratedConeSet``,
+  ``enumerate_vertices``, ``cones.structured_directions``).
+
+The double description cuts by the rows in the order given, equality rows
+first, and returns a lineality basis L and the extreme rays R, each row
+scaled to max-abs 1: ``cone_is_trivial`` stacks them as L, -L, R, and
+``enumerate_vertices`` returns the vertices in lexicographic order.  All
+types are immutable after construction; operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,8 +51,6 @@ from .errors import (
     PolytopeTooLarge,
     UnboundedPolytope,
 )
-
-Row = tuple[np.ndarray, float]
 
 
 def _as_array(values, dim: Optional[int] = None) -> np.ndarray:
@@ -54,6 +66,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _as_rows(rows, dim: int) -> np.ndarray:
+    """``rows`` as a read-only (k, dim) float copy; an empty sequence is a
+    (0, dim) array, and any other shape raises ``DimensionMismatch``."""
+    try:
+        R = np.array(rows, dtype=float)
+    except ValueError:  # rows of different lengths
+        raise DimensionMismatch(f"expected rows of dimension {dim}") from None
+    if R.ndim == 1 and R.size == 0:
+        R = R.reshape(0, dim)
+    if R.ndim != 2 or R.shape[1] != dim:
+        raise DimensionMismatch(f"expected rows of dimension {dim}, got shape {R.shape}")
+    R.flags.writeable = False
+    return R
 
 
 def weighted_norm(weights: np.ndarray, a: np.ndarray) -> float:
@@ -110,21 +137,75 @@ def matrix_form(H: np.ndarray, weights: Optional[np.ndarray] = None) -> Bilinear
 
 
 # --------------------------------------------------------------------------
+# H-polytopes
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolytopeH:
+    """The polyhedron {x : a.x = b on the first n_eq rows, a.x <= b on the
+    rest}: read-only rows A (k x dim) and right-hand sides b (length k)."""
+
+    A: np.ndarray
+    b: np.ndarray
+    n_eq: int = 0
+
+    def __post_init__(self):
+        A, b = _frozen(self.A), _frozen(self.b)
+        if A.ndim != 2 or b.shape != (len(A),) or not 0 <= self.n_eq <= len(A):
+            raise DimensionMismatch(f"rows {A.shape}, right-hand sides {b.shape} and "
+                                    f"{self.n_eq} equality rows do not fit")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def eq_rows(self) -> np.ndarray:
+        return self.A[: self.n_eq]
+
+    @property
+    def ineq_rows(self) -> np.ndarray:
+        return self.A[self.n_eq :]
+
+    def contains_rows(self, X, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+        """Row mask: each row x of X (k x dim) lies in the polytope, with
+        |a.x - b| on every equality row and a.x - b on every inequality row
+        at most tol.feasibility (1 + |b|), in one array pass over the rows."""
+        S = np.asarray(X, dtype=float) @ self.A.T - self.b
+        S[:, : self.n_eq] = np.abs(S[:, : self.n_eq])
+        return np.all(S <= tol.feasibility * (1.0 + np.abs(self.b)), axis=1)
+
+    def contains(self, point, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+        return bool(self.contains_rows(_as_array(point, self.dim)[None], tol)[0])
+
+    def cleaned(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "PolytopeH":
+        """Drop the zero rows that always hold (0 = b or 0 <= b within
+        tol.feasibility); an always-false one is kept, so membership still
+        fails on it.  Repeated rows stay: the double description skips
+        them."""
+        b = self.b
+        eq = np.arange(len(b)) < self.n_eq
+        holds = np.where(eq, np.abs(b) <= tol.feasibility, b >= -tol.feasibility)
+        keep = (np.abs(self.A).max(axis=1, initial=0.0) > 1e-14) | ~holds
+        return PolytopeH(self.A[keep], b[keep], int(np.count_nonzero(keep & eq)))
+
+
+# --------------------------------------------------------------------------
 # Linear programs
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max of objective . x (+ constant) subject to linear rows.
-
-    ``eq_rows`` are (a, b) meaning a.x = b; ``ineq_rows`` mean a.x <= b.
-    Variables are free; sign constraints go in as rows.
-    """
+    """min/max of objective . x (+ constant) over the linear system
+    ``polytope`` (no rows when None).  Variables are free; sign constraints
+    go in as rows."""
 
     objective: np.ndarray
-    eq_rows: tuple[Row, ...] = ()
-    ineq_rows: tuple[Row, ...] = ()
+    polytope: Optional[PolytopeH] = None
     sense: str = "min"
     constant: float = 0.0
 
@@ -134,19 +215,26 @@ class LinearProgram:
             raise DimensionMismatch(f"sense must be 'min' or 'max', got {self.sense!r}")
         if not np.all(np.isfinite(obj)) or not np.isfinite(self.constant):
             raise DimensionMismatch("objective coefficients must be finite")
-        m = obj.shape[0]
-        eq = tuple((_frozen(_as_array(a, m)), float(b)) for a, b in self.eq_rows)
-        ineq = tuple((_frozen(_as_array(a, m)), float(b)) for a, b in self.ineq_rows)
-        for a, b in eq + ineq:
-            if not np.all(np.isfinite(a)) or not np.isfinite(b):
-                raise DimensionMismatch("row coefficients must be finite")
+        poly = self.polytope or PolytopeH(np.zeros((0, len(obj))), np.zeros(0))
+        if poly.dim != obj.shape[0]:
+            raise DimensionMismatch(f"expected rows of dimension {obj.shape[0]}, got {poly.dim}")
+        if not (np.all(np.isfinite(poly.A)) and np.all(np.isfinite(poly.b))):
+            raise DimensionMismatch("row coefficients must be finite")
         object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "eq_rows", eq)
-        object.__setattr__(self, "ineq_rows", ineq)
+        object.__setattr__(self, "polytope", poly)
 
     @property
     def dim(self) -> int:
         return self.objective.shape[0]
+
+    # the two row blocks, which certbench's tracer counts
+    @property
+    def eq_rows(self) -> np.ndarray:
+        return self.polytope.eq_rows
+
+    @property
+    def ineq_rows(self) -> np.ndarray:
+        return self.polytope.ineq_rows
 
 
 @dataclass(frozen=True)
@@ -231,8 +319,8 @@ def solve_lp(
     feasible recession ray, or infeasible.
     """
 
-    m = lp.dim
-    n_rows = len(lp.eq_rows) + len(lp.ineq_rows)
+    m, rows = lp.dim, lp.polytope
+    n_rows = len(rows.b)
     if max_pivots is None:
         max_pivots = max(50, 10 * (m + n_rows))
     budget = _PivotBudget(max_pivots)
@@ -241,20 +329,13 @@ def solve_lp(
     c_orig = sign * lp.objective
 
     # standard form: x = u - v, slack per inequality
-    n_slack = len(lp.ineq_rows)
+    n_slack = n_rows - rows.n_eq
     n_std = 2 * m + n_slack
     A = np.zeros((n_rows, n_std))
-    b = np.zeros(n_rows)
-    for i, (a, rhs) in enumerate(lp.eq_rows):
-        A[i, :m] = a
-        A[i, m : 2 * m] = -a
-        b[i] = rhs
-    for j, (a, rhs) in enumerate(lp.ineq_rows):
-        i = len(lp.eq_rows) + j
-        A[i, :m] = a
-        A[i, m : 2 * m] = -a
-        A[i, 2 * m + j] = 1.0
-        b[i] = rhs
+    A[:, :m] = rows.A
+    A[:, m : 2 * m] = -rows.A
+    A[rows.n_eq :, 2 * m :] = np.eye(n_slack)
+    b = np.array(rows.b)
     neg = b < 0.0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -318,56 +399,6 @@ def solve_lp(
 
 
 # --------------------------------------------------------------------------
-# H-polytopes
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolytopeH:
-    """Intersection of hyperplanes (eq_rows) and half-spaces (ineq_rows)."""
-
-    dim: int
-    eq_rows: tuple[Row, ...] = ()
-    ineq_rows: tuple[Row, ...] = ()
-
-    def __post_init__(self):
-        eq = tuple((_frozen(_as_array(a, self.dim)), float(b)) for a, b in self.eq_rows)
-        ineq = tuple((_frozen(_as_array(a, self.dim)), float(b)) for a, b in self.ineq_rows)
-        object.__setattr__(self, "eq_rows", eq)
-        object.__setattr__(self, "ineq_rows", ineq)
-
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(A, b, k): every row as one array, the k equality rows first."""
-        rows = (*self.eq_rows, *self.ineq_rows)
-        A = np.array([a for a, _ in rows], dtype=float).reshape(len(rows), self.dim)
-        return A, np.array([b for _, b in rows], dtype=float), len(self.eq_rows)
-
-    def contains_rows(self, X, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-        """Row mask: each row x of X (k x dim) lies in the polytope, with
-        |a.x - b| on every equality row and a.x - b on every inequality row
-        at most tol.feasibility (1 + |b|), in one array pass over the rows."""
-        A, b, k = self._stacked
-        S = np.asarray(X, dtype=float) @ A.T - b
-        S[:, :k] = np.abs(S[:, :k])
-        return np.all(S <= tol.feasibility * (1.0 + np.abs(b)), axis=1)
-
-    def contains(self, point, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        return bool(self.contains_rows(_as_array(point, self.dim)[None], tol)[0])
-
-    def cleaned(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "PolytopeH":
-        """Drop the zero rows that always hold (0 = b or 0 <= b within
-        tol.feasibility); an always-false one is kept, so membership still
-        fails on it.  Repeated rows stay: the double description skips
-        them."""
-        def keep(a, b, is_eq):
-            holds = abs(b) <= tol.feasibility if is_eq else b >= -tol.feasibility
-            return np.abs(a).max(initial=0.0) > 1e-14 or not holds
-        return PolytopeH(self.dim, tuple(r for r in self.eq_rows if keep(*r, True)),
-                         tuple(r for r in self.ineq_rows if keep(*r, False)))
-
-
-# --------------------------------------------------------------------------
 # Polyhedral cones: the double-description method
 # --------------------------------------------------------------------------
 
@@ -379,11 +410,10 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / np.abs(X).max(axis=1, keepdims=True) if len(X) else X
 
 
-def _double_description(
-    dim: int, eq: Sequence[np.ndarray], ineq: Sequence[np.ndarray], tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lineality basis and extreme rays of {y : a.y = 0 on eq, a.y <= 0 on
-    ineq}, as the rows of two arrays, each row scaled to max-abs 1.
+def _double_description(dim: int, eq, ineq, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lineality basis and extreme rays of {y : E y = 0, I y <= 0} for the
+    rows E = ``eq`` and I = ``ineq`` (each (k, dim)), as the rows of two
+    arrays, each row scaled to max-abs 1.
 
     The double-description method (Motzkin et al. 1953) cuts the whole space
     by one row at a time, equalities first.  A row that is not zero on the
@@ -407,7 +437,6 @@ def _double_description(
     for a, is_eq in [*((a, True) for a in eq), *((a, False) for a in ineq)]:
         if not (len(L) or len(R)):
             break  # the cone is {0}
-        a = np.asarray(a, dtype=float)
         if not np.any(a):
             continue
         a = a / np.max(np.abs(a))
@@ -449,25 +478,23 @@ def _double_description(
 
 
 def cone_is_trivial(
-    dim: int,
-    eq_rows: Sequence[Row],
-    ineq_rows: Sequence[Row],
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    dim: int, eq, ineq, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[bool, np.ndarray]:
-    """Whether the cone {y : a.y = 0 on eq_rows, a.y <= 0 on ineq_rows} is
-    {0} (right-hand sides are ignored), with its generators: the rows of a
-    read-only array whose conic hull is the cone, each lineality vector l as
-    l and -l, then the extreme rays.  The first one is a nonzero witness.
+    """Whether the cone {y : E y = 0, I y <= 0} of the row matrices E =
+    ``eq`` and I = ``ineq`` (each (k, dim)) is {0}, with its generators: the
+    rows of a read-only array whose conic hull is the cone, each lineality
+    vector l as l and -l, then the extreme rays.  The first one is a nonzero
+    witness.
     """
 
-    L, R = _double_description(dim, [a for a, _ in eq_rows], [a for a, _ in ineq_rows],
-                               tol.feasibility)
+    L, R = _double_description(dim, eq, ineq, tol.feasibility)
     gens = _frozen(np.vstack([L, -L, R]) + 0.0)  # + 0.0 normalizes negative zeros
     return len(gens) == 0, gens
 
 
-def cone_facets(dim: int, generators: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(L, R) with cone(generators) = {z : L z = 0, R z <= 0}.
+def cone_facets(dim: int, generators) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) with cone(G) = {z : L z = 0, R z <= 0} for the generators G =
+    ``generators``, the rows of a (k, dim) array.
 
     By Minkowski-Weyl these are the lineality basis and the extreme rays of
     the polar {y : g.y <= 0 for every generator g} (Motzkin et al. 1953;
@@ -475,24 +502,25 @@ def cone_facets(dim: int, generators: Sequence[np.ndarray]) -> tuple[np.ndarray,
     feasibility tolerance.  No generators give L = I: the cone is {0}.
     """
 
-    return _double_description(dim, [], list(generators), DEFAULT_TOLERANCES.feasibility)
+    return _double_description(dim, (), generators, DEFAULT_TOLERANCES.feasibility)
 
 
-def _scaled_vertices(p: PolytopeH, d, tol: Tolerances) -> Optional[list[np.ndarray]]:
+def _scaled_vertices(p: PolytopeH, d, tol: Tolerances) -> Optional[np.ndarray]:
     """Vertices of p read off the cone {(u, t) : (a d).u <= b t, (a d).u =
     b t, t >= 0} of p with each coordinate x_j shrunk by d_j (a scalar d
-    shrinks them all): [] when no extreme ray has t > 0 (p is empty), None
-    when some generator has t = 0 (p is unbounded), else the rays at
-    x = d u / t, merged at the vertex_dedup tolerance: a ray is kept unless
-    a ray kept before it lies within vertex_dedup in max-norm, one array test
-    per ray against the kept ones."""
+    shrinks them all): no rows when no extreme ray has t > 0 (p is empty),
+    None when some generator has t = 0 (p is unbounded), else the rays at
+    x = d u / t, merged at the vertex_dedup tolerance (a ray is kept unless
+    a ray kept before it lies within vertex_dedup in max-norm, one array
+    test per ray against the kept ones), as one read-only array in
+    lexicographic row order."""
 
-    L, R = _double_description(p.dim + 1, [np.append(a * d, -b) for a, b in p.eq_rows],
-                               [np.append(a * d, -b) for a, b in p.ineq_rows]
-                               + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
+    Z = np.hstack([p.A * d, -p.b[:, None]])
+    L, R = _double_description(p.dim + 1, Z[: p.n_eq],
+                               np.vstack([Z[p.n_eq :], -np.eye(p.dim + 1)[-1:]]), tol.feasibility)
     finite = R[:, -1] > 0.0  # t >= 0 is a sign row: rays tight on it have t = 0 exactly
     if not finite.any():
-        return []
+        return np.empty((0, p.dim))
     if len(L) or not finite.all():
         return None
     X = d * R[:, :-1] / R[:, -1:]
@@ -502,25 +530,24 @@ def _scaled_vertices(p: PolytopeH, d, tol: Tolerances) -> Optional[list[np.ndarr
         if not np.any(np.abs(kept[:count] - x).max(axis=1, initial=0.0) <= tol.vertex_dedup):
             kept[count] = x
             count += 1
-    return sorted(_frozen(kept[:count] + 0.0), key=tuple)
+    V = kept[:count] + 0.0
+    return _frozen(V[np.lexsort(V.T[::-1])] if p.dim else V)  # column 0 is the first key
 
 
 def _coordinate_bounds(p: PolytopeH) -> np.ndarray:
     """Per coordinate j, the smallest nonzero |b| / |a_j| over the rows that
     touch x_j, and at least 1: the size of x_j that the rows allow."""
-    d = np.full(p.dim, np.inf)
-    for a, b in (*p.eq_rows, *p.ineq_rows):
-        if b != 0.0:
-            touch = a != 0.0
-            d[touch] = np.minimum(d[touch], abs(b) / np.abs(a[touch]))
+    touch = (p.A != 0.0) & (p.b != 0.0)[:, None]
+    ratios = np.divide(np.abs(p.b)[:, None], np.abs(p.A), out=np.full(p.A.shape, np.inf),
+                       where=touch)
+    d = ratios.min(axis=0, initial=np.inf)
     return np.where(np.isfinite(d), np.maximum(d, 1.0), 1.0)
 
 
-def enumerate_vertices(
-    p: PolytopeH, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[np.ndarray]:
-    """All vertices of a bounded polytope in lexicographic order; [] when it
-    is empty, ``UnboundedPolytope`` when it is unbounded.
+def enumerate_vertices(p: PolytopeH, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """All vertices of a bounded polytope, the rows of one read-only array in
+    lexicographic order; no rows when it is empty, ``UnboundedPolytope`` when
+    it is unbounded.
 
     The homogenized cone of ``_scaled_vertices`` decides all three; its
     tight sign rows hold exactly at the vertices.  Unscaled, t of a vertex
@@ -538,17 +565,18 @@ def enumerate_vertices(
     """
 
     vertices = _scaled_vertices(p, 1.0, tol)
-    if not vertices:
-        s = max([1.0, *(abs(b) / np.max(np.abs(a)) for a, b in (*p.eq_rows, *p.ineq_rows)
-                        if np.any(a))])
+    if vertices is None or not len(vertices):
+        touched = np.any(p.A, axis=1)
+        rows = np.abs(p.A[touched]).max(axis=1, initial=0.0)
+        s = float(np.max(np.abs(p.b[touched]) / rows, initial=1.0))
         for shrink in (_coordinate_bounds(p), s):
-            if not vertices and np.any(shrink > 1.0):
-                wide = _scaled_vertices(p, shrink, tol)
-                if wide and p.contains_rows(np.array(wide), tol).all():
-                    vertices = wide
+            wide = _scaled_vertices(p, shrink, tol) if np.any(shrink > 1.0) else None
+            if wide is not None and len(wide) and p.contains_rows(wide, tol).all():
+                vertices = wide
+                break
     if vertices is None:
         raise UnboundedPolytope("polytope has a nontrivial recession cone")
-    missed = np.flatnonzero(~p.contains_rows(np.array(vertices), tol)) if vertices else []
+    missed = np.flatnonzero(~p.contains_rows(vertices, tol))
     if len(missed):
         raise NumericError(f"vertex {missed[0]} of the double description misses a row "
                            "of the polytope")
@@ -633,10 +661,12 @@ def nnls(A, b) -> tuple[np.ndarray, float]:
     return c, residual
 
 
-def conic_distance(rays: Sequence[np.ndarray], h: np.ndarray) -> float:
-    """Euclidean distance from h to the conic hull of the rays (``nnls``)."""
+def conic_distance(rays, h: np.ndarray) -> float:
+    """Euclidean distance from h to the conic hull of the rays, the rows of a
+    (k, n) array (``nnls``)."""
 
     h = _as_array(h)
-    if not len(rays):
+    R = _as_rows(rays, h.shape[0])
+    if not len(R):
         return float(np.linalg.norm(h))
-    return nnls(np.array([_as_array(r, h.shape[0]) for r in rays]).T, h)[1]
+    return nnls(R.T, h)[1]

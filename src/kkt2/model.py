@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DimensionMismatch, NonFiniteValue
-from .linalg import BilinearForm, cone_facets, matrix_form, weighted_norm
+from .linalg import BilinearForm, _as_rows, _frozen, cone_facets, matrix_form, weighted_norm
 
 
 def as_entries(x, dim: Optional[int] = None) -> np.ndarray:
@@ -44,12 +44,8 @@ class BoxSet:
             raise DimensionMismatch("box bounds must be 1-d and of equal length")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)) or np.any(lo > up):
             raise DimensionMismatch("box requires lower <= upper componentwise")
-        lo = lo.copy()
-        up = up.copy()
-        lo.flags.writeable = False
-        up.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "lower", _frozen(lo))
+        object.__setattr__(self, "upper", _frozen(up))
 
     @property
     def dim(self) -> int:
@@ -79,50 +75,46 @@ class GeneratedConeSet:
     hull).  ``deep_rays`` are far-tail family members used only when building
     normal-cone rows, so the multiplier system matches the full family.
     ``hull_points`` give a V-representation used for feasibility tests.
+    Each family is one read-only (k, n) array, (0, n) when empty; a family
+    whose rows do not match the base dimension raises ``DimensionMismatch``.
     """
 
     base: np.ndarray
-    rays: tuple[np.ndarray, ...]
-    limit_rays: tuple[np.ndarray, ...] = ()
-    deep_rays: tuple[np.ndarray, ...] = ()
-    hull_points: tuple[np.ndarray, ...] = ()
+    rays: np.ndarray
+    limit_rays: np.ndarray = ()
+    deep_rays: np.ndarray = ()
+    hull_points: np.ndarray = ()
 
     def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        base.flags.writeable = False
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", _frozen(as_entries(self.base)))
         for name in ("rays", "limit_rays", "deep_rays", "hull_points"):
-            vecs = tuple(np.asarray(v, dtype=float) for v in getattr(self, name))
-            for v in vecs:
-                if v.shape != base.shape:
-                    raise DimensionMismatch(f"{name} must match the base dimension")
-                v.flags.writeable = False
-            object.__setattr__(self, name, vecs)
+            object.__setattr__(self, name, _as_rows(getattr(self, name), self.dim))
 
     @property
     def dim(self) -> int:
         return self.base.shape[0]
 
-    def tangent_rays(self) -> tuple[np.ndarray, ...]:
-        return self.rays + self.limit_rays
+    def tangent_rays(self) -> np.ndarray:
+        return np.vstack([self.rays, self.limit_rays])
 
-    def normal_row_rays(self) -> tuple[np.ndarray, ...]:
-        return self.rays + self.limit_rays + self.deep_rays
+    def normal_row_rays(self) -> np.ndarray:
+        return np.vstack([self.rays, self.limit_rays, self.deep_rays])
 
     @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray]:
         """(L, R) with the set = {x : L z = 0, R z <= 0}, computed on first
         use: z = (x, 1) and the generators (p, 1) over the hull points, or
         z = x - base and the rays when there are none."""
-        if self.hull_points:
-            return cone_facets(self.dim + 1, [np.append(p, 1.0) for p in self.hull_points])
+        P = self.hull_points
+        if len(P):
+            return cone_facets(self.dim + 1, np.c_[P, np.ones(len(P))])
         return cone_facets(self.dim, self.rays)
 
     def contains(self, x, tol: float = 1e-8) -> bool:
         """Membership in conv(hull_points), or in base + cone(rays), by the
         facets: |L z| <= tol and R z <= tol."""
         v = as_entries(x, self.dim)
-        z = np.append(v, 1.0) if self.hull_points else v - self.base
+        z = np.append(v, 1.0) if len(self.hull_points) else v - self.base
         L, R = self.facets
         return bool(np.all(np.abs(L @ z) <= tol) and np.all(R @ z <= tol))
 
@@ -209,9 +201,7 @@ class ProblemSpec:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise DimensionMismatch("weights must be strictly positive and finite")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not 0 <= self.m1 <= len(self.constraints):
             raise DimensionMismatch("m1 must lie between 0 and the number of constraints")
@@ -268,35 +258,26 @@ def check_feasible(
     v = as_entries(x, p.dim)
     violations: list[str] = []
     if isinstance(p.abstract_set, BoxSet):
+        # one array pass; lower <= upper, so a coordinate misses at most one bound
         box = p.abstract_set
-        for i in range(p.dim):
-            if v[i] < box.lower[i] - tol.activity:
-                violations.append(f"x[{i}] below lower bound by {box.lower[i] - v[i]:.3e}")
-            if v[i] > box.upper[i] + tol.activity:
-                violations.append(f"x[{i}] above upper bound by {v[i] - box.upper[i]:.3e}")
+        below, above = v < box.lower - tol.activity, v > box.upper + tol.activity
+        for i in np.flatnonzero(below | above):
+            violations.append(f"x[{i}] below lower bound by {box.lower[i] - v[i]:.3e}" if below[i]
+                              else f"x[{i}] above upper bound by {v[i] - box.upper[i]:.3e}")
     else:
         if not p.abstract_set.contains(v, tol.activity):
             violations.append("x outside the abstract constraint set")
 
-    gvals = p.constraint_values(v)
-    active: list[int] = []
-    inactive: list[int] = []
-    for i, gi in enumerate(gvals):
-        if i < p.m1:
-            if abs(gi) > tol.activity:
-                violations.append(f"equality constraint {i} violated: g={gi:.3e}")
-            active.append(i)
-        else:
-            if gi > tol.activity:
-                violations.append(f"inequality constraint {i} violated: g={gi:.3e}")
-            if abs(gi) <= tol.activity:
-                active.append(i)
-            else:
-                inactive.append(i)
-
+    g = p.constraint_values(v)
+    eq = np.arange(len(g)) < p.m1
+    for i in np.flatnonzero(np.where(eq, np.abs(g), g) > tol.activity):
+        kind = "equality" if eq[i] else "inequality"
+        violations.append(f"{kind} constraint {i} violated: g={g[i]:.3e}")
     if violations:
         return FeasibilityResult(False, None, tuple(violations))
-    return FeasibilityResult(True, ActiveSetInfo(tuple(active), tuple(inactive)))
+    active = eq | (np.abs(g) <= tol.activity)
+    return FeasibilityResult(True, ActiveSetInfo(tuple(np.flatnonzero(active).tolist()),
+                                                 tuple(np.flatnonzero(~active).tolist())))
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
     differences); a hull runs ``check_strict_cq``, one double description,
     per vertex."""
     mset = ctx.multipliers
-    if mset.empty or not mset.vertices:
+    if mset.empty or not len(mset.vertices):
         reason = "no multipliers exist" if mset.empty else \
             "multiplier vertices unavailable (unbounded set?)"
         return [CheckRecord("strict_cq", "fail", {"reason": reason})]

@@ -30,28 +30,24 @@ def random_bounded_polytope(rng: np.random.Generator, max_dim: int = 5) -> Polyt
 
     d = int(rng.integers(1, max_dim + 1))
     x0 = rng.uniform(-1.0, 1.0, d)
-    rows = []
-    for _ in range(int(rng.integers(d, 2 * d + 4))):
-        a = rng.standard_normal(d)
-        rows.append((a, float(a @ x0 + rng.uniform(0.1, 1.5))))
+    A = np.zeros((int(rng.integers(d, 2 * d + 4)), d))
+    b = np.zeros(len(A))
+    for i in range(len(A)):
+        A[i] = rng.standard_normal(d)
+        b[i] = A[i] @ x0 + rng.uniform(0.1, 1.5)
+    box = np.kron(np.eye(d), [[1.0], [-1.0]])  # e_0, -e_0, e_1, -e_1, ...
     bound = float(np.max(np.abs(x0))) + 2.0
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        rows.append((e, bound))
-        rows.append((-e, bound))
-    return PolytopeH(d, (), tuple(rows))
+    return PolytopeH(np.vstack([A, box]), np.concatenate([b, np.full(2 * d, bound)]))
 
 
 def highs_max(linprog, poly: PolytopeH, c: np.ndarray):
     """max c.mu over the rows of ``poly`` by scipy's ``linprog`` (HiGHS),
     an LP route independent of kkt2's: its result, whose ``-fun`` is the
     maximum."""
-    A_eq = np.array([a for a, _ in poly.eq_rows]).reshape(-1, poly.dim)
-    A_ub = np.array([a for a, _ in poly.ineq_rows]).reshape(-1, poly.dim)
-    return linprog(-c, A_ub=A_ub if len(A_ub) else None,
-                   b_ub=[b for _, b in poly.ineq_rows] or None,
-                   A_eq=A_eq if len(A_eq) else None, b_eq=[b for _, b in poly.eq_rows] or None,
+    k = poly.n_eq
+    return linprog(-c, A_ub=poly.ineq_rows if len(poly.ineq_rows) else None,
+                   b_ub=poly.b[k:] if len(poly.ineq_rows) else None,
+                   A_eq=poly.eq_rows if k else None, b_eq=poly.b[:k] if k else None,
                    bounds=[(None, None)] * poly.dim, method="highs")
 
 
@@ -128,9 +124,9 @@ def random_hull(seed):
     n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
     m1 = int(rng.integers(0, m + 1))
     w = np.ones(n) if seed % 2 else rng.uniform(0.5, 2.0, n)
-    rays = tuple(rng.standard_normal((int(rng.integers(1, 6)), n)))
-    limit = tuple(rng.standard_normal((int(rng.integers(0, 2)), n)))
-    deep = tuple(rng.standard_normal((int(rng.integers(0, 3)), n)))
+    rays = rng.standard_normal((int(rng.integers(1, 6)), n))
+    limit = rng.standard_normal((int(rng.integers(0, 2)), n))
+    deep = rng.standard_normal((int(rng.integers(0, 3)), n))
     cons, grads, mu = [], [], np.zeros(m)
     for i in range(m):
         lin = rng.standard_normal(n) if rng.random() >= 0.2 else np.zeros(n)
@@ -201,9 +197,10 @@ def random_ray_cone(seed: int, dims: int = 2, counts: int = 5) -> CriticalCone:
     rays, cut by one to three inequality rows, without an objective cut."""
     rng = np.random.default_rng(seed)
     n = 3 + seed % dims
-    rays = [rng.standard_normal(n) + np.eye(n)[0] * 1.5 for _ in range(6 + seed % counts)]
-    rows = [rng.standard_normal(n) for _ in range(1 + seed % 3)]
-    return CriticalCone(np.ones(n), None, tuple(rays), (), tuple(rows), None, 0.0)
+    rays = np.array([rng.standard_normal(n) + np.eye(n)[0] * 1.5
+                     for _ in range(6 + seed % counts)])
+    rows = np.array([rng.standard_normal(n) for _ in range(1 + seed % 3)])
+    return CriticalCone(np.ones(n), None, rays, (), rows, None, 0.0)
 
 
 def brute_force_nnls(A, b) -> float:

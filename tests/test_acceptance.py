@@ -184,10 +184,10 @@ def test_criterion_9_property_suites(capsys):
     for _ in range(50):
         poly = random_bounded_polytope(rng, max_dim=5)
         verts = enumerate_vertices(poly)
-        assert verts
+        assert len(verts)
         obj = rng.standard_normal(poly.dim)
         for sense, pick in (("min", min), ("max", max)):
-            res = solve_lp(LinearProgram(obj, poly.eq_rows, poly.ineq_rows, sense=sense))
+            res = solve_lp(LinearProgram(obj, poly, sense=sense))
             vals = [float(obj @ v) for v in verts]
             assert abs(res.value - pick(vals)) <= 1e-8
         agree += 1
@@ -196,7 +196,7 @@ def test_criterion_9_property_suites(capsys):
     while pairs < 200:
         p, xbar, _, _ = random_stationary_problem(rng)
         mset = multiplier_set(p, xbar)
-        if mset.empty or not mset.bounded or not mset.vertices:
+        if mset.empty or not mset.bounded or not len(mset.vertices):
             continue
         h = rng.standard_normal(p.dim)
         v1, mu = q_of_h(mset, h)
@@ -236,7 +236,7 @@ def test_criterion_9_sup_by_highs(capsys):
     while pairs < 200:
         p, xbar, _, _ = random_stationary_problem(rng)
         mset = multiplier_set(p, xbar)
-        if mset.empty or not mset.bounded or not mset.vertices or not mset.m:
+        if mset.empty or not mset.bounded or not len(mset.vertices) or not mset.m:
             continue
         h = rng.standard_normal(p.dim)
         v1, _ = q_of_h(mset, h)
@@ -262,7 +262,7 @@ def test_criterion_10_cq_logic(capsys):
         if check_rzkcq(mset).holds:
             assert mset.bounded, "RZK CQ held but the multiplier set is unbounded"
             n_rzkcq += 1
-        if mset.bounded and mset.vertices:
+        if mset.bounded and len(mset.vertices):
             verdict = check_strict_cq(mset, mset.vertices[0])
             assert verdict.holds == (len(mset.vertices) == 1), \
                 "strict CQ verdict disagrees with the multiplier's uniqueness"

@@ -82,7 +82,7 @@ def _section_instances():
     for seed in range(20):
         p = random_hull(seed)
         out.append((f"hull{seed}", multiplier_set(p, np.zeros(p.dim))))
-    return [(label, mset) for label, mset in out if mset.vertices]
+    return [(label, mset) for label, mset in out if len(mset.vertices)]
 
 
 class TestAnnihilatorSections:
@@ -90,7 +90,7 @@ class TestAnnihilatorSections:
         """At every vertex and at the vertex barycenter."""
         boxes = hulls = 0
         for label, mset in _section_instances():
-            for mu in (*mset.vertices, np.mean(mset.vertex_matrix, axis=0)):
+            for mu in (*mset.vertices, np.mean(mset.vertices, axis=0)):
                 c_section, k_section, lam = mset.annihilator(mu)
                 c_ref, k_ref, lam_ref = _absorbed_sections(mset, mu)
                 assert np.array_equal(k_section.codes, k_ref.codes), label

@@ -242,7 +242,7 @@ class TestOneCutFormula:
 class TestRadialDensityGap:
     def test_box_always_dense(self):
         box = BoxSet(np.zeros(2), np.ones(2))
-        rep = radial_density_gap(box, [])
+        rep = radial_density_gap(box, np.empty((0, 2)), np.empty((0, 2)))
         assert rep.dense
 
     def test_two_functional_gap(self):
@@ -250,8 +250,8 @@ class TestRadialDensityGap:
         direction, distance 1 from the tangent direction at every
         truncation."""
         h = np.array([0.0, 1.0, 0.0])
-        rows = [(np.array([1.0, 0.0, 0.0]), "eq"), (np.array([0.0, 0.0, -1.0]), "le")]
-        rep = radial_density_gap(example2_cones(), rows, h)
+        rep = radial_density_gap(example2_cones(), np.array([[1.0, 0.0, 0.0]]),
+                                 np.array([[0.0, 0.0, -1.0]]), h)
         assert not rep.dense
         assert rep.witness is not None
         assert all(d >= 0.1 for d in rep.distances)
@@ -261,8 +261,8 @@ class TestRadialDensityGap:
         """One row keeps mixed generator combinations available; the
         distance decays with the truncation."""
         h = np.array([0.0, 1.0, 0.0])
-        rows = [(np.array([1.0, 0.0, 0.0]), "eq")]
-        rep = radial_density_gap(example2_cones(), rows, h)
+        rep = radial_density_gap(example2_cones(), np.array([[1.0, 0.0, 0.0]]),
+                                 np.empty((0, 3)), h)
         assert rep.dense
         assert rep.distances[0] > rep.distances[1] > rep.distances[2]
         assert rep.distances[-1] < 0.05
@@ -320,7 +320,7 @@ class TestStructuredSweep:
             batch = structured_directions(cone, limit)
             serial = _serial_structured(cone, limit)
             assert len(batch) == len(serial), name
-            assert batch or limit < 64, name
+            assert len(batch) or limit < 64, name
             for h, ref in zip(batch, serial):
                 assert np.max(np.abs(h - ref)) <= 1e-12, name
                 assert cone.contains(h, 1e-7), name

@@ -53,7 +53,7 @@ def orthant_hull():
     return ProblemSpec(
         linear([-1.0, 0.0, 0.0]),
         (linear([1.0, 1.0, 0.0]), linear([1.0, 0.0, -1.0])),
-        0, GeneratedConeSet(np.zeros(3), (e[0], -e[0], e[1], -e[2])), np.ones(3))
+        0, GeneratedConeSet(np.zeros(3), np.array([e[0], -e[0], e[1], -e[2]])), np.ones(3))
 
 
 def slanted_hull():
@@ -66,7 +66,8 @@ def slanted_hull():
     return ProblemSpec(
         linear(T_inv_t @ [-1.0, 0.0, 0.0]),
         (linear(T_inv_t @ [1.0, 1.0, 0.0]), linear(T_inv_t @ [1.0, 0.0, -1.0])),
-        0, GeneratedConeSet(np.zeros(3), (T[:, 0], -T[:, 0], T[:, 1], -T[:, 2])), np.ones(3))
+        0, GeneratedConeSet(np.zeros(3), np.array([T[:, 0], -T[:, 0], T[:, 1], -T[:, 2]])),
+        np.ones(3))
 
 
 def degenerate_hull():
@@ -75,7 +76,7 @@ def degenerate_hull():
     e = np.eye(2)
     return ProblemSpec(
         linear([0.0, 0.0]), (linear([1.0, -1.0]), linear([1.0, -1.0])), 1,
-        GeneratedConeSet(np.zeros(2), (e[0], e[1])), np.ones(2))
+        GeneratedConeSet(np.zeros(2), e), np.ones(2))
 
 
 def random_box(seed):
@@ -133,8 +134,9 @@ def polar_violation(p, x, nu, hull_rays=None, mult=None):
 
 
 def kept_tangent_rays(p, lam):
+    """The tangent rays d with |<lambda, d>_w| <= 1e-9 max|d|, one at a time."""
     return [d for d in p.abstract_set.tangent_rays()
-            if abs(float(np.sum(p.weights * lam * d))) <= 1e-9 * (1.0 + np.max(np.abs(d)))]
+            if abs(float(np.sum(p.weights * lam * d))) <= 1e-9 * np.max(np.abs(d))]
 
 
 def assert_valid_witness(p, x, verdict, hull_rays=None, mult=None):
@@ -149,7 +151,7 @@ def check_every_violation(p, x):
     hull = isinstance(p.abstract_set, GeneratedConeSet)
     checked = 0
     mset = multiplier_set(p, x)
-    for check, rays in ((check_rzkcq, lambda s: s.rays + s.deep_rays),
+    for check, rays in ((check_rzkcq, lambda s: np.vstack([s.rays, s.deep_rays])),
                         (check_weaker_cq, lambda s: s.normal_row_rays())):
         v = check(mset)
         if not v.holds:
@@ -280,7 +282,7 @@ def thin_wedge_hull(eps):
     """Rays (1, 0, eps), (-1, 0, eps) and (0, 1, 1), the equality x0 = 0 and
     f'(0) = (0, 0, 1).  At mu = 0, lambda = (0, 0, -1) is -eps on both wedge
     rays: they lie in the lambda-annihilator up to eps."""
-    rays = (np.array([1.0, 0.0, eps]), np.array([-1.0, 0.0, eps]), np.array([0.0, 1.0, 1.0]))
+    rays = np.array([[1.0, 0.0, eps], [-1.0, 0.0, eps], [0.0, 1.0, 1.0]])
     return ProblemSpec(linear([0.0, 0.0, 1.0]), (linear([1.0, 0.0, 0.0]),), 1,
                        GeneratedConeSet(np.zeros(3), rays), np.ones(3))
 
@@ -296,3 +298,19 @@ class TestStrictCQTolerance:
         assert not tight.holds and tight.achieved_cone == "{0}"
         loose = multiplier_set(p, np.zeros(3), replace(DEFAULT_TOLERANCES, residual=1e-5))
         assert check_strict_cq(loose, np.zeros(1)).holds
+
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** -20, 1.0, 2.0 ** 20])
+    def test_example2_rays_rescaled(self, scale):
+        """Rescaling example2's ray families (trunc 8) moves none of its
+        cones, so the strict CQ at its one multiplier stays violated with
+        the achieved cone (-inf, 0].  A bound of tol (1 + max|d|) reads the
+        rays scaled by 2^-20 or 2^-40 as annihilated by lambda, and then
+        the strict CQ holds."""
+        p = build_example2(8).problem
+        s = p.abstract_set
+        scaled = GeneratedConeSet(s.base, *(scale * np.asarray(f) for f in
+                                            (s.rays, s.limit_rays, s.deep_rays)), s.hull_points)
+        mset = multiplier_set(replace(p, abstract_set=scaled), np.zeros(3))
+        assert len(mset.vertices) == 1
+        verdict = check_strict_cq(mset, mset.vertices[0])
+        assert not verdict.holds and verdict.achieved_cone == "(-inf, 0]"

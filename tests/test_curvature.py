@@ -78,7 +78,7 @@ class TestQofH:
         while len(pairs) < count:
             p, xbar, _, _ = random_stationary_problem(rng)
             mset = multiplier_set(p, xbar)
-            if mset.empty or not mset.bounded or not mset.vertices:
+            if mset.empty or not mset.bounded or not len(mset.vertices):
                 continue
             pairs += [(mset, rng.standard_normal(p.dim)) for _ in range(4)]
         return pairs
@@ -122,7 +122,7 @@ class TestQofH:
     def test_monotone_in_multiplier_set(self, ex1):
         """Enlarging the multiplier polytope never decreases q."""
         ex, mset = ex1
-        interval = PolytopeH(1, (), ((np.array([1.0]), 1.3), (np.array([-1.0]), 0.2)))
+        interval = PolytopeH(np.array([[1.0], [-1.0]]), np.array([1.3, 0.2]))
         enlarged = replace(mset, polytope=interval)  # mu in [-0.2, 1.3]
         assert [float(v[0]) for v in enlarged.vertices] == pytest.approx([-0.2, 1.3])
         rng = np.random.default_rng(53)

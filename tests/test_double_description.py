@@ -31,8 +31,9 @@ TOL = 1e-7
 
 
 def random_polar_system(seed):
-    """(dim, eq_rows, ineq_rows) from a random pattern and matrix; some
-    matrices are integer (degenerate), some columns are zero."""
+    """(dim, eq_rows, ineq_rows), the row matrices of the polar system of a
+    random pattern and matrix; some matrices are integer (degenerate), some
+    columns are zero."""
     rng = np.random.default_rng(seed)
     m, k = int(rng.integers(1, 5)), int(rng.integers(0, 8))
     if seed % 3 == 0:
@@ -43,17 +44,25 @@ def random_polar_system(seed):
     codes = rng.choice([FREE, NONNEG, NONPOS, ZERO], size=k, p=[0.15, 0.4, 0.3, 0.15])
     if seed % 7 == 0:
         codes[:] = FREE  # all-equality rows
-    eq, ineq = _polar_rows(SignPatternCone(codes), M)
-    return m, eq, ineq
+    polar = _polar_rows(SignPatternCone(codes), M)
+    assert not np.any(polar.b)  # a cone: no right-hand sides
+    return m, polar.eq_rows, polar.ineq_rows
+
+
+def boxed_cone(eq, ineq):
+    """The cone's rows cut by the unit box |y_i| <= 1, as one system."""
+    dim = eq.shape[1]
+    box = np.kron(np.eye(dim), [[1.0], [-1.0]])
+    return PolytopeH(np.vstack([eq, ineq, box]),
+                     np.concatenate([np.zeros(len(eq) + len(ineq)), np.ones(2 * dim)]), len(eq))
 
 
 def lp_cone_is_trivial(dim, eq, ineq):
     """The reference: maximize each +-coordinate over the cone and the unit box."""
-    box = [(s * np.eye(dim)[i], 1.0) for i in range(dim) for s in (1.0, -1.0)]
+    boxed = boxed_cone(eq, ineq)
     for i in range(dim):
         for s in (1.0, -1.0):
-            res = solve_lp(LinearProgram(s * np.eye(dim)[i], tuple(eq), tuple(ineq) + tuple(box),
-                                         sense="max"))
+            res = solve_lp(LinearProgram(s * np.eye(dim)[i], boxed, sense="max"))
             if res.value > 1e-7:
                 return False
     return True
@@ -62,19 +71,18 @@ def lp_cone_is_trivial(dim, eq, ineq):
 def lp_polar_contains(eq, ineq, target):
     """Is target = E^T u + A^T v with v >= 0, i.e. in the polar of the cone?"""
     n_u, n_v = len(eq), len(ineq)
-    cols = [a for a, _ in eq] + [a for a, _ in ineq]
-    if not cols:
+    if not n_u + n_v:
         return not np.any(target)
-    C = np.array(cols).T
-    signs = tuple((-np.eye(n_u + n_v)[n_u + j], 0.0) for j in range(n_v))
-    rows = tuple((C[i], float(target[i])) for i in range(len(target)))
-    return solve_lp(LinearProgram(np.zeros(n_u + n_v), rows, signs)).is_optimal
+    C = np.vstack([eq, ineq]).T
+    signs = -np.eye(n_u + n_v)[n_u:]
+    rows = PolytopeH(np.vstack([C, signs]), np.concatenate([target, np.zeros(n_v)]), len(C))
+    return solve_lp(LinearProgram(np.zeros(n_u + n_v), rows)).is_optimal
 
 
 def assert_in_cone(g, eq, ineq):
-    for a, _ in eq:
+    for a in eq:
         assert abs(float(a @ g)) <= TOL * (1.0 + np.max(np.abs(a)))
-    for a, _ in ineq:
+    for a in ineq:
         assert float(a @ g) <= TOL * (1.0 + np.max(np.abs(a)))
 
 
@@ -110,7 +118,7 @@ class TestConeGenerators:
 
     def test_lineality_comes_as_opposite_pairs(self):
         """One row in R^3 leaves a plane of lineality plus a ray."""
-        trivial, gens = cone_is_trivial(3, [], [(np.array([1.0, 2.0, 0.0]), 0.0)])
+        trivial, gens = cone_is_trivial(3, np.empty((0, 3)), np.array([[1.0, 2.0, 0.0]]))
         assert not trivial and len(gens) == 5
         for g in gens[:2]:
             assert any(np.allclose(-g, h) for h in gens)
@@ -121,21 +129,20 @@ class TestConeGenerators:
         after the max-abs scaling, and the whole list once more: the same
         lineality basis and rays, array for array."""
         dim, eq, ineq = random_polar_system(seed)
-        eq, ineq = [a for a, _ in eq], [a for a, _ in ineq]
         L, R = _double_description(dim, eq, ineq, 1e-9)
 
         def repeated(rows):
-            return [c * a for a in rows for c in (1.0, 2.0, 0.25)] + list(rows)
+            return np.vstack([np.kron(rows, [[1.0], [2.0], [0.25]]), rows])
 
         L2, R2 = _double_description(dim, repeated(eq), repeated(ineq), 1e-9)
         assert np.array_equal(L, L2) and np.array_equal(R, R2)
 
     def test_zero_rows_change_nothing(self):
-        zero = (np.zeros(2), 0.0)
-        assert cone_is_trivial(2, [zero], [zero])[1].shape == (4, 2)  # the plane: +-e0, +-e1
-        rows = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0)]
-        assert cone_is_trivial(2, [zero], rows + [zero])[1].tolist() == \
-            cone_is_trivial(2, [], rows)[1].tolist()
+        zero = np.zeros((1, 2))
+        assert cone_is_trivial(2, zero, zero)[1].shape == (4, 2)  # the plane: +-e0, +-e1
+        rows = np.eye(2)
+        assert cone_is_trivial(2, zero, np.vstack([rows, zero]))[1].tolist() == \
+            cone_is_trivial(2, np.empty((0, 2)), rows)[1].tolist()
 
 
 # --------------------------------------------------------------------------
@@ -145,14 +152,13 @@ class TestConeGenerators:
 
 def brute_force_vertices(p):
     """Every feasible point on dim linearly independent rows."""
-    rows = list(p.eq_rows) + list(p.ineq_rows)
     out = []
-    for combo in itertools.combinations(range(len(rows)), p.dim):
-        A = np.array([rows[i][0] for i in combo]).reshape(len(combo), p.dim)
+    for combo in itertools.combinations(range(len(p.b)), p.dim):
+        A = p.A[list(combo)]
         if np.linalg.matrix_rank(A, tol=1e-10) < p.dim:
             continue
-        x = np.linalg.solve(A, [rows[i][1] for i in combo])
-        if p.contains(x) and all(abs(a @ x - b) <= 1e-9 for a, b in p.eq_rows) and \
+        x = np.linalg.solve(A, p.b[list(combo)])
+        if p.contains(x) and np.all(np.abs(p.eq_rows @ x - p.b[: p.n_eq]) <= 1e-9) and \
                 not any(np.max(np.abs(x - v)) <= 1e-8 for v in out):
             out.append(x)
     return out
@@ -164,29 +170,31 @@ def random_polytope(seed):
     that +e_0 does not violate)."""
     rng = np.random.default_rng(100 + seed)
     p = random_bounded_polytope(rng, max_dim=4)
-    eq, ineq = list(p.eq_rows), list(p.ineq_rows)
+    A, b = p.A, p.b  # no equality rows
     kind = seed % 5
     c = rng.standard_normal(p.dim)
-    x0 = sum(solve_lp(LinearProgram(c, (), p.ineq_rows, sense=s)).point for s in ("min", "max")) / 2
+    x0 = sum(solve_lp(LinearProgram(c, p, sense=s)).point for s in ("min", "max")) / 2
     a = rng.standard_normal(p.dim)
     if kind == 1:
-        eq.append((a, float(a @ x0)))
-    elif kind == 2:
-        ineq += [(a, float(a @ x0)), (-a, -float(a @ x0))]
+        return PolytopeH(np.vstack([a, A]), np.append(a @ x0, b), 1), kind
+    if kind == 2:
+        A, b = np.vstack([A, a, -a]), np.append(b, [a @ x0, -(a @ x0)])
     elif kind == 3:
-        ineq += [(a, -100.0), (-a, -100.0)]
+        A, b = np.vstack([A, a, -a]), np.append(b, [-100.0, -100.0])
     elif kind == 4:
-        ineq = [(a, b) for a, b in ineq[: len(ineq) - 2 * p.dim] if a[0] <= 0.0]
-    return PolytopeH(p.dim, tuple(eq), tuple(ineq)), kind
+        cut = len(A) - 2 * p.dim  # the rows before the box rows
+        keep = A[:cut, 0] <= 0.0
+        A, b = A[:cut][keep], b[:cut][keep]
+    return PolytopeH(A, b), kind
 
 
 def lp_status(p):
     """'empty', 'unbounded' or 'bounded' from the LP kernel."""
-    if not solve_lp(LinearProgram(np.zeros(p.dim), p.eq_rows, p.ineq_rows)).is_optimal:
+    if not solve_lp(LinearProgram(np.zeros(p.dim), p)).is_optimal:
         return "empty"
     for i in range(p.dim):
         for sense in ("min", "max"):
-            res = solve_lp(LinearProgram(np.eye(p.dim)[i], p.eq_rows, p.ineq_rows, sense=sense))
+            res = solve_lp(LinearProgram(np.eye(p.dim)[i], p, sense=sense))
             if res.status == "unbounded":
                 return "unbounded"
     return "bounded"
@@ -197,7 +205,7 @@ def dd_status(p):
         verts = enumerate_vertices(p)
     except UnboundedPolytope:
         return "unbounded", []
-    return ("bounded" if verts else "empty"), verts
+    return ("bounded" if len(verts) else "empty"), verts
 
 
 POLYTOPES = range(60)
@@ -216,7 +224,7 @@ class TestSizeGuard:
         dim = p + q + zeros
         signs = -np.eye(dim)
         row = np.concatenate([np.ones(p), -np.ones(q), np.zeros(zeros)])
-        return dim, [*signs, row], q + zeros + p * q
+        return dim, np.vstack([signs, row]), q + zeros + p * q
 
     @pytest.mark.parametrize("p, q, zeros", [(3, 4, 1), (5, 5, 0), (1, 6, 2)])
     def test_simplicial_cut_at_its_exact_count(self, monkeypatch, p, q, zeros):
@@ -234,8 +242,8 @@ class TestSizeGuard:
         """A square pyramid cut through two opposite edges: the bound is
         2 + 2 x 2 = 6, but only 2 of the 4 pairs are adjacent, so the cut
         has 4 rays and a guard of 4 or 5 must not raise."""
-        pyramid = [np.array(r) for r in ([1.0, 0, -1], [-1.0, 0, -1], [0, 1.0, -1], [0, -1.0, -1])]
-        ineq = [*pyramid, np.array([1.0, 0.0, 0.0])]
+        pyramid = np.array([[1.0, 0, -1], [-1.0, 0, -1], [0, 1.0, -1], [0, -1.0, -1]])
+        ineq = np.vstack([pyramid, [1.0, 0.0, 0.0]])
         L, R = _double_description(3, [], ineq, TOL)
         assert len(L) == 0 and len(R) == 4
         for guard in (4, 5):
@@ -263,8 +271,8 @@ class TestPolytopes:
         """The segment mu0 + mu1 = 1, mu >= 0 has the vertices e0 and e1
         with exact zeros, whatever the round-off of the other rows."""
         third = 1.0 / 3.0
-        p = PolytopeH(2, ((np.array([third, third]), third),),
-                      ((np.array([-1.0, 0.0]), 0.0), (np.array([0.0, -1.0]), 0.0)))
+        p = PolytopeH(np.array([[third, third], [-1.0, 0.0], [0.0, -1.0]]),
+                      np.array([third, 0.0, 0.0]), 1)
         verts = enumerate_vertices(p)
         assert sorted(v.tolist() for v in verts) == [[0.0, pytest.approx(1.0)],
                                                      [pytest.approx(1.0), 0.0]]
@@ -287,7 +295,8 @@ class TestPolytopes:
         the tightness tolerance of t >= 0.  A row's scale and a far
         redundant bound leave unit vertices alone, and a wide interval or an
         empty set keeps its answer."""
-        p = PolytopeH(len((eq or ineq)[0][0]), tuple(eq), tuple(ineq))
+        rows = eq + ineq
+        p = PolytopeH(np.array([a for a, _ in rows]), np.array([b for _, b in rows]), len(eq))
         verts = enumerate_vertices(p)
         assert [v.tolist() for v in verts] == [pytest.approx(e, rel=1e-12) for e in expected]
 
@@ -300,18 +309,18 @@ class TestHiGHS:
         scipy_optimize = pytest.importorskip("scipy.optimize")
         self.solve = scipy_optimize.linprog
 
-    def highs(self, c, eq, ineq, dim):
-        A_eq = np.array([a for a, _ in eq]).reshape(len(eq), dim) if eq else None
-        A_ub = np.array([a for a, _ in ineq]).reshape(len(ineq), dim) if ineq else None
-        return self.solve(c, A_ub=A_ub, b_ub=[b for _, b in ineq] or None, A_eq=A_eq,
-                          b_eq=[b for _, b in eq] or None, bounds=[(None, None)] * dim,
-                          method="highs")
+    def highs(self, c, p):
+        k = p.n_eq
+        return self.solve(c, A_ub=p.ineq_rows if len(p.ineq_rows) else None,
+                          b_ub=p.b[k:] if len(p.ineq_rows) else None,
+                          A_eq=p.eq_rows if k else None, b_eq=p.b[:k] if k else None,
+                          bounds=[(None, None)] * p.dim, method="highs")
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cone_triviality(self, seed):
         dim, eq, ineq = random_polar_system(seed)
-        box = [(s * np.eye(dim)[i], 1.0) for i in range(dim) for s in (1.0, -1.0)]
-        nontrivial = any(-self.highs(-s * np.eye(dim)[i], eq, list(ineq) + box, dim).fun > 1e-7
+        boxed = boxed_cone(eq, ineq)
+        nontrivial = any(-self.highs(-s * np.eye(dim)[i], boxed).fun > 1e-7
                          for i in range(dim) for s in (1.0, -1.0))
         assert cone_is_trivial(dim, eq, ineq)[0] == (not nontrivial)
 
@@ -319,14 +328,14 @@ class TestHiGHS:
     def test_polytope_status_and_extremes(self, seed):
         p, _ = random_polytope(seed)
         status, verts = dd_status(p)
-        feas = self.highs(np.zeros(p.dim), p.eq_rows, p.ineq_rows, p.dim)
+        feas = self.highs(np.zeros(p.dim), p)
         assert (status == "empty") == (feas.status == 2)
         if status == "empty":
             return
         c = np.random.default_rng(seed).standard_normal(p.dim)
-        res = self.highs(c, p.eq_rows, p.ineq_rows, p.dim)
+        res = self.highs(c, p)
         if status == "unbounded":
-            rays = [self.highs(s * np.eye(p.dim)[i], p.eq_rows, p.ineq_rows, p.dim).status
+            rays = [self.highs(s * np.eye(p.dim)[i], p).status
                     for i in range(p.dim) for s in (1.0, -1.0)]
             assert 3 in rays
         else:

@@ -76,7 +76,7 @@ class TestRaySetMembership:
 
     def test_tolerance_is_used(self):
         """The ray-only branch honours its tol argument."""
-        cset = GeneratedConeSet(base=np.zeros(2), rays=(np.array([1.0, 0.0]),))
+        cset = GeneratedConeSet(base=np.zeros(2), rays=np.array([[1.0, 0.0]]))
         assert not cset.contains(np.array([1.0, 1e-6]), 1e-9)
         assert cset.contains(np.array([1.0, 1e-6]), 1e-5)
 

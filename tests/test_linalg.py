@@ -20,47 +20,50 @@ from helpers import random_bounded_polytope
 
 
 def unit_interval() -> PolytopeH:
-    return PolytopeH(1, (), ((np.array([-1.0]), 0.0), (np.array([1.0]), 1.0)))
+    return PolytopeH(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
+
+
+def halfline() -> PolytopeH:
+    """mu >= 0."""
+    return PolytopeH(np.array([[-1.0]]), np.array([0.0]))
 
 
 class TestSolveLP:
     def test_box_endpoint(self):
         """min mu over [0,1] -> 0 at mu=0."""
-        res = solve_lp(LinearProgram(np.array([1.0]), (), unit_interval().ineq_rows))
+        res = solve_lp(LinearProgram(np.array([1.0]), unit_interval()))
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert res.point[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_unbounded_halfline(self):
         """max mu over mu >= 0 -> unbounded with an improving feasible ray."""
-        res = solve_lp(LinearProgram(np.array([1.0]), (), ((np.array([-1.0]), 0.0),), sense="max"))
+        res = solve_lp(LinearProgram(np.array([1.0]), halfline(), sense="max"))
         assert res.status == "unbounded"
         assert res.ray is not None and res.ray[0] > 0  # improves the max
         assert -res.ray[0] <= 1e-12  # feasible for the recession system
 
     def test_affine_objective_over_interval(self):
         """max (1 - 3 mu) over [0,1] -> 1 at mu = 0."""
-        res = solve_lp(LinearProgram(
-            np.array([-3.0]), (), unit_interval().ineq_rows, sense="max", constant=1.0,
-        ))
+        res = solve_lp(LinearProgram(np.array([-3.0]), unit_interval(), sense="max", constant=1.0))
         assert res.status == "optimal"
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert res.point[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible(self):
         res = solve_lp(LinearProgram(
-            np.array([1.0]), ((np.array([1.0]), 2.0),), ((np.array([1.0]), 1.0),),
+            np.array([1.0]), PolytopeH(np.array([[1.0], [1.0]]), np.array([2.0, 1.0]), n_eq=1),
         ))
         assert res.status == "infeasible"
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            LinearProgram(np.array([1.0]), ((np.array([1.0, 2.0]), 0.0),))
+            LinearProgram(np.array([1.0]), PolytopeH(np.array([[1.0, 2.0]]), np.zeros(1), 1))
+        with pytest.raises(DimensionMismatch):
+            PolytopeH(np.array([[1.0, 2.0]]), np.zeros(2))
 
     def test_iteration_limit(self):
-        lp = LinearProgram(np.ones(3), (), tuple(
-            (np.eye(3)[i] * s, 1.0) for i in range(3) for s in (1.0, -1.0)
-        ))
+        lp = LinearProgram(np.ones(3), PolytopeH(np.kron(np.eye(3), [[1.0], [-1.0]]), np.ones(6)))
         with pytest.raises(IterationLimit):
             solve_lp(lp, max_pivots=1)
 
@@ -73,7 +76,7 @@ class TestSolveLP:
         for _ in range(20):
             poly = random_bounded_polytope(rng)
             obj = rng.standard_normal(poly.dim)
-            res = solve_lp(LinearProgram(obj, poly.eq_rows, poly.ineq_rows))
+            res = solve_lp(LinearProgram(obj, poly))
             assert res.status == "optimal"
             assert poly.contains(res.point)
 
@@ -83,14 +86,12 @@ class TestSolveLP:
         for _ in range(20):
             poly = random_bounded_polytope(rng)
             c = rng.standard_normal(poly.dim)
-            primal = solve_lp(LinearProgram(c, (), poly.ineq_rows))
-            assert primal.status == "optimal"
-            A = np.array([a for a, _ in poly.ineq_rows])
-            b = np.array([t for _, t in poly.ineq_rows])
-            k = len(b)
-            eq = tuple((A.T[j], -c[j]) for j in range(poly.dim))
-            sign = tuple((-np.eye(k)[i], 0.0) for i in range(k))
-            dual = solve_lp(LinearProgram(-b, eq, sign, sense="max"))
+            primal = solve_lp(LinearProgram(c, poly))
+            assert primal.status == "optimal" and poly.n_eq == 0
+            A, b, k = poly.A, poly.b, len(poly.b)
+            dual_rows = PolytopeH(np.vstack([A.T, -np.eye(k)]), np.concatenate([-c, np.zeros(k)]),
+                                  n_eq=poly.dim)
+            dual = solve_lp(LinearProgram(-b, dual_rows, sense="max"))
             assert dual.status == "optimal"
             assert dual.value == pytest.approx(primal.value, abs=1e-8)
 
@@ -101,24 +102,23 @@ class TestVertexEnumeration:
         assert verts == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_single_point_from_tight_inequalities(self):
-        p = PolytopeH(1, (), ((np.array([1.0]), 0.0), (np.array([-1.0]), 0.0)))
+        p = PolytopeH(np.array([[1.0], [-1.0]]), np.zeros(2))
         verts = enumerate_vertices(p)
         assert len(verts) == 1
         assert verts[0][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_simplex(self):
-        rows = tuple((-np.eye(3)[i], 0.0) for i in range(3))
-        p = PolytopeH(3, ((np.ones(3), 1.0),), rows)
+        p = PolytopeH(np.vstack([np.ones(3), -np.eye(3)]), np.array([1.0, 0.0, 0.0, 0.0]), 1)
         verts = sorted(tuple(np.round(v, 9)) for v in enumerate_vertices(p))
         assert verts == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(PolytopeH(1, (), ((np.array([-1.0]), 0.0),)))
+            enumerate_vertices(halfline())
 
     def test_dimension_limit(self, monkeypatch):
         """The bound is on the generator count: a cube has 8 vertices."""
-        cube = PolytopeH(3, (), tuple((s * np.eye(3)[i], 1.0) for i in range(3) for s in (1, -1)))
+        cube = PolytopeH(np.kron(np.eye(3), [[1.0], [-1.0]]), np.ones(6))
         assert len(enumerate_vertices(cube)) == 8
         monkeypatch.setattr(linalg, "_MAX_GENERATORS", 6)
         with pytest.raises(PolytopeTooLarge):
@@ -137,8 +137,7 @@ class TestVertexEnumeration:
         """[0, 1e12] x [0, 1]: unscaled, the vertices at x0 = 1e12 read as
         recession rays, and one common scale of 1e12 reads x1 = 1 as tight on
         x1 >= 0; each coordinate shrunk by its own bound keeps all four."""
-        I = np.eye(2)
-        box = PolytopeH(2, (), ((-I[0], 0.0), (I[0], 1e12), (-I[1], 0.0), (I[1], 1.0)))
+        box = PolytopeH(np.kron(np.eye(2), [[-1.0], [1.0]]), np.array([0.0, 1e12, 0.0, 1.0]))
         verts = enumerate_vertices(box)
         assert [v.tolist() for v in verts] == [[0.0, 0.0], [0.0, 1.0], [1e12, 0.0],
                                                [1e12, pytest.approx(1.0, rel=1e-12)]]
@@ -146,9 +145,8 @@ class TestVertexEnumeration:
     def test_wide_box_with_a_coupling_row(self):
         """The same box cut by x0 + 1e12 x1 <= 1.5e12, which couples the
         two scales: five vertices."""
-        I = np.eye(2)
-        p = PolytopeH(2, (), ((-I[0], 0.0), (I[0], 1e12), (-I[1], 0.0), (I[1], 1.0),
-                              (np.array([1.0, 1e12]), 1.5e12)))
+        p = PolytopeH(np.vstack([np.kron(np.eye(2), [[-1.0], [1.0]]), [1.0, 1e12]]),
+                      np.array([0.0, 1e12, 0.0, 1.0, 1.5e12]))
         verts = enumerate_vertices(p)
         expected = [[0.0, 0.0], [0.0, 1.0], [5e11, 1.0], [1e12, 0.0], [1e12, 0.5]]
         assert [v.tolist() for v in verts] == [pytest.approx(e, rel=1e-12) for e in expected]
@@ -156,7 +154,7 @@ class TestVertexEnumeration:
     def test_wide_interval_above_one(self):
         """[1, 1e12]: the smallest bound of x is its lower bound 1, so the
         common scale of the rows finds the vertices."""
-        p = PolytopeH(1, (), ((np.array([-1.0]), -1.0), (np.array([1.0]), 1e12)))
+        p = PolytopeH(np.array([[-1.0], [1.0]]), np.array([-1.0, 1e12]))
         assert [v.tolist() for v in enumerate_vertices(p)] == [[1.0], [pytest.approx(1e12)]]
 
     def test_lp_matches_vertex_extremes(self):
@@ -165,10 +163,10 @@ class TestVertexEnumeration:
         for _ in range(25):
             poly = random_bounded_polytope(rng)
             verts = enumerate_vertices(poly)
-            assert verts, "bounded nonempty polytope must have vertices"
+            assert len(verts), "bounded nonempty polytope must have vertices"
             obj = rng.standard_normal(poly.dim)
-            lo = solve_lp(LinearProgram(obj, poly.eq_rows, poly.ineq_rows))
-            hi = solve_lp(LinearProgram(obj, poly.eq_rows, poly.ineq_rows, sense="max"))
+            lo = solve_lp(LinearProgram(obj, poly))
+            hi = solve_lp(LinearProgram(obj, poly, sense="max"))
             vals = [float(obj @ v) for v in verts]
             assert lo.value == pytest.approx(min(vals), abs=1e-8)
             assert hi.value == pytest.approx(max(vals), abs=1e-8)
@@ -180,8 +178,9 @@ class TestMembership:
         """The per-row loop that ``contains_rows`` replaced: the reference."""
         def within(r, b):
             return r <= tol.feasibility * (1.0 + abs(b))
-        return (all(within(abs(a @ x - b), b) for a, b in p.eq_rows)
-                and all(within(a @ x - b, b) for a, b in p.ineq_rows))
+        k = p.n_eq
+        return (all(within(abs(a @ x - b), b) for a, b in zip(p.eq_rows, p.b[:k]))
+                and all(within(a @ x - b, b) for a, b in zip(p.ineq_rows, p.b[k:])))
 
     def test_one_array_pass_matches_the_row_loop(self):
         """Random polytopes cut by one equality row through a vertex, at their
@@ -192,7 +191,7 @@ class TestMembership:
             q = random_bounded_polytope(rng)
             v = enumerate_vertices(q)[0]
             a = rng.standard_normal(q.dim)
-            p = PolytopeH(q.dim, ((a, float(a @ v)),), q.ineq_rows)
+            p = PolytopeH(np.vstack([a, q.A]), np.concatenate([[a @ v], q.b]), 1)
             X = np.vstack([enumerate_vertices(p), v + 1e-8 * rng.standard_normal((5, p.dim)),
                            rng.uniform(-3.0, 3.0, (5, p.dim))])
             mask = p.contains_rows(X)
@@ -203,8 +202,8 @@ class TestMembership:
 
     def test_the_polytope_of_no_coordinates(self):
         """m = 0: {()} without rows, empty with the row 0 <= -1."""
-        assert PolytopeH(0).contains(np.zeros(0))
-        assert not PolytopeH(0, (), ((np.zeros(0), -1.0),)).contains(np.zeros(0))
+        assert PolytopeH(np.zeros((0, 0)), np.zeros(0)).contains(np.zeros(0))
+        assert not PolytopeH(np.zeros((1, 0)), np.array([-1.0])).contains(np.zeros(0))
 
 
 class TestRecessionCone:
@@ -216,13 +215,12 @@ class TestRecessionCone:
 
     def test_halfline(self):
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(PolytopeH(1, (), ((np.array([-1.0]), 0.0),)))
+            enumerate_vertices(halfline())
 
     def test_truncated_family_system(self):
         """Rows -n*mu <= 1 (n <= N) plus mu <= 0 have trivial recession."""
-        rows = [(np.array([-float(n)]), 1.0) for n in range(1, 9)]
-        rows.append((np.array([1.0]), 0.0))
-        verts = enumerate_vertices(PolytopeH(1, (), tuple(rows)))
+        rows = np.vstack([-np.arange(1.0, 9.0)[:, None], [[1.0]]])
+        verts = enumerate_vertices(PolytopeH(rows, np.append(np.ones(8), 0.0)))
         assert sorted(float(v[0]) for v in verts) == pytest.approx([-1.0 / 8.0, 0.0], abs=1e-12)
 
 
@@ -258,6 +256,6 @@ class TestWeightedVector:
 
 
 def test_conic_distance_basic():
-    rays = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    rays = np.eye(2)
     assert conic_distance(rays, np.array([2.0, 3.0])) == pytest.approx(0.0, abs=1e-9)
     assert conic_distance(rays, np.array([-1.0, 0.0])) == pytest.approx(1.0, abs=1e-8)

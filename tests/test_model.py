@@ -13,6 +13,7 @@ from kkt2.kkt import multiplier_set
 from kkt2.linalg import BilinearForm, matrix_form
 from kkt2.model import (
     BoxSet,
+    GeneratedConeSet,
     ProblemSpec,
     SmoothFunction,
     check_feasible,
@@ -76,6 +77,24 @@ class TestCheckFeasible:
         # verdicts and active sets agree as sets of constraint objects
         assert len(a.info.active) == len(b.info.active) == 1
 
+    def test_violations_in_coordinate_order(self):
+        """Lower and upper bounds broken at several coordinates, then an
+        equality and an inequality constraint: one string each, bounds in
+        coordinate order, then constraints in index order."""
+        box = BoxSet(np.array([0.0, -1.0, 0.0, 2.0, -np.inf]), np.array([1.0, 1.0, 0.5, 3.0, 0.0]))
+        g = (quadratic(1e-3, np.zeros(5), np.zeros((5, 5))),  # g == 1e-3
+             quadratic(-1.0, np.zeros(5), np.zeros((5, 5))),  # inactive
+             quadratic(0.5, np.zeros(5), np.zeros((5, 5))))  # violated
+        p = ProblemSpec(quadratic(0.0, np.zeros(5), np.eye(5)), g, 1, box, np.ones(5))
+        res = check_feasible(p, np.array([-0.25, 3.0, 0.25, 1.0, 2.0]))
+        assert not res.feasible and res.info is None
+        assert res.violations == ("x[0] below lower bound by 2.500e-01",
+                                  "x[1] above upper bound by 2.000e+00",
+                                  "x[3] below lower bound by 1.000e+00",
+                                  "x[4] above upper bound by 2.000e+00",
+                                  "equality constraint 0 violated: g=1.000e-03",
+                                  "inequality constraint 2 violated: g=5.000e-01")
+
     def test_box_sets_partition(self):
         """One code per coordinate of the point object's box pattern: >=0 at
         the lower bound, <=0 at the upper one, free inside, and =0 on a
@@ -90,6 +109,23 @@ class TestCheckFeasible:
             codes = multiplier_set(p, x).c_pattern.codes
             expected = np.where(x == -1.0, NONNEG, np.where(x == 1.0, NONPOS, FREE))
             assert codes.tolist() == [*expected[:2], ZERO]
+
+
+class TestGeneratedConeSet:
+    def test_families_are_read_only_arrays(self):
+        """Each family is one (k, n) array; an empty one is (0, n)."""
+        s = GeneratedConeSet(np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert s.rays.shape == (2, 3) and not s.rays.flags.writeable
+        for family in (s.limit_rays, s.deep_rays, s.hull_points):
+            assert family.shape == (0, 3) and not family.flags.writeable
+        assert s.tangent_rays().shape == s.normal_row_rays().shape == (2, 3)
+
+    @pytest.mark.parametrize("family", ["rays", "limit_rays", "deep_rays", "hull_points"])
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0]], [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [1.0]]],
+                             ids=["narrow", "one-vector", "ragged"])
+    def test_a_family_of_the_wrong_width_raises(self, family, rows):
+        with pytest.raises(DimensionMismatch):
+            GeneratedConeSet(np.zeros(3), **{"rays": np.eye(3), family: rows})
 
 
 class TestValidateDerivatives:

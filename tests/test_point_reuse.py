@@ -66,7 +66,7 @@ class TestStrictCQOnMultiplierSet:
     def test_same_verdict_at_every_vertex(self, label, p, x):
         mset = multiplier_set(p, x)
         direct_set = _direct(p, x, mset)
-        assert mset.vertices
+        assert len(mset.vertices)
         for vert in mset.vertices:
             direct, reused = check_strict_cq(direct_set, vert), check_strict_cq(mset, vert)
             assert (reused.holds, reused.achieved_cone) == (direct.holds, direct.achieved_cone)
@@ -151,9 +151,10 @@ class TestBoxCQProbes:
 
 def _pairwise_scaled_vertices(p, s, tol):
     """``linalg._scaled_vertices`` with the pairwise dedup loop it replaced."""
-    L, R = linalg._double_description(p.dim + 1, [np.append(a, -b / s) for a, b in p.eq_rows],
-                                      [np.append(a, -b / s) for a, b in p.ineq_rows]
-                                      + [-np.eye(p.dim + 1)[-1]], tol.feasibility)
+    Z = np.hstack([p.A, -p.b[:, None] / s])
+    L, R = linalg._double_description(p.dim + 1, Z[: p.n_eq],
+                                      np.vstack([Z[p.n_eq :], -np.eye(p.dim + 1)[-1:]]),
+                                      tol.feasibility)
     finite = R[:, -1] > 0.0
     if not finite.any():
         return []
@@ -190,8 +191,8 @@ class TestVertexDedup:
     def test_near_duplicate_rays(self, monkeypatch):
         """The unit square cut by x + y <= 2 - 5e-9: the double description
         returns two rays within vertex_dedup of (1, 1), and one is kept."""
-        rows = tuple((sgn * np.eye(2)[i], max(sgn, 0.0)) for i in range(2) for sgn in (1.0, -1.0))
-        poly = PolytopeH(2, (), rows + ((np.ones(2), 2.0 - 5e-9),))
+        rows = np.vstack([np.kron(np.eye(2), [[1.0], [-1.0]]), np.ones(2)])
+        poly = PolytopeH(rows, np.array([1.0, 0.0, 1.0, 0.0, 2.0 - 5e-9]))
         new = enumerate_vertices(poly)
         assert len(new) == 4
         _assert_same_vertices(new, _pairwise(poly, monkeypatch))
@@ -206,7 +207,7 @@ class TestVertexDedup:
         X = np.repeat(base, 3, axis=0) + jitter
         R = np.hstack([X, np.ones((len(X), 1))])[rng.permutation(len(X))]
         monkeypatch.setattr(linalg, "_double_description", lambda *a: (np.zeros((0, 4)), R))
-        poly = PolytopeH(3)
+        poly = PolytopeH(np.zeros((0, 3)), np.zeros(0))
         new = linalg._scaled_vertices(poly, 1.0, DEFAULT_TOLERANCES)
         old = _pairwise_scaled_vertices(poly, 1.0, DEFAULT_TOLERANCES)
         assert 40 < len(new) < 120
@@ -500,7 +501,7 @@ class TestBatteryColumnsOncePerCone:
         and its columns 1.3 MB; the search peaked at 10.9 MB with both
         batteries alive and peaks at 7.9 MB without."""
         mset = multiplier_set(*many_multiplier_spec(0))
-        mset.f_form, mset.g_forms, mset.vertex_matrix  # point data, built before measuring
+        mset.f_form, mset.g_forms, mset.vertices  # point data, built before measuring
         tracemalloc.start()
         try:
             verdict = check_ssc(mset, eta=0.1, alpha_target=0.5, budget=SearchBudget(random=16384))
