@@ -258,23 +258,29 @@ def verify_halfspace_representation(
 ) -> tuple[bool, list[RowCheck]]:
     """Every generated point satisfies every listed row, and exactly the
     annotated points lie on each boundary (both at the given tolerance).
-    The slacks of all rows at all points come from one matrix product."""
+    Each slack is compared relative to the termwise size of its own dot
+    product, sum_i |a_i p_i| + |b|: the unannotated points P_n sit n^-4 off
+    a boundary, which an absolute tolerance reads as on it from n = 317 on.
+    The slacks of all rows at all points come from one matrix product; the
+    records give the worst absolute slack and boundary residual."""
 
     pts = geometry.points
     column = {name: j for j, name in enumerate(pts)}
     rows = geometry.halfspace_rows()
-    values = np.array([row.coef for row in rows]) @ np.array(list(pts.values())).T
+    coef, points = np.array([row.coef for row in rows]), np.array(list(pts.values()))
     rhs = np.array([[row.rhs] for row in rows])
+    values = coef @ points.T
     slack = np.where([[row.sense == "le"] for row in rows], rhs - values, values - rhs)
+    size = np.abs(coef) @ np.abs(points).T + np.abs(rhs)
+    rel = np.divide(slack, size, out=np.zeros_like(slack), where=size > 0.0)  # size 0: slack 0
     on = np.zeros(slack.shape, dtype=bool)  # the annotated boundary points
     for i, row in enumerate(rows):
         on[i, [column[name] for name in row.equality_points]] = True
-    gap = np.abs(slack)
-    satisfied = ~np.any(slack < -tol, axis=1)
+    satisfied = ~np.any(rel < -tol, axis=1)
     # an annotated point off the boundary, or an unannotated one on it
-    exact = ~np.any(np.where(on, gap > tol, slack <= tol), axis=1)
+    exact = ~np.any(np.where(on, np.abs(rel) > tol, rel <= tol), axis=1)
     worst_slack = slack.min(axis=1)
-    worst_eq = np.max(gap, axis=1, where=on, initial=0.0)
+    worst_eq = np.max(np.abs(slack), axis=1, where=on, initial=0.0)
     checks = [RowCheck(row.label, bool(satisfied[i]), bool(exact[i]), float(worst_slack[i]),
                        float(worst_eq[i])) for i, row in enumerate(rows)]
     return all(c.satisfied and c.equality_exact for c in checks), checks

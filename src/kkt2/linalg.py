@@ -32,8 +32,15 @@ Polyhedral data.  Each kind has one array form, kept as a read-only copy
 The double description cuts by the rows in the order given, equality rows
 first, and returns a lineality basis L and the extreme rays R, each row
 scaled to max-abs 1: ``cone_is_trivial`` stacks them as L, -L, R, and
-``enumerate_vertices`` returns the vertices in lexicographic order.  All
-types are immutable after construction; operations are pure functions.
+``enumerate_vertices`` returns the vertices in lexicographic order.  It
+prepares all rows in one array pass (scaled, zero rows and repeats dropped,
+single-entry rows marked with their coordinate), keeps the applied
+inequality rows in one preallocated array, and tests a row's crossing ray
+pairs in blocks of at most ``_PAIR_BLOCK_ENTRIES`` entries.  Its contract:
+L and R are those of the one-row, one-ray-at-a-time loop kept in the tests
+as a reference, bit for bit up to the sign of zero, and it raises
+``PolytopeTooLarge`` on the same inputs.  All types are immutable after
+construction; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -403,11 +410,42 @@ def solve_lp(
 # --------------------------------------------------------------------------
 
 _MAX_GENERATORS = 20_000
+# The crossing ray pairs of one row are tested in blocks of at most this many
+# entries: a block of c pairs builds a c x k tightness matrix (k earlier
+# inequalities) and a c x r count matrix (r rays), and c is cut so the larger
+# stays under the cap (one pair when k or r alone passes it): a block's float
+# count matrix takes at most 512 KiB.
+_PAIR_BLOCK_ENTRIES = 1 << 16
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     """Each row scaled to max-abs 1."""
     return X / np.abs(X).max(axis=1, keepdims=True) if len(X) else X
+
+
+def _prepared_rows(dim: int, eq, ineq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows E = ``eq`` then I = ``ineq``, each scaled to max-abs 1 in one
+    array pass, with zero rows dropped and, by one dict over each row's kind
+    and bytes, repeats of an earlier row of the same kind (bit for bit, so a
+    -0.0 entry only hides a repeat).  Returns the rows, their equality mask,
+    and for each row its one nonzero coordinate, or -1 when it has more."""
+
+    E, I = (np.asarray(rows, dtype=float).reshape(len(rows), dim) for rows in (eq, ineq))
+    A = np.concatenate([E, I])
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    kept = np.flatnonzero(scale)
+    A, is_eq = A[kept] / scale[kept, None], kept < len(E)
+    keys = np.hstack([is_eq[:, None], A])  # each row's kind and bits, as one bytes key
+    keys = keys.view(np.dtype((np.void, keys.itemsize * (dim + 1))))[:, 0].tolist()
+    first_row: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first_row.setdefault(key, i)
+    first = list(first_row.values())
+    A, is_eq = A[first], is_eq[first]
+    nonzero = A != 0.0
+    single = nonzero.argmax(axis=1) if dim else 0  # argmax needs a column
+    coord = np.where(nonzero.sum(axis=1) == 1, single, -1)
+    return A, is_eq, coord
 
 
 def _double_description(dim: int, eq, ineq, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -416,34 +454,33 @@ def _double_description(dim: int, eq, ineq, tol: float) -> tuple[np.ndarray, np.
     arrays, each row scaled to max-abs 1.
 
     The double-description method (Motzkin et al. 1953) cuts the whole space
-    by one row at a time, equalities first.  A row that is not zero on the
+    by one row at a time, equalities first.  The rows are prepared in one
+    array pass (``_prepared_rows``): each is scaled to max-abs 1, and zero
+    rows and repeats of an earlier row of the same kind go, since they change
+    neither the cone nor the adjacency test.  A row that is not zero on the
     lineality space removes one lineality vector d (the largest pivot); for
     an inequality, the side of d that the row keeps becomes a ray, and the
     other rays move along d onto the row.  Otherwise the rays on the row's
     wrong side go, and each adjacent pair across the row adds the
     combination on it.  Adjacency is the combinatorial test of Fukuda and
     Prodon (1996): no third ray is tight on every earlier inequality that
-    both are tight on.  A row that repeats an earlier row of its kind after
-    the max-abs scaling is skipped: it changes neither the cone nor the
-    adjacency test.  A row with one nonzero entry sets that coordinate of
-    its tight generators to exactly 0.  More than ``_MAX_GENERATORS`` rays
-    raise ``PolytopeTooLarge``; on a pointed cone with linearly independent
-    rays every pair is adjacent, so a row whose pairs would pass the guard
-    raises before they are built.
+    both are tight on.  It runs on the crossing pairs in positive-major
+    order, in blocks of at most ``_PAIR_BLOCK_ENTRIES`` entries, against the
+    applied inequality rows, which sit in one preallocated array.  A row with
+    one nonzero entry sets that coordinate of its tight generators to exactly
+    0.  More than ``_MAX_GENERATORS`` rays raise ``PolytopeTooLarge``, checked
+    after each block; on a pointed cone with linearly independent rays every
+    pair is adjacent, so a row whose pairs would pass the guard raises before
+    they are built.  The blocks change no output: L and R are those of the
+    one-row-at-a-time loop, bit for bit up to the sign of zero.
     """
 
-    L, R, done = np.eye(dim), np.zeros((0, dim)), np.zeros((0, dim))
-    seen: set[tuple[bool, bytes]] = set()
-    for a, is_eq in [*((a, True) for a in eq), *((a, False) for a in ineq)]:
+    rows, is_eqs, coords = _prepared_rows(dim, eq, ineq)
+    L, R = np.eye(dim), np.zeros((0, dim))
+    done, n_done = np.empty((len(rows), dim)), 0  # the applied inequality rows
+    for a, is_eq, coord in zip(rows, is_eqs.tolist(), coords.tolist()):
         if not (len(L) or len(R)):
             break  # the cone is {0}
-        if not np.any(a):
-            continue
-        a = a / np.max(np.abs(a))
-        key = (is_eq, a.tobytes())  # a -0.0 entry only hides a repeat
-        if key in seen:
-            continue
-        seen.add(key)
         sl = L @ a
         j = int(np.argmax(np.abs(sl))) if len(sl) else -1
         if j >= 0 and abs(sl[j]) > tol:
@@ -453,28 +490,42 @@ def _double_description(dim: int, eq, ineq, tol: float) -> tuple[np.ndarray, np.
                 R = _unit_rows(np.vstack([R - np.outer(R @ a / (a @ d), d), d]))
         elif not is_eq:
             s = R @ a
-            pos, neg, new = np.flatnonzero(s > tol), np.flatnonzero(s < -tol), []
-            kept = int(np.sum(s <= tol))
-            if (kept + len(pos) * len(neg) > _MAX_GENERATORS and not len(L)
+            pos, neg, new = np.flatnonzero(s > tol), np.flatnonzero(s < -tol), [R[s <= tol]]
+            pairs = len(pos) * len(neg)
+            if (len(new[0]) + pairs > _MAX_GENERATORS and not len(L)
                     and np.linalg.matrix_rank(R) == len(R)):
                 # a pointed simplicial cone: every pair of rays is adjacent,
-                # so the bound is the count the loop below would reach
+                # so the bound is the count the blocks below would reach
                 raise PolytopeTooLarge(f"the cone would have over {_MAX_GENERATORS} rays")
-            Z = np.abs(R @ done.T) <= tol  # Z[r, k]: ray r is tight on inequality k
-            missing = (~Z).T.astype(float)
-            for p in pos:
-                n = neg[(((Z[p] & Z[neg]) @ missing) == 0).sum(axis=1) == 2]  # only p and n
-                new.append(s[p] * R[n] - s[n, None] * R[p])
-                if kept + sum(map(len, new)) > _MAX_GENERATORS:
-                    raise PolytopeTooLarge(f"the cone would have over {_MAX_GENERATORS} rays")
-            R = _unit_rows(np.vstack([R[s <= tol], *new]))
+            if pairs:
+                Z = np.abs(R @ done[:n_done].T) <= tol  # Z[r, k]: ray r is tight on inequality k
+                block = max(1, _PAIR_BLOCK_ENTRIES // max(n_done, len(R)))
+                for start in range(0, pairs, block):
+                    t = np.arange(start, min(start + block, pairs))  # positive-major
+                    p, n = pos[t // len(neg)], neg[t % len(neg)]
+                    adjacent = _adjacent_pairs(Z[p] & Z[n], Z)
+                    p, n = p[adjacent], n[adjacent]
+                    new.append(s[p, None] * R[n] - s[n, None] * R[p])
+                    if sum(map(len, new)) > _MAX_GENERATORS:
+                        raise PolytopeTooLarge(f"the cone would have over {_MAX_GENERATORS} rays")
+            R = _unit_rows(np.vstack(new))
         if not is_eq:
-            done = np.vstack([done, a])
-        support = np.flatnonzero(a)
-        if len(support) == 1:
-            L[:, support[0]] = 0.0
-            R[np.abs(R @ a) <= tol, support[0]] = 0.0
+            done[n_done] = a
+            n_done += 1
+        if coord >= 0:
+            L[:, coord] = 0.0
+            R[np.abs(R @ a) <= tol, coord] = 0.0
     return L, R
+
+
+def _adjacent_pairs(common: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Mask over a block of ray pairs, ``common[i]`` the inequalities both
+    rays of pair i are tight on and ``Z[r, k]`` whether ray r is tight on
+    inequality k: exactly two rays, the pair itself, are tight on all of
+    them.  Only the inequalities in some ``common[i]`` are counted."""
+    cols = common.any(axis=0)
+    missed = common[:, cols].astype(float) @ (~Z[:, cols]).T.astype(float)
+    return (missed == 0).sum(axis=1) == 2
 
 
 def cone_is_trivial(

@@ -4,7 +4,8 @@ multipliers, and the references: an LP maximum by HiGHS, a brute-force
 NNLS, row absorption into a sign pattern, a box's critical cone by its cut
 description, the growth sampler's box path one try at a time, the curvature
 descent one rung at a time, example2's section sampler one sample at a time,
-and example2's half-space and section formula checks one point at a time."""
+example2's half-space and section formula checks one point at a time, and
+the double description one row and one positive ray at a time."""
 
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone
 from kkt2.config import SearchBudget, Tolerances
 from kkt2.curvature import _subgradient
 from kkt2.examples.example2 import GAMMA, Example2Set, RowCheck
-from kkt2.linalg import PolytopeH, weighted_norm
+from kkt2 import linalg
+from kkt2.errors import PolytopeTooLarge
+from kkt2.linalg import PolytopeH, _unit_rows, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
 
@@ -444,7 +447,8 @@ def halfspace_checks_per_point(
     geometry: Example2Set, tol: float = 1e-10
 ) -> tuple[bool, list[RowCheck]]:
     """``example2.verify_halfspace_representation`` one row and one point at
-    a time."""
+    a time, each slack compared relative to the termwise size of its dot
+    product."""
 
     pts = geometry.points
     checks: list[RowCheck] = []
@@ -456,14 +460,16 @@ def halfspace_checks_per_point(
         for name, x in pts.items():
             v = float(row.coef @ x)
             slack = row.rhs - v if row.sense == "le" else v - row.rhs
+            size = float(np.sum(np.abs(row.coef * x))) + abs(row.rhs)
+            rel = slack / size if size > 0.0 else 0.0
             worst_slack = min(worst_slack, slack)
-            if slack < -tol:
+            if rel < -tol:
                 ok_sat = False
             if name in row.equality_points:
                 worst_eq = max(worst_eq, abs(slack))
-                if abs(slack) > tol:
+                if abs(rel) > tol:
                     ok_eq = False
-            elif slack <= tol:
+            elif rel <= tol:
                 ok_eq = False  # an unannotated point on the boundary
         checks.append(RowCheck(row.label, ok_sat, ok_eq, worst_slack, worst_eq))
     return all(c.satisfied and c.equality_exact for c in checks), checks
@@ -490,3 +496,54 @@ def section_membership_per_point(
                 if abs(resid) > tol:
                     ok = False
     return ok, worst_member, worst_diag
+
+
+def double_description_per_pair(dim: int, eq, ineq, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``linalg._double_description`` one row at a time: each row scaled and
+    checked for a repeat as it comes, the applied inequality rows re-stacked
+    after each row, and the adjacency test run for one positive ray and all
+    negative ones at a time, with the guard (``linalg._MAX_GENERATORS``, read
+    at call time) checked after each positive ray."""
+
+    L, R, done = np.eye(dim), np.zeros((0, dim)), np.zeros((0, dim))
+    seen: set[tuple[bool, bytes]] = set()
+    for a, is_eq in [*((a, True) for a in eq), *((a, False) for a in ineq)]:
+        if not (len(L) or len(R)):
+            break  # the cone is {0}
+        if not np.any(a):
+            continue
+        a = a / np.max(np.abs(a))
+        key = (is_eq, a.tobytes())  # a -0.0 entry only hides a repeat
+        if key in seen:
+            continue
+        seen.add(key)
+        sl = L @ a
+        j = int(np.argmax(np.abs(sl))) if len(sl) else -1
+        if j >= 0 and abs(sl[j]) > tol:
+            d = -np.sign(sl[j]) * L[j]  # a.d < 0
+            L = _unit_rows(np.delete(L - np.outer(sl / sl[j], L[j]), j, axis=0))
+            if not is_eq:  # equalities come first, while there are no rays
+                R = _unit_rows(np.vstack([R - np.outer(R @ a / (a @ d), d), d]))
+        elif not is_eq:
+            s = R @ a
+            pos, neg, new = np.flatnonzero(s > tol), np.flatnonzero(s < -tol), []
+            kept = int(np.sum(s <= tol))
+            limit = linalg._MAX_GENERATORS
+            if (kept + len(pos) * len(neg) > limit and not len(L)
+                    and np.linalg.matrix_rank(R) == len(R)):
+                raise PolytopeTooLarge(f"the cone would have over {limit} rays")
+            Z = np.abs(R @ done.T) <= tol  # Z[r, k]: ray r is tight on inequality k
+            missing = (~Z).T.astype(float)
+            for p in pos:
+                n = neg[(((Z[p] & Z[neg]) @ missing) == 0).sum(axis=1) == 2]  # only p and n
+                new.append(s[p] * R[n] - s[n, None] * R[p])
+                if kept + sum(map(len, new)) > limit:
+                    raise PolytopeTooLarge(f"the cone would have over {limit} rays")
+            R = _unit_rows(np.vstack([R[s <= tol], *new]))
+        if not is_eq:
+            done = np.vstack([done, a])
+        support = np.flatnonzero(a)
+        if len(support) == 1:
+            L[:, support[0]] = 0.0
+            R[np.abs(R @ a) <= tol, support[0]] = 0.0
+    return L, R

@@ -1,6 +1,7 @@
 """Differential tests of the double-description routine behind
 ``cone_is_trivial`` and ``enumerate_vertices``, against the dense LP kernel
-and, where scipy is installed, against HiGHS.
+and, where scipy is installed, against HiGHS, and of its blocked loop against
+the one-row-at-a-time reference (``helpers.double_description_per_pair``).
 
 Cones are the polar systems the CQ probes build: a seeded random sign
 pattern seen through a random matrix, with lineality, all-equality and zero
@@ -9,6 +10,7 @@ empty and unbounded cases.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from kkt2.kkt import _polar_rows
 from kkt2.linalg import (LinearProgram, PolytopeH, _double_description, cone_is_trivial,
                          enumerate_vertices, solve_lp)
 
-from helpers import random_bounded_polytope
+from kkt2.cli import main
+from kkt2.examples import run_example1_certification, run_example2_certification
+
+from helpers import double_description_per_pair, many_multiplier_problem, random_bounded_polytope
 
 TOL = 1e-7
 
@@ -341,3 +346,174 @@ class TestHiGHS:
         else:
             assert res.status == 0
             assert res.fun == pytest.approx(min(float(c @ v) for v in verts), abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# The blocked loop against the one-row-at-a-time reference
+# --------------------------------------------------------------------------
+
+
+def random_dd_system(seed):
+    """(dim, eq_rows, ineq_rows) in dimension seed % 9 (0 to 8): Gaussian or
+    small-integer (degenerate) rows, among them zero rows, rows with one
+    nonzero entry, and repeats of an earlier row at scales 1, 2 and 1/4."""
+    rng = np.random.default_rng(seed)
+    dim = seed % 9
+    n_eq, n_ineq = int(rng.integers(0, 3)), int(rng.integers(0, dim + 6))
+    k = n_eq + n_ineq
+    A = rng.integers(-2, 3, (k, dim)).astype(float) if seed % 2 else rng.standard_normal((k, dim))
+    for i in range(k):
+        u = rng.random()
+        if u < 0.1:
+            A[i] = 0.0
+        elif u < 0.25 and dim:
+            A[i] = 0.0
+            A[i, rng.integers(dim)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+        elif u < 0.4 and i:
+            A[i] = A[rng.integers(i)] * rng.choice([1.0, 2.0, 0.25])
+    return dim, A[:n_eq], A[n_eq:]
+
+
+def dd_outcome(routine, dim, eq, ineq, tol):
+    """L and R as bytes and shapes, up to the sign of zero, or the name of
+    the exception raised."""
+    try:
+        L, R = routine(dim, eq, ineq, tol)
+    except PolytopeTooLarge as err:
+        return type(err).__name__
+    return (L + 0.0).tobytes(), L.shape, (R + 0.0).tobytes(), R.shape
+
+
+def assert_same_as_reference(dim, eq, ineq, tol):
+    got = dd_outcome(_double_description, dim, eq, ineq, tol)
+    assert got == dd_outcome(double_description_per_pair, dim, eq, ineq, tol)
+
+
+def recorded_inputs(monkeypatch, run):
+    """Every (dim, eq, ineq, tol) that ``run()`` hands the double
+    description."""
+    calls = []
+
+    def spy(dim, eq, ineq, tol):
+        calls.append((dim, np.array(eq, dtype=float).reshape(len(eq), dim),
+                      np.array(ineq, dtype=float).reshape(len(ineq), dim), tol))
+        return _double_description(dim, eq, ineq, tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_double_description", spy)
+        run()
+    return calls
+
+
+class TestMatchesPerPairReference:
+    """The blocked loop returns the reference's L and R bit for bit (up to
+    the sign of zero) and raises where it raises."""
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_systems(self, seed):
+        assert_same_as_reference(*random_dd_system(seed), 1e-9)
+
+    @pytest.mark.parametrize("seed", range(0, 300, 3))
+    def test_random_systems_in_one_pair_blocks(self, monkeypatch, seed):
+        monkeypatch.setattr(linalg, "_PAIR_BLOCK_ENTRIES", 1)
+        assert_same_as_reference(*random_dd_system(seed), 1e-9)
+
+    def test_polar_systems(self):
+        for seed in SEEDS:
+            assert_same_as_reference(*random_polar_system(seed), TOL)
+
+    def test_dimension_zero(self):
+        for eq, ineq in [((), ()), (np.zeros((2, 0)), np.zeros((3, 0))), ([], np.zeros((1, 0)))]:
+            L, R = _double_description(0, eq, ineq, TOL)
+            assert L.shape == R.shape == (0, 0)
+            assert_same_as_reference(0, eq, ineq, TOL)
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda: run_example1_certification(12), id="repro example1 grid 12"),
+        pytest.param(lambda: run_example2_certification(8), id="repro example2 trunc 8"),
+    ])
+    def test_repro_chain_inputs(self, monkeypatch, run):
+        calls = recorded_inputs(monkeypatch, run)
+        assert calls
+        for call in calls:
+            assert_same_as_reference(*call)
+
+    def test_many_multiplier_check_ssc_inputs(self, monkeypatch, tmp_path, capsys):
+        problem, point = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
+        ppath, xpath = tmp_path / "p.json", tmp_path / "x.json"
+        ppath.write_text(json.dumps(problem))
+        xpath.write_text(json.dumps({"point": point}))
+        calls = recorded_inputs(monkeypatch, lambda: main(
+            ["check-ssc", str(ppath), "--at", str(xpath), "--eta", "0.1", "--alpha", "0.5"]))
+        capsys.readouterr()
+        assert any(dim == 24 for dim, *_ in calls)  # the critical cones themselves
+        for call in calls:
+            assert_same_as_reference(*call)
+
+
+class TestPairBlocks:
+    """The homogenized unit cube [0, 1]^4 in R^5 (16 rays, not simplicial)
+    cut by x1 + x2 + x3 + x4 <= 1.5 t: 11 vertices lie on the wrong side and
+    5 on the right one, so 55 pairs cross the row, but only the 12 cube
+    edges from a sum of 1 to a sum of 2 are adjacent pairs: 5 + 12 = 17
+    rays after the cut."""
+
+    CAP = 48
+
+    @staticmethod
+    def cut_cube():
+        dim = 5
+        t = np.eye(dim)[-1]
+        ineq = [*(-np.eye(dim)[:4]), *(np.eye(dim)[:4] - t), -t, [1.0, 1.0, 1.0, 1.0, -1.5]]
+        return dim, np.zeros((0, dim)), np.array(ineq)
+
+    def blocks(self, monkeypatch, guard):
+        """The shapes (pairs, earlier inequalities, rays) of every pair
+        block, under the given guard and CAP; None when the guard raised."""
+        seen = []
+
+        def spy(common, Z):
+            seen.append((*common.shape, len(Z)))
+            return adjacent(common, Z)
+
+        adjacent = linalg._adjacent_pairs
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_adjacent_pairs", spy)
+            patch.setattr(linalg, "_PAIR_BLOCK_ENTRIES", self.CAP)
+            patch.setattr(linalg, "_MAX_GENERATORS", guard)
+            try:
+                _double_description(*self.cut_cube(), TOL)
+            except PolytopeTooLarge:
+                return None, seen
+        return seen, seen
+
+    def test_the_cut_has_17_rays_and_no_rank_shortcut(self):
+        dim, eq, ineq = self.cut_cube()
+        L, R = _double_description(dim, eq, ineq, TOL)
+        assert len(L) == 0 and len(R) == 17
+        cube = _double_description(dim, eq, ineq[:-1], TOL)[1]
+        assert len(cube) == 16 and np.linalg.matrix_rank(cube) == 5
+        s = cube @ ineq[-1]
+        assert np.sum(s > TOL) * np.sum(s < -TOL) == 55
+
+    @pytest.mark.parametrize("guard", range(10, 24))
+    def test_raises_where_the_reference_raises(self, monkeypatch, guard):
+        completed, _ = self.blocks(monkeypatch, guard)
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", guard)
+        reference = dd_outcome(double_description_per_pair, *self.cut_cube(), TOL)
+        assert (completed is None) == (reference == "PolytopeTooLarge") == (guard < 17)
+        assert dd_outcome(_double_description, *self.cut_cube(), TOL) == reference
+
+    def test_no_block_passes_the_entry_cap(self, monkeypatch):
+        seen, _ = self.blocks(monkeypatch, 17)
+        cut = [b for b in seen if b[1] == 9]  # the cut row comes after 9 inequalities
+        assert sum(b[0] for b in cut) == 55 and len(cut) > 1
+        for pairs, earlier, rays in seen:
+            assert pairs * max(earlier, rays) <= self.CAP
+
+    def test_the_guard_is_checked_after_each_block(self, monkeypatch):
+        """Under a guard of 16 the cut row raises at its twelfth new ray,
+        before its last block."""
+        full, _ = self.blocks(monkeypatch, 17)
+        raised, seen = self.blocks(monkeypatch, 16)
+        assert raised is None and 0 < len(seen) < len(full)

@@ -66,6 +66,14 @@ class TestGeometry:
         assert ok
         assert len(checks) == 2 + 3 * 10  # k = 1..10 at trunc 12
 
+    def test_halfspace_representation_at_trunc_320(self):
+        """P_n sits n^-4 off its boundaries, under 1e-10 from n = 317 on;
+        relative to the termwise size of each dot product the slacks of
+        unannotated points stay above 3e-9, so none reads as on a boundary."""
+        ok, checks = verify_halfspace_representation(build_example2(320).geometry)
+        assert ok
+        assert len(checks) == 2 + 3 * 318
+
     def test_halfspace_verdict_stable_in_truncation(self):
         """Rows with k <= N - 2 keep passing as N grows."""
         for N in (6, 9, 12):
