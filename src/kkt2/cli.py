@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 every requested check passes/holds, 1 a check is violated
-(witness embedded in the report), 2 usage or parse error, 3 internal
-numeric failure.  Reports print as aligned text or canonical JSON; the
-report seed comes from --seed, else the KKT2_SEED environment variable,
-else the problem file, else the library default.  A file report's
+(witness embedded in the report), 2 usage or parse error, 3 numeric
+failure or out of memory (one line).  Reports print as text or canonical
+JSON; the report seed comes from --seed, else the KKT2_SEED environment
+variable, else the problem file, else the library default.  A file report's
 ``problem_digest`` is the first 16 hex digits of the SHA-256 of the
 problem file's bytes.  Each file subcommand runs a list of
 ``kkt2.stages`` built from its flags.
@@ -157,6 +157,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     try:
         print(report.to_json() if args.format == "json" else report.to_text(), flush=True)

@@ -1,8 +1,8 @@
-"""Central tolerance and search-budget configuration.
-
-Every numeric threshold used by the library lives here so that a single
-object can be threaded through a whole certification run.  All dataclasses
-are frozen; pass a modified copy (``dataclasses.replace``) to override.
+"""Verdict tolerances and search budget, one object each per run.  Guards
+of one algorithm stay beside it: the growth sampler's 1e-13 residual, 8
+Newton steps, 1e-14 determinant and 40 tries per sample, the descent
+floors, ``linalg._PIVOT_TOL``.  All dataclasses are frozen; pass a
+modified copy (``dataclasses.replace``) to override.
 """
 
 from __future__ import annotations

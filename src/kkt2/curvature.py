@@ -503,18 +503,16 @@ class GrowthSampleResult:
     tries: int = 0
 
 
-# Tries per row block of the growth sampler: about _GROWTH_BLOCK_ENTRIES
-# entries per (rows, n) temporary, and at least _GROWTH_MIN_ROWS rows.  On a
-# 2-vCPU host, a growth run on example1 at grid 120 (250 samples) peaked at
-# 36.5 MB RSS one try at a time, 37.0 MB with 4096-entry blocks and 37.9 MB
-# with 16384.  At grid 1920 (2000 samples, 1.50 s one try at a time) blocks
-# of 2, 8, 16 and 32 rows took 1.27, 0.82, 0.61 and 0.63 s.
-_GROWTH_BLOCK_ENTRIES = 4096
+# Rows of a growth block: the tries still needed, at least _GROWTH_MIN_ROWS,
+# at most _GROWTH_MAX_ENTRIES entries above that.  growth_box (2 vCPUs): 34-row
+# blocks 0.0126-0.0131 s, 40.8-41.2 MB; caps 8192/12288/16384 0.0100/0.0082/
+# 0.0085 s, 41.3/41.4/41.9 MB.  Grid 1920, 2000 samples: 68 MB.
+_GROWTH_MAX_ENTRIES = 12288
 _GROWTH_MIN_ROWS = 16
 
 
-def _growth_rows(n: int) -> int:
-    return max(_GROWTH_MIN_ROWS, _GROWTH_BLOCK_ENTRIES // n)
+def _growth_rows(n: int, need: int) -> int:
+    return max(_GROWTH_MIN_ROWS, min(need, _GROWTH_MAX_ENTRIES // n))
 
 
 def _distances(w: np.ndarray, S: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -543,18 +541,20 @@ def _correct_equalities(p: ProblemSpec, box: BoxSet, C: np.ndarray, grads: np.nd
         rows, X, gval = rows[off], X[off], gval[off]
         if not len(rows):
             return
-        dirs = np.where(((X == box.lower) | (X == box.upper))[:, None, :], 0.0, grads)
-        jac = (np.stack([g.gradients(X) for g in eqs], axis=1) * p.weights) \
-            @ dirs.transpose(0, 2, 1)
+        # bound coordinates are zeroed in the Jacobian's left factor and in the
+        # step, which equals zeroed directions while the gradients at x are finite
+        free = (X != box.lower) & (X != box.upper)
+        jac = (np.stack([g.gradients(X) for g in eqs], axis=1) * p.weights
+               * free[:, None, :]) @ grads.T
         # rows with a non-finite or singular Jacobian, or a non-finite step, stop
         ok = np.all(np.isfinite(jac), axis=(1, 2))
         ok[ok] = np.abs(np.linalg.det(jac[ok])) >= 1e-14
         coef = np.linalg.solve(jac[ok], gval[ok][:, :, None])[:, :, 0]
         finite = np.all(np.isfinite(coef), axis=1)
         ok[ok] = finite
-        rows = rows[ok]
-        step = np.einsum("ki,kin->kn", coef[finite], dirs[ok])
-        C[rows] = np.clip(X[ok] - step, box.lower, box.upper)
+        rows, X = rows[ok], X[ok]
+        X -= np.where(free[ok], np.einsum("ki,in->kn", coef[finite], grads), 0.0)
+        C[rows] = np.clip(X, box.lower, box.upper, out=X)
 
 
 def _box_feasible_samples(
@@ -564,33 +564,35 @@ def _box_feasible_samples(
     """Feasible points in the eps-ball around x, one row each, and the
     number of tries.
 
-    Tries run in row blocks (``_growth_rows``).  Each try draws its step and
-    then, unless the step is zero, its radius, in the order of a one-by-one
-    loop, so the samples and the count of tries do not depend on the block
-    size.  A block is projected onto the box, corrected onto the equalities
-    (``_correct_equalities``) and tested in one array pass: every equality
-    residual and inequality within ``tol.residual``, the point in the box
-    and in the ball.  ``tries`` counts up to the ``count``-th accepted try,
-    at most 40 per sample."""
+    A block holds the tries still needed (missing samples over the yield so
+    far).  Each try draws its step into its row, then its radius unless the
+    step's norm is zero, as a one-by-one loop does, so no try depends on the
+    block size (a sample's last bits can, via the problem's row evaluators).
+    A block is scaled (norms rounded as ``weighted_norm``), projected,
+    corrected (``_correct_equalities``) and tested in one pass: residuals
+    within ``tol.residual``, in the box and the ball.  ``tries`` counts up
+    to the ``count``-th accepted try, at most 40 per sample."""
     assert isinstance(p.abstract_set, BoxSet)
     box = p.abstract_set
     w, n, m1 = p.weights, p.dim, p.m1
     grads = np.array([g.gradient(x) for g in p.constraints[:m1]]).reshape(m1, n)
-    block, limit = _growth_rows(n), 40 * count
+    limit = 40 * count
     samples = np.empty((count, n))
     accepted = tries = 0
     while accepted < count and tries < limit:
-        k = min(block, limit - tries)
-        steps, scale = np.empty((k, n)), np.zeros(k)
-        drawn = np.zeros(k, dtype=bool)
-        for j in range(k):
-            steps[j] = rng.standard_normal(n)
-            nrm = weighted_norm(w, steps[j])
-            if nrm <= 0:
-                continue  # counted and rejected, with no radius drawn
-            drawn[j] = True
-            scale[j] = eps * rng.random() / nrm
-        C = np.clip(x + steps[drawn] * scale[drawn, None], box.lower, box.upper)
+        need = -(-(count - accepted) * tries // accepted) if accepted else count
+        k = min(_growth_rows(n, need), limit - tries)
+        C, radius = np.empty((k, n)), np.full(k, np.nan)
+        for j, step in enumerate(C):
+            rng.standard_normal(out=step)
+            if (w * step * step).any():  # else a zero norm: rejected, with no radius
+                radius[j] = rng.random()
+        drawn = ~np.isnan(radius)
+        if not drawn.all():
+            C, radius = C[drawn], radius[drawn]
+        C *= (eps * radius / np.sqrt(np.sum(w * C * C, axis=1)))[:, None]
+        C += x
+        np.clip(C, box.lower, box.upper, out=C)
         if m1:
             _correct_equalities(p, box, C, grads)
         ok = np.all((C >= box.lower - tol.activity) & (C <= box.upper + tol.activity), axis=1)
@@ -622,15 +624,12 @@ def sample_growth(
 
     Sampling consistency, not a proof: a 'consistent' outcome means no
     sampled violation.  Box problems project perturbations onto the box and
-    Newton-correct every equality constraint on the coordinates off the box
-    bounds, a row block of tries at a time with the draws in the order of a
-    one-by-one loop (``_box_feasible_samples``); generated-cone problems use
-    the problem's feasible sampler when provided, which returns its samples
-    as one (count, n) array (example2's draws them in row blocks too).  The
-    margins are computed in row blocks, views of that array, through
-    ``SmoothFunction.values``; the worst one is the first minimum over the
-    samples in their order, and the counterexample its sample when it is
-    below ``-tol.growth_slack``."""
+    Newton-correct the equalities (``_box_feasible_samples``); generated-cone
+    problems use the problem's feasible sampler when provided, which returns
+    its samples as one (count, n) array.  The margins are computed in row
+    blocks through ``SmoothFunction.values``; the worst one is the first
+    minimum over the samples in their order, and the counterexample its
+    sample when it is below ``-tol.growth_slack``."""
 
     if not 0.0 < eps < math.inf:
         raise UsageError("eps must be positive and finite")
@@ -651,7 +650,7 @@ def sample_growth(
                                   tries=tries)
 
     f0 = p.objective.value(v)
-    rows = _growth_rows(p.dim)
+    rows = _growth_rows(p.dim, len(samples))
     margins = np.empty(len(samples))
     for start in range(0, len(samples), rows):
         S = samples[start:start + rows]

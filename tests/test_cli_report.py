@@ -390,6 +390,21 @@ class TestCLI:
         assert main(["validate-derivatives", str(spec), "--at", str(point)]) == 3
         assert "not finite at a probe point" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3(self, capsys, problem_file, stationary_point, monkeypatch):
+        """A stage that cannot get its memory (as ``growth --samples 1e9``
+        cannot get its sample array) exits 3 with one line, not 1 with a
+        traceback."""
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 894. GiB for an array with shape "
+                              "(1000000000, 120) and data type float64")
+
+        monkeypatch.setattr(stages, "growth_consistency", no_memory)
+        code = main(["growth", problem_file, "--at", stationary_point, "--alpha", "1.0",
+                     "--eps", "0.2", "--samples", "1000000000"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+
     def test_negative_seed_of_a_builtin_chain_and_of_the_environment(
             self, capsys, problem_file, stationary_point, monkeypatch):
         assert main(["repro", "example1", "--grid", "12", "--seed", "-5"]) == 2

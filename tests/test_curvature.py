@@ -352,10 +352,12 @@ class _ZeroFirstStep:
         self.rng = np.random.default_rng(seed)
         self.calls = []
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         self.calls.append("normal")
-        step = self.rng.standard_normal(size)
-        return np.zeros(size) if len(self.calls) == 1 else step
+        step = self.rng.standard_normal(size, out=out)
+        if len(self.calls) == 1:
+            step[...] = 0.0
+        return step
 
     def random(self):
         self.calls.append("radius")
@@ -401,12 +403,16 @@ class TestSamplerMatchesPerTry:
 
     @pytest.mark.parametrize("blocks", [0, 1])
     def test_count_ends_inside_a_block(self, blocks):
-        """A count smaller than one block, and one that ends in the second."""
+        """A count smaller than its first block (the 16-row minimum), and
+        one that ends in the second block: example1 at grid 120 accepts
+        every try, so a first block of the cap's rows leaves 5 samples to
+        a second block of 16 rows."""
         ex = build_example1(120)
-        rows = _growth_rows(ex.grid)
-        got, tries = self._compare(ex.problem, ex.xbar, blocks * rows + 5,
-                                   lambda: np.random.default_rng(3))
-        assert tries % rows != 0
+        count = blocks * _growth_rows(ex.grid, 10**9) + 5
+        got, tries = self._compare(ex.problem, ex.xbar, count, lambda: np.random.default_rng(3))
+        first = _growth_rows(ex.grid, count)
+        assert tries == count
+        assert tries < first if blocks == 0 else first < tries < first + _growth_rows(ex.grid, 5)
 
     def test_zero_step_is_a_rejected_try_without_a_radius(self):
         ex = build_example1(12)
@@ -433,6 +439,50 @@ class TestSamplerMatchesPerTry:
         margins = growth_margins_per_sample(ex.problem, ex.xbar, samples, alpha)
         assert res.samples_accepted == len(samples)
         assert abs(res.worst_margin - min(margins)) <= 1e-12
+
+
+def _block_size_problems():
+    """(label, problem, point, eps, count) of the block-size comparisons."""
+    for grid, count in ((12, 300), (120, 250), (480, 100)):
+        ex = build_example1(grid)
+        yield f"example1 grid {grid}", ex.problem, ex.xbar, 0.05, count
+    yield "two equalities", _two_equality_problem(), np.zeros(4), 0.1, 200
+    rng = np.random.default_rng(59)
+    for k in range(10):
+        p, xbar, _, _ = random_stationary_problem(rng, weights_one=bool(k % 2))
+        yield f"random problem {k}", p, xbar, 0.05, 50
+
+
+class TestBlockSizes:
+    """The sampler with blocks of 1 row, of the 16-row minimum and of the
+    default cap.  A try's draws, Newton steps and acceptance are row by row,
+    so every block size draws the same tries and accepts the same ones.
+    The problem's row evaluators may round a row differently in blocks of
+    other sizes (OpenBLAS runs a 1-row product as gemv, and gemm's kernels
+    depend on the row count), so the samples agree to rounding, not to the
+    bit; with 1-row blocks, example1's are the one-try loop's bit for bit."""
+
+    SIZES = {"1 row": (1, 0), "16-row minimum": (16, 0),
+             "default cap": (curvature._GROWTH_MIN_ROWS, curvature._GROWTH_MAX_ENTRIES)}
+
+    @pytest.mark.parametrize("label, p, x, eps, count",
+                             [pytest.param(*case, id=case[0]) for case in _block_size_problems()])
+    def test_same_tries_and_samples(self, monkeypatch, label, p, x, eps, count):
+        runs = {}
+        for size, (min_rows, max_entries) in self.SIZES.items():
+            monkeypatch.setattr(curvature, "_GROWTH_MIN_ROWS", min_rows)
+            monkeypatch.setattr(curvature, "_GROWTH_MAX_ENTRIES", max_entries)
+            runs[size] = _box_feasible_samples(p, x, eps, count, np.random.default_rng(902),
+                                               DEFAULT_TOLERANCES)
+        samples, tries = runs["default cap"]
+        assert len(samples)
+        for size, (got, got_tries) in runs.items():
+            assert (got_tries, got.shape) == (tries, samples.shape), size
+            assert np.all(np.abs(got - samples) <= 1e-12 * np.maximum(1.0, np.abs(samples))), size
+        if label.startswith("example1"):
+            ref, ref_tries = box_samples_per_try(p, x, eps, count, np.random.default_rng(902),
+                                                 DEFAULT_TOLERANCES)
+            assert ref_tries == tries and runs["1 row"][0].tobytes() == np.array(ref).tobytes()
 
 
 def _assert_close(batched, scalar):

@@ -44,6 +44,11 @@ CASES = {
     "multi_check_ssc": (["check-ssc", *MULTI, "--eta", "0.1", "--alpha", "0.5"], "multi"),
     "example1_check_ssc": (["check-ssc", "example1_12.json", "--eta", "0.1", "--alpha", "0.5"],
                            ("example1", 12)),
+    # the box growth sampler: grid 12 stops rows on singular Jacobians
+    "example1_growth_grid12": (["growth", "example1_12.json", "--alpha", "0.5", "--eps", "0.05",
+                                "--samples", "2000"], ("example1", 12)),
+    "example1_growth_grid120": (["growth", "example1_120.json", "--alpha", "0.5", "--eps", "0.05",
+                                 "--samples", "250"], ("example1", 120)),
 }
 
 
@@ -52,7 +57,9 @@ def _write_inputs(workdir: Path) -> dict:
     problem, point = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
     (workdir / "multi.json").write_text(json.dumps(problem))
     (workdir / "multi_point.json").write_text(json.dumps({"point": point}))
-    (workdir / "example1_12.json").write_text(json.dumps({"builtin": "example1", "grid": 12}))
+    for grid in (12, 120):
+        (workdir / f"example1_{grid}.json").write_text(
+            json.dumps({"builtin": "example1", "grid": grid}))
     return problem
 
 
