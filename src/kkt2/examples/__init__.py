@@ -10,11 +10,6 @@ from .example2 import (
     point_p,
     point_q,
     point_r,
-    verify_diagonal_inequality,
-    verify_halfspace_representation,
-    verify_matrix_property,
-    verify_section_hull,
-    verify_section_membership,
 )
 from .certify import run_example1_certification, run_example2_certification
 
@@ -31,9 +26,4 @@ __all__ = [
     "point_r",
     "run_example1_certification",
     "run_example2_certification",
-    "verify_diagonal_inequality",
-    "verify_halfspace_representation",
-    "verify_matrix_property",
-    "verify_section_hull",
-    "verify_section_membership",
 ]

@@ -101,12 +101,14 @@ def _snc_with_expected_value(ctx: RunContext) -> CheckRecord:
 
 
 def _section_formulas(ex: Example2Problem) -> list[CheckRecord]:
-    """The paper's half-space rows of the hull and its plane-section points."""
-    hs_ok, rows = verify_halfspace_representation(ex.geometry)
-    sec_ok, worst_member, worst_diag = verify_section_membership(ex.geometry, 30, 30)
+    """The paper's half-space rows against the hull points the certifier
+    uses, and its plane-section points with the diagonal inequality."""
+    rows, on = ex.geometry.halfspace_rows()
+    hs_ok, *_ = verify_halfspace_representation(rows, on, ex.problem.abstract_set.hull_points)
+    sec_ok, worst_member, worst_diag = verify_section_membership(30, 30)
     return [
         CheckRecord("halfspace_representation", "pass" if hs_ok else "fail",
-                    {"rows_checked": len(rows)}),
+                    {"rows_checked": len(rows.A)}),
         CheckRecord("section_membership", "pass" if sec_ok else "fail", {
             "worst_membership_residual": worst_member, "worst_diagonal_residual": worst_diag}),
     ]

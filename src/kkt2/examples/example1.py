@@ -29,6 +29,26 @@ MATRIX_A1 = np.array([[1.0, 1.0], [1.0, -1.0]])
 MATRIX_A2 = np.array([[-2.0, 1.0], [1.0, 1.0]])
 
 
+def verify_matrix_property(n_samples: int = 10_000, seed: int = 0, grid_step: float = 1e-3
+                           ) -> tuple[bool, float, np.ndarray]:
+    """max(x.A1.x, x.A2.x) >= 0.5 ||x||^2 on the nonnegative quadrant
+    (angular grid plus seeded random samples), while every convex
+    combination B_l = l A1 + (1-l) A2, l = 0, 0.05, ..., 1, has a negative
+    diagonal entry.
+
+    Returns (ok, worst margin, rows (l, smallest diagonal entry of B_l))."""
+
+    angles = np.arange(0.0, np.pi / 2.0 + grid_step, grid_step)
+    xs = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                    np.abs(np.random.default_rng(seed).standard_normal((n_samples, 2)))])
+    q1, q2 = row_dots(xs @ MATRIX_A1, xs), row_dots(xs @ MATRIX_A2, xs)
+    worst = float(np.min(np.maximum(q1, q2) - 0.5 * row_dots(xs, xs)))
+    lam = np.linspace(0.0, 1.0, 21)[:, None, None]
+    B = lam * MATRIX_A1 + (1.0 - lam) * MATRIX_A2
+    combos = np.column_stack([lam.ravel(), np.minimum(B[:, 0, 0], B[:, 1, 1])])
+    return worst >= -1e-9 and bool(np.all(combos[:, 1] < 0.0)), worst, combos
+
+
 @dataclass(frozen=True)
 class Example1Problem:
     grid: int

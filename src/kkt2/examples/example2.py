@@ -17,6 +17,15 @@ truncated answers faithful to the full set:
 * deep-tail family members (n = 2^12, 2^24, 2^40, stored in the scaled form
   n^4 P_n = (n, n^2, -1)) join the normal-cone row set, since multiplier
   uniqueness is forced only by the far tail of the family.
+
+The chain's ``_section_formulas`` stage checks the paper's formulas on
+arrays.  ``halfspace_representation``: the listed half-space rows, one
+``PolytopeH`` with a boundary mask over the hull points O, P_1..P_N,
+Q_1..Q_N, hold at every hull point the certifier uses, with exactly the
+annotated points on each boundary.  ``section_membership``: the
+plane-section points R_{k,n} (1 <= k, n <= 30) lie under the parabola
+x3 <= -delta x2^2, on it exactly when k = n, and the diagonal inequality
+(gamma^3 k^3 + n^3)/(gamma^3 + 1) >= k (gamma k + n)^2/(gamma + 1)^2 holds.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UsageError
+from ..linalg import PolytopeH
 from ..model import GeneratedConeSet, ProblemSpec, quadratic
 
 GAMMA = (1.0 + math.sqrt(3.0)) / 2.0
@@ -33,13 +43,19 @@ DELTA = (GAMMA**3 + 1.0) / (GAMMA * (GAMMA + 1.0) ** 2)
 _DEEP_TAIL = (2**12, 2**24, 2**40)
 
 
-def point_p(n: float) -> np.ndarray:
-    return np.array([n**-3.0, n**-2.0, -(n**-4.0)])
+def point_p(n) -> np.ndarray:
+    """P_n, or one row per entry of an array n; the powers go through
+    ``np.float_power`` as in ``_section_coordinates``."""
+    n = np.asarray(n, dtype=float)
+    return np.stack([np.float_power(n, -3.0), np.float_power(n, -2.0),
+                     -np.float_power(n, -4.0)], axis=-1)
 
 
-def point_q(n: float) -> np.ndarray:
-    s = n / GAMMA
-    return np.array([-(s**-3.0), s**-2.0, 0.0])
+def point_q(n) -> np.ndarray:
+    """Q_n, or one row per entry of an array n."""
+    s = np.asarray(n, dtype=float) / GAMMA
+    return np.stack([-np.float_power(s, -3.0), np.float_power(s, -2.0), np.zeros_like(s)],
+                    axis=-1)
 
 
 def _section_coordinates(k, n) -> tuple[np.ndarray, np.ndarray]:
@@ -63,96 +79,49 @@ def point_r(k: int, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HalfspaceRow:
-    label: str
-    coef: np.ndarray
-    rhs: float
-    sense: str  # "le" or "ge"
-    equality_points: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Example2Set:
     """Truncated generator family with the listed half-space representation."""
 
     trunc: int
-    gamma: float
-    delta: float
 
-    @property
-    def points(self) -> dict[str, np.ndarray]:
-        pts = {"O": np.zeros(3)}
-        for n in range(1, self.trunc + 1):
-            pts[f"P{n}"] = point_p(n)
-            pts[f"Q{n}"] = point_q(n)
-        return pts
-
-    def halfspace_rows(self) -> list[HalfspaceRow]:
-        """Listed half-spaces with k up to trunc - 2, annotated with the
-        generated points lying on each boundary."""
-        N = self.trunc
-        g = self.gamma
+    def halfspace_rows(self) -> tuple[PolytopeH, np.ndarray]:
+        """The listed half-spaces with k up to trunc - 2, as rows A x <= b:
+        x3 <= 0, -x.(1, gamma, 1 + gamma) <= 0, then for each k the rows
+        x.(2k+1, -1, k(k+1)) <= 0 and the first- and second-family facets.
+        The mask (rows x hull points O, P_1..P_N, Q_1..Q_N) marks the
+        points annotated on each boundary."""
+        N, g = self.trunc, GAMMA
         g3 = g**3
-        rows = [
-            HalfspaceRow(
-                "x.(0,0,1) <= 0",
-                np.array([0.0, 0.0, 1.0]),
-                0.0,
-                "le",
-                ("O",) + tuple(f"Q{n}" for n in range(1, N + 1)),
-            ),
-            HalfspaceRow(
-                "x.(1,gamma,1+gamma) >= 0",
-                np.array([1.0, g, 1.0 + g]),
-                0.0,
-                "ge",
-                ("O", "Q1", "P1"),
-            ),
-        ]
-        for k in range(1, N - 1):
-            rows.append(
-                HalfspaceRow(
-                    f"x.(2k+1,-1,k(k+1)) <= 0 @k={k}",
-                    np.array([2.0 * k + 1.0, -1.0, k * (k + 1.0)]),
-                    0.0,
-                    "le",
-                    ("O", f"P{k}", f"P{k+1}"),
-                )
-            )
-            a1 = k * (k + 1.0) * (2.0 * k + 1.0)
-            b1 = g * (3.0 * k * k + 3.0 * k + 1.0)
-            c1 = k * a1 + k * k * b1 - g3 * k**4.0
-            rows.append(
-                HalfspaceRow(
-                    f"first-family facet @k={k}",
-                    np.array([a1, b1, c1]),
-                    g3,
-                    "le",
-                    (f"Q{k}", f"Q{k+1}", f"P{k}"),
-                )
-            )
-            b2 = (g3 * ((k + 1.0) ** 4 - k**4.0) + (k + 1.0) ** 3) / (
-                g3 * (2.0 * k + 1.0) + g * g * (k + 1.0)
-            )
-            a2 = (k + 1.0) ** 4 - k**4.0 - (2.0 * k + 1.0) * b2
-            c2 = k * a2 + k * k * b2 - k**4.0
-            rows.append(
-                HalfspaceRow(
-                    f"second-family facet @k={k}",
-                    np.array([a2, b2, c2]),
-                    1.0,
-                    "le",
-                    (f"P{k}", f"P{k+1}", f"Q{k+1}"),
-                )
-            )
-        return rows
+        k = np.arange(1.0, N - 1.0)
+        a1 = k * (k + 1.0) * (2.0 * k + 1.0)
+        b1 = g * (3.0 * k * k + 3.0 * k + 1.0)
+        k4, k14 = np.float_power(k, 4.0), np.float_power(k + 1.0, 4.0)
+        b2 = (g3 * (k14 - k4) + np.float_power(k + 1.0, 3.0)) / (
+            g3 * (2.0 * k + 1.0) + g * g * (k + 1.0))
+        a2 = k14 - k4 - (2.0 * k + 1.0) * b2
+        # (family, entries a_1 a_2 a_3 b, k), laid out k by k in family order
+        families = np.array([
+            [2.0 * k + 1.0, -np.ones_like(k), k * (k + 1.0), np.zeros_like(k)],
+            [a1, b1, k * a1 + k * k * b1 - g3 * k4, np.full_like(k, g3)],
+            [a2, b2, k * a2 + k * k * b2 - k4, np.ones_like(k)],
+        ]).transpose(2, 0, 1).reshape(-1, 4)
+        Ab = np.vstack([[0.0, 0.0, 1.0, 0.0], [-1.0, -g, -1.0 - g, 0.0], families])
+
+        on = np.zeros((len(Ab), 1 + 2 * N), dtype=bool)
+        on[0, 0], on[0, N + 1:] = True, True  # O and every Q_n
+        on[1, [0, 1, N + 1]] = True  # O, P_1, Q_1
+        P = np.arange(1, N - 1)  # the columns of P_k and Q_k are k and N + k
+        cols = np.array([[0 * P, P, P + 1],  # O, P_k, P_k+1
+                         [N + P, N + P + 1, P],  # Q_k, Q_k+1, P_k
+                         [P, P + 1, N + P + 1]])  # P_k, P_k+1, Q_k+1
+        on[2 + np.arange(3 * len(P)).reshape(-1, 3, 1), cols.transpose(2, 0, 1)] = True
+        return PolytopeH(Ab[:, :3], Ab[:, 3]), on
 
     def cone_set(self) -> GeneratedConeSet:
         """The rays P_1..P_N, Q_1..Q_N, the limit ray, the deep tail and the
         hull points O, P_1..P_N, Q_1..Q_N, each family one (k, 3) array."""
-        N = self.trunc
-        rays = np.array([point_p(n) for n in range(1, N + 1)]
-                        + [point_q(n) for n in range(1, N + 1)])
+        n = np.arange(1, self.trunc + 1)
+        rays = np.vstack([point_p(n), point_q(n)])
         return GeneratedConeSet(
             base=np.zeros(3),
             rays=rays,
@@ -164,7 +133,6 @@ class Example2Set:
 
 @dataclass(frozen=True)
 class Example2Problem:
-    trunc: int
     problem: ProblemSpec
     geometry: Example2Set
     xbar: np.ndarray
@@ -217,7 +185,7 @@ def build_example2(trunc: int) -> Example2Problem:
 
     if trunc < 2:
         raise UsageError("truncation must be at least 2")
-    geometry = Example2Set(trunc=trunc, gamma=GAMMA, delta=DELTA)
+    geometry = Example2Set(trunc)
     weights = np.ones(3)
     objective = quadratic(
         0.0,
@@ -236,7 +204,7 @@ def build_example2(trunc: int) -> Example2Problem:
         name=f"example2(trunc={trunc})",
         feasible_sampler=_section_sampler(trunc),
     )
-    return Example2Problem(trunc=trunc, problem=problem, geometry=geometry, xbar=np.zeros(3))
+    return Example2Problem(problem=problem, geometry=geometry, xbar=np.zeros(3))
 
 
 # --------------------------------------------------------------------------
@@ -244,152 +212,49 @@ def build_example2(trunc: int) -> Example2Problem:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    label: str
-    satisfied: bool
-    equality_exact: bool
-    worst_slack: float
-    worst_equality_residual: float
-
-
 def verify_halfspace_representation(
-    geometry: Example2Set, tol: float = 1e-10
-) -> tuple[bool, list[RowCheck]]:
-    """Every generated point satisfies every listed row, and exactly the
-    annotated points lie on each boundary (both at the given tolerance).
-    Each slack is compared relative to the termwise size of its own dot
-    product, sum_i |a_i p_i| + |b|: the unannotated points P_n sit n^-4 off
-    a boundary, which an absolute tolerance reads as on it from n = 317 on.
-    The slacks of all rows at all points come from one matrix product; the
-    records give the worst absolute slack and boundary residual."""
+    rows: PolytopeH, on: np.ndarray, points: np.ndarray, tol: float = 1e-10
+) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every point satisfies every row a.x <= b, and exactly the points
+    marked in ``on`` (rows x points) lie on each boundary, both at the given
+    tolerance.  Each slack b - a.x is compared relative to the termwise size
+    of its dot product, sum_i |a_i x_i| + |b|: the unannotated points P_n sit
+    n^-4 off a boundary, which an absolute tolerance reads as on it from
+    n = 317 on.  All slacks come from one matrix product.
 
-    pts = geometry.points
-    column = {name: j for j, name in enumerate(pts)}
-    rows = geometry.halfspace_rows()
-    coef, points = np.array([row.coef for row in rows]), np.array(list(pts.values()))
-    rhs = np.array([[row.rhs] for row in rows])
-    values = coef @ points.T
-    slack = np.where([[row.sense == "le"] for row in rows], rhs - values, values - rhs)
-    size = np.abs(coef) @ np.abs(points).T + np.abs(rhs)
+    Returns (ok, and per row: satisfied, exact, worst slack, worst boundary
+    residual)."""
+
+    A, b = rows.A, rows.b[:, None]
+    slack = b - A @ points.T
+    size = np.abs(A) @ np.abs(points).T + np.abs(b)
     rel = np.divide(slack, size, out=np.zeros_like(slack), where=size > 0.0)  # size 0: slack 0
-    on = np.zeros(slack.shape, dtype=bool)  # the annotated boundary points
-    for i, row in enumerate(rows):
-        on[i, [column[name] for name in row.equality_points]] = True
     satisfied = ~np.any(rel < -tol, axis=1)
     # an annotated point off the boundary, or an unannotated one on it
     exact = ~np.any(np.where(on, np.abs(rel) > tol, rel <= tol), axis=1)
-    worst_slack = slack.min(axis=1)
     worst_eq = np.max(np.abs(slack), axis=1, where=on, initial=0.0)
-    checks = [RowCheck(row.label, bool(satisfied[i]), bool(exact[i]), float(worst_slack[i]),
-                       float(worst_eq[i])) for i, row in enumerate(rows)]
-    return all(c.satisfied and c.equality_exact for c in checks), checks
+    return bool(np.all(satisfied & exact)), satisfied, exact, slack.min(axis=1), worst_eq
 
 
-def verify_section_membership(
-    geometry: Example2Set, k_max: int, n_max: int, tol: float = 1e-10
-) -> tuple[bool, float, float]:
+def verify_section_membership(k_max: int, n_max: int, tol: float = 1e-10
+                              ) -> tuple[bool, float, float]:
     """R_{k,n} lies under the parabola x3 <= -delta x2^2 for all k,n in
-    range, with boundary equality exactly on the diagonal k = n.  The
-    whole k x n grid is evaluated at once.
+    range, with boundary equality exactly on the diagonal k = n, and the
+    paper's diagonal inequality (gamma^3 k^3 + n^3)/(gamma^3 + 1) >=
+    k (gamma k + n)^2/(gamma + 1)^2 holds, to tol relative to the larger
+    side.  The whole k x n grid is evaluated at once.
 
     Returns (ok, worst membership residual, worst diagonal residual)."""
 
     if k_max < 2 or n_max < 2:
         raise UsageError("k_max and n_max must be at least 2")
-    x2, x3 = _section_coordinates(np.arange(1, k_max + 1)[:, None], np.arange(1, n_max + 1))
-    resid = x3 + geometry.delta * np.float_power(x2, 2.0)  # must be <= 0
+    k, n = np.arange(1.0, k_max + 1.0)[:, None], np.arange(1.0, n_max + 1.0)
+    x2, x3 = _section_coordinates(k, n)
+    resid = x3 + DELTA * np.float_power(x2, 2.0)  # must be <= 0
     diag = np.abs(np.diagonal(resid))  # k = n
-    ok = not (np.any(resid > tol) or np.any(x2 < -tol) or np.any(diag > tol))
-    return ok, float(resid.max()), float(diag.max())
-
-
-def verify_section_hull(
-    geometry: Example2Set, samples: int = 200, seed: int = 0, tol: float = 1e-8
-) -> bool:
-    """Both containments between the plane section of the hull and the
-    convex hull of the origin and the R_(k,n), at the given truncation.
-
-    One direction is structural (each R_(k,n) lies on a generator segment
-    and on the plane); the other is sampled: random plane points of the
-    hull, built as plane crossings of segments between hull samples with
-    opposite first coordinates, must lie in conv({O} u {R_(k,n)}).
-    """
-
-    N = geometry.trunc
-    pts = geometry.points
-    cone = geometry.cone_set()
-    for k in range(1, N + 1):
-        for n in range(1, N + 1):
-            r = point_r(k, n)
-            lam = 1.0 / (1.0 + (n / (k * GAMMA)) ** 3)
-            on_segment = lam * point_p(k) + (1.0 - lam) * point_q(n)
-            if abs(r[0]) > tol or float(np.max(np.abs(r - on_segment))) > tol:
-                return False
-
-    section_pts = np.array([np.zeros(3)] + [point_r(k, n)
-                           for k in range(1, N + 1) for n in range(1, N + 1)])
-    section = GeneratedConeSet(base=np.zeros(3), rays=(), hull_points=section_pts)
-    gens = list(pts.values())
-    rng = np.random.default_rng(seed)
-    checked = 0
-    while checked < samples:
-        wa = rng.exponential(size=len(gens))
-        wb = rng.exponential(size=len(gens))
-        a = (wa / wa.sum()) @ np.array(gens)
-        b = (wb / wb.sum()) @ np.array(gens)
-        if a[0] * b[0] >= 0:
-            continue
-        t = a[0] / (a[0] - b[0])
-        x = a + t * (b - a)  # hull point with x1 = 0
-        if not section.contains(x, tol):
-            return False
-        checked += 1
-    return True
-
-
-def verify_diagonal_inequality(k_max: int, n_max: int, rel_tol: float = 1e-9) -> bool:
-    """(gamma^3 k^3 + n^3)/(gamma^3 + 1) - k (gamma k + n)^2/(gamma + 1)^2 >= 0,
-    checked directly with a scale-relative slack."""
-
     g3 = GAMMA**3
-    for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            lhs = (g3 * k**3 + n**3) / (g3 + 1.0)
-            rhs = k * (GAMMA * k + n) ** 2 / (GAMMA + 1.0) ** 2
-            if lhs - rhs < -rel_tol * max(1.0, abs(lhs), abs(rhs)):
-                return False
-    return True
-
-
-def verify_matrix_property(
-    n_samples: int = 10_000, seed: int = 0, grid_step: float = 1e-3
-) -> tuple[bool, float, list[tuple[float, float]]]:
-    """max(x.A1.x, x.A2.x) >= 0.5 ||x||^2 on the nonnegative quadrant
-    (angular grid plus seeded random samples), while every convex
-    combination B_l = l A1 + (1-l) A2 has a negative diagonal entry.
-
-    Returns (ok, worst margin, [(l, negative diagonal entry)]).
-    """
-
-    from .example1 import MATRIX_A1, MATRIX_A2
-
-    angles = np.arange(0.0, math.pi / 2.0 + grid_step, grid_step)
-    xs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rng = np.random.default_rng(seed)
-    xs = np.vstack([xs, np.abs(rng.standard_normal((n_samples, 2)))])
-    q1 = np.einsum("ij,jk,ik->i", xs, MATRIX_A1, xs)
-    q2 = np.einsum("ij,jk,ik->i", xs, MATRIX_A2, xs)
-    norms2 = np.sum(xs * xs, axis=1)
-    margins = np.maximum(q1, q2) - 0.5 * norms2
-    worst = float(margins.min())
-    ok = worst >= -1e-9
-
-    combos: list[tuple[float, float]] = []
-    for lam in np.arange(0.0, 1.0 + 1e-12, 0.05):
-        B = lam * MATRIX_A1 + (1.0 - lam) * MATRIX_A2
-        diag = min(B[0, 0], B[1, 1])
-        combos.append((float(lam), float(diag)))
-        if diag >= 0.0:
-            ok = False
-    return ok, worst, combos
+    lhs = (g3 * k**3 + n**3) / (g3 + 1.0)
+    rhs = k * (GAMMA * k + n) ** 2 / (GAMMA + 1.0) ** 2
+    ok = not (np.any(resid > tol) or np.any(x2 < -tol) or np.any(diag > tol)
+              or np.any(lhs - rhs < -tol * np.maximum(lhs, rhs)))
+    return ok, float(resid.max()), float(diag.max())

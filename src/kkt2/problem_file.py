@@ -117,12 +117,18 @@ def _parse_quadratic(d, n: int, path: str, weights: np.ndarray, name: str) -> Sm
     _require_keys(d, _FUNC_KEYS, path)
     constant = _finite_number(d.get("constant", 0.0), f"{path}.constant")
     linear = _vector(d.get("linear", [0.0] * n), n, f"{path}.linear")
-    triplets = [_triplet(t, n, path, k) for k, t in enumerate(d.get("quadratic", []))]
+    raw = d.get("quadratic", [])
+    if not isinstance(raw, list):
+        raise ParseError("expected a list", f"{path}.quadratic")
+    triplets = [_triplet(t, n, path, k) for k, t in enumerate(raw)]
     H = np.zeros((n, n))
     if triplets:
         # unbuffered and in list order, so duplicate triplets add up as in a loop
         rows, cols, vals = zip(*triplets)
-        np.add.at(H, (np.array(rows), np.array(cols)), np.array(vals))
+        with np.errstate(over="ignore"):  # an inf sum is rejected just below
+            np.add.at(H, (np.array(rows), np.array(cols)), np.array(vals))
+        if not np.all(np.isfinite(H)):
+            raise ParseError("summed entries must be finite", f"{path}.quadratic")
     asym = float(np.max(np.abs(H - H.T), initial=0.0))
     if asym > 1e-9:
         raise ParseError(f"quadratic matrix asymmetric by {asym:.3e}", f"{path}.quadratic")

@@ -19,7 +19,7 @@ import numpy as np
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
 from kkt2.config import SearchBudget, Tolerances
 from kkt2.curvature import _subgradient
-from kkt2.examples.example2 import GAMMA, Example2Set, RowCheck
+from kkt2.examples.example2 import DELTA, GAMMA
 from kkt2 import linalg
 from kkt2.errors import PolytopeTooLarge
 from kkt2.linalg import PolytopeH, _unit_rows, weighted_norm
@@ -443,51 +443,50 @@ def section_sampler_per_sample(trunc: int):
     return sampler
 
 
-def halfspace_checks_per_point(
-    geometry: Example2Set, tol: float = 1e-10
-) -> tuple[bool, list[RowCheck]]:
+def halfspace_checks_per_point(rows: linalg.PolytopeH, on: np.ndarray, points: np.ndarray,
+                               tol: float = 1e-10):
     """``example2.verify_halfspace_representation`` one row and one point at
     a time, each slack compared relative to the termwise size of its dot
     product."""
 
-    pts = geometry.points
-    checks: list[RowCheck] = []
-    for row in geometry.halfspace_rows():
-        worst_slack = math.inf
-        worst_eq = 0.0
-        ok_sat = True
-        ok_eq = True
-        for name, x in pts.items():
-            v = float(row.coef @ x)
-            slack = row.rhs - v if row.sense == "le" else v - row.rhs
-            size = float(np.sum(np.abs(row.coef * x))) + abs(row.rhs)
+    satisfied, exact, worst_slack, worst_eq = [], [], [], []
+    for a, b, on_row in zip(rows.A, rows.b, on):
+        ws, we, ok_sat, ok_eq = math.inf, 0.0, True, True
+        for x, on_boundary in zip(points, on_row):
+            slack = b - float(a @ x)
+            size = float(np.sum(np.abs(a * x))) + abs(b)
             rel = slack / size if size > 0.0 else 0.0
-            worst_slack = min(worst_slack, slack)
+            ws = min(ws, slack)
             if rel < -tol:
                 ok_sat = False
-            if name in row.equality_points:
-                worst_eq = max(worst_eq, abs(slack))
+            if on_boundary:
+                we = max(we, abs(slack))
                 if abs(rel) > tol:
                     ok_eq = False
             elif rel <= tol:
                 ok_eq = False  # an unannotated point on the boundary
-        checks.append(RowCheck(row.label, ok_sat, ok_eq, worst_slack, worst_eq))
-    return all(c.satisfied and c.equality_exact for c in checks), checks
+        satisfied.append(ok_sat)
+        exact.append(ok_eq)
+        worst_slack.append(ws)
+        worst_eq.append(we)
+    return (all(satisfied) and all(exact), np.array(satisfied), np.array(exact),
+            np.array(worst_slack), np.array(worst_eq))
 
 
 def section_membership_per_point(
-    geometry: Example2Set, k_max: int, n_max: int, tol: float = 1e-10
+    k_max: int, n_max: int, tol: float = 1e-10, delta: float = DELTA
 ) -> tuple[bool, float, float]:
     """``example2.verify_section_membership`` one point R_{k,n} at a time,
-    through the scalar formula."""
+    through the scalar formulas: the parabola and the diagonal inequality."""
 
     worst_member = -math.inf
     worst_diag = 0.0
     ok = True
+    g3 = GAMMA**3
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             x = point_r_scalar(k, n)
-            resid = float(x[2] + geometry.delta * x[1] ** 2)  # must be <= 0
+            resid = float(x[2] + delta * x[1] ** 2)  # must be <= 0
             worst_member = max(worst_member, resid)
             if resid > tol or x[1] < -tol:
                 ok = False
@@ -495,6 +494,10 @@ def section_membership_per_point(
                 worst_diag = max(worst_diag, abs(resid))
                 if abs(resid) > tol:
                     ok = False
+            lhs = (g3 * k**3 + n**3) / (g3 + 1.0)
+            rhs = k * (GAMMA * k + n) ** 2 / (GAMMA + 1.0) ** 2
+            if lhs - rhs < -tol * max(lhs, rhs):
+                ok = False
     return ok, worst_member, worst_diag
 
 

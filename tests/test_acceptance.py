@@ -20,14 +20,9 @@ from kkt2.curvature import (
     q_of_h,
 )
 from kkt2.cones import SignPatternCone
-from kkt2.examples import (
-    build_example1,
-    build_example2,
-    run_example2_certification,
-    verify_halfspace_representation,
-    verify_matrix_property,
-    verify_section_membership,
-)
+from kkt2.examples import build_example1, build_example2, run_example2_certification
+from kkt2.examples.example1 import verify_matrix_property
+from kkt2.examples.example2 import verify_halfspace_representation, verify_section_membership
 from kkt2.kkt import check_rzkcq, check_strict_cq, multiplier_set
 from kkt2.linalg import LinearProgram, enumerate_vertices, solve_lp
 from kkt2.model import BoxSet, validate_derivatives
@@ -134,22 +129,22 @@ def test_criterion_5_example2_unique_multiplier_and_strict_cq(capsys):
 def test_criterion_6_halfspace_verification(capsys):
     """All listed half-space rows with k <= N-2 at N=12 pass membership and
     equality-annotation checks at 1e-10."""
-    ok, checks = verify_halfspace_representation(build_example2(12).geometry, tol=1e-10)
+    ex = build_example2(12)
+    rows, on = ex.geometry.halfspace_rows()
+    ok, satisfied, exact, worst_slack, worst_eq = verify_halfspace_representation(
+        rows, on, ex.problem.abstract_set.hull_points, tol=1e-10)
     assert ok
-    worst_slack = min(c.worst_slack for c in checks)
-    worst_eq = max(c.worst_equality_residual for c in checks)
-    assert all(c.satisfied and c.equality_exact for c in checks)
+    assert np.all(satisfied & exact)
     with capsys.disabled():
         report_line("criterion-6",
-                    f"{len(checks)} rows, worst slack {worst_slack:.2e}, "
-                    f"worst equality residual {worst_eq:.2e}")
+                    f"{len(rows.A)} rows, worst slack {worst_slack.min():.2e}, "
+                    f"worst equality residual {worst_eq.max():.2e}")
 
 
 def test_criterion_7_section_membership(capsys):
     """R_(k,n) lies under the parabola for 1 <= k, n <= 30 at 1e-10, with
-    boundary equality on the diagonal."""
-    ok, worst_member, worst_diag = verify_section_membership(
-        build_example2(4).geometry, 30, 30, tol=1e-10)
+    boundary equality on the diagonal, and the diagonal inequality holds."""
+    ok, worst_member, worst_diag = verify_section_membership(30, 30, tol=1e-10)
     assert ok
     with capsys.disabled():
         report_line("criterion-7",

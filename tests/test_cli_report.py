@@ -37,6 +37,21 @@ MINIMAL = """
 """
 
 
+# The example problem file of README's "Problem files" section.
+README_PROBLEM = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8").split("## Problem files", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+
+
+def _field_paths(node, prefix=()):
+    """The key path of every field below the top level, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            paths.extend(_field_paths(value, prefix + (key,)))
+    return paths
+
 class TestProblemFile:
     def test_minimal_parses(self):
         pf = parse_problem(MINIMAL)
@@ -131,6 +146,46 @@ class TestProblemFile:
             parse_problem(json.dumps(problem))
         assert exc.value.path == f"{where}.quadratic[2]"
 
+    @pytest.mark.parametrize("where", ["objective", "constraints[0]"])
+    @pytest.mark.parametrize("value", [None, -1, 1.5, True, "x", {}])
+    def test_quadratic_must_be_a_list(self, where, value):
+        problem = json.loads(README_PROBLEM)
+        (problem["objective"] if where == "objective" else problem["constraints"][0])[
+            "quadratic"] = value
+        with pytest.raises(ParseError, match="expected a list") as exc:
+            parse_problem(json.dumps(problem))
+        assert exc.value.path == f"{where}.quadratic"
+
+    def test_overflowing_quadratic_sum_rejected(self):
+        """Two finite triplets on one entry that add up past the largest
+        float: the sum is inf, which the asymmetry test would read as
+        symmetric (inf - inf is NaN)."""
+        problem = json.loads(README_PROBLEM)
+        problem["objective"]["quadratic"] = [[0, 0, 1e308], [0, 0, 1e308]]
+        with pytest.raises(ParseError, match="finite") as exc:
+            parse_problem(json.dumps(problem))
+        assert exc.value.path == "objective.quadratic"
+
+    @pytest.mark.parametrize("path", _field_paths(json.loads(README_PROBLEM)),
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_every_field_of_the_readme_file_replaced(self, path):
+        """Each field of README's example problem file, replaced by a value of
+        each JSON kind, parses or raises a usage error (exit 2), never
+        another exception."""
+        for value in (None, -1, 1.5, True, "x", [], [1], {}, {"a": 1}):
+            problem = json.loads(README_PROBLEM)
+            node = problem
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                pf = parse_problem(json.dumps(problem))
+                pf.build()
+                pf.make_tolerances()
+                pf.make_budget(0)
+            except UsageError:
+                pass
+
     def test_builtin_forms(self):
         pf = parse_problem('{"builtin": "example1", "grid": 24}')
         spec, point = pf.build()
@@ -207,11 +262,12 @@ class TestCLI:
         assert record["snc_sup"]["witness"]["direction"] == [0.0, 1.0, 0.0]
         assert record["chain_expectations"]["verdict"] == "pass"
 
-    # Every truncation that the former hull feasibility LP got wrong (15, 18,
-    # 23, 26, 39: origin infeasible) or failed on (29, 31, 33, 36-38, 40:
-    # pivot limit), plus 16, 20, 24 and 32.
-    @pytest.mark.parametrize("trunc", [15, 16, 18, 20, 23, 24, 26, 29, 31, 32, 33, 36, 37,
-                                       38, 39, 40])
+    # The bottom of README's range (at trunc 2 the half-space rows have no
+    # k-family), and every truncation that the former hull feasibility LP got
+    # wrong (15, 18, 23, 26, 39: origin infeasible) or failed on (29, 31, 33,
+    # 36-38, 40: pivot limit), plus 16, 20, 24 and 32.
+    @pytest.mark.parametrize("trunc", [2, 3, 15, 16, 18, 20, 23, 24, 26, 29, 31, 32, 33, 36,
+                                       37, 38, 39, 40])
     def test_repro_example2_large_truncations(self, capsys, trunc):
         code = main(["repro", "example2", "--trunc", str(trunc), "--format", "json"])
         data = json.loads(capsys.readouterr().out)

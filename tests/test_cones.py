@@ -20,7 +20,7 @@ from kkt2.cones import (
 from kkt2.cones import random_directions, structured_directions
 from kkt2.errors import InfeasiblePoint, UsageError
 from kkt2.examples import build_example1, build_example2
-from kkt2.examples.example2 import Example2Set, GAMMA, DELTA
+from kkt2.examples.example2 import Example2Set
 from kkt2.kkt import multiplier_set
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
@@ -33,7 +33,7 @@ def _unconstrained(box: BoxSet) -> ProblemSpec:
 
 
 def example2_cones(truncs=(5, 10, 20)):
-    return [Example2Set(N, GAMMA, DELTA).cone_set() for N in truncs]
+    return [Example2Set(N).cone_set() for N in truncs]
 
 
 class TestBoxCones:

@@ -2,27 +2,26 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kkt2 import stages
+from kkt2.config import DEFAULT_SEED, DEFAULT_TOLERANCES, SearchBudget
 from kkt2.curvature import q_of_h
 from kkt2.errors import UsageError
-from kkt2.examples import (
-    DELTA,
-    GAMMA,
-    build_example2,
-    point_p,
-    point_q,
-    point_r,
-    verify_diagonal_inequality,
+from kkt2.examples import DELTA, GAMMA, build_example2, point_p, point_q, point_r
+from kkt2.examples import example2
+from kkt2.examples.example1 import verify_matrix_property
+from kkt2.examples.example2 import (
+    _section_coordinates,
     verify_halfspace_representation,
-    verify_matrix_property,
     verify_section_membership,
 )
-from kkt2.examples.example2 import _section_coordinates
 from kkt2.kkt import multiplier_set
+from kkt2.linalg import PolytopeH
+from kkt2.model import GeneratedConeSet
+from kkt2.report import new_report
 
 from helpers import (
     halfspace_checks_per_point,
@@ -62,27 +61,33 @@ class TestGeometry:
             assert point_p(n)[2] < -1e-10 * 0 - 1e-16
 
     def test_halfspace_representation(self):
-        ok, checks = verify_halfspace_representation(build_example2(12).geometry)
-        assert ok
-        assert len(checks) == 2 + 3 * 10  # k = 1..10 at trunc 12
+        rows, _, _, result = _halfspace_check(12)
+        assert result[0]
+        assert len(rows.A) == 2 + 3 * 10  # k = 1..10 at trunc 12
 
     def test_halfspace_representation_at_trunc_320(self):
         """P_n sits n^-4 off its boundaries, under 1e-10 from n = 317 on;
         relative to the termwise size of each dot product the slacks of
         unannotated points stay above 3e-9, so none reads as on a boundary."""
-        ok, checks = verify_halfspace_representation(build_example2(320).geometry)
-        assert ok
-        assert len(checks) == 2 + 3 * 318
+        rows, _, _, result = _halfspace_check(320)
+        assert result[0]
+        assert len(rows.A) == 2 + 3 * 318
 
     def test_halfspace_verdict_stable_in_truncation(self):
         """Rows with k <= N - 2 keep passing as N grows."""
-        for N in (6, 9, 12):
-            ok, _ = verify_halfspace_representation(build_example2(N).geometry)
-            assert ok
+        for N in (2, 3, 6, 9, 12):
+            assert _halfspace_check(N)[3][0]
+
+    def test_halfspace_rows_and_mask_at_trunc_2(self):
+        """Two rows and no k-family: x3 <= 0 tight at O, Q_1, Q_2, and
+        -x.(1, gamma, 1 + gamma) <= 0 tight at O, P_1, Q_1."""
+        rows, on = build_example2(2).geometry.halfspace_rows()
+        assert rows.A.shape == (2, 3) and rows.n_eq == 0
+        assert on.tolist() == [[True, False, False, True, True],
+                               [True, True, False, True, False]]
 
     def test_section_membership(self):
-        ok, worst_member, worst_diag = verify_section_membership(
-            build_example2(4).geometry, 30, 30)
+        ok, worst_member, worst_diag = verify_section_membership(30, 30)
         assert ok
         assert worst_member <= 1e-10
         assert worst_diag <= 1e-10
@@ -91,16 +96,56 @@ class TestGeometry:
         x = point_r(1, 2)
         assert x[2] + DELTA * x[1] ** 2 < -1e-3
 
-    def test_diagonal_inequality(self):
-        assert verify_diagonal_inequality(30, 30)
-
     def test_section_hull_containment_both_ways(self):
         """The plane section of the truncated hull equals the hull of the
         origin and the crossing points, verified structurally one way and by
         sampled membership the other."""
-        from kkt2.examples import verify_section_hull
+        assert _section_hull_holds(5, samples=100, seed=3)
 
-        assert verify_section_hull(build_example2(5).geometry, samples=100, seed=3)
+
+def _halfspace_check(trunc: int):
+    """The half-space rows, their boundary mask, the hull points of the
+    problem's set, and the check of the rows against those points."""
+    ex = build_example2(trunc)
+    rows, on = ex.geometry.halfspace_rows()
+    points = ex.problem.abstract_set.hull_points
+    return rows, on, points, verify_halfspace_representation(rows, on, points)
+
+
+def _section_hull_holds(trunc: int, samples: int, seed: int, tol: float = 1e-8) -> bool:
+    """Both containments between the plane section of the hull and the
+    convex hull of the origin and the R_(k,n), at the given truncation.
+
+    One direction is structural (each R_(k,n) lies on a generator segment
+    and on the plane); the other is sampled: random plane points of the
+    hull, built as plane crossings of segments between hull samples with
+    opposite first coordinates, must lie in conv({O} u {R_(k,n)})."""
+
+    for k in range(1, trunc + 1):
+        for n in range(1, trunc + 1):
+            r = point_r(k, n)
+            lam = 1.0 / (1.0 + (n / (k * GAMMA)) ** 3)
+            on_segment = lam * point_p(k) + (1.0 - lam) * point_q(n)
+            if abs(r[0]) > tol or float(np.max(np.abs(r - on_segment))) > tol:
+                return False
+
+    section_pts = np.array([np.zeros(3)] + [point_r(k, n) for k in range(1, trunc + 1)
+                                            for n in range(1, trunc + 1)])
+    section = GeneratedConeSet(base=np.zeros(3), rays=(), hull_points=section_pts)
+    gens = build_example2(trunc).problem.abstract_set.hull_points
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < samples:
+        wa = rng.exponential(size=len(gens))
+        wb = rng.exponential(size=len(gens))
+        a, b = (wa / wa.sum()) @ gens, (wb / wb.sum()) @ gens
+        if a[0] * b[0] >= 0:
+            continue
+        x = a + a[0] / (a[0] - b[0]) * (b - a)  # hull point with x1 = 0
+        if not section.contains(x, tol):
+            return False
+        checked += 1
+    return True
 
 
 class TestFormulaChecksMatchPerPoint:
@@ -109,26 +154,23 @@ class TestFormulaChecksMatchPerPoint:
     @staticmethod
     def _assert_same_rows(got, want):
         assert got[0] == want[0]
-        assert [(c.label, c.satisfied, c.equality_exact) for c in got[1]] == \
-            [(c.label, c.satisfied, c.equality_exact) for c in want[1]]
-        for a, b in zip(got[1], want[1]):
-            assert abs(a.worst_slack - b.worst_slack) <= 1e-12
-            assert abs(a.worst_equality_residual - b.worst_equality_residual) <= 1e-12
+        for g, w in zip(got[1:3], want[1:3]):  # satisfied, exact
+            assert np.array_equal(g, w)
+        for g, w in zip(got[3:], want[3:]):  # worst slack, worst boundary residual
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("trunc", range(2, 41))
     def test_halfspace_representation(self, trunc):
-        geometry = build_example2(trunc).geometry
-        self._assert_same_rows(verify_halfspace_representation(geometry),
-                               halfspace_checks_per_point(geometry))
+        rows, on, points, got = _halfspace_check(trunc)
+        self._assert_same_rows(got, halfspace_checks_per_point(rows, on, points))
 
     @pytest.mark.parametrize("trunc", range(2, 41))
     def test_section_membership(self, trunc):
         """Square and lopsided grids up to trunc; the worst values are the
         scalar formula's bit for bit."""
-        geometry = build_example2(trunc).geometry
         for k_max, n_max in ((trunc, trunc), (2, trunc), (trunc, 2)):
-            got = verify_section_membership(geometry, k_max, n_max)
-            assert got == section_membership_per_point(geometry, k_max, n_max)
+            got = verify_section_membership(k_max, n_max)
+            assert got == section_membership_per_point(k_max, n_max)
 
     def test_section_coordinates_are_the_scalar_formula(self):
         x2, x3 = _section_coordinates(np.arange(1, 41)[:, None], np.arange(1, 41))
@@ -136,33 +178,40 @@ class TestFormulaChecksMatchPerPoint:
         assert np.array_equal(x2, want[:, :, 1]) and np.array_equal(x3, want[:, :, 2])
         assert np.array_equal(point_r(7, 3), point_r_scalar(7, 3))
 
+    def test_points_are_the_scalar_formula(self):
+        """The array P_n and Q_n rows are the scalar formulas' bit for bit."""
+        n = np.arange(1, 41)
+        want_p = [[k**-3.0, k**-2.0, -(k**-4.0)] for k in range(1, 41)]
+        want_q = [[-((k / GAMMA) ** -3.0), (k / GAMMA) ** -2.0, 0.0] for k in range(1, 41)]
+        assert np.array_equal(point_p(n), want_p) and np.array_equal(point_q(n), want_q)
+
     def test_tampered_row_coefficient_fails(self):
-        geometry = build_example2(8).geometry
-        rows = geometry.halfspace_rows()
-        rows[5] = replace(rows[5], coef=rows[5].coef + np.array([0.0, 1e-6, 0.0]))
-        tampered = SimpleNamespace(points=geometry.points, halfspace_rows=lambda: rows)
-        got, want = verify_halfspace_representation(tampered), halfspace_checks_per_point(tampered)
+        rows, on, points, _ = _halfspace_check(8)
+        A = rows.A.copy()
+        A[5, 1] += 1e-6
+        tampered = PolytopeH(A, rows.b)
+        got = verify_halfspace_representation(tampered, on, points)
         assert not got[0]
-        assert not (got[1][5].satisfied and got[1][5].equality_exact)
-        self._assert_same_rows(got, want)
+        assert not (got[1][5] and got[2][5])
+        self._assert_same_rows(got, halfspace_checks_per_point(tampered, on, points))
 
     def test_unannotated_boundary_point_fails(self):
         """The midpoint of O and Q1 lies on the rows tight at O and Q1."""
-        geometry = build_example2(8).geometry
-        points = dict(geometry.points, M=0.5 * point_q(1))
-        tampered = SimpleNamespace(points=points, halfspace_rows=geometry.halfspace_rows)
-        got, want = verify_halfspace_representation(tampered), halfspace_checks_per_point(tampered)
+        rows, on, points, _ = _halfspace_check(8)
+        points = np.vstack([points, 0.5 * point_q(1)])
+        on = np.column_stack([on, np.zeros(len(on), dtype=bool)])
+        got = verify_halfspace_representation(rows, on, points)
         assert not got[0]
-        assert [c.equality_exact for c in got[1][:2]] == [False, False]
-        assert all(c.satisfied for c in got[1])
-        self._assert_same_rows(got, want)
+        assert got[2][:2].tolist() == [False, False]
+        assert np.all(got[1])
+        self._assert_same_rows(got, halfspace_checks_per_point(rows, on, points))
 
-    def test_wrong_delta_fails(self):
+    def test_wrong_delta_fails(self, monkeypatch):
         """A parabola 1% steeper puts the diagonal points above it."""
-        geometry = SimpleNamespace(delta=1.01 * DELTA)
-        got = verify_section_membership(geometry, 30, 30)
+        monkeypatch.setattr(example2, "DELTA", 1.01 * DELTA)
+        got = verify_section_membership(30, 30)
         assert not got[0]
-        assert got == section_membership_per_point(geometry, 30, 30)
+        assert got == section_membership_per_point(30, 30, delta=1.01 * DELTA)
 
 
 class TestSectionSampler:
@@ -242,3 +291,46 @@ class TestProblem:
             assert ex.problem.abstract_set.contains(point_p(n), 1e-9)
             assert ex.problem.abstract_set.contains(point_q(n), 1e-9)
         assert not ex.problem.abstract_set.contains(np.array([0.0, 1.0, 0.0]), 1e-9)
+
+
+class TestRayScaling:
+    """A cone does not change when one of its rays is scaled by a positive
+    number, and scaling by a power of two is exact: example2's verdicts,
+    achieved cones and witness directions (up to a positive scale) do not
+    change when every ray, limit ray and deep ray is scaled by its own 2^k,
+    k in [-40, 40].  The hull points stay as they are."""
+
+    STAGES = [stages.feasibility, stages.rzkcq, stages.weaker_cq, stages.stationarity,
+              stages.strict_cq, stages.snc_sup, lambda c: stages.ssc(c, 0.1, 0.5)]
+
+    @classmethod
+    def _records(cls, problem) -> list:
+        report = new_report("example2", "", DEFAULT_SEED, np.zeros(3))
+        ctx = stages.RunContext(problem, np.zeros(3), DEFAULT_TOLERANCES, SearchBudget(),
+                                report, 0.0)
+        return stages.run(ctx, cls.STAGES).checks
+
+    @pytest.mark.parametrize("trunc", [4, 8, 40])
+    def test_verdicts_do_not_change(self, trunc):
+        problem = build_example2(trunc).problem
+        want = self._records(problem)
+        assert [r.verdict for r in want] == ["pass", "holds", "holds", "holds", "violated",
+                                             "violated", "violated"]
+        cone = problem.abstract_set
+        for draw in range(4):
+            rng = np.random.default_rng(draw)
+            scaled = replace(cone, **{
+                name: np.ldexp(getattr(cone, name),
+                               rng.integers(-40, 41, len(getattr(cone, name)))[:, None])
+                for name in ("rays", "limit_rays", "deep_rays")})
+            got = self._records(replace(problem, abstract_set=scaled))
+            assert [r.name for r in got] == [r.name for r in want]
+            for g, w in zip(got, want):
+                assert g.verdict == w.verdict, (draw, g.name)
+                assert g.numbers.get("achieved_cone") == w.numbers.get("achieved_cone")
+                assert (g.witness is None) == (w.witness is None), (draw, g.name)
+                for key in ("witness", "direction"):
+                    if w.witness is not None and key in w.witness:
+                        a, b = np.asarray(g.witness[key]), np.asarray(w.witness[key])
+                        np.testing.assert_allclose(a / np.linalg.norm(a), b / np.linalg.norm(b),
+                                                   rtol=0.0, atol=1e-9)
