@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePoint, PolytopeTooLarge, UsageError
-from .linalg import _as_rows, cone_facets, cone_is_trivial, conic_distance
+from .linalg import PolytopeH, _as_rows, cone_facets, cone_is_trivial, conic_distance
 from .model import BoxSet, GeneratedConeSet, as_entries
 
 if TYPE_CHECKING:
@@ -101,6 +101,21 @@ class SignPatternCone:
         c = self.codes
         cuts = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist(), self.dim]
         return [(i, j, int(c[i])) for i, j in zip(cuts, cuts[1:]) if i < j]
+
+
+def _polar_rows(
+    pattern: SignPatternCone, M: np.ndarray, rhs: Optional[np.ndarray] = None
+) -> PolytopeH:
+    """The system in y of "y . M[:, j] - rhs_j has the sign of the polar of
+    code j" over the columns j (rhs defaults to 0): the =0 columns give the
+    equality rows, the <=0 and >=0 columns (negated) the inequality rows,
+    each block in column order."""
+    polar = pattern.polar().codes
+    sign = np.where(polar == NONPOS, 1.0, np.where(polar == NONNEG, -1.0, 0.0))
+    eq, ineq = polar == ZERO, sign != 0.0
+    b = np.zeros(M.shape[1]) if rhs is None else rhs
+    return PolytopeH(np.vstack([M.T[eq], (M.T * sign[:, None])[ineq]]),
+                     np.concatenate([b[eq], (b * sign)[ineq]]), int(np.count_nonzero(eq)))
 
 
 def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> SignPatternCone:
@@ -190,19 +205,18 @@ class CriticalCone:
     def generators(self) -> np.ndarray:
         """Generators (rows) of the section of the base cone by its rows,
         computed on first use: the facets of cone(base_rays), or the sign
-        pattern read as rows (e_j = 0 on =0 coordinates, -e_j <= 0 on >=0
-        and e_j <= 0 on <=0 ones), and the weighted rows, run through the
-        double description, laid out as ``cone_is_trivial`` lays them out
-        (each lineality vector l as l and -l, then the extreme rays).  The
-        eta > 0 objective cut is not polyhedral; it stays a test on each
-        direction (``_cuts_hold``).  Past ``_MAX_GENERATORS`` rays
+        pattern as rows (``_polar_rows`` of its polar: e_j = 0, -e_j <= 0
+        and e_j <= 0 on =0, >=0 and <=0 coordinates) and the weighted rows,
+        run through the double description, laid out as ``cone_is_trivial``
+        lays them out (each lineality vector l as l and -l, then the extreme
+        rays).  The eta > 0 objective cut is not polyhedral; it stays a test
+        on each direction (``_cuts_hold``).  Past ``_MAX_GENERATORS`` rays
         the double description raises ``PolytopeTooLarge``."""
         if self.base_pattern is None:
             L, R = self.ray_facets
         else:
-            codes = self.base_pattern.codes
-            signed = np.eye(self.dim) * np.where(codes == NONNEG, -1.0, 1.0)[:, None]
-            L, R = signed[codes == ZERO], signed[(codes == NONNEG) | (codes == NONPOS)]
+            rows = _polar_rows(self.base_pattern.polar(), np.eye(self.dim))
+            L, R = rows.eq_rows, rows.ineq_rows
         return cone_is_trivial(self.dim, np.vstack([L, self.weights * self.eq_rows]),
                                np.vstack([R, self.weights * self.ineq_rows]))[1]
 
@@ -288,10 +302,7 @@ def critical_cone(mset: "MultiplierSet", eta: float = 0.0) -> CriticalCone:
         eq_rows, ineq_rows = (R[np.any(R != 0.0, axis=1)] for R in (eq_rows, ineq_rows))
         return CriticalCone(p.weights, base, (), eq_rows, ineq_rows, objective, eta)
 
-    cone_set = p.abstract_set
-    if np.max(np.abs(mset.x - cone_set.base)) > mset.tol.activity:
-        raise UsageError("generated-cone problems support cone queries at the base point only")
-    return CriticalCone(p.weights, None, cone_set.tangent_rays(), eq_rows, ineq_rows,
+    return CriticalCone(p.weights, None, p.abstract_set.tangent_rays(), eq_rows, ineq_rows,
                         objective, eta)
 
 

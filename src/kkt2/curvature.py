@@ -1,30 +1,31 @@
 """Second-order certification via the maximized Lagrangian Hessian.
 
-q(h) = f''(x)h^2 + sup over multiplier vertices of sum_i mu_i g_i''(x)h^2 is
-evaluated exactly (a linear functional over a polytope attains its sup at a
-vertex).  Minimizing q
-over a cone-intersect-sphere is nonconvex, so the necessary/sufficient
-checks are falsifiers with a documented heuristic search: structured
-directions, seeded random cone samples, and a projected subgradient
-refinement.  Every function reads f''(x), g''(x) and the multiplier
-vertices off the point object (``MultiplierSet.f_form``, ``g_forms`` and
-``vertices``, built once per point).  The battery is one array,
-drawn once per cone and budget and cached on the cone (``_Battery``).  Its
-form columns, ||h||_w^2, f''(x)h^2 and each g_i''(x)h^2, are computed in
-row blocks with one ``BilinearForm.quad_rows`` call per form on the cone's
-first search, and kept with the point object that computed them as their
-key, so a search with another point object computes them again.  Every
-search combines them with its own multipliers: f + S mu for a fixed mu,
-f + max over the vertices for q.  The columns add (1 + m)/n to a battery's
-memory, so ``check_ssc`` holds one battery at a time, and witnesses are
-copies of their rows.  The descent from the best battery direction tries
-the first rungs of its step-halving ladder one at a time; once they fail, it
-screens the rest of the ladder in one row block (one landing sweep, one
-pass of the forms) and tries alone only a rung that passes, so it accepts
-the steps of a one-rung-at-a-time loop.  Accepted steps and the chosen
-direction are evaluated by ``q_of_h`` (or ``fixed_mu_value``), so reported
-values replay exactly.  A negative certificate (witness) is exact and
-replayable; a nonnegative verdict is a sampled certificate, labeled as such.
+Every search minimizes one form over a matrix ``mus`` of multipliers, one
+per row: f''(x)h^2 + max over the rows mu of sum_i mu_i g_i''(x)h^2
+(``_max_form``).  Over the vertices it is q(h), exact because a linear
+functional over a polytope attains its sup at a vertex; over one fixed
+multiplier's row it is that multiplier's form.  Minimizing it over a
+cone-intersect-sphere is nonconvex, so the necessary/sufficient checks are
+falsifiers with a documented heuristic search: structured directions,
+seeded random cone samples, and a projected subgradient refinement.  Every
+function reads f''(x), g''(x) and the multiplier vertices off the point
+object (``MultiplierSet.f_form``, ``g_forms`` and ``vertices``, built once
+per point).  The battery is one array, drawn once per cone and budget and
+cached on the cone (``_Battery``).  Its form columns, ||h||_w^2, f''(x)h^2
+and each g_i''(x)h^2, are computed in row blocks with one
+``BilinearForm.quad_rows`` call per form on the cone's first search, and
+kept with the point object that computed them as their key, so a search
+with another point object computes them again.  Every search combines them
+with its own ``mus``: f + max(S @ mus.T).  The columns add (1 + m)/n to a
+battery's memory, so ``check_ssc`` holds one battery at a time, and
+witnesses are copies of their rows.  The descent from the best battery
+direction tries the first rungs of its step-halving ladder one at a time;
+once they fail, it screens the rest of the ladder in one row block and tries
+alone only a rung that passes, so it accepts the steps of a
+one-rung-at-a-time loop.  Accepted steps and the chosen direction are
+evaluated one row at a time, as ``q_of_h`` and ``fixed_mu_value`` replay
+them.  A negative certificate (witness) is exact and replayable; a
+nonnegative verdict is a sampled certificate, labeled as such.
 """
 
 from __future__ import annotations
@@ -44,32 +45,35 @@ from .linalg import weighted_norm
 from .model import BoxSet, ProblemSpec, as_entries
 
 
-def _constraint_quads(mset: MultiplierSet, h: np.ndarray) -> np.ndarray:
-    return np.array([form.quad(h) for form in mset.g_forms])
-
-
 _Columns = tuple[np.ndarray, Optional[np.ndarray]]
 
 
-def _combine(mset: MultiplierSet, columns: _Columns, mu: Optional[np.ndarray]) -> np.ndarray:
+def _combine(columns: _Columns, mus: np.ndarray) -> np.ndarray:
     """Form values from the columns (f, S) of a row block, f''(x)h^2 and
-    the matrix of g_i''(x)h^2 (None without constraints): q(h) = f + max
-    over the vertices of S mu, or with ``mu`` the fixed-mu form f + S mu;
-    equal to ``q_of_h``/``fixed_mu_value`` up to rounding."""
+    the matrix of g_i''(x)h^2 (None without constraints): f + max over the
+    rows mu of ``mus`` of S mu, equal to ``_max_form`` up to rounding."""
     f, S = columns
     if S is None:
         return f
-    return f + S @ mu if mu is not None else f + np.max(S @ mset.vertices.T, axis=1)
+    return f + np.max(S @ mus.T, axis=1)
+
+
+def _max_form(mset: MultiplierSet, h, mus: np.ndarray) -> tuple[float, np.ndarray]:
+    """f''(x)h^2 + max over the rows mu of ``mus`` of sum_i mu_i g_i''(x)h^2
+    and a maximizing row, whose own form gives the value bit for bit."""
+    hv = np.asarray(h, dtype=float)
+    base = mset.f_form.quad(hv)
+    if not mset.m:
+        return base, mus[0]
+    s = np.array([form.quad(hv) for form in mset.g_forms])
+    best = int(np.argmax(mus @ s))
+    return base + float(mus[best] @ s), mus[best]
 
 
 def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
     """The Lagrangian Hessian of one multiplier at h: f''(x)h^2 + sum_i mu_i
     g_i''(x)h^2."""
-    hv = np.asarray(h, dtype=float)
-    base = mset.f_form.quad(hv)
-    if mset.m:
-        base += float(np.asarray(mu) @ _constraint_quads(mset, hv))
-    return base
+    return _max_form(mset, h, np.asarray(mu, dtype=float)[None])[0]
 
 
 def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
@@ -83,30 +87,19 @@ def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional
     return grad
 
 
-def _require_vertices(mset: MultiplierSet) -> None:
-    """Raises unless q is defined: a nonempty bounded multiplier set, with
-    its vertices when there are constraints."""
+def _require_vertices(mset: MultiplierSet) -> np.ndarray:
+    """The multiplier vertices; raises unless q is defined: a nonempty
+    bounded multiplier set (whose vertex array then has a row)."""
     if mset.empty:
         raise EmptyMultiplierSet("q(h) needs a nonempty multiplier set")
     if not mset.bounded:
         raise UnboundedMultiplierSet("q(h) needs a bounded multiplier set")
-    if mset.m and not len(mset.vertices):
-        raise EmptyMultiplierSet("multiplier polytope has no enumerated vertices")
+    return mset.vertices
 
 
 def q_of_h(mset: MultiplierSet, h) -> tuple[float, np.ndarray]:
     """Maximized Lagrangian Hessian at h with a maximizing vertex."""
-
-    hv = np.asarray(h, dtype=float)
-    _require_vertices(mset)
-    base = mset.f_form.quad(hv)
-    if mset.m == 0:
-        return base, np.zeros(0)
-    s = _constraint_quads(mset, hv)
-    V = mset.vertices
-    best = int(np.argmax(V @ s))
-    # the winner's value by the dot product of fixed_mu_value, so replays match
-    return base + float(V[best] @ s), V[best]
+    return _max_form(mset, h, _require_vertices(mset))
 
 
 @dataclass(frozen=True)
@@ -211,11 +204,11 @@ def _ladder_length(step: float) -> int:
 
 
 def _screen(mset: MultiplierSet, cone: CriticalCone, cur: "_Candidate", grad: np.ndarray,
-            step: float, count: int, mu: Optional[np.ndarray]) -> np.ndarray:
+            step: float, count: int, mus: np.ndarray) -> np.ndarray:
     """Outcomes (``_TINY``, ``_FAIL``, ``_PASS``) of the ``count`` rungs step,
     step / 2, ... from ``cur``, in one row block: one landing sweep
     (``_land``), then the normalized landed rows' values in one
-    ``_battery_values`` pass, f + S mu or the vertex max.  The rungs' steps
+    ``_battery_values`` pass over ``mus``.  The rungs' steps
     and candidates are the ones the one-row loop forms (halving is exact),
     so only the rounding of block products can differ from it; a passing
     rung is confirmed one row at a time."""
@@ -226,7 +219,7 @@ def _screen(mset: MultiplierSet, cone: CriticalCone, cur: "_Candidate", grad: np
     outcome = np.where(landed, _TINY, _FAIL)
     live = np.flatnonzero(landed & (norms > 1e-12))
     if len(live):
-        _, values = _battery_values(mset, V[live] / norms[live, None], w, mu)
+        _, values = _battery_values(mset, V[live] / norms[live, None], w, mus)
         outcome[live] = np.where(values < cur.value - 1e-14, _PASS, _FAIL)
     return outcome
 
@@ -235,9 +228,8 @@ def _descend(
     mset: MultiplierSet,
     cone: CriticalCone,
     start: np.ndarray,
-    evaluate: "callable",
     budget: SearchBudget,
-    mu: Optional[np.ndarray] = None,
+    mus: np.ndarray,
 ) -> tuple[list[_Candidate], int]:
     """Projected subgradient refinement of the normalized form value, from
     ``start`` scaled to unit norm: the accepted candidates in order, and the
@@ -250,18 +242,17 @@ def _descend(
     ``_EXACT_RUNGS`` rungs after the start and after each accepted step run
     one at a time; once that many fail in a row, the rest of the ladder,
     down to its first rung below 1e-8 and within the remaining steps, is
-    screened in one row block (``_screen``, with ``mu`` or the vertex max),
-    and the same control flow runs over the screened outcomes, one step per
-    rung.  A rung that passes the screen runs again one row at a time, and
-    that outcome stands.  ``evaluate`` (``_search_min``'s) is called once
-    per direction tried one at a time, and its candidate gives both the
-    step's value and the multiplier of the next subgradient: q_of_h's value
-    is the fixed-mu form at its maximizing vertex, bit for bit."""
+    screened in one row block (``_screen``), and the same control flow runs
+    over the screened outcomes, one step per rung.  A rung that passes the
+    screen runs again one row at a time, and that outcome stands.  Each
+    direction tried one at a time is one ``_candidate``: its value, and the
+    maximizing row of ``mus``, whose form is that value bit for bit, for
+    the next subgradient."""
 
     if cone.base_pattern is None:
         return [], 0
     w = cone.weights
-    cur = evaluate(start / weighted_norm(w, start))
+    cur = _candidate(mset, w, start / weighted_norm(w, start), mus)
     grad = _subgradient(mset, cur.h, cur.mu)
     if grad is None:
         return [], 0
@@ -273,7 +264,7 @@ def _descend(
         nrm = weighted_norm(w, cand)
         if nrm <= 1e-12:
             return _TINY, None
-        trial = evaluate(cand / nrm)
+        trial = _candidate(mset, w, cand / nrm, mus)
         return (_PASS if trial.value < cur.value - 1e-14 else _FAIL), trial
 
     visited, step, failed, screened, rungs = [], 0.5, 0, [], 0
@@ -283,7 +274,7 @@ def _descend(
         else:
             if not screened:
                 count = min(_ladder_length(step), budget.descent_steps - rungs)
-                screened = _screen(mset, cone, cur, grad, step, count, mu).tolist()
+                screened = _screen(mset, cone, cur, grad, step, count, mus).tolist()
             outcome, trial = screened.pop(0), None
             if outcome == _PASS:
                 outcome, trial = rung(step)
@@ -309,6 +300,13 @@ class _Candidate:
     value: float
     normalized: float
     mu: np.ndarray
+
+
+def _candidate(mset: MultiplierSet, w: np.ndarray, h: np.ndarray, mus: np.ndarray) -> _Candidate:
+    """h with its ``_max_form`` value over ``mus``, that value over
+    ||h||_w^2, and the maximizing row."""
+    value, mu = _max_form(mset, h, mus)
+    return _Candidate(h, value, value / float(np.sum(w * h * h)), mu)
 
 
 def _battery_columns(
@@ -338,20 +336,19 @@ def _battery_columns(
     return n2, blocks
 
 
-def _block_values(mset: MultiplierSet, blocks: list[_Columns],
-                  mu: Optional[np.ndarray]) -> np.ndarray:
+def _block_values(blocks: list[_Columns], mus: np.ndarray) -> np.ndarray:
     """Form values of the rows of every block, each block combined on its
     own (``_combine``)."""
-    return np.concatenate([_combine(mset, c, mu) for c in blocks] or [np.empty(0)])
+    return np.concatenate([_combine(c, mus) for c in blocks] or [np.empty(0)])
 
 
 def _battery_values(
-    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mu: Optional[np.ndarray]
+    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mus: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared weighted norms and form values of the rows of H, computed
     afresh in row blocks."""
     n2, blocks = _battery_columns(mset, H, weights)
-    return n2, _block_values(mset, blocks, mu)
+    return n2, _block_values(blocks, mus)
 
 
 @dataclass(frozen=True)
@@ -361,64 +358,62 @@ class _Search:
     witness: Optional[_Candidate]
 
 
-def _search_min(
-    mset: MultiplierSet,
-    cone: CriticalCone,
-    budget: SearchBudget,
-    mu: Optional[np.ndarray] = None,
-) -> _Search:
-    """Minimizes the normalized form value, q(h) or with ``mu`` the fixed-mu
-    form, over the battery and a descent from its best direction.
+def _search_min(mset: MultiplierSet, cone: CriticalCone, budget: SearchBudget,
+                mus: np.ndarray) -> _Search:
+    """Minimizes the normalized form value, f''(x)h^2 + max over the rows
+    of ``mus`` (``_max_form``), over the battery and a descent from its best
+    direction.
 
     The battery's form columns are computed in row blocks on the cone's
-    first search with ``mset`` and combined with ``mu`` or the vertices on
-    every search (``_Battery.columns``).  The descent (``_descend``, with
-    ``mu``) screens its failing ladders in row blocks too; the rungs it
-    tries alone, those it confirms and the chosen directions are evaluated
-    one by one, each once, so ``sampled_min`` and the witness come from
-    ``q_of_h``/``fixed_mu_value`` as a replay computes them.  The chosen
-    rows are copied, so a verdict holds no battery alive."""
+    first search with ``mset`` and combined with ``mus`` on every search
+    (``_Battery.columns``).  The descent (``_descend``) screens its failing
+    ladders in row blocks too; the rungs it tries alone, those it confirms
+    and the chosen directions are evaluated one by one, each once, so
+    ``sampled_min`` and the witness come from ``_max_form`` as a replay
+    computes them.  The chosen rows are copied, so a verdict holds no
+    battery alive."""
 
-    def evaluate(h: np.ndarray) -> _Candidate:
-        val, mu_h = q_of_h(mset, h) if mu is None else (fixed_mu_value(mset, h, mu), mu)
-        return _Candidate(h, val, val / float(np.sum(w * h * h)), mu_h)
-
-    if mu is None:
-        _require_vertices(mset)
     w = cone.weights
     battery = _battery(cone, budget)
     H, structured = battery.H, battery.structured
     n2, blocks = battery.columns(mset, w)
-    values = _block_values(mset, blocks, mu)
+    values = _block_values(blocks, mus)
     rows = np.flatnonzero(n2 > 1e-20)
     if not len(rows):
         return _Search(0, math.inf, None)
     normalized = values[rows] / n2[rows]
     best = rows[int(np.argmin(normalized))]
-    steps, _ = _descend(mset, cone, H[best], evaluate, budget, mu)
+    steps, _ = _descend(mset, cone, H[best], budget, mus)
     best_step = min(steps, key=lambda c: c.normalized, default=None)
     if best_step is not None and best_step.normalized < float(np.min(normalized)):
         chosen = best_step
     else:
-        chosen = evaluate(H[best].copy())
+        chosen = _candidate(mset, w, H[best].copy(), mus)
     # prefer a canonically scaled structured witness when it ties the best
     ties = rows[structured[rows] & (normalized <= chosen.normalized + 1e-9)]
-    witness = evaluate(H[ties[0]].copy()) if len(ties) else chosen
+    witness = _candidate(mset, w, H[ties[0]].copy(), mus) if len(ties) else chosen
     return _Search(len(rows) + len(steps), chosen.normalized, witness)
 
 
-def _verdict(kind: str, violated: bool, found: _Search, mu: Optional[np.ndarray] = None,
-             **fields) -> SecondOrderVerdict:
-    """``<kind>_violated`` with the witness of ``found``, or ``<kind>_holds``
-    without one.  ``mu``, a fixed-mu search's multiplier, replaces the
-    witness's and stays on a verdict that holds."""
+def _verdict(kind: str, violated: bool, found: _Search, **fields) -> SecondOrderVerdict:
+    """``<kind>_violated`` with the witness of ``found`` and its maximizing
+    multiplier, or ``<kind>_holds`` without either."""
     w = found.witness if violated else None
-    h, value, normalized, w_mu = (w.h, w.value, w.normalized, w.mu) if w is not None \
+    h, value, normalized, mu = (w.h, w.value, w.normalized, w.mu) if w is not None \
         else (None,) * 4
     return SecondOrderVerdict(
-        f"{kind}_{'violated' if violated else 'holds'}", h, value, normalized,
-        w_mu if mu is None else mu, sampled_min=found.sampled_min,
-        directions_evaluated=found.evaluated, **fields)
+        f"{kind}_{'violated' if violated else 'holds'}", h, value, normalized, mu,
+        sampled_min=found.sampled_min, directions_evaluated=found.evaluated, **fields)
+
+
+def _snc(mset: MultiplierSet, mus: np.ndarray, cone: Optional[CriticalCone],
+         budget: SearchBudget) -> SecondOrderVerdict:
+    """The necessary condition's search over the maximized form of ``mus``."""
+    if cone is None:
+        cone = critical_cone(mset, 0.0)
+    found = _search_min(mset, cone, budget, mus)
+    return _verdict("snc", found.sampled_min < -mset.tol.violation, found,
+                    section_generators=_section_size(cone))
 
 
 def check_snc(
@@ -431,11 +426,7 @@ def check_snc(
     A violation witness is exact; the 'holds' verdict is the sampled minimum
     over the battery (heuristic certificate)."""
 
-    if cone is None:
-        cone = critical_cone(mset, 0.0)
-    found = _search_min(mset, cone, budget)
-    return _verdict("snc", found.sampled_min < -mset.tol.violation, found,
-                    section_generators=_section_size(cone))
+    return _snc(mset, _require_vertices(mset), cone, budget)
 
 
 def check_snc_fixed_multiplier(
@@ -444,18 +435,15 @@ def check_snc_fixed_multiplier(
     cone: Optional[CriticalCone] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> SecondOrderVerdict:
-    """Same search over a single multiplier's quadratic form instead of the
-    maximized one.  Used to demonstrate that fixing one multiplier can leave
-    negative curvature on the critical cone even when the maximized form is
-    coercive."""
+    """Same search with the multiplier set replaced by {mu}: the maximum
+    over one row is that multiplier's quadratic form.  Used to demonstrate
+    that fixing one multiplier can leave negative curvature on the critical
+    cone even when the maximized form is coercive."""
 
     mu = np.asarray(mu, dtype=float)
     if not mset.contains_mu(mu):
         raise UsageError("mu is not in the multiplier set")
-    if cone is None:
-        cone = critical_cone(mset, 0.0)
-    found = _search_min(mset, cone, budget, mu)
-    return _verdict("snc", found.sampled_min < -mset.tol.violation, found, mu)
+    return _snc(mset, mu[None], cone, budget)
 
 
 def check_ssc(
@@ -474,13 +462,13 @@ def check_ssc(
     if not math.isfinite(alpha_target):
         raise UsageError("alpha must be finite")
     cone_eta = critical_cone(mset, eta)
-    found = _search_min(mset, cone_eta, budget)
+    found = _search_min(mset, cone_eta, budget, _require_vertices(mset))
     section_generators = _section_size(cone_eta)
     # one battery at a time: the extended cone's directions and form columns
     # go before the eta = 0 cone draws its own
     del cone_eta
     alpha_est = found.sampled_min
-    min_zero = _search_min(mset, critical_cone(mset, 0.0), budget).sampled_min
+    min_zero = _search_min(mset, critical_cone(mset, 0.0), budget, mset.vertices).sampled_min
     return _verdict("ssc", not alpha_est >= alpha_target - mset.tol.alpha_slack, found,
                     alpha_est=alpha_est, positivity_consistent=(min_zero > 0) == (alpha_est > 0),
                     section_generators=section_generators)

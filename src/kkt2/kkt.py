@@ -48,10 +48,11 @@ from .cones import (
     NONPOS,
     ZERO,
     SignPatternCone,
+    _polar_rows,
     tangent_cone_box,
 )
 from .linalg import BilinearForm, PolytopeH, cone_is_trivial, enumerate_vertices, nnls
-from .model import BoxSet, ProblemSpec, as_entries, check_feasible
+from .model import BoxSet, GeneratedConeSet, ProblemSpec, as_entries, check_feasible
 
 
 @dataclass(frozen=True)
@@ -180,33 +181,22 @@ def _abstract_cone(
     return SignPatternCone(np.full(len(rays), NONNEG)), M
 
 
-def _polar_rows(
-    pattern: SignPatternCone, M: np.ndarray, rhs: Optional[np.ndarray] = None
-) -> PolytopeH:
-    """The system in y of "y . M[:, j] - rhs_j has the sign of the polar of
-    code j" over the columns j (rhs defaults to 0): the =0 columns give the
-    equality rows, the <=0 and >=0 columns (negated) the inequality rows,
-    each block in column order."""
-    polar = pattern.polar().codes
-    sign = np.where(polar == NONPOS, 1.0, np.where(polar == NONNEG, -1.0, 0.0))
-    eq, ineq = polar == ZERO, sign != 0.0
-    b = np.zeros(M.shape[1]) if rhs is None else rhs
-    return PolytopeH(np.vstack([M.T[eq], (M.T * sign[:, None])[ineq]]),
-                     np.concatenate([b[eq], (b * sign)[ineq]]), int(np.count_nonzero(eq)))
-
-
 def multiplier_set(
     p: ProblemSpec, x, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> MultiplierSet:
     """The point data at x and Lambda(x) as an H-polytope over mu; raises at
-    an infeasible point.  No other check function tests feasibility, takes
-    first derivatives at x or builds a tangent pattern: each reads them off
-    this object."""
+    an infeasible point, and on a hull at any point but its base, whose rays
+    are the only ones the set lists.  No other check function tests
+    feasibility, takes first derivatives at x or builds a tangent pattern:
+    each reads them off this object."""
 
     v = as_entries(x, p.dim)
     feas = check_feasible(p, v, tol)
     if not feas.feasible:
         raise InfeasiblePoint("multiplier set requested at an infeasible point")
+    if isinstance(p.abstract_set, GeneratedConeSet) \
+            and np.max(np.abs(v - p.abstract_set.base)) > tol.activity:
+        raise UsageError("generated-cone problems support queries at the base point only")
 
     f_grad = np.asarray(p.objective.gradient(v), dtype=float)
     m = p.n_constraints

@@ -152,6 +152,9 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("expected an object", "tolerances")
         _require_keys(tolerances, _TOL_KEYS, "tolerances")
         tolerances = {k: _finite_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
+        for k, v in tolerances.items():
+            if v < 0.0:
+                raise ParseError("tolerances must be nonnegative", f"tolerances.{k}")
     budget = data.get("budget")
     if budget is not None:
         if not isinstance(budget, dict):

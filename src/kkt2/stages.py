@@ -177,10 +177,17 @@ def _section(v) -> dict:
     return {"section_generators": v.section_generators, "exact": v.exact}
 
 
+def _undefined_q(name: str, mset) -> CheckRecord:
+    """The ``fail`` record of a stage whose maximized form q is undefined:
+    the multiplier set is empty, or unbounded (no CQ holds)."""
+    return CheckRecord(name, "fail", {"reason": "empty multiplier set" if mset.empty
+                                      else "unbounded multiplier set"})
+
+
 def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     """Sup-form necessary condition over the critical cone (or ``cone``)."""
-    if ctx.multipliers.empty:
-        return CheckRecord("snc_sup", "fail", {"reason": "empty multiplier set"})
+    if ctx.multipliers.empty or not ctx.multipliers.bounded:
+        return _undefined_q("snc_sup", ctx.multipliers)
     v = check_snc(ctx.multipliers, cone=cone, budget=ctx.budget)
     return CheckRecord("snc_sup", _holds(not v.violated),
                        {"sampled_min": v.sampled_min, "directions": v.directions_evaluated,
@@ -190,8 +197,8 @@ def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
 
 def ssc(ctx: RunContext, eta: float, alpha: float) -> CheckRecord:
     """Coercivity with constant ``alpha`` on the eta-extended critical cone."""
-    if ctx.multipliers.empty:
-        return CheckRecord("ssc", "fail", {"reason": "empty multiplier set"})
+    if ctx.multipliers.empty or not ctx.multipliers.bounded:
+        return _undefined_q("ssc", ctx.multipliers)
     v = check_ssc(ctx.multipliers, eta=eta, alpha_target=alpha, budget=ctx.budget)
     return CheckRecord("ssc", _holds(not v.violated),
                        {"alpha_est": v.alpha_est, "directions": v.directions_evaluated,

@@ -18,7 +18,7 @@ import numpy as np
 
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
 from kkt2.config import SearchBudget, Tolerances
-from kkt2.curvature import _subgradient
+from kkt2.curvature import _candidate, _subgradient
 from kkt2.examples.example2 import DELTA, GAMMA
 from kkt2 import linalg
 from kkt2.errors import PolytopeTooLarge
@@ -366,15 +366,21 @@ def growth_margins_per_sample(p: ProblemSpec, x: np.ndarray, samples, alpha: flo
     return [p.objective.value(s) - f0 - 0.5 * alpha * p.norm(s - x) ** 2 for s in samples]
 
 
-def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, evaluate,
-                     budget: SearchBudget) -> tuple[list, int]:
+def constraint_quads(mset, h: np.ndarray) -> np.ndarray:
+    """g_i''(x)h^2, one entry per constraint of ``mset``."""
+    return np.array([form.quad(h) for form in mset.g_forms])
+
+
+def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, budget: SearchBudget,
+                     mus: np.ndarray) -> tuple[list, int]:
     """The curvature descent one rung at a time, each through the one-row
-    ``into_cone`` and ``evaluate``: the reference of ``curvature._descend``.
-    The accepted candidates in order and the number of rungs tried."""
+    ``into_cone`` and ``curvature._candidate`` over ``mus``: the reference
+    of ``curvature._descend``.  The accepted candidates in order and the
+    number of rungs tried."""
     if cone.base_pattern is None:
         return [], 0
     w = cone.weights
-    cur = evaluate(start / weighted_norm(w, start))
+    cur = _candidate(mset, w, start / weighted_norm(w, start), mus)
     grad = _subgradient(mset, cur.h, cur.mu)
     if grad is None:
         return [], 0
@@ -393,7 +399,7 @@ def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, evaluate,
         if nrm <= 1e-12:
             step *= 0.5
             continue
-        trial = evaluate(cand / nrm)
+        trial = _candidate(mset, w, cand / nrm, mus)
         if trial.value < cur.value - 1e-14:
             cur = trial
             visited.append(cur)

@@ -13,7 +13,6 @@ import pytest
 from kkt2.cli import main
 from kkt2.config import SearchBudget
 from kkt2.curvature import (
-    _constraint_quads,
     check_snc_fixed_multiplier,
     check_ssc,
     fixed_mu_value,
@@ -28,7 +27,8 @@ from kkt2.linalg import LinearProgram, enumerate_vertices, solve_lp
 from kkt2.model import BoxSet, validate_derivatives
 from kkt2.report import replay
 
-from helpers import highs_max, random_bounded_polytope, random_stationary_problem
+from helpers import (constraint_quads, highs_max, random_bounded_polytope,
+                     random_stationary_problem)
 
 
 def report_line(criterion: str, detail: str):
@@ -235,7 +235,7 @@ def test_criterion_9_sup_by_highs(capsys):
             continue
         h = rng.standard_normal(p.dim)
         v1, _ = q_of_h(mset, h)
-        res = highs_max(linprog, mset.polytope, _constraint_quads(mset, h))
+        res = highs_max(linprog, mset.polytope, constraint_quads(mset, h))
         assert res.status == 0
         assert abs(mset.f_form.quad(h) - res.fun - v1) <= 1e-8 * (1.0 + abs(v1))
         pairs += 1

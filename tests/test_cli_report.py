@@ -19,6 +19,7 @@ from kkt2.cones import critical_cone
 from kkt2.curvature import check_ssc, sample_growth
 from kkt2.errors import ParseError, UsageError
 from kkt2.examples import build_example1, run_example2_certification
+from kkt2.examples.example2 import point_r
 from kkt2.kkt import multiplier_set
 from kkt2.problem_file import parse_problem
 from kkt2.report import new_report, replay
@@ -95,6 +96,8 @@ class TestProblemFile:
     def test_known_tolerance_keys_parse(self):
         text = MINIMAL.replace('"m1": 0', '"m1": 0, "tolerances": {"activity": 1e-7}')
         assert parse_problem(text).make_tolerances().activity == 1e-7
+        text = MINIMAL.replace('"m1": 0', '"m1": 0, "tolerances": {"activity": 0}')
+        assert parse_problem(text).make_tolerances().activity == 0.0
 
     @pytest.mark.parametrize("key", ["symmetry_rel", "bilinearity_rel", "membership"])
     def test_removed_tolerance_keys_rejected(self, key):
@@ -184,7 +187,9 @@ class TestProblemFile:
                 pf.make_tolerances()
                 pf.make_budget(0)
             except UsageError:
-                pass
+                continue
+            # a negative tolerance is a parse error
+            assert not (path[0] == "tolerances" and len(path) == 2 and value == -1), path
 
     def test_builtin_forms(self):
         pf = parse_problem('{"builtin": "example1", "grid": 24}')
@@ -504,6 +509,41 @@ class TestCLI:
         checks = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["name"], c["verdict"]) for c in checks] == expected
         assert code == exit_code
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check-snc"], "snc_sup"), (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], "ssc")])
+    def test_unbounded_multiplier_set_is_a_fail_record(self, capsys, tmp_path, argv, name):
+        """f = x1 + |x|^2 / 2, -x1 <= 0 and x1 + x2^2 / 2 <= 0 on a free box
+        at 0: the multipliers mu1 = 1 + mu2 >= 1 form a ray (no CQ holds), so
+        q is undefined and the second-order record fails with its reason."""
+        problem = tmp_path / "unbounded.json"
+        problem.write_text(json.dumps({
+            "dimension": 2, "box": {"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]},
+            "objective": {"linear": [1.0, 0.0], "quadratic": [[0, 0, 1.0], [1, 1, 1.0]]},
+            "constraints": [{"linear": [-1.0, 0.0]},
+                            {"linear": [1.0, 0.0], "quadratic": [[1, 1, 1.0]]}]}))
+        point = tmp_path / "origin.json"
+        point.write_text('{"point": [0.0, 0.0]}')
+        files = [str(problem), "--at", str(point), "--format", "json"]
+        assert main(["check-foc", *files]) == 0
+        foc = json.loads(capsys.readouterr().out)["checks"]
+        assert foc[-1]["numbers"]["bounded"] is False
+        code = main([argv[0], *files, *argv[1:]])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["name"], c["verdict"]) for c in checks] == [("feasibility", "pass"),
+                                                               (name, "fail")]
+        assert checks[-1]["numbers"] == {"reason": "unbounded multiplier set"}
+        assert code == 1
+
+    @pytest.mark.parametrize("argv", [["check-foc"], ["check-cq", "--strict"], ["multipliers"]])
+    def test_hull_point_off_the_base_exits_two(self, capsys, tmp_path, argv):
+        """Example2's set lists its rays at the origin only; at a feasible
+        point off it the multiplier set is a usage error."""
+        problem, point = tmp_path / "e2.json", tmp_path / "off.json"
+        problem.write_text('{"builtin": "example2", "trunc": 8}')
+        point.write_text(json.dumps({"point": (0.5 * point_r(1, 1)).tolist()}))
+        assert main([argv[0], str(problem), "--at", str(point), *argv[1:]]) == 2
+        assert "base point" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["check-foc"], ["check-cq", "--strict"], ["multipliers"], ["check-snc"],

@@ -17,7 +17,6 @@ from kkt2.curvature import (
     _PASS,
     _battery_values,
     _box_feasible_samples,
-    _constraint_quads,
     _growth_rows,
     check_snc,
     check_snc_fixed_multiplier,
@@ -32,8 +31,9 @@ from kkt2.kkt import multiplier_set
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
-from helpers import (box_samples_per_try, descend_per_rung, growth_margins_per_sample,
-                     highs_max, many_multiplier_spec, random_stationary_problem)
+from helpers import (box_samples_per_try, constraint_quads, descend_per_rung,
+                     growth_margins_per_sample, highs_max, many_multiplier_spec,
+                     random_stationary_problem)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ class TestQofH:
             if not mset.m:
                 assert v1 == mset.f_form.quad(h)
                 continue
-            res = highs_max(linprog, mset.polytope, _constraint_quads(mset, h))
+            res = highs_max(linprog, mset.polytope, constraint_quads(mset, h))
             assert res.status == 0
             assert mset.f_form.quad(h) - res.fun == pytest.approx(v1, abs=1e-8 * (1 + abs(v1)))
 
@@ -193,6 +193,37 @@ class TestFixedMultiplier:
         ex, mset = ex1
         with pytest.raises(UsageError):
             check_snc_fixed_multiplier(mset, np.array([1.5]))
+
+
+class TestOneRowMultiplierMatrix:
+    """With one multiplier vertex the sup form and the fixed-multiplier form
+    are one maximum over the same one-row matrix, so the two checks agree
+    byte for byte, on a verdict that holds and on one that is violated."""
+
+    @staticmethod
+    def _unique_multiplier_box():
+        """f = x1 + |x|^2 / 2 and g = -x1 + x2^2 / 2 <= 0 on [-1, 1]^3 at 0:
+        the one multiplier is mu = 1, and q(h) = |h|^2 + h2^2 holds on the
+        critical cone h1 = 0."""
+        g = quadratic(0.0, np.array([-1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]))
+        p = ProblemSpec(quadratic(0.0, np.array([1.0, 0.0, 0.0]), np.eye(3)), (g,), 0,
+                        BoxSet(np.full(3, -1.0), np.full(3, 1.0)), np.ones(3))
+        return multiplier_set(p, np.zeros(3))
+
+    @pytest.mark.parametrize("case", ["box", "example2"])
+    def test_fixed_vertex_equals_sup_form(self, case, ex2):
+        mset = self._unique_multiplier_box() if case == "box" else ex2[1]
+        assert len(mset.vertices) == 1
+        sup = check_snc(mset)
+        fixed = check_snc_fixed_multiplier(mset, mset.vertices[0])
+        assert sup.kind == {"box": "snc_holds", "example2": "snc_violated"}[case]
+
+        def fields(v):
+            return (v.kind, v.sampled_min, v.directions_evaluated, v.witness_value,
+                    *(None if a is None else np.asarray(a).tobytes()
+                      for a in (v.witness, v.witness_mu)))
+
+        assert fields(fixed) == fields(sup)
 
 
 class TestSSC:
@@ -491,9 +522,10 @@ def _assert_close(batched, scalar):
     assert np.all(np.abs(batched - scalar) <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
 
 
-def _values(mset, H, mu):
-    """Fresh form values of the rows of H through the battery's block path."""
-    return _battery_values(mset, H, np.ones(H.shape[1]), mu)[1]
+def _values(mset, H, mus):
+    """Fresh form values of the rows of H over the multiplier rows ``mus``
+    through the battery's block path."""
+    return _battery_values(mset, H, np.ones(H.shape[1]), mus)[1]
 
 
 def _bounded_random_problems(rng, count):
@@ -516,9 +548,9 @@ class TestBatchedValues:
         rng = np.random.default_rng(71)
         for p, xbar, mset in _bounded_random_problems(rng, 25):
             H = rng.standard_normal((30, p.dim))
-            _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+            _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
             mu = mset.vertices[-1]
-            _assert_close(_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
+            _assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
 
     @pytest.mark.parametrize("grid", [12, 120, 480])
     def test_example1_forms_batch_rows(self, grid):
@@ -533,10 +565,10 @@ class TestBatchedValues:
         H[1] = ex.direction_lower_indicator()
         H[2] = ex.direction_upper_indicator()
         H[3] = ex.direction_lower_indicator() + ex.direction_upper_indicator()
-        _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+        _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
         for mu in (np.array([0.0]), np.array([0.3]), np.array([1.0])):
-            _assert_close(_values(mset, H, mu), [fixed_mu_value(mset, h, mu) for h in H])
-        _, values = _battery_values(mset, H, ex.problem.weights, None)
+            _assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
+        _, values = _battery_values(mset, H, ex.problem.weights, mset.vertices)
         _assert_close(values, [q_of_h(mset, h)[0] for h in H])
 
     def test_vertex_ties(self, ex1):
@@ -545,8 +577,8 @@ class TestBatchedValues:
         ex, mset = ex1
         H = np.random.default_rng(4).standard_normal((20, ex.grid))
         H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
-        assert all(_constraint_quads(mset, h)[0] == 0.0 for h in H)
-        _assert_close(_values(mset, H, None), [q_of_h(mset, h)[0] for h in H])
+        assert all(constraint_quads(mset, h)[0] == 0.0 for h in H)
+        _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_boundaries(self, blocks, extra):
@@ -554,11 +586,11 @@ class TestBatchedValues:
         p, xbar, mset = next(_bounded_random_problems(rng, 1))
         H = rng.standard_normal((blocks * (_BLOCK_ENTRIES // p.dim) + extra, p.dim))
         H[::5] = 0.0
-        n2, values = _battery_values(mset, H, p.weights, None)
+        n2, values = _battery_values(mset, H, p.weights, mset.vertices)
         _assert_close(n2, [float(np.sum(p.weights * h * h)) for h in H])
         _assert_close(values, [q_of_h(mset, h)[0] for h in H])
         mu = mset.vertices[0]
-        _, fixed = _battery_values(mset, H, p.weights, mu)
+        _, fixed = _battery_values(mset, H, p.weights, mu[None])
         _assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])
 
     def test_quadratic_with_weights(self):
@@ -610,12 +642,12 @@ def _spy_descents(monkeypatch, reference: bool):
     real_descend, real_screen, real_into_cone = (curvature._descend, curvature._screen,
                                                  curvature.into_cone)
 
-    def descend(mset, cone, start, evaluate, budget, mu=None):
+    def descend(mset, cone, start, budget, mus):
         entry = [None, None, 0]
         record["descents"].append(entry)
-        entry[0] = real_descend(mset, cone, start, evaluate, budget, mu)
+        entry[0] = real_descend(mset, cone, start, budget, mus)
         if reference:
-            entry[1] = descend_per_rung(mset, cone, start, evaluate, budget)
+            entry[1] = descend_per_rung(mset, cone, start, budget, mus)
         return entry[0]
 
     def screen(*args):
@@ -644,20 +676,21 @@ def _assert_rungs_alone(record) -> None:
 
 
 def _descent_searches(case: str):
-    """(mset, cone, mu) searches of one problem: a many-multiplier box at
-    eta 0 and 0.1 with the sup form and the vertices' barycenter, or
-    example1's display cone with mu in linspace(0, 1, 11) and the sup form
-    over its eta 0 and 0.1 cones."""
+    """(mset, cone, mus) searches of one problem: a many-multiplier box at
+    eta 0 and 0.1 over the vertices and over the vertices' barycenter, or
+    example1's display cone with the one rows mu in linspace(0, 1, 11) and
+    the vertices over its eta 0 and 0.1 cones."""
     if case.startswith("many"):
         mset = multiplier_set(*many_multiplier_spec(int(case[4:])))
         bary = np.mean(mset.vertices, axis=0)
-        return [(mset, critical_cone(mset, eta), mu) for eta in (0.0, 0.1) for mu in (None, bary)]
+        return [(mset, critical_cone(mset, eta), mus) for eta in (0.0, 0.1)
+                for mus in (mset.vertices, bary[None])]
     ex = build_example1(int(case[5:]))
     mset = multiplier_set(ex.problem, ex.xbar)
     display = ex.display_critical_cone(mset)
-    return [*((mset, critical_cone(mset, eta), None) for eta in (0.0, 0.1)),
-            (mset, display, None),
-            *((mset, display, np.array([mu])) for mu in np.linspace(0.0, 1.0, 11))]
+    return [*((mset, critical_cone(mset, eta), mset.vertices) for eta in (0.0, 0.1)),
+            (mset, display, mset.vertices),
+            *((mset, display, np.array([[mu]])) for mu in np.linspace(0.0, 1.0, 11))]
 
 
 class TestDescentMatchesPerRung:
@@ -672,8 +705,8 @@ class TestDescentMatchesPerRung:
     def test_same_steps(self, case, steps, monkeypatch):
         record = _spy_descents(monkeypatch, reference=True)
         budget = replace(DEFAULT_BUDGET, descent_steps=steps)
-        for mset, cone, mu in _descent_searches(case):
-            curvature._search_min(mset, cone, budget, mu)
+        for mset, cone, mus in _descent_searches(case):
+            curvature._search_min(mset, cone, budget, mus)
         assert record["descents"]
         for (got, rungs), (want, want_rungs), _ in record["descents"]:
             assert rungs == want_rungs <= steps

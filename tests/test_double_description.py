@@ -15,10 +15,9 @@ import json
 import numpy as np
 import pytest
 
-from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, SignPatternCone
+from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, SignPatternCone, _polar_rows
 from kkt2 import linalg
 from kkt2.errors import PolytopeTooLarge, UnboundedPolytope
-from kkt2.kkt import _polar_rows
 from kkt2.linalg import (LinearProgram, PolytopeH, _double_description, cone_is_trivial,
                          enumerate_vertices, solve_lp)
 

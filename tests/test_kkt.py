@@ -15,7 +15,7 @@ from kkt2.kkt import (
     foc_residual,
     multiplier_set,
 )
-from kkt2.errors import NumericError
+from kkt2.errors import NumericError, UsageError
 from kkt2.linalg import cone_facets
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
@@ -81,6 +81,17 @@ class TestMultiplierSet:
         ex = build_example1(12)
         with pytest.raises(InfeasiblePoint):
             multiplier_set(ex.problem, np.full(12, 2.0))
+
+    def test_hull_point_off_the_base_rejected(self):
+        """A hull lists its rays at the base point only: on the quadrant
+        (base 0, rays e1 and e2) with f = x1 + x2 the base is stationary, and
+        the interior point (1, 1), with gradient (1, 1), would read the
+        base's rays."""
+        p = ProblemSpec(quadratic(0.0, np.ones(2), np.zeros((2, 2))), (), 0,
+                        GeneratedConeSet(np.zeros(2), np.eye(2)), np.ones(2))
+        assert foc_residual(multiplier_set(p, np.zeros(2))).stationary
+        with pytest.raises(UsageError, match="base point"):
+            multiplier_set(p, np.ones(2))
 
     def test_vertices_reconstruct_valid_multipliers(self):
         """Every vertex is a multiplier, by tests written here from the

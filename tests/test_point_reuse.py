@@ -220,27 +220,39 @@ class TestSingleEvaluation:
 
     @pytest.fixture()
     def spies(self, monkeypatch):
-        """Per search, the candidates its descent accepted and the bytes of
-        every direction q_of_h evaluated."""
-        searches = []
-        real_search, real_descend, real_q = (curvature._search_min, curvature._descend,
-                                             curvature.q_of_h)
+        """Per search, the candidates its descent accepted, the bytes of
+        every direction ``_max_form`` evaluated, and the ``q_of_h`` calls,
+        recorded while the search runs."""
+        searches, running = [], []
+        real_search, real_descend, real_form, real_q = (
+            curvature._search_min, curvature._descend, curvature._max_form, curvature.q_of_h)
 
         def search(*args):
-            searches.append(([], []))
-            return real_search(*args)
+            searches.append(([], [], []))
+            running.append(True)
+            try:
+                return real_search(*args)
+            finally:
+                running.pop()
 
         def descend(*args):
             out = real_descend(*args)
             searches[-1][0].extend(out[0])
             return out
 
+        def form(mset, h, mus):
+            if running:
+                searches[-1][1].append(np.asarray(h).tobytes())
+            return real_form(mset, h, mus)
+
         def q(mset, h):
-            searches[-1][1].append(np.asarray(h).tobytes())
+            if running:
+                searches[-1][2].append(np.asarray(h).tobytes())
             return real_q(mset, h)
 
         monkeypatch.setattr(curvature, "_search_min", search)
         monkeypatch.setattr(curvature, "_descend", descend)
+        monkeypatch.setattr(curvature, "_max_form", form)
         monkeypatch.setattr(curvature, "q_of_h", q)
         return searches
 
@@ -250,8 +262,9 @@ class TestSingleEvaluation:
         mset = multiplier_set(p, x)
         check_snc(mset, budget=BUDGET)
         check_ssc(mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
-        assert any(accepted for accepted, _ in spies)
-        for accepted, evaluated in spies:
+        assert any(accepted for accepted, _, _ in spies)
+        for accepted, evaluated, q_calls in spies:
+            assert not q_calls  # the search evaluates through _max_form alone
             for cand in accepted:
                 assert evaluated.count(cand.h.tobytes()) == 1
                 value, mu = q_of_h(mset, cand.h)
@@ -262,9 +275,10 @@ class TestSingleEvaluation:
         mset = multiplier_set(p, x)
         mu = np.mean(mset.vertices, axis=0)
         check_snc_fixed_multiplier(mset, mu, budget=BUDGET)
-        (accepted, evaluated), = spies
-        assert accepted and not evaluated  # a fixed-mu search never calls q_of_h
+        (accepted, evaluated, q_calls), = spies
+        assert accepted and not q_calls  # a fixed-mu search never calls q_of_h
         for cand in accepted:
+            assert evaluated.count(cand.h.tobytes()) == 1
             assert cand.value == fixed_mu_value(mset, cand.h, mu)
 
 
@@ -450,8 +464,9 @@ class TestBatteryColumnsOncePerCone:
         battery = curvature._battery(cone, DEFAULT_BUDGET)
         assert battery.mset is mset
         for mu, verdict in zip(searches, verdicts):
-            n2, fresh = _battery_values(mset, battery.H, cone.weights, mu)
-            cached = curvature._block_values(mset, battery.blocks, mu)
+            mus = mset.vertices if mu is None else mu[None]
+            n2, fresh = _battery_values(mset, battery.H, cone.weights, mus)
+            cached = curvature._block_values(battery.blocks, mus)
             assert cached.tobytes() == fresh.tobytes()
             assert battery.n2.tobytes() == n2.tobytes()
             # the same search over a new cone draws and evaluates a new battery
