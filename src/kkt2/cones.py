@@ -13,10 +13,12 @@ At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier (``MultiplierSet.annihilator``), so its
 implicit equalities enter as =0 coordinates and equality rows, and random
 draws land in it after one projection; other box cones keep K's rows and
-the objective cut as plain rows.  Every box cone lands its draws with one
+the objective cut as plain rows.  A box cone lands its draws with one
 in-place sweep (``_land_rows``): clamp, one projection onto the rows' null
 space, then exact projections onto the section of the rows by each row's
-face, each row stopping on its own.  A hull's critical cone starts from its
+face, each row stopping on its own; a subspace cone (free and =0
+coordinates, equality rows only) draws in its basis instead
+(``CriticalCone.subspace_basis``).  A hull's critical cone starts from its
 tangent rays instead (``base_rays``): their facets (``linalg.cone_facets``)
 decide membership, and random draws combine its section generators: the
 facets plus the cuts, run through the double-description routine.  A box
@@ -138,6 +140,11 @@ def tangent_cone_box(box: BoxSet, x, tol: Tolerances = DEFAULT_TOLERANCES) -> Si
 # --------------------------------------------------------------------------
 
 
+def _rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numerical rank from the singular values of a matrix of ``shape``."""
+    return int(np.sum(sv > sv[0] * max(shape) * np.finfo(float).eps)) if len(sv) else 0
+
+
 @dataclass(frozen=True)
 class CriticalCone:
     """Tangent directions kept first-order feasible with the objective cut.
@@ -170,13 +177,34 @@ class CriticalCone:
             R = self.eq_rows
             s = np.sqrt(self.weights)
             _, sv, Vt = np.linalg.svd(R * s, full_matrices=False)
-            rank = int(np.sum(sv > sv[0] * max(R.shape) * np.finfo(float).eps))
-            Q = Vt[:rank]
+            Q = Vt[:_rank(sv, R.shape)]
             object.__setattr__(self, "_eq_weighted", R * self.weights)
             object.__setattr__(self, "_eq_projector", (Q * s, Q / s))
         else:
             object.__setattr__(self, "_eq_weighted", None)
             object.__setattr__(self, "_eq_projector", None)
+
+    @cached_property
+    def subspace_basis(self) -> Optional[np.ndarray]:
+        """A weighted-orthonormal basis (rows) of the cone when it is the
+        linear subspace {h_Z = 0, <r, h>_w = 0 for every equality row r}: a
+        box cone whose pattern has only free and =0 coordinates, with no
+        inequality rows and no objective cut (a box's critical cone at a
+        strictly complementary KKT point).  None for every other cone.  With
+        s = sqrt(w), the rows are N / s for an orthonormal basis N of the
+        null space of the rows R * s on the free coordinates (a full SVD),
+        and exactly 0 on the =0 coordinates."""
+        pattern = self.base_pattern
+        if (pattern is None or len(self.ineq_rows) or self.objective_gradient is not None
+                or (pattern._nonneg | pattern._nonpos).any()):
+            return None
+        free = ~pattern._zero
+        s = np.sqrt(self.weights)
+        M = (self.eq_rows * s)[:, free]
+        _, sv, Vt = np.linalg.svd(M, full_matrices=True)
+        basis = np.zeros((free.sum() - _rank(sv, M.shape), self.dim))
+        basis[:, free] = Vt[len(Vt) - len(basis):] / s[free]
+        return basis
 
     @cached_property
     def ray_facets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +218,8 @@ class CriticalCone:
         box cones with inequality rows unless the section has more than
         ``_MAX_GENERATORS`` generators (one mixed-sign row over p >= 0
         and q <= 0 coordinates alone adds p q rays).  Box cones without
-        inequality rows need none: the landing sweep lands in them."""
+        inequality rows need none: the landing sweep lands in them, and a
+        subspace cone draws in its basis (``subspace_basis``)."""
         if self.base_pattern is None:
             return True
         if not len(self.ineq_rows):
@@ -493,18 +522,35 @@ def structured_directions(cone: CriticalCone, limit: int) -> np.ndarray:
 # grid 480 (4 MB) raised the benchmark's peak RSS by 0.5 MB.
 _BLOCK_ENTRIES = 16384
 
+# Blocks of section weights combined in one product.  The traced peak of
+# check_ssc on a many-multiplier box with 16,448 directions
+# (test_ssc_holds_one_battery_at_a_time, bound 9.0 MB) reads 7.87 MB with
+# one block per product, 8.45 MB with 4 and 9.18 MB with 8.
+_SUPER_BLOCKS = 4
+
 
 def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian starts landed in one ``_land_rows`` sweep; returns the
     unit-norm rows that landed inside the cone.  The sweep ends with a
     clamp, so every row lies in the pattern, and the rows are kept on the
     cuts alone (``_cuts_hold``).  The sweep works in place, so it holds one
-    count x n array and the rows still moving."""
+    count x n array and the rows still moving.
+
+    A subspace cone (``subspace_basis``, d-dimensional) draws d normals per
+    row instead and maps them through its basis, with no sweep: the unit
+    rows are uniform on the cone's unit sphere in the weighted norm.  With
+    unit weights that is the law of the sweep's draws, one orthogonal
+    projection of a gaussian onto the subspace; with other weights the
+    sweep's weighted projection of a Euclidean gaussian is not isotropic in
+    the weighted norm, and this draw is."""
 
     assert cone.base_pattern is not None
-    w = cone.weights
-    H = rng.standard_normal((count, cone.dim))
-    _land_rows(cone, H)
+    w, basis = cone.weights, cone.subspace_basis
+    if basis is None:
+        H = rng.standard_normal((count, cone.dim))
+        _land_rows(cone, H)
+    else:
+        H = rng.standard_normal((count, len(basis))) @ basis
 
     # the tests run on the unit rows: a start that the sweep collapses to
     # round-off residue passes absolute tests, but not once it is normalized
@@ -546,7 +592,10 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     The cut is still tested on every row, so a generator put in the wrong
     group costs yield, never membership.  Hull sections, and box sections
     without a split (no cut, or an empty G0 or G+), draw plain
-    combinations."""
+    combinations.  A split draws each block's weights and s in the same
+    calls, order and sizes as a block alone, and normalizes, reaches and
+    combines up to ``_SUPER_BLOCKS`` blocks at a time: the draws are the
+    per-block ones up to the rounding of the larger products."""
 
     G, w, eta = cone.generators, cone.weights, cone.eta
     groups = [G]
@@ -562,17 +611,30 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
 
     H = np.empty((count, cone.dim))
     rows = max(1, _BLOCK_ENTRIES // len(G))
-    for start in range(0, count, rows):
-        block = H[start:start + rows]
-        r = len(block)
-        if len(groups) == 1:
-            np.matmul(rng.standard_exponential((r, len(G))), G, out=block)
-            continue
-        C = unit(rng.standard_exponential((r, len(groups[0]))) @ groups[0])
-        D = unit(rng.standard_exponential((r, len(groups[1]))) @ groups[1])
-        s = rng.random(r) * _cut_reach((C * D) @ w, D @ wf, eta)
-        np.multiply(D, s[:, None], out=block)
-        block += (1.0 - s)[:, None] * C
+    if len(groups) == 1:
+        for start in range(0, count, rows):
+            block = H[start:start + rows]
+            np.matmul(rng.standard_exponential((len(block), len(G))), G, out=block)
+    else:
+        # each block draws its weights in its own calls, so the stream does
+        # not depend on _SUPER_BLOCKS; the products run once per super-block
+        span = _SUPER_BLOCKS * rows
+        size = min(count, span)
+        E0, E1 = (np.empty((size, len(g))) for g in groups)
+        U = np.empty(size)
+        for top in range(0, count, span):
+            r = min(span, count - top)
+            for start in range(0, r, rows):
+                stop = min(start + rows, r)
+                rng.standard_exponential(out=E0[start:stop])
+                rng.standard_exponential(out=E1[start:stop])
+                rng.random(out=U[start:stop])
+            C = unit(E0[:r] @ groups[0])
+            D = unit(E1[:r] @ groups[1])
+            s = U[:r] * _cut_reach((C * D) @ w, D @ wf, eta)
+            block = H[top:top + r]
+            np.multiply(D, s[:, None], out=block)
+            block += (1.0 - s)[:, None] * C
     norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
     keep = (norms > 1e-12) & cone._cuts_hold(H, 1e-7)
     H = H[keep]
@@ -583,31 +645,46 @@ def _random_section_batch(cone: CriticalCone, count: int, rng: np.random.Generat
 # Rounds of ``random_directions`` before it returns what it has.
 _MAX_ROUNDS = 10
 
+# Starts of the pilot that decides, before the rounds, whether a box cone
+# with inequality rows is starved.
+_PILOT_STARTS = 512
+
 
 def random_directions(cone: CriticalCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded unit-norm random members of the cone (deterministic given rng),
     at most ``count`` rows.  A round draws ``count`` starts and, unless they
     filled the request, ``count`` more; numpy fills arrays row by row, so
-    for the landing sweep and for plain combinations the halves are
-    the stream of one ``2 * count`` batch.
+    for the landing sweep, the basis draw and plain combinations the halves
+    are the stream of one ``2 * count`` batch.
 
-    Box cones draw gaussian starts landed by ``_land_rows``, kept when they
-    meet the cuts (``_random_pattern_batch``).  When the first half round
-    keeps fewer than ``count / (2 _MAX_ROUNDS)`` rows, too few for the
-    rounds to fill the request, a box cone with listed generators
-    (``has_generators``) draws the rest as combinations of them
-    (``_random_section_batch``).  Ray-based cones draw combinations from
-    the start.  A section with a single generator gives none: its
-    combinations are copies of that one ray."""
+    Box cones draw gaussian starts landed by ``_land_rows``, or mapped
+    through the basis of a subspace cone, kept when they meet the cuts
+    (``_random_pattern_batch``).  A box cone with inequality rows first
+    lands a pilot: the first ``min(count, _PILOT_STARTS)`` starts of the
+    stream.  When it keeps fewer than ``1 / (2 _MAX_ROUNDS)`` of them, the
+    rate at which the rounds cannot fill the request, and the cone lists
+    its generators (``has_generators``), its rows come first and the
+    rounds draw combinations of the generators (``_random_section_batch``).
+    Else the pilot is the first half round, or, when the request is longer,
+    the stream goes back to where it was and the rounds land starts as
+    without a pilot.  Ray-based cones draw combinations from the start.  A
+    section with a single generator gives none: its combinations are
+    copies of that one ray."""
 
     empty = np.empty((0, cone.dim))
     batch = _random_section_batch if cone.base_pattern is None else _random_pattern_batch
     chunks: list[np.ndarray] = []
-    filled = 0
-    while filled < count and len(chunks) < 2 * _MAX_ROUNDS:
-        starved = len(chunks) == 1 and filled * 2 * _MAX_ROUNDS < count
-        if batch is _random_pattern_batch and starved and cone.has_generators:
+    if count > 0 and batch is _random_pattern_batch and len(cone.ineq_rows):
+        starts = min(count, _PILOT_STARTS)
+        state = rng.bit_generator.state
+        chunks.append(batch(cone, starts, rng))
+        if len(chunks[0]) * 2 * _MAX_ROUNDS < starts and cone.has_generators:
             batch = _random_section_batch
+        elif starts < count:
+            rng.bit_generator.state = state
+            chunks.clear()
+    filled = sum(map(len, chunks))
+    while filled < count and len(chunks) < 2 * _MAX_ROUNDS:
         if batch is _random_section_batch and len(cone.generators) <= 1:
             break
         chunks.append(batch(cone, count, rng)[: count - filled])

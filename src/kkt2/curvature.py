@@ -55,7 +55,7 @@ def _combine(columns: _Columns, mus: np.ndarray) -> np.ndarray:
     f, S = columns
     if S is None:
         return f
-    return f + np.max(S @ mus.T, axis=1)
+    return f + (S @ mus.T).max(axis=1)
 
 
 def _max_form(mset: MultiplierSet, h, mus: np.ndarray) -> tuple[float, np.ndarray]:

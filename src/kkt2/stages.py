@@ -149,10 +149,8 @@ def strict_cq(ctx: RunContext, per_vertex: bool = True) -> list[CheckRecord]:
     differences); a hull runs ``check_strict_cq``, one double description,
     per vertex."""
     mset = ctx.multipliers
-    if mset.empty or not len(mset.vertices):
-        reason = "no multipliers exist" if mset.empty else \
-            "multiplier vertices unavailable (unbounded set?)"
-        return [CheckRecord("strict_cq", "fail", {"reason": reason})]
+    if mset.empty or not mset.bounded:  # a nonempty set lists vertices iff it is bounded
+        return [_no_vertices("strict_cq", mset)]
     vertices = mset.vertices if per_vertex else mset.vertices[:1]
     verdicts = strict_cq_by_vertices(mset) if mset.c_pattern is not None else \
         [check_strict_cq(mset, vert) for vert in vertices]
@@ -177,9 +175,11 @@ def _section(v) -> dict:
     return {"section_generators": v.section_generators, "exact": v.exact}
 
 
-def _undefined_q(name: str, mset) -> CheckRecord:
-    """The ``fail`` record of a stage whose maximized form q is undefined:
-    the multiplier set is empty, or unbounded (no CQ holds)."""
+def _no_vertices(name: str, mset) -> CheckRecord:
+    """The ``fail`` record of a stage that needs the multiplier vertices (the
+    strict CQ, or the maximized form q): the multiplier set is empty, or
+    unbounded (no CQ holds).  Without constraints the set is {()}, one
+    vertex, when x is stationary, and empty otherwise."""
     return CheckRecord(name, "fail", {"reason": "empty multiplier set" if mset.empty
                                       else "unbounded multiplier set"})
 
@@ -187,7 +187,7 @@ def _undefined_q(name: str, mset) -> CheckRecord:
 def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
     """Sup-form necessary condition over the critical cone (or ``cone``)."""
     if ctx.multipliers.empty or not ctx.multipliers.bounded:
-        return _undefined_q("snc_sup", ctx.multipliers)
+        return _no_vertices("snc_sup", ctx.multipliers)
     v = check_snc(ctx.multipliers, cone=cone, budget=ctx.budget)
     return CheckRecord("snc_sup", _holds(not v.violated),
                        {"sampled_min": v.sampled_min, "directions": v.directions_evaluated,
@@ -198,7 +198,7 @@ def snc_sup(ctx: RunContext, cone=None) -> CheckRecord:
 def ssc(ctx: RunContext, eta: float, alpha: float) -> CheckRecord:
     """Coercivity with constant ``alpha`` on the eta-extended critical cone."""
     if ctx.multipliers.empty or not ctx.multipliers.bounded:
-        return _undefined_q("ssc", ctx.multipliers)
+        return _no_vertices("ssc", ctx.multipliers)
     v = check_ssc(ctx.multipliers, eta=eta, alpha_target=alpha, budget=ctx.budget)
     return CheckRecord("ssc", _holds(not v.violated),
                        {"alpha_est": v.alpha_est, "directions": v.directions_evaluated,

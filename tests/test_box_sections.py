@@ -317,18 +317,91 @@ class TestStarvedSweep:
         assert np.array_equal(new, np.concatenate(halves)[:300])
 
     def test_a_starved_sweep_continues_with_generators(self):
-        """On a benchmark-shaped eta = 0.1 cone the first half round keeps
-        fewer than count / (2 _MAX_ROUNDS) rows; they come first, and
-        combinations of the section generators, drawn from the same stream,
-        fill the rest."""
+        """On a benchmark-shaped eta = 0.1 cone the pilot, the first 512
+        starts, keeps fewer than 512 / (2 _MAX_ROUNDS) rows; they come first,
+        and combinations of the section generators, drawn from the same
+        stream, fill the rest."""
         p, x = many_multiplier_spec(1)
         cone = critical_cone(multiplier_set(p, x), 0.1)
         new = random_directions(cone, 4000, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        first = _random_pattern_batch(cone, 4000, rng)
-        assert 0 < len(first) * 20 < 4000
+        first = _random_pattern_batch(cone, cones._PILOT_STARTS, rng)
+        assert len(first) * 20 < cones._PILOT_STARTS
         rest = _random_section_batch(cone, 4000, rng)[:4000 - len(first)]
         assert np.array_equal(new, np.concatenate([first, rest]))
+
+
+def _batch_counts(monkeypatch) -> list[int]:
+    """The ``count`` of every ``_random_pattern_batch`` call from now on."""
+    counts, batch = [], cones._random_pattern_batch
+
+    def counted(cone, count, rng):
+        counts.append(count)
+        return batch(cone, count, rng)
+
+    monkeypatch.setattr(cones, "_random_pattern_batch", counted)
+    return counts
+
+
+class TestPilot:
+    def test_a_fed_pilot_leaves_the_stream_as_it_was(self, monkeypatch):
+        """The wedge keeps about 40% of its starts: over a request longer
+        than the pilot, the stream goes back and the directions are the
+        rounds' (``test_a_landing_sweep_keeps_its_rounds`` for one that is
+        not), and the double description behind ``has_generators`` never
+        runs."""
+        cone = _wedge([0.0, 0.0, 1.0], 0.1)
+        rng = np.random.default_rng(9)
+        halves = [_random_pattern_batch(cone, 2000, rng) for _ in range(3)]
+        calls = []
+        monkeypatch.setattr(cones, "cone_is_trivial", lambda *a: calls.append(a))
+        counts = _batch_counts(monkeypatch)
+        new = random_directions(cone, 2000, np.random.default_rng(9))
+        assert counts[0] == cones._PILOT_STARTS and counts[1:] == [2000] * (len(counts) - 1)
+        assert not calls
+        assert np.array_equal(new, np.concatenate(halves)[:2000])
+
+    def test_a_short_request_pilots_its_first_half_round(self):
+        """Under ``_PILOT_STARTS`` starts the pilot is the first half round,
+        and the starved cone's combinations follow it in the stream."""
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(1)), 0.1)
+        new = random_directions(cone, 300, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        first = _random_pattern_batch(cone, 300, rng)
+        assert len(first) * 20 < 300
+        rest = _random_section_batch(cone, 300, rng)[:300 - len(first)]
+        assert np.array_equal(new, np.concatenate([first, rest]))
+
+    def test_a_starved_pilot_without_generators_lands_its_rounds(self, monkeypatch):
+        """Over the generator guard a starved cone has nothing else to draw:
+        its pilot is its first half round, and the rounds land starts."""
+        p, x = many_multiplier_spec(0, n=10, m=4, n_lower=3, rank=2, scale=0.05)
+        monkeypatch.setattr(linalg, "_MAX_GENERATORS", 8)
+        cone = critical_cone(multiplier_set(p, x), 0.1)
+        assert len(cone.ineq_rows) and not cone.has_generators
+        rng = np.random.default_rng(1)
+        halves = [_random_pattern_batch(cone, 200, rng) for _ in range(2 * cones._MAX_ROUNDS)]
+        assert len(halves[0]) * 20 < 200
+        new = random_directions(cone, 200, np.random.default_rng(1))
+        assert np.array_equal(new, np.concatenate(halves)[:200])
+
+    @pytest.mark.parametrize("case", ["ray", "example1 0.1", "many 0.0"])
+    def test_no_pilot_without_inequality_rows(self, monkeypatch, case):
+        """Ray-based cones draw combinations at once, and box cones without
+        inequality rows land their starts or draw in their basis, a whole
+        half round at a time."""
+        if case == "ray":
+            cone = random_ray_cone(3)
+        elif case == "example1 0.1":
+            cone = _example1_cone(120, 0.1)
+        else:
+            cone = critical_cone(multiplier_set(*many_multiplier_spec(0)), 0.0)
+        counts = _batch_counts(monkeypatch)
+        random_directions(cone, 2000, np.random.default_rng(9))
+        if case == "ray":
+            assert counts == []
+        else:
+            assert counts and set(counts) == {2000}
 
 
 def _example1_cone(grid: int, eta: float) -> CriticalCone:
@@ -338,19 +411,28 @@ def _example1_cone(grid: int, eta: float) -> CriticalCone:
 
 class TestPatternBatchSweep:
     """``_random_pattern_batch`` lands its starts with the per-row sweep of
-    ``_land``."""
+    ``_land``, or, on a subspace cone, maps them through its basis."""
 
     @pytest.mark.parametrize("case", ["example1 120", "example1 480", "many 0", "many 3"])
     def test_each_row_is_its_one_row_landing(self, case):
+        """On the many-multiplier eta = 0 cones, subspaces of dimension d,
+        a start is d normals and its landing the one-row map through the
+        basis."""
         if case.startswith("example1"):
             cone = _example1_cone(int(case.split()[1]), 0.1)
         else:
             p, x = many_multiplier_spec(int(case.split()[1]))
             cone = critical_cone(multiplier_set(p, x), 0.0)
+        basis = cone.subspace_basis
+        assert (basis is None) == case.startswith("example1")
         count = 64
-        starts = np.random.default_rng(21).standard_normal((count, cone.dim))
+        starts = np.random.default_rng(21).standard_normal(
+            (count, cone.dim if basis is None else len(basis)))
         batch = _random_pattern_batch(cone, count, np.random.default_rng(21))
-        singles = np.array([_land(cone, h[None])[0][0] for h in starts])
+        if basis is None:
+            singles = np.array([_land(cone, h[None])[0][0] for h in starts])
+        else:
+            singles = np.array([z @ basis for z in starts])
         singles /= np.sqrt((singles * singles) @ cone.weights)[:, None]
         assert len(batch) >= count - 4  # the eta = 0.1 cut drops a few at grid 120
         rest = iter(singles)  # the kept rows, in order, among the single landings
@@ -376,3 +458,153 @@ class TestPatternBatchSweep:
         assert rows[0] == 512 and rows == sorted(rows, reverse=True)
         assert len(rows) > 1  # one projection does not land them all
         assert sum(rows) <= 3000
+
+
+def _within_sampling_error(H: np.ndarray, expected: np.ndarray, sigmas: float = 5.0) -> bool:
+    """Whether the second moment of the rows of H matches ``expected``
+    entry by entry within ``sigmas`` standard errors of its mean."""
+    mean = H.T @ H / len(H)
+    squares = H * H
+    error = np.sqrt(np.maximum(squares.T @ squares / len(H) - mean * mean, 0.0) / len(H))
+    return bool(np.all(np.abs(mean - expected) <= sigmas * error + 1e-12))
+
+
+def _weighted_plane() -> CriticalCone:
+    """{h in R^5 : h2 = 0, <r, h>_w = 0}, a 3-dimensional subspace."""
+    pattern = SignPatternCone(np.array([0, 0, ZERO, 0, 0]))
+    return CriticalCone(np.array([1.0, 4.0, 0.25, 2.0, 1.0]), pattern, (),
+                        (np.array([1.0, 1.0, 0.0, -1.0, 2.0]),), (), None, 0.0)
+
+
+class TestSubspaceDraws:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_are_members_zero_on_the_zero_coordinates(self, seed):
+        """18 free and 6 =0 coordinates and 8 equality rows of rank 3 (the
+        constraint gradients' rank on the free coordinates): a
+        15-dimensional subspace, each draw a unit member exactly 0 on the
+        =0 coordinates."""
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(seed)), 0.0)
+        assert len(cone.eq_rows) == 8 and np.linalg.matrix_rank(cone.eq_rows) == 3
+        assert cone.subspace_basis.shape == (15, 24)
+        draws = random_directions(cone, 2000, np.random.default_rng(seed))
+        assert draws.shape == (2000, 24)
+        assert cone.contains_rows(draws, 1e-9).all()
+        assert np.all(draws[:, cone.base_pattern._zero] == 0.0)
+        assert np.allclose((draws * draws) @ cone.weights, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_basis_is_weighted_orthonormal(self):
+        cone = _weighted_plane()
+        B, w = cone.subspace_basis, cone.weights
+        assert B.shape == (3, 5) and np.all(B[:, 2] == 0.0)
+        assert np.allclose((B * w) @ B.T, np.eye(3), rtol=0.0, atol=1e-14)
+        assert np.allclose(B @ (w * cone.eq_rows[0]), 0.0, rtol=0.0, atol=1e-14)
+
+    def test_second_moment_is_the_projector_over_d(self):
+        """With unit weights the draws are uniform on the unit sphere of the
+        d-dimensional subspace: E[h h^T] = P / d for the orthogonal
+        projector P, as for the landing sweep's draws before."""
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(0)), 0.0)
+        assert np.all(cone.weights == 1.0)
+        B = cone.subspace_basis
+        P = B.T @ B
+        draws = random_directions(cone, 16384, np.random.default_rng(4))
+        assert _within_sampling_error(draws, P / len(B))
+        landed, ok = _land(cone, np.random.default_rng(5).standard_normal((16384, 24)))
+        assert ok.all()
+        landed /= np.linalg.norm(landed, axis=1)[:, None]
+        assert _within_sampling_error(landed, P / len(B))
+        assert not _within_sampling_error(draws, np.eye(24) / 24)
+
+    def test_weighted_law_is_isotropic_in_the_weighted_norm(self):
+        """Other weights: E[h h^T] = B^T B / d for the weighted-orthonormal
+        basis B, the uniform law on the weighted unit sphere."""
+        cone = _weighted_plane()
+        B = cone.subspace_basis
+        draws = random_directions(cone, 16384, np.random.default_rng(6))
+        assert cone.contains_rows(draws, 1e-9).all()
+        assert _within_sampling_error(draws, B.T @ B / 3)
+
+    def test_no_rows_and_the_zero_subspace(self):
+        pattern = SignPatternCone(np.array([0, ZERO, 0]))
+        cone = CriticalCone(np.array([4.0, 1.0, 1.0]), pattern, (), (), (), None, 0.0)
+        assert np.array_equal(np.abs(cone.subspace_basis), [[0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        point = CriticalCone(np.ones(2), SignPatternCone(np.array([0, ZERO])), (),
+                             (np.array([1.0, 0.0]),), (), None, 0.0)
+        assert point.subspace_basis.shape == (0, 2)
+        assert random_directions(point, 100, np.random.default_rng(0)).shape == (0, 2)
+
+    @pytest.mark.parametrize("case", ["example1 0.0", "many 0.1", "wedge", "ray", "cut"])
+    def test_other_cones_have_no_basis(self, case):
+        """Sign coordinates, inequality rows, rays or an objective cut."""
+        if case == "example1 0.0":
+            cone = _example1_cone(120, 0.0)
+        elif case == "many 0.1":
+            cone = critical_cone(multiplier_set(*many_multiplier_spec(0)), 0.1)
+        elif case == "wedge":
+            cone = _wedge([0.0, 0.0, 1.0], 0.0)
+        elif case == "ray":
+            cone = random_ray_cone(3)
+        else:
+            cone = CriticalCone(np.ones(3), SignPatternCone(np.zeros(3)), (), (), (),
+                                np.array([1.0, 0.0, 0.0]), 0.5)
+        assert cone.subspace_basis is None
+
+
+def _section_batch_per_block(cone: CriticalCone, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """``_random_section_batch`` with every product taken per block of
+    ``_BLOCK_ENTRIES`` weights, as it was before super-blocks."""
+    G, w, eta = cone.generators, cone.weights, cone.eta
+    wf = w * cone.objective_gradient
+    face = np.abs(G @ wf) <= 1e-9 * (1.0 + float(np.sum(np.abs(wf))))
+    G0, G1 = G[face], G[~face]
+
+    def unit(M):
+        norms = np.sqrt(np.maximum((M * M) @ w, 0.0))
+        return np.divide(M, norms[:, None], out=np.zeros_like(M), where=norms[:, None] > 0.0)
+
+    H = np.empty((count, cone.dim))
+    rows = max(1, cones._BLOCK_ENTRIES // len(G))
+    for start in range(0, count, rows):
+        block = H[start:start + rows]
+        r = len(block)
+        C = unit(rng.standard_exponential((r, len(G0))) @ G0)
+        D = unit(rng.standard_exponential((r, len(G1))) @ G1)
+        s = rng.random(r) * cones._cut_reach((C * D) @ w, D @ wf, eta)
+        block[:] = D * s[:, None] + (1.0 - s)[:, None] * C
+    norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
+    keep = (norms > 1e-12) & cone._cuts_hold(H, 1e-7)
+    return H[keep] / norms[keep, None]
+
+
+class TestSuperBlocks:
+    @pytest.mark.parametrize("seed, count", [(0, 1500), (1, 4000), (1, 17)])
+    def test_benchmark_shaped_sections_match_the_per_block_draws(self, seed, count):
+        """131 and 79 rows per block on the two eta = 0.1 cones: the counts
+        end inside a super-block, or inside its first block."""
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(seed)), 0.1)
+        new = _random_section_batch(cone, count, np.random.default_rng(7))
+        old = _section_batch_per_block(cone, count, np.random.default_rng(7))
+        assert new.shape == old.shape == (count, 24)
+        assert np.allclose(new, old, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("entries", [1, 4, 6])
+    @pytest.mark.parametrize("eta", [0.01, 0.8])
+    def test_small_blocks_match_the_per_block_draws(self, monkeypatch, entries, eta):
+        """The wedge's two generators in blocks of 1-3 rows, 300 draws: many
+        super-blocks, the last one partial."""
+        monkeypatch.setattr(cones, "_BLOCK_ENTRIES", entries)
+        cone = _wedge([1.0, 0.0, 0.0], eta)
+        new = _random_section_batch(cone, 300, np.random.default_rng(4))
+        old = _section_batch_per_block(cone, 300, np.random.default_rng(4))
+        assert new.shape == old.shape and len(new) > 250
+        assert np.allclose(new, old, rtol=0.0, atol=1e-12)
+
+    def test_the_stream_ends_where_the_blocks_end(self):
+        """The super-blocks draw the blocks' weights in their order and
+        sizes, so the stream is left where the per-block draws leave it."""
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(0)), 0.1)
+        new, old = np.random.default_rng(7), np.random.default_rng(7)
+        _random_section_batch(cone, 1500, new)
+        _section_batch_per_block(cone, 1500, old)
+        assert np.array_equal(new.random(8), old.random(8))

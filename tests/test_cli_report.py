@@ -132,6 +132,8 @@ class TestProblemFile:
     @pytest.mark.parametrize("triplet, message", [
         ([0, 0], "triplet must be"),
         ([True, 0, 1.0], "indices must be integers"),
+        ([0, 1.0, 1.0], "indices must be integers"),
+        ([0, -1, 1.0], "indices must be integers"),
         ([0, 2, 1.0], "indices must be integers"),
         ([0, 0, True], "expected a number, got bool"),
         ([0, 0, "1.0"], "expected a number, got str"),
@@ -511,11 +513,13 @@ class TestCLI:
         assert code == exit_code
 
     @pytest.mark.parametrize("argv, name", [
-        (["check-snc"], "snc_sup"), (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], "ssc")])
+        (["check-snc"], "snc_sup"), (["check-ssc", "--eta", "0.1", "--alpha", "0.5"], "ssc"),
+        (["check-cq", "--strict"], "strict_cq")])
     def test_unbounded_multiplier_set_is_a_fail_record(self, capsys, tmp_path, argv, name):
         """f = x1 + |x|^2 / 2, -x1 <= 0 and x1 + x2^2 / 2 <= 0 on a free box
         at 0: the multipliers mu1 = 1 + mu2 >= 1 form a ray (no CQ holds), so
-        q is undefined and the second-order record fails with its reason."""
+        q is undefined and there is no vertex to test the strict CQ at: the
+        record fails with its reason."""
         problem = tmp_path / "unbounded.json"
         problem.write_text(json.dumps({
             "dimension": 2, "box": {"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]},
@@ -534,6 +538,25 @@ class TestCLI:
                                                                (name, "fail")]
         assert checks[-1]["numbers"] == {"reason": "unbounded multiplier set"}
         assert code == 1
+
+    @pytest.mark.parametrize("linear, exit_code, checks", [
+        ([0.0, 0.0], 0, [("strict_cq[vertex 0]", "holds", {"mu": [], "achieved_cone": ""})]),
+        ([1.0, 0.0], 1, [("strict_cq", "fail", {"reason": "empty multiplier set"})])])
+    def test_strict_cq_without_constraints(self, capsys, tmp_path, linear, exit_code, checks):
+        """f = l.x + |x|^2 / 2 on a free box at 0, no constraints: the
+        multiplier set is {()}, one vertex, where l = 0, and empty
+        otherwise."""
+        problem = tmp_path / "free.json"
+        problem.write_text(json.dumps({
+            "dimension": 2, "box": {"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]},
+            "objective": {"linear": linear, "quadratic": [[0, 0, 1.0], [1, 1, 1.0]]}}))
+        point = tmp_path / "origin.json"
+        point.write_text('{"point": [0.0, 0.0]}')
+        code = main(["check-cq", str(problem), "--at", str(point), "--strict", "--format",
+                     "json"])
+        got = json.loads(capsys.readouterr().out)["checks"][1:]
+        assert [(c["name"], c["verdict"], c["numbers"]) for c in got] == checks
+        assert code == exit_code
 
     @pytest.mark.parametrize("argv", [["check-foc"], ["check-cq", "--strict"], ["multipliers"]])
     def test_hull_point_off_the_base_exits_two(self, capsys, tmp_path, argv):
