@@ -7,7 +7,8 @@ two tangent patterns every cone here starts from: the box's
 equalities, <=0 on active inequalities, free on inactive ones).  Critical
 cones add linear cuts from the constraint derivatives and the objective.
 Each cut r is tested by one formula, at tol (1 + max|h|) (1 + max|r|)
-(``CriticalCone._cuts_hold``), in membership and in every sampler.
+(``CriticalCone._cuts_hold``), in membership and in every sampler whose
+draws can fail it.
 Every box cone is read off the point object and never folded afterwards.
 At a KKT point a box's critical cone (eta = 0) is the annihilator section
 of one relative-interior multiplier (``MultiplierSet.annihilator``), so its
@@ -145,6 +146,11 @@ def _rank(sv: np.ndarray, shape: tuple[int, int]) -> int:
     return int(np.sum(sv > sv[0] * max(shape) * np.finfo(float).eps)) if len(sv) else 0
 
 
+# Half the smallest threshold of the draws' cut test, 1e-7 (1 + max|r|); the
+# rows of the two many-multiplier benchmark cones reach 4.9e-10 and 1.2e-9 of it.
+_BASIS_CUT_FACTOR = 0.5e-7
+
+
 @dataclass(frozen=True)
 class CriticalCone:
     """Tangent directions kept first-order feasible with the objective cut.
@@ -193,7 +199,10 @@ class CriticalCone:
         strictly complementary KKT point).  None for every other cone.  With
         s = sqrt(w), the rows are N / s for an orthonormal basis N of the
         null space of the rows R * s on the free coordinates (a full SVD),
-        and exactly 0 on the =0 coordinates."""
+        and exactly 0 on the =0 coordinates.  A unit draw's |<r, h>_w| is at
+        most the 2-norm of the <r, b_i>_w over the basis rows b_i; a basis
+        is kept only when that is within ``_BASIS_CUT_FACTOR`` (1 + max|r|)
+        for every row r, so its draws pass ``_cuts_hold`` untested."""
         pattern = self.base_pattern
         if (pattern is None or len(self.ineq_rows) or self.objective_gradient is not None
                 or (pattern._nonneg | pattern._nonpos).any()):
@@ -204,6 +213,9 @@ class CriticalCone:
         _, sv, Vt = np.linalg.svd(M, full_matrices=True)
         basis = np.zeros((free.sum() - _rank(sv, M.shape), self.dim))
         basis[:, free] = Vt[len(Vt) - len(basis):] / s[free]
+        A, bounds, _ = self._cuts
+        if np.any(np.sqrt(np.sum((basis @ A.T) ** 2, axis=0)) > _BASIS_CUT_FACTOR * bounds):
+            return None
         return basis
 
     @cached_property
@@ -537,12 +549,12 @@ def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     count x n array and the rows still moving.
 
     A subspace cone (``subspace_basis``, d-dimensional) draws d normals per
-    row instead and maps them through its basis, with no sweep: the unit
-    rows are uniform on the cone's unit sphere in the weighted norm.  With
-    unit weights that is the law of the sweep's draws, one orthogonal
-    projection of a gaussian onto the subspace; with other weights the
-    sweep's weighted projection of a Euclidean gaussian is not isotropic in
-    the weighted norm, and this draw is."""
+    row instead and maps them through its basis, with no sweep and no cut
+    test: the unit rows are uniform on the cone's unit sphere in the
+    weighted norm.  With unit weights that is the law of the sweep's draws,
+    one orthogonal projection of a gaussian onto the subspace; with other
+    weights the sweep's weighted projection of a Euclidean gaussian is not
+    isotropic in the weighted norm, and this draw is."""
 
     assert cone.base_pattern is not None
     w, basis = cone.weights, cone.subspace_basis
@@ -557,7 +569,9 @@ def _random_pattern_batch(cone: CriticalCone, count: int, rng: np.random.Generat
     norms = np.sqrt(np.maximum((H * H) @ w, 0.0))
     keep = norms > 1e-12
     np.divide(H, norms[:, None], out=H, where=keep[:, None])
-    return H[keep & cone._cuts_hold(H, 1e-7)]
+    if basis is None:  # a basis's unit draws pass the cuts (``subspace_basis``)
+        keep &= cone._cuts_hold(H, 1e-7)
+    return H[keep]
 
 
 def _cut_reach(k: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:

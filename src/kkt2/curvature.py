@@ -486,8 +486,7 @@ class GrowthSampleResult:
     worst_margin: float
     counterexample: Optional[np.ndarray]
     note: str = ""
-    # Candidate points drawn: box tries, or the count asked of the problem's
-    # own feasible sampler.
+    # Candidate points drawn: box tries, or the hull sampler's draws.
     tries: int = 0
 
 
@@ -508,6 +507,16 @@ def _distances(w: np.ndarray, S: np.ndarray, x: np.ndarray) -> np.ndarray:
     one."""
     D = S - x
     return np.sqrt(np.sum(w * D * D, axis=1))
+
+
+def _feasible_in_ball(p: ProblemSpec, C: np.ndarray, x: np.ndarray, eps: float,
+                      tol: Tolerances) -> np.ndarray:
+    """Row mask: |g_i| (i < m1), g_i (i >= m1) within ``tol.residual``, and in the eps-ball."""
+    ok = _distances(p.weights, C, x) <= eps * (1.0 + 1e-9)
+    for i, g in enumerate(p.constraints):
+        gval = g.values(C)
+        ok &= (np.abs(gval) if i < p.m1 else gval) <= tol.residual
+    return ok
 
 
 def _correct_equalities(p: ProblemSpec, box: BoxSet, C: np.ndarray, grads: np.ndarray) -> None:
@@ -584,10 +593,7 @@ def _box_feasible_samples(
         if m1:
             _correct_equalities(p, box, C, grads)
         ok = np.all((C >= box.lower - tol.activity) & (C <= box.upper + tol.activity), axis=1)
-        for i, g in enumerate(p.constraints):
-            gval = g.values(C)
-            ok &= (np.abs(gval) if i < m1 else gval) <= tol.residual
-        ok &= _distances(w, C, x) <= eps * (1.0 + 1e-9)
+        ok &= _feasible_in_ball(p, C, x, eps, tol)
         kept = np.flatnonzero(drawn)[ok][:count - accepted]  # their tries in the block
         samples[accepted:accepted + len(kept)] = C[ok][:len(kept)]
         accepted += len(kept)
@@ -596,6 +602,49 @@ def _box_feasible_samples(
         else:
             tries += k
     return samples[:accepted], tries
+
+
+def _section_points(p: ProblemSpec, points: np.ndarray) -> np.ndarray:
+    """Points whose hull is the section of conv(points) by the equalities
+    g_i = 0 (i < m1) when they are affine: per equality, the points with
+    g_i == 0, then the crossing (g(b) a - g(a) b) / (g(b) - g(a)) of each
+    positive point a with each negative point b, positive-major.  A polytope's
+    section by a hyperplane is the hull of its vertices on it and of its
+    edges' crossings (Ziegler, Lectures on Polytopes, 1995)."""
+    for g in p.constraints[:p.m1]:
+        gval = g.values(points)
+        pos, neg = gval > 0.0, gval < 0.0
+        ga, gb = gval[pos, None, None], gval[neg, None]
+        crossings = (gb * points[pos][:, None] - ga * points[neg]) / (gb - ga)
+        points = np.vstack([points[gval == 0.0], crossings.reshape(-1, p.dim)])
+    return points
+
+
+def _hull_feasible_samples(p: ProblemSpec, x: np.ndarray, eps: float, count: int,
+                           rng: np.random.Generator, tol: Tolerances) -> tuple[np.ndarray, int]:
+    """The kept ones of ``count`` tries, and the tries: Dirichlet(1, ..., 1)
+    combinations of the ``_section_points`` of the set's ``hull_points``, a
+    try outside the eps-ball moved radially towards x to a uniform fraction
+    of eps.  A block of about ``_BLOCK_ENTRIES`` weights draws them with one
+    ``rng.standard_exponential`` call, then one radius per row (unused inside
+    the ball).  A try is kept on ``_feasible_in_ball``: affine equalities hold
+    up to rounding; inequalities and other equalities can reject.  Without
+    hull points, or section points, there are no tries."""
+    V = _section_points(p, p.abstract_set.hull_points)
+    if not len(V):
+        return V, 0
+    C = np.empty((count, p.dim))
+    rows = max(1, _BLOCK_ENTRIES // len(V))
+    for start in range(0, count, rows):
+        X = C[start:start + rows]
+        W = rng.standard_exponential((len(X), len(V)))
+        W /= W.sum(axis=1, keepdims=True)
+        np.matmul(W, V, out=X)
+        radius = rng.random(len(X))
+        nrm = _distances(p.weights, X, x)
+        far = nrm > eps
+        X[far] = x + (X[far] - x) * (eps * radius[far] / nrm[far])[:, None]
+    return C[_feasible_in_ball(p, C, x, eps, tol)], count
 
 
 def sample_growth(
@@ -613,8 +662,8 @@ def sample_growth(
     Sampling consistency, not a proof: a 'consistent' outcome means no
     sampled violation.  Box problems project perturbations onto the box and
     Newton-correct the equalities (``_box_feasible_samples``); generated-cone
-    problems use the problem's feasible sampler when provided, which returns
-    its samples as one (count, n) array.  The margins are computed in row
+    problems combine the points of their hull's section by the equalities
+    (``_hull_feasible_samples``).  The margins are computed in row
     blocks through ``SmoothFunction.values``; the worst one is the first
     minimum over the samples in their order, and the counterexample its
     sample when it is below ``-tol.growth_slack``."""
@@ -627,12 +676,9 @@ def sample_growth(
         raise UsageError("the growth check needs at least one sample")
     v = as_entries(x, p.dim)
     rng = np.random.default_rng(seed)
-    if p.feasible_sampler is not None:
-        samples, tries = p.feasible_sampler(rng, v, eps, n_samples), n_samples
-    elif isinstance(p.abstract_set, BoxSet):
-        samples, tries = _box_feasible_samples(p, v, eps, n_samples, rng, tol)
-    else:
-        samples, tries = np.empty((0, p.dim)), 0
+    sampler = _box_feasible_samples if isinstance(p.abstract_set, BoxSet) \
+        else _hull_feasible_samples
+    samples, tries = sampler(p, v, eps, n_samples, rng, tol)
     if not len(samples):
         return GrowthSampleResult(True, 0, math.inf, None, note="no feasible samples found",
                                   tries=tries)

@@ -138,47 +138,6 @@ class Example2Problem:
     xbar: np.ndarray
 
 
-# Weights per row block of the section sampler: at trunc 8 a block is 252
-# rows of 65 weights; past trunc 127 it is one row.
-_SAMPLER_BLOCK_ENTRIES = 16384
-
-
-def _section_sampler(trunc: int):
-    """Feasible samples for the growth check: random convex combinations of
-    the origin and the plane-section points R_{k,n}, rescaled into the ball.
-    Every sample lies in the hull and satisfies x1 = 0 exactly.
-
-    The combination weights are Dirichlet(1, ..., 1) over the origin and
-    the R_{k,n} (k outer, n inner); a combination outside the eps-ball is
-    scaled radially to a uniform fraction of eps.  Samples are drawn in
-    row blocks of max(1, 16384 // (1 + trunc^2)) rows, one array of shape
-    (count, 3) in all.  A block first draws all its weights, row by row, with
-    one ``rng.standard_exponential((rows, 1 + trunc^2))`` call, then one
-    radius per row with ``rng.random(rows)``; a row inside the ball leaves
-    its radius unused."""
-
-    x2, x3 = _section_coordinates(np.arange(1, trunc + 1)[:, None], np.arange(1, trunc + 1))
-    V = np.zeros((1 + trunc * trunc, 3))
-    V[1:, 1], V[1:, 2] = x2.ravel(), x3.ravel()
-    rows = max(1, _SAMPLER_BLOCK_ENTRIES // len(V))
-
-    def sampler(rng: np.random.Generator, center: np.ndarray, eps: float, count: int):
-        out = np.empty((count, 3))
-        for start in range(0, count, rows):
-            X = out[start:start + rows]
-            W = rng.standard_exponential((len(X), len(V)))
-            W /= W.sum(axis=1, keepdims=True)
-            np.matmul(W, V, out=X)
-            radius = rng.random(len(X))
-            D = X - center
-            nrm = np.sqrt(np.sum(D * D, axis=1))
-            far = nrm > eps
-            X[far] = center + D[far] * (eps * radius[far] / nrm[far])[:, None]
-        return out
-
-    return sampler
-
-
 def build_example2(trunc: int) -> Example2Problem:
     """Problem over the truncated hull with m1 = 1 (the single constraint is
     the equality x1 = 0)."""
@@ -202,7 +161,6 @@ def build_example2(trunc: int) -> Example2Problem:
         abstract_set=geometry.cone_set(),
         weights=weights,
         name=f"example2(trunc={trunc})",
-        feasible_sampler=_section_sampler(trunc),
     )
     return Example2Problem(problem=problem, geometry=geometry, xbar=np.zeros(3))
 

@@ -55,7 +55,8 @@ def _jsonable(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        # a numeric array's tolist() is already Python bools, ints and floats
+        return obj.tolist() if obj.dtype.kind in "biuf" else [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

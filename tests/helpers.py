@@ -19,10 +19,11 @@ import numpy as np
 from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
 from kkt2.config import SearchBudget, Tolerances
 from kkt2.curvature import _candidate, _subgradient
+from kkt2.examples.example1 import MATRIX_A1, MATRIX_A2
 from kkt2.examples.example2 import DELTA, GAMMA
 from kkt2 import linalg
 from kkt2.errors import PolytopeTooLarge
-from kkt2.linalg import PolytopeH, _unit_rows, weighted_norm
+from kkt2.linalg import PolytopeH, _unit_rows, row_dots, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 from kkt2.problem_file import parse_problem
 
@@ -424,10 +425,10 @@ def point_r_scalar(k: int, n: int) -> np.ndarray:
 
 
 def section_sampler_per_sample(trunc: int):
-    """Example2's growth sampler one sample at a time: the reference of
-    ``example2._section_sampler``, with the same distribution but the draws
-    in another order (each sample's weights, then its radius if it needs
-    one)."""
+    """The hull sampler on example2 one sample at a time: the reference of
+    ``curvature._hull_feasible_samples`` over the section points O and
+    R_{k,n}, with the same distribution but the draws in another order (each
+    sample's weights, then its radius if it needs one)."""
 
     verts = [np.zeros(3)] + [
         point_r_scalar(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)
@@ -556,3 +557,23 @@ def double_description_per_pair(dim: int, eq, ineq, tol: float) -> tuple[np.ndar
             L[:, support[0]] = 0.0
             R[np.abs(R @ a) <= tol, support[0]] = 0.0
     return L, R
+
+
+def verify_matrix_property(n_samples: int = 10_000, seed: int = 0, grid_step: float = 1e-3
+                           ) -> tuple[bool, float, np.ndarray]:
+    """Example1's matrices: max(x.A1.x, x.A2.x) >= 0.5 ||x||^2 on the
+    nonnegative quadrant (angular grid plus seeded random samples), while every convex
+    combination B_l = l A1 + (1-l) A2, l = 0, 0.05, ..., 1, has a negative
+    diagonal entry.
+
+    Returns (ok, worst margin, rows (l, smallest diagonal entry of B_l))."""
+
+    angles = np.arange(0.0, np.pi / 2.0 + grid_step, grid_step)
+    xs = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1),
+                    np.abs(np.random.default_rng(seed).standard_normal((n_samples, 2)))])
+    q1, q2 = row_dots(xs @ MATRIX_A1, xs), row_dots(xs @ MATRIX_A2, xs)
+    worst = float(np.min(np.maximum(q1, q2) - 0.5 * row_dots(xs, xs)))
+    lam = np.linspace(0.0, 1.0, 21)[:, None, None]
+    B = lam * MATRIX_A1 + (1.0 - lam) * MATRIX_A2
+    combos = np.column_stack([lam.ravel(), np.minimum(B[:, 0, 0], B[:, 1, 1])])
+    return worst >= -1e-9 and bool(np.all(combos[:, 1] < 0.0)), worst, combos

@@ -20,7 +20,6 @@ from kkt2.curvature import (
 )
 from kkt2.cones import SignPatternCone
 from kkt2.examples import build_example1, build_example2, run_example2_certification
-from kkt2.examples.example1 import verify_matrix_property
 from kkt2.examples.example2 import verify_halfspace_representation, verify_section_membership
 from kkt2.kkt import check_rzkcq, check_strict_cq, multiplier_set
 from kkt2.linalg import LinearProgram, enumerate_vertices, solve_lp
@@ -28,7 +27,7 @@ from kkt2.model import BoxSet, validate_derivatives
 from kkt2.report import replay
 
 from helpers import (constraint_quads, highs_max, random_bounded_polytope,
-                     random_stationary_problem)
+                     random_stationary_problem, verify_matrix_property)
 
 
 def report_line(criterion: str, detail: str):

@@ -533,6 +533,37 @@ class TestSubspaceDraws:
         assert point.subspace_basis.shape == (0, 2)
         assert random_directions(point, 100, np.random.default_rng(0)).shape == (0, 2)
 
+    def test_basis_draws_skip_the_cut_test(self, monkeypatch):
+        """Every unit draw of a basis passes the cuts, so only the landing
+        sweep's rows are tested; the draws stay members at 1e-7."""
+        tested = []
+        cuts_hold = CriticalCone._cuts_hold
+
+        def spy(cone, H, tol):
+            tested.append(len(H))
+            return cuts_hold(cone, H, tol)
+
+        monkeypatch.setattr(CriticalCone, "_cuts_hold", spy)
+        subspaces = [critical_cone(multiplier_set(*many_multiplier_spec(seed)), 0.0)
+                     for seed in range(4)]
+        draws = [_random_pattern_batch(cone, 2000, np.random.default_rng(seed))
+                 for seed, cone in enumerate(subspaces)]
+        assert tested == []
+        _random_pattern_batch(_example1_cone(120, 0.1), 64, np.random.default_rng(0))
+        assert tested == [64]
+        monkeypatch.undo()
+        for cone, H in zip(subspaces, draws):
+            assert len(H) == 2000 and cone.contains_rows(H, 1e-7).all()
+
+    def test_a_basis_off_the_bound_is_not_used(self, monkeypatch):
+        """With the bound's factor at 0 the rows' rounding misses it: no
+        basis, and the cone lands its draws with the sweep, as members."""
+        monkeypatch.setattr(cones, "_BASIS_CUT_FACTOR", 0.0)
+        cone = critical_cone(multiplier_set(*many_multiplier_spec(0)), 0.0)
+        assert cone.subspace_basis is None
+        draws = random_directions(cone, 500, np.random.default_rng(2))
+        assert len(draws) == 500 and cone.contains_rows(draws, 1e-9).all()
+
     @pytest.mark.parametrize("case", ["example1 0.0", "many 0.1", "wedge", "ray", "cut"])
     def test_other_cones_have_no_basis(self, case):
         """Sign coordinates, inequality rows, rays or an objective cut."""

@@ -22,7 +22,7 @@ from kkt2.examples import build_example1, run_example2_certification
 from kkt2.examples.example2 import point_r
 from kkt2.kkt import multiplier_set
 from kkt2.problem_file import parse_problem
-from kkt2.report import new_report, replay
+from kkt2.report import _jsonable, new_report, replay
 
 from helpers import many_multiplier_problem, random_stationary_problem
 
@@ -608,7 +608,28 @@ class TestCLI:
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
+def _jsonable_per_element(obj):
+    """``report._jsonable`` as it converted arrays before: element by
+    element through ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, list):
+        return [_jsonable_per_element(v) for v in obj]
+    return _jsonable(obj)
+
+
 class TestReport:
+    @pytest.mark.parametrize("array", [
+        np.array(2.5), np.array([0.1, -np.inf, np.nan, 1e300]),
+        np.random.default_rng(4).standard_normal((3, 4)),
+        np.array([0.1, 3.0], dtype=np.float32), np.array(-7), np.arange(-3, 9).reshape(3, 4),
+        np.array([1, 255], dtype=np.uint8), np.array(True), np.array([True, False]),
+        np.eye(3, dtype=bool)], ids=lambda a: f"{a.dtype}-{a.ndim}d")
+    def test_numeric_arrays_convert_as_element_by_element(self, array):
+        got, want = _jsonable(array), _jsonable_per_element(array)
+        assert json.dumps(got) == json.dumps(want)
+        assert repr(got) == repr(want)
+
     def test_json_deterministic_up_to_wall_time(self, capsys):
         outs = []
         for _ in range(2):

@@ -18,6 +18,8 @@ from kkt2.curvature import (
     _battery_values,
     _box_feasible_samples,
     _growth_rows,
+    _hull_feasible_samples,
+    _section_points,
     check_snc,
     check_snc_fixed_multiplier,
     check_ssc,
@@ -29,7 +31,7 @@ from kkt2.errors import UsageError
 from kkt2.examples import DELTA, build_example1, build_example2
 from kkt2.kkt import multiplier_set
 from kkt2.linalg import PolytopeH, weighted_norm
-from kkt2.model import BoxSet, ProblemSpec, quadratic
+from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
 from helpers import (box_samples_per_try, constraint_quads, descend_per_rung,
                      growth_margins_per_sample, highs_max, many_multiplier_spec,
@@ -367,6 +369,90 @@ class TestBoxSampler:
         assert with_equalities >= 10
 
 
+def _hull_problem(points, eq_rows=(), ineq_rows=(), weights=None, center=None,
+                  eq_matrix=None):
+    """Minimize ||x||^2 over conv(points) with the affine equalities
+    <a, x - center> = 0 (``eq_matrix`` adds 0.5 x.M.x to the first) and the
+    inequalities <a, x - center> <= 0, the set given by its hull points
+    alone."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[1]
+    center = np.zeros(n) if center is None else center
+    w = np.ones(n) if weights is None else weights
+    zero = np.zeros((n, n))
+    cons = [quadratic(-float(a @ center), a, eq_matrix if i == 0 and eq_matrix is not None
+                      else zero, w) for i, a in enumerate(np.asarray(eq_rows, float))]
+    cons += [quadratic(-float(a @ center), a, zero, w) for a in np.asarray(ineq_rows, float)]
+    return ProblemSpec(quadratic(0.0, np.zeros(n), 2.0 * np.eye(n), w), tuple(cons),
+                       len(eq_rows), GeneratedConeSet(center, (), hull_points=points), w)
+
+
+def _random_hulls(equalities: int):
+    """(problem, center): seeded random polytopes in R^2..R^4 with
+    ``equalities`` affine equalities through a random interior point, and
+    random weights."""
+    rng = np.random.default_rng(31 + equalities)
+    for k in range(12):
+        n = 2 + k % 3
+        if n <= equalities:
+            continue
+        points = rng.standard_normal((n + 2 + k % 4, n))
+        center = rng.dirichlet(np.ones(len(points))) @ points
+        weights = rng.uniform(0.5, 2.0, n)
+        yield _hull_problem(points, rng.standard_normal((equalities, n)), (), weights,
+                            center), center
+
+
+class TestHullSampler:
+    """Growth samples on a hull: Dirichlet combinations of the points of the
+    hull's section by the equalities, kept on the box path's test."""
+
+    @pytest.mark.parametrize("equalities", [0, 1, 2])
+    def test_random_polytope_samples_are_feasible(self, equalities):
+        checked = 0
+        for p, x in _random_hulls(equalities):
+            eps = 0.3
+            samples, tries = _hull_feasible_samples(p, x, eps, 200, np.random.default_rng(3),
+                                                    DEFAULT_TOLERANCES)
+            assert tries == 200 and len(samples) == 200
+            for s in samples:
+                assert all(abs(g.value(s)) <= DEFAULT_TOLERANCES.residual
+                           for g in p.constraints)
+                assert weighted_norm(p.weights, s - x) <= eps * (1.0 + 1e-9)
+                assert p.abstract_set.contains(s)
+            checked += 1
+        assert checked >= 8
+
+    def test_without_equalities_the_points_are_the_hull_points(self):
+        p, _ = next(_random_hulls(0))
+        assert np.array_equal(_section_points(p, p.abstract_set.hull_points),
+                              p.abstract_set.hull_points)
+
+    def test_an_inequality_rejects_some_tries(self):
+        points = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        p = _hull_problem(points, [[1.0, 0.0]], [[0.0, 1.0]])
+        res = sample_growth(p, np.zeros(2), alpha=0.1, eps=0.5, n_samples=400)
+        assert res.tries == 400 > res.samples_accepted > 0
+        assert res.consistent
+
+    def test_a_non_affine_equality_rejects_its_crossings(self):
+        """g = x0 + x0^2 / 2 crosses the square's edges at x0 = -1/2, where
+        g = -3/8: every try lies there, and none is kept."""
+        points = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        p = _hull_problem(points, [[1.0, 0.0]], eq_matrix=np.diag([1.0, 0.0]))
+        assert np.all(_section_points(p, points)[:, 0] == -0.5)
+        res = sample_growth(p, np.zeros(2), alpha=0.1, eps=10.0, n_samples=50)
+        assert (res.samples_accepted, res.tries) == (0, 50)
+        assert res.note == "no feasible samples found"
+
+    def test_a_set_without_hull_points_gets_no_samples(self):
+        p = ProblemSpec(quadratic(0.0, np.zeros(2), np.eye(2)), (), 0,
+                        GeneratedConeSet(np.zeros(2), np.eye(2)), np.ones(2))
+        res = sample_growth(p, np.zeros(2), alpha=0.1, eps=0.1, n_samples=10)
+        assert (res.samples_accepted, res.tries) == (0, 0)
+        assert res.note == "no feasible samples found"
+
+
 def _isolated_origin_problem():
     """Two equalities in one variable that only the origin satisfies."""
     g_a = quadratic(0.0, np.array([1.0]), np.zeros((1, 1)))
@@ -457,13 +543,14 @@ class TestSamplerMatchesPerTry:
     @pytest.mark.parametrize("builder", [lambda: build_example1(12), lambda: build_example2(8)])
     def test_margins_match_per_sample(self, builder):
         """The block margins against one sample at a time, on the box path
-        and on the problem's own feasible sampler."""
+        and on the hull sampler."""
         ex = builder()
         alpha = 0.5
         res = sample_growth(ex.problem, ex.xbar, alpha=alpha, eps=0.05, n_samples=300)
         rng = np.random.default_rng(DEFAULT_BUDGET.seed)
-        if ex.problem.feasible_sampler is not None:
-            samples = ex.problem.feasible_sampler(rng, ex.xbar, 0.05, 300)
+        if not isinstance(ex.problem.abstract_set, BoxSet):
+            samples, _ = _hull_feasible_samples(ex.problem, ex.xbar, 0.05, 300, rng,
+                                                DEFAULT_TOLERANCES)
         else:
             samples, _ = box_samples_per_try(ex.problem, ex.xbar, 0.05, 300, rng,
                                              DEFAULT_TOLERANCES)

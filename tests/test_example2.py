@@ -8,11 +8,10 @@ import pytest
 
 from kkt2 import stages
 from kkt2.config import DEFAULT_SEED, DEFAULT_TOLERANCES, SearchBudget
-from kkt2.curvature import q_of_h
+from kkt2.curvature import _hull_feasible_samples, _section_points, q_of_h
 from kkt2.errors import UsageError
 from kkt2.examples import DELTA, GAMMA, build_example2, point_p, point_q, point_r
 from kkt2.examples import example2
-from kkt2.examples.example1 import verify_matrix_property
 from kkt2.examples.example2 import (
     _section_coordinates,
     verify_halfspace_representation,
@@ -28,6 +27,7 @@ from helpers import (
     point_r_scalar,
     section_membership_per_point,
     section_sampler_per_sample,
+    verify_matrix_property,
 )
 
 
@@ -215,15 +215,29 @@ class TestFormulaChecksMatchPerPoint:
 
 
 class TestSectionSampler:
-    """example2's growth sampler, drawn in row blocks, against the per-sample
-    reference: feasibility sample by sample, and the same distribution."""
+    """The hull sampler on example2, drawn in row blocks, against the
+    per-sample reference: feasibility sample by sample, and the same
+    distribution."""
 
     COUNT, EPS = 20_000, 0.05
+
+    @pytest.mark.parametrize("trunc", [2, 8, 40])
+    def test_section_points_are_the_origin_and_r(self, trunc):
+        """The hull points O, P_1..P_N, Q_1..Q_N cut by x1 = 0: O, then the
+        crossing of each P_k with each Q_n, which is R_{k,n} (k outer, n
+        inner), with x1 exactly 0."""
+        ex = build_example2(trunc)
+        V = _section_points(ex.problem, ex.problem.abstract_set.hull_points)
+        R = [point_r(k, n) for k in range(1, trunc + 1) for n in range(1, trunc + 1)]
+        assert np.all(V[:, 0] == 0.0)
+        np.testing.assert_allclose(V, [np.zeros(3), *R], rtol=0, atol=3e-16)
 
     @pytest.mark.parametrize("trunc", [8, 40])
     def test_samples_feasible_and_distributed_as_per_sample(self, trunc):
         ex = build_example2(trunc)
-        S = ex.problem.feasible_sampler(np.random.default_rng(5), ex.xbar, self.EPS, self.COUNT)
+        S, tries = _hull_feasible_samples(ex.problem, ex.xbar, self.EPS, self.COUNT,
+                                          np.random.default_rng(5), DEFAULT_TOLERANCES)
+        assert tries == self.COUNT
         assert isinstance(S, np.ndarray) and S.shape == (self.COUNT, 3) and S.dtype == float
         assert np.all(S[:, 0] == 0.0)
         norms = np.linalg.norm(S - ex.xbar, axis=1)
@@ -241,7 +255,8 @@ class TestSectionSampler:
         """A block draws its weights, then one radius per row: the first
         sample is the first weight row, normalized, times the vertices."""
         ex = build_example2(3)
-        S = ex.problem.feasible_sampler(np.random.default_rng(9), ex.xbar, 10.0, 4)
+        S, _ = _hull_feasible_samples(ex.problem, ex.xbar, 10.0, 4, np.random.default_rng(9),
+                                      DEFAULT_TOLERANCES)
         rng = np.random.default_rng(9)
         W = rng.standard_exponential((4, 10))
         V = np.array([np.zeros(3)] + [point_r(k, n) for k in range(1, 4) for n in range(1, 4)])
