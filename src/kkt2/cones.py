@@ -478,13 +478,6 @@ def _land(cone: CriticalCone, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V, (np.abs(V).max(axis=1, initial=0.0) > 1e-12) & cone.contains_rows(V, 1e-7)
 
 
-def into_cone(cone: CriticalCone, h: np.ndarray) -> Optional[np.ndarray]:
-    """The one-row case of ``_land``: h landed in a pattern cone, None if it
-    fails."""
-    V, ok = _land(cone, np.asarray(h, dtype=float)[None])
-    return V[0] if ok[0] else None
-
-
 _SIGNS = {FREE: (1.0, -1.0), NONNEG: (1.0,), NONPOS: (-1.0,), ZERO: ()}
 
 

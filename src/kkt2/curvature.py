@@ -11,34 +11,44 @@ seeded random cone samples, and a projected subgradient refinement.  Every
 function reads f''(x), g''(x) and the multiplier vertices off the point
 object (``MultiplierSet.f_form``, ``g_forms`` and ``vertices``, built once
 per point).  The battery is one array, drawn once per cone and budget and
-cached on the cone (``_Battery``).  Its form columns, ||h||_w^2, f''(x)h^2
-and each g_i''(x)h^2, are computed in row blocks with one
-``BilinearForm.quad_rows`` call per form on the cone's first search, and
-kept with the point object that computed them as their key, so a search
-with another point object computes them again.  Every search combines them
-with its own ``mus``: f + max(S @ mus.T).  The columns add (1 + m)/n to a
-battery's memory, so ``check_ssc`` holds one battery at a time, and
-witnesses are copies of their rows.  The descent from the best battery
-direction tries the first rungs of its step-halving ladder one at a time;
-once they fail, it screens the rest of the ladder in one row block and tries
-alone only a rung that passes, so it accepts the steps of a
-one-rung-at-a-time loop.  Accepted steps and the chosen direction are
-evaluated one row at a time, as ``q_of_h`` and ``fixed_mu_value`` replay
-them.  A negative certificate (witness) is exact and replayable; a
-nonnegative verdict is a sampled certificate, labeled as such.
+cached on the cone (``_Battery``).  A search works in its cone's rows
+(``_Space``): a subspace cone (``CriticalCone.subspace_basis`` B, d rows,
+the eta = 0 cone at a strictly complementary KKT point) in the
+coordinates c of its directions h = c B, on the reduced forms K_k = B F_k
+B^T that ``_reduced_forms`` derives from each form's row evaluator once
+per cone and point object; every other cone in the directions themselves.
+The battery's form columns, ||h||_w^2, f''(x)h^2 and each g_i''(x)h^2, are
+computed in row blocks, with one ``BilinearForm.quad_rows`` call per form
+or one product with K, on the cone's first search, and kept with the
+point object that computed them as their key, so a search with another
+point object computes them again.  Every search combines them with its own
+``mus``: f + max(S @ mus.T).  The columns add (1 + m)/n to a battery's
+memory, so ``check_ssc`` holds one battery at a time, and witnesses are
+copies of their rows.  The descent from the best battery direction tries
+the first rungs of its step-halving ladder one at a time; once they fail,
+it screens the rest of the ladder in one row block and tries alone only a
+rung that passes, so it accepts the steps of a one-rung-at-a-time loop.  A
+rung lands in the cone; in coordinates every rung is a member and nothing
+lands.  Reported values have one evaluator: the chosen direction and the
+witness are directions evaluated one row at a time by ``_max_form`` (a
+coordinate step as its direction c B), as ``q_of_h`` and
+``fixed_mu_value`` replay them.  A negative certificate (witness) is exact
+and replayable; a nonnegative verdict is a sampled certificate, labeled as
+such.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_BUDGET, DEFAULT_TOLERANCES, SearchBudget, Tolerances
-from .cones import (_BLOCK_ENTRIES, CriticalCone, _land, critical_cone, into_cone,
-                    random_directions, structured_directions)
+from .cones import (_BLOCK_ENTRIES, CriticalCone, _land, critical_cone, random_directions,
+                    structured_directions)
 from .errors import EmptyMultiplierSet, UnboundedMultiplierSet, UsageError
 from .kkt import MultiplierSet
 from .linalg import weighted_norm
@@ -58,33 +68,26 @@ def _combine(columns: _Columns, mus: np.ndarray) -> np.ndarray:
     return f + (S @ mus.T).max(axis=1)
 
 
+def _max_row(base: float, s: np.ndarray, mus: np.ndarray) -> tuple[float, np.ndarray]:
+    """base + max over the rows mu of ``mus`` of mu @ s, and a maximizing
+    row, whose own sum gives the value bit for bit."""
+    if not len(s):
+        return base, mus[0]
+    best = int(np.argmax(mus @ s))
+    return base + float(mus[best] @ s), mus[best]
+
+
 def _max_form(mset: MultiplierSet, h, mus: np.ndarray) -> tuple[float, np.ndarray]:
     """f''(x)h^2 + max over the rows mu of ``mus`` of sum_i mu_i g_i''(x)h^2
     and a maximizing row, whose own form gives the value bit for bit."""
     hv = np.asarray(h, dtype=float)
-    base = mset.f_form.quad(hv)
-    if not mset.m:
-        return base, mus[0]
-    s = np.array([form.quad(hv) for form in mset.g_forms])
-    best = int(np.argmax(mus @ s))
-    return base + float(mus[best] @ s), mus[best]
+    return _max_row(mset.f_form.quad(hv), np.array([g.quad(hv) for g in mset.g_forms]), mus)
 
 
 def fixed_mu_value(mset: MultiplierSet, h, mu) -> float:
     """The Lagrangian Hessian of one multiplier at h: f''(x)h^2 + sum_i mu_i
     g_i''(x)h^2."""
     return _max_form(mset, h, np.asarray(mu, dtype=float)[None])[0]
-
-
-def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
-    """Riesz gradient of h -> L''(x, ., mu) h^2, if the forms support it."""
-    if mset.f_form.apply_rows is None or any(g.apply_rows is None for g in mset.g_forms):
-        return None
-    grad = 2.0 * mset.f_form.apply(h)
-    for mu_i, g in zip(mu, mset.g_forms):
-        if mu_i != 0.0:
-            grad += 2.0 * mu_i * g.apply(h)
-    return grad
 
 
 def _require_vertices(mset: MultiplierSet) -> np.ndarray:
@@ -130,29 +133,154 @@ def _section_size(cone: CriticalCone) -> Optional[int]:
     return len(cone.generators) if cone.has_generators else None
 
 
+def _reduced_forms(mset: MultiplierSet, basis: np.ndarray) -> np.ndarray:
+    """The forms f''(x) and g_i''(x) restricted to the span of the d rows
+    b_i of ``basis``: K_k[i, j] = F_k(b_i, b_j), stacked (1 + m, d, d).  By
+    polarization, F(b_i, b_j) = (F(u, u) - F(v, v)) / 4 with u = b_i + b_j
+    and v = b_i - b_j, so each form's row evaluator gives its K in one
+    ``quad_rows`` call on the rows u and v of the pairs i <= j, and K is
+    exactly symmetric."""
+    forms = (mset.f_form, *mset.g_forms)
+    d = len(basis)
+    K = np.zeros((len(forms), d, d))
+    i, j = np.triu_indices(d)
+    if not len(i):
+        return K
+    UV = np.concatenate([basis[i] + basis[j], basis[i] - basis[j]])
+    for k, form in enumerate(forms):
+        q = form.quad_rows(UV)
+        K[k, i, j] = K[k, j, i] = (q[:len(i)] - q[len(i):]) / 4.0
+    return K
+
+
+def _descends(mset: MultiplierSet) -> bool:
+    """Whether every form has a Riesz map, which the descent needs."""
+    return all(form.apply_rows is not None for form in (mset.f_form, *mset.g_forms))
+
+
+def _subgradient(mset: MultiplierSet, h: np.ndarray, mu: np.ndarray) -> Optional[np.ndarray]:
+    """Riesz gradient of h -> L''(x, ., mu) h^2, if the forms support it."""
+    if not _descends(mset):
+        return None
+    grad = 2.0 * mset.f_form.apply(h)
+    for mu_i, g in zip(mu, mset.g_forms):
+        if mu_i != 0.0:
+            grad += 2.0 * mu_i * g.apply(h)
+    return grad
+
+
+@dataclass(frozen=True)
+class _Space:
+    """The rows a search over ``cone`` at ``mset`` works in.
+
+    Without ``K``, the ambient space: a row is a direction h, a descent
+    rung lands in the cone (``_land``), norms are weighted, a block's
+    form values come from the forms' row evaluators and one row's from
+    ``_max_form``.  With ``K``, the reduced forms of a subspace cone
+    (``_reduced_forms`` over its ``subspace_basis`` B), a row is the
+    coordinate vector c = (h w) B^T of the direction h = c B, with ||h||_w
+    = ||c||_2 since B is weighted-orthonormal: every row is a member, so
+    nothing lands, and c's form values are c K_k c, one block in one
+    product.  Both give the same descent: a landed rung is the weighted
+    projection of the ambient rung onto the subspace, whose coordinates
+    are c - step 2 (K_0 + sum_i mu_i K_i) c; only rounding differs."""
+
+    mset: MultiplierSet
+    cone: CriticalCone
+    K: Optional[np.ndarray] = None
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Weights of the rows' norm."""
+        return self.cone.weights if self.K is None else np.ones(self.K.shape[1])
+
+    @property
+    def width(self) -> int:
+        """Entries per row of the widest temporary of ``quads``: n for a
+        form's row evaluator, (1 + m) d for the reduced forms (at least 1)."""
+        return max(1, self.cone.dim if self.K is None else self.K.shape[0] * self.K.shape[1])
+
+    @cached_property
+    def _K_rows(self) -> np.ndarray:
+        """K as one (d, (1 + m) d) matrix [K_0 ... K_m]."""
+        return self.K.transpose(1, 0, 2).reshape(self.K.shape[1], -1)
+
+    @cached_property
+    def _to_rows(self) -> np.ndarray:
+        """(w B)^T, which maps a direction h to its coordinates (h w) B^T."""
+        return (self.cone.subspace_basis * self.cone.weights).T
+
+    def rows(self, H: np.ndarray) -> np.ndarray:
+        """The rows of the directions H (members of the cone)."""
+        return H if self.K is None else H @ self._to_rows
+
+    def quads(self, X: np.ndarray) -> np.ndarray:
+        """f''(x) and each g_i''(x) on the rows of X, shape (1 + m, len(X))."""
+        if self.K is None:
+            return np.array([form.quad_rows(X) for form in (self.mset.f_form, *self.mset.g_forms)])
+        return np.einsum("rkd,rd->kr", (X @ self._K_rows).reshape(len(X), len(self.K), -1), X)
+
+    def land(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of X moved into the cone, and the mask of the nonzero
+        members (``_land``); coordinate rows are members as they are."""
+        if self.K is None:
+            return _land(self.cone, X)
+        return X, np.abs(X).max(axis=1, initial=0.0) > 1e-12
+
+    def max_form(self, x: np.ndarray, mus: np.ndarray) -> tuple[float, np.ndarray]:
+        """``_max_form`` of the row x."""
+        if self.K is None:
+            return _max_form(self.mset, x, mus)
+        q = self.quads(x[None])[:, 0]
+        return _max_row(float(q[0]), q[1:], mus)
+
+    def gradient(self, cand: "_Candidate") -> Optional[np.ndarray]:
+        """The gradient of x -> F(x, x) at cand.h, for F the form of cand.mu
+        (``_subgradient``), None unless the forms have Riesz maps."""
+        if self.K is None:
+            return _subgradient(self.mset, cand.h, cand.mu)
+        if not _descends(self.mset):
+            return None
+        P = (cand.h @ self._K_rows).reshape(len(self.K), -1)
+        return 2.0 * (P[0] + cand.mu @ P[1:])
+
+    def replay(self, cand: "_Candidate", mus: np.ndarray) -> "_Candidate":
+        """cand as a direction with its ``_max_form`` value: itself in the
+        ambient space, else its direction c B evaluated afresh."""
+        if self.K is None:
+            return cand
+        return _candidate(_Space(self.mset, self.cone), cand.h @ self.cone.subspace_basis, mus)
+
+
 @dataclass
 class _Battery:
     """A cone's candidate directions as the rows of one array, with the mask
     of the structured ones, and their form columns at one point object.
 
-    ``columns`` computes the columns (``_battery_columns``) on the first
-    search with ``mset`` and keeps them with ``mset`` itself as their key:
-    a later search with the same object only combines them with its
-    multiplier or the vertices, and a search with another point object
-    recomputes them."""
+    ``space`` computes the columns (``_battery_columns``) in the cone's
+    search space (``_Space``) on the first search with ``mset``, with a
+    subspace cone's reduced forms ``K``, and keeps them with ``mset``
+    itself as their key: a later search with the same object only combines
+    them with its multiplier or the vertices, and a search with another
+    point object recomputes them."""
 
     H: np.ndarray
     structured: np.ndarray
     mset: Optional[MultiplierSet] = None
+    K: Optional[np.ndarray] = None
     n2: Optional[np.ndarray] = None
     blocks: list[_Columns] = field(default_factory=list)
 
-    def columns(self, mset: MultiplierSet, weights: np.ndarray) -> tuple[np.ndarray, list]:
-        """(n2, blocks) of ``_battery_columns`` for ``mset``."""
+    def space(self, mset: MultiplierSet, cone: CriticalCone) -> _Space:
+        """The search space of ``cone`` at ``mset``, with the columns of the
+        battery's rows in it computed on the first call with ``mset``."""
         if self.mset is not mset:
-            self.n2, self.blocks = _battery_columns(mset, self.H, weights)
+            basis = cone.subspace_basis
+            self.K = None if basis is None else _reduced_forms(mset, basis)
+            space = _Space(mset, cone, self.K)
+            self.n2, self.blocks = _battery_columns(space, self.H, directions=True)
             self.mset = mset
-        return self.n2, self.blocks
+        return _Space(mset, cone, self.K)
 
 
 def _battery(cone: CriticalCone, budget: SearchBudget) -> _Battery:
@@ -203,68 +331,66 @@ def _ladder_length(step: float) -> int:
     return count
 
 
-def _screen(mset: MultiplierSet, cone: CriticalCone, cur: "_Candidate", grad: np.ndarray,
-            step: float, count: int, mus: np.ndarray) -> np.ndarray:
+def _screen(space: _Space, cur: "_Candidate", grad: np.ndarray, step: float, count: int,
+            mus: np.ndarray) -> np.ndarray:
     """Outcomes (``_TINY``, ``_FAIL``, ``_PASS``) of the ``count`` rungs step,
-    step / 2, ... from ``cur``, in one row block: one landing sweep
-    (``_land``), then the normalized landed rows' values in one
-    ``_battery_values`` pass over ``mus``.  The rungs' steps
-    and candidates are the ones the one-row loop forms (halving is exact),
-    so only the rounding of block products can differ from it; a passing
-    rung is confirmed one row at a time."""
-    w = cone.weights
+    step / 2, ... from ``cur``, in one row block: one ``_Space.land`` call,
+    then the normalized landed rows' values in one ``_battery_values`` pass
+    over ``mus``.  The rungs' steps and candidates are the ones the one-row
+    loop forms (halving is exact), so only the rounding of block products
+    can differ from it; a passing rung is confirmed one row at a time."""
     steps = step * 0.5 ** np.arange(count)
-    V, landed = _land(cone, cur.h - steps[:, None] * grad)
-    norms = np.sqrt(np.sum(w * V * V, axis=1))
+    V, landed = space.land(cur.h - steps[:, None] * grad)
+    norms = np.sqrt(np.sum(space.w * V * V, axis=1))
     outcome = np.where(landed, _TINY, _FAIL)
     live = np.flatnonzero(landed & (norms > 1e-12))
     if len(live):
-        _, values = _battery_values(mset, V[live] / norms[live, None], w, mus)
+        _, values = _battery_values(space, V[live] / norms[live, None], mus)
         outcome[live] = np.where(values < cur.value - 1e-14, _PASS, _FAIL)
     return outcome
 
 
 def _descend(
-    mset: MultiplierSet,
-    cone: CriticalCone,
+    space: _Space,
     start: np.ndarray,
     budget: SearchBudget,
     mus: np.ndarray,
 ) -> tuple[list[_Candidate], int]:
     """Projected subgradient refinement of the normalized form value, from
-    ``start`` scaled to unit norm: the accepted candidates in order, and the
-    number of rungs tried, at most ``budget.descent_steps``.
+    the direction ``start`` scaled to unit norm, in the rows of ``space``:
+    the accepted candidates in order, and the number of rungs tried, at
+    most ``budget.descent_steps``.
 
-    Each rung lands cur - step grad in the cone and evaluates it at unit
-    norm; an improving value is accepted and grows the step (by 1.5, to at
-    most 1), anything else halves it, and the ladder stops once a halved
-    step falls below 1e-8 (after a zero landed row it goes on).  The first
-    ``_EXACT_RUNGS`` rungs after the start and after each accepted step run
-    one at a time; once that many fail in a row, the rest of the ladder,
-    down to its first rung below 1e-8 and within the remaining steps, is
-    screened in one row block (``_screen``), and the same control flow runs
-    over the screened outcomes, one step per rung.  A rung that passes the
-    screen runs again one row at a time, and that outcome stands.  Each
-    direction tried one at a time is one ``_candidate``: its value, and the
-    maximizing row of ``mus``, whose form is that value bit for bit, for
-    the next subgradient."""
+    Each rung moves cur - step grad into the cone (``_Space.land``) and
+    evaluates it at unit norm; an improving value is accepted and grows the
+    step (by 1.5, to at most 1), anything else halves it, and the ladder
+    stops once a halved step falls below 1e-8 (after a zero landed row it
+    goes on).  The first ``_EXACT_RUNGS`` rungs after the start and after
+    each accepted step run one at a time; once that many fail in a row, the
+    rest of the ladder, down to its first rung below 1e-8 and within the
+    remaining steps, is screened in one row block (``_screen``), and the
+    same control flow runs over the screened outcomes, one step per rung.
+    A rung that passes the screen runs again one row at a time, and that
+    outcome stands.  Each row tried one at a time is one ``_candidate``:
+    its value, and the maximizing row of ``mus``, whose form gives the
+    next gradient."""
 
-    if cone.base_pattern is None:
+    if space.cone.base_pattern is None:
         return [], 0
-    w = cone.weights
-    cur = _candidate(mset, w, start / weighted_norm(w, start), mus)
-    grad = _subgradient(mset, cur.h, cur.mu)
+    x = space.rows(start[None])[0]
+    cur = _candidate(space, x / weighted_norm(space.w, x), mus)
+    grad = space.gradient(cur)
     if grad is None:
         return [], 0
 
     def rung(step: float) -> tuple[int, Optional[_Candidate]]:
-        cand = into_cone(cone, cur.h - step * grad)
-        if cand is None:
+        V, ok = space.land((cur.h - step * grad)[None])
+        if not ok[0]:
             return _FAIL, None
-        nrm = weighted_norm(w, cand)
+        nrm = weighted_norm(space.w, V[0])
         if nrm <= 1e-12:
             return _TINY, None
-        trial = _candidate(mset, w, cand / nrm, mus)
+        trial = _candidate(space, V[0] / nrm, mus)
         return (_PASS if trial.value < cur.value - 1e-14 else _FAIL), trial
 
     visited, step, failed, screened, rungs = [], 0.5, 0, [], 0
@@ -274,7 +400,7 @@ def _descend(
         else:
             if not screened:
                 count = min(_ladder_length(step), budget.descent_steps - rungs)
-                screened = _screen(mset, cone, cur, grad, step, count, mus).tolist()
+                screened = _screen(space, cur, grad, step, count, mus).tolist()
             outcome, trial = screened.pop(0), None
             if outcome == _PASS:
                 outcome, trial = rung(step)
@@ -282,7 +408,7 @@ def _descend(
         if outcome == _PASS:
             cur = trial
             visited.append(cur)
-            grad = _subgradient(mset, cur.h, cur.mu)
+            grad = space.gradient(cur)
             if grad is None:
                 break
             step, failed, screened = min(step * 1.5, 1.0), 0, []
@@ -296,42 +422,48 @@ def _descend(
 
 @dataclass
 class _Candidate:
-    h: np.ndarray
+    h: np.ndarray  # a row of its search space
     value: float
     normalized: float
     mu: np.ndarray
 
 
-def _candidate(mset: MultiplierSet, w: np.ndarray, h: np.ndarray, mus: np.ndarray) -> _Candidate:
-    """h with its ``_max_form`` value over ``mus``, that value over
-    ||h||_w^2, and the maximizing row."""
-    value, mu = _max_form(mset, h, mus)
-    return _Candidate(h, value, value / float(np.sum(w * h * h)), mu)
+def _candidate(space: _Space, x: np.ndarray, mus: np.ndarray) -> _Candidate:
+    """The row x with its form value over ``mus`` (``_Space.max_form``),
+    that value over the squared norm of x, and the maximizing row."""
+    value, mu = space.max_form(x, mus)
+    return _Candidate(x, value, value / float(np.sum(space.w * x * x)), mu)
 
 
-def _battery_columns(
-    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, list[_Columns]]:
-    """Squared weighted norms of the rows of H, and their form columns:
+def _battery_columns(space: _Space, X: np.ndarray,
+                     directions: bool = False) -> tuple[np.ndarray, list[_Columns]]:
+    """Squared norms of the rows of X in ``space``, and their form columns:
     f''(x)h^2, and with constraints the matrix S of g_i''(x)h^2, one column
-    per constraint (None without).  The forms are evaluated per row block of
-    about ``_BLOCK_ENTRIES`` entries, with one ``quad_rows`` call per form, so
-    temporaries stay small.  The blocks' columns are views of one array
-    each: a battery keeps its columns across searches, and two small arrays
-    per block kept that long fragment the allocator's heap (a process
-    certifying the many-multiplier benchmark problems over and over peaked
-    at 54 MB that way, and at 49 MB with one array per column set)."""
-    n2, f = np.empty(len(H)), np.empty(len(H))
-    S = np.empty((len(H), mset.m)) if mset.m else None
+    per constraint (None without).  With ``directions`` the rows of X are
+    directions, each row block mapped to the space's rows (``_Space.rows``)
+    on its own.  The forms are evaluated per row block of about
+    ``_BLOCK_ENTRIES`` entries of the space's widest temporary
+    (``_Space.width``), with one ``_Space.quads`` call, so temporaries stay
+    small.  The blocks' columns are views of one array each: a battery
+    keeps its columns across searches, and two small arrays per block kept
+    that long fragment the allocator's heap (a process certifying the
+    many-multiplier benchmark problems over and over peaked at 54 MB that
+    way, and at 49 MB with one array per column set)."""
+    m = space.mset.m
+    n2, f = np.empty(len(X)), np.empty(len(X))
+    S = np.empty((len(X), m)) if m else None
     blocks = []
-    rows = max(1, _BLOCK_ENTRIES // H.shape[1])
-    for start in range(0, len(H), rows):
-        block = H[start:start + rows]
+    rows = max(1, _BLOCK_ENTRIES // space.width)
+    for start in range(0, len(X), rows):
+        block = X[start:start + rows]
+        if directions:
+            block = space.rows(block)
         part = slice(start, start + len(block))
-        n2[part] = np.sum(weights * block * block, axis=1)
-        f[part] = mset.f_form.quad_rows(block)
-        for i, g in enumerate(mset.g_forms):
-            S[part, i] = g.quad_rows(block)
+        n2[part] = np.sum(space.w * block * block, axis=1)
+        q = space.quads(block)
+        f[part] = q[0]
+        if m:
+            S[part] = q[1:].T
         blocks.append((f[part], None if S is None else S[part]))
     return n2, blocks
 
@@ -342,12 +474,11 @@ def _block_values(blocks: list[_Columns], mus: np.ndarray) -> np.ndarray:
     return np.concatenate([_combine(c, mus) for c in blocks] or [np.empty(0)])
 
 
-def _battery_values(
-    mset: MultiplierSet, H: np.ndarray, weights: np.ndarray, mus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared weighted norms and form values of the rows of H, computed
-    afresh in row blocks."""
-    n2, blocks = _battery_columns(mset, H, weights)
+def _battery_values(space: _Space, X: np.ndarray, mus: np.ndarray,
+                    directions: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms and form values of the rows of X in ``space``, computed
+    afresh in row blocks (``_battery_columns``)."""
+    n2, blocks = _battery_columns(space, X, directions)
     return n2, _block_values(blocks, mus)
 
 
@@ -364,34 +495,37 @@ def _search_min(mset: MultiplierSet, cone: CriticalCone, budget: SearchBudget,
     of ``mus`` (``_max_form``), over the battery and a descent from its best
     direction.
 
-    The battery's form columns are computed in row blocks on the cone's
-    first search with ``mset`` and combined with ``mus`` on every search
-    (``_Battery.columns``).  The descent (``_descend``) screens its failing
-    ladders in row blocks too; the rungs it tries alone, those it confirms
-    and the chosen directions are evaluated one by one, each once, so
-    ``sampled_min`` and the witness come from ``_max_form`` as a replay
-    computes them.  The chosen rows are copied, so a verdict holds no
-    battery alive."""
+    The search runs in the cone's rows (``_Space``): a subspace cone's
+    coordinates, else the directions themselves.  The battery's form
+    columns are computed in row blocks on the cone's first search with
+    ``mset`` and combined with ``mus`` on every search
+    (``_Battery.space``).  The descent (``_descend``) screens its failing
+    ladders in row blocks too.  The chosen direction and the witness are
+    directions evaluated one by one by ``_max_form``, so ``sampled_min``
+    and the witness come from it as a replay computes them: a battery row,
+    an accepted ambient step (evaluated once), or a coordinate step's
+    direction c B, evaluated afresh.  The chosen rows are copied, so a
+    verdict holds no battery alive."""
 
-    w = cone.weights
     battery = _battery(cone, budget)
     H, structured = battery.H, battery.structured
-    n2, blocks = battery.columns(mset, w)
-    values = _block_values(blocks, mus)
+    space = battery.space(mset, cone)
+    n2, values = battery.n2, _block_values(battery.blocks, mus)
     rows = np.flatnonzero(n2 > 1e-20)
     if not len(rows):
         return _Search(0, math.inf, None)
     normalized = values[rows] / n2[rows]
     best = rows[int(np.argmin(normalized))]
-    steps, _ = _descend(mset, cone, H[best], budget, mus)
+    steps, _ = _descend(space, H[best], budget, mus)
     best_step = min(steps, key=lambda c: c.normalized, default=None)
+    ambient = _Space(mset, cone)
     if best_step is not None and best_step.normalized < float(np.min(normalized)):
-        chosen = best_step
+        chosen = space.replay(best_step, mus)
     else:
-        chosen = _candidate(mset, w, H[best].copy(), mus)
+        chosen = _candidate(ambient, H[best].copy(), mus)
     # prefer a canonically scaled structured witness when it ties the best
     ties = rows[structured[rows] & (normalized <= chosen.normalized + 1e-9)]
-    witness = _candidate(mset, w, H[ties[0]].copy(), mus) if len(ties) else chosen
+    witness = _candidate(ambient, H[ties[0]].copy(), mus) if len(ties) else chosen
     return _Search(len(rows) + len(steps), chosen.normalized, witness)
 
 

@@ -55,9 +55,6 @@ class BoxSet:
         v = as_entries(x, self.dim)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
 
-    def project(self, x) -> np.ndarray:
-        return np.clip(as_entries(x, self.dim), self.lower, self.upper)
-
     def classify(self, x, tol: float = 1e-8):
         """Masks (lower_active, upper_active); fixed components (lower ==
         upper) count as both lower- and upper-active."""

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, into_cone
+from kkt2.cones import FREE, NONNEG, NONPOS, ZERO, CriticalCone, SignPatternCone, _land
 from kkt2.config import SearchBudget, Tolerances
-from kkt2.curvature import _candidate, _subgradient
+from kkt2.curvature import _Space, _candidate
 from kkt2.examples.example1 import MATRIX_A1, MATRIX_A2
 from kkt2.examples.example2 import DELTA, GAMMA
 from kkt2 import linalg
@@ -323,7 +323,7 @@ def _correct_equalities_per_try(
         coef = np.linalg.solve(jac, gval)
         if not np.all(np.isfinite(coef)):
             break
-        cand = box.project(cand - coef @ dirs)
+        cand = np.clip(cand - coef @ dirs, box.lower, box.upper)
     return cand
 
 
@@ -347,7 +347,7 @@ def box_samples_per_try(
         if nrm <= 0:
             continue
         cand = x + step * (eps * rng.random() / nrm)
-        cand = box.project(cand)
+        cand = np.clip(cand, box.lower, box.upper)
         if m1:
             cand = _correct_equalities_per_try(p, box, cand, grads)
         gvals = p.constraint_values(cand) if p.n_constraints else np.zeros(0)
@@ -372,17 +372,39 @@ def constraint_quads(mset, h: np.ndarray) -> np.ndarray:
     return np.array([form.quad(h) for form in mset.g_forms])
 
 
-def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, budget: SearchBudget,
+def into_cone(cone: CriticalCone, h: np.ndarray):
+    """The one-row case of ``cones._land``: h landed in a pattern cone, None
+    if it fails."""
+    V, ok = _land(cone, np.asarray(h, dtype=float)[None])
+    return V[0] if ok[0] else None
+
+
+def assert_close(batched, scalar) -> None:
+    """Same shape, and every entry within 1e-12 of the reference relative
+    to max(1, |reference|)."""
+    scalar = np.asarray(scalar, dtype=float)
+    assert batched.shape == scalar.shape
+    assert np.all(np.abs(batched - scalar) <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
+
+
+def ambient_space(mset, weights: np.ndarray) -> _Space:
+    """The ambient search space of ``mset``'s forms with norm ``weights``:
+    the space of R^n, a cone without rows, with no reduced forms."""
+    free = SignPatternCone(np.full(len(weights), FREE))
+    return _Space(mset, CriticalCone(np.asarray(weights, dtype=float), free, (), (), (), None, 0.0))
+
+
+def descend_per_rung(space: _Space, start: np.ndarray, budget: SearchBudget,
                      mus: np.ndarray) -> tuple[list, int]:
-    """The curvature descent one rung at a time, each through the one-row
-    ``into_cone`` and ``curvature._candidate`` over ``mus``: the reference
-    of ``curvature._descend``.  The accepted candidates in order and the
-    number of rungs tried."""
-    if cone.base_pattern is None:
+    """The curvature descent one rung at a time in the rows of ``space``,
+    each through a one-row ``_Space.land`` and ``curvature._candidate`` over
+    ``mus``: the reference of ``curvature._descend``.  The accepted
+    candidates in order and the number of rungs tried."""
+    if space.cone.base_pattern is None:
         return [], 0
-    w = cone.weights
-    cur = _candidate(mset, w, start / weighted_norm(w, start), mus)
-    grad = _subgradient(mset, cur.h, cur.mu)
+    x = space.rows(start[None])[0]
+    cur = _candidate(space, x / weighted_norm(space.w, x), mus)
+    grad = space.gradient(cur)
     if grad is None:
         return [], 0
     visited = []
@@ -390,21 +412,21 @@ def descend_per_rung(mset, cone: CriticalCone, start: np.ndarray, budget: Search
     rungs = 0
     for _ in range(budget.descent_steps):
         rungs += 1
-        cand = into_cone(cone, cur.h - step * grad)
-        if cand is None:
+        V, ok = space.land((cur.h - step * grad)[None])
+        if not ok[0]:
             step *= 0.5
             if step < 1e-8:
                 break
             continue
-        nrm = weighted_norm(w, cand)
+        nrm = weighted_norm(space.w, V[0])
         if nrm <= 1e-12:
             step *= 0.5
             continue
-        trial = _candidate(mset, w, cand / nrm, mus)
+        trial = _candidate(space, V[0] / nrm, mus)
         if trial.value < cur.value - 1e-14:
             cur = trial
             visited.append(cur)
-            grad = _subgradient(mset, cur.h, cur.mu)
+            grad = space.gradient(cur)
             if grad is None:
                 break
             step = min(step * 1.5, 1.0)

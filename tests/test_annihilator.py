@@ -6,6 +6,7 @@ that lands in one step, and a battery that is not empty on a
 many-multiplier problem."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from kkt2 import cones
 from kkt2.cones import (FREE, NONNEG, NONPOS, ZERO, _project_rows, critical_cone,
                         random_directions)
 from kkt2.kkt import multiplier_set
+from kkt2.problem_file import parse_problem
 
 from helpers import (absorb_rows, many_multiplier_problem, many_multiplier_spec,
                      plain_critical_cone, random_hull, random_stationary_problem)
@@ -208,3 +210,26 @@ class TestNoVacuousSNC:
         assert record["verdict"] == "holds"
         assert record["numbers"]["directions"] > 0
         assert record["numbers"]["sampled_min"] >= 1.0
+
+    @pytest.mark.parametrize("constraints", [0, 1])
+    def test_zero_subspace_holds_after_no_directions(self, tmp_path, capsys, constraints):
+        """Both bounds active with positive multipliers: the critical cone is
+        the zero subspace, whose basis has no rows.  ``check-snc`` reports
+        "holds" after 0 directions, with or without an inactive constraint,
+        and no warning."""
+        problem = {"dimension": 2, "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                   "objective": {"constant": 0.0, "linear": [1.0, 1.0],
+                                 "quadratic": [[0, 0, -1.0]]},
+                   "constraints": [{"constant": -1.0, "linear": [1.0, 1.0]}] * constraints,
+                   "m1": 0}
+        ppath, xpath = tmp_path / "p.json", tmp_path / "x.json"
+        ppath.write_text(json.dumps(problem))
+        xpath.write_text(json.dumps({"point": [0.0, 0.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-snc", str(ppath), "--at", str(xpath), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert (record["name"], record["verdict"]) == ("snc_sup", "holds")
+        assert record["numbers"]["directions"] == 0
+        p = parse_problem(json.dumps(problem)).build()[0]
+        assert critical_cone(multiplier_set(p, np.zeros(2)), 0.0).subspace_basis.shape == (0, 2)

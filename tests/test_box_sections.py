@@ -1,9 +1,11 @@
 """Box critical cones with leftover inequality rows: their section
 generators (the sign pattern read as rows), the switch from the landing
 sweep to generator combinations when the sweep starves, the size guard, the
-half rounds, and the landing sweep of the pattern batch."""
+half rounds, and the landing sweep of the pattern batch; subspace cones'
+basis draws and the reduced forms their searches run on."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,15 +13,17 @@ import pytest
 from kkt2 import cones, linalg
 from kkt2.cli import main
 from kkt2.cones import (NONNEG, ZERO, CriticalCone, SignPatternCone, _land,
-                        _random_pattern_batch, _random_section_batch, critical_cone, into_cone,
+                        _random_pattern_batch, _random_section_batch, critical_cone,
                         random_directions, structured_directions)
 from kkt2.config import SearchBudget
-from kkt2.curvature import _section_size, check_ssc
+from kkt2 import curvature
+from kkt2.curvature import _Space, _battery_values, _reduced_forms, _section_size, check_ssc, q_of_h
 from kkt2.examples import build_example1, build_example2
 from kkt2.kkt import multiplier_set
+from kkt2.problem_file import parse_problem
 
-from helpers import (many_multiplier_problem, many_multiplier_spec, plain_critical_cone,
-                     random_ray_cone, random_stationary_problem)
+from helpers import (assert_close, into_cone, many_multiplier_problem, many_multiplier_spec,
+                     plain_critical_cone, random_ray_cone, random_stationary_problem)
 
 
 def _stationary_cones(eta: float):
@@ -579,6 +583,99 @@ class TestSubspaceDraws:
             cone = CriticalCone(np.ones(3), SignPatternCone(np.zeros(3)), (), (), (),
                                 np.array([1.0, 0.0, 0.0]), 0.5)
         assert cone.subspace_basis is None
+
+
+def _reduced_case(case: str):
+    """(mset, cone): the golden ``multi`` problem's eta = 0 cone (the
+    benchmark's first ``multi_mu`` instance), a many-multiplier box's, or
+    the weighted plane with two random symmetric forms in R^5."""
+    if case == "plane":
+        rng = np.random.default_rng(5)
+        cone = _weighted_plane()
+        forms = [linalg.matrix_form(M + M.T, cone.weights)
+                 for M in rng.standard_normal((3, 5, 5))]
+        return SimpleNamespace(f_form=forms[0], g_forms=tuple(forms[1:]), m=2), cone
+    if case == "multi":
+        problem, point = many_multiplier_problem(np.random.default_rng(0), 24, 8, 6, 3, 0.01)
+        mset = multiplier_set(parse_problem(json.dumps(problem)).build()[0], np.array(point))
+    else:
+        mset = multiplier_set(*many_multiplier_spec(int(case[4:])))
+    return mset, critical_cone(mset, 0.0)
+
+
+REDUCED_CASES = ["multi", *(f"many{seed}" for seed in range(1, 21)), "plane"]
+
+
+class TestReducedForms:
+    """A subspace cone's searches run in the coordinates c of its basis B
+    on the reduced forms K_k = B F_k B^T, built from each form's row
+    evaluator: a block's columns c K_k c are the row evaluators' values at
+    the directions c B."""
+
+    @pytest.mark.parametrize("case", REDUCED_CASES)
+    def test_coordinate_columns_are_the_row_evaluators_values(self, case):
+        mset, cone = _reduced_case(case)
+        B = cone.subspace_basis
+        K = _reduced_forms(mset, B)
+        assert K.shape == (1 + mset.m, len(B), len(B))
+        assert np.array_equal(K, K.transpose(0, 2, 1))
+        space = _Space(mset, cone, K)
+        C = np.random.default_rng(len(case)).standard_normal((300, len(B)))
+        H = C @ B
+        forms = (mset.f_form, *mset.g_forms)
+        assert_close(space.quads(C), [form.quad_rows(H) for form in forms])
+        n2, blocks = curvature._battery_columns(space, C)
+        assert_close(n2, (H * H) @ cone.weights)
+        f, S = (np.concatenate(part) for part in zip(*blocks))
+        assert_close(np.column_stack([f, S]), np.stack([form.quad_rows(H) for form in forms], 1))
+        # a battery maps its directions block by block: the same columns
+        assert cone.contains_rows(H / np.sqrt(n2)[:, None], 1e-9).all()
+        mapped, values = _battery_values(space, H, np.eye(mset.m), directions=True)
+        assert_close(mapped, n2)
+        assert_close(values, f + S.max(axis=1))
+
+    @pytest.mark.parametrize("case", ["multi", "many1", "many2", "plane"])
+    def test_one_row_values_and_gradients(self, case):
+        """A coordinate row's form value over a multiplier matrix is
+        ``_max_form``'s at its direction, with the same maximizing row, and
+        its gradient is the coordinate vector of the ambient gradient's
+        weighted projection onto the subspace."""
+        mset, cone = _reduced_case(case)
+        B, w = cone.subspace_basis, cone.weights
+        space = _Space(mset, cone, _reduced_forms(mset, B))
+        ambient = _Space(mset, cone)
+        rng = np.random.default_rng(3)
+        mus = rng.uniform(0.0, 1.0, (6, mset.m))
+        for c in rng.standard_normal((20, len(B))):
+            value, mu = space.max_form(c, mus)
+            want, want_mu = curvature._max_form(mset, c @ B, mus)
+            assert_close(np.array(value), want)
+            assert mu.tobytes() == want_mu.tobytes()
+            cand = curvature._candidate(space, c, mus)
+            grad = ambient.gradient(curvature._candidate(ambient, c @ B, mus))
+            assert_close(space.gradient(cand), (grad * w) @ B.T)
+
+    def test_forms_without_a_riesz_map_get_no_descent(self, monkeypatch):
+        """As in the ambient space: without ``apply_rows`` the coordinate
+        search has no gradient, so it evaluates the battery alone."""
+        mset, cone = _reduced_case("multi")
+        quad_only = [linalg.BilinearForm(form.quad_rows) for form in (mset.f_form, *mset.g_forms)]
+        vars(mset).update(f_form=quad_only[0], g_forms=tuple(quad_only[1:]))
+        descents = []
+        descend = curvature._descend
+        monkeypatch.setattr(curvature, "_descend",
+                            lambda space, *a: descents.append(space) or descend(space, *a))
+        budget = SearchBudget(random=256, seed=3)
+        found = curvature._search_min(mset, cone, budget, mset.vertices)
+        space, = descents
+        battery = curvature._battery(cone, budget)
+        assert space.K is not None
+        assert space.gradient(curvature._candidate(space, space.rows(battery.H[:1])[0],
+                                                   mset.vertices)) is None
+        assert descend(space, battery.H[0], budget, mset.vertices) == ([], 0)
+        assert found.evaluated == len(battery.H)
+        assert found.sampled_min == q_of_h(mset, found.witness.h)[0] / float(
+            np.sum(cone.weights * found.witness.h ** 2))
 
 
 def _section_batch_per_block(cone: CriticalCone, count: int,

@@ -13,7 +13,6 @@ from kkt2.cones import (
     SignPatternCone,
     _land,
     critical_cone,
-    into_cone,
     radial_density_gap,
     tangent_cone_box,
 )
@@ -24,7 +23,7 @@ from kkt2.examples.example2 import Example2Set
 from kkt2.kkt import multiplier_set
 from kkt2.model import BoxSet, ProblemSpec, quadratic
 
-from helpers import many_multiplier_spec
+from helpers import into_cone, many_multiplier_spec
 
 
 def _unconstrained(box: BoxSet) -> ProblemSpec:

@@ -33,9 +33,9 @@ from kkt2.kkt import multiplier_set
 from kkt2.linalg import PolytopeH, weighted_norm
 from kkt2.model import BoxSet, GeneratedConeSet, ProblemSpec, quadratic
 
-from helpers import (box_samples_per_try, constraint_quads, descend_per_rung,
-                     growth_margins_per_sample, highs_max, many_multiplier_spec,
-                     random_stationary_problem)
+from helpers import (ambient_space, assert_close, box_samples_per_try, constraint_quads,
+                     descend_per_rung, growth_margins_per_sample, highs_max,
+                     many_multiplier_spec, random_stationary_problem)
 
 
 @pytest.fixture(scope="module")
@@ -603,16 +603,10 @@ class TestBlockSizes:
             assert ref_tries == tries and runs["1 row"][0].tobytes() == np.array(ref).tobytes()
 
 
-def _assert_close(batched, scalar):
-    scalar = np.asarray(scalar, dtype=float)
-    assert batched.shape == scalar.shape
-    assert np.all(np.abs(batched - scalar) <= 1e-12 * np.maximum(1.0, np.abs(scalar)))
-
-
 def _values(mset, H, mus):
     """Fresh form values of the rows of H over the multiplier rows ``mus``
     through the battery's block path."""
-    return _battery_values(mset, H, np.ones(H.shape[1]), mus)[1]
+    return _battery_values(ambient_space(mset, np.ones(H.shape[1])), H, mus)[1]
 
 
 def _bounded_random_problems(rng, count):
@@ -635,9 +629,9 @@ class TestBatchedValues:
         rng = np.random.default_rng(71)
         for p, xbar, mset in _bounded_random_problems(rng, 25):
             H = rng.standard_normal((30, p.dim))
-            _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
+            assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
             mu = mset.vertices[-1]
-            _assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
+            assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
 
     @pytest.mark.parametrize("grid", [12, 120, 480])
     def test_example1_forms_batch_rows(self, grid):
@@ -652,11 +646,11 @@ class TestBatchedValues:
         H[1] = ex.direction_lower_indicator()
         H[2] = ex.direction_upper_indicator()
         H[3] = ex.direction_lower_indicator() + ex.direction_upper_indicator()
-        _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
+        assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
         for mu in (np.array([0.0]), np.array([0.3]), np.array([1.0])):
-            _assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
-        _, values = _battery_values(mset, H, ex.problem.weights, mset.vertices)
-        _assert_close(values, [q_of_h(mset, h)[0] for h in H])
+            assert_close(_values(mset, H, mu[None]), [fixed_mu_value(mset, h, mu) for h in H])
+        _, values = _battery_values(ambient_space(mset, ex.problem.weights), H, mset.vertices)
+        assert_close(values, [q_of_h(mset, h)[0] for h in H])
 
     def test_vertex_ties(self, ex1):
         """On (1/3, 3/4) the constraint form vanishes, so both vertices of
@@ -665,7 +659,7 @@ class TestBatchedValues:
         H = np.random.default_rng(4).standard_normal((20, ex.grid))
         H[:, ~(ex.mask_middle | ex.mask_upper_left)] = 0.0
         assert all(constraint_quads(mset, h)[0] == 0.0 for h in H)
-        _assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
+        assert_close(_values(mset, H, mset.vertices), [q_of_h(mset, h)[0] for h in H])
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
     def test_block_boundaries(self, blocks, extra):
@@ -673,12 +667,13 @@ class TestBatchedValues:
         p, xbar, mset = next(_bounded_random_problems(rng, 1))
         H = rng.standard_normal((blocks * (_BLOCK_ENTRIES // p.dim) + extra, p.dim))
         H[::5] = 0.0
-        n2, values = _battery_values(mset, H, p.weights, mset.vertices)
-        _assert_close(n2, [float(np.sum(p.weights * h * h)) for h in H])
-        _assert_close(values, [q_of_h(mset, h)[0] for h in H])
+        space = ambient_space(mset, p.weights)
+        n2, values = _battery_values(space, H, mset.vertices)
+        assert_close(n2, [float(np.sum(p.weights * h * h)) for h in H])
+        assert_close(values, [q_of_h(mset, h)[0] for h in H])
         mu = mset.vertices[0]
-        _, fixed = _battery_values(mset, H, p.weights, mu[None])
-        _assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])
+        _, fixed = _battery_values(space, H, mu[None])
+        assert_close(fixed, [fixed_mu_value(mset, h, mu) for h in H])
 
     def test_quadratic_with_weights(self):
         """``quadratic``'s rows against its defining formulas row by row:
@@ -689,9 +684,9 @@ class TestBatchedValues:
             Ms = 0.5 * (M + M.T)
             fn = quadratic(0.7, lin, M, w)
             X = rng.standard_normal((9, n))
-            _assert_close(fn.values(X), [0.7 + lin @ x + 0.5 * x @ Ms @ x for x in X])
-            _assert_close(fn.gradients(X), [(lin + Ms @ x) / w for x in X])
-            _assert_close(fn.hessian(X[0]).quad_rows(X), [x @ Ms @ x for x in X])
+            assert_close(fn.values(X), [0.7 + lin @ x + 0.5 * x @ Ms @ x for x in X])
+            assert_close(fn.gradients(X), [(lin + Ms @ x) / w for x in X])
+            assert_close(fn.hessian(X[0]).quad_rows(X), [x @ Ms @ x for x in X])
             for x in X:
                 assert fn.value(x) == fn.values(x[None])[0]
                 assert np.array_equal(fn.gradient(x), fn.gradients(x[None])[0])
@@ -722,33 +717,41 @@ class TestBatchedValues:
 
 def _spy_descents(monkeypatch, reference: bool):
     """Records every ``_descend`` call as [its outcome, the reference's
-    outcome, its one-row ``into_cone`` calls], with ``reference`` running
-    ``helpers.descend_per_rung`` on the same arguments beside it, and the
+    outcome, its one-row ``_Space.land`` calls (the rungs it tries alone,
+    screens not counted), its space], with ``reference`` running
+    ``helpers.descend_per_rung`` on the same arguments after it, and the
     outcomes of every screened block."""
-    record = {"descents": [], "screens": []}
-    real_descend, real_screen, real_into_cone = (curvature._descend, curvature._screen,
-                                                 curvature.into_cone)
+    record = {"descents": [], "screens": [], "counting": False}
+    real_descend, real_screen, real_land = (curvature._descend, curvature._screen,
+                                            curvature._Space.land)
 
-    def descend(mset, cone, start, budget, mus):
-        entry = [None, None, 0]
+    def descend(space, start, budget, mus):
+        entry = [None, None, 0, space]
         record["descents"].append(entry)
-        entry[0] = real_descend(mset, cone, start, budget, mus)
+        record["counting"] = True
+        try:
+            entry[0] = real_descend(space, start, budget, mus)
+        finally:
+            record["counting"] = False
         if reference:
-            entry[1] = descend_per_rung(mset, cone, start, budget, mus)
+            entry[1] = descend_per_rung(space, start, budget, mus)
         return entry[0]
 
     def screen(*args):
+        record["counting"] = False
         out = real_screen(*args)
+        record["counting"] = True
         record["screens"].append(out)
         return out
 
-    def into_cone(cone, h):
-        record["descents"][-1][2] += 1
-        return real_into_cone(cone, h)
+    def land(space, X):
+        if record["counting"]:
+            record["descents"][-1][2] += 1
+        return real_land(space, X)
 
     monkeypatch.setattr(curvature, "_descend", descend)
     monkeypatch.setattr(curvature, "_screen", screen)
-    monkeypatch.setattr(curvature, "into_cone", into_cone)
+    monkeypatch.setattr(curvature._Space, "land", land)
     return record
 
 
@@ -758,7 +761,7 @@ def _assert_rungs_alone(record) -> None:
     a rung that passes its screen passes alone too.  A descent of the
     one-rung loop tries every rung alone, 26 from 0.5 to a failing ladder's
     floor."""
-    for (visited, rungs), _, calls in record["descents"]:
+    for (visited, rungs), _, calls, _ in record["descents"]:
         assert calls <= min(rungs, _EXACT_RUNGS * (1 + len(visited)) + len(visited))
 
 
@@ -782,9 +785,11 @@ def _descent_searches(case: str):
 
 class TestDescentMatchesPerRung:
     """The descent with its failing ladders screened in row blocks against
-    the one-rung-at-a-time loop of ``helpers.descend_per_rung``: the same
-    accepted candidates, byte for byte, and the same number of rungs.  The
-    step budgets end before, at and inside screened blocks."""
+    the one-rung-at-a-time loop of ``helpers.descend_per_rung`` in the same
+    space: the same accepted candidates, byte for byte, and the same number
+    of rungs.  A subspace cone's descent runs in its coordinates, and each
+    accepted step's value is ``_max_form``'s at its direction within 1e-12
+    relative.  The step budgets end before, at and inside screened blocks."""
 
     @pytest.mark.parametrize("steps", [1, 3, 5, 30, 200])
     @pytest.mark.parametrize("case", [*(f"many{seed}" for seed in range(6)),
@@ -792,16 +797,25 @@ class TestDescentMatchesPerRung:
     def test_same_steps(self, case, steps, monkeypatch):
         record = _spy_descents(monkeypatch, reference=True)
         budget = replace(DEFAULT_BUDGET, descent_steps=steps)
-        for mset, cone, mus in _descent_searches(case):
+        searches = _descent_searches(case)
+        for mset, cone, mus in searches:
             curvature._search_min(mset, cone, budget, mus)
         assert record["descents"]
-        for (got, rungs), (want, want_rungs), _ in record["descents"]:
+        for (got, rungs), (want, want_rungs), _, space in record["descents"]:
             assert rungs == want_rungs <= steps
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.h.tobytes() == b.h.tobytes()
                 assert a.value == b.value and a.normalized == b.normalized
                 assert np.asarray(a.mu).tobytes() == np.asarray(b.mu).tobytes()
+            if space.K is not None:  # a coordinate step's value is its direction's
+                _, _, mus = next(s for s in searches if s[1] is space.cone)
+                assert_close(np.array([a.value for a in got]),
+                              [curvature._max_form(space.mset, a.h @ space.cone.subspace_basis,
+                                                   mus)[0] for a in got])
+        # the eta = 0 cones of the many-multiplier boxes are subspaces
+        assert {space.K is not None for *_, space in record["descents"]} == \
+            ({False, True} if case.startswith("many") else {False})
         _assert_rungs_alone(record)
         # a block follows _EXACT_RUNGS failed rungs and stops at the budget;
         # example1's ladders accept nothing, so each is screened past them
@@ -820,4 +834,4 @@ def test_example1_descents_screen_their_ladders(monkeypatch, capsys):
     descents = record["descents"]
     assert len(descents) >= 14 and record["screens"]
     _assert_rungs_alone(record)
-    assert sum(calls for _, _, calls in descents) < sum(rungs for (_, rungs), _, _ in descents)
+    assert sum(calls for _, _, calls, _ in descents) < sum(rungs for (_, rungs), _, _, _ in descents)

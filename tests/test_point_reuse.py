@@ -215,39 +215,45 @@ class TestVertexDedup:
 
 
 class TestSingleEvaluation:
-    """Descent candidates carry the value a replay computes, and each
-    accepted direction is evaluated once in its search."""
+    """Descent candidates carry the value a replay computes, each accepted
+    direction is evaluated once in its search, and a reported value is a
+    replay value.  A subspace cone's descent accepts coordinate rows c,
+    valued through the reduced forms without a ``_max_form`` call; the
+    chosen step is evaluated once, as its direction c B."""
 
     @pytest.fixture()
     def spies(self, monkeypatch):
-        """Per search, the candidates its descent accepted, the bytes of
-        every direction ``_max_form`` evaluated, and the ``q_of_h`` calls,
-        recorded while the search runs."""
+        """Per search, a dict of its descent's space, the candidates its
+        descent accepted, the bytes of every direction ``_max_form``
+        evaluated, the ``q_of_h`` calls and its result, recorded while the
+        search runs."""
         searches, running = [], []
         real_search, real_descend, real_form, real_q = (
             curvature._search_min, curvature._descend, curvature._max_form, curvature.q_of_h)
 
         def search(*args):
-            searches.append(([], [], []))
+            searches.append({"space": None, "accepted": [], "evaluated": [], "q_calls": []})
             running.append(True)
             try:
-                return real_search(*args)
+                searches[-1]["found"] = real_search(*args)
+                return searches[-1]["found"]
             finally:
                 running.pop()
 
-        def descend(*args):
-            out = real_descend(*args)
-            searches[-1][0].extend(out[0])
+        def descend(space, *args):
+            out = real_descend(space, *args)
+            searches[-1]["space"] = space
+            searches[-1]["accepted"].extend(out[0])
             return out
 
         def form(mset, h, mus):
             if running:
-                searches[-1][1].append(np.asarray(h).tobytes())
+                searches[-1]["evaluated"].append(np.asarray(h).tobytes())
             return real_form(mset, h, mus)
 
         def q(mset, h):
             if running:
-                searches[-1][2].append(np.asarray(h).tobytes())
+                searches[-1]["q_calls"].append(np.asarray(h).tobytes())
             return real_q(mset, h)
 
         monkeypatch.setattr(curvature, "_search_min", search)
@@ -256,30 +262,59 @@ class TestSingleEvaluation:
         monkeypatch.setattr(curvature, "q_of_h", q)
         return searches
 
+    @staticmethod
+    def _assert_evaluated_once(search, replay) -> None:
+        """``replay(h)``: (value, mu) of the direction h.  Ambient accepted
+        steps are evaluated once each, with their replay value and row.
+        Coordinate steps are never passed to ``_max_form``, their values are
+        their directions' within 1e-12 relative, and the best one, when it
+        beats the battery, is evaluated once as its direction, whose replay
+        gives ``sampled_min`` bit for bit."""
+        space, accepted, evaluated = search["space"], search["accepted"], search["evaluated"]
+        assert not search["q_calls"]  # the search evaluates through _max_form alone
+        if space.K is None:
+            for cand in accepted:
+                assert evaluated.count(cand.h.tobytes()) == 1
+                value, mu = replay(cand.h)
+                assert cand.value == value and cand.mu.tobytes() == mu.tobytes()
+            return
+        B, w = space.cone.subspace_basis, space.cone.weights
+        assert {len(h) for h in evaluated} == {8 * space.cone.dim}
+        for cand in accepted:
+            value = replay(cand.h @ B)[0]
+            assert abs(cand.value - value) <= 1e-12 * max(1.0, abs(value))
+        best = min(accepted, key=lambda c: c.normalized, default=None)
+        if best is not None:
+            h = best.h @ B
+            count = evaluated.count(h.tobytes())
+            assert count <= 1
+            if count:
+                assert search["found"].sampled_min == replay(h)[0] / float(np.sum(w * h * h))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_sup_form(self, seed, spies):
         p, x = many_multiplier_spec(seed)
         mset = multiplier_set(p, x)
         check_snc(mset, budget=BUDGET)
         check_ssc(mset, eta=0.1, alpha_target=0.5, budget=BUDGET)
-        assert any(accepted for accepted, _, _ in spies)
-        for accepted, evaluated, q_calls in spies:
-            assert not q_calls  # the search evaluates through _max_form alone
-            for cand in accepted:
-                assert evaluated.count(cand.h.tobytes()) == 1
-                value, mu = q_of_h(mset, cand.h)
-                assert cand.value == value and cand.mu.tobytes() == mu.tobytes()
+        # check_snc's and check_ssc's eta = 0 cones search in coordinates
+        assert [search["space"].K is not None for search in spies] == [True, False, True]
+        assert all(search["accepted"] for search in spies)
+        for search in spies:
+            self._assert_evaluated_once(search, lambda h: q_of_h(mset, h))
 
     def test_fixed_multiplier(self, spies):
         p, x = many_multiplier_spec(0)
         mset = multiplier_set(p, x)
         mu = np.mean(mset.vertices, axis=0)
         check_snc_fixed_multiplier(mset, mu, budget=BUDGET)
-        (accepted, evaluated, q_calls), = spies
-        assert accepted and not q_calls  # a fixed-mu search never calls q_of_h
-        for cand in accepted:
-            assert evaluated.count(cand.h.tobytes()) == 1
-            assert cand.value == fixed_mu_value(mset, cand.h, mu)
+        search, = spies
+        assert search["space"].K is not None and search["accepted"]
+        self._assert_evaluated_once(search, lambda h: (fixed_mu_value(mset, h, mu), mu))
+        # the descent beat the battery: its best step is the chosen direction
+        best = min(search["accepted"], key=lambda c: c.normalized)
+        direction = best.h @ search["space"].cone.subspace_basis
+        assert search["evaluated"].count(direction.tobytes()) == 1
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -463,9 +498,12 @@ class TestBatteryColumnsOncePerCone:
         verdicts = [_search(mset, cone, mu) for mu in searches]
         battery = curvature._battery(cone, DEFAULT_BUDGET)
         assert battery.mset is mset
+        space = battery.space(mset, cone)  # cached: the columns are not recomputed
+        # many0's eta = 0 cone is a subspace, searched in its coordinates
+        assert (space.K is None) == (case is _display_cone_case)
         for mu, verdict in zip(searches, verdicts):
             mus = mset.vertices if mu is None else mu[None]
-            n2, fresh = _battery_values(mset, battery.H, cone.weights, mus)
+            n2, fresh = _battery_values(space, battery.H, mus, directions=True)
             cached = curvature._block_values(battery.blocks, mus)
             assert cached.tobytes() == fresh.tobytes()
             assert battery.n2.tobytes() == n2.tobytes()
